@@ -7,6 +7,7 @@ package photonoc
 // console output can be compared line by line with the paper.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -137,7 +138,7 @@ func BenchmarkFig5LaserPowerVsBER(b *testing.B) {
 	var pts []core.Fig5Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = cfg.Fig5(fig5Grid())
+		pts, err = Fig5With(context.Background(), reference(b, &cfg), fig5Grid())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func BenchmarkFig6aPowerBreakdown(b *testing.B) {
 	var bars []core.Fig6aBar
 	var err error
 	for i := 0; i < b.N; i++ {
-		bars, err = cfg.Fig6a(1e-11)
+		bars, err = Fig6aWith(context.Background(), reference(b, &cfg), 1e-11)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func BenchmarkFig6bParetoTradeoff(b *testing.B) {
 	var pts []core.Fig6bPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = cfg.Fig6b(bers)
+		pts, err = TradeoffPlaneWith(context.Background(), reference(b, &cfg), ecc.PaperSchemes(), bers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,7 +233,7 @@ func BenchmarkHeadlineSavings(b *testing.B) {
 	var h core.Headline
 	var err error
 	for i := 0; i < b.N; i++ {
-		h, err = cfg.Headline(1e-11)
+		h, err = HeadlineWith(context.Background(), reference(b, &cfg), &cfg, 1e-11)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -307,7 +308,7 @@ func BenchmarkAblationDACResolution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = rows[:0]
 		for _, nb := range bits {
-			m, err := manager.New(&cfg, ecc.PaperSchemes(), manager.DAC{Bits: nb, MaxOpticalW: 700e-6})
+			m, err := manager.NewWithEvaluator(&cfg, ecc.PaperSchemes(), manager.DAC{Bits: nb, MaxOpticalW: 700e-6}, reference(b, &cfg))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -340,7 +341,7 @@ func BenchmarkAblationCodeFamilies(b *testing.B) {
 	var pts []core.Fig6bPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = cfg.TradeoffPlane(ecc.ExtendedSchemes(), []float64{1e-9})
+		pts, err = TradeoffPlaneWith(context.Background(), reference(b, &cfg), ecc.ExtendedSchemes(), []float64{1e-9})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -365,13 +366,14 @@ func BenchmarkAblationCrosstalk(b *testing.B) {
 	noXT.Channel.DropFilter.FWHMNM = 0.001 // tails ≈ 0 ⇒ χ ≈ 0
 	type pair struct{ with, without core.Evaluation }
 	results := map[string]pair{}
+	with, without := compile(b, &withXT), compile(b, &noXT)
 	for i := 0; i < b.N; i++ {
 		for _, code := range ecc.PaperSchemes() {
-			a, err := withXT.Evaluate(code, 1e-11)
+			a, err := with.Evaluate(code, 1e-11)
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := noXT.Evaluate(code, 1e-11)
+			c, err := without.Evaluate(code, 1e-11)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -415,7 +417,7 @@ func BenchmarkAblationChannelSpacing(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ev, err := cfg.Evaluate(ecc.MustUncoded64(), 1e-11)
+			ev, err := compile(b, &cfg).Evaluate(ecc.MustUncoded64(), 1e-11)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -528,7 +530,7 @@ func BenchmarkWaterfallCurves(b *testing.B) {
 			s := report.Series{Name: code.Name()}
 			for _, snr := range snrs {
 				p := ecc.RawBERFromSNR(snr)
-				post := ecc.PostDecodeBER(code, p)
+				post := ecc.PlanFor(code).PostDecodeBER(p)
 				s.X = append(s.X, snr)
 				s.Y = append(s.Y, math.Log10(math.Max(post, 1e-30)))
 			}
@@ -551,7 +553,7 @@ func BenchmarkEnergyPerBitVsBER(b *testing.B) {
 	var pts []core.EnergyPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = cfg.EnergySweep(ecc.PaperSchemes(), bers)
+		pts, err = EnergySweepWith(context.Background(), reference(b, &cfg), &cfg, ecc.PaperSchemes(), bers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -583,7 +585,7 @@ func BenchmarkNetworkSimulation(b *testing.B) {
 	base := netsim.DefaultConfig()
 	base.Messages = 3000
 	for i := 0; i < b.N; i++ {
-		if _, err := netsim.Run(base); err != nil {
+		if _, err := netsim.RunCtx(context.Background(), base, reference(b, &base.Link)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -595,7 +597,7 @@ func BenchmarkNetworkSimulation(b *testing.B) {
 			cfg.Messages = 10000
 			cfg.DeadlineSlack = 1.4
 			mutate(&cfg)
-			res, err := netsim.Run(cfg)
+			res, err := netsim.RunCtx(context.Background(), cfg, reference(b, &cfg.Link))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,6 +5,7 @@ package photonoc
 // model. If this file is green, the reproduction stands.
 
 import (
+	"context"
 	"testing"
 
 	"photonoc/internal/ecc"
@@ -14,11 +15,12 @@ import (
 // and decoder permits to reduce the laser power by nearly 50%".
 func TestClaimLaserPowerHalvedByHamming(t *testing.T) {
 	cfg := DefaultConfig()
-	u, err := cfg.Evaluate(Uncoded64(), 1e-11)
+	link := compile(t, &cfg)
+	u, err := link.Evaluate(Uncoded64(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := cfg.Evaluate(Hamming74(), 1e-11)
+	h, err := link.Evaluate(Hamming74(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +34,9 @@ func TestClaimLaserPowerHalvedByHamming(t *testing.T) {
 // rate": the wire rate stays at Fmod; only the payload share changes by CT.
 func TestClaimNoDataRateLoss(t *testing.T) {
 	cfg := DefaultConfig()
+	link := compile(t, &cfg)
 	for _, code := range PaperSchemes() {
-		ev, err := cfg.Evaluate(code, 1e-11)
+		ev, err := link.Evaluate(code, 1e-11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +51,7 @@ func TestClaimNoDataRateLoss(t *testing.T) {
 // laser it saves.
 func TestClaimNegligibleHardwareOverhead(t *testing.T) {
 	cfg := DefaultConfig()
-	ev, err := cfg.Evaluate(Hamming74(), 1e-11)
+	ev, err := compile(t, &cfg).Evaluate(Hamming74(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func TestClaimNegligibleHardwareOverhead(t *testing.T) {
 // the total power" (uncoded).
 func TestClaimLaserDominatesChannel(t *testing.T) {
 	cfg := DefaultConfig()
-	ev, err := cfg.Evaluate(Uncoded64(), 1e-11)
+	ev, err := compile(t, &cfg).Evaluate(Uncoded64(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestClaimLaserDominatesChannel(t *testing.T) {
 // TestClaimChannelReductions — §V-C: channel power −45% H(71,64), −49% H(7,4).
 func TestClaimChannelReductions(t *testing.T) {
 	cfg := DefaultConfig()
-	h, err := cfg.Headline(1e-11)
+	h, err := HeadlineWith(context.Background(), reference(t, &cfg), &cfg, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +93,8 @@ func TestClaimChannelReductions(t *testing.T) {
 // the laser, reaching this BER is possible using H(71,64) and H(7,4)".
 func TestClaimBER12OnlyWithECC(t *testing.T) {
 	cfg := DefaultConfig()
-	u, err := cfg.Evaluate(Uncoded64(), 1e-12)
+	link := compile(t, &cfg)
+	u, err := link.Evaluate(Uncoded64(), 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func TestClaimBER12OnlyWithECC(t *testing.T) {
 		t.Error("uncoded 1e-12 must be infeasible")
 	}
 	for _, code := range []Code{Hamming7164(), Hamming74()} {
-		ev, err := cfg.Evaluate(code, 1e-12)
+		ev, err := link.Evaluate(code, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +117,7 @@ func TestClaimBER12OnlyWithECC(t *testing.T) {
 // energy-efficient.
 func TestClaimEnergyPerBitPreserved(t *testing.T) {
 	cfg := DefaultConfig()
-	h, err := cfg.Headline(1e-11)
+	h, err := HeadlineWith(context.Background(), reference(t, &cfg), &cfg, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +133,7 @@ func TestClaimEnergyPerBitPreserved(t *testing.T) {
 // for the whole interconnect".
 func TestClaimInterconnectSaving(t *testing.T) {
 	cfg := DefaultConfig()
-	h, err := cfg.Headline(1e-11)
+	h, err := HeadlineWith(context.Background(), reference(t, &cfg), &cfg, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +146,7 @@ func TestClaimInterconnectSaving(t *testing.T) {
 // techniques belong to the Pareto front".
 func TestClaimParetoMembership(t *testing.T) {
 	cfg := DefaultConfig()
-	pts, err := cfg.Fig6b([]float64{1e-6, 1e-8, 1e-10, 1e-12})
+	pts, err := TradeoffPlaneWith(context.Background(), reference(t, &cfg), ecc.PaperSchemes(), []float64{1e-6, 1e-8, 1e-10, 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

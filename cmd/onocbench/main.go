@@ -194,7 +194,7 @@ func fig4() error {
 }
 
 func fig5(ctx context.Context, eng *photonoc.Engine, csvOut bool) error {
-	pts, err := eng.Fig5(ctx, mathx.Logspace(1e-12, 1e-3, 10))
+	pts, err := core.Fig5With(ctx, eng, mathx.Logspace(1e-12, 1e-3, 10))
 	if err != nil {
 		return err
 	}
@@ -212,7 +212,7 @@ func fig5(ctx context.Context, eng *photonoc.Engine, csvOut bool) error {
 }
 
 func fig6a(ctx context.Context, eng *photonoc.Engine, ber float64, csvOut bool) error {
-	bars, err := eng.Fig6a(ctx, ber)
+	bars, err := core.Fig6aWith(ctx, eng, ber)
 	if err != nil {
 		return err
 	}
@@ -234,7 +234,7 @@ func fig6a(ctx context.Context, eng *photonoc.Engine, ber float64, csvOut bool) 
 }
 
 func fig6b(ctx context.Context, eng *photonoc.Engine) error {
-	pts, err := eng.Fig6b(ctx, []float64{1e-6, 1e-8, 1e-10, 1e-12})
+	pts, err := core.TradeoffPlaneWith(ctx, eng, ecc.PaperSchemes(), []float64{1e-6, 1e-8, 1e-10, 1e-12})
 	if err != nil {
 		return err
 	}
@@ -252,7 +252,8 @@ func fig6b(ctx context.Context, eng *photonoc.Engine) error {
 }
 
 func headline(ctx context.Context, eng *photonoc.Engine, ber float64) error {
-	h, err := eng.Headline(ctx, ber)
+	cfg := eng.Config()
+	h, err := core.HeadlineWith(ctx, eng, &cfg, ber)
 	if err != nil {
 		return err
 	}

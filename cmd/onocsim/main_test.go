@@ -3,11 +3,62 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"photonoc/internal/onocd"
 )
+
+// update regenerates the golden fixtures:
+//
+//	go test ./cmd/onocsim -run TestGolden -update
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// goldenCases pin the CLI's rendered output byte for byte: the uniform,
+// hotspot and deadline-driven streaming scenarios, each seeded, so every
+// per-transfer manager decision and every event is reproducible.
+var goldenCases = []struct {
+	name string
+	args []string
+}{
+	{"uniform", []string{"-pattern", "uniform", "-messages", "2000", "-seed", "5"}},
+	{"hotspot", []string{"-pattern", "hotspot", "-hotspot", "3", "-messages", "2000", "-seed", "5"}},
+	{"streaming_deadline", []string{
+		"-pattern", "streaming", "-deadline", "2", "-adaptive", "-idleoff", "-messages", "2000", "-seed", "5",
+	}},
+}
+
+func TestGolden(t *testing.T) {
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(context.Background(), tc.args, &out); err != nil {
+				t.Fatalf("onocsim %s: %v", strings.Join(tc.args, " "), err)
+			}
+			path := filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing fixture (regenerate with -update): %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("output differs from %s (regenerate with -update if the change is intended)\n--- got ---\n%s\n--- want ---\n%s",
+					path, out.String(), want)
+			}
+		})
+	}
+}
 
 // TestRemoteMatchesLocal: the seeded simulation renders byte-identically
 // whether the manager's evaluations resolve in process or over HTTP against
@@ -45,6 +96,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-objective", "min-everything"},
 		{"-remote", "http://127.0.0.1:1"},
 		{"-nosuchflag"},
+		{"-pattern", "hotspot", "-hotspot", "3", "-hotfrac", "NaN"},
+		{"-deadline", "NaN", "-adaptive"},
+		{"-load", "NaN"},
+		{"-ber", "NaN"},
 	} {
 		var out bytes.Buffer
 		if err := run(context.Background(), args, &out); err == nil {

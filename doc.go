@@ -43,10 +43,16 @@
 // All Engine calls take a context and honor cancellation; API-boundary
 // failures are typed (ErrInvalidConfig, ErrInvalidInput, ErrInfeasible).
 //
-// The earlier flat API — cfg.Evaluate, cfg.Sweep, NewManager,
-// RunSimulation — remains available; the one-shot forms stay the reference
-// implementation the Engine is tested against, and NewManager /
-// RunSimulation are deprecated thin wrappers over the same internals.
+// There is one solver and one form per experiment. LinkConfig.Compile
+// yields the Compiled pipeline every solve runs through; its Evaluator is
+// the sequential, uncached reference the Engine is tested against. Each of
+// the paper's experiments is a function of an Evaluator — Fig5With,
+// Fig6aWith, TradeoffPlaneWith, HeadlineWith, EnergySweepWith,
+// BestEnergySchemeByBERWith, ParetoByBER — so passing an Engine runs it
+// over the shared cache:
+//
+//	cfg := eng.Config()
+//	h, err := photonoc.HeadlineWith(ctx, eng, &cfg, 1e-11)
 //
 // # Monte-Carlo validation
 //
@@ -202,9 +208,8 @@
 // laser inversion for the worst wavelength only), bundled by
 // core.LinkConfig.Compile and held by the Engine. Engine.CacheStats reports
 // cold-solve counts and cumulative timing next to the hit/miss accounting.
-// The per-call helpers remain as thin wrappers over the plans; planned
-// inversions agree with the historical bisection to better than 1e-12
-// relative. BENCH_cold_sweep.json tracks the measured trajectory
+// The planned inversions agree with the historical bisection to better
+// than 1e-12 relative. BENCH_cold_sweep.json tracks the measured trajectory
 // (regenerate with `onocbench -json`); see README "Performance model".
 //
 // # Subsystems

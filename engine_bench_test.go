@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"photonoc/internal/core"
+	"photonoc/internal/manager"
 )
 
 // The paper's full design sweep: 8 schemes (the three paper schemes plus
@@ -11,14 +14,15 @@ import (
 // Figures 5/6 and the Pareto explorer.
 var benchBERs = []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7}
 
-// BenchmarkSweepSequential is the deprecated one-shot path: every
-// iteration re-solves all 48 operating points in one goroutine.
+// BenchmarkSweepSequential is the uncached reference path: every iteration
+// compiles the configuration and re-solves all 48 operating points in one
+// goroutine.
 func BenchmarkSweepSequential(b *testing.B) {
 	cfg := DefaultConfig()
 	codes := ExtendedSchemes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Sweep(codes, benchBERs); err != nil {
+		if _, err := core.SweepWith(context.Background(), reference(b, &cfg), codes, benchBERs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,13 +215,14 @@ func BenchmarkTune(b *testing.B) {
 }
 
 // BenchmarkManagerDecision compares per-request manager latency: a
-// standalone manager (private cache) against an engine-backed manager
-// sharing the sweep-warmed LRU.
+// standalone manager over the uncached compiled solver (every decision
+// re-solves the roster) against an engine-backed manager sharing the
+// sweep-warmed LRU.
 func BenchmarkManagerDecision(b *testing.B) {
 	req := Requirements{TargetBER: 1e-11, Objective: MinEnergy}
 	b.Run("standalone", func(b *testing.B) {
 		cfg := DefaultConfig()
-		mgr, err := NewManager(&cfg, PaperSchemes(), PaperDAC())
+		mgr, err := manager.NewWithEvaluator(&cfg, PaperSchemes(), PaperDAC(), reference(b, &cfg))
 		if err != nil {
 			b.Fatal(err)
 		}

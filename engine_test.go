@@ -6,18 +6,34 @@ import (
 	"reflect"
 	"testing"
 
+	"photonoc/internal/core"
 	"photonoc/internal/manager"
+	"photonoc/internal/netsim"
 )
 
 var engineTestBERs = []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7}
 
+// compile compiles cfg, failing the test on error.
+func compile(t testing.TB, cfg *LinkConfig) *core.Compiled {
+	t.Helper()
+	c, err := cfg.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// reference is cfg's sequential, uncached Evaluator — the solve every
+// Engine path must reproduce bit for bit.
+func reference(t testing.TB, cfg *LinkConfig) Evaluator { return compile(t, cfg).Evaluator() }
+
 // TestEngineSweepMatchesSequential is the public-API acceptance check: a
 // 4-worker Engine.Sweep over the 8-scheme × 6-BER paper grid must be
-// byte-identical to the deprecated sequential cfg.Sweep.
+// byte-identical to the sequential compiled sweep.
 func TestEngineSweepMatchesSequential(t *testing.T) {
 	cfg := DefaultConfig()
 	codes := ExtendedSchemes()
-	want, err := cfg.Sweep(codes, engineTestBERs)
+	want, err := core.SweepWith(context.Background(), reference(t, &cfg), codes, engineTestBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +46,7 @@ func TestEngineSweepMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Engine.Sweep differs from sequential cfg.Sweep")
+		t.Fatal("Engine.Sweep differs from the sequential compiled sweep")
 	}
 }
 
@@ -129,7 +145,7 @@ func TestEngineInfeasibleTyped(t *testing.T) {
 func TestEngineSimulateMatchesRunSimulation(t *testing.T) {
 	cfg := DefaultSimConfig()
 	cfg.Messages = 500
-	want, err := RunSimulation(cfg)
+	want, err := netsim.RunCtx(context.Background(), cfg, reference(t, &cfg.Link))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +158,7 @@ func TestEngineSimulateMatchesRunSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("Engine.Simulate differs from the deprecated RunSimulation")
+		t.Error("Engine.Simulate differs from the simulator run over the sequential evaluator")
 	}
 }
 
@@ -171,7 +187,7 @@ func TestEngineSimulateConfigMismatch(t *testing.T) {
 
 func TestStandaloneManagerHonorsCancellation(t *testing.T) {
 	cfg := DefaultConfig()
-	mgr, err := NewManager(&cfg, PaperSchemes(), PaperDAC())
+	mgr, err := manager.NewWithEvaluator(&cfg, PaperSchemes(), PaperDAC(), reference(t, &cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,11 @@ func FlipPositions(v Vector, positions ...int) error {
 // returns how many bits were flipped. It models a memoryless binary symmetric
 // channel, the abstraction under the paper's Eq. 2.
 //
-// Deprecated: use BSC.Corrupt, the word-wise path — it samples the same
-// distribution in O(expected flips) via geometric gap sampling instead of
-// one uniform draw per bit, and applies flips by XOR on the packed 64-bit
-// words. FlipRandom remains fully supported (and keeps its exact historical
-// per-bit RNG consumption, which seeded tests may rely on).
+// It is the per-bit reference channel: one uniform draw per bit, with a
+// fixed RNG consumption that the ecc Monte-Carlo tests and the tracked
+// monte_carlo_block baseline are seeded against. Fast paths use
+// BSC.Corrupt, which samples the same distribution in O(expected flips)
+// via geometric gap sampling and applies flips by XOR on the packed words.
 func FlipRandom(v Vector, rng *rand.Rand, p float64) int {
 	flips := 0
 	for i := 0; i < v.Len(); i++ {

@@ -16,8 +16,17 @@ const tightestBERFloor = 1e-18
 // the paper's "BER 1e-12 is not possible without ECC" observation. Schemes
 // still feasible at the 1e-18 search floor return the floor.
 func (cfg *LinkConfig) TightestBER(code ecc.Code) (float64, error) {
+	c, err := cfg.Compile()
+	if err != nil {
+		return 0, err
+	}
+	return c.tightestBER(code)
+}
+
+// tightestBER bisects the feasibility boundary through the compiled solve.
+func (c *Compiled) tightestBER(code ecc.Code) (float64, error) {
 	feasibleAt := func(ber float64) (bool, error) {
-		ev, err := cfg.Evaluate(code, ber)
+		ev, err := c.Evaluate(code, ber)
 		if err != nil {
 			return false, err
 		}

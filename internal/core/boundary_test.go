@@ -20,14 +20,15 @@ func TestTightestBERUncodedBoundary(t *testing.T) {
 	}
 	// The boundary is exactly the feasibility edge: slightly looser is
 	// feasible, slightly tighter is not.
-	evLoose, err := cfg.Evaluate(ecc.MustUncoded64(), boundary*1.1)
+	link := compiled(t, &cfg)
+	evLoose, err := link.Evaluate(ecc.MustUncoded64(), boundary*1.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !evLoose.Feasible {
 		t.Error("just above the boundary should be feasible")
 	}
-	evTight, err := cfg.Evaluate(ecc.MustUncoded64(), boundary/1.1)
+	evTight, err := link.Evaluate(ecc.MustUncoded64(), boundary/1.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,8 @@ func (c *Compiled) Config() LinkConfig {
 func (c *Compiled) LinkPlan() *onoc.LinkPlan { return c.link }
 
 // Evaluate solves one scheme at one target BER through the compiled
-// pipeline. It produces the same Evaluation as LinkConfig.Evaluate.
+// pipeline: the required raw BER from the code's memoized FER plan
+// (ecc.PlanFor), the detector SNR, then the worst-channel laser inversion.
 func (c *Compiled) Evaluate(code ecc.Code, targetBER float64) (Evaluation, error) {
 	rawBER, err := ecc.PlanFor(code).RequiredRawBER(targetBER)
 	if err != nil {

@@ -8,15 +8,15 @@ import (
 	"photonoc/internal/mathx"
 )
 
+// TestCompiledEvaluateMatchesPerCall: one long-lived Compiled answers every
+// point exactly like a configuration compiled afresh for that single call,
+// so solves carry no state from one point to the next.
 func TestCompiledEvaluateMatchesPerCall(t *testing.T) {
 	cfg := DefaultConfig()
-	c, err := cfg.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := compiled(t, &cfg)
 	for _, code := range ecc.ExtendedSchemes() {
 		for _, ber := range mathx.Logspace(1e-12, 1e-3, 7) {
-			want, err := cfg.Evaluate(code, ber)
+			want, err := compiled(t, &cfg).Evaluate(code, ber)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -25,7 +25,7 @@ func TestCompiledEvaluateMatchesPerCall(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Errorf("%s @ %g: compiled %+v != per-call %+v", code.Name(), ber, got, want)
+				t.Errorf("%s @ %g: long-lived %+v != per-call %+v", code.Name(), ber, got, want)
 			}
 		}
 	}
@@ -83,17 +83,23 @@ func TestCompiledEvaluatorHonorsContext(t *testing.T) {
 	}
 }
 
+// TestCompiledSweepMatchesSequential: SweepWith over the compiled
+// Evaluator returns exactly the points of a plain Compiled.Evaluate loop,
+// in BER-major, then scheme, order.
 func TestCompiledSweepMatchesSequential(t *testing.T) {
 	cfg := DefaultConfig()
 	codes := ecc.PaperSchemes()
 	bers := mathx.Logspace(1e-12, 1e-6, 5)
-	want, err := cfg.Sweep(codes, bers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cfg.Compile()
-	if err != nil {
-		t.Fatal(err)
+	c := compiled(t, &cfg)
+	var want []Evaluation
+	for _, ber := range bers {
+		for _, code := range codes {
+			ev, err := c.Evaluate(code, ber)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, ev)
+		}
 	}
 	got, err := SweepWith(context.Background(), c.Evaluator(), codes, bers)
 	if err != nil {

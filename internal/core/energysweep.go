@@ -16,15 +16,10 @@ type EnergyPoint struct {
 	Feasible       bool
 }
 
-// EnergySweep computes energy per payload bit for each scheme across the
-// BER grid — the data behind the paper's "without compromising energy per
-// bit" claim, as a full curve rather than a single point.
-func (cfg *LinkConfig) EnergySweep(codes []ecc.Code, targetBERs []float64) ([]EnergyPoint, error) {
-	return EnergySweepWith(context.Background(), cfg.Evaluator(), cfg, codes, targetBERs)
-}
-
-// EnergySweepWith is EnergySweep through an arbitrary Evaluator; cfg is
-// still needed for the payload-rate derivation.
+// EnergySweepWith computes energy per payload bit for each scheme across
+// the BER grid through ev — the data behind the paper's "without
+// compromising energy per bit" claim, as a full curve rather than a single
+// point. cfg is still needed for the payload-rate derivation.
 func EnergySweepWith(ctx context.Context, ev Evaluator, cfg *LinkConfig, codes []ecc.Code, targetBERs []float64) ([]EnergyPoint, error) {
 	var out []EnergyPoint
 	for _, ber := range targetBERs {
@@ -48,15 +43,9 @@ func EnergySweepWith(ctx context.Context, ev Evaluator, cfg *LinkConfig, codes [
 	return out, nil
 }
 
-// BestEnergySchemeByBER returns, per BER, the feasible scheme with the
-// lowest energy per bit — the operating map a runtime manager would follow
-// under the MinEnergy objective.
-func (cfg *LinkConfig) BestEnergySchemeByBER(codes []ecc.Code, targetBERs []float64) (map[float64]string, error) {
-	return BestEnergySchemeByBERWith(context.Background(), cfg.Evaluator(), codes, targetBERs)
-}
-
-// BestEnergySchemeByBERWith is BestEnergySchemeByBER through an arbitrary
-// Evaluator.
+// BestEnergySchemeByBERWith returns, per BER, the feasible scheme with the
+// lowest energy per bit solved through ev — the operating map a runtime
+// manager would follow under the MinEnergy objective.
 func BestEnergySchemeByBERWith(ctx context.Context, ev Evaluator, codes []ecc.Code, targetBERs []float64) (map[float64]string, error) {
 	out := make(map[float64]string, len(targetBERs))
 	for _, ber := range targetBERs {

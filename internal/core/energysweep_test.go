@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"photonoc/internal/ecc"
@@ -10,7 +11,7 @@ import (
 func TestEnergySweepShape(t *testing.T) {
 	cfg := DefaultConfig()
 	bers := mathx.Logspace(1e-12, 1e-6, 7)
-	pts, err := cfg.EnergySweep(ecc.PaperSchemes(), bers)
+	pts, err := EnergySweepWith(context.Background(), evaluator(t, &cfg), &cfg, ecc.PaperSchemes(), bers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestEnergySweepShape(t *testing.T) {
 func TestBestEnergySchemeByBER(t *testing.T) {
 	cfg := DefaultConfig()
 	bers := []float64{1e-12, 1e-11, 1e-9, 1e-6}
-	best, err := cfg.BestEnergySchemeByBER(ecc.PaperSchemes(), bers)
+	best, err := BestEnergySchemeByBERWith(context.Background(), evaluator(t, &cfg), ecc.PaperSchemes(), bers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestBestEnergySchemeByBER(t *testing.T) {
 	// With only the uncoded scheme in the pool, 1e-12 has no feasible
 	// entry at all.
 	only := []ecc.Code{ecc.MustUncoded64()}
-	best, err = cfg.BestEnergySchemeByBER(only, []float64{1e-12})
+	best, err = BestEnergySchemeByBERWith(context.Background(), evaluator(t, &cfg), only, []float64{1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

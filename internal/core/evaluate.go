@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"photonoc/internal/ecc"
 	"photonoc/internal/onoc"
@@ -10,27 +9,13 @@ import (
 
 // Evaluator solves one (scheme, target BER) operating point under a
 // context. It is the seam between the experiment harnesses and whatever
-// actually performs the solve: *LinkConfig.Evaluator() is the plain
+// actually performs the solve: Compiled.Evaluator() is the plain
 // sequential solver, while the engine layer contributes a memoizing,
 // concurrency-safe implementation that the manager and the traffic
 // simulator share.
 type Evaluator interface {
 	Evaluate(ctx context.Context, code ecc.Code, targetBER float64) (Evaluation, error)
 }
-
-// cfgEvaluator adapts LinkConfig's one-shot solve to the Evaluator seam.
-type cfgEvaluator struct{ cfg *LinkConfig }
-
-func (e cfgEvaluator) Evaluate(ctx context.Context, code ecc.Code, targetBER float64) (Evaluation, error) {
-	if err := ctx.Err(); err != nil {
-		return Evaluation{}, err
-	}
-	return e.cfg.Evaluate(code, targetBER)
-}
-
-// Evaluator returns the plain sequential Evaluator over this configuration:
-// no cache, no concurrency, context checked between solves.
-func (cfg *LinkConfig) Evaluator() Evaluator { return cfgEvaluator{cfg} }
 
 // Evaluation is the solved operating state of one (scheme, target BER)
 // configuration of the link — one point of the paper's Figures 5 and 6.
@@ -67,53 +52,6 @@ type Evaluation struct {
 	InfeasibleReason string
 }
 
-// Evaluate solves one scheme at one target BER. Configuration-constant
-// work resolves through the memoized plans (ecc.PlanFor, ChannelSpec.Plan):
-// only the first solve after a configuration change pays compilation.
-func (cfg *LinkConfig) Evaluate(code ecc.Code, targetBER float64) (Evaluation, error) {
-	if err := cfg.Validate(); err != nil {
-		return Evaluation{}, err
-	}
-	rawBER, err := ecc.PlanFor(code).RequiredRawBER(targetBER)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	snr, err := ecc.SNRForRawBER(rawBER)
-	if err != nil {
-		return Evaluation{}, fmt.Errorf("core: %s at BER %g: %w", code.Name(), targetBER, err)
-	}
-	op, err := cfg.Channel.WorstOperatingPoint(snr)
-	if err != nil {
-		return Evaluation{}, err
-	}
-
-	ev := Evaluation{
-		Code:      code,
-		TargetBER: targetBER,
-		RawBER:    rawBER,
-		SNR:       snr,
-		CT:        ecc.CT(code),
-		Op:        op,
-		Feasible:  op.Feasible,
-	}
-	if !op.Feasible {
-		ev.InfeasibleReason = op.InfeasibleReason
-		return ev, nil
-	}
-	nw := float64(cfg.Channel.Topo.Wavelengths)
-	ev.LaserPowerW = op.LaserElectricalW
-	ev.ModulatorPowerW = cfg.ModulatorPowerW
-	ev.InterfacePowerW = cfg.InterfacePowerFor(code).TotalW() / nw
-	ev.ChannelPowerW = ev.LaserPowerW + ev.ModulatorPowerW + ev.InterfacePowerW
-	ev.EnergyPerBitJ = ev.ChannelPowerW * ev.CT / cfg.FmodHz
-	return ev, nil
-}
-
-// EvaluateAll solves every scheme at one target BER, preserving order.
-func (cfg *LinkConfig) EvaluateAll(codes []ecc.Code, targetBER float64) ([]Evaluation, error) {
-	return EvaluateAllWith(context.Background(), cfg.Evaluator(), codes, targetBER)
-}
-
 // EvaluateAllWith solves every scheme at one target BER through ev,
 // preserving order.
 func EvaluateAllWith(ctx context.Context, ev Evaluator, codes []ecc.Code, targetBER float64) ([]Evaluation, error) {
@@ -126,21 +64,6 @@ func EvaluateAllWith(ctx context.Context, ev Evaluator, codes []ecc.Code, target
 		out = append(out, e)
 	}
 	return out, nil
-}
-
-// Sweep evaluates codes × targetBERs (outer loop over BER), the raw
-// material of Figures 5 and 6b. The configuration compiles once for the
-// whole batch.
-//
-// Deprecated-adjacent: the engine layer offers a concurrent, memoized
-// sweep with identical ordering; this sequential form remains the
-// reference implementation the engine is tested against.
-func (cfg *LinkConfig) Sweep(codes []ecc.Code, targetBERs []float64) ([]Evaluation, error) {
-	c, err := cfg.Compile()
-	if err != nil {
-		return nil, err
-	}
-	return SweepWith(context.Background(), c.Evaluator(), codes, targetBERs)
 }
 
 // SweepWith evaluates codes × targetBERs (outer loop over BER) through ev.

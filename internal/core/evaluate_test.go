@@ -1,11 +1,25 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"photonoc/internal/ecc"
 )
+
+// compiled compiles cfg, failing the test on error.
+func compiled(t testing.TB, cfg *LinkConfig) *Compiled {
+	t.Helper()
+	c, err := cfg.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// evaluator is cfg's sequential, uncached reference Evaluator.
+func evaluator(t testing.TB, cfg *LinkConfig) Evaluator { return compiled(t, cfg).Evaluator() }
 
 func approx(a, b, tol float64) bool {
 	d := math.Abs(a - b)
@@ -49,7 +63,7 @@ func TestEvaluatePaperOperatingPoint(t *testing.T) {
 	// The Fig. 6a numbers at BER 1e-11. Paper: Plaser 14.35/7.12/6.64 mW;
 	// our calibrated model: ≈13.7/6.8/6.2 mW with identical structure.
 	cfg := DefaultConfig()
-	evs, err := cfg.EvaluateAll(ecc.PaperSchemes(), 1e-11)
+	evs, err := EvaluateAllWith(context.Background(), evaluator(t, &cfg), ecc.PaperSchemes(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +106,12 @@ func TestEvaluatePaperOperatingPoint(t *testing.T) {
 
 func TestEvaluateRawBERAndSNRChain(t *testing.T) {
 	cfg := DefaultConfig()
-	ev, err := cfg.Evaluate(ecc.MustHamming74(), 1e-11)
+	ev, err := compiled(t, &cfg).Evaluate(ecc.MustHamming74(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The chain must be internally consistent.
-	if post := ecc.PostDecodeBER(ev.Code, ev.RawBER); !approx(post/1e-11, 1, 1e-5) {
+	if post := ecc.PlanFor(ev.Code).PostDecodeBER(ev.RawBER); !approx(post/1e-11, 1, 1e-5) {
 		t.Errorf("raw BER %g does not reproduce the target: %g", ev.RawBER, post)
 	}
 	if back := ecc.RawBERFromSNR(ev.SNR); !approx(back/ev.RawBER, 1, 1e-6) {
@@ -111,7 +125,7 @@ func TestEvaluateRawBERAndSNRChain(t *testing.T) {
 func TestEnergyPerBitOrdering(t *testing.T) {
 	// Paper Section V-C: H(71,64) is the most energy-efficient scheme.
 	cfg := DefaultConfig()
-	evs, err := cfg.EvaluateAll(ecc.PaperSchemes(), 1e-11)
+	evs, err := EvaluateAllWith(context.Background(), evaluator(t, &cfg), ecc.PaperSchemes(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +151,8 @@ func TestEnergyPerBitOrdering(t *testing.T) {
 
 func TestUncodedInfeasibleAt1e12(t *testing.T) {
 	cfg := DefaultConfig()
-	ev, err := cfg.Evaluate(ecc.MustUncoded64(), 1e-12)
+	link := compiled(t, &cfg)
+	ev, err := link.Evaluate(ecc.MustUncoded64(), 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +167,7 @@ func TestUncodedInfeasibleAt1e12(t *testing.T) {
 	}
 	// Both codes stay feasible.
 	for _, code := range []ecc.Code{ecc.MustHamming7164(), ecc.MustHamming74()} {
-		ev, err := cfg.Evaluate(code, 1e-12)
+		ev, err := link.Evaluate(code, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +181,7 @@ func TestPerWaveguideAndInterconnectTotals(t *testing.T) {
 	// Paper: 251 mW → 136 mW per waveguide; ≈22 W across 12 ONIs × 16
 	// waveguides. Our calibration: ≈240 → ≈131 mW and ≈21 W.
 	cfg := DefaultConfig()
-	evs, err := cfg.EvaluateAll(ecc.PaperSchemes(), 1e-11)
+	evs, err := EvaluateAllWith(context.Background(), evaluator(t, &cfg), ecc.PaperSchemes(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +206,7 @@ func TestPerWaveguideAndInterconnectTotals(t *testing.T) {
 func TestLaserShareUncoded(t *testing.T) {
 	// Paper: lasers are 92% of the uncoded channel power.
 	cfg := DefaultConfig()
-	ev, err := cfg.Evaluate(ecc.MustUncoded64(), 1e-11)
+	ev, err := compiled(t, &cfg).Evaluate(ecc.MustUncoded64(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +239,7 @@ func TestInterfacePowerForFallback(t *testing.T) {
 func TestSweepShape(t *testing.T) {
 	cfg := DefaultConfig()
 	bers := []float64{1e-6, 1e-9, 1e-12}
-	evs, err := cfg.Sweep(ecc.PaperSchemes(), bers)
+	evs, err := SweepWith(context.Background(), evaluator(t, &cfg), ecc.PaperSchemes(), bers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +258,7 @@ func TestSweepShape(t *testing.T) {
 
 func TestPayloadRate(t *testing.T) {
 	cfg := DefaultConfig()
-	ev, err := cfg.Evaluate(ecc.MustHamming74(), 1e-9)
+	ev, err := compiled(t, &cfg).Evaluate(ecc.MustHamming74(), 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}

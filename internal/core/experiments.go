@@ -18,13 +18,8 @@ type Fig5Point struct {
 	Feasible      bool
 }
 
-// Fig5 regenerates Figure 5 over the given BER grid (the paper sweeps
-// 1e-12 … 1e-3) for the paper's three schemes.
-func (cfg *LinkConfig) Fig5(targetBERs []float64) ([]Fig5Point, error) {
-	return Fig5With(context.Background(), cfg.Evaluator(), targetBERs)
-}
-
-// Fig5With regenerates Figure 5 through an arbitrary Evaluator.
+// Fig5With regenerates Figure 5 through ev over the given BER grid (the
+// paper sweeps 1e-12 … 1e-3) for the paper's three schemes.
 func Fig5With(ctx context.Context, ev Evaluator, targetBERs []float64) ([]Fig5Point, error) {
 	var out []Fig5Point
 	for _, ber := range targetBERs {
@@ -60,12 +55,8 @@ type Fig6aBar struct {
 	Feasible        bool
 }
 
-// Fig6a regenerates Figure 6a at the given BER (the paper uses 1e-11).
-func (cfg *LinkConfig) Fig6a(targetBER float64) ([]Fig6aBar, error) {
-	return Fig6aWith(context.Background(), cfg.Evaluator(), targetBER)
-}
-
-// Fig6aWith regenerates Figure 6a through an arbitrary Evaluator.
+// Fig6aWith regenerates Figure 6a through ev at the given BER (the paper
+// uses 1e-11).
 func Fig6aWith(ctx context.Context, ev Evaluator, targetBER float64) ([]Fig6aBar, error) {
 	evs, err := EvaluateAllWith(ctx, ev, ecc.PaperSchemes(), targetBER)
 	if err != nil {
@@ -103,19 +94,10 @@ type Fig6bPoint struct {
 	Feasible      bool
 }
 
-// Fig6b regenerates Figure 6b: the power/performance trade-off for BER
-// 1e-6 … 1e-12 (the paper's right panel), marking Pareto membership.
-func (cfg *LinkConfig) Fig6b(targetBERs []float64) ([]Fig6bPoint, error) {
-	return cfg.TradeoffPlane(ecc.PaperSchemes(), targetBERs)
-}
-
-// TradeoffPlane generalizes Fig6b to any scheme set (used by the code-family
-// ablation).
-func (cfg *LinkConfig) TradeoffPlane(codes []ecc.Code, targetBERs []float64) ([]Fig6bPoint, error) {
-	return TradeoffPlaneWith(context.Background(), cfg.Evaluator(), codes, targetBERs)
-}
-
-// TradeoffPlaneWith is TradeoffPlane through an arbitrary Evaluator.
+// TradeoffPlaneWith computes the power/performance trade-off plane through
+// ev, marking Pareto membership per BER. Over ecc.PaperSchemes() and BER
+// 1e-6 … 1e-12 it regenerates Figure 6b (the paper's right panel); other
+// scheme sets give the code-family ablation.
 func TradeoffPlaneWith(ctx context.Context, ev Evaluator, codes []ecc.Code, targetBERs []float64) ([]Fig6bPoint, error) {
 	var out []Fig6bPoint
 	for _, ber := range targetBERs {
@@ -158,13 +140,9 @@ type Headline struct {
 	InterconnectSavingW float64
 }
 
-// Headline computes the Section V-C summary at the given BER (paper: 1e-11).
-func (cfg *LinkConfig) Headline(targetBER float64) (Headline, error) {
-	return HeadlineWith(context.Background(), cfg.Evaluator(), cfg, targetBER)
-}
-
-// HeadlineWith computes the Section V-C summary through an arbitrary
-// Evaluator; cfg is still needed for the waveguide/interconnect scaling.
+// HeadlineWith computes the Section V-C summary through ev at the given BER
+// (paper: 1e-11); cfg is still needed for the waveguide/interconnect
+// scaling.
 func HeadlineWith(ctx context.Context, ev Evaluator, cfg *LinkConfig, targetBER float64) (Headline, error) {
 	evs, err := EvaluateAllWith(ctx, ev, ecc.PaperSchemes(), targetBER)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"photonoc/internal/ecc"
@@ -10,7 +11,7 @@ import (
 func TestFig5Series(t *testing.T) {
 	cfg := DefaultConfig()
 	bers := mathx.Logspace(1e-12, 1e-3, 10)
-	pts, err := cfg.Fig5(bers)
+	pts, err := Fig5With(context.Background(), evaluator(t, &cfg), bers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestFig5Series(t *testing.T) {
 
 func TestFig6aBars(t *testing.T) {
 	cfg := DefaultConfig()
-	bars, err := cfg.Fig6a(1e-11)
+	bars, err := Fig6aWith(context.Background(), evaluator(t, &cfg), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestFig6bParetoClaim(t *testing.T) {
 	// the Pareto front".
 	cfg := DefaultConfig()
 	bers := []float64{1e-6, 1e-8, 1e-10, 1e-12}
-	pts, err := cfg.Fig6b(bers)
+	pts, err := TradeoffPlaneWith(context.Background(), evaluator(t, &cfg), ecc.PaperSchemes(), bers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestTradeoffPlaneWithExtendedCodes(t *testing.T) {
 	// (less time and less laser power thanks to t=2). Repetition burns
 	// both axes and is dominated.
 	cfg := DefaultConfig()
-	pts, err := cfg.TradeoffPlane(ecc.ExtendedSchemes(), []float64{1e-9})
+	pts, err := TradeoffPlaneWith(context.Background(), evaluator(t, &cfg), ecc.ExtendedSchemes(), []float64{1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestTradeoffPlaneWithExtendedCodes(t *testing.T) {
 
 func TestHeadlineNumbers(t *testing.T) {
 	cfg := DefaultConfig()
-	h, err := cfg.Headline(1e-11)
+	h, err := HeadlineWith(context.Background(), evaluator(t, &cfg), &cfg, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestHeadlineNumbers(t *testing.T) {
 		t.Errorf("interconnect saving = %.1f W, paper ≈22", h.InterconnectSavingW)
 	}
 	// Headline is undefined when the baseline is infeasible.
-	if _, err := cfg.Headline(1e-12); err == nil {
+	if _, err := HeadlineWith(context.Background(), evaluator(t, &cfg), &cfg, 1e-12); err == nil {
 		t.Error("headline at 1e-12 should fail (uncoded infeasible)")
 	}
 }

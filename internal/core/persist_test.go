@@ -20,11 +20,11 @@ func TestConfigSaveLoadRoundTrip(t *testing.T) {
 	}
 	// The loaded config must be *behaviorally* identical: identical
 	// evaluation results at the headline point.
-	a, err := cfg.Evaluate(ecc.MustHamming74(), 1e-11)
+	a, err := compiled(t, &cfg).Evaluate(ecc.MustHamming74(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.Evaluate(ecc.MustHamming74(), 1e-11)
+	b, err := compiled(t, &back).Evaluate(ecc.MustHamming74(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -13,9 +14,11 @@ import (
 // It is deliberately dependency-free (no report package) so that core's
 // public surface stays at the bottom of the dependency graph.
 func (cfg *LinkConfig) WriteReport(w io.Writer) error {
-	if err := cfg.Validate(); err != nil {
+	c, err := cfg.Compile()
+	if err != nil {
 		return err
 	}
+	ctx, ev := context.Background(), c.Evaluator()
 	pr := func(format string, args ...interface{}) {}
 	var firstErr error
 	pr = func(format string, args ...interface{}) {
@@ -35,7 +38,7 @@ func (cfg *LinkConfig) WriteReport(w io.Writer) error {
 	// Fig 5.
 	pr("## Laser power vs target BER (Fig. 5)\n\n")
 	pr("| BER | w/o ECC | H(71,64) | H(7,4) |\n|---|---|---|---|\n")
-	pts, err := cfg.Fig5(mathx.Logspace(1e-12, 1e-3, 10))
+	pts, err := Fig5With(ctx, ev, mathx.Logspace(1e-12, 1e-3, 10))
 	if err != nil {
 		return err
 	}
@@ -62,7 +65,7 @@ func (cfg *LinkConfig) WriteReport(w io.Writer) error {
 	// Fig 6a.
 	pr("\n## Channel power breakdown @ BER 1e-11 (Fig. 6a)\n\n")
 	pr("| scheme | Penc+dec | PMR | Plaser | total | CT | pJ/bit |\n|---|---|---|---|---|---|---|\n")
-	bars, err := cfg.Fig6a(1e-11)
+	bars, err := Fig6aWith(ctx, ev, 1e-11)
 	if err != nil {
 		return err
 	}
@@ -72,7 +75,7 @@ func (cfg *LinkConfig) WriteReport(w io.Writer) error {
 	}
 
 	// Headline.
-	h, err := cfg.Headline(1e-11)
+	h, err := HeadlineWith(ctx, ev, cfg, 1e-11)
 	if err != nil {
 		return err
 	}
@@ -88,7 +91,7 @@ func (cfg *LinkConfig) WriteReport(w io.Writer) error {
 	// Boundary.
 	pr("\n## Laser-limited BER boundary\n\n")
 	for _, code := range ecc.PaperSchemes() {
-		b, err := cfg.TightestBER(code)
+		b, err := c.tightestBER(code)
 		if err != nil {
 			return err
 		}
@@ -101,7 +104,7 @@ func (cfg *LinkConfig) WriteReport(w io.Writer) error {
 
 	// Pareto.
 	pr("\n## Trade-off plane (Fig. 6b)\n\n")
-	plane, err := cfg.Fig6b([]float64{1e-6, 1e-8, 1e-10, 1e-12})
+	plane, err := TradeoffPlaneWith(ctx, ev, ecc.PaperSchemes(), []float64{1e-6, 1e-8, 1e-10, 1e-12})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"photonoc/internal/ecc"
@@ -35,11 +36,11 @@ func TestHeadlineInsensitiveToInterfaceSource(t *testing.T) {
 	if err := synthesized.UseSynthesizedInterfaces(synth.DefaultLibrary()); err != nil {
 		t.Fatal(err)
 	}
-	hP, err := published.Headline(1e-11)
+	hP, err := HeadlineWith(context.Background(), evaluator(t, &published), &published, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hS, err := synthesized.Headline(1e-11)
+	hS, err := HeadlineWith(context.Background(), evaluator(t, &synthesized), &synthesized, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestHeadlineInsensitiveToInterfaceSource(t *testing.T) {
 		}
 	}
 	// Evaluations still feasible and ordered.
-	evs, err := synthesized.EvaluateAll(ecc.PaperSchemes(), 1e-11)
+	evs, err := EvaluateAllWith(context.Background(), evaluator(t, &synthesized), ecc.PaperSchemes(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}

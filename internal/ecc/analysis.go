@@ -79,35 +79,10 @@ func lchoose(n, k int) float64 {
 	return a - b - c
 }
 
-// PostDecodeBER returns the post-decoding BER of code c at raw bit error
-// probability p. Codes that implement BERModeler (repetition, uncoded) are
-// consulted first; otherwise t = 0 codes pass p through, t = 1 codes use the
-// paper's Eq. 2, and stronger codes use the union-bound model.
-//
-// Deprecated: callers evaluating the same code repeatedly should hold the
-// memoized plan from PlanFor(c) and call FERPlan.PostDecodeBER, which skips
-// the per-call plan lookup and evaluates the union-bound tail by incremental
-// recurrence (agreement within 1e-12 relative; exact for BERModeler, t = 0
-// and t = 1 codes). This wrapper remains fully supported.
-func PostDecodeBER(c Code, p float64) float64 {
-	return PlanFor(c).PostDecodeBER(p)
-}
-
-// RequiredRawBER inverts PostDecodeBER: the raw channel bit error
-// probability that yields the target post-decoding BER under code c.
-//
-// Deprecated: use PlanFor(c).RequiredRawBER, which reuses the code's
-// compiled plan across calls. This wrapper remains fully supported; the
-// Newton-based planned inversion agrees with the historical bisection to
-// better than 1e-12 relative.
-func RequiredRawBER(c Code, target float64) (float64, error) {
-	return PlanFor(c).RequiredRawBER(target)
-}
-
 // RequiredSNR composes the two inversions: the channel SNR needed so the
 // post-decoding BER under code c reaches target.
 func RequiredSNR(c Code, target float64) (float64, error) {
-	p, err := RequiredRawBER(c, target)
+	p, err := PlanFor(c).RequiredRawBER(target)
 	if err != nil {
 		return 0, err
 	}

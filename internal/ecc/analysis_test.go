@@ -99,34 +99,34 @@ func TestUnionBoundBER(t *testing.T) {
 func TestPostDecodeBERDispatch(t *testing.T) {
 	p := 1e-4
 	// Uncoded: pass-through (BERModeler).
-	if got := PostDecodeBER(MustUncoded64(), p); got != p {
+	if got := PlanFor(MustUncoded64()).PostDecodeBER(p); got != p {
 		t.Errorf("uncoded: %g", got)
 	}
 	// Hamming: Eq. 2.
-	if got := PostDecodeBER(MustHamming74(), p); !approx(got, PaperHammingBER(7, p), 1e-12) {
+	if got := PlanFor(MustHamming74()).PostDecodeBER(p); !approx(got, PaperHammingBER(7, p), 1e-12) {
 		t.Errorf("H(7,4) dispatch: %g", got)
 	}
 	// BCH: union bound.
-	if got := PostDecodeBER(MustBCH157(), p); !approx(got, UnionBoundBER(15, 2, p), 1e-12) {
+	if got := PlanFor(MustBCH157()).PostDecodeBER(p); !approx(got, UnionBoundBER(15, 2, p), 1e-12) {
 		t.Errorf("BCH dispatch: %g", got)
 	}
 	// Repetition: exact model.
 	rep, _ := NewRepetition(1, 3)
-	if got := PostDecodeBER(rep, p); !approx(got, 3*p*p*(1-p)+p*p*p, 1e-12) {
+	if got := PlanFor(rep).PostDecodeBER(p); !approx(got, 3*p*p*(1-p)+p*p*p, 1e-12) {
 		t.Errorf("repetition dispatch: %g", got)
 	}
 }
 
 func TestRequiredRawBERRoundTrip(t *testing.T) {
-	// Property: PostDecodeBER(c, RequiredRawBER(c, target)) == target for
+	// Property: PostDecodeBER(RequiredRawBER(target)) == target for
 	// every scheme and BER in the paper's sweep range.
 	for _, c := range ExtendedSchemes() {
 		for _, target := range mathx.Logspace(1e-12, 1e-3, 10) {
-			p, err := RequiredRawBER(c, target)
+			p, err := PlanFor(c).RequiredRawBER(target)
 			if err != nil {
 				t.Fatalf("%s @ %g: %v", c.Name(), target, err)
 			}
-			back := PostDecodeBER(c, p)
+			back := PlanFor(c).PostDecodeBER(p)
 			if !approx(back/target, 1, 1e-6) {
 				t.Fatalf("%s @ %g: raw %g gives %g", c.Name(), target, p, back)
 			}
@@ -137,14 +137,14 @@ func TestRequiredRawBERRoundTrip(t *testing.T) {
 func TestRequiredRawBERPaperValues(t *testing.T) {
 	// At target 1e-11: H(7,4) tolerates raw p ≈ 1.29e-6 and H(71,64)
 	// p ≈ 3.78e-7 — the relaxation that lets the laser power drop ~50%.
-	p74, err := RequiredRawBER(MustHamming74(), 1e-11)
+	p74, err := PlanFor(MustHamming74()).RequiredRawBER(1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p74 < 1.2e-6 || p74 > 1.4e-6 {
 		t.Errorf("H(7,4) raw BER @1e-11 = %g, want ≈1.29e-6", p74)
 	}
-	p7164, err := RequiredRawBER(MustHamming7164(), 1e-11)
+	p7164, err := PlanFor(MustHamming7164()).RequiredRawBER(1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +158,10 @@ func TestRequiredRawBERPaperValues(t *testing.T) {
 }
 
 func TestRequiredRawBERValidation(t *testing.T) {
-	if _, err := RequiredRawBER(MustHamming74(), 0); err == nil {
+	if _, err := PlanFor(MustHamming74()).RequiredRawBER(0); err == nil {
 		t.Error("target 0 should error")
 	}
-	if _, err := RequiredRawBER(MustHamming74(), 0.5); err == nil {
+	if _, err := PlanFor(MustHamming74()).RequiredRawBER(0.5); err == nil {
 		t.Error("target 0.5 should error")
 	}
 }

@@ -12,19 +12,19 @@ import (
 func TestFrameErrorRateKnownValues(t *testing.T) {
 	// Uncoded n=64, t=0: FER = 1 − (1−p)^64.
 	p := 1e-3
-	got := FrameErrorRate(MustUncoded64(), p)
+	got := PlanFor(MustUncoded64()).FrameErrorRate(p)
 	want := 1 - math.Pow(1-p, 64)
 	if !approx(got, want, 1e-12) {
 		t.Errorf("uncoded FER = %g, want %g", got, want)
 	}
 	// H(7,4), t=1: FER = 1 − (1−p)^7 − 7p(1−p)^6.
-	got = FrameErrorRate(MustHamming74(), p)
+	got = PlanFor(MustHamming74()).FrameErrorRate(p)
 	want = 1 - math.Pow(1-p, 7) - 7*p*math.Pow(1-p, 6)
 	if !approx(got, want, 1e-9) {
 		t.Errorf("H(7,4) FER = %g, want %g", got, want)
 	}
 	// Boundaries.
-	if FrameErrorRate(MustHamming74(), 0) != 0 || FrameErrorRate(MustHamming74(), 1) != 1 {
+	if PlanFor(MustHamming74()).FrameErrorRate(0) != 0 || PlanFor(MustHamming74()).FrameErrorRate(1) != 1 {
 		t.Error("FER boundaries wrong")
 	}
 }
@@ -32,16 +32,16 @@ func TestFrameErrorRateKnownValues(t *testing.T) {
 func TestFrameErrorRateMonotoneAndOrdered(t *testing.T) {
 	// More correction → lower FER at the same channel quality.
 	for _, p := range mathx.Logspace(1e-6, 1e-2, 10) {
-		ferU := FrameErrorRate(MustUncoded64(), p)
-		fer74 := FrameErrorRate(MustHamming74(), p)
-		ferBCH := FrameErrorRate(MustBCH157(), p)
+		ferU := PlanFor(MustUncoded64()).FrameErrorRate(p)
+		fer74 := PlanFor(MustHamming74()).FrameErrorRate(p)
+		ferBCH := PlanFor(MustBCH157()).FrameErrorRate(p)
 		if !(ferBCH < fer74 && fer74 < ferU) {
 			t.Fatalf("p=%g: FER ordering wrong: %g, %g, %g", p, ferBCH, fer74, ferU)
 		}
 	}
 	prev := 0.0
 	for _, p := range mathx.Logspace(1e-8, 0.3, 50) {
-		cur := FrameErrorRate(MustHamming7164(), p)
+		cur := PlanFor(MustHamming7164()).FrameErrorRate(p)
 		if cur <= prev {
 			t.Fatalf("FER not increasing at p=%g", p)
 		}
@@ -72,7 +72,7 @@ func TestFrameErrorRateMatchesMonteCarlo(t *testing.T) {
 		}
 	}
 	sim := float64(fails) / words
-	want := FrameErrorRate(code, p)
+	want := PlanFor(code).FrameErrorRate(p)
 	if sim < want*0.8 || sim > want*1.2 {
 		t.Errorf("simulated FER %g vs analytic %g", sim, want)
 	}
@@ -81,20 +81,20 @@ func TestFrameErrorRateMatchesMonteCarlo(t *testing.T) {
 func TestRequiredRawBERForFERRoundTrip(t *testing.T) {
 	for _, code := range PaperSchemes() {
 		for _, target := range []float64{1e-9, 1e-6, 1e-3} {
-			p, err := RequiredRawBERForFER(code, target)
+			p, err := PlanFor(code).RequiredRawBERForFER(target)
 			if err != nil {
 				t.Fatalf("%s @ %g: %v", code.Name(), target, err)
 			}
-			back := FrameErrorRate(code, p)
+			back := PlanFor(code).FrameErrorRate(p)
 			if !approx(back/target, 1, 1e-6) {
 				t.Errorf("%s: FER roundtrip %g → %g", code.Name(), target, back)
 			}
 		}
 	}
-	if _, err := RequiredRawBERForFER(MustHamming74(), 0); err == nil {
+	if _, err := PlanFor(MustHamming74()).RequiredRawBERForFER(0); err == nil {
 		t.Error("FER 0 should be rejected")
 	}
-	if _, err := RequiredRawBERForFER(MustHamming74(), 1); err == nil {
+	if _, err := PlanFor(MustHamming74()).RequiredRawBERForFER(1); err == nil {
 		t.Error("FER 1 should be rejected")
 	}
 }
@@ -102,11 +102,11 @@ func TestRequiredRawBERForFERRoundTrip(t *testing.T) {
 func TestExpectedWordsBetweenFailures(t *testing.T) {
 	code := MustHamming7164()
 	p := 1e-6
-	mtbf := ExpectedWordsBetweenFailures(code, p)
-	if !approx(mtbf*FrameErrorRate(code, p), 1, 1e-9) {
+	mtbf := PlanFor(code).ExpectedWordsBetweenFailures(p)
+	if !approx(mtbf*PlanFor(code).FrameErrorRate(p), 1, 1e-9) {
 		t.Error("MTBF must be the reciprocal of FER")
 	}
-	if !math.IsInf(ExpectedWordsBetweenFailures(code, 0), 1) {
+	if !math.IsInf(PlanFor(code).ExpectedWordsBetweenFailures(0), 1) {
 		t.Error("error-free channel should give infinite MTBF")
 	}
 }

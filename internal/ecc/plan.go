@@ -112,10 +112,12 @@ func compilePlan(c Code) *FERPlan {
 // Code returns the code the plan was compiled for.
 func (p *FERPlan) Code() Code { return p.code }
 
-// FrameErrorRate is the planned form of the package-level FrameErrorRate:
-// P(more than t errors in n bits) at raw bit error probability pe, computed
-// from the small side with the cached ln C(n, i) row — bit-identical to the
-// unplanned sum, minus the per-term log-gamma evaluations.
+// FrameErrorRate returns the probability that a whole received codeword
+// cannot be decoded to the transmitted one at raw bit error probability pe:
+// P(more than t errors in n bits), so 1 − (1−pe)^n for uncoded
+// transmission (any flip ruins the word). It is computed from the small
+// side with the cached ln C(n, i) row — bit-identical to the unplanned
+// log-gamma sum, minus the per-term log-gamma evaluations.
 func (p *FERPlan) FrameErrorRate(pe float64) float64 {
 	if pe <= 0 {
 		return 0
@@ -173,10 +175,10 @@ func (p *FERPlan) ferTailDeriv(pe float64) (fer, dLnFERdLnP float64) {
 	return fer, pe * dFdP / fer
 }
 
-// PostDecodeBER is the planned form of the package-level PostDecodeBER:
-// exact BERModeler expressions first, then pass-through (t = 0), the paper's
-// Eq. 2 (t = 1), or the union bound (t ≥ 2) with its tail evaluated by the
-// incremental term recurrence.
+// PostDecodeBER returns the post-decoding BER at raw bit error probability
+// pe: exact BERModeler expressions first (repetition, uncoded), then
+// pass-through (t = 0), the paper's Eq. 2 (t = 1), or the union bound
+// (t ≥ 2) with its tail evaluated by the incremental term recurrence.
 func (p *FERPlan) PostDecodeBER(pe float64) float64 {
 	if p.deriv != nil {
 		return p.deriv.PostDecodeBER(pe)
@@ -346,9 +348,9 @@ func (p *FERPlan) RequiredRawBERForFER(target float64) (float64, error) {
 	return math.Exp(lnP), nil
 }
 
-// ExpectedWordsBetweenFailures is the planned MTBF-style metric: the mean
-// number of codewords between decoder failures at raw bit error probability
-// pe.
+// ExpectedWordsBetweenFailures returns the mean number of codewords between
+// decoder failures at raw bit error probability pe — the MTBF-style metric
+// a system architect reads off a link budget.
 func (p *FERPlan) ExpectedWordsBetweenFailures(pe float64) float64 {
 	fer := p.FrameErrorRate(pe)
 	if fer <= 0 {

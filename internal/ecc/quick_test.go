@@ -145,7 +145,7 @@ func TestQuickBERModelMonotone(t *testing.T) {
 			if pa > pb {
 				pa, pb = pb, pa
 			}
-			return PostDecodeBER(code, pa) < PostDecodeBER(code, pb)
+			return PlanFor(code).PostDecodeBER(pa) < PlanFor(code).PostDecodeBER(pb)
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 			t.Errorf("%s: BER model not monotone: %v", code.Name(), err)

@@ -298,7 +298,7 @@ func validateBER(targetBER float64) error {
 // memo cache first. It satisfies core.Evaluator, so the manager, the
 // traffic simulator and every experiment harness can run through the
 // engine. Infeasible operating points are not errors: they return with
-// Evaluation.Feasible == false, exactly like core.LinkConfig.Evaluate.
+// Evaluation.Feasible == false, exactly like core.Compiled.Evaluate.
 func (e *Engine) Evaluate(ctx context.Context, code ecc.Code, targetBER float64) (core.Evaluation, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Evaluation{}, err
@@ -360,10 +360,4 @@ func (e *Engine) evaluateCompiled(ctx context.Context, fp string, compiled *core
 		return core.Evaluation{}, err
 	}
 	return ev, nil
-}
-
-// EvaluateAll solves every roster scheme (or the given codes) at one target
-// BER, fanning the points across the worker pool; order is preserved.
-func (e *Engine) EvaluateAll(ctx context.Context, codes []ecc.Code, targetBER float64) ([]core.Evaluation, error) {
-	return e.Sweep(ctx, codes, []float64{targetBER})
 }

@@ -75,9 +75,10 @@ func TestEvaluateMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := compiled(t, &cfg)
 	for _, code := range ecc.ExtendedSchemes() {
 		for _, ber := range []float64{1e-6, 1e-11, 1e-12} {
-			want, err := cfg.Evaluate(code, ber)
+			want, err := ref.Evaluate(code, ber)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,7 @@ func newNetEngine(t *testing.T, codes []ecc.Code, opts ...Option) *Engine {
 
 // TestDegenerateBusMatchesSingleLinkSweep is the acceptance regression: a
 // 1-waveguide-per-reader bus over the paper topology reproduces the
-// sequential single-link cfg.Sweep evaluations and scheme decisions
+// sequential single-link sweep evaluations and scheme decisions
 // exactly, through the engine's network path.
 func TestDegenerateBusMatchesSingleLinkSweep(t *testing.T) {
 	codes := ecc.PaperSchemes()
@@ -41,7 +41,7 @@ func TestDegenerateBusMatchesSingleLinkSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := cfg.Sweep(codes, netTestBERs)
+	ref, err := core.SweepWith(context.Background(), evaluator(t, &cfg), codes, netTestBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestDegenerateBusMatchesSingleLinkSweep(t *testing.T) {
 		}
 		for _, d := range res.Decisions {
 			if !reflect.DeepEqual(d.Eval, *want) {
-				t.Fatalf("BER %g link %d decision differs from cfg.Sweep winner:\n%+v\nvs\n%+v", ber, d.Link, d.Eval, *want)
+				t.Fatalf("BER %g link %d decision differs from the sequential sweep winner:\n%+v\nvs\n%+v", ber, d.Link, d.Eval, *want)
 			}
 			if d.EnergyPerBitJ != want.EnergyPerBitJ {
 				t.Fatalf("BER %g link %d energy %g != single-link %g", ber, d.Link, d.EnergyPerBitJ, want.EnergyPerBitJ)
@@ -87,7 +87,7 @@ func TestDegenerateBusMatchesNetsimManager(t *testing.T) {
 	cfg := core.DefaultConfig()
 	dac := manager.PaperDAC()
 
-	mgr, err := manager.NewWithEvaluator(&cfg, codes, dac, nil)
+	mgr, err := manager.NewWithEvaluator(&cfg, codes, dac, evaluator(t, &cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

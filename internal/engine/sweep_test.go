@@ -13,13 +13,29 @@ import (
 
 var testBERs = []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7}
 
+// compiled compiles cfg, failing the test on error.
+func compiled(t testing.TB, cfg *core.LinkConfig) *core.Compiled {
+	t.Helper()
+	c, err := cfg.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// evaluator is cfg's sequential, uncached reference Evaluator — the solve
+// every engine path must reproduce bit for bit.
+func evaluator(t testing.TB, cfg *core.LinkConfig) core.Evaluator {
+	return compiled(t, cfg).Evaluator()
+}
+
 // TestSweepDeterministicAcrossWorkers is the acceptance gate: the parallel
 // sweep must be byte-identical to the sequential reference at every worker
 // count, with and without memoization.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	cfg := core.DefaultConfig()
 	codes := ecc.ExtendedSchemes()
-	want, err := cfg.Sweep(codes, testBERs)
+	want, err := core.SweepWith(context.Background(), evaluator(t, &cfg), codes, testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +102,7 @@ func TestSweepInputValidation(t *testing.T) {
 func TestSweepStreamOrderAndEquality(t *testing.T) {
 	cfg := core.DefaultConfig()
 	codes := ecc.ExtendedSchemes()
-	want, err := cfg.Sweep(codes, testBERs)
+	want, err := core.SweepWith(context.Background(), evaluator(t, &cfg), codes, testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +199,7 @@ func TestConcurrentEngineUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	want, err := cfg.Sweep(ecc.PaperSchemes(), testBERs)
+	want, err := core.SweepWith(context.Background(), evaluator(t, &cfg), ecc.PaperSchemes(), testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,19 +230,19 @@ func TestConcurrentEngineUse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestExperimentsSmallCache pins the warm-up guard: a cache smaller than
-// the grid must not change results (and must not double the work).
+// TestExperimentsSmallCache: an engine whose cache is smaller than the grid
+// still reproduces the sequential figure, solving each point only once.
 func TestExperimentsSmallCache(t *testing.T) {
 	cfg := core.DefaultConfig()
 	e, err := New(WithConfig(cfg), WithWorkers(4), WithCache(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cfg.Fig5(testBERs)
+	want, err := core.Fig5With(context.Background(), evaluator(t, &cfg), testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Fig5(context.Background(), testBERs)
+	got, err := core.Fig5With(context.Background(), e, testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +263,11 @@ func TestExperimentsMatchSequential(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	wantFig5, err := cfg.Fig5(testBERs)
+	wantFig5, err := core.Fig5With(context.Background(), evaluator(t, &cfg), testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFig5, err := e.Fig5(ctx, testBERs)
+	gotFig5, err := core.Fig5With(ctx, e, testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +275,11 @@ func TestExperimentsMatchSequential(t *testing.T) {
 		t.Error("engine Fig5 differs from sequential")
 	}
 
-	wantFig6a, err := cfg.Fig6a(1e-11)
+	wantFig6a, err := core.Fig6aWith(context.Background(), evaluator(t, &cfg), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFig6a, err := e.Fig6a(ctx, 1e-11)
+	gotFig6a, err := core.Fig6aWith(ctx, e, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +287,11 @@ func TestExperimentsMatchSequential(t *testing.T) {
 		t.Error("engine Fig6a differs from sequential")
 	}
 
-	wantPlane, err := cfg.TradeoffPlane(ecc.ExtendedSchemes(), testBERs)
+	wantPlane, err := core.TradeoffPlaneWith(context.Background(), evaluator(t, &cfg), ecc.ExtendedSchemes(), testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPlane, err := e.TradeoffPlane(ctx, ecc.ExtendedSchemes(), testBERs)
+	gotPlane, err := core.TradeoffPlaneWith(ctx, e, ecc.ExtendedSchemes(), testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +299,11 @@ func TestExperimentsMatchSequential(t *testing.T) {
 		t.Error("engine TradeoffPlane differs from sequential")
 	}
 
-	wantHead, err := cfg.Headline(1e-11)
+	wantHead, err := core.HeadlineWith(context.Background(), evaluator(t, &cfg), &cfg, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotHead, err := e.Headline(ctx, 1e-11)
+	gotHead, err := core.HeadlineWith(ctx, e, &cfg, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +311,11 @@ func TestExperimentsMatchSequential(t *testing.T) {
 		t.Error("engine Headline differs from sequential")
 	}
 
-	wantEnergy, err := cfg.EnergySweep(ecc.PaperSchemes(), testBERs)
+	wantEnergy, err := core.EnergySweepWith(context.Background(), evaluator(t, &cfg), &cfg, ecc.PaperSchemes(), testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotEnergy, err := e.EnergySweep(ctx, ecc.PaperSchemes(), testBERs)
+	gotEnergy, err := core.EnergySweepWith(ctx, e, &cfg, ecc.PaperSchemes(), testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +323,11 @@ func TestExperimentsMatchSequential(t *testing.T) {
 		t.Error("engine EnergySweep differs from sequential")
 	}
 
-	wantBest, err := cfg.BestEnergySchemeByBER(ecc.PaperSchemes(), testBERs)
+	wantBest, err := core.BestEnergySchemeByBERWith(context.Background(), evaluator(t, &cfg), ecc.PaperSchemes(), testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBest, err := e.BestEnergySchemeByBER(ctx, ecc.PaperSchemes(), testBERs)
+	gotBest, err := core.BestEnergySchemeByBERWith(ctx, e, ecc.PaperSchemes(), testBERs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // must never panic and must always answer a well-formed response.
 func FuzzServe(f *testing.F) {
 	cfg := core.DefaultConfig()
-	m, err := New(&cfg, ecc.PaperSchemes(), PaperDAC())
+	m, err := newManager(&cfg, ecc.PaperSchemes(), PaperDAC())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"photonoc/internal/apierr"
 	"photonoc/internal/core"
@@ -88,38 +87,22 @@ type Manager struct {
 	cfg     *core.LinkConfig
 	schemes []ecc.Code
 	dac     DAC
-	// eval, when set, performs (and typically memoizes) the link solves —
-	// the engine layer passes itself here so manager decisions share the
-	// engine's LRU cache with sweeps and the traffic simulator.
+	// eval performs (and typically memoizes) the link solves — the engine
+	// layer passes itself here so manager decisions share the engine's LRU
+	// cache with sweeps and the traffic simulator.
 	eval core.Evaluator
-	// cache is the standalone fallback when no Evaluator is injected —
-	// the manager is on the critical path of every transfer setup.
-	mu    sync.Mutex
-	cache map[cacheKey]core.Evaluation
 }
 
-type cacheKey struct {
-	scheme string
-	ber    float64
-}
-
-// New builds a self-contained manager over the given configuration, scheme
-// roster and DAC, with its own private memo cache.
-//
-// Deprecated: prefer wiring the manager to a shared engine with
-// NewWithEvaluator (photonoc.Engine.Manager does this), so decisions,
-// sweeps and simulations never re-solve the same operating point. New
-// remains fully supported.
-func New(cfg *core.LinkConfig, schemes []ecc.Code, dac DAC) (*Manager, error) {
-	return NewWithEvaluator(cfg, schemes, dac, nil)
-}
-
-// NewWithEvaluator builds a manager whose link solves go through ev (nil
-// falls back to a private per-manager cache). cfg must be the same
-// configuration ev evaluates under; it is still needed to program the DAC.
+// NewWithEvaluator builds a manager whose link solves go through ev. cfg
+// must be the same configuration ev evaluates under; it is still needed to
+// program the DAC. A nil ev is an invalid configuration: pass an Engine, or
+// a compiled configuration's Evaluator for an uncached manager.
 func NewWithEvaluator(cfg *core.LinkConfig, schemes []ecc.Code, dac DAC, ev core.Evaluator) (*Manager, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("%w: manager: nil link config", apierr.ErrInvalidConfig)
+	}
+	if ev == nil {
+		return nil, fmt.Errorf("%w: manager: nil evaluator", apierr.ErrInvalidConfig)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", apierr.ErrInvalidConfig, err)
@@ -130,38 +113,7 @@ func NewWithEvaluator(cfg *core.LinkConfig, schemes []ecc.Code, dac DAC, ev core
 	if err := dac.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", apierr.ErrInvalidConfig, err)
 	}
-	return &Manager{
-		cfg:     cfg,
-		schemes: schemes,
-		dac:     dac,
-		eval:    ev,
-		cache:   make(map[cacheKey]core.Evaluation),
-	}, nil
-}
-
-// evaluate returns the (cached) link evaluation of one scheme.
-func (m *Manager) evaluate(ctx context.Context, code ecc.Code, ber float64) (core.Evaluation, error) {
-	if err := ctx.Err(); err != nil {
-		return core.Evaluation{}, err
-	}
-	if m.eval != nil {
-		return m.eval.Evaluate(ctx, code, ber)
-	}
-	key := cacheKey{scheme: code.Name(), ber: ber}
-	m.mu.Lock()
-	ev, ok := m.cache[key]
-	m.mu.Unlock()
-	if ok {
-		return ev, nil
-	}
-	ev, err := m.cfg.Evaluate(code, ber)
-	if err != nil {
-		return core.Evaluation{}, err
-	}
-	m.mu.Lock()
-	m.cache[key] = ev
-	m.mu.Unlock()
-	return ev, nil
+	return &Manager{cfg: cfg, schemes: schemes, dac: dac, eval: ev}, nil
 }
 
 // Configure answers a request: it evaluates every registered scheme at the
@@ -176,15 +128,18 @@ func (m *Manager) Configure(req Requirements) (Decision, error) {
 // ErrInvalidInput; an unsatisfiable request wraps both ErrNoFeasibleScheme
 // and the API-boundary ErrInfeasible.
 func (m *Manager) ConfigureCtx(ctx context.Context, req Requirements) (Decision, error) {
-	if req.TargetBER <= 0 || req.TargetBER >= 0.5 {
+	if !(req.TargetBER > 0 && req.TargetBER < 0.5) {
 		return Decision{}, fmt.Errorf("%w: manager: target BER %g outside (0, 0.5)", apierr.ErrInvalidInput, req.TargetBER)
 	}
-	if req.MaxCT < 0 {
-		return Decision{}, fmt.Errorf("%w: manager: negative CT cap %g", apierr.ErrInvalidInput, req.MaxCT)
+	if !(req.MaxCT >= 0) {
+		return Decision{}, fmt.Errorf("%w: manager: CT cap %g is negative or NaN", apierr.ErrInvalidInput, req.MaxCT)
 	}
 	var best *core.Evaluation
 	for _, code := range m.schemes {
-		ev, err := m.evaluate(ctx, code, req.TargetBER)
+		if err := ctx.Err(); err != nil {
+			return Decision{}, err
+		}
+		ev, err := m.eval.Evaluate(ctx, code, req.TargetBER)
 		if err != nil {
 			return Decision{}, err
 		}

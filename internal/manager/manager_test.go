@@ -5,14 +5,25 @@ import (
 	"math"
 	"testing"
 
+	"photonoc/internal/apierr"
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
 )
 
+// newManager builds a manager over cfg whose link solves run through the
+// compiled, uncached evaluator of the same configuration.
+func newManager(cfg *core.LinkConfig, schemes []ecc.Code, dac DAC) (*Manager, error) {
+	c, err := cfg.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return NewWithEvaluator(cfg, schemes, dac, c.Evaluator())
+}
+
 func newTestManager(t *testing.T) *Manager {
 	t.Helper()
 	cfg := core.DefaultConfig()
-	m, err := New(&cfg, ecc.PaperSchemes(), PaperDAC())
+	m, err := newManager(&cfg, ecc.PaperSchemes(), PaperDAC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,14 +32,29 @@ func newTestManager(t *testing.T) *Manager {
 
 func TestManagerValidation(t *testing.T) {
 	cfg := core.DefaultConfig()
-	if _, err := New(nil, ecc.PaperSchemes(), PaperDAC()); err == nil {
-		t.Error("nil config should be rejected")
+	c, err := cfg.Compile()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(&cfg, nil, PaperDAC()); err == nil {
-		t.Error("empty roster should be rejected")
-	}
-	if _, err := New(&cfg, ecc.PaperSchemes(), DAC{Bits: 0, MaxOpticalW: 1}); err == nil {
-		t.Error("bad DAC should be rejected")
+	ev := c.Evaluator()
+	bad := cfg
+	bad.FmodHz = 0
+	for _, tc := range []struct {
+		name    string
+		cfg     *core.LinkConfig
+		schemes []ecc.Code
+		dac     DAC
+		ev      core.Evaluator
+	}{
+		{"nil config", nil, ecc.PaperSchemes(), PaperDAC(), ev},
+		{"nil evaluator", &cfg, ecc.PaperSchemes(), PaperDAC(), nil},
+		{"empty roster", &cfg, nil, PaperDAC(), ev},
+		{"bad DAC", &cfg, ecc.PaperSchemes(), DAC{Bits: 0, MaxOpticalW: 1}, ev},
+		{"invalid config", &bad, ecc.PaperSchemes(), PaperDAC(), ev},
+	} {
+		if _, err := NewWithEvaluator(tc.cfg, tc.schemes, tc.dac, tc.ev); !errors.Is(err, apierr.ErrInvalidConfig) {
+			t.Errorf("%s: want ErrInvalidConfig, got %v", tc.name, err)
+		}
 	}
 }
 
@@ -112,9 +138,11 @@ func TestConfigureRejectsBadRequirements(t *testing.T) {
 		{TargetBER: 0},
 		{TargetBER: 0.5},
 		{TargetBER: 1e-9, MaxCT: -1},
+		{TargetBER: math.NaN()},
+		{TargetBER: 1e-9, MaxCT: math.NaN()},
 	} {
-		if _, err := m.Configure(req); err == nil {
-			t.Errorf("requirements %+v should be rejected", req)
+		if _, err := m.Configure(req); !errors.Is(err, apierr.ErrInvalidInput) {
+			t.Errorf("requirements %+v should be rejected as invalid input, got %v", req, err)
 		}
 	}
 }
@@ -150,7 +178,7 @@ func TestFinerDACWastesLess(t *testing.T) {
 	cfg := core.DefaultConfig()
 	prevWaste := math.Inf(1)
 	for _, bitsN := range []int{2, 4, 6, 8} {
-		m, err := New(&cfg, ecc.PaperSchemes(), DAC{Bits: bitsN, MaxOpticalW: 700e-6})
+		m, err := newManager(&cfg, ecc.PaperSchemes(), DAC{Bits: bitsN, MaxOpticalW: 700e-6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,8 +223,7 @@ func TestDACQuantize(t *testing.T) {
 }
 
 func TestManagerCacheConsistency(t *testing.T) {
-	// Two identical requests must produce identical decisions (and hit
-	// the cache the second time).
+	// Two identical requests must produce identical decisions.
 	m := newTestManager(t)
 	a, err := m.Configure(Requirements{TargetBER: 1e-10, Objective: MinEnergy})
 	if err != nil {
@@ -213,7 +240,7 @@ func TestManagerCacheConsistency(t *testing.T) {
 
 func BenchmarkConfigure(b *testing.B) {
 	cfg := core.DefaultConfig()
-	m, err := New(&cfg, ecc.PaperSchemes(), PaperDAC())
+	m, err := newManager(&cfg, ecc.PaperSchemes(), PaperDAC())
 	if err != nil {
 		b.Fatal(err)
 	}

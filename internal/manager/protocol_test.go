@@ -102,7 +102,7 @@ func TestServeEndToEnd(t *testing.T) {
 	// the manager answers with a scheme index + DAC code, and the
 	// response decodes to the same decision Configure would make.
 	cfg := core.DefaultConfig()
-	m, err := New(&cfg, ecc.PaperSchemes(), PaperDAC())
+	m, err := newManager(&cfg, ecc.PaperSchemes(), PaperDAC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 func TestServeInfeasibleAndGarbage(t *testing.T) {
 	cfg := core.DefaultConfig()
-	m, err := New(&cfg, ecc.PaperSchemes(), PaperDAC())
+	m, err := newManager(&cfg, ecc.PaperSchemes(), PaperDAC())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import "testing"
 func TestPerChannelStatsConsistency(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Messages = 3000
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPerChannelHotspotConcentration(t *testing.T) {
 	cfg.Load = 0.2
 	cfg.Pattern = Hotspot
 	cfg.HotspotNode = 5
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

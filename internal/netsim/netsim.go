@@ -6,14 +6,14 @@
 // the paper defers to future work (Section VI), driven here by synthetic
 // workloads. It also implements the idle-laser-off extension of [9].
 //
-// Beyond the single calibrated link (Run/RunTrace), the package simulates
-// whole noc.Network topologies (RunNetwork/RunNetworkTrace): per-source
-// Poisson injection sampled from a traffic matrix, XY multi-hop forwarding
-// over the network's routing table, one MWSR server per link serializing
-// transfers at the link's decided capacity, bounded or unbounded per-link
-// queues, and the standing-vs-dynamic energy split. The network simulator
-// takes its per-link scheme/DAC decisions from noc.Decide (the engine
-// layer solves them through its shared LRU), which is what makes its
+// Beyond the single calibrated link (RunCtx/RunTraceCtx), the package
+// simulates whole noc.Network topologies (RunNetwork/RunNetworkTrace):
+// per-source Poisson injection sampled from a traffic matrix, XY multi-hop
+// forwarding over the network's routing table, one MWSR server per link
+// serializing transfers at the link's decided capacity, bounded or unbounded
+// per-link queues, and the standing-vs-dynamic energy split. The network
+// simulator takes its per-link scheme/DAC decisions from noc.Decide (the
+// engine layer solves them through its shared LRU), which is what makes its
 // results directly comparable — decision for decision — with the analytic
 // noc.Aggregate it cross-validates.
 package netsim
@@ -144,27 +144,27 @@ func (c *Config) Validate() error {
 	if len(c.Schemes) == 0 {
 		return fmt.Errorf("netsim: empty scheme roster")
 	}
-	if c.TargetBER <= 0 || c.TargetBER >= 0.5 {
+	if !(c.TargetBER > 0 && c.TargetBER < 0.5) {
 		return fmt.Errorf("netsim: target BER %g outside (0, 0.5)", c.TargetBER)
 	}
 	if c.MessageBits <= 0 {
 		return fmt.Errorf("netsim: message size %d must be positive", c.MessageBits)
 	}
-	if c.Load <= 0 || c.Load >= 1 {
+	if !(c.Load > 0 && c.Load < 1) {
 		return fmt.Errorf("netsim: load %g outside (0, 1)", c.Load)
 	}
 	if c.Messages <= 0 {
 		return fmt.Errorf("netsim: message count %d must be positive", c.Messages)
 	}
-	if c.DeadlineSlack < 0 {
-		return fmt.Errorf("netsim: negative deadline slack %g", c.DeadlineSlack)
+	if !(c.DeadlineSlack >= 0) {
+		return fmt.Errorf("netsim: deadline slack %g is negative or NaN", c.DeadlineSlack)
 	}
 	n := c.Link.Channel.Topo.ONIs
 	if c.Pattern == Hotspot {
 		if c.HotspotNode < 0 || c.HotspotNode >= n {
 			return fmt.Errorf("netsim: hotspot node %d outside [0,%d)", c.HotspotNode, n)
 		}
-		if c.HotspotFraction <= 0 || c.HotspotFraction >= 1 {
+		if !(c.HotspotFraction > 0 && c.HotspotFraction < 1) {
 			return fmt.Errorf("netsim: hotspot fraction %g outside (0, 1)", c.HotspotFraction)
 		}
 	}

@@ -1,15 +1,36 @@
 package netsim
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"photonoc/internal/manager"
 )
 
+// run simulates cfg with every manager decision solved through the
+// compiled, uncached evaluator of cfg.Link.
+func run(cfg Config) (Results, error) {
+	c, err := cfg.Link.Compile()
+	if err != nil {
+		return Results{}, err
+	}
+	return RunCtx(context.Background(), cfg, c.Evaluator())
+}
+
+// runTrace replays tr like run simulates a generated workload.
+func runTrace(cfg Config, tr Trace) (Results, error) {
+	c, err := cfg.Link.Compile()
+	if err != nil {
+		return Results{}, err
+	}
+	return RunTraceCtx(context.Background(), cfg, tr, c.Evaluator())
+}
+
 func TestRunDefaultDelivers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Messages = 5000
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +73,11 @@ func TestRunDefaultDelivers(t *testing.T) {
 func TestRunDeterministicWithSeed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Messages = 2000
-	a, err := Run(cfg)
+	a, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +85,7 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 		t.Error("identical seeds should reproduce identical results")
 	}
 	cfg.Seed = 2
-	c, err := Run(cfg)
+	c, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +99,7 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Messages = 4000
 		cfg.Load = load
-		res, err := Run(cfg)
+		res, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,13 +117,13 @@ func TestHotspotCongestsHotChannel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Messages = 4000
 	cfg.Load = 0.25
-	uniform, err := Run(cfg)
+	uniform, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Pattern = Hotspot
 	cfg.HotspotNode = 3
-	hot, err := Run(cfg)
+	hot, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +138,12 @@ func TestIdleLaserOffSavesEnergy(t *testing.T) {
 	base := DefaultConfig()
 	base.Messages = 3000
 	base.Load = 0.1
-	on, err := Run(base)
+	on, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.IdleLaserOff = true
-	off, err := Run(base)
+	off, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +167,13 @@ func TestAdaptiveDeadlinePolicy(t *testing.T) {
 	cfg.Load = 0.5
 	cfg.DeadlineSlack = 1.4 // between CT(H(71,64))=1.11 and CT(H(7,4))=1.75
 	cfg.AdaptToDeadline = true
-	adaptive, err := Run(cfg)
+	adaptive, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.AdaptToDeadline = false
 	cfg.Objective = manager.MinPower // would always pick H(7,4): CT 1.75
-	static, err := Run(cfg)
+	static, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +192,7 @@ func TestStreamingPatternRuns(t *testing.T) {
 	cfg.Messages = 3000
 	cfg.DeadlineSlack = 2.0
 	cfg.AdaptToDeadline = true
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +205,7 @@ func TestPermutationPatternRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Pattern = Permutation
 	cfg.Messages = 2000
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +224,15 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Messages = 0 },
 		func(c *Config) { c.DeadlineSlack = -1 },
 		func(c *Config) { c.Pattern = Hotspot; c.HotspotNode = 99 },
+		func(c *Config) { c.TargetBER = math.NaN() },
+		func(c *Config) { c.Load = math.NaN() },
+		func(c *Config) { c.DeadlineSlack = math.NaN() },
+		func(c *Config) { c.Pattern = Hotspot; c.HotspotFraction = math.NaN() },
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultConfig()
 		mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d should fail validation", i)
 		}
 	}
@@ -218,7 +243,7 @@ func BenchmarkSimulation(b *testing.B) {
 	cfg.Messages = 2000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		if _, err := run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,9 +24,13 @@ func buildNetwork(t *testing.T, kind noc.Kind, tiles int, ber float64) (*noc.Net
 	schemes := ecc.PaperSchemes()
 	evals := make([][]core.Evaluation, net.NumLinks())
 	for i, l := range net.Links() {
+		c, err := l.Config.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
 		evals[i] = make([]core.Evaluation, len(schemes))
 		for s, code := range schemes {
-			ev, err := l.Config.Evaluate(code, ber)
+			ev, err := c.Evaluate(code, ber)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +61,7 @@ func saturationRate(t *testing.T, net *noc.Network, decisions []noc.LinkDecision
 	return res.SaturationInjectionBitsPerSec
 }
 
-// TestRunNetworkReplaysRecordedTrace pins the Run = Record + RunTrace
+// TestRunNetworkReplaysRecordedTrace pins the Run = Record + Replay
 // contract: a recorded trace replays to bit-identical results.
 func TestRunNetworkReplaysRecordedTrace(t *testing.T) {
 	net, decisions, opts := buildNetwork(t, noc.Bus, 12, 1e-11)

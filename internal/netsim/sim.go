@@ -37,18 +37,12 @@ type eventHeap = simHeap[arrivalEvent]
 // core so noc and netsim can both reference it without a package cycle.
 const TokenOverheadSec = core.TokenOverheadSec
 
-// Run generates the configured workload and executes the simulation. It is
-// exactly RecordTrace followed by RunTrace, which guarantees that recorded
-// traces replay to identical results.
-func Run(cfg Config) (Results, error) {
-	return RunCtx(context.Background(), cfg, nil)
-}
-
-// RunCtx is Run under a context and, optionally, a shared evaluator: the
-// engine layer passes itself as ev so every per-transfer manager decision
-// resolves against the engine's memo cache instead of re-solving the
-// optical budget per source. Cancellation aborts the event loop between
-// transfers.
+// RunCtx generates the configured workload and executes the simulation
+// with every per-transfer manager decision solved through ev. It is exactly
+// RecordTraceCtx followed by RunTraceCtx, which guarantees that recorded
+// traces replay to identical results. The engine layer passes itself as ev
+// so decisions resolve against its memo cache; a nil ev is an invalid
+// configuration. Cancellation aborts the event loop between transfers.
 func RunCtx(ctx context.Context, cfg Config, ev core.Evaluator) (Results, error) {
 	tr, err := RecordTraceCtx(ctx, cfg)
 	if err != nil {
@@ -57,8 +51,8 @@ func RunCtx(ctx context.Context, cfg Config, ev core.Evaluator) (Results, error)
 	return RunTraceCtx(ctx, cfg, tr, ev)
 }
 
-// runMessages is the service/energy/statistics core shared by Run and
-// RunTrace. feed must yield messages in non-decreasing arrival order.
+// runMessages is the service/energy/statistics core shared by RunCtx and
+// RunTraceCtx. feed must yield messages in non-decreasing arrival order.
 func runMessages(ctx context.Context, cfg Config, ev core.Evaluator, feed func(yield func(message))) (Results, error) {
 	mgr, err := manager.NewWithEvaluator(&cfg.Link, cfg.Schemes, cfg.DAC, ev)
 	if err != nil {

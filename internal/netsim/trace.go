@@ -123,15 +123,10 @@ func RecordTraceCtx(ctx context.Context, cfg Config) (Trace, error) {
 	return tr, nil
 }
 
-// RunTrace replays a recorded trace against the configured link and
-// policies. The traffic fields of cfg (Pattern, Load, Messages, Seed,
-// DeadlineSlack) are ignored; everything else applies.
-func RunTrace(cfg Config, tr Trace) (Results, error) {
-	return RunTraceCtx(context.Background(), cfg, tr, nil)
-}
-
-// RunTraceCtx is RunTrace under a context and an optional shared evaluator
-// (see RunCtx).
+// RunTraceCtx replays a recorded trace against the configured link and
+// policies, solving every manager decision through ev (see RunCtx). The
+// traffic fields of cfg (Pattern, Load, Messages, Seed, DeadlineSlack) are
+// ignored; everything else applies.
 func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (Results, error) {
 	if err := cfg.Validate(); err != nil {
 		return Results{}, err

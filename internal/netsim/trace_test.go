@@ -28,11 +28,11 @@ func TestRecordTraceShape(t *testing.T) {
 }
 
 func TestRunEqualsRecordPlusReplay(t *testing.T) {
-	// The structural guarantee of the refactor: Run == RecordTrace →
-	// RunTrace, bit for bit.
+	// The structural guarantee of the refactor: RunCtx == RecordTrace →
+	// RunTraceCtx, bit for bit.
 	cfg := DefaultConfig()
 	cfg.Messages = 2000
-	direct, err := Run(cfg)
+	direct, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRunEqualsRecordPlusReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := RunTrace(cfg, tr)
+	replayed, err := runTrace(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestTraceReplayAcrossPolicies(t *testing.T) {
 	fast.Objective = 2 // MinLatency
 	slow := cfg
 	slow.Objective = 0 // MinPower
-	fastRes, err := RunTrace(fast, tr)
+	fastRes, err := runTrace(fast, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowRes, err := RunTrace(slow, tr)
+	slowRes, err := runTrace(slow, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 		}
 	}
 	// Replay of the deserialized trace still works.
-	if _, err := RunTrace(cfg, back); err != nil {
+	if _, err := runTrace(cfg, back); err != nil {
 		t.Fatal(err)
 	}
 	// Garbage JSON errors out.

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -70,7 +71,11 @@ func TestBusAggregateMatchesSingleLink(t *testing.T) {
 	}
 
 	// Reference winner straight from the sequential single-link sweep.
-	evs, err := base.Sweep(codes, []float64{ber})
+	c, err := base.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := core.EvaluateAllWith(context.Background(), c.Evaluator(), codes, ber)
 	if err != nil {
 		t.Fatal(err)
 	}

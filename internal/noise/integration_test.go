@@ -68,7 +68,11 @@ func TestPhysicalPipelineOnLinkSolvedSNR(t *testing.T) {
 	// that the delivered SNR (solved back from the operating point) is
 	// the same number we hand to the channel.
 	spec := onoc.PaperChannel()
-	op, err := spec.WorstOperatingPoint(snr)
+	plan, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := plan.WorstOperatingPoint(snr)
 	if err != nil {
 		t.Fatal(err)
 	}

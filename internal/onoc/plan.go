@@ -3,7 +3,6 @@ package onoc
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"photonoc/internal/mathx"
 	"photonoc/internal/photonics"
@@ -34,8 +33,7 @@ type ChannelPlan struct {
 // crosstalk fractions and eye fractions derived once, turning every
 // OperatingPoint query into a few multiplications and a single laser
 // inversion. Plans are immutable and safe for concurrent use; compile one
-// with ChannelSpec.Compile (or let the ChannelSpec wrappers fetch a
-// memoized plan via ChannelSpec.Plan).
+// with ChannelSpec.Compile.
 type LinkPlan struct {
 	spec     ChannelSpec
 	channels []ChannelPlan
@@ -43,7 +41,7 @@ type LinkPlan struct {
 
 // Compile validates the specification once and derives the per-channel
 // plans. Channels whose crosstalk closes the eye still compile — the error
-// surfaces when that channel is solved, matching the per-call behaviour.
+// surfaces when that channel is solved.
 func (c *ChannelSpec) Compile() (*LinkPlan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -79,9 +77,13 @@ func (p *LinkPlan) Channels() []ChannelPlan {
 	return append([]ChannelPlan(nil), p.channels...)
 }
 
-// OperatingPoint solves channel ch for a required SNR using the compiled
-// budget and crosstalk — identical, bit for bit, to the uncompiled
-// ChannelSpec.OperatingPoint.
+// OperatingPoint solves channel ch for a required SNR, implementing Eq. 4:
+//
+//	SNR = ℜ·(OPsignal − OPcrosstalk) / i_n
+//
+// with OPsignal the received eye amplitude P1·(1 − 1/ER) and
+// OPcrosstalk = χ·P1, then walking the '1' level back through the compiled
+// link budget to the laser facet and through the thermal model to Plaser.
 func (p *LinkPlan) OperatingPoint(snr float64, ch int) (OperatingPoint, error) {
 	if snr <= 0 {
 		return OperatingPoint{}, fmt.Errorf("onoc: SNR %g must be positive", snr)
@@ -108,8 +110,8 @@ func (p *LinkPlan) OperatingPoint(snr float64, ch int) (OperatingPoint, error) {
 // WorstOperatingPoint returns the channel demanding the most laser power.
 // The required optical power of every channel follows from two
 // multiplications on the compiled state, so only the winning channel pays
-// the laser-characteristic inversion — the per-call API solves it for all
-// NW channels. Selection order and tie-breaking match the per-call loop.
+// the laser-characteristic inversion instead of all NW channels. Selection
+// order and tie-breaking match a scan of OperatingPoint over every channel.
 func (p *LinkPlan) WorstOperatingPoint(snr float64) (OperatingPoint, error) {
 	if snr <= 0 {
 		return OperatingPoint{}, fmt.Errorf("onoc: SNR %g must be positive", snr)
@@ -141,7 +143,8 @@ func (p *LinkPlan) WorstOperatingPoint(snr float64) (OperatingPoint, error) {
 }
 
 // finishLaser walks the required optical power through the laser thermal
-// model, classifying infeasibility exactly like the per-call solver.
+// model, classifying a laser-limited request as infeasible rather than an
+// error.
 func (p *LinkPlan) finishLaser(op OperatingPoint) (OperatingPoint, error) {
 	pe, err := p.spec.Laser.ElectricalPower(op.LaserOpticalW, p.spec.Activity)
 	switch {
@@ -154,36 +157,4 @@ func (p *LinkPlan) finishLaser(op OperatingPoint) (OperatingPoint, error) {
 		return OperatingPoint{}, err
 	}
 	return op, nil
-}
-
-// planCacheCap bounds the memoized-plan map; compiling is cheap enough that
-// flushing a full cache is preferable to tracking recency.
-const planCacheCap = 64
-
-var planCache struct {
-	sync.Mutex
-	m map[ChannelSpec]*LinkPlan
-}
-
-// Plan returns a memoized compiled plan for this specification. ChannelSpec
-// is a comparable value type, so the cache keys on the full parameter set:
-// any mutation produces a different key and therefore a fresh compile.
-func (c *ChannelSpec) Plan() (*LinkPlan, error) {
-	planCache.Lock()
-	p, ok := planCache.m[*c]
-	planCache.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err := c.Compile()
-	if err != nil {
-		return nil, err
-	}
-	planCache.Lock()
-	if planCache.m == nil || len(planCache.m) >= planCacheCap {
-		planCache.m = make(map[ChannelSpec]*LinkPlan, planCacheCap)
-	}
-	planCache.m[p.spec] = p
-	planCache.Unlock()
-	return p, nil
 }

@@ -1,11 +1,10 @@
 package onoc
 
-import "fmt"
-
 // OperatingPoint is the solved optical state of one wavelength of the
 // channel at a required SNR: how much the laser must emit and what that
 // costs electrically. Feasible is false when the request exceeds the
-// laser's deliverable power (the paper's unreachable-BER case).
+// laser's deliverable power (the paper's unreachable-BER case). A compiled
+// LinkPlan produces it (see LinkPlan.OperatingPoint).
 type OperatingPoint struct {
 	Channel int
 	// SNR is the required SNR at the detector (paper Eq. 4).
@@ -28,43 +27,4 @@ type OperatingPoint struct {
 	Feasible bool
 	// InfeasibleReason carries the laser error text when Feasible is false.
 	InfeasibleReason string
-}
-
-// OperatingPoint solves channel ch for a required SNR, implementing Eq. 4:
-//
-//	SNR = ℜ·(OPsignal − OPcrosstalk) / i_n
-//
-// with OPsignal the received eye amplitude P1·(1 − 1/ER) and
-// OPcrosstalk = χ·P1, then walking the '1' level back through the link
-// budget to the laser facet and through the thermal model to Plaser.
-//
-// It is a thin wrapper over the memoized compiled plan (see Compile and
-// Plan): the configuration-constant budget, crosstalk and eye fraction are
-// derived once per distinct specification instead of per call.
-func (c *ChannelSpec) OperatingPoint(snr float64, ch int) (OperatingPoint, error) {
-	if snr <= 0 {
-		return OperatingPoint{}, fmt.Errorf("onoc: SNR %g must be positive", snr)
-	}
-	p, err := c.Plan()
-	if err != nil {
-		return OperatingPoint{}, err
-	}
-	return p.OperatingPoint(snr, ch)
-}
-
-// WorstOperatingPoint solves every channel and returns the one demanding
-// the most laser power — the wavelength that sizes the shared laser-current
-// setting (the paper drives all the channel's lasers with one control).
-//
-// Like OperatingPoint it runs over the memoized compiled plan, which also
-// lets it invert the laser characteristic only for the worst channel.
-func (c *ChannelSpec) WorstOperatingPoint(snr float64) (OperatingPoint, error) {
-	if snr <= 0 {
-		return OperatingPoint{}, fmt.Errorf("onoc: SNR %g must be positive", snr)
-	}
-	p, err := c.Plan()
-	if err != nil {
-		return OperatingPoint{}, err
-	}
-	return p.WorstOperatingPoint(snr)
 }

@@ -7,10 +7,21 @@ import (
 	"photonoc/internal/mathx"
 )
 
+// paperPlan compiles the paper's channel, the solver every test here drives.
+func paperPlan(t testing.TB) *LinkPlan {
+	t.Helper()
+	spec := PaperChannel()
+	p, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestOperatingPointPaperUncoded(t *testing.T) {
 	// Uncoded BER 1e-11 → SNR 22.49 → OPlaser ≈ 668 µW (just under the
 	// 700 µW cap) → Plaser ≈ 13.7 mW (paper: 14.35 mW).
-	c := PaperChannel()
+	c := paperPlan(t)
 	snr, err := ecc.SNRForRawBER(1e-11)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +48,7 @@ func TestOperatingPointPaperUncoded(t *testing.T) {
 func TestOperatingPointPaperCoded(t *testing.T) {
 	// The coded schemes cut the laser electrical power roughly in half —
 	// the paper's central result (14.35 → 7.12 / 6.64 mW).
-	c := PaperChannel()
+	c := paperPlan(t)
 	snrU, _ := ecc.SNRForRawBER(1e-11)
 	opU, err := c.WorstOperatingPoint(snrU)
 	if err != nil {
@@ -80,7 +91,7 @@ func TestOperatingPointPaperCoded(t *testing.T) {
 func TestUncodedBER12Infeasible(t *testing.T) {
 	// The paper's feasibility headline: 1e-12 exceeds the 700 µW laser
 	// cap without coding, but is reachable with either Hamming code.
-	c := PaperChannel()
+	c := paperPlan(t)
 	snr, _ := ecc.SNRForRawBER(1e-12)
 	op, err := c.WorstOperatingPoint(snr)
 	if err != nil {
@@ -111,7 +122,7 @@ func TestUncodedBER12Infeasible(t *testing.T) {
 }
 
 func TestOperatingPointMonotoneInSNR(t *testing.T) {
-	c := PaperChannel()
+	c := paperPlan(t)
 	prevOp := 0.0
 	for _, snr := range mathx.Linspace(1, 22, 22) {
 		op, err := c.OperatingPoint(snr, 8)
@@ -126,12 +137,12 @@ func TestOperatingPointMonotoneInSNR(t *testing.T) {
 }
 
 func TestWorstOperatingPointIsMaxOverChannels(t *testing.T) {
-	c := PaperChannel()
+	c := paperPlan(t)
 	worst, err := c.WorstOperatingPoint(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ch := 0; ch < c.Grid.Count; ch++ {
+	for ch := range c.Channels() {
 		op, err := c.OperatingPoint(10, ch)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +154,7 @@ func TestWorstOperatingPointIsMaxOverChannels(t *testing.T) {
 }
 
 func TestOperatingPointValidation(t *testing.T) {
-	c := PaperChannel()
+	c := paperPlan(t)
 	if _, err := c.OperatingPoint(0, 3); err == nil {
 		t.Error("SNR 0 should error")
 	}
@@ -152,16 +163,5 @@ func TestOperatingPointValidation(t *testing.T) {
 	}
 	if _, err := c.OperatingPoint(10, 99); err == nil {
 		t.Error("bad channel should error")
-	}
-}
-
-func BenchmarkWorstOperatingPoint(b *testing.B) {
-	c := PaperChannel()
-	snr, _ := ecc.SNRForRawBER(1e-11)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.WorstOperatingPoint(snr); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,6 +1,8 @@
 package photonoc
 
 import (
+	"context"
+
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
 	"photonoc/internal/manager"
@@ -18,9 +20,16 @@ type (
 	LinkConfig = core.LinkConfig
 	// Evaluation is one solved (scheme, BER) operating point.
 	Evaluation = core.Evaluation
-	// Evaluator solves operating points under a context; both
-	// *LinkConfig (via its Evaluator method) and *Engine satisfy it.
+	// Evaluator solves operating points under a context; *Engine
+	// satisfies it, and so does a compiled configuration's Evaluator
+	// method (the sequential, uncached reference).
 	Evaluator = core.Evaluator
+	// Fig5Point is one sample of Figure 5 (laser power vs target BER).
+	Fig5Point = core.Fig5Point
+	// Fig6aBar is one bar group of Figure 6a (channel power breakdown).
+	Fig6aBar = core.Fig6aBar
+	// Fig6bPoint is one point of the Figure 6b trade-off plane.
+	Fig6bPoint = core.Fig6bPoint
 	// EnergyPoint is one sample of an energy-per-bit sweep.
 	EnergyPoint = core.EnergyPoint
 	// InterfacePower is a Table I transmitter/receiver power pair.
@@ -91,27 +100,49 @@ func InterleavedHamming74(depth int) (Code, error) {
 	return ecc.NewInterleavedCode(ecc.MustHamming74(), depth)
 }
 
-// NewManager builds a standalone runtime link manager over a
-// configuration, scheme roster and laser DAC, with a private memo cache.
-//
-// Deprecated: build an Engine and call Engine.Manager instead — the
-// manager then shares the Engine's LRU cache with sweeps and simulations.
-// NewManager remains fully supported.
-func NewManager(cfg *LinkConfig, schemes []Code, dac DAC) (*Manager, error) {
-	return manager.New(cfg, schemes, dac)
-}
-
 // PaperDAC returns the 6-bit, 700 µW laser controller.
 func PaperDAC() DAC { return manager.PaperDAC() }
 
-// RunSimulation executes the traffic simulator (netsim.Run) with a
-// standalone manager that re-solves operating points per run.
-//
-// Deprecated: build an Engine and call Engine.Simulate instead — the
-// simulator's per-transfer decisions then resolve against the Engine's
-// memo cache, and the run honors context cancellation. RunSimulation
-// remains fully supported.
-func RunSimulation(cfg SimConfig) (SimResults, error) { return netsim.Run(cfg) }
+// The paper's experiments, each solved through any Evaluator — pass an
+// Engine to fan the grid over its memo cache.
+
+// Fig5With regenerates Figure 5 (Plaser vs target BER, paper schemes).
+func Fig5With(ctx context.Context, ev Evaluator, targetBERs []float64) ([]Fig5Point, error) {
+	return core.Fig5With(ctx, ev, targetBERs)
+}
+
+// Fig6aWith regenerates Figure 6a (channel power breakdown) at one BER.
+func Fig6aWith(ctx context.Context, ev Evaluator, targetBER float64) ([]Fig6aBar, error) {
+	return core.Fig6aWith(ctx, ev, targetBER)
+}
+
+// TradeoffPlaneWith computes the (CT, Pchannel) trade-off plane with Pareto
+// membership; over PaperSchemes it is Figure 6b.
+func TradeoffPlaneWith(ctx context.Context, ev Evaluator, codes []Code, targetBERs []float64) ([]Fig6bPoint, error) {
+	return core.TradeoffPlaneWith(ctx, ev, codes, targetBERs)
+}
+
+// HeadlineWith computes the Section V-C summary at one BER; cfg supplies
+// the waveguide/interconnect scaling.
+func HeadlineWith(ctx context.Context, ev Evaluator, cfg *LinkConfig, targetBER float64) (Headline, error) {
+	return core.HeadlineWith(ctx, ev, cfg, targetBER)
+}
+
+// EnergySweepWith computes energy-per-payload-bit curves over the BER grid.
+func EnergySweepWith(ctx context.Context, ev Evaluator, cfg *LinkConfig, codes []Code, targetBERs []float64) ([]EnergyPoint, error) {
+	return core.EnergySweepWith(ctx, ev, cfg, codes, targetBERs)
+}
+
+// BestEnergySchemeByBERWith returns, per BER, the feasible scheme with the
+// lowest energy per bit.
+func BestEnergySchemeByBERWith(ctx context.Context, ev Evaluator, codes []Code, targetBERs []float64) (map[float64]string, error) {
+	return core.BestEnergySchemeByBERWith(ctx, ev, codes, targetBERs)
+}
+
+// ParetoByBER returns the non-dominated (CT, Pchannel) set per BER.
+func ParetoByBER(ctx context.Context, ev Evaluator, codes []Code, targetBERs []float64) (map[float64][]Evaluation, error) {
+	return core.ParetoByBER(ctx, ev, codes, targetBERs)
+}
 
 // DefaultSimConfig returns a ready-to-run 12-ONI simulation.
 func DefaultSimConfig() SimConfig { return netsim.DefaultConfig() }

@@ -10,12 +10,16 @@ import (
 
 func TestFacadeQuickstartFlow(t *testing.T) {
 	// The README's quick-start must work through the façade alone.
-	cfg := DefaultConfig()
-	evU, err := cfg.Evaluate(Uncoded64(), 1e-11)
+	eng, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev74, err := cfg.Evaluate(Hamming74(), 1e-11)
+	ctx := context.Background()
+	evU, err := eng.Evaluate(ctx, Uncoded64(), 1e-11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev74, err := eng.Evaluate(ctx, Hamming74(), 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +44,11 @@ func TestFacadeSchemeRosters(t *testing.T) {
 }
 
 func TestFacadeManager(t *testing.T) {
-	cfg := DefaultConfig()
-	m, err := NewManager(&cfg, PaperSchemes(), PaperDAC())
+	eng, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := eng.Manager(PaperDAC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +69,11 @@ func TestFacadeManager(t *testing.T) {
 func TestFacadeSimulation(t *testing.T) {
 	cfg := DefaultSimConfig()
 	cfg.Messages = 500
-	res, err := RunSimulation(cfg)
+	eng, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Simulate(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
