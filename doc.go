@@ -202,8 +202,9 @@
 // Solves come in two costs. A warm solve is an LRU cache hit (microseconds).
 // A cold solve runs the physics through a precompute-then-evaluate pipeline
 // compiled once per configuration generation: each code's FER plan
-// (ecc.PlanFor — cached ln C(n,i), incremental binomial-tail recurrence,
-// Newton inversion with the analytic d lnBER/d lnp), each channel's LinkPlan
+// (ecc.PlanFor — ln C(n,i) precomputed per plan, incremental binomial-tail
+// recurrence, Newton inversion with the analytic d lnBER/d lnp; the Engine
+// compiles one per scheme and keeps it), each channel's LinkPlan
 // (onoc — per-wavelength budget, crosstalk and eye fraction snapshotted, one
 // laser inversion for the worst wavelength only), bundled by
 // core.LinkConfig.Compile and held by the Engine. Engine.CacheStats reports
@@ -249,8 +250,8 @@
 //   - internal/onocd      — the HTTP/JSON serving layer (cmd/onocd): wire
 //     DTOs over the Engine, a Go client that is itself a core.Evaluator,
 //     and the closed-loop load generator (cmd/onocload); the daemon adds
-//     admission control, per-request deadlines, singleflight-coalesced cold
-//     solves over the sharded LRU, Prometheus-text metrics and SIGHUP hot
+//     admission control, per-request deadlines, cold solves coalesced in
+//     the sharded LRU, Prometheus-text metrics and SIGHUP hot
 //     reload; the client retries retryable failures with backoff behind a
 //     circuit breaker and resumes interrupted NDJSON streams via
 //     ?start_index

@@ -23,10 +23,12 @@ func (cfg *LinkConfig) TightestBER(code ecc.Code) (float64, error) {
 	return c.tightestBER(code)
 }
 
-// tightestBER bisects the feasibility boundary through the compiled solve.
+// tightestBER bisects the feasibility boundary through the compiled solve,
+// compiling the code's FER plan once for every bisection step.
 func (c *Compiled) tightestBER(code ecc.Code) (float64, error) {
+	plan := ecc.PlanFor(code)
 	feasibleAt := func(ber float64) (bool, error) {
-		ev, err := c.Evaluate(code, ber)
+		ev, err := c.EvaluatePlan(plan, ber)
 		if err != nil {
 			return false, err
 		}

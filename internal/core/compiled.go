@@ -61,10 +61,19 @@ func (c *Compiled) Config() LinkConfig {
 func (c *Compiled) LinkPlan() *onoc.LinkPlan { return c.link }
 
 // Evaluate solves one scheme at one target BER through the compiled
-// pipeline: the required raw BER from the code's memoized FER plan
-// (ecc.PlanFor), the detector SNR, then the worst-channel laser inversion.
+// pipeline, compiling the code's FER plan for this one call. It is the
+// reference path; callers that solve a code repeatedly hold its plan and
+// call EvaluatePlan.
 func (c *Compiled) Evaluate(code ecc.Code, targetBER float64) (Evaluation, error) {
-	rawBER, err := ecc.PlanFor(code).RequiredRawBER(targetBER)
+	return c.EvaluatePlan(ecc.PlanFor(code), targetBER)
+}
+
+// EvaluatePlan solves the plan's code at one target BER: the required raw
+// BER from the FER plan, the detector SNR, then the worst-channel laser
+// inversion.
+func (c *Compiled) EvaluatePlan(plan *ecc.FERPlan, targetBER float64) (Evaluation, error) {
+	code := plan.Code()
+	rawBER, err := plan.RequiredRawBER(targetBER)
 	if err != nil {
 		return Evaluation{}, err
 	}

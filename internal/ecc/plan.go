@@ -3,7 +3,6 @@ package ecc
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"photonoc/internal/mathx"
 )
@@ -17,27 +16,6 @@ type berDerivModeler interface {
 	// postDecodeBERAndDeriv returns PostDecodeBER(p) (bit-identical to the
 	// BERModeler method) and dBER/dp at the same point.
 	postDecodeBERAndDeriv(p float64) (ber, dBERdP float64)
-}
-
-// planKey identifies a code for plan memoization: the display name plus the
-// (n, k, t) parameters. Two codes sharing all four are interchangeable for
-// every analytic model in this package.
-type planKey struct {
-	name    string
-	n, k, t int
-}
-
-// planRegistryCap bounds the memoized-plan map so a service exploring an
-// unbounded code-parameter space cannot grow it forever; compiling is cheap
-// enough that flushing a full registry beats tracking recency.
-const planRegistryCap = 256
-
-// planRegistry memoizes compiled FER plans process-wide (planKey → *FERPlan).
-// Plans are immutable after construction, so sharing across goroutines is
-// free; a racing duplicate compile just wastes a few microseconds once.
-var planRegistry struct {
-	sync.RWMutex
-	m map[planKey]*FERPlan
 }
 
 // FERPlan is the precomputed evaluation plan for one code's analytic error
@@ -65,33 +43,10 @@ type FERPlan struct {
 	opaque BERModeler
 }
 
-// PlanFor returns the memoized FER plan for code c, compiling it on first
-// use. Plans are keyed by code identity (name and (n, k, t)), so distinct
-// instances of the same code share one plan.
+// PlanFor compiles the FER plan for code c: one pass of log-gamma per
+// binomial row. Plans are immutable, so a caller that solves the same code
+// repeatedly holds on to its plan (the engine keeps one per scheme).
 func PlanFor(c Code) *FERPlan {
-	key := planKey{name: c.Name(), n: c.N(), k: c.K(), t: c.T()}
-	planRegistry.RLock()
-	p, ok := planRegistry.m[key]
-	planRegistry.RUnlock()
-	if ok {
-		return p
-	}
-	p = compilePlan(c)
-	planRegistry.Lock()
-	if cached, ok := planRegistry.m[key]; ok {
-		p = cached // a racing compile won; share its plan
-	} else {
-		if planRegistry.m == nil || len(planRegistry.m) >= planRegistryCap {
-			planRegistry.m = make(map[planKey]*FERPlan, planRegistryCap)
-		}
-		planRegistry.m[key] = p
-	}
-	planRegistry.Unlock()
-	return p
-}
-
-// compilePlan builds the plan: one pass of log-gamma per binomial row.
-func compilePlan(c Code) *FERPlan {
 	n, t := c.N(), c.T()
 	p := &FERPlan{code: c, n: n, t: t, lnC: make([]float64, n+1)}
 	for i := 0; i <= n; i++ {
@@ -116,7 +71,7 @@ func (p *FERPlan) Code() Code { return p.code }
 // cannot be decoded to the transmitted one at raw bit error probability pe:
 // P(more than t errors in n bits), so 1 − (1−pe)^n for uncoded
 // transmission (any flip ruins the word). It is computed from the small
-// side with the cached ln C(n, i) row — bit-identical to the unplanned
+// side with the plan's ln C(n, i) row — bit-identical to the unplanned
 // log-gamma sum, minus the per-term log-gamma evaluations.
 func (p *FERPlan) FrameErrorRate(pe float64) float64 {
 	if pe <= 0 {

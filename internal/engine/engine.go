@@ -23,9 +23,10 @@ const DefaultCacheEntries = 4096
 // Engine is a concurrent, memoizing solver over one link configuration and
 // one scheme roster. It is safe for use by multiple goroutines; the
 // configuration is deep-copied at construction, compiled once into a solve
-// plan (link budgets, crosstalk, FER plans) and never mutated.
+// plan (link budgets, crosstalk) and never mutated. Everything the engine
+// memoizes — solved points, FER plans, link plans, built networks — belongs
+// to it, so a new Engine starts from nothing.
 type Engine struct {
-	cfg         core.LinkConfig
 	compiled    *core.Compiled
 	schemes     []ecc.Code
 	workers     int
@@ -35,10 +36,6 @@ type Engine struct {
 	// obs receives instrumentation events; nil (the default) disables the
 	// hooks behind a single pointer comparison per event site.
 	obs Observer
-
-	// flights coalesces concurrent cold solves of one cache key: a
-	// stampede of identical queries costs exactly one compiled solve.
-	flights flightGroup
 
 	// Cold-solve accounting: every solve that actually runs the compiled
 	// pipeline (a cache miss, or any solve with the cache disabled).
@@ -58,13 +55,14 @@ type Engine struct {
 	// batches.
 	sessions sync.Pool
 
-	// Network-evaluation registries: per-link configurations compiled once
-	// per distinct fingerprint (the engine's own configuration is served
-	// from e.compiled instead), and built topologies memoized so repeated
+	// Registries, each filled on first use: FER plans by scheme name (the
+	// identity the memo cache keys on), per-link configurations compiled
+	// once per distinct fingerprint (the engine's own configuration is
+	// served from e.compiled instead), and built topologies, so repeated
 	// evaluations of one network never re-derive links or routes.
-	netMu    sync.Mutex
-	netPlans map[string]*core.Compiled
-	netBuilt map[netBuildKey]*noc.Network
+	plans    registry[string, *ecc.FERPlan]
+	netPlans registry[string, *core.Compiled]
+	netBuilt registry[netBuildKey, *noc.Network]
 }
 
 // settings accumulates functional options before validation.
@@ -182,23 +180,18 @@ func New(opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("%w: copying config: %v", ErrInvalidConfig, err)
 	}
 
-	// Compile the configuration once — the link budgets, crosstalk
-	// fractions and eye fractions every solve reads — and pre-warm the FER
-	// plan of each roster scheme, so no sweep worker ever compiles.
+	// Compile the configuration once: the link budgets, crosstalk
+	// fractions and eye fractions every solve reads.
 	compiled, err := cfgCopy.Compile()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-	for _, c := range s.schemes {
-		ecc.PlanFor(c)
-	}
 
 	e := &Engine{
-		cfg:         cfgCopy,
 		compiled:    compiled,
 		schemes:     s.schemes,
 		workers:     s.workers,
-		fingerprint: fingerprintBytes(raw),
+		fingerprint: core.FingerprintBytes(raw),
 		obs:         s.obs,
 	}
 	if s.cacheEntries > 0 {
@@ -214,12 +207,6 @@ func New(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// fingerprintBytes hashes a canonical JSON serialization into a short hex
-// fingerprint (encoding/json sorts map keys, so it is deterministic).
-func fingerprintBytes(raw []byte) string {
-	return core.FingerprintBytes(raw)
-}
-
 // Fingerprint computes the cache fingerprint of an arbitrary configuration
 // — the same digest an Engine over cfg would use in its cache keys.
 func Fingerprint(cfg core.LinkConfig) (string, error) {
@@ -231,17 +218,7 @@ func Fingerprint(cfg core.LinkConfig) (string, error) {
 }
 
 // Config returns a copy of the engine's link configuration.
-func (e *Engine) Config() core.LinkConfig {
-	cfg := e.cfg
-	if cfg.InterfacePowers != nil {
-		m := make(map[string]core.InterfacePower, len(cfg.InterfacePowers))
-		for k, v := range cfg.InterfacePowers {
-			m[k] = v
-		}
-		cfg.InterfacePowers = m
-	}
-	return cfg
-}
+func (e *Engine) Config() core.LinkConfig { return e.compiled.Config() }
 
 // Schemes returns a copy of the registered scheme roster.
 func (e *Engine) Schemes() []ecc.Code { return append([]ecc.Code(nil), e.schemes...) }
@@ -253,10 +230,10 @@ func (e *Engine) Workers() int { return e.workers }
 // component of every cache key.
 func (e *Engine) ConfigFingerprint() string { return e.fingerprint }
 
-// CacheStats snapshots the memo-cache accounting plus the engine's
-// cold-solve timing. With the cache disabled the hit/miss/entry fields
-// report zeroes; the cold-solve fields still accumulate, since every solve
-// is then cold.
+// CacheStats snapshots the memo-cache accounting, the engine's cold-solve
+// timing and its registry sizes. With the cache disabled the
+// hit/miss/entry fields report zeroes; the cold-solve fields still
+// accumulate, since every solve is then cold.
 func (e *Engine) CacheStats() CacheStats {
 	var s CacheStats
 	if e.cache != nil {
@@ -266,7 +243,19 @@ func (e *Engine) CacheStats() CacheStats {
 	s.ColdSolveTime = time.Duration(e.coldSolveNS.Load())
 	s.SharedSolves = e.sharedSolves.Load()
 	s.SessionReuses = e.sessionReuses.Load()
+	s.FERPlans = e.plans.len()
+	s.LinkPlans = e.netPlans.len()
+	s.Networks = e.netBuilt.len()
 	return s
+}
+
+// planFor returns the engine's FER plan for code, compiling it on first
+// use.
+func (e *Engine) planFor(code ecc.Code) *ecc.FERPlan {
+	if p, ok := e.plans.lookup(code.Name()); ok {
+		return p
+	}
+	return e.plans.add(code.Name(), ecc.PlanFor(code))
 }
 
 // solveCold runs a compiled pipeline for one grid point, accounting the
@@ -274,7 +263,7 @@ func (e *Engine) CacheStats() CacheStats {
 // evaluation's — the observer uses it to attribute the solve to a request.
 func (e *Engine) solveCold(ctx context.Context, compiled *core.Compiled, code ecc.Code, targetBER float64) (core.Evaluation, error) {
 	start := time.Now()
-	ev, err := compiled.Evaluate(code, targetBER)
+	ev, err := compiled.EvaluatePlan(e.planFor(code), targetBER)
 	elapsed := time.Since(start)
 	e.coldSolves.Add(1)
 	e.coldSolveNS.Add(int64(elapsed))
@@ -315,49 +304,31 @@ func (e *Engine) Evaluate(ctx context.Context, code ecc.Code, targetBER float64)
 // evaluateCompiled solves one operating point of one compiled configuration
 // through the memo cache, keyed by that configuration's fingerprint. The
 // engine's own configuration and every per-link network configuration share
-// this path — and therefore the LRU — without aliasing. Cache misses run
-// under the singleflight group: concurrent identical queries coalesce onto
-// one compiled solve, the rest sharing its result (CacheStats.SharedSolves).
-// With the cache disabled every solve is cold and uncoalesced — that is the
-// benchmark configuration, where each call must really run the pipeline.
+// this path — and therefore the LRU — without aliasing. Concurrent identical
+// misses coalesce onto one compiled solve inside the cache, the rest sharing
+// its result (CacheStats.SharedSolves). With the cache disabled every solve
+// is cold and uncoalesced — that is the benchmark configuration, where each
+// call must really run the pipeline.
 func (e *Engine) evaluateCompiled(ctx context.Context, fp string, compiled *core.Compiled, code ecc.Code, targetBER float64) (core.Evaluation, error) {
 	if e.cache == nil {
 		return e.solveCold(ctx, compiled, code, targetBER)
 	}
 	key := cacheKey{fingerprint: fp, scheme: code.Name(), targetBER: targetBER}
-	ev, shard, ok := e.cache.get(key)
-	if ok {
-		if e.obs != nil {
-			e.obs.CacheHit(ctx, shard)
-		}
-		return ev, nil
+	ev, shard, how, err := e.cache.do(key, func() (core.Evaluation, error) {
+		return e.solveCold(ctx, compiled, code, targetBER)
+	})
+	if how == shared {
+		e.sharedSolves.Add(1)
 	}
 	if e.obs != nil {
-		e.obs.CacheMiss(ctx, shard)
-	}
-	ev, shared, err := e.flights.do(key, func() (core.Evaluation, error) {
-		// A flight that closed between our miss and this one's start may
-		// already have populated the cache; serve that instead of
-		// re-solving. peek leaves the hit/miss accounting untouched — the
-		// user-visible lookup was the miss above.
-		if ev, ok := e.cache.peek(key); ok {
-			return ev, nil
+		if how == hit {
+			e.obs.CacheHit(ctx, shard)
+		} else {
+			e.obs.CacheMiss(ctx, shard)
 		}
-		ev, err := e.solveCold(ctx, compiled, code, targetBER)
-		if err != nil {
-			return core.Evaluation{}, err
-		}
-		e.cache.put(key, ev)
-		return ev, nil
-	})
-	if shared {
-		e.sharedSolves.Add(1)
-		if e.obs != nil {
+		if how == shared {
 			e.obs.SharedSolve(ctx)
 		}
 	}
-	if err != nil {
-		return core.Evaluation{}, err
-	}
-	return ev, nil
+	return ev, err
 }

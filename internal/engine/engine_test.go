@@ -140,6 +140,39 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestEngineOwnsFERPlans: an engine compiles each scheme's FER plan once
+// and hands every instance of that scheme the same plan, while a second
+// engine compiles its own — no plan outlives the engine that built it.
+func TestEngineOwnsFERPlans(t *testing.T) {
+	a, err := New(WithCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(WithCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := a.CacheStats(); s.FERPlans != 0 {
+		t.Errorf("fresh engine holds %d plans", s.FERPlans)
+	}
+	if _, err := a.Evaluate(context.Background(), ecc.MustHamming74(), 1e-11); err != nil {
+		t.Fatal(err)
+	}
+	p := a.planFor(ecc.MustHamming74()) // a distinct instance of the solved code
+	if s := a.CacheStats(); s.FERPlans != 1 {
+		t.Errorf("plans after one scheme = %d, want 1", s.FERPlans)
+	}
+	if a.planFor(ecc.MustHamming74()) != p {
+		t.Error("one engine must hand every H(7,4) instance the same plan")
+	}
+	if a.planFor(ecc.MustHamming7164()) == p {
+		t.Error("distinct schemes must not share a plan")
+	}
+	if b.planFor(ecc.MustHamming74()) == p {
+		t.Error("two engines must not share a plan")
+	}
+}
+
 func TestColdSolveTiming(t *testing.T) {
 	e, err := New()
 	if err != nil {

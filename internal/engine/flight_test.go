@@ -6,17 +6,19 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
 )
 
-// TestFlightGroupCoalesces pins the singleflight contract deterministically:
-// a leader whose fn blocks until every follower has joined serves all of
-// them from one execution, and followers report shared == true.
+// TestFlightGroupCoalesces pins the cache's coalescing contract
+// deterministically: a leader whose solve blocks until every follower has
+// joined serves all of them from one execution, and followers report that
+// they shared it.
 func TestFlightGroupCoalesces(t *testing.T) {
 	const followers = 16
-	var g flightGroup
+	c := newLRUCache(8, 1)
 	key := cacheKey{fingerprint: "fp", scheme: "s", targetBER: 1e-11}
 
 	leaderEntered := make(chan struct{})
@@ -26,18 +28,18 @@ func TestFlightGroupCoalesces(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([]core.Evaluation, followers)
-	shareds := make([]bool, followers)
+	hows := make([]outcome, followers)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ev, shared, err := g.do(key, func() (core.Evaluation, error) {
+		ev, _, how, err := c.do(key, func() (core.Evaluation, error) {
 			calls++
 			close(leaderEntered)
 			<-release
 			return want, nil
 		})
-		if err != nil || shared {
-			t.Errorf("leader: shared=%v err=%v", shared, err)
+		if err != nil || how != solved {
+			t.Errorf("leader: outcome=%v err=%v", how, err)
 		}
 		if !reflect.DeepEqual(ev, want) {
 			t.Errorf("leader result = %+v", ev)
@@ -45,41 +47,38 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	}()
 	<-leaderEntered
 
-	// Every follower joins while the leader's fn is blocked, so each MUST
-	// attach to the open flight rather than start its own.
+	// Every follower joins while the leader's solve is blocked, so each MUST
+	// find the pending entry rather than solve on its own.
 	joined := make(chan struct{}, followers)
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			joined <- struct{}{}
-			ev, shared, err := g.do(key, func() (core.Evaluation, error) {
-				t.Error("follower executed fn")
+			ev, _, how, err := c.do(key, func() (core.Evaluation, error) {
+				t.Error("follower executed solve")
 				return core.Evaluation{}, nil
 			})
 			if err != nil {
 				t.Errorf("follower %d: %v", i, err)
 			}
 			results[i] = ev
-			shareds[i] = shared
+			hows[i] = how
 		}(i)
 	}
 	for i := 0; i < followers; i++ {
 		<-joined
 	}
+	waitMisses(t, c, 1+followers)
 	close(release)
 	wg.Wait()
 
 	if calls != 1 {
-		t.Errorf("leader fn ran %d times, want 1", calls)
+		t.Errorf("leader solve ran %d times, want 1", calls)
 	}
 	for i := range results {
-		if !shareds[i] {
-			// A follower that enqueued before release can only have been
-			// served by the leader's flight — but the goroutine may not
-			// have reached g.do before the flight closed; those start a
-			// fresh flight whose fn would have failed the test above.
-			t.Errorf("follower %d did not share the leader's solve", i)
+		if hows[i] != shared {
+			t.Errorf("follower %d did not share the leader's solve (outcome %v)", i, hows[i])
 		}
 		if !reflect.DeepEqual(results[i], want) {
 			t.Errorf("follower %d result = %+v, want %+v", i, results[i], want)
@@ -87,32 +86,97 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	}
 }
 
-// TestFlightGroupPropagatesError: a failing leader fails every follower
-// with the same error, and nothing is retried implicitly.
+// waitMisses blocks until the cache has counted n misses: every caller
+// counts its miss before it waits on a pending entry, so this is how a test
+// knows its followers have joined.
+func waitMisses(t *testing.T, c *lruCache, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.stats().Misses < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("misses = %d, want %d", c.stats().Misses, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlightGroupPropagatesError: a failing solve is not memoized, and
+// nothing is retried implicitly — the next call solves afresh.
 func TestFlightGroupPropagatesError(t *testing.T) {
-	var g flightGroup
+	c := newLRUCache(8, 1)
 	key := cacheKey{fingerprint: "fp", scheme: "s", targetBER: 1e-9}
 	boom := errors.New("boom")
-	if _, shared, err := g.do(key, func() (core.Evaluation, error) {
+	if _, _, how, err := c.do(key, func() (core.Evaluation, error) {
 		return core.Evaluation{}, boom
-	}); !errors.Is(err, boom) || shared {
-		t.Errorf("shared=%v err=%v", shared, err)
+	}); !errors.Is(err, boom) || how != solved {
+		t.Errorf("outcome=%v err=%v", how, err)
 	}
-	// The flight closed: a new call runs fn again.
+	if s := c.stats(); s.Entries != 0 {
+		t.Errorf("failed solve left %d entries", s.Entries)
+	}
 	ran := false
-	if _, _, err := g.do(key, func() (core.Evaluation, error) {
+	if _, _, how, err := c.do(key, func() (core.Evaluation, error) {
 		ran = true
 		return core.Evaluation{}, nil
-	}); err != nil || !ran {
-		t.Errorf("second flight: ran=%v err=%v", ran, err)
+	}); err != nil || !ran || how != solved {
+		t.Errorf("second solve: ran=%v outcome=%v err=%v", ran, how, err)
+	}
+}
+
+// TestFlightPendingSurvivesEviction: at capacity 1, a solve of key B that
+// completes while key A's solve is still running must not evict A's pending
+// entry — a second A caller shares A's solve instead of running another.
+func TestFlightPendingSurvivesEviction(t *testing.T) {
+	c := newLRUCache(1, 1)
+	keyA := cacheKey{fingerprint: "fp", scheme: "a", targetBER: 1e-11}
+	keyB := cacheKey{fingerprint: "fp", scheme: "b", targetBER: 1e-11}
+	wantA := core.Evaluation{TargetBER: 1e-11, CT: 2}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		c.do(keyA, func() (core.Evaluation, error) {
+			close(entered)
+			<-release
+			return wantA, nil
+		})
+	}()
+	<-entered
+
+	if _, _, how, err := c.do(keyB, func() (core.Evaluation, error) {
+		return core.Evaluation{TargetBER: 1e-11, CT: 3}, nil
+	}); err != nil || how != solved {
+		t.Fatalf("B: outcome=%v err=%v", how, err)
+	}
+
+	type res struct {
+		ev  core.Evaluation
+		how outcome
+		err error
+	}
+	second := make(chan res, 1)
+	go func() {
+		ev, _, how, err := c.do(keyA, func() (core.Evaluation, error) {
+			t.Error("second A caller solved again: the pending entry was evicted")
+			return wantA, nil
+		})
+		second <- res{ev, how, err}
+	}()
+	waitMisses(t, c, 3)
+	close(release)
+	<-leaderDone
+	r := <-second
+	if r.err != nil || r.how != shared || !reflect.DeepEqual(r.ev, wantA) {
+		t.Errorf("second A caller: outcome=%v err=%v ev=%+v", r.how, r.err, r.ev)
 	}
 }
 
 // TestColdStampedeCoalesces is the ISSUE's acceptance proof: 64 concurrent
 // identical cold queries cost exactly one compiled solve, and every
-// participant observes the byte-identical evaluation. The flight group
-// guarantees ≤1 cold solve among goroutines that miss the cache; goroutines
-// arriving after the put are plain cache hits.
+// participant observes the byte-identical evaluation. The pending cache
+// entry guarantees ≤1 cold solve among goroutines that miss the cache;
+// goroutines arriving after it is published are plain cache hits.
 func TestColdStampedeCoalesces(t *testing.T) {
 	const goroutines = 64
 	e, err := New()
@@ -149,8 +213,7 @@ func TestColdStampedeCoalesces(t *testing.T) {
 		}
 	}
 	// Every goroutine performed exactly one cache lookup; of the misses,
-	// one led the flight and the rest were served without solving (shared,
-	// or the leader's peek re-check after a just-closed flight).
+	// one ran the solve and the rest shared it.
 	if s.Hits+s.Misses != goroutines {
 		t.Errorf("hits (%d) + misses (%d) != %d lookups", s.Hits, s.Misses, goroutines)
 	}

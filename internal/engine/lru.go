@@ -38,7 +38,7 @@ type CacheStats struct {
 	// ColdSolveTime is the cumulative wall time spent in cold solves.
 	ColdSolveTime time.Duration
 	// SharedSolves counts evaluations that were served by joining another
-	// goroutine's in-flight cold solve (the singleflight layer): a stampede
+	// goroutine's in-flight cold solve (a pending cache entry): a stampede
 	// of identical cold queries costs exactly one compiled solve, and every
 	// other participant increments this counter instead of ColdSolves.
 	SharedSolves uint64
@@ -46,6 +46,11 @@ type CacheStats struct {
 	// incremental fingerprint diff from its previous candidate: each reused
 	// cell avoided both the compiled pipeline and the memo cache.
 	SessionReuses uint64
+	// FERPlans, LinkPlans and Networks count the entries of the engine's
+	// registries: FER plans by scheme name, compiled per-link
+	// configurations by fingerprint, and built topologies. They fill
+	// whether or not the memo cache is enabled.
+	FERPlans, LinkPlans, Networks int
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
@@ -111,10 +116,34 @@ type lruShard struct {
 	misses   uint64
 }
 
+// lruEntry is one memoized solve. It enters the shard pending, when its
+// first caller misses, and is published when that caller's solve returns:
+// val and err are written under the shard lock, then ready is closed.
 type lruEntry struct {
-	key cacheKey
-	val core.Evaluation
+	key   cacheKey
+	val   core.Evaluation
+	err   error
+	ready chan struct{}
 }
+
+// pending reports whether the entry's solve is still running.
+func (e *lruEntry) pending() bool {
+	select {
+	case <-e.ready:
+		return false
+	default:
+		return true
+	}
+}
+
+// outcome reports how lruCache.do served a key.
+type outcome uint8
+
+const (
+	hit    outcome = iota // a published entry
+	solved                // this caller missed and ran the solve
+	shared                // this caller missed and joined a pending solve
+)
 
 // newLRUCache builds a cache of the given total capacity split over shards
 // independently locked LRU partitions (shards ≤ capacity is enforced by the
@@ -158,62 +187,67 @@ func (c *lruCache) shardIndex(k cacheKey) int {
 	return int(h.Sum64() % uint64(len(c.shards)))
 }
 
-// shardFor hashes a key onto its shard.
-func (c *lruCache) shardFor(k cacheKey) *lruShard {
-	return &c.shards[c.shardIndex(k)]
-}
-
-// get returns the memoized evaluation, the index of the shard consulted
+// do returns the memoized evaluation of k, the index of the shard consulted
 // (so instrumentation can attribute traffic per shard without hashing the
-// key twice), and whether the entry was present.
-func (c *lruCache) get(k cacheKey) (core.Evaluation, int, bool) {
+// key twice), and how the key was served. A published entry is a hit. A
+// missing key gets a pending entry and this caller runs solve; callers that
+// find the entry pending count a miss, wait, and share its outcome, so a
+// stampede of identical cold queries costs one solve. A failed solve is
+// removed rather than published: errors are never memoized.
+func (c *lruCache) do(k cacheKey, solve func() (core.Evaluation, error)) (core.Evaluation, int, outcome, error) {
 	i := c.shardIndex(k)
 	s := &c.shards[i]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[k]
-	if !ok {
-		s.misses++
-		return core.Evaluation{}, i, false
-	}
-	s.hits++
-	s.order.MoveToFront(el)
-	return el.Value.(*lruEntry).val, i, true
-}
-
-// peek reports whether the key is memoized without touching the hit/miss
-// accounting or the recency order — the singleflight leader's re-check,
-// which is not a user-visible lookup.
-func (c *lruCache) peek(k cacheKey) (core.Evaluation, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[k]
-	if !ok {
-		return core.Evaluation{}, false
-	}
-	return el.Value.(*lruEntry).val, true
-}
-
-// put memoizes an evaluation, evicting the shard's least recently used
-// entry when the shard is full.
-func (c *lruCache) put(k cacheKey, v core.Evaluation) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if el, ok := s.items[k]; ok {
-		el.Value.(*lruEntry).val = v
-		s.order.MoveToFront(el)
-		return
-	}
-	if s.order.Len() >= s.capacity {
-		oldest := s.order.Back()
-		if oldest != nil {
-			s.order.Remove(oldest)
-			delete(s.items, oldest.Value.(*lruEntry).key)
+		ent := el.Value.(*lruEntry)
+		if !ent.pending() {
+			s.hits++
+			s.order.MoveToFront(el)
+			ev := ent.val
+			s.mu.Unlock()
+			return ev, i, hit, nil
 		}
+		s.misses++
+		s.mu.Unlock()
+		<-ent.ready
+		return ent.val, i, shared, ent.err
 	}
-	s.items[k] = s.order.PushFront(&lruEntry{key: k, val: v})
+	s.misses++
+	ent := &lruEntry{key: k, ready: make(chan struct{})}
+	el := s.order.PushFront(ent)
+	s.items[k] = el
+	s.mu.Unlock()
+
+	ev, err := solve()
+
+	s.mu.Lock()
+	ent.val, ent.err = ev, err
+	if err != nil {
+		s.order.Remove(el)
+		delete(s.items, k)
+	} else {
+		s.order.MoveToFront(el)
+		s.evict(el)
+	}
+	close(ent.ready)
+	s.mu.Unlock()
+	return ev, i, solved, err
+}
+
+// evict drops least recently used published entries other than keep until
+// the shard is back within capacity. Pending entries are never evicted: a
+// solve in flight stays findable, so later callers of its key join it
+// instead of solving again. The shard may therefore exceed its capacity by
+// the number of solves in flight.
+func (s *lruShard) evict(keep *list.Element) {
+	for el := s.order.Back(); el != nil && s.order.Len() > s.capacity; {
+		prev := el.Prev()
+		if ent := el.Value.(*lruEntry); el != keep && !ent.pending() {
+			s.order.Remove(el)
+			delete(s.items, ent.key)
+		}
+		el = prev
+	}
 }
 
 // stats snapshots the accounting, summed across shards.

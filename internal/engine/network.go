@@ -10,11 +10,6 @@ import (
 	"photonoc/internal/noc"
 )
 
-// netPlanCap bounds the per-link compiled-plan registry; compiling is cheap
-// (one optical budget pass per distinct configuration), so a full registry
-// is flushed rather than tracked for recency.
-const netPlanCap = 512
-
 // NetworkResult is one streamed network-sweep outcome: the aggregated
 // evaluation of the whole topology at one target BER. Index is the position
 // in the equivalent batch NetworkSweep slice (BER order); a terminal
@@ -53,10 +48,7 @@ func (e *Engine) BuildNetwork(cfg noc.Config) (*noc.Network, error) {
 		}
 	}
 	key := netBuildKey{kind: cfg.Kind, tiles: cfg.Tiles, columns: cfg.Columns, pitchCM: cfg.TilePitchCM, baseFP: baseFP}
-	e.netMu.Lock()
-	net, ok := e.netBuilt[key]
-	e.netMu.Unlock()
-	if ok {
+	if net, ok := e.netBuilt.lookup(key); ok {
 		return net, nil
 	}
 	// Adopt the engine configuration only on a memo miss: the copy
@@ -69,13 +61,7 @@ func (e *Engine) BuildNetwork(cfg noc.Config) (*noc.Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-	e.netMu.Lock()
-	if e.netBuilt == nil || len(e.netBuilt) >= netPlanCap {
-		e.netBuilt = make(map[netBuildKey]*noc.Network, 8)
-	}
-	e.netBuilt[key] = net
-	e.netMu.Unlock()
-	return net, nil
+	return e.netBuilt.add(key, net), nil
 }
 
 // compiledForLink returns the compiled solve plan of one link, memoized by
@@ -86,10 +72,7 @@ func (e *Engine) compiledForLink(l *noc.Link) (*core.Compiled, error) {
 	if l.Fingerprint == e.fingerprint {
 		return e.compiled, nil
 	}
-	e.netMu.Lock()
-	c, ok := e.netPlans[l.Fingerprint]
-	e.netMu.Unlock()
-	if ok {
+	if c, ok := e.netPlans.lookup(l.Fingerprint); ok {
 		return c, nil
 	}
 	cfg := l.Config
@@ -97,13 +80,7 @@ func (e *Engine) compiledForLink(l *noc.Link) (*core.Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: link %d: %v", ErrInvalidConfig, l.ID, err)
 	}
-	e.netMu.Lock()
-	if e.netPlans == nil || len(e.netPlans) >= netPlanCap {
-		e.netPlans = make(map[string]*core.Compiled, netPlanCap)
-	}
-	e.netPlans[l.Fingerprint] = c
-	e.netMu.Unlock()
-	return c, nil
+	return e.netPlans.add(l.Fingerprint, c), nil
 }
 
 // netGrid is one prepared network-sweep workload: the built network, the
@@ -119,9 +96,8 @@ type netGrid struct {
 // pointsPerBER returns the solve count of one BER plane.
 func (g *netGrid) pointsPerBER() int { return len(g.links) * len(g.schemes) }
 
-// prepareNetwork validates a network sweep request, compiles every distinct
-// link configuration once on the coordinating goroutine, and pre-warms the
-// roster FER plans so no sweep worker ever compiles.
+// prepareNetwork validates a network sweep request and compiles every
+// distinct link configuration once on the coordinating goroutine.
 func (e *Engine) prepareNetwork(cfg noc.Config, targetBERs []float64) (*netGrid, error) {
 	if len(targetBERs) == 0 {
 		return nil, fmt.Errorf("%w: empty BER grid", ErrInvalidInput)
@@ -146,9 +122,6 @@ func (e *Engine) prepareNetwork(cfg noc.Config, targetBERs []float64) (*netGrid,
 		if g.compiled[i], err = e.compiledForLink(&g.links[i]); err != nil {
 			return nil, err
 		}
-	}
-	for _, c := range g.schemes {
-		ecc.PlanFor(c)
 	}
 	return g, nil
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Observer receives engine instrumentation events: cold-solve durations,
-// per-shard cache traffic, singleflight coalesces and session reuses. It is
+// per-shard cache traffic, coalesced solves and session reuses. It is
 // the seam the serving layer hangs its telemetry on — histograms, access-log
 // attribution, per-request statistics — without the engine knowing anything
 // about metrics or logging.
@@ -36,7 +36,7 @@ type Observer interface {
 	CacheMiss(ctx context.Context, shard int)
 
 	// SharedSolve reports an evaluation served by joining another
-	// goroutine's in-flight cold solve (the singleflight layer).
+	// goroutine's in-flight cold solve (a pending cache entry).
 	SharedSolve(ctx context.Context)
 
 	// SessionReuse reports cells a NetworkSession served from its

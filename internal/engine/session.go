@@ -26,7 +26,7 @@ type NetworkCandidate struct {
 // fingerprint appeared in the previous candidate (same roster, same target
 // BER) reuses that candidate's solved evaluations outright — no pipeline,
 // no memo-cache lookup — and only the changed (link, scheme, BER) cells
-// are solved, through the engine's sharded LRU and singleflight group.
+// are solved, through the engine's sharded, coalescing LRU.
 // Results are bit-identical to a cold full evaluation: reused cells carry
 // the exact values the same (fingerprint, scheme, BER) solve produces,
 // and Decide/Aggregate run the identical code either way.
@@ -307,7 +307,7 @@ func (e *Engine) batchInto(ctx context.Context, cands []NetworkCandidate, contin
 // regardless of the worker count. Each worker owns a pooled
 // NetworkSession, so within a worker's contiguous chunk every candidate is
 // solved incrementally against its predecessor; cells no session can reuse
-// go through the memo cache and singleflight group like any other solve
+// go through the coalescing memo cache like any other solve
 // (CacheStats reports both, plus SessionReuses for the diffed cells). An
 // infeasible candidate is not an error: its Result has Feasible == false.
 // Returned results are deep copies, independent of the pooled sessions.

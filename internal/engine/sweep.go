@@ -46,12 +46,6 @@ func (e *Engine) sweepPoints(codes []ecc.Code, targetBERs []float64) ([]point, e
 			return nil, err
 		}
 	}
-	// Pre-warm the FER plan of every swept code on the coordinating
-	// goroutine: each plan compiles exactly once per batch instead of
-	// racing lazily inside the worker pool.
-	for _, c := range codes {
-		ecc.PlanFor(c)
-	}
 	pts := make([]point, 0, len(codes)*len(targetBERs))
 	for _, ber := range targetBERs {
 		for _, c := range codes {

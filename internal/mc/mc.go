@@ -117,11 +117,12 @@ type Result struct {
 	// FER = FrameErrors/Frames with its Wilson interval.
 	FER, FERLow, FERHigh float64
 
-	// ExpectedBER and ExpectedFER are the analytic plan predictions
-	// (ecc.PlanFor): the post-decoding BER model and the binomial-tail
-	// frame error rate. The tail is exact for single-block bounded-distance
-	// decoders; for repetition and interleaved compositions it is an upper
-	// bound (errors split across sub-blocks can all be corrected).
+	// ExpectedBER and ExpectedFER are the analytic predictions of the
+	// code's FER plan (ecc.PlanFor, compiled once per run): the
+	// post-decoding BER model and the binomial-tail frame error rate. The
+	// tail is exact for single-block bounded-distance decoders; for
+	// repetition and interleaved compositions it is an upper bound (errors
+	// split across sub-blocks can all be corrected).
 	ExpectedBER float64
 	ExpectedFER float64
 

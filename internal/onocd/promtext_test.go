@@ -372,6 +372,7 @@ func TestMetricsStrictFormat(t *testing.T) {
 		"onocd_cache_capacity",
 		"onocd_cache_shards",
 		"onocd_cache_cold_solve_seconds_total",
+		"onocd_engine_registry_entries",
 		"onocd_cold_solve_duration_seconds",
 		"onocd_cache_shard_hits_total",
 		"onocd_cache_shard_misses_total",
@@ -430,6 +431,15 @@ func TestMetricsStrictFormat(t *testing.T) {
 	}
 	if fams["onocd_cold_solve_duration_seconds"].samples[len(fams["onocd_cold_solve_duration_seconds"].samples)-1].value == 0 {
 		t.Error("cold-solve histogram empty; the first sweep should have solved cold")
+	}
+	// The sweeps compiled the roster's FER plans and the crossbar request
+	// built one network, so both registries must report entries.
+	registries := map[string]float64{}
+	for _, s := range fams["onocd_engine_registry_entries"].samples {
+		registries[s.labels["registry"]] = s.value
+	}
+	if _, ok := registries["link_plans"]; !ok || registries["fer_plans"] < 1 || registries["networks"] != 1 {
+		t.Errorf("onocd_engine_registry_entries = %v, want a link_plans series, fer_plans ≥ 1 and networks = 1", registries)
 	}
 	if fams["onocd_build_info"].samples[0].labels["go_version"] == "" {
 		t.Error("onocd_build_info missing go_version label")

@@ -570,12 +570,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter(w, "onocd_cache_hits_total", "Memo-cache hits.", cs.Hits)
 	counter(w, "onocd_cache_misses_total", "Memo-cache misses.", cs.Misses)
 	counter(w, "onocd_cache_cold_solves_total", "Solves that ran the compiled pipeline.", cs.ColdSolves)
-	counter(w, "onocd_cache_shared_solves_total", "Evaluations served by joining an in-flight solve (singleflight).", cs.SharedSolves)
+	counter(w, "onocd_cache_shared_solves_total", "Evaluations served by joining an in-flight solve.", cs.SharedSolves)
 	counter(w, "onocd_cache_session_reuses_total", "Per-cell solves avoided by incremental session diffing.", cs.SessionReuses)
 	gauge(w, "onocd_cache_entries", "Memoized operating points.", float64(cs.Entries))
 	gauge(w, "onocd_cache_capacity", "Memo-cache capacity.", float64(cs.Capacity))
 	gauge(w, "onocd_cache_shards", "Independently locked LRU shards.", float64(cs.Shards))
 	gauge(w, "onocd_cache_cold_solve_seconds_total", "Cumulative wall time in cold solves.", cs.ColdSolveTime.Seconds())
+	fmt.Fprint(w, "# HELP onocd_engine_registry_entries Entries in the engine's plan and network registries.\n# TYPE onocd_engine_registry_entries gauge\n")
+	fmt.Fprintf(w, "onocd_engine_registry_entries{registry=\"fer_plans\"} %d\n", cs.FERPlans)
+	fmt.Fprintf(w, "onocd_engine_registry_entries{registry=\"link_plans\"} %d\n", cs.LinkPlans)
+	fmt.Fprintf(w, "onocd_engine_registry_entries{registry=\"networks\"} %d\n", cs.Networks)
 	st.obs.writeTo(w)
 	writeRuntimeMetrics(w)
 	if inj := s.opts.FaultInjector; inj != nil {

@@ -20,7 +20,10 @@ type Netlist struct {
 	gates   []Gate
 	inputs  map[string]GateID
 	outputs map[string]GateID
-	inOrder []string
+	// inOrder and outOrder record declaration order, so every export and
+	// report iterates the ports deterministically.
+	inOrder  []string
+	outOrder []string
 }
 
 // NewNetlist returns an empty netlist with the given block name.
@@ -71,6 +74,7 @@ func (n *Netlist) MarkOutput(id GateID, name string) {
 		panic(fmt.Sprintf("synth: duplicate output %q in %s", name, n.Name))
 	}
 	n.outputs[name] = id
+	n.outOrder = append(n.outOrder, name)
 }
 
 // Gates returns the gate list in construction (topological) order.
@@ -91,14 +95,8 @@ func (n *Netlist) Output(name string) (GateID, bool) {
 // InputNames returns the inputs in declaration order.
 func (n *Netlist) InputNames() []string { return append([]string(nil), n.inOrder...) }
 
-// OutputNames returns the declared outputs (order unspecified).
-func (n *Netlist) OutputNames() []string {
-	out := make([]string, 0, len(n.outputs))
-	for name := range n.outputs {
-		out = append(out, name)
-	}
-	return out
-}
+// OutputNames returns the outputs in declaration order.
+func (n *Netlist) OutputNames() []string { return append([]string(nil), n.outOrder...) }
 
 // CellCounts tallies instantiated cells by type (primary inputs excluded).
 func (n *Netlist) CellCounts() map[CellType]int {

@@ -1,7 +1,11 @@
 package synth
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
+
+	"photonoc/internal/ecc"
 )
 
 func TestNetlistConstructionAndValidation(t *testing.T) {
@@ -225,5 +229,25 @@ func TestEstimateAreaAndPowerArithmetic(t *testing.T) {
 	wantStatic := (lib.Cells[CellXor2].LeakagePW + lib.Cells[CellDFF].LeakagePW) * 1e-3
 	if diff := power.StaticNW - wantStatic; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("static = %g nW, want %g", power.StaticNW, wantStatic)
+	}
+}
+
+// TestOutputNamesDeclarationOrder: outputs come back in MarkOutput order,
+// so the Verilog export of a circuit is the same bytes on every run.
+func TestOutputNamesDeclarationOrder(t *testing.T) {
+	code := ecc.MustHamming74()
+	var enc, dec []string
+	for i := 0; i < code.N(); i++ {
+		enc = append(enc, fmt.Sprintf("pre_c%d", i), fmt.Sprintf("c%d", i))
+	}
+	dec = append(dec, "pre_err")
+	for i := 0; i < code.K(); i++ {
+		dec = append(dec, fmt.Sprintf("pre_q%d", i), fmt.Sprintf("q%d", i))
+	}
+	if got := BuildEncoder(code).OutputNames(); !reflect.DeepEqual(got, enc) {
+		t.Errorf("encoder OutputNames = %v, want %v", got, enc)
+	}
+	if got := BuildDecoder(code).OutputNames(); !reflect.DeepEqual(got, dec) {
+		t.Errorf("decoder OutputNames = %v, want %v", got, dec)
 	}
 }

@@ -56,7 +56,8 @@ func AnalyzeTiming(n *Netlist, lib *Library, clockPeriodPS, inputDelayPS float64
 		}
 	}
 	// Primary outputs that are not flip-flops also terminate paths.
-	for name, id := range n.outputs {
+	for _, name := range n.outOrder {
+		id := n.outputs[name]
 		switch gates[id].Type {
 		case CellDFF, CellDFFG, CellDFFHS:
 		default:
