@@ -202,9 +202,11 @@
 // Solves come in two costs. A warm solve is an LRU cache hit (microseconds).
 // A cold solve runs the physics through a precompute-then-evaluate pipeline
 // compiled once per configuration generation: each code's FER plan
-// (ecc.PlanFor — ln C(n,i) precomputed per plan, incremental binomial-tail
-// recurrence, Newton inversion with the analytic d lnBER/d lnp; the Engine
-// compiles one per scheme and keeps it), each channel's LinkPlan
+// (ln C(n,i) precomputed per plan, incremental binomial-tail recurrence,
+// Newton inversion with the analytic d lnBER/d lnp; the codes of
+// ExtendedSchemes share one constant scheme table, built once per process
+// with their plans attached, which ecc.PlanFor hands out by identity; the
+// Engine keeps one plan per scheme), each channel's LinkPlan
 // (onoc — per-wavelength budget, crosstalk and eye fraction snapshotted, one
 // laser inversion for the worst wavelength only), bundled by
 // core.LinkConfig.Compile and held by the Engine. Engine.CacheStats reports

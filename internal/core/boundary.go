@@ -24,7 +24,7 @@ func (cfg *LinkConfig) TightestBER(code ecc.Code) (float64, error) {
 }
 
 // tightestBER bisects the feasibility boundary through the compiled solve,
-// compiling the code's FER plan once for every bisection step.
+// obtaining the code's FER plan once for every bisection step.
 func (c *Compiled) tightestBER(code ecc.Code) (float64, error) {
 	plan := ecc.PlanFor(code)
 	feasibleAt := func(ber float64) (bool, error) {

@@ -61,9 +61,9 @@ func (c *Compiled) Config() LinkConfig {
 func (c *Compiled) LinkPlan() *onoc.LinkPlan { return c.link }
 
 // Evaluate solves one scheme at one target BER through the compiled
-// pipeline, compiling the code's FER plan for this one call. It is the
-// reference path; callers that solve a code repeatedly hold its plan and
-// call EvaluatePlan.
+// pipeline, obtaining the code's FER plan from ecc.PlanFor for this one
+// call. It is the reference path; callers that solve a code repeatedly hold
+// its plan and call EvaluatePlan.
 func (c *Compiled) Evaluate(code ecc.Code, targetBER float64) (Evaluation, error) {
 	return c.EvaluatePlan(ecc.PlanFor(code), targetBER)
 }

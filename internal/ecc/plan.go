@@ -43,10 +43,23 @@ type FERPlan struct {
 	opaque BERModeler
 }
 
-// PlanFor compiles the FER plan for code c: one pass of log-gamma per
-// binomial row. Plans are immutable, so a caller that solves the same code
-// repeatedly holds on to its plan (the engine keeps one per scheme).
+// PlanFor returns the FER plan for code c. A code that is the scheme
+// table's own instance (compared by identity, not name) gets the plan the
+// table carries; any other code has its plan compiled, one pass of
+// log-gamma per binomial row. Plans are immutable, so a caller that solves
+// the same code repeatedly holds on to its plan (the engine keeps one per
+// scheme).
 func PlanFor(c Code) *FERPlan {
+	for _, s := range schemeTable() {
+		if s.code == c {
+			return s.plan
+		}
+	}
+	return compilePlan(c)
+}
+
+// compilePlan compiles a fresh FER plan for c.
+func compilePlan(c Code) *FERPlan {
 	n, t := c.N(), c.T()
 	p := &FERPlan{code: c, n: n, t: t, lnC: make([]float64, n+1)}
 	for i := 0; i <= n; i++ {

@@ -118,7 +118,7 @@ type Result struct {
 	FER, FERLow, FERHigh float64
 
 	// ExpectedBER and ExpectedFER are the analytic predictions of the
-	// code's FER plan (ecc.PlanFor, compiled once per run): the
+	// code's FER plan (ecc.PlanFor, obtained once per run): the
 	// post-decoding BER model and the binomial-tail frame error rate. The
 	// tail is exact for single-block bounded-distance decoders; for
 	// repetition and interleaved compositions it is an upper bound (errors

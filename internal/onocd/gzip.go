@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // DefaultGzipMinBytes is the buffered-response size from which a JSON
@@ -35,21 +36,21 @@ func (s *Server) withGzip(next http.Handler) http.Handler {
 			return
 		}
 		gw := &gzipResponseWriter{rw: w, minBytes: min}
-		// A handler panic (the chaos injector's reset and truncate faults
-		// abort with http.ErrAbortHandler) must not close the gzip stream:
-		// a clean trailer would turn an injected truncation into a valid
-		// response. Only a normal return finalizes.
-		panicked := true
-		defer func() {
-			if !panicked {
-				gw.close()
-			}
-		}()
 		next.ServeHTTP(gw, r)
-		panicked = false
+		// Only a normal return finalizes. A handler panic (the chaos
+		// injector's reset and truncate faults abort with
+		// http.ErrAbortHandler) skips close: a clean trailer would turn an
+		// injected truncation into a valid response, and the abandoned
+		// writer never returns to the pool.
 		gw.close()
 	})
 }
+
+// gzipWriters pools the compressors of finished responses: a gzip.Writer
+// carries a flate state of several hundred KiB that Reset reuses, where a
+// fresh writer per response would allocate it anew. Only close returns a
+// writer, so a writer whose handler panicked mid-stream is dropped.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
 // acceptsGzip reports whether the request's Accept-Encoding admits gzip
 // (a gzip token with a non-zero quality value).
@@ -125,13 +126,14 @@ func (w *gzipResponseWriter) Flush() {
 }
 
 // commitGzip sends the headers with Content-Encoding: gzip and drains the
-// buffer through a fresh gzip stream.
+// buffer through a pooled writer reset onto this response.
 func (w *gzipResponseWriter) commitGzip() {
 	h := w.rw.Header()
 	h.Set("Content-Encoding", "gzip")
 	h.Del("Content-Length")
 	w.sendHeader()
-	w.gz = gzip.NewWriter(w.rw)
+	w.gz = gzipWriters.Get().(*gzip.Writer)
+	w.gz.Reset(w.rw)
 	if len(w.buf) > 0 {
 		w.gz.Write(w.buf) //nolint:errcheck
 		w.buf = nil
@@ -147,7 +149,7 @@ func (w *gzipResponseWriter) sendHeader() {
 
 // close finalizes the response on normal handler return: a still-undecided
 // body shipped identity (it stayed under the threshold), a committed gzip
-// stream gets its trailer.
+// stream gets its trailer and its writer goes back to the pool.
 func (w *gzipResponseWriter) close() {
 	if w.closed {
 		return
@@ -155,6 +157,8 @@ func (w *gzipResponseWriter) close() {
 	w.closed = true
 	if w.gz != nil {
 		w.gz.Close() //nolint:errcheck
+		gzipWriters.Put(w.gz)
+		w.gz = nil
 		return
 	}
 	if w.identity {

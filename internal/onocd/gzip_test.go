@@ -2,14 +2,20 @@ package onocd
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
+	"photonoc/internal/faultinject"
 	"photonoc/internal/noc"
 )
 
@@ -190,5 +196,186 @@ func TestClientWorksOverGzip(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "onocd_requests_total") {
 		t.Error("metrics page missing onocd_requests_total after gzip round-trip")
+	}
+}
+
+// wireTransport returns a transport with Go's transparent decompression
+// disabled, so the wire encoding is visible to the test.
+func wireTransport(t *testing.T) *http.Transport {
+	tr := &http.Transport{DisableCompression: true}
+	t.Cleanup(tr.CloseIdleConnections)
+	return tr
+}
+
+// exchange sends one request (a POST when body is non-empty) and returns
+// the wire body, read up to any connection error (returned alongside), and
+// its Content-Encoding. A non-2xx status is an error.
+func exchange(tr http.RoundTripper, url, body string, acceptGzip bool) (raw []byte, enc string, err error) {
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != "" {
+		method, rd = http.MethodPost, strings.NewReader(body)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		return nil, "", err
+	}
+	if body != "" {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if acceptGzip {
+		req.Header.Set("Accept-Encoding", "gzip")
+	}
+	resp, err := tr.RoundTrip(req)
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return nil, "", fmt.Errorf("status %s", resp.Status)
+	}
+	raw, err = io.ReadAll(resp.Body)
+	return raw, resp.Header.Get("Content-Encoding"), err
+}
+
+// gunzip decodes exactly one gzip member: a stream cut before its trailer
+// fails with io.ErrUnexpectedEOF, a corrupt one with a checksum error.
+func gunzip(raw []byte) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	zr.Multistream(false)
+	return io.ReadAll(zr)
+}
+
+// TestGzipPanicAfterCommitSkipsPool: a handler that panics after its
+// response committed to gzip never reaches close, so its writer neither
+// gets a trailer nor goes back to the pool, and the client sees a cut
+// stream.
+func TestGzipPanicAfterCommitSkipsPool(t *testing.T) {
+	s := &Server{opts: Options{GzipMinBytes: 1}}
+	var gw *gzipResponseWriter
+	srv := httptest.NewServer(s.withGzip(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gw = w.(*gzipResponseWriter)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, strings.Repeat(`{"index":0}`+"\n", 64))
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	})))
+	raw, enc, err := exchange(wireTransport(t), srv.URL, "", true)
+	if err == nil {
+		t.Error("aborted response read to a clean end")
+	}
+	if enc != "gzip" {
+		t.Fatalf("Content-Encoding = %q, want gzip", enc)
+	}
+	if _, err := gunzip(raw); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("gunzip of the cut stream: %v, want io.ErrUnexpectedEOF (no trailer)", err)
+	}
+	srv.Close() // waits for the aborted handler to unwind
+	if gw == nil || gw.closed || gw.gz == nil {
+		t.Error("the panicking handler's writer was closed and returned to the pool")
+	}
+}
+
+// TestGzipTruncatedChaosThenCleanResponses: chaos truncations cut gzip
+// streams without a trailer, and the gzip responses that follow on the same
+// server, through whatever writers the pool hands out, decode to exactly
+// the identity-encoded bytes.
+func TestGzipTruncatedChaosThenCleanResponses(t *testing.T) {
+	inj := faultinject.New(faultinject.Options{
+		Seed:              1,
+		Rates:             faultinject.Rates{Truncate: 1}, // every stream is cut; buffered routes pass
+		TruncateMinBytes:  300,
+		TruncateSpanBytes: 1,
+	})
+	_, c := newTestServer(t, Options{GzipMinBytes: 1, FaultInjector: inj})
+	tr := wireTransport(t)
+	buffered := []struct{ path, body string }{
+		{"/v1/sweep", `{"target_bers":[1e-9,1e-12]}`},
+		{"/v1/sweep", `{"schemes":["H(7,4)"],"target_bers":[1e-11]}`},
+		{"/v1/noc/eval", `{"topology":"mesh","tiles":16,"columns":4,"target_ber":1e-11,"objective":"min-energy"}`},
+		{"/v1/config", ""},
+	}
+	for round := 0; round < 3; round++ {
+		raw, enc, err := exchange(tr, c.Base+"/v1/sweep/stream", `{"target_bers":[1e-6,1e-7,1e-8,1e-9,1e-10,1e-11]}`, true)
+		if err == nil || enc != "gzip" {
+			t.Fatalf("round %d: stream read err %v, encoding %q; want a cut gzip stream", round, err, enc)
+		}
+		if _, err := gunzip(raw); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("round %d: gunzip of the truncated stream: %v, want io.ErrUnexpectedEOF", round, err)
+		}
+		for _, b := range buffered {
+			want, _, err := exchange(tr, c.Base+b.path, b.body, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, enc, err := exchange(tr, c.Base+b.path, b.body, true)
+			if err != nil || enc != "gzip" {
+				t.Fatalf("round %d %s: err %v, encoding %q", round, b.path, err, enc)
+			}
+			got, err := gunzip(raw)
+			if err != nil {
+				t.Fatalf("round %d %s: gunzip: %v", round, b.path, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round %d %s: gzip body differs from identity:\n gzip: %s\n  raw: %s", round, b.path, got, want)
+			}
+		}
+	}
+	if n := inj.Counts().Truncates; n != 3 {
+		t.Errorf("injected truncations = %d, want 3", n)
+	}
+}
+
+// TestGzipConcurrentStreamsAndBuffered: concurrent NDJSON streams and
+// buffered responses share the writer pool without crossing bytes — every
+// gzip body decodes, trailer included, to its identity-encoded twin.
+func TestGzipConcurrentStreamsAndBuffered(t *testing.T) {
+	_, c := newTestServer(t, Options{GzipMinBytes: 1})
+	tr := wireTransport(t)
+	reqs := []struct{ path, body string }{
+		{"/v1/sweep/stream", `{"target_bers":[1e-6,1e-8,1e-10,1e-12]}`},
+		{"/v1/noc/sweep", `{"topology":"crossbar","tiles":8,"target_bers":[1e-9,1e-11]}`},
+		{"/v1/sweep", `{"target_bers":[1e-9]}`},
+		{"/v1/noc/eval", `{"topology":"ring","tiles":8,"target_ber":1e-10}`},
+	}
+	want := make([][]byte, len(reqs))
+	for i, r := range reqs {
+		var err error
+		if want[i], _, err = exchange(tr, c.Base+r.path, r.body, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const clients, rounds = 6, 8
+	var wg sync.WaitGroup
+	errs := make(chan error, clients*rounds)
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				i := (g + k) % len(reqs)
+				raw, enc, err := exchange(tr, c.Base+reqs[i].path, reqs[i].body, true)
+				if err == nil && enc != "gzip" {
+					err = fmt.Errorf("encoding %q", enc)
+				}
+				var got []byte
+				if err == nil {
+					got, err = gunzip(raw)
+				}
+				if err == nil && !bytes.Equal(got, want[i]) {
+					err = fmt.Errorf("body differs from identity:\n gzip: %s\n  raw: %s", got, want[i])
+				}
+				if err != nil {
+					errs <- fmt.Errorf("client %d %s: %w", g, reqs[i].path, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -77,11 +77,13 @@ const (
 func DefaultConfig() LinkConfig { return core.DefaultConfig() }
 
 // PaperSchemes returns the paper's three communication schemes:
-// w/o ECC, H(71,64), H(7,4).
+// w/o ECC, H(71,64), H(7,4). The slice is the caller's; the codes are
+// shared, read-only instances, the same on every call.
 func PaperSchemes() []Code { return ecc.PaperSchemes() }
 
 // ExtendedSchemes adds SECDED(72,64), BCH(15,7), BCH(31,21), repetition and
-// parity — the "other coding techniques" the paper leaves open.
+// parity — the "other coding techniques" the paper leaves open. Like
+// PaperSchemes it returns a fresh slice of shared, read-only codes.
 func ExtendedSchemes() []Code { return ecc.ExtendedSchemes() }
 
 // Uncoded64 returns the 64-bit pass-through scheme.
