@@ -1,7 +1,7 @@
 // Command onoctune runs design-space autotuner campaigns: a deterministic
 // multi-objective particle swarm over the joint NoC design space (topology
 // family, tile count, mesh shape, wavelength grid, scheme-roster subset,
-// DAC resolution), evaluated generation-by-generation as Engine.NetworkBatch
+// DAC resolution), evaluated generation-by-generation as Engine.NetworkBatchEach
 // populations and archived as a Pareto front over energy per bit, p99
 // latency and saturation throughput.
 //

@@ -166,6 +166,9 @@
 //	}
 //	results, err := eng.NetworkBatch(ctx, cands)
 //
+// Engine.NetworkBatchEach runs the same batch without the copies: it hands
+// each session-owned result to a visitor, valid only during that call.
+//
 // The tracked noc_batch metric in BENCH_cold_sweep.json pins the speedup
 // (~5.8x over per-candidate cold evaluation on a 64-candidate
 // mutate-one-knob chain); POST /v1/noc/batch serves the same path over
@@ -187,7 +190,7 @@
 //		fmt.Println(p.Spec.String(), p.EnergyPerBitJ, p.P99LatencySec)
 //	}
 //
-// Each generation evaluates the whole swarm as one Engine.NetworkBatch
+// Each generation evaluates the whole swarm as one Engine.NetworkBatchEach
 // population, so neighboring particles ride the incremental sessions.
 // Campaigns are bit-identical across Engine worker counts from the root
 // seed; infeasible candidates are counted and skipped, never fatal; and

@@ -138,16 +138,10 @@ func (e *Engine) Manager(dac DAC) (*Manager, error) {
 func (e *Engine) adoptSimConfig(cfg SimConfig) (SimConfig, error) {
 	if reflect.ValueOf(cfg.Link).IsZero() {
 		cfg.Link = e.Config()
-	} else {
-		fp, err := engine.Fingerprint(cfg.Link)
-		if err != nil {
-			return SimConfig{}, err
-		}
-		if fp != e.ConfigFingerprint() {
-			return SimConfig{}, fmt.Errorf(
-				"%w: simulation link config differs from the engine's (set cfg.Link = eng.Config() or leave it zero)",
-				ErrInvalidConfig)
-		}
+	} else if engine.Fingerprint(cfg.Link) != e.ConfigFingerprint() {
+		return SimConfig{}, fmt.Errorf(
+			"%w: simulation link config differs from the engine's (set cfg.Link = eng.Config() or leave it zero)",
+			ErrInvalidConfig)
 	}
 	if cfg.Schemes == nil {
 		cfg.Schemes = e.Schemes()

@@ -5,17 +5,18 @@ import (
 	"sort"
 )
 
-// BatchOptions parameterizes NetworkBatch / NetworkBatchStream. The zero
-// value is the strict (historical) mode: the first candidate error aborts
-// the whole batch.
+// BatchOptions parameterizes NetworkBatch, NetworkBatchEach and
+// NetworkBatchStream. The zero value is the strict (historical) mode: the
+// first candidate error aborts the whole batch.
 type BatchOptions struct {
 	// ContinueOnError switches the batch to partial-failure mode: a failed
 	// candidate becomes an indexed CandidateError record instead of
 	// aborting its siblings. NetworkBatch then returns every successful
-	// result alongside a *BatchErrors; NetworkBatchStream emits the error
-	// in that candidate's slot and keeps streaming. Context cancellation
-	// and the per-request deadline stay terminal in both modes — they mean
-	// the caller, not the candidate, is done.
+	// result alongside a *BatchErrors; NetworkBatchEach visits the error
+	// and NetworkBatchStream emits it in that candidate's slot, and both
+	// keep going. Context cancellation and the per-request deadline stay
+	// terminal in both modes — they mean the caller, not the candidate, is
+	// done.
 	ContinueOnError bool
 }
 

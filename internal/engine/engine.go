@@ -167,13 +167,14 @@ func New(opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
 
-	// One serialization pass yields both the cache fingerprint and a deep
-	// copy that isolates the engine from later mutation of the caller's
-	// configuration (LinkConfig round-trips JSON losslessly; that is the
-	// contract of core.SaveConfig/LoadConfig).
+	// A JSON round trip deep-copies the configuration, isolating the
+	// engine from later mutation of the caller's InterfacePowers map
+	// (LinkConfig round-trips JSON losslessly; that is the contract of
+	// core.SaveConfig/LoadConfig). The copy also rejects non-finite
+	// parameters, which JSON cannot carry.
 	raw, err := json.Marshal(s.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("%w: fingerprinting config: %v", ErrInvalidConfig, err)
+		return nil, fmt.Errorf("%w: copying config: %v", ErrInvalidConfig, err)
 	}
 	var cfgCopy core.LinkConfig
 	if err := json.Unmarshal(raw, &cfgCopy); err != nil {
@@ -191,7 +192,7 @@ func New(opts ...Option) (*Engine, error) {
 		compiled:    compiled,
 		schemes:     s.schemes,
 		workers:     s.workers,
-		fingerprint: core.FingerprintBytes(raw),
+		fingerprint: core.Fingerprint(cfgCopy),
 		obs:         s.obs,
 	}
 	if s.cacheEntries > 0 {
@@ -209,13 +210,7 @@ func New(opts ...Option) (*Engine, error) {
 
 // Fingerprint computes the cache fingerprint of an arbitrary configuration
 // — the same digest an Engine over cfg would use in its cache keys.
-func Fingerprint(cfg core.LinkConfig) (string, error) {
-	fp, err := core.Fingerprint(cfg)
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	return fp, nil
-}
+func Fingerprint(cfg core.LinkConfig) string { return core.Fingerprint(cfg) }
 
 // Config returns a copy of the engine's link configuration.
 func (e *Engine) Config() core.LinkConfig { return e.compiled.Config() }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"photonoc/internal/core"
@@ -260,12 +261,11 @@ func TestFingerprint(t *testing.T) {
 	if a.ConfigFingerprint() == c.ConfigFingerprint() {
 		t.Error("different configs must not share a fingerprint")
 	}
-	fp, err := Fingerprint(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp != a.ConfigFingerprint() {
+	if Fingerprint(core.DefaultConfig()) != a.ConfigFingerprint() {
 		t.Error("Fingerprint(cfg) must match the engine's own digest")
+	}
+	if Fingerprint(cfg) != c.ConfigFingerprint() {
+		t.Error("Fingerprint(cfg) must match the digest of an engine over cfg")
 	}
 }
 
@@ -296,5 +296,27 @@ func TestConfigIsolation(t *testing.T) {
 	}
 	if got.ChannelPowerW != want.ChannelPowerW {
 		t.Error("evaluations diverged after caller-side mutation")
+	}
+}
+
+// TestNewAllocatedBytes bounds what building a default engine allocates.
+// The memo cache's shard maps grow with use; pre-sizing them for the full
+// 4096-entry capacity cost ~475 KB per engine, which a campaign on a fresh
+// engine paid before its first solve.
+func TestNewAllocatedBytes(t *testing.T) {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := New(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perNew := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("New allocates %d bytes", perNew)
+	if perNew > 64<<10 {
+		t.Errorf("New allocates %d bytes, want at most %d", perNew, 64<<10)
 	}
 }

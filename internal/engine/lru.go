@@ -148,6 +148,8 @@ const (
 // newLRUCache builds a cache of the given total capacity split over shards
 // independently locked LRU partitions (shards ≤ capacity is enforced by the
 // caller; shard 0..rem−1 take the remainder so the capacities sum exactly).
+// Shard maps start empty and grow with use: most engines never fill their
+// cache, and a fresh engine should not pay for capacity it may not use.
 func newLRUCache(capacity, shards int) *lruCache {
 	c := &lruCache{
 		shards:   make([]lruShard, shards),
@@ -163,7 +165,7 @@ func newLRUCache(capacity, shards int) *lruCache {
 		c.shards[i] = lruShard{
 			capacity: shardCap,
 			order:    list.New(),
-			items:    make(map[cacheKey]*list.Element, shardCap),
+			items:    make(map[cacheKey]*list.Element),
 		}
 	}
 	return c

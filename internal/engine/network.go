@@ -42,10 +42,7 @@ func (e *Engine) BuildNetwork(cfg noc.Config) (*noc.Network, error) {
 	baseFP := e.fingerprint
 	adoptBase := reflect.ValueOf(cfg.Base).IsZero()
 	if !adoptBase {
-		var err error
-		if baseFP, err = Fingerprint(cfg.Base); err != nil {
-			return nil, err
-		}
+		baseFP = core.Fingerprint(cfg.Base)
 	}
 	key := netBuildKey{kind: cfg.Kind, tiles: cfg.Tiles, columns: cfg.Columns, pitchCM: cfg.TilePitchCM, baseFP: baseFP}
 	if net, ok := e.netBuilt.lookup(key); ok {

@@ -33,9 +33,9 @@ type NetworkCandidate struct {
 //
 // A session is NOT safe for concurrent use, and the Result returned by
 // Evaluate aliases session-owned storage — it is valid only until the next
-// Evaluate call (Clone it to keep it). Engine.NetworkBatch drives one
-// pooled session per worker and clones every result, which is the
-// concurrency-safe entry point.
+// Evaluate call (Clone it to keep it). Engine.NetworkBatchEach drives one
+// pooled session per worker, and NetworkBatch on top of it clones every
+// result; those are the concurrency-safe entry points.
 type NetworkSession struct {
 	e    *Engine
 	eval *noc.EvalSession
@@ -208,20 +208,29 @@ func (e *Engine) acquireSession() *NetworkSession {
 
 func (e *Engine) releaseSession(s *NetworkSession) { e.sessions.Put(s) }
 
-// batchInto evaluates a candidate population and hands each outcome, with
-// its population index, to emit — a result on success, a *CandidateError on
-// failure (only in continueOnError mode; in strict mode the first failure
-// aborts the batch and emit never sees an error). Candidates are split into
-// contiguous per-worker chunks rather than interleaved, so neighboring
-// candidates land on the same session and the fingerprint diff sees the
-// chain locality autotuner populations have. emit may run concurrently from
-// different workers but is called exactly once per completed candidate; the
-// *noc.Result is only valid for the duration of the call. Context
-// cancellation is terminal in both modes.
-func (e *Engine) batchInto(ctx context.Context, cands []NetworkCandidate, continueOnError bool, emit func(int, *noc.Result, *CandidateError)) error {
+// NetworkBatchEach evaluates a candidate population across the worker pool
+// like NetworkBatch, but instead of collecting copies it hands each outcome
+// to visit with its population index: a result on success, or — only with
+// BatchOptions.ContinueOnError — a *CandidateError on failure, after which
+// the batch goes on. In strict mode the first failure aborts the batch and
+// is returned; visit never sees an error. The returned error is otherwise
+// terminal only: cancellation, never a per-candidate failure.
+//
+// Lifetime: the *noc.Result passed to visit is the worker session's
+// scratch, valid only for the duration of that call — the worker's next
+// candidate overwrites it. Read what you need inside visit, or Clone it.
+// visit runs concurrently from different workers, exactly once per
+// completed candidate, so it must be safe for concurrent calls with
+// distinct indices (writing slot i of a pre-sized slice is).
+//
+// Candidates are split into contiguous per-worker chunks rather than
+// interleaved, so neighboring candidates land on the same session and the
+// fingerprint diff sees the chain locality autotuner populations have.
+func (e *Engine) NetworkBatchEach(ctx context.Context, cands []NetworkCandidate, visit func(i int, res *noc.Result, cerr *CandidateError), opts ...BatchOptions) error {
 	if len(cands) == 0 {
 		return fmt.Errorf("%w: empty candidate population", ErrInvalidInput)
 	}
+	continueOnError := batchOptions(opts).ContinueOnError
 	workers := e.workers
 	if workers > len(cands) {
 		workers = len(cands)
@@ -233,12 +242,12 @@ func (e *Engine) batchInto(ctx context.Context, cands []NetworkCandidate, contin
 			res, err := sess.Evaluate(ctx, cands[i])
 			if err != nil {
 				if continueOnError && ctx.Err() == nil {
-					emit(i, nil, &CandidateError{Index: i, Err: err})
+					visit(i, nil, &CandidateError{Index: i, Err: err})
 					continue
 				}
 				return fmt.Errorf("candidate %d: %w", i, err)
 			}
-			emit(i, res, nil)
+			visit(i, res, nil)
 		}
 		return ctx.Err()
 	}
@@ -283,13 +292,13 @@ func (e *Engine) batchInto(ctx context.Context, cands []NetworkCandidate, contin
 					// being torn down (cancellation or a sibling's strict
 					// failure) — never record that as a candidate failure.
 					if continueOnError && poolCtx.Err() == nil {
-						emit(i, nil, &CandidateError{Index: i, Err: err})
+						visit(i, nil, &CandidateError{Index: i, Err: err})
 						continue
 					}
 					fail(fmt.Errorf("candidate %d: %w", i, err))
 					return
 				}
-				emit(i, res, nil)
+				visit(i, res, nil)
 			}
 		}(lo, hi)
 	}
@@ -318,14 +327,16 @@ func (e *Engine) batchInto(ctx context.Context, cands []NetworkCandidate, contin
 // result (failed indices keep the zero Result), and the error is a
 // *BatchErrors listing each failure as an indexed CandidateError, ordered
 // by index. Cancellation stays terminal either way.
+//
+// NetworkBatch is NetworkBatchEach plus a Clone per result; callers that
+// read a few fields per candidate should visit instead.
 func (e *Engine) NetworkBatch(ctx context.Context, cands []NetworkCandidate, opts ...BatchOptions) ([]noc.Result, error) {
-	opt := batchOptions(opts)
 	out := make([]noc.Result, len(cands))
 	var (
 		mu    sync.Mutex
 		fails []*CandidateError
 	)
-	if err := e.batchInto(ctx, cands, opt.ContinueOnError, func(i int, res *noc.Result, cerr *CandidateError) {
+	if err := e.NetworkBatchEach(ctx, cands, func(i int, res *noc.Result, cerr *CandidateError) {
 		if cerr != nil {
 			mu.Lock()
 			fails = append(fails, cerr)
@@ -333,7 +344,7 @@ func (e *Engine) NetworkBatch(ctx context.Context, cands []NetworkCandidate, opt
 			return
 		}
 		out[i] = res.Clone()
-	}); err != nil {
+	}, opts...); err != nil {
 		return nil, err
 	}
 	if len(fails) > 0 {
@@ -358,7 +369,6 @@ func (e *Engine) NetworkBatch(ctx context.Context, cands []NetworkCandidate, opt
 // going; every candidate gets exactly one item. Cancellation still ends the
 // stream early with a terminal Err.
 func (e *Engine) NetworkBatchStream(ctx context.Context, cands []NetworkCandidate, opts ...BatchOptions) <-chan NetworkResult {
-	opt := batchOptions(opts)
 	if len(cands) == 0 {
 		out := make(chan NetworkResult, 1)
 		out <- NetworkResult{Index: 0, Err: fmt.Errorf("%w: empty candidate population", ErrInvalidInput)}
@@ -375,13 +385,13 @@ func (e *Engine) NetworkBatchStream(ctx context.Context, cands []NetworkCandidat
 		var poolErr error
 		go func() {
 			defer close(unordered)
-			poolErr = e.batchInto(ctx, cands, opt.ContinueOnError, func(i int, res *noc.Result, cerr *CandidateError) {
+			poolErr = e.NetworkBatchEach(ctx, cands, func(i int, res *noc.Result, cerr *CandidateError) {
 				if cerr != nil {
 					unordered <- NetworkResult{Index: i, TargetBER: cands[i].Opts.TargetBER, Err: cerr}
 					return
 				}
 				unordered <- NetworkResult{Index: i, TargetBER: res.TargetBER, Result: res.Clone()}
-			})
+			}, opts...)
 		}()
 		pending := make(map[int]NetworkResult)
 		next := 0

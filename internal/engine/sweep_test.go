@@ -5,7 +5,9 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
@@ -153,10 +155,26 @@ func TestSweepPreCancelled(t *testing.T) {
 	}
 }
 
+// blockingObserver parks every cold solve, once armed, until the solve's
+// context is cancelled, so a sweep cannot run ahead of its consumer however
+// fast the solver or busy the host.
+type blockingObserver struct {
+	countingObserver
+	armed atomic.Bool
+}
+
+func (o *blockingObserver) ColdSolve(ctx context.Context, _ string, _ time.Duration) {
+	if o.armed.Load() {
+		<-ctx.Done()
+	}
+}
+
 func TestSweepStreamMidCancellation(t *testing.T) {
-	// A large grid with the cache off: cancel after the first delivered
-	// result and require the stream to end promptly with a Canceled item.
-	e, err := New(WithWorkers(4), WithCache(0))
+	// A large grid whose first point is cached and whose every other point
+	// blocks in its cold solve until cancellation: cancel after the first
+	// delivered result and require the stream to end with a Canceled item.
+	o := &blockingObserver{}
+	e, err := New(WithWorkers(4), WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +182,14 @@ func TestSweepStreamMidCancellation(t *testing.T) {
 	for i := range bers {
 		bers[i] = 1e-11 * float64(i+1)
 	}
+	codes := ecc.ExtendedSchemes()
+	if _, err := e.Evaluate(context.Background(), codes[0], bers[0]); err != nil {
+		t.Fatal(err)
+	}
+	o.armed.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stream := e.SweepStream(ctx, ecc.ExtendedSchemes(), bers)
+	stream := e.SweepStream(ctx, codes, bers)
 	delivered := 0
 	var terminal error
 	for r := range stream {
@@ -182,7 +205,7 @@ func TestSweepStreamMidCancellation(t *testing.T) {
 	// Drain to prove the channel closes.
 	for range stream {
 	}
-	total := len(bers) * len(ecc.ExtendedSchemes())
+	total := len(bers) * len(codes)
 	if delivered >= total {
 		t.Fatalf("cancellation did not stop the sweep: %d/%d delivered", delivered, total)
 	}

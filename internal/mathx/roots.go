@@ -67,7 +67,8 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 // method inherits bisection's guaranteed convergence while smooth functions
 // converge quadratically. fd must return f(x) and f'(x); f(lo) and f(hi)
 // must have opposite signs (−Inf/+Inf endpoint values bracket like any other
-// sign). It is the solver behind the ecc package's planned FER inversions.
+// sign). It is the solver behind the ecc package's planned FER inversions
+// and the laser characteristic's inversion in photonics.
 func NewtonBisect(fd func(float64) (fx, dfx float64), lo, hi, tol float64) (float64, error) {
 	if lo > hi {
 		lo, hi = hi, lo
@@ -116,7 +117,7 @@ func NewtonBisect(fd func(float64) (fx, dfx float64), lo, hi, tol float64) (floa
 
 // SolveMonotone solves f(x) == target for x in [lo, hi], assuming f is
 // monotone (either direction) on the interval. It is the workhorse used to
-// invert the post-decoding BER and the laser thermal characteristic.
+// invert the post-decoding BER.
 func SolveMonotone(f func(float64) float64, target, lo, hi, tol float64) (float64, error) {
 	g := func(x float64) float64 { return f(x) - target }
 	return Bisect(g, lo, hi, tol)

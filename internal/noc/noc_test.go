@@ -144,10 +144,7 @@ func TestBusDegenerateSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseFP, err := core.Fingerprint(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseFP := core.Fingerprint(base)
 	if net.NumLinks() != base.Channel.Topo.ONIs {
 		t.Fatalf("bus has %d links for %d ONIs", net.NumLinks(), base.Channel.Topo.ONIs)
 	}

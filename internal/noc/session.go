@@ -334,7 +334,8 @@ func (s *EvalSession) aggregateLatency(res *Result, net *Network, opts EvalOptio
 // Clone deep-copies a Result, detaching it from any session-owned storage
 // (Decisions, Loads, SchemeUse). Engine.NetworkBatch clones every result
 // it hands out, so batch outputs are independent of the pooled sessions
-// that produced them.
+// that produced them; Engine.NetworkBatchEach does not, and its visitors
+// clone only what they keep.
 func (r *Result) Clone() Result {
 	out := *r
 	if r.Decisions != nil {

@@ -240,12 +240,8 @@ func (n *Network) deriveConfig(l *Link) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("noc: link %d (reader %d): %w", l.ID, l.Reader, err)
 	}
-	fp, err := core.Fingerprint(cfg)
-	if err != nil {
-		return fmt.Errorf("noc: link %d: %w", l.ID, err)
-	}
 	l.Config = cfg
-	l.Fingerprint = fp
+	l.Fingerprint = core.Fingerprint(cfg)
 	return nil
 }
 

@@ -163,12 +163,17 @@ func (l Laser) ElectricalPower(opticalW, activity float64) (float64, error) {
 			ErrLaserInfeasible, opticalW*1e6, maxOp*1e6, activity*100)
 	}
 	opticalW = math.Min(opticalW, maxOp)
-	// OP(Pe) is strictly increasing on [0, Pe*]; invert by bisection.
+	// OP(Pe) is strictly increasing on [0, Pe*]; invert it by bracketed
+	// Newton with the closed-form slope dOP/dPe = η0(1 − (γ+1)xᵞ),
+	// x = Rth·Pe/ΔTmax. f evaluates OpticalFromElectrical's exact
+	// expression, so f(Pe*) at the thermal ceiling is exactly zero rather
+	// than a rounding error of either sign. The root is at least OP/η0, so
+	// the tolerance is at most 1e-15 of it.
 	peak := l.peakElectrical(h)
-	pe, err := mathx.SolveMonotone(func(pe float64) float64 {
-		op, _ := l.OpticalFromElectrical(pe, activity)
-		return op
-	}, opticalW, 0, peak, 1e-12)
+	pe, err := mathx.NewtonBisect(func(pe float64) (float64, float64) {
+		xg := math.Pow(l.RthKPerW*pe/h, l.Gamma)
+		return pe*(l.Eta0*(1-xg)) - opticalW, l.Eta0 * (1 - (l.Gamma+1)*xg)
+	}, 0, peak, 1e-15*opticalW/l.Eta0)
 	if err != nil {
 		return 0, fmt.Errorf("photonics: inverting laser characteristic: %w", err)
 	}

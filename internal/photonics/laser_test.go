@@ -3,6 +3,8 @@ package photonics
 import (
 	"errors"
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 
 	"photonoc/internal/mathx"
@@ -212,4 +214,119 @@ func TestLaserValidate(t *testing.T) {
 	if err := PaperLaser().Validate(); err != nil {
 		t.Errorf("paper laser should validate: %v", err)
 	}
+}
+
+// bigElectricalPower solves OP(Pe) = opticalW in 256-bit arithmetic for an
+// integral collapse exponent, by bisection on [0, hi]: the reference the
+// float64 inversion is held to.
+func bigElectricalPower(l Laser, opticalW, activity, hi float64) *big.Float {
+	const prec = 256
+	h := l.DeltaTMax0K - activity*l.ActivityTempK
+	eta := new(big.Float).SetPrec(prec).SetFloat64(l.Eta0)
+	k := new(big.Float).SetPrec(prec).Quo(
+		new(big.Float).SetPrec(prec).SetFloat64(l.RthKPerW),
+		new(big.Float).SetPrec(prec).SetFloat64(h))
+	target := new(big.Float).SetPrec(prec).SetFloat64(opticalW)
+	one := new(big.Float).SetPrec(prec).SetInt64(1)
+	// op returns Pe·η0·(1 − (k·Pe)^γ).
+	op := func(pe *big.Float) *big.Float {
+		x := new(big.Float).SetPrec(prec).Mul(k, pe)
+		xg := new(big.Float).SetPrec(prec).Set(one)
+		for i := 0; i < int(l.Gamma); i++ {
+			xg.Mul(xg, x)
+		}
+		eff := new(big.Float).SetPrec(prec).Sub(one, xg)
+		eff.Mul(eff, eta)
+		return eff.Mul(eff, pe)
+	}
+	lo := new(big.Float).SetPrec(prec)
+	up := new(big.Float).SetPrec(prec).SetFloat64(hi)
+	half := new(big.Float).SetPrec(prec).SetFloat64(0.5)
+	for i := 0; i < 200; i++ {
+		mid := new(big.Float).SetPrec(prec).Add(lo, up)
+		mid.Mul(mid, half)
+		if op(mid).Cmp(target) < 0 {
+			lo = mid
+		} else {
+			up = mid
+		}
+	}
+	return up
+}
+
+func TestElectricalPowerMatchesBigFloatReference(t *testing.T) {
+	// Seeded targets over the feasible range at activities across [0, 1],
+	// for the paper laser (rated-bound at low activity, thermal-bound when
+	// hot) and an uncapped one: the float64 inversion must sit within
+	// 1e-14 relative of the exact root.
+	rng := rand.New(rand.NewSource(17))
+	uncapped := PaperLaser()
+	uncapped.RatedMaxOpticalW = 1
+	worst := 0.0
+	for _, l := range []Laser{PaperLaser(), uncapped} {
+		for i := 0; i < 400; i++ {
+			activity := rng.Float64()
+			maxOp, err := l.MaxOpticalW(activity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Targets from 1e-6 of the ceiling up to 95% of it, log-uniform.
+			op := maxOp * math.Pow(10, -6*rng.Float64()) * 0.95
+			pe, err := l.ElectricalPower(op, activity)
+			if err != nil {
+				t.Fatalf("ElectricalPower(%g, %g): %v", op, activity, err)
+			}
+			h := l.DeltaTMax0K - activity*l.ActivityTempK
+			ref := bigElectricalPower(l, op, activity, l.peakElectrical(h)*(1+1e-9))
+			diff := new(big.Float).Sub(new(big.Float).SetFloat64(pe), ref)
+			rel, _ := diff.Quo(diff, ref).Float64()
+			worst = math.Max(worst, math.Abs(rel))
+			if math.Abs(rel) > 1e-14 {
+				t.Fatalf("ElectricalPower(%g, %g) = %.17g, reference %s (rel err %.3g)",
+					op, activity, pe, ref.Text('g', 20), rel)
+			}
+		}
+	}
+	t.Logf("worst relative error %.3g", worst)
+}
+
+func TestElectricalPowerAtTheCeiling(t *testing.T) {
+	// Requests at, just below and just inside the 1e-12 grace above the
+	// deliverable maximum are all feasible: the inversion clamps to the
+	// ceiling and must find its root there, for a laser bound by its
+	// thermal rollover and for one bound by its rated cap.
+	thermal := PaperLaser()
+	thermal.RatedMaxOpticalW = 1
+	rated := PaperLaser()
+	rated.RatedMaxOpticalW = 0.0007
+	for name, l := range map[string]Laser{"thermal": thermal, "rated": rated} {
+		for i := 0; i <= 200; i++ {
+			activity := float64(i) * 0.005
+			maxOp, err := l.MaxOpticalW(activity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range []float64{maxOp * (1 - 1e-13), maxOp, maxOp * (1 + 5e-13)} {
+				if _, err := l.ElectricalPower(op, activity); err != nil {
+					t.Errorf("%s-bound laser, activity %g, OP %.17g (max %.17g): %v", name, activity, op, maxOp, err)
+				}
+			}
+		}
+	}
+}
+
+func TestElectricalPowerZeroAlloc(t *testing.T) {
+	l := PaperLaser()
+	var sink float64
+	allocs := testing.AllocsPerRun(200, func() {
+		pe, err := l.ElectricalPower(512e-6, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink += pe
+	})
+	if allocs != 0 {
+		t.Errorf("ElectricalPower allocates %v times per call, want 0", allocs)
+	}
+	_ = sink
 }

@@ -6,7 +6,7 @@
 //
 // Each particle is a continuous position in [0, 1]^6 decoded into a
 // discrete design (see encode.go). Every generation decodes the whole
-// swarm and evaluates it as one Engine.NetworkBatch population, so
+// swarm and evaluates it as one Engine.NetworkBatchEach population, so
 // neighboring particles ride the engine's per-worker incremental sessions
 // and the fingerprint-diff reuse of the zero-alloc fast path. Survivors
 // feed a bounded Pareto archive with crowding-distance pruning; the
@@ -23,7 +23,6 @@ package tune
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -156,6 +155,13 @@ type particle struct {
 	best    []float64
 	bestObj [3]float64
 	hasBest bool
+}
+
+// score is what a campaign reads of one candidate's evaluation: whether it
+// is feasible and, if so, its three objective values.
+type score struct {
+	feasible               bool
+	energy, p99, saturated float64
 }
 
 // resolve validates the options, applies defaults and builds the campaign
@@ -293,6 +299,9 @@ func Run(ctx context.Context, eng *engine.Engine, opts Options) (*Result, error)
 	res := &Result{Generations: opts.Generations, Particles: opts.Particles}
 	cands := make([]engine.NetworkCandidate, opts.Particles)
 	specs := make([]CandidateSpec, opts.Particles)
+	// scores[i] holds candidate i's objectives for the current generation;
+	// each batch visit writes only its own slot.
+	scores := make([]score, opts.Particles)
 
 	for gen := 0; gen < opts.Generations; gen++ {
 		for i, p := range parts {
@@ -301,32 +310,35 @@ func Run(ctx context.Context, eng *engine.Engine, opts Options) (*Result, error)
 				return nil, fmt.Errorf("%w: tune: %v", apierr.ErrInvalidInput, err)
 			}
 		}
-		results, err := eng.NetworkBatch(ctx, cands, engine.BatchOptions{ContinueOnError: true})
-		var failed map[int]bool
+		err := eng.NetworkBatchEach(ctx, cands, func(i int, r *noc.Result, cerr *engine.CandidateError) {
+			if cerr != nil || !r.Feasible {
+				scores[i] = score{}
+				return
+			}
+			scores[i] = score{
+				feasible:  true,
+				energy:    r.EnergyPerBitJ,
+				p99:       r.P99LatencySec,
+				saturated: r.SaturationInjectionBitsPerSec,
+			}
+		}, engine.BatchOptions{ContinueOnError: true})
 		if err != nil {
-			var be *engine.BatchErrors
-			if !errors.As(err, &be) {
-				return nil, err // terminal: cancellation, deadline, engine fault
-			}
-			failed = make(map[int]bool, len(be.Errors))
-			for _, ce := range be.Errors {
-				failed[ce.Index] = true
-			}
+			return nil, err // terminal: cancellation, deadline, engine fault
 		}
 
 		for i, p := range parts {
 			res.Evaluated++
-			if failed[i] || !results[i].Feasible {
+			sc := &scores[i]
+			if !sc.feasible {
 				res.Infeasible++
 				continue
 			}
-			r := &results[i]
 			pt := Point{
 				Spec:                 specs[i],
 				Position:             append([]float64(nil), p.pos...),
-				EnergyPerBitJ:        r.EnergyPerBitJ,
-				P99LatencySec:        r.P99LatencySec,
-				SaturationBitsPerSec: r.SaturationInjectionBitsPerSec,
+				EnergyPerBitJ:        sc.energy,
+				P99LatencySec:        sc.p99,
+				SaturationBitsPerSec: sc.saturated,
 			}
 			arch.add(pt)
 			obj := objectives(&pt)

@@ -9,7 +9,7 @@ import (
 // Design-space autotuner: a deterministic multi-objective particle swarm
 // over the joint NoC design space (topology family, tile count, mesh
 // shape, wavelength grid, scheme-roster subset, DAC resolution), evaluated
-// generation-by-generation through Engine.NetworkBatch and archived as a
+// generation-by-generation through Engine.NetworkBatchEach and archived as a
 // Pareto front over (energy/bit, p99 latency, saturation throughput).
 type (
 	// TuneOptions parameterizes a campaign; the zero value of every field
