@@ -241,10 +241,12 @@
 //   - internal/noise      — analog OOK channel and importance-sampled BER
 //     validation (the coded Monte-Carlo path runs on internal/mc)
 //   - internal/manager    — the runtime link manager with its laser DAC
-//   - internal/netsim     — discrete-event traffic simulators: the single
+//   - internal/netsim     — the discrete-event traffic simulator: one event
+//     loop with per-link hold and pipeline constants runs both the single
 //     calibrated link with its per-transfer manager (the paper's
-//     future-work evaluation) and the whole-network simulator that
-//     cross-validates the analytic aggregates (Engine.SimulateNetwork)
+//     future-work evaluation) and whole networks with static per-link
+//     decisions, which cross-validate the analytic aggregates
+//     (Engine.SimulateNetwork)
 //   - internal/noc        — network-scale topologies (bus, crossbar, ring,
 //     mesh): wavelength allocation, routing, traffic-matrix aggregation
 //     (the machinery behind Engine.Network / NetworkSweep)

@@ -289,7 +289,7 @@ func TestNetworkInvalidInputs(t *testing.T) {
 func TestNetworkTraceDrivenMatrix(t *testing.T) {
 	simCfg := netsim.DefaultConfig()
 	simCfg.Messages = 2000
-	tr, err := netsim.RecordTrace(simCfg)
+	tr, err := netsim.RecordTraceCtx(context.Background(), simCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,156 @@
+package netsim
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"photonoc/internal/manager"
+	"photonoc/internal/noc"
+)
+
+// update regenerates testdata/des.golden:
+//
+//	go test ./internal/netsim -run TestDESGolden -update
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// desSingleLink are the single-link fixtures of the DES golden, each a
+// mutation of DefaultConfig at 20k messages.
+var desSingleLink = []struct {
+	name   string
+	mutate func(*Config)
+}{
+	{"uniform", func(c *Config) {}},
+	{"hotspot", func(c *Config) { c.Pattern = Hotspot; c.HotspotNode = 3 }},
+	{"permutation", func(c *Config) { c.Pattern = Permutation }},
+	{"streaming_adaptive", func(c *Config) { c.Pattern = Streaming; c.DeadlineSlack = 2; c.AdaptToDeadline = true }},
+	{"tight_deadlines", func(c *Config) { c.Load = 0.5; c.DeadlineSlack = 1.4; c.AdaptToDeadline = true }},
+	{"idle_laser_off", func(c *Config) { c.Load = 0.1; c.IdleLaserOff = true }},
+	{"min_power", func(c *Config) { c.Objective = manager.MinPower }},
+	{"min_latency", func(c *Config) { c.Objective = manager.MinLatency }},
+}
+
+// desNetwork are the network fixtures of the DES golden: a topology, its
+// offered load as a fraction of the analytic saturation rate, and a queue
+// bound (0 = unbounded), all at seed 3.
+var desNetwork = []struct {
+	name     string
+	kind     noc.Kind
+	tiles    int
+	load     float64
+	maxQueue int
+}{
+	{"bus12", noc.Bus, 12, 0.5, 0},
+	{"ring16", noc.Ring, 16, 0.5, 0},
+	{"mesh16", noc.Mesh, 16, 0.5, 0},
+	{"mesh16_q8_overload", noc.Mesh, 16, 1.1, 8},
+	{"crossbar8", noc.Crossbar, 8, 0.9, 0},
+}
+
+// TestDESGolden pins both simulators on fixed workloads: every count,
+// latency, wait, utilization and depth exactly, and every energy field
+// within 1e-12 relative (energies are sums whose rounding depends on the
+// accumulation order, not on the model).
+func TestDESGolden(t *testing.T) {
+	got := map[string]any{}
+	for _, fx := range desSingleLink {
+		cfg := DefaultConfig()
+		fx.mutate(&cfg)
+		res, err := run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		got["link/"+fx.name] = res
+	}
+	for _, fx := range desNetwork {
+		net, decisions, opts := buildNetwork(t, fx.kind, fx.tiles, 1e-11)
+		res, err := RunNetwork(context.Background(), NetConfig{
+			Net:                     net,
+			Decisions:               decisions,
+			InjectionRateBitsPerSec: fx.load * saturationRate(t, net, decisions, opts),
+			Seed:                    3,
+			MaxQueueDepth:           fx.maxQueue,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		res.Decisions = nil // an echo of the input, not a simulation result
+		got["net/"+fx.name] = res
+	}
+
+	path := filepath.Join("testdata", "des.golden")
+	if *update {
+		out, err := json.MarshalIndent(got, "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fixture (regenerate with -update): %v", err)
+	}
+	var want map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("golden holds %d fixtures, the test runs %d", len(want), len(got))
+	}
+	for name, res := range got {
+		w := reflect.New(reflect.TypeOf(res))
+		dec := json.NewDecoder(bytes.NewReader(want[name]))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(w.Interface()); err != nil {
+			t.Fatalf("%s: decoding golden: %v", name, err)
+		}
+		diffDES(t, name, reflect.ValueOf(res), w.Elem())
+	}
+}
+
+// diffDES reports every field where got departs from want: floats whose
+// path names an energy within 1e-12 relative, everything else exactly.
+func diffDES(t *testing.T, path string, got, want reflect.Value) {
+	t.Helper()
+	switch got.Kind() {
+	case reflect.Struct:
+		for i := 0; i < got.NumField(); i++ {
+			diffDES(t, path+"."+got.Type().Field(i).Name, got.Field(i), want.Field(i))
+		}
+	case reflect.Slice:
+		if got.Len() != want.Len() {
+			t.Errorf("%s: length %d, golden %d", path, got.Len(), want.Len())
+			return
+		}
+		for i := 0; i < got.Len(); i++ {
+			diffDES(t, path+"["+strconv.Itoa(i)+"]", got.Index(i), want.Index(i))
+		}
+	case reflect.Float64:
+		g, w := got.Float(), want.Float()
+		if strings.Contains(path[strings.LastIndex(path, ".")+1:], "Energy") {
+			if math.Abs(g-w) > 1e-12*math.Abs(w) {
+				t.Errorf("%s = %v, golden %v (relative %g)", path, g, w, math.Abs(g-w)/math.Abs(w))
+			}
+		} else if g != w {
+			t.Errorf("%s = %v, golden %v", path, g, w)
+		}
+	default:
+		if !reflect.DeepEqual(got.Interface(), want.Interface()) {
+			t.Errorf("%s = %v, golden %v", path, got.Interface(), want.Interface())
+		}
+	}
+}

@@ -1,8 +1,13 @@
 package netsim
 
 import (
+	"context"
+	"encoding/binary"
 	"math"
 	"testing"
+
+	"photonoc/internal/manager"
+	"photonoc/internal/noc"
 )
 
 // FuzzParsePattern: the CLI-facing parser never panics and round-trips
@@ -71,4 +76,91 @@ func FuzzTraceValidate(f *testing.F) {
 			t.Fatalf("matrix has %d rows for %d tiles", len(m), n)
 		}
 	})
+}
+
+// FuzzReplay: any trace Trace.Validate accepts for 12 ONIs replays through
+// the single-link simulator (under a fuzzed manager policy) and the bus-12
+// network without panicking, delivers every message with unbounded queues,
+// orders its latency percentiles, and keeps every busy fraction and
+// utilization at most 1. Each 7-byte chunk of events is one arrival, up to
+// 64 of them: a time step in picoseconds (2 bytes), source and destination
+// (one byte each, mod 13 so out-of-range endpoints still occur), payload
+// bits (2 bytes) and a deadline in units of 10 ns after the arrival
+// (0 = none).
+func FuzzReplay(f *testing.F) {
+	cfg := DefaultConfig()
+	c, err := cfg.Link.Compile()
+	if err != nil {
+		f.Fatal(err)
+	}
+	ev := c.Evaluator()
+	net, decisions, _ := buildNetwork(f, noc.Bus, 12, 1e-11)
+	netCfg := NetConfig{Net: net, Decisions: decisions}
+
+	f.Add(uint8(0), []byte{0, 0, 0, 1, 0x80, 0, 0})
+	f.Add(uint8(1), []byte{0, 0, 0, 1, 0x80, 0, 3, 0, 0, 2, 1, 0x80, 0, 3, 0, 0, 5, 1, 0xff, 0xff, 1})
+	f.Add(uint8(6), []byte{0x10, 0, 11, 0, 0, 1, 0, 0x10, 0, 0, 11, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, policy uint8, events []byte) {
+		if len(events) > 7*64 {
+			return
+		}
+		var tr Trace
+		var now float64
+		for b := events; len(b) >= 7; b = b[7:] {
+			now += float64(binary.LittleEndian.Uint16(b)) * 1e-12
+			e := TraceEvent{TimeSec: now, Src: int(b[2] % 13), Dst: int(b[3] % 13), Bits: int(binary.LittleEndian.Uint16(b[4:]))}
+			if b[6] > 0 {
+				e.DeadlineSec = now + float64(b[6])*10e-9
+			}
+			tr = append(tr, e)
+		}
+		if tr.Validate(12) != nil {
+			return
+		}
+		link := cfg
+		link.AdaptToDeadline = policy&1 != 0
+		link.IdleLaserOff = policy&2 != 0
+		link.Objective = manager.Objective(policy >> 2 % 3)
+		res, err := RunTraceCtx(context.Background(), link, tr, ev)
+		if err != nil {
+			t.Fatalf("single-link replay: %v", err)
+		}
+		if res.Messages != int64(len(tr)) {
+			t.Fatalf("single link delivered %d of %d messages", res.Messages, len(tr))
+		}
+		checkPercentiles(t, "single link", res.P50LatencySec, res.P95LatencySec, res.P99LatencySec, res.MaxLatencySec)
+		if res.ChannelUtilization > 1 {
+			t.Fatalf("channel utilization %v > 1", res.ChannelUtilization)
+		}
+		for _, ch := range res.PerChannel {
+			if ch.BusyFraction > 1 {
+				t.Fatalf("channel %d busy fraction %v > 1", ch.Channel, ch.BusyFraction)
+			}
+		}
+
+		nres, err := RunNetworkTrace(context.Background(), netCfg, tr)
+		if err != nil {
+			t.Fatalf("network replay: %v", err)
+		}
+		if nres.Messages != int64(len(tr)) || nres.Dropped != 0 {
+			t.Fatalf("network delivered %d / dropped %d of %d messages", nres.Messages, nres.Dropped, len(tr))
+		}
+		checkPercentiles(t, "network", nres.P50LatencySec, nres.P95LatencySec, nres.P99LatencySec, nres.MaxLatencySec)
+		if nres.MeanUtilization > 1 || nres.MaxUtilization > 1 {
+			t.Fatalf("network utilization mean %v, max %v > 1", nres.MeanUtilization, nres.MaxUtilization)
+		}
+		for _, l := range nres.PerLink {
+			if l.Utilization > 1 {
+				t.Fatalf("link %d utilization %v > 1", l.Link, l.Utilization)
+			}
+		}
+	})
+}
+
+// checkPercentiles fails unless P50 ≤ P95 ≤ P99 ≤ Max.
+func checkPercentiles(t *testing.T, name string, p50, p95, p99, max float64) {
+	t.Helper()
+	if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
+		t.Fatalf("%s percentiles out of order: P50 %v, P95 %v, P99 %v, max %v", name, p50, p95, p99, max)
+	}
 }

@@ -5,7 +5,7 @@ package netsim
 type heapItem[E any] interface{ before(E) bool }
 
 // simHeap is the typed min-heap shared by the trace generator
-// (arrivalEvent) and the network discrete-event simulator (netEvent). The
+// (TraceEvent) and the discrete-event loop's forwarded hops (netEvent). The
 // sift algorithm mirrors container/heap exactly — so pop order, including
 // ties under the element's ordering, is unchanged from the historical
 // per-type heaps — but push takes the concrete type: no per-event

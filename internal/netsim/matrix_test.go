@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -49,7 +50,7 @@ func TestHotspotMatrixMatchesSampler(t *testing.T) {
 	cfg.Pattern = Hotspot
 	cfg.HotspotNode = 5
 	cfg.Messages = 60000
-	tr, err := RecordTrace(cfg)
+	tr, err := RecordTraceCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,21 @@
 // the paper defers to future work (Section VI), driven here by synthetic
 // workloads. It also implements the idle-laser-off extension of [9].
 //
-// Beyond the single calibrated link (RunCtx/RunTraceCtx), the package
-// simulates whole noc.Network topologies (RunNetwork/RunNetworkTrace):
-// per-source Poisson injection sampled from a traffic matrix, XY multi-hop
-// forwarding over the network's routing table, one MWSR server per link
-// serializing transfers at the link's decided capacity, bounded or unbounded
-// per-link queues, and the standing-vs-dynamic energy split. The network
-// simulator takes its per-link scheme/DAC decisions from noc.Decide (the
-// engine layer solves them through its shared LRU), which is what makes its
-// results directly comparable — decision for decision — with the analytic
-// noc.Aggregate it cross-validates.
+// One event loop runs every simulation: messages cross their routes link
+// by link, each link an MWSR server with its own arbitration hold and
+// pipeline latency, and a per-transfer decision sets the transfer time and
+// powers. One generator loop records every synthetic workload as a Trace,
+// so each run replays from its trace to identical results.
+//
+// The single calibrated link (RunCtx/RunTraceCtx) is the loop's degenerate
+// network: reader channel d is link d, the token and manager round trip
+// holds the channel before each transfer, and the manager decides every
+// transfer. Whole noc.Network topologies (RunNetwork/RunNetworkTrace) add
+// Poisson injection from a traffic matrix, XY multi-hop forwarding, bounded
+// or unbounded queues, and static per-link decisions from noc.Decide (the
+// engine layer solves them through its shared LRU), which makes the results
+// comparable decision for decision with the analytic noc.Aggregate they
+// cross-validate.
 package netsim
 
 import (
@@ -136,16 +141,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration: the link fields a replay reads and
+// the traffic fields workload generation reads.
 func (c *Config) Validate() error {
-	if err := c.Link.Validate(); err != nil {
+	if err := c.validateLink(); err != nil {
 		return err
-	}
-	if len(c.Schemes) == 0 {
-		return fmt.Errorf("netsim: empty scheme roster")
-	}
-	if !(c.TargetBER > 0 && c.TargetBER < 0.5) {
-		return fmt.Errorf("netsim: target BER %g outside (0, 0.5)", c.TargetBER)
 	}
 	if c.MessageBits <= 0 {
 		return fmt.Errorf("netsim: message size %d must be positive", c.MessageBits)
@@ -167,6 +167,21 @@ func (c *Config) Validate() error {
 		if !(c.HotspotFraction > 0 && c.HotspotFraction < 1) {
 			return fmt.Errorf("netsim: hotspot fraction %g outside (0, 1)", c.HotspotFraction)
 		}
+	}
+	return nil
+}
+
+// validateLink checks the fields a trace replay reads: the link, the
+// scheme roster and the target BER.
+func (c *Config) validateLink() error {
+	if err := c.Link.Validate(); err != nil {
+		return err
+	}
+	if len(c.Schemes) == 0 {
+		return fmt.Errorf("netsim: empty scheme roster")
+	}
+	if !(c.TargetBER > 0 && c.TargetBER < 0.5) {
+		return fmt.Errorf("netsim: target BER %g outside (0, 0.5)", c.TargetBER)
 	}
 	return nil
 }

@@ -173,24 +173,6 @@ type NetResults struct {
 	PerLink []NetLinkStats
 }
 
-// netEvent is one message arrival at a link (or at its final reader).
-// seq breaks exact time ties first-scheduled-first-served, which pins the
-// event order — and with it every statistic — for a fixed seed.
-type netEvent struct {
-	at  float64
-	seq uint64
-	msg int32 // index into the run's message table
-	hop int16 // position in the message's route
-}
-
-// before orders hop arrivals by (time, schedule sequence).
-func (e netEvent) before(o netEvent) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
 // RecordNetworkTrace generates the arrival stream the configured workload
 // would produce — per-source Poisson processes at the configured injection
 // rate, destinations drawn from the traffic matrix — without simulating the
@@ -211,6 +193,7 @@ func RecordNetworkTrace(ctx context.Context, cfg NetConfig) (Trace, error) {
 		dst []int
 	}
 	cdfs := make([]cdf, tiles)
+	var sources []int // silent sources emit nothing
 	for s := 0; s < tiles; s++ {
 		var c cdf
 		total := 0.0
@@ -222,6 +205,9 @@ func RecordNetworkTrace(ctx context.Context, cfg NetConfig) (Trace, error) {
 			}
 		}
 		cdfs[s] = c
+		if len(c.dst) > 0 {
+			sources = append(sources, s)
+		}
 	}
 
 	pick := func(s int) int {
@@ -234,32 +220,13 @@ func RecordNetworkTrace(ctx context.Context, cfg NetConfig) (Trace, error) {
 		return c.dst[i]
 	}
 
-	events := make(eventHeap, 0, tiles)
-	for s := 0; s < tiles; s++ {
-		if len(cdfs[s].dst) == 0 {
-			continue // silent source
-		}
-		at := rng.ExpFloat64() / srcRate
-		events.push(arrivalEvent{at: at, msg: message{src: s, dst: pick(s), arrival: at, bits: cfg.MessageBits}})
-	}
-	if len(events) == 0 {
+	if len(sources) == 0 {
 		return nil, fmt.Errorf("netsim: traffic matrix has no active source")
 	}
-	tr := make(Trace, 0, cfg.Messages)
-	for len(events) > 0 && len(tr) < cfg.Messages {
-		if len(tr)%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		ev := events.pop()
-		s := ev.msg.src
-		at := ev.at + rng.ExpFloat64()/srcRate
-		events.push(arrivalEvent{at: at, msg: message{src: s, dst: pick(s), arrival: at, bits: cfg.MessageBits}})
-		tr = append(tr, TraceEvent{TimeSec: ev.msg.arrival, Src: ev.msg.src, Dst: ev.msg.dst, Bits: ev.msg.bits})
-	}
-	// No re-sort needed: the heap pops arrivals in chronological order.
-	return tr, nil
+	return generate(ctx, sources, cfg.Messages, func(s int, now float64) TraceEvent {
+		at := now + rng.ExpFloat64()/srcRate
+		return TraceEvent{TimeSec: at, Src: s, Dst: pick(s), Bits: cfg.MessageBits}
+	})
 }
 
 // RunNetwork generates the configured workload and simulates it. It is
@@ -272,14 +239,6 @@ func RunNetwork(ctx context.Context, cfg NetConfig) (NetResults, error) {
 	return RunNetworkTrace(ctx, cfg, tr)
 }
 
-// netMsg is one in-flight network message of a simulation run.
-type netMsg struct {
-	injected float64
-	waited   float64 // accumulated queue wait across hops
-	src, dst int32
-	bits     int
-}
-
 // RunNetworkTrace replays a message trace through the network: every
 // message crosses its route's links in order (XY on the mesh, single hop on
 // bus/crossbar/ring). Each link is one MWSR server: transfers serialize in
@@ -288,8 +247,10 @@ type netMsg struct {
 // charged per hop as pipeline latency that does not occupy the medium, so
 // the per-link occupancy process is exactly the M/D/1 abstraction the
 // analytic aggregates assume — that is what makes the two comparable
-// statistic for statistic. The run is single-threaded and seeded, hence
-// bit-identical across repetitions regardless of who solved the decisions.
+// statistic for statistic. Every transfer on a link gets the link's static
+// grant from its decision. The run is the package's sequential event loop,
+// hence bit-identical across repetitions regardless of who solved the
+// decisions.
 func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, error) {
 	cfg, err := cfg.validateSim()
 	if err != nil {
@@ -313,171 +274,69 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 			}
 		}
 	}
+	// Each link's grant is static: its decision's scheme and DAC setting,
+	// with sec holding the serialization seconds per payload bit until a
+	// transfer scales it by its size.
 	links := cfg.Net.Links()
-	nLinks := len(links)
-	perBit := make([]float64, nLinks) // serialization seconds per payload bit
-	prop := make([]float64, nLinks)
+	servers := make([]server, len(links))
+	grants := make([]grant, len(links))
 	for i := range links {
-		perBit[i] = 1 / links[i].CapacityBitsPerSec(cfg.Decisions[i].Eval.CT)
-		prop[i] = links[i].PropagationDelaySec()
+		l, d := &links[i], &cfg.Decisions[i]
+		nw := float64(len(l.Lambdas))
+		laserW := d.LaserPowerW * nw
+		servers[i] = server{token: core.TokenOverheadSec, prop: l.PropagationDelaySec(), idleW: laserW}
+		grants[i] = grant{
+			sec:    1 / l.CapacityBitsPerSec(d.Eval.CT),
+			laserW: laserW,
+			modW:   l.Config.ModulatorPowerW * nw,
+			intfW:  l.Config.InterfacePowerFor(d.Eval.Code).TotalW(),
+			heldW:  laserW,
+		}
 	}
-
-	// Per-link server state.
-	nextFree := make([]float64, nLinks)
-	busy := make([]float64, nLinks)
-	waitSum := make([]float64, nLinks)
-	served := make([]int64, nLinks)
-	drops := make([]int64, nLinks)
-	maxDepth := make([]int, nLinks)
-	// departed[l] holds the departure times of messages still occupying
-	// link l (waiting or in service), oldest first — a ring-free FIFO used
-	// only to read the instantaneous occupancy at arrivals.
-	departed := make([][]float64, nLinks)
-	head := make([]int, nLinks)
-
-	msgs := make([]netMsg, len(tr))
-	var events simHeap[netEvent]
-	var seq uint64
-	for i, ev := range tr {
-		msgs[i] = netMsg{injected: ev.TimeSec, src: int32(ev.Src), dst: int32(ev.Dst), bits: ev.Bits}
-		events.push(netEvent{at: ev.TimeSec, seq: seq, msg: int32(i), hop: 0})
-		seq++
+	t, err := simulate(ctx, tr, routes, servers, cfg.MaxQueueDepth, func(l int, m *TraceEvent, _ float64) (grant, error) {
+		g := grants[l]
+		g.sec *= float64(m.Bits)
+		return g, nil
+	})
+	if err != nil {
+		return NetResults{}, err
 	}
 
 	res := NetResults{
-		Injected:  int64(len(tr)),
-		SchemeUse: make(map[string]int, len(cfg.Decisions)),
-		Decisions: append([]noc.LinkDecision(nil), cfg.Decisions...),
+		Injected:      int64(len(tr)),
+		Messages:      t.delivered,
+		Dropped:       t.dropped,
+		DeliveredBits: t.deliveredBits,
+		SimTimeSec:    t.horizon,
+		SchemeUse:     make(map[string]int, len(cfg.Decisions)),
+		Decisions:     append([]noc.LinkDecision(nil), cfg.Decisions...),
+		PerLink:       make([]NetLinkStats, len(links)),
 	}
 	for i := range cfg.Decisions {
 		res.SchemeUse[cfg.Decisions[i].Eval.Code.Name()]++
 	}
-
-	latencies := make([]float64, 0, len(tr))
-	var hopSum int64
-	var queueWaitTotal float64
-	processed := 0
-	for len(events) > 0 {
-		if processed%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return NetResults{}, err
-			}
-		}
-		processed++
-		ev := events.pop()
-		m := &msgs[ev.msg]
-		route := routes[m.src][m.dst]
-		l := route[ev.hop]
-
-		// Drop the expired occupants, then test the buffer bound.
-		dep := departed[l]
-		for head[l] < len(dep) && dep[head[l]] <= ev.at {
-			head[l]++
-		}
-		occupancy := len(dep) - head[l]
-		if cfg.MaxQueueDepth > 0 && occupancy >= cfg.MaxQueueDepth {
-			drops[l]++
-			res.Dropped++
-			continue
-		}
-		if occupancy+1 > maxDepth[l] {
-			maxDepth[l] = occupancy + 1
-		}
-
-		start := ev.at
-		if nextFree[l] > start {
-			start = nextFree[l]
-		}
-		transfer := float64(m.bits) * perBit[l]
-		wait := start - ev.at
-		nextFree[l] = start + transfer
-		busy[l] += transfer
-		waitSum[l] += wait
-		served[l]++
-		m.waited += wait
-		if head[l] > 4096 && head[l]*2 > len(dep) {
-			// Compact the occupancy FIFO once the dead prefix dominates.
-			departed[l] = append(dep[:0], dep[head[l]:]...)
-			head[l] = 0
-		}
-		departed[l] = append(departed[l], nextFree[l])
-
-		// Token grant and waveguide flight are pipeline latency on the
-		// message's clock, not server occupancy.
-		out := start + transfer + core.TokenOverheadSec + prop[l]
-		if int(ev.hop)+1 < len(route) {
-			events.push(netEvent{at: out, seq: seq, msg: ev.msg, hop: ev.hop + 1})
-			seq++
-			continue
-		}
-		// Delivered.
-		res.Messages++
-		res.DeliveredBits += int64(m.bits)
-		hopSum += int64(len(route))
-		queueWaitTotal += m.waited
-		latencies = append(latencies, out-m.injected)
-		if out > res.SimTimeSec {
-			res.SimTimeSec = out
-		}
-	}
-
-	// The horizon must cover every transmission, not just deliveries: with
-	// bounded queues a message can be served on an early hop after the last
-	// delivery and then be dropped downstream, and clipping the horizon at
-	// the last delivery would report utilizations above 1 and undercount
-	// standing laser time. Lossless runs are unaffected (the final service
-	// on any link always precedes that message's own delivery).
-	for _, free := range nextFree {
-		if free > res.SimTimeSec {
-			res.SimTimeSec = free
-		}
-	}
-
-	// Energy: standing lasers for the whole horizon, activity-scaled
-	// modulators and interfaces — noc.Aggregate's model, so matched
-	// utilizations imply matched power.
-	res.PerLink = make([]NetLinkStats, nLinks)
-	for i := range links {
-		l := &links[i]
-		d := &cfg.Decisions[i]
-		nw := float64(len(l.Lambdas))
-		laserE := d.LaserPowerW * nw * res.SimTimeSec
-		modE := l.Config.ModulatorPowerW * nw * busy[i]
-		intfE := l.Config.InterfacePowerFor(d.Eval.Code).TotalW() * busy[i]
-		res.LaserEnergyJ += laserE
-		res.ModulatorEnergyJ += modE
-		res.InterfaceEnergyJ += intfE
-
-		st := NetLinkStats{Link: i, Messages: served[i], Drops: drops[i], MaxQueueDepth: maxDepth[i], ActiveEnergyJ: modE + intfE}
+	for i, lt := range t.links {
+		st := NetLinkStats{Link: i, Messages: lt.served, Drops: lt.drops, MaxQueueDepth: lt.maxDepth, ActiveEnergyJ: lt.sendJ}
 		if res.SimTimeSec > 0 {
-			st.Utilization = busy[i] / res.SimTimeSec
-			st.MeanQueueDepth = waitSum[i] / res.SimTimeSec
+			st.Utilization = lt.busy / res.SimTimeSec
+			st.MeanQueueDepth = lt.wait / res.SimTimeSec
 		}
-		if served[i] > 0 {
-			st.MeanQueueWaitSec = waitSum[i] / float64(served[i])
+		if lt.served > 0 {
+			st.MeanQueueWaitSec = lt.wait / float64(lt.served)
 		}
 		res.PerLink[i] = st
-		if st.Utilization > res.MaxUtilization {
-			res.MaxUtilization = st.Utilization
-		}
-		res.MeanUtilization += st.Utilization / float64(nLinks)
+		res.MaxUtilization = max(res.MaxUtilization, st.Utilization)
+		res.MeanUtilization += st.Utilization / float64(len(links))
 	}
+	// Lasers hold their standing power for the whole horizon: sending
+	// time plus idle time.
+	res.LaserEnergyJ = t.laserJ + t.idleJ
+	res.ModulatorEnergyJ, res.InterfaceEnergyJ = t.modJ, t.intfJ
 	res.TotalEnergyJ = res.LaserEnergyJ + res.ModulatorEnergyJ + res.InterfaceEnergyJ
-
-	if len(latencies) > 0 {
-		sort.Float64s(latencies)
-		var sum float64
-		for _, l := range latencies {
-			sum += l
-		}
-		n := float64(len(latencies))
-		res.MeanLatencySec = sum / n
-		res.P50LatencySec = percentile(latencies, 0.50)
-		res.P95LatencySec = percentile(latencies, 0.95)
-		res.P99LatencySec = percentile(latencies, 0.99)
-		res.MaxLatencySec = latencies[len(latencies)-1]
-		res.MeanQueueWaitSec = queueWaitTotal / n
-		res.MeanHops = float64(hopSum) / n
+	res.MeanLatencySec, res.P50LatencySec, res.P95LatencySec, res.P99LatencySec, res.MaxLatencySec = t.mean, t.p50, t.p95, t.p99, t.max
+	res.MeanQueueWaitSec = t.meanWait
+	if t.delivered > 0 {
+		res.MeanHops = float64(t.hops) / float64(t.delivered)
 	}
 	if res.DeliveredBits > 0 {
 		res.EnergyPerBitJ = res.TotalEnergyJ / float64(res.DeliveredBits)

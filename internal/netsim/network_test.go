@@ -15,7 +15,7 @@ import (
 // buildNetwork compiles a topology over the paper configuration and solves
 // its per-link decisions sequentially — the engine-free reference path the
 // simulator tests run on.
-func buildNetwork(t *testing.T, kind noc.Kind, tiles int, ber float64) (*noc.Network, []noc.LinkDecision, noc.EvalOptions) {
+func buildNetwork(t testing.TB, kind noc.Kind, tiles int, ber float64) (*noc.Network, []noc.LinkDecision, noc.EvalOptions) {
 	t.Helper()
 	net, err := noc.Build(noc.Config{Kind: kind, Tiles: tiles, Base: core.DefaultConfig()})
 	if err != nil {

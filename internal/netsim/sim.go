@@ -3,39 +3,10 @@ package netsim
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"photonoc/internal/core"
 	"photonoc/internal/manager"
 )
-
-// message is one in-flight transfer.
-type message struct {
-	src, dst int
-	arrival  float64
-	deadline float64 // 0 = none
-	bits     int
-}
-
-// arrivalEvent orders message generation on the event heap.
-type arrivalEvent struct {
-	at  float64
-	msg message
-}
-
-// before orders arrivals by time alone; ties keep the heap's (stable,
-// deterministic) layout order, as the historical per-type heap did.
-func (e arrivalEvent) before(o arrivalEvent) bool { return e.at < o.at }
-
-// eventHeap is the trace generator's min-heap on arrival time.
-type eventHeap = simHeap[arrivalEvent]
-
-// TokenOverheadSec is the fixed MWSR arbitration cost per transfer
-// (token grant + manager request/response round trip). The network-level
-// evaluator (internal/noc) charges the same cost per hop so analytic and
-// simulated latencies share the arbitration model. The constant lives in
-// core so noc and netsim can both reference it without a package cycle.
-const TokenOverheadSec = core.TokenOverheadSec
 
 // RunCtx generates the configured workload and executes the simulation
 // with every per-transfer manager decision solved through ev. It is exactly
@@ -51,50 +22,57 @@ func RunCtx(ctx context.Context, cfg Config, ev core.Evaluator) (Results, error)
 	return RunTraceCtx(ctx, cfg, tr, ev)
 }
 
-// runMessages is the service/energy/statistics core shared by RunCtx and
-// RunTraceCtx. feed must yield messages in non-decreasing arrival order.
-func runMessages(ctx context.Context, cfg Config, ev core.Evaluator, feed func(yield func(message))) (Results, error) {
-	mgr, err := manager.NewWithEvaluator(&cfg.Link, cfg.Schemes, cfg.DAC, ev)
-	if err != nil {
+// RunTraceCtx replays a recorded trace against the configured link and
+// policies, solving every manager decision through ev (see RunCtx). The
+// traffic fields of cfg (Pattern, HotspotNode, HotspotFraction,
+// MessageBits, Load, Messages, Seed, DeadlineSlack) are ignored and not
+// validated: the trace carries its own arrivals, payloads and deadlines.
+//
+// The link is the event loop's degenerate network: reader channel d is
+// link d, one hop from every writer. The manager reconfigures the link for
+// every transfer, so the token grant and manager round trip
+// (core.TokenOverheadSec) occupy the channel before each transfer. With
+// AdaptToDeadline the manager caps CT at what the message's remaining slack
+// allows; when no scheme fits it falls back to the fastest, and the miss is
+// counted at delivery.
+func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (Results, error) {
+	if err := cfg.validateLink(); err != nil {
 		return Results{}, err
 	}
 	topo := cfg.Link.Channel.Topo
 	n := topo.ONIs
+	if err := tr.Validate(n); err != nil {
+		return Results{}, err
+	}
+	mgr, err := manager.NewWithEvaluator(&cfg.Link, cfg.Schemes, cfg.DAC, ev)
+	if err != nil {
+		return Results{}, err
+	}
 	nw := float64(topo.Wavelengths)
 	capacity := nw * cfg.Link.FmodHz
-	baseTransfer := float64(cfg.MessageBits) / capacity
+	modW := cfg.Link.ModulatorPowerW * nw
 
-	// Channel (reader) server state.
-	nextFree := make([]float64, n)
-	busyTime := make([]float64, n)
-	idleLaserW := make([]float64, n) // standing laser power while idle
-	chMessages := make([]int64, n)
-	chEnergy := make([]float64, n)
+	hop := make([][]int, n)
+	servers := make([]server, n)
+	for d := range hop {
+		hop[d] = []int{d}
+		servers[d] = server{hold: core.TokenOverheadSec}
+	}
+	routes := make([][][]int, n)
+	for s := range routes {
+		routes[s] = hop
+	}
 
 	res := Results{SchemeUse: make(map[string]int64)}
-	latencies := make([]float64, 0, cfg.Messages)
-	var queueWaitSum float64
-	var feedErr error
-
-	feed(func(m message) {
-		if feedErr != nil {
-			return
-		}
+	t, err := simulate(ctx, tr, routes, servers, 0, func(_ int, m *TraceEvent, start float64) (grant, error) {
+		// Each transfer costs a manager call, so cancellation is checked
+		// per transfer here, not only every 4096 events as in the loop.
 		if err := ctx.Err(); err != nil {
-			feedErr = err
-			return
+			return grant{}, err
 		}
-		start := m.arrival
-		if nextFree[m.dst] > start {
-			start = nextFree[m.dst]
-		}
-		start += TokenOverheadSec
-
-		// The manager configures the link for this transfer.
 		req := manager.Requirements{TargetBER: cfg.TargetBER, Objective: cfg.Objective}
-		if cfg.AdaptToDeadline && m.deadline > 0 {
-			avail := m.deadline - start
-			if maxCT := avail / baseTransfer; maxCT >= 1 {
+		if cfg.AdaptToDeadline && m.DeadlineSec > 0 {
+			if maxCT := (m.DeadlineSec - start) / (float64(m.Bits) / capacity); maxCT >= 1 {
 				req.MaxCT = maxCT
 			} else {
 				req.Objective = manager.MinLatency // already late: go fastest
@@ -103,93 +81,56 @@ func runMessages(ctx context.Context, cfg Config, ev core.Evaluator, feed func(y
 		dec, err := mgr.ConfigureCtx(ctx, req)
 		if err != nil {
 			// Deadline pressure can make every scheme ineligible; retry
-			// without the cap (best effort, counted as a miss below).
+			// without the cap (best effort, counted as a miss).
 			req.MaxCT = 0
 			req.Objective = manager.MinLatency
-			dec, err = mgr.ConfigureCtx(ctx, req)
-			if err != nil {
-				feedErr = fmt.Errorf("netsim: configuring transfer: %w", err)
-				return
+			if dec, err = mgr.ConfigureCtx(ctx, req); err != nil {
+				return grant{}, fmt.Errorf("netsim: configuring transfer: %w", err)
 			}
 		}
-
-		transfer := float64(m.bits) / capacity * dec.Eval.CT
-		done := start + transfer
-		nextFree[m.dst] = done
-		busyTime[m.dst] += transfer
-		idleLaserW[m.dst] = dec.QuantizedLaserPowerW * nw
-
-		latency := done - m.arrival
-		latencies = append(latencies, latency)
-		queueWaitSum += start - m.arrival
-		if m.deadline > 0 && done > m.deadline {
-			res.DeadlineMisses++
-		}
-
-		// Active energy of the transfer, all wavelengths of the channel.
-		laserE := dec.QuantizedLaserPowerW * nw * transfer
-		modE := cfg.Link.ModulatorPowerW * nw * transfer
-		intfE := cfg.Link.InterfacePowerFor(dec.Eval.Code).TotalW() * transfer
-		res.LaserEnergyJ += laserE
-		res.ModulatorEnergyJ += modE
-		res.InterfaceEnergyJ += intfE
-		chMessages[m.dst]++
-		chEnergy[m.dst] += laserE + modE + intfE
 		res.SchemeUse[dec.Eval.Code.Name()]++
-		res.Messages++
-		res.DeliveredBits += int64(m.bits)
-		if done > res.SimTimeSec {
-			res.SimTimeSec = done
+		g := grant{
+			sec:    float64(m.Bits) / capacity * dec.Eval.CT,
+			laserW: dec.QuantizedLaserPowerW * nw,
+			modW:   modW,
+			intfW:  cfg.Link.InterfacePowerFor(dec.Eval.Code).TotalW(),
 		}
+		if !cfg.IdleLaserOff {
+			// Lasers of an idle channel keep their standing power unless
+			// the idle-laser-off extension [9] is active.
+			g.heldW = g.laserW
+		}
+		return g, nil
 	})
-	if feedErr != nil {
-		return Results{}, feedErr
+	if err != nil {
+		return Results{}, err
 	}
 
-	// Idle energy: lasers of an idle channel keep their standing power
-	// unless the idle-laser-off extension [9] is active.
-	if !cfg.IdleLaserOff {
-		for d := 0; d < n; d++ {
-			idle := res.SimTimeSec - busyTime[d]
-			if idle > 0 {
-				res.IdleEnergyJ += idleLaserW[d] * idle
-			}
-		}
-	}
+	res.Messages = t.delivered
+	res.DeliveredBits = t.deliveredBits
+	res.SimTimeSec = t.horizon
+	res.MeanLatencySec, res.P50LatencySec, res.P95LatencySec, res.P99LatencySec, res.MaxLatencySec = t.mean, t.p50, t.p95, t.p99, t.max
+	res.MeanQueueWaitSec = t.meanWait
+	res.DeadlineMisses = t.misses
+	res.LaserEnergyJ, res.ModulatorEnergyJ, res.InterfaceEnergyJ, res.IdleEnergyJ = t.laserJ, t.modJ, t.intfJ, t.idleJ
 	res.TotalEnergyJ = res.LaserEnergyJ + res.ModulatorEnergyJ + res.InterfaceEnergyJ + res.IdleEnergyJ
-
-	if len(latencies) > 0 {
-		sort.Float64s(latencies)
-		var sum float64
-		for _, l := range latencies {
-			sum += l
-		}
-		res.MeanLatencySec = sum / float64(len(latencies))
-		res.P50LatencySec = percentile(latencies, 0.50)
-		res.P95LatencySec = percentile(latencies, 0.95)
-		res.P99LatencySec = percentile(latencies, 0.99)
-		res.MaxLatencySec = latencies[len(latencies)-1]
-		res.MeanQueueWaitSec = queueWaitSum / float64(len(latencies))
-	}
 	if res.DeliveredBits > 0 {
 		res.EnergyPerBitJ = res.TotalEnergyJ / float64(res.DeliveredBits)
 	}
 	if res.SimTimeSec > 0 {
 		res.ThroughputBitsPerSec = float64(res.DeliveredBits) / res.SimTimeSec
 		var busy float64
-		for _, b := range busyTime {
-			busy += b
-		}
-		res.ChannelUtilization = busy / (res.SimTimeSec * float64(n))
 		res.PerChannel = make([]ChannelStats, n)
-		for d := 0; d < n; d++ {
+		for d, lt := range t.links {
+			busy += lt.busy
 			res.PerChannel[d] = ChannelStats{
 				Channel:       d,
-				Messages:      chMessages[d],
-				BusyFraction:  busyTime[d] / res.SimTimeSec,
-				ActiveEnergyJ: chEnergy[d],
+				Messages:      lt.served,
+				BusyFraction:  lt.busy / res.SimTimeSec,
+				ActiveEnergyJ: lt.laserJ + lt.sendJ,
 			}
 		}
+		res.ChannelUtilization = busy / (res.SimTimeSec * float64(n))
 	}
 	return res, nil
 }

@@ -7,9 +7,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
-
-	"photonoc/internal/core"
 )
 
 // TraceEvent is one recorded message arrival — the unit of the portable
@@ -73,78 +70,26 @@ func ReadTraceJSON(r io.Reader) (Trace, error) {
 	return tr, nil
 }
 
-// RecordTrace generates the arrival stream the configured workload would
-// produce, without simulating the link — a reusable, inspectable workload
-// artifact.
-func RecordTrace(cfg Config) (Trace, error) {
-	return RecordTraceCtx(context.Background(), cfg)
-}
-
-// RecordTraceCtx is RecordTrace under a context: generation of very large
-// workloads (the trace is materialized in memory) aborts promptly on
-// cancellation.
+// RecordTraceCtx generates the arrival stream the configured workload
+// would produce, without simulating the link — a reusable, inspectable
+// workload artifact. Generation of very large workloads (the trace is
+// materialized in memory) aborts promptly on cancellation.
 func RecordTraceCtx(ctx context.Context, cfg Config) (Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	topo := cfg.Link.Channel.Topo
 	capacity := float64(topo.Wavelengths) * cfg.Link.FmodHz
-	baseTransfer := float64(cfg.MessageBits) / capacity
-	srcRate := cfg.Load * capacity / float64(cfg.MessageBits)
-	gen := newTrafficGenerator(cfg, rng, srcRate, baseTransfer)
-
-	events := make(eventHeap, 0, topo.ONIs)
-	for s := 0; s < topo.ONIs; s++ {
-		if ev, ok := gen.next(s, 0); ok {
-			events.push(ev)
-		}
+	gen := trafficGenerator{
+		cfg:          cfg,
+		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		srcRate:      cfg.Load * capacity / float64(cfg.MessageBits),
+		baseTransfer: float64(cfg.MessageBits) / capacity,
+		n:            topo.ONIs,
 	}
-	tr := make(Trace, 0, cfg.Messages)
-	for len(events) > 0 && len(tr) < cfg.Messages {
-		if len(tr)%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		ev := events.pop()
-		if nx, ok := gen.next(ev.msg.src, ev.at); ok {
-			events.push(nx)
-		}
-		tr = append(tr, TraceEvent{
-			TimeSec:     ev.msg.arrival,
-			Src:         ev.msg.src,
-			Dst:         ev.msg.dst,
-			Bits:        ev.msg.bits,
-			DeadlineSec: ev.msg.deadline,
-		})
+	sources := make([]int, topo.ONIs)
+	for s := range sources {
+		sources[s] = s
 	}
-	sort.Slice(tr, func(i, j int) bool { return tr[i].TimeSec < tr[j].TimeSec })
-	return tr, nil
-}
-
-// RunTraceCtx replays a recorded trace against the configured link and
-// policies, solving every manager decision through ev (see RunCtx). The
-// traffic fields of cfg (Pattern, Load, Messages, Seed, DeadlineSlack) are
-// ignored; everything else applies.
-func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	if err := tr.Validate(cfg.Link.Channel.Topo.ONIs); err != nil {
-		return Results{}, err
-	}
-	replay := cfg
-	replay.Messages = len(tr)
-	return runMessages(ctx, replay, ev, func(yield func(message)) {
-		for _, ev := range tr {
-			yield(message{
-				src:      ev.Src,
-				dst:      ev.Dst,
-				arrival:  ev.TimeSec,
-				deadline: ev.DeadlineSec,
-				bits:     ev.Bits,
-			})
-		}
-	})
+	return generate(ctx, sources, cfg.Messages, gen.next)
 }

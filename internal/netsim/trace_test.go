@@ -1,15 +1,20 @@
 package netsim
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"photonoc/internal/core"
+	"photonoc/internal/manager"
 )
 
 func TestRecordTraceShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Messages = 1500
 	cfg.DeadlineSlack = 2.0
-	tr, err := RecordTrace(cfg)
+	tr, err := RecordTraceCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +33,7 @@ func TestRecordTraceShape(t *testing.T) {
 }
 
 func TestRunEqualsRecordPlusReplay(t *testing.T) {
-	// The structural guarantee of the refactor: RunCtx == RecordTrace →
+	// The structural guarantee of the refactor: RunCtx == RecordTraceCtx →
 	// RunTraceCtx, bit for bit.
 	cfg := DefaultConfig()
 	cfg.Messages = 2000
@@ -36,7 +41,7 @@ func TestRunEqualsRecordPlusReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := RecordTrace(cfg)
+	tr, err := RecordTraceCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +62,7 @@ func TestTraceReplayAcrossPolicies(t *testing.T) {
 	// on the identical arrival sequence.
 	cfg := DefaultConfig()
 	cfg.Messages = 3000
-	tr, err := RecordTrace(cfg)
+	tr, err := RecordTraceCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +91,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Messages = 200
 	cfg.DeadlineSlack = 1.5
-	tr, err := RecordTrace(cfg)
+	tr, err := RecordTraceCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,5 +137,55 @@ func TestTraceValidate(t *testing.T) {
 		if err := tr.Validate(12); err == nil {
 			t.Errorf("bad trace %d accepted", i)
 		}
+	}
+}
+
+// TestDeadlineCapSizedFromMessage: the deadline CT cap comes from the
+// event's own payload, not Config.MessageBits. A 4× message whose deadline
+// allows 1.5× its uncoded transfer must get CT ≤ 1.5 — H(71,64) under
+// MinPower — and meet the deadline; sizing the cap from MessageBits would
+// allow CT 6, pick H(7,4) (CT 1.75) and miss.
+func TestDeadlineCapSizedFromMessage(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.AdaptToDeadline = true
+	cfg.Objective = manager.MinPower
+	topo := cfg.Link.Channel.Topo
+	bits := 4 * cfg.MessageBits
+	uncoded := float64(bits) / (float64(topo.Wavelengths) * cfg.Link.FmodHz)
+	tr := Trace{{Src: 0, Dst: 1, Bits: bits, DeadlineSec: core.TokenOverheadSec + 1.5*uncoded}}
+	res, err := runTrace(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DeadlineMisses != 0 || res.SchemeUse["H(71,64)"] != 1 {
+		t.Fatalf("misses %d, schemes %v; want 0 misses on H(71,64)", res.DeadlineMisses, res.SchemeUse)
+	}
+}
+
+// TestReplayIgnoresGenerationFields: replay reads only the link, roster,
+// DAC, BER and policy fields, so zeroing the workload-generation fields
+// must neither be rejected nor change a single result.
+func TestReplayIgnoresGenerationFields(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Messages = 2000
+	cfg.DeadlineSlack = 1.4
+	cfg.AdaptToDeadline = true
+	tr, err := RecordTraceCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := runTrace(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := cfg
+	bare.Pattern, bare.HotspotNode, bare.HotspotFraction = Hotspot, -1, 0
+	bare.Load, bare.Messages, bare.Seed, bare.DeadlineSlack, bare.MessageBits = 0, 0, 0, 0, 0
+	got, err := runTrace(bare, tr)
+	if err != nil {
+		t.Fatalf("replay with zero generation fields rejected: %v", err)
+	}
+	if !reflect.DeepEqual(full, got) {
+		t.Fatal("generation-only fields leaked into the replay results")
 	}
 }

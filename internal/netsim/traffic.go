@@ -12,19 +12,9 @@ type trafficGenerator struct {
 	n            int
 }
 
-func newTrafficGenerator(cfg Config, rng *rand.Rand, srcRate, baseTransfer float64) *trafficGenerator {
-	return &trafficGenerator{
-		cfg:          cfg,
-		rng:          rng,
-		srcRate:      srcRate,
-		baseTransfer: baseTransfer,
-		n:            cfg.Link.Channel.Topo.ONIs,
-	}
-}
-
-// next returns the source's next arrival after `now`, or ok=false when the
-// source emits nothing (never happens with the current patterns).
-func (g *trafficGenerator) next(src int, now float64) (arrivalEvent, bool) {
+// next returns the source's next arrival after `now`: the arrival time is
+// drawn before the destination.
+func (g *trafficGenerator) next(src int, now float64) TraceEvent {
 	var at float64
 	switch g.cfg.Pattern {
 	case Streaming:
@@ -39,22 +29,16 @@ func (g *trafficGenerator) next(src int, now float64) (arrivalEvent, bool) {
 		at = now + g.rng.ExpFloat64()/g.srcRate
 	}
 
-	dst := g.pickDestination(src)
-	m := message{
-		src:     src,
-		dst:     dst,
-		arrival: at,
-		bits:    g.cfg.MessageBits,
-	}
+	ev := TraceEvent{TimeSec: at, Src: src, Dst: g.pickDestination(src), Bits: g.cfg.MessageBits}
 	if g.cfg.DeadlineSlack > 0 {
 		slack := g.cfg.DeadlineSlack
 		if g.cfg.Pattern == Streaming && src%2 == 0 {
 			// Streaming flows carry the tight deadlines.
 			slack = max(1.05, slack/2)
 		}
-		m.deadline = at + slack*g.baseTransfer
+		ev.DeadlineSec = at + slack*g.baseTransfer
 	}
-	return arrivalEvent{at: at, msg: m}, true
+	return ev
 }
 
 // pickDestination applies the pattern's destination distribution.
@@ -83,11 +67,4 @@ func (g *trafficGenerator) uniformOther(src int) int {
 		dst++
 	}
 	return dst
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
