@@ -246,7 +246,9 @@
 //     calibrated link with its per-transfer manager (the paper's
 //     future-work evaluation) and whole networks with static per-link
 //     decisions, which cross-validate the analytic aggregates
-//     (Engine.SimulateNetwork)
+//     (Engine.SimulateNetwork); generated network runs overlap trace
+//     generation with the sequential loop, with the results (and the
+//     seeded determinism) of recording the trace and then replaying it
 //   - internal/noc        — network-scale topologies (bus, crossbar, ring,
 //     mesh): wavelength allocation, routing, traffic-matrix aggregation
 //     (the machinery behind Engine.Network / NetworkSweep)

@@ -205,6 +205,13 @@ func TestSimulateNetworkErrors(t *testing.T) {
 	}); !errors.Is(err, ErrInvalidInput) {
 		t.Errorf("negative message count error = %v, want ErrInvalidInput", err)
 	}
+	// A subnormal rate passes the option checks, but its inter-arrival
+	// times overflow to +Inf: the generated trace fails validation.
+	if _, err := e.SimulateNetwork(context.Background(), good, NetworkSimOptions{
+		TargetBER: 1e-11, InjectionRateBitsPerSec: 1e-310,
+	}); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("subnormal rate error = %v, want ErrInvalidInput", err)
+	}
 	// A 16-tile crossbar at 1 cm pitch carries a 30 cm serpentine no paper
 	// scheme can close at BER 1e-11.
 	infeasible := noc.Config{Kind: noc.Crossbar, Tiles: 16, TilePitchCM: 1}

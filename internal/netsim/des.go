@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"context"
-	"sort"
+	"math"
 )
 
 // server is one link's constant timing model in the event loop.
@@ -49,9 +49,11 @@ type tally struct {
 	laserJ, modJ, intfJ, idleJ float64
 }
 
-// netEvent is a message arriving at hop `hop` of its route. seq breaks time
-// ties among forwarded hops first-scheduled-first-served, which pins the
-// event order — and with it every statistic — for a fixed trace.
+// netEvent is one heap entry of the event loop: a message arriving at hop
+// `hop` of its route. seq breaks time ties among forwarded hops
+// first-scheduled-first-served, which pins the event order — and with it
+// every statistic — for a fixed trace. The trace generator reuses the type
+// for its pending arrivals, with seq the source's position (see generate).
 type netEvent struct {
 	at  float64
 	seq uint64
@@ -59,13 +61,9 @@ type netEvent struct {
 	hop int16 // position in the message's route
 }
 
-// before orders hop arrivals by (time, schedule sequence).
-func (e netEvent) before(o netEvent) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
+// publishEvery is how many arrivals the generator writes between two
+// publications of its ready count to an overlapped event loop.
+const publishEvery = 1024
 
 // simulate is the discrete-event loop both simulators run on. Every message
 // of tr crosses routes[src][dst] link by link; each link is one MWSR server
@@ -74,7 +72,12 @@ func (e netEvent) before(o netEvent) bool {
 // grants, and reaches the next hop token + prop later. With maxQueue > 0 an
 // arrival finding maxQueue messages on the link is dropped. The loop is
 // sequential: a fixed trace and decide give bit-identical results.
-func simulate(ctx context.Context, tr Trace, routes [][][]int, servers []server, maxQueue int,
+//
+// A nil ready means tr is complete and already validated. Otherwise tr is
+// being written by a concurrent generate: the loop reads tr[i] only once a
+// count above i has been received from ready, and validates each newly
+// published chunk before reading it.
+func simulate(ctx context.Context, tr Trace, ready <-chan int, routes [][][]int, servers []server, maxQueue int,
 	decide func(link int, ev *TraceEvent, start float64) (grant, error)) (tally, error) {
 	t := tally{links: make([]linkTally, len(servers))}
 	for l := range t.links {
@@ -88,16 +91,35 @@ func simulate(ctx context.Context, tr Trace, routes [][][]int, servers []server,
 	waited := make([]float64, len(tr)) // each message's queue wait so far
 	latencies := make([]float64, 0, len(tr))
 	var waitSum float64
+	avail := len(tr) // arrivals tr[:avail] are written
+	if ready != nil {
+		avail = 0
+	}
 
 	// Trace arrivals enter in trace order, ahead of forwarded hops at the
 	// same instant; only forwarded hops go through the heap.
-	var hops simHeap[netEvent]
+	var hops eventHeap
 	var seq uint64
 	for next, processed := 0, 0; next < len(tr) || len(hops) > 0; processed++ {
 		if processed%4096 == 0 {
 			if err := ctx.Err(); err != nil {
 				return tally{}, err
 			}
+		}
+		if next == avail && next < len(tr) {
+			var written int
+			select {
+			case written = <-ready:
+			case <-ctx.Done():
+				return tally{}, ctx.Err()
+			}
+			// Generated arrivals are checked as replayed ones are: a
+			// degenerate rate can push their times to +Inf. Every
+			// route table has one row per endpoint.
+			if err := tr.validateRange(len(routes), avail, written); err != nil {
+				return tally{}, err
+			}
+			avail = written
 		}
 		var ev netEvent
 		if next < len(tr) && (len(hops) == 0 || tr[next].TimeSec <= hops[0].at) {
@@ -139,8 +161,9 @@ func simulate(ctx context.Context, tr Trace, routes [][][]int, servers []server,
 		lt.wait += wait
 		lt.served++
 		waited[ev.msg] += wait
-		if head[l] > 4096 && head[l]*2 > len(dep) {
-			// Compact the occupancy FIFO once the dead prefix dominates.
+		if head[l] > 0 && head[l]*2 >= len(dep) {
+			// Compact the occupancy FIFO once the dead prefix is at least
+			// half of it, so it stays within twice the live occupancy.
 			departed[l] = append(dep[:0], dep[head[l]:]...)
 			head[l] = 0
 		}
@@ -186,7 +209,7 @@ func simulate(ctx context.Context, tr Trace, routes [][][]int, servers []server,
 	}
 
 	if n := len(latencies); n > 0 {
-		sort.Float64s(latencies)
+		sortNonNegative(latencies, waited) // waited is spent: reuse it
 		var sum float64
 		for _, l := range latencies {
 			sum += l
@@ -201,30 +224,120 @@ func simulate(ctx context.Context, tr Trace, routes [][][]int, servers []server,
 	return t, nil
 }
 
-// before orders recorded arrivals by time alone; ties keep the heap's
-// deterministic layout order.
-func (e TraceEvent) before(o TraceEvent) bool { return e.TimeSec < o.TimeSec }
-
-// generate is the trace-generator loop both workloads run on. Each source
-// emits its first arrival as next(src, 0); every recorded arrival schedules
-// its source's next one, until limit arrivals are recorded. next never
-// returns an arrival earlier than now, so the heap pops the trace in time
-// order.
-func generate(ctx context.Context, sources []int, limit int, next func(src int, now float64) TraceEvent) (Trace, error) {
-	events := make(simHeap[TraceEvent], 0, len(sources))
-	for _, s := range sources {
-		events.push(next(s, 0))
+// sortNonNegative sorts keys ascending, in the order slices.Sort gives,
+// with an LSD radix sort over their IEEE-754 bit patterns: for
+// non-negative floats the patterns order like the values, and the
+// latencies of a validated trace are finite and non-negative. Byte
+// positions every key shares are skipped. scratch must be at least as long
+// as keys.
+func sortNonNegative(keys, scratch []float64) {
+	n := len(keys)
+	if n < 2 {
+		return
 	}
-	tr := make(Trace, 0, limit)
-	for len(events) > 0 && len(tr) < limit {
-		if len(tr)%4096 == 0 {
+	var counts [8][256]int
+	and, or := ^uint64(0), uint64(0)
+	for _, k := range keys {
+		b := math.Float64bits(k)
+		and &= b
+		or |= b
+		counts[0][byte(b)]++
+		counts[1][byte(b>>8)]++
+		counts[2][byte(b>>16)]++
+		counts[3][byte(b>>24)]++
+		counts[4][byte(b>>32)]++
+		counts[5][byte(b>>40)]++
+		counts[6][byte(b>>48)]++
+		counts[7][byte(b>>56)]++
+	}
+	src, dst := keys, scratch[:n]
+	for d := range counts {
+		if byte((and^or)>>(8*d)) == 0 {
+			continue // every key holds the same byte here
+		}
+		var offs [256]int
+		sum := 0
+		for i, c := range counts[d] {
+			offs[i] = sum
+			sum += c
+		}
+		for _, k := range src {
+			b := byte(math.Float64bits(k) >> (8 * d))
+			dst[offs[b]] = k
+			offs[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
+// generate is the trace-generator loop both workloads run on: it fills tr
+// in time order. Each source emits its first arrival as next(src, 0);
+// every recorded arrival schedules its source's next one. next never
+// returns an arrival earlier than now, so the heap of pending arrivals,
+// one per source, pops the trace in time order; arrivals at equal times
+// pop in the order of sources. With a non-nil ready, generate sends the
+// count of arrivals written so far every publishEvery arrivals and once at
+// the end; ready must buffer every send (len(tr)/publishEvery + 1).
+func generate(ctx context.Context, sources []int, tr Trace, next func(src int, now float64) TraceEvent, ready chan<- int) error {
+	pending := make([]TraceEvent, len(sources))
+	events := make(eventHeap, 0, len(sources))
+	for i, s := range sources {
+		pending[i] = next(s, 0)
+		events.push(netEvent{at: pending[i].TimeSec, seq: uint64(i)})
+	}
+	for i := range tr {
+		if i%publishEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
+			}
+			if ready != nil && i > 0 {
+				ready <- i
 			}
 		}
-		ev := events.pop()
-		events.push(next(ev.Src, ev.TimeSec))
-		tr = append(tr, ev)
+		p := events[0].seq
+		tr[i] = pending[p]
+		pending[p] = next(sources[p], tr[i].TimeSec)
+		events.replaceTop(netEvent{at: pending[p].TimeSec, seq: p})
+	}
+	if ready != nil {
+		ready <- len(tr)
+	}
+	return nil
+}
+
+// record generates a limit-arrival trace of the workload.
+func record(ctx context.Context, limit int, sources []int, next func(src int, now float64) TraceEvent) (Trace, error) {
+	tr := make(Trace, limit)
+	if err := generate(ctx, sources, tr, next, nil); err != nil {
+		return nil, err
 	}
 	return tr, nil
+}
+
+// overlap is record followed by run, with generation overlapping the
+// simulation: generate fills the trace on its own goroutine while run
+// simulates it, reading what ready has published. The result is run's. The
+// generator is stopped and waited for before overlap returns, so no
+// goroutine outlives the call.
+func overlap(ctx context.Context, limit int, sources []int, next func(src int, now float64) TraceEvent,
+	run func(ctx context.Context, tr Trace, ready <-chan int) (NetResults, error)) (NetResults, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	tr := make(Trace, limit)
+	ready := make(chan int, limit/publishEvery+1) // one slot per send: generate never blocks
+	generated := make(chan struct{})
+	go func() {
+		defer close(generated)
+		// generate fails only once ctx is done, before its last
+		// publication, so run, waiting for arrivals never published,
+		// fails too: its error is run's to report.
+		_ = generate(ctx, sources, tr, next, ready)
+	}()
+	res, err := run(ctx, tr, ready)
+	cancel()
+	<-generated
+	return res, err
 }

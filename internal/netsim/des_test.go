@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"flag"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -152,5 +155,95 @@ func diffDES(t *testing.T, path string, got, want reflect.Value) {
 		if !reflect.DeepEqual(got.Interface(), want.Interface()) {
 			t.Errorf("%s = %v, golden %v", path, got.Interface(), want.Interface())
 		}
+	}
+}
+
+// nonNegativeSample draws n non-negative finite floats from one of the
+// shapes the latency sort must handle: few distinct values (duplicates),
+// mostly zeros, subnormals, values spanning the whole exponent range, and
+// latency-like values of one magnitude.
+func nonNegativeSample(rng *rand.Rand, n, shape int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		switch shape {
+		case 0:
+			x[i] = float64(rng.Intn(4)) * 1e-9
+		case 1:
+			if rng.Intn(8) == 0 {
+				x[i] = rng.Float64()
+			}
+		case 2:
+			x[i] = math.Float64frombits(rng.Uint64() & (1<<52 - 1))
+		case 3:
+			x[i] = math.Ldexp(1+rng.Float64(), rng.Intn(2046)-1074)
+		default:
+			x[i] = 1e-8 + rng.ExpFloat64()*2e-7
+		}
+	}
+	if n > 0 && shape == 3 {
+		x[rng.Intn(n)] = math.MaxFloat64
+		x[rng.Intn(n)] = math.SmallestNonzeroFloat64
+	}
+	return x
+}
+
+// checkSortNonNegative sorts keys with sortNonNegative and slices.Sort and
+// fails unless the results agree bit for bit.
+func checkSortNonNegative(t *testing.T, keys []float64) {
+	t.Helper()
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	got := slices.Clone(keys)
+	sortNonNegative(got, make([]float64, len(got)))
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("n=%d: position %d holds %v, slices.Sort gives %v", len(keys), i, got[i], want[i])
+		}
+	}
+}
+
+// TestSortNonNegativeMatchesSort: the radix sort of the latencies orders
+// every non-negative sample exactly as slices.Sort does, over lengths
+// 0–5000 and every sample shape.
+func TestSortNonNegativeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lengths := []int{0, 1, 2, 3, 255, 256, 257, 5000}
+	for i := 0; i < 40; i++ {
+		lengths = append(lengths, rng.Intn(5001))
+	}
+	for _, n := range lengths {
+		for shape := 0; shape < 5; shape++ {
+			checkSortNonNegative(t, nonNegativeSample(rng, n, shape))
+		}
+	}
+}
+
+// TestRunNetworkAllocatedBytes bounds what one 20k-message mesh-4×4 run
+// allocates: the trace, the per-message waits and latencies, and little
+// else — the per-link occupancy FIFOs stay within twice their live size.
+func TestRunNetworkAllocatedBytes(t *testing.T) {
+	net, decisions, opts := buildNetwork(t, noc.Mesh, 16, 1e-11)
+	cfg := NetConfig{
+		Net:                     net,
+		Decisions:               decisions,
+		InjectionRateBitsPerSec: 0.5 * saturationRate(t, net, decisions, opts),
+		Messages:                20000,
+		Seed:                    1,
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := RunNetwork(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 14 << 20 / 10 // 1.4 MiB
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("RunNetwork allocates %d bytes", perRun)
+	if perRun > limit {
+		t.Errorf("RunNetwork allocates %d bytes, want at most %d", perRun, limit)
 	}
 }

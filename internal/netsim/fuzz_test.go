@@ -157,6 +157,26 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
+// FuzzSortNonNegative: the radix sort of the latencies orders any
+// non-negative sample exactly as slices.Sort does. Each 8 bytes of input
+// are one key's bit pattern with the sign bit cleared; NaN patterns are
+// skipped, since latencies are never NaN.
+func FuzzSortNonNegative(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e-7)), math.Float64bits(3e-9)))
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.Inf(1))), 0))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var keys []float64
+		for b := raw; len(b) >= 8; b = b[8:] {
+			if k := math.Float64frombits(binary.LittleEndian.Uint64(b) &^ (1 << 63)); !math.IsNaN(k) {
+				keys = append(keys, k)
+			}
+		}
+		checkSortNonNegative(t, keys)
+	})
+}
+
 // checkPercentiles fails unless P50 ≤ P95 ≤ P99 ≤ Max.
 func checkPercentiles(t *testing.T, name string, p50, p95, p99, max float64) {
 	t.Helper()

@@ -1,58 +1,64 @@
 package netsim
 
-// heapItem orders the elements of a simHeap; before must be a strict
-// ordering ("strictly earlier than").
-type heapItem[E any] interface{ before(E) bool }
+// eventHeap is the min-heap of netEvents, keyed by (at, seq), that both the
+// trace generator (pending source arrivals) and the discrete-event loop
+// (forwarded hops) run on. The key is a strict total order, so the pop
+// sequence is fixed by the keys alone, whatever the heap layout. The sifts
+// move a hole instead of swapping, and the comparison is a concrete method
+// the compiler inlines.
+type eventHeap []netEvent
 
-// simHeap is the typed min-heap shared by the trace generator
-// (TraceEvent) and the discrete-event loop's forwarded hops (netEvent). The
-// sift algorithm mirrors container/heap exactly — so pop order, including
-// ties under the element's ordering, is unchanged from the historical
-// per-type heaps — but push takes the concrete type: no per-event
-// interface boxing allocation in the event hot loops.
-type simHeap[E heapItem[E]] []E
+// before orders events by time, then by sequence.
+func (e *netEvent) before(o *netEvent) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
 
-func (h *simHeap[E]) push(ev E) {
+func (h *eventHeap) push(ev netEvent) {
 	*h = append(*h, ev)
-	h.up(len(*h) - 1)
-}
-
-func (h *simHeap[E]) pop() E {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	h.down(0, n)
-	ev := (*h)[n]
-	*h = (*h)[:n]
-	return ev
-}
-
-func (h simHeap[E]) up(j int) {
-	for {
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !h[j].before(h[i]) {
+		if !ev.before(&s[i]) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		s[j] = s[i]
 		j = i
 	}
+	s[j] = ev
 }
 
-func (h simHeap[E]) down(i0, n int) {
-	i := i0
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() netEvent {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	*h = s[:n]
+	if n > 0 {
+		(*h).replaceTop(last)
+	}
+	return top
+}
+
+// replaceTop overwrites the earliest event with ev and restores the heap
+// order: a pop followed by a push, in one sift.
+func (h eventHeap) replaceTop(ev netEvent) {
+	n := len(h)
+	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].before(h[j1]) {
-			j = j2
+		if k := j + 1; k < n && h[k].before(&h[j]) {
+			j = k
 		}
-		if !h[j].before(h[i]) {
+		if !h[j].before(&ev) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
+	h[i] = ev
 }

@@ -12,6 +12,19 @@
 // powers. One generator loop records every synthetic workload as a Trace,
 // so each run replays from its trace to identical results.
 //
+// A generated network run (RunNetwork) overlaps the two loops: the
+// generator fills a preallocated trace on its own goroutine and publishes
+// the ready count every 1,024 arrivals, and the event loop validates and
+// reads only below it. The event loop stays sequential, so the determinism
+// contract is unchanged: a fixed seed gives bit-identical results, exactly
+// those of recording the trace and replaying it. The run cancels and waits
+// for its generator before returning. The single link's RunCtx records,
+// then replays: its manager call per transfer dwarfs generation. Both
+// loops order events by (time, sequence): forwarded hops at equal times run
+// first-scheduled-first-served, generated arrivals at equal times pop in
+// source order, and a trace arrival runs ahead of a forwarded hop at the
+// same instant.
+//
 // The single calibrated link (RunCtx/RunTraceCtx) is the loop's degenerate
 // network: reader channel d is link d, the token and manager round trip
 // holds the channel before each transfer, and the manager decides every

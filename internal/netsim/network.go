@@ -179,9 +179,19 @@ type NetResults struct {
 // network. RunNetwork is exactly this followed by RunNetworkTrace, so
 // recorded traces replay to identical results.
 func RecordNetworkTrace(ctx context.Context, cfg NetConfig) (Trace, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, sources, next, err := cfg.generator()
 	if err != nil {
 		return nil, err
+	}
+	return record(ctx, cfg.Messages, sources, next)
+}
+
+// generator resolves the workload-generation defaults of c and returns the
+// active sources and their next-arrival function.
+func (c NetConfig) generator() (NetConfig, []int, func(src int, now float64) TraceEvent, error) {
+	cfg, err := c.withDefaults()
+	if err != nil {
+		return cfg, nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tiles := cfg.Net.Tiles()
@@ -221,22 +231,26 @@ func RecordNetworkTrace(ctx context.Context, cfg NetConfig) (Trace, error) {
 	}
 
 	if len(sources) == 0 {
-		return nil, fmt.Errorf("netsim: traffic matrix has no active source")
+		return cfg, nil, nil, fmt.Errorf("netsim: traffic matrix has no active source")
 	}
-	return generate(ctx, sources, cfg.Messages, func(s int, now float64) TraceEvent {
+	return cfg, sources, func(s int, now float64) TraceEvent {
 		at := now + rng.ExpFloat64()/srcRate
 		return TraceEvent{TimeSec: at, Src: s, Dst: pick(s), Bits: cfg.MessageBits}
-	})
+	}, nil
 }
 
-// RunNetwork generates the configured workload and simulates it. It is
-// exactly RecordNetworkTrace followed by RunNetworkTrace.
+// RunNetwork generates the configured workload and simulates it. Its
+// results are exactly those of RecordNetworkTrace followed by
+// RunNetworkTrace; generation runs on its own goroutine, overlapping the
+// event loop, and ends before RunNetwork returns.
 func RunNetwork(ctx context.Context, cfg NetConfig) (NetResults, error) {
-	tr, err := RecordNetworkTrace(ctx, cfg)
+	cfg, sources, next, err := cfg.generator()
 	if err != nil {
 		return NetResults{}, err
 	}
-	return RunNetworkTrace(ctx, cfg, tr)
+	return overlap(ctx, cfg.Messages, sources, next, func(ctx context.Context, tr Trace, ready <-chan int) (NetResults, error) {
+		return simulateNetwork(ctx, cfg, tr, ready)
+	})
 }
 
 // RunNetworkTrace replays a message trace through the network: every
@@ -256,11 +270,16 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 	if err != nil {
 		return NetResults{}, err
 	}
-	tiles := cfg.Net.Tiles()
-	if err := tr.Validate(tiles); err != nil {
+	if err := tr.Validate(cfg.Net.Tiles()); err != nil {
 		return NetResults{}, err
 	}
+	return simulateNetwork(ctx, cfg, tr, nil)
+}
 
+// simulateNetwork runs the event loop of a validated configuration over tr,
+// read as simulate reads it.
+func simulateNetwork(ctx context.Context, cfg NetConfig, tr Trace, ready <-chan int) (NetResults, error) {
+	tiles := cfg.Net.Tiles()
 	// Route table and per-link derived constants, resolved once.
 	routes := make([][][]int, tiles)
 	for s := 0; s < tiles; s++ {
@@ -269,9 +288,11 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 			if s == d {
 				continue
 			}
-			if routes[s][d], err = cfg.Net.Route(s, d); err != nil {
+			route, err := cfg.Net.Route(s, d)
+			if err != nil {
 				return NetResults{}, err
 			}
+			routes[s][d] = route
 		}
 	}
 	// Each link's grant is static: its decision's scheme and DAC setting,
@@ -293,7 +314,7 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 			heldW:  laserW,
 		}
 	}
-	t, err := simulate(ctx, tr, routes, servers, cfg.MaxQueueDepth, func(l int, m *TraceEvent, _ float64) (grant, error) {
+	t, err := simulate(ctx, tr, ready, routes, servers, cfg.MaxQueueDepth, func(l int, m *TraceEvent, _ float64) (grant, error) {
 		g := grants[l]
 		g.sec *= float64(m.Bits)
 		return g, nil

@@ -52,7 +52,7 @@ func buildNetwork(t testing.TB, kind noc.Kind, tiles int, ber float64) (*noc.Net
 
 // saturationRate reads the analytic saturation injection rate of the built
 // decision set.
-func saturationRate(t *testing.T, net *noc.Network, decisions []noc.LinkDecision, opts noc.EvalOptions) float64 {
+func saturationRate(t testing.TB, net *noc.Network, decisions []noc.LinkDecision, opts noc.EvalOptions) float64 {
 	t.Helper()
 	res, err := noc.Aggregate(net, decisions, opts)
 	if err != nil {
@@ -386,5 +386,37 @@ func TestNetworkCancellation(t *testing.T) {
 	}
 	if _, err := RunNetworkTrace(ctx, cfg, tr); err == nil {
 		t.Fatal("canceled replay reported no error")
+	}
+}
+
+// BenchmarkRunNetwork is the DES's own per-layer number: 20k messages at
+// half the analytic saturation rate through one single-hop shared medium
+// (bus), one ring and one multi-hop XY mesh.
+func BenchmarkRunNetwork(b *testing.B) {
+	for _, fx := range []struct {
+		name  string
+		kind  noc.Kind
+		tiles int
+	}{
+		{"bus-12", noc.Bus, 12},
+		{"ring-16", noc.Ring, 16},
+		{"mesh-4x4", noc.Mesh, 16},
+	} {
+		b.Run(fx.name, func(b *testing.B) {
+			net, decisions, opts := buildNetwork(b, fx.kind, fx.tiles, 1e-11)
+			cfg := NetConfig{
+				Net:                     net,
+				Decisions:               decisions,
+				InjectionRateBitsPerSec: 0.5 * saturationRate(b, net, decisions, opts),
+				Messages:                20000,
+				Seed:                    1,
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := RunNetwork(context.Background(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

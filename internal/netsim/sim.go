@@ -64,7 +64,7 @@ func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (
 	}
 
 	res := Results{SchemeUse: make(map[string]int64)}
-	t, err := simulate(ctx, tr, routes, servers, 0, func(_ int, m *TraceEvent, start float64) (grant, error) {
+	t, err := simulate(ctx, tr, nil, routes, servers, 0, func(_ int, m *TraceEvent, start float64) (grant, error) {
 		// Each transfer costs a manager call, so cancellation is checked
 		// per transfer here, not only every 4096 events as in the loop.
 		if err := ctx.Err(); err != nil {

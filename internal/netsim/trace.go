@@ -26,7 +26,14 @@ type Trace []TraceEvent
 
 // Validate checks ordering and topology bounds for an n-ONI interconnect.
 func (tr Trace) Validate(n int) error {
-	for i, ev := range tr {
+	return tr.validateRange(n, 0, len(tr))
+}
+
+// validateRange is Validate over the events tr[lo:hi], each checked for
+// order against its predecessor in tr.
+func (tr Trace) validateRange(n, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		ev := tr[i]
 		if ev.Src < 0 || ev.Src >= n || ev.Dst < 0 || ev.Dst >= n {
 			return fmt.Errorf("netsim: trace event %d endpoints (%d→%d) outside [0,%d)", i, ev.Src, ev.Dst, n)
 		}
@@ -91,5 +98,5 @@ func RecordTraceCtx(ctx context.Context, cfg Config) (Trace, error) {
 	for s := range sources {
 		sources[s] = s
 	}
-	return generate(ctx, sources, cfg.Messages, gen.next)
+	return record(ctx, cfg.Messages, sources, gen.next)
 }

@@ -8,6 +8,7 @@ import (
 
 	"photonoc/internal/core"
 	"photonoc/internal/manager"
+	"photonoc/internal/noc"
 )
 
 func TestRecordTraceShape(t *testing.T) {
@@ -187,5 +188,104 @@ func TestReplayIgnoresGenerationFields(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full, got) {
 		t.Fatal("generation-only fields leaked into the replay results")
+	}
+}
+
+// TestGeneratedTracesValidate: at operating-point rates every generated
+// trace passes Trace.Validate and holds exactly the configured number of
+// arrivals — on every topology kind, under uniform, hotspot and partly
+// silent traffic matrices, and on the single link under every pattern with
+// and without deadlines, over 20 seeds. Only degenerate rates produce
+// invalid traces (TestNonFiniteArrivalsRejected).
+func TestGeneratedTracesValidate(t *testing.T) {
+	const messages = 3000
+	for _, fx := range []struct {
+		kind  noc.Kind
+		tiles int
+	}{{noc.Bus, 12}, {noc.Crossbar, 8}, {noc.Ring, 16}, {noc.Mesh, 16}} {
+		net, decisions, opts := buildNetwork(t, fx.kind, fx.tiles, 1e-11)
+		hotspot, err := Hotspot.Matrix(fx.tiles, 1, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		silent := noc.UniformMatrix(fx.tiles)
+		for s := 0; s < fx.tiles; s += 2 {
+			silent[s] = make([]float64, fx.tiles) // even sources emit nothing
+		}
+		for _, traffic := range []struct {
+			name string
+			m    noc.Matrix
+		}{{"uniform", nil}, {"hotspot", hotspot}, {"silent", silent}} {
+			for seed := int64(1); seed <= 20; seed++ {
+				tr, err := RecordNetworkTrace(context.Background(), NetConfig{
+					Net:                     net,
+					Decisions:               decisions,
+					Traffic:                 traffic.m,
+					InjectionRateBitsPerSec: 0.5 * saturationRate(t, net, decisions, opts),
+					Messages:                messages,
+					Seed:                    seed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(tr) != messages {
+					t.Fatalf("%v/%s seed %d: %d arrivals, want %d", fx.kind, traffic.name, seed, len(tr), messages)
+				}
+				if err := tr.Validate(fx.tiles); err != nil {
+					t.Fatalf("%v/%s seed %d: %v", fx.kind, traffic.name, seed, err)
+				}
+			}
+		}
+	}
+	for _, p := range []Pattern{Uniform, Hotspot, Permutation, Streaming} {
+		for _, slack := range []float64{0, 2} {
+			for seed := int64(1); seed <= 20; seed++ {
+				cfg := DefaultConfig()
+				cfg.Pattern, cfg.HotspotNode, cfg.DeadlineSlack = p, 3, slack
+				cfg.Messages, cfg.Seed = messages, seed
+				tr, err := RecordTraceCtx(context.Background(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(tr) != messages {
+					t.Fatalf("%v slack %g seed %d: %d arrivals, want %d", p, slack, seed, len(tr), messages)
+				}
+				if err := tr.Validate(cfg.Link.Channel.Topo.ONIs); err != nil {
+					t.Fatalf("%v slack %g seed %d: %v", p, slack, seed, err)
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateTieOrder pins the generator's tie rule: arrivals at equal
+// times pop in the order of the sources list. Every source ticks on the
+// integer grid, one of them every other step, so most steps tie.
+func TestGenerateTieOrder(t *testing.T) {
+	sources := []int{0, 2, 5, 7}
+	position := map[int]int{0: 0, 2: 1, 5: 2, 7: 3}
+	next := func(src int, now float64) TraceEvent {
+		step := 1.0
+		if src == 5 {
+			step = 2
+		}
+		return TraceEvent{TimeSec: now + step, Src: src, Dst: (src + 1) % 8, Bits: 1}
+	}
+	tr, err := record(context.Background(), 100, sources, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(tr); i++ {
+		a, b := tr[i-1], tr[i]
+		if a.TimeSec > b.TimeSec || a.TimeSec == b.TimeSec && position[a.Src] >= position[b.Src] {
+			t.Fatalf("arrivals %d (t=%g, src %d) and %d (t=%g, src %d) out of (time, source) order",
+				i-1, a.TimeSec, a.Src, i, b.TimeSec, b.Src)
+		}
+	}
+	want := []int{0, 2, 7, 0, 2, 5, 7, 0, 2, 7, 0, 2, 5, 7}
+	for i, src := range want {
+		if tr[i].Src != src {
+			t.Fatalf("arrival %d from source %d, want %d (first arrivals %v)", i, tr[i].Src, src, tr[:len(want)])
+		}
 	}
 }
