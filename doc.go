@@ -105,10 +105,12 @@
 //	results, err := eng.NetworkSweep(ctx, topo, bers, opts)
 //	for r := range eng.NetworkSweepStream(ctx, topo, bers, opts) { ... }
 //
-// Every link's (scheme, target BER) solves fan across the Engine's worker
-// pool, keyed in the LRU by the link's configuration fingerprint — links
-// sharing a compiled plan (every bus link, every repeated mesh position)
-// reuse each other's solves. Scheme selection per link follows the runtime
+// Network and SimulateNetwork solve every (link, scheme) cell on the
+// caller's goroutine, on a pooled, freshly invalidated NoCSession;
+// NetworkSweep spreads its BERs across the Engine's worker pool. Cells are
+// keyed in the LRU by the link's configuration fingerprint — links sharing
+// a compiled plan (every bus link, every repeated mesh position) reuse
+// each other's solves. Scheme selection per link follows the runtime
 // manager's rule exactly, and a 1-waveguide bus over the paper topology
 // reproduces the single-link sweep bit for bit. Traffic matrices come from
 // the netsim patterns (Pattern.Matrix) or recorded traces (Trace.Matrix);

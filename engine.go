@@ -98,7 +98,9 @@ func WithConfig(cfg LinkConfig) Option { return engine.WithConfig(cfg) }
 // An explicitly empty roster is rejected.
 func WithSchemes(codes ...Code) Option { return engine.WithSchemes(codes...) }
 
-// WithWorkers sets the sweep worker-pool size (default: GOMAXPROCS).
+// WithWorkers sets the worker-pool size (default: GOMAXPROCS) that sweeps,
+// network BER sweeps, batches and MC runs fan across; one Network or
+// SimulateNetwork call solves on the caller's goroutine.
 func WithWorkers(n int) Option { return engine.WithWorkers(n) }
 
 // WithCache sets the memo-cache capacity in entries; zero disables

@@ -104,6 +104,42 @@ func BenchmarkNetworkEval(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkWarm is the warm analytic path the serve-warm workload
+// drives: its five topologies (bus-12, ring-16, mesh-4×4, mesh-4×2,
+// crossbar-8) at two BERs each on one engine whose memo cache already holds
+// every cell, so an iteration is ten Network calls of lookups, decisions
+// and aggregation with no cold solve.
+func BenchmarkNetworkWarm(b *testing.B) {
+	eng, err := New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	topos := []NoCConfig{
+		{Kind: NoCBus, Tiles: 12},
+		{Kind: NoCRing, Tiles: 16},
+		{Kind: NoCMesh, Tiles: 16, Columns: 4},
+		{Kind: NoCMesh, Tiles: 8, Columns: 2},
+		{Kind: NoCCrossbar, Tiles: 8},
+	}
+	bers := []float64{1e-9, 1e-11}
+	ctx := context.Background()
+	run := func() {
+		for _, topo := range topos {
+			for _, ber := range bers {
+				if _, err := eng.Network(ctx, topo, NoCEvalOptions{TargetBER: ber, Objective: MinEnergy}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	run() // warm the cache untimed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // autotunerChain builds a deterministic mutate-one-knob candidate walk —
 // the autotuner workload: each step flips one knob (DAC, injection rate,
 // target BER, tile count) and keeps the rest, so neighboring candidates

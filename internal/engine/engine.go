@@ -103,7 +103,9 @@ func WithSchemes(codes ...ecc.Code) Option {
 	}
 }
 
-// WithWorkers sets the sweep worker-pool size (default: GOMAXPROCS).
+// WithWorkers sets the worker-pool size (default: GOMAXPROCS) that sweeps,
+// network BER sweeps, batches and MC runs fan across; one Network or
+// SimulateNetwork call solves on the caller's goroutine.
 func WithWorkers(n int) Option {
 	return func(s *settings) error {
 		if n <= 0 {

@@ -38,10 +38,10 @@ type NetworkSimOptions struct {
 }
 
 // SimulateNetwork runs the network-scale discrete-event simulator over a
-// topology: the (link × scheme) lattice at the target BER is solved across
-// the engine's worker pool (every solve keyed in the shared LRU by the
-// link's configuration fingerprint, exactly like Network/NetworkSweep),
-// the per-link winners are picked with noc.Decide — so the simulated
+// topology: the (link × scheme) lattice at the target BER is solved on the
+// caller's goroutine (every solve keyed in the shared LRU by the link's
+// configuration fingerprint, exactly like Network/NetworkSweep), the
+// per-link winners are picked with noc.Decide's rule — so the simulated
 // scheme/DAC decisions are bit-identical to the analytic evaluator's —
 // and the event-driven simulation replays a seeded synthetic workload over
 // the routes. The simulation core is sequential, so results for a fixed
@@ -54,24 +54,17 @@ func (e *Engine) SimulateNetwork(ctx context.Context, cfg noc.Config, opts Netwo
 	if err := validateBER(opts.TargetBER); err != nil {
 		return netsim.NetResults{}, err
 	}
-	g, err := e.prepareNetwork(cfg, []float64{opts.TargetBER})
+	net, err := e.BuildNetwork(cfg)
 	if err != nil {
 		return netsim.NetResults{}, err
 	}
 	if opts.Traffic != nil {
 		// Fail fast, before the lattice solves: the simulator re-validates,
-		// but by then the workers have already run.
-		if err := opts.Traffic.Validate(g.net.Tiles()); err != nil {
+		// but by then the solves have already run.
+		if err := opts.Traffic.Validate(net.Tiles()); err != nil {
 			return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 		}
 	}
-	evals := g.newEvalLattice()
-	if err := e.forEach(ctx, g.pointsPerBER(), func(ctx context.Context, i int) error {
-		return e.solvePoint(ctx, g, evals, i)
-	}); err != nil {
-		return netsim.NetResults{}, err
-	}
-
 	evalOpts := noc.EvalOptions{
 		TargetBER:               opts.TargetBER,
 		Objective:               opts.Objective,
@@ -80,7 +73,16 @@ func (e *Engine) SimulateNetwork(ctx context.Context, cfg noc.Config, opts Netwo
 		MessageBits:             opts.MessageBits,
 		DAC:                     opts.DAC,
 	}
-	decisions, err := noc.Decide(g.net, evals[0], evalOpts)
+
+	// The decisions alias the session, so it is held until the simulator
+	// has copied them.
+	s := e.acquireSession()
+	defer e.releaseSession(s)
+	s.invalidate()
+	if _, _, err := s.solve(ctx, NetworkCandidate{Topology: cfg, Opts: evalOpts}); err != nil {
+		return netsim.NetResults{}, err
+	}
+	decisions, err := s.eval.Decide(net, s.rows, evalOpts)
 	if err != nil {
 		return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
@@ -94,7 +96,7 @@ func (e *Engine) SimulateNetwork(ctx context.Context, cfg noc.Config, opts Netwo
 	if rate == 0 {
 		// Adopt the analytic default operating point: half the saturation
 		// injection rate of this exact decision set.
-		agg, err := noc.Aggregate(g.net, decisions, evalOpts)
+		agg, err := s.eval.Aggregate(net, decisions, evalOpts)
 		if err != nil {
 			return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 		}
@@ -102,7 +104,7 @@ func (e *Engine) SimulateNetwork(ctx context.Context, cfg noc.Config, opts Netwo
 	}
 
 	res, err := netsim.RunNetwork(ctx, netsim.NetConfig{
-		Net:                     g.net,
+		Net:                     net,
 		Decisions:               decisions,
 		Traffic:                 opts.Traffic,
 		MessageBits:             opts.MessageBits,

@@ -6,7 +6,6 @@ import (
 	"reflect"
 
 	"photonoc/internal/core"
-	"photonoc/internal/ecc"
 	"photonoc/internal/noc"
 )
 
@@ -80,198 +79,93 @@ func (e *Engine) compiledForLink(l *noc.Link) (*core.Compiled, error) {
 	return e.netPlans.add(l.Fingerprint, c), nil
 }
 
-// netGrid is one prepared network-sweep workload: the built network, the
-// per-link compiled plans, and the (BER × link × scheme) point lattice.
-type netGrid struct {
-	net      *noc.Network
-	links    []noc.Link
-	compiled []*core.Compiled
-	schemes  []ecc.Code
-	bers     []float64
+// Network evaluates one topology at opts.TargetBER: every link is solved
+// against the engine's scheme roster (links sharing a configuration
+// fingerprint share memo-cache entries), the per-link winners are picked
+// with the manager's selection rule, and the traffic matrix is folded into
+// network energy, saturation throughput and latency figures. A link with
+// no feasible scheme does not error: the Result comes back with
+// Feasible == false, mirroring single-link evaluations.
+//
+// The evaluation runs on the caller's goroutine, on a pooled
+// NetworkSession that is invalidated first: every cell goes through the
+// memo cache, so one call never reuses the lattice of another.
+func (e *Engine) Network(ctx context.Context, cfg noc.Config, opts noc.EvalOptions) (noc.Result, error) {
+	s := e.acquireSession()
+	defer e.releaseSession(s)
+	s.invalidate()
+	res, err := s.Evaluate(ctx, NetworkCandidate{Topology: cfg, Opts: opts})
+	if err != nil {
+		return noc.Result{}, err
+	}
+	return res.Clone(), nil
 }
 
-// pointsPerBER returns the solve count of one BER plane.
-func (g *netGrid) pointsPerBER() int { return len(g.links) * len(g.schemes) }
-
-// prepareNetwork validates a network sweep request and compiles every
-// distinct link configuration once on the coordinating goroutine.
-func (e *Engine) prepareNetwork(cfg noc.Config, targetBERs []float64) (*netGrid, error) {
+// checkNetworkSweep validates a network sweep request up front: a
+// non-empty grid of valid BERs over a topology that builds.
+func (e *Engine) checkNetworkSweep(cfg noc.Config, targetBERs []float64) error {
 	if len(targetBERs) == 0 {
-		return nil, fmt.Errorf("%w: empty BER grid", ErrInvalidInput)
+		return fmt.Errorf("%w: empty BER grid", ErrInvalidInput)
 	}
 	for _, ber := range targetBERs {
 		if err := validateBER(ber); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	net, err := e.BuildNetwork(cfg)
-	if err != nil {
-		return nil, err
-	}
-	g := &netGrid{
-		net:     net,
-		links:   net.Links(),
-		schemes: e.schemes,
-		bers:    append([]float64(nil), targetBERs...),
-	}
-	g.compiled = make([]*core.Compiled, len(g.links))
-	for i := range g.links {
-		if g.compiled[i], err = e.compiledForLink(&g.links[i]); err != nil {
-			return nil, err
+	_, err := e.BuildNetwork(cfg)
+	return err
+}
+
+// networkEach evaluates the topology at every BER of the grid across the
+// worker pool, one Network evaluation per BER, and hands each result to
+// visit with its grid index.
+func (e *Engine) networkEach(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions, visit func(int, noc.Result)) error {
+	return e.forEach(ctx, len(targetBERs), func(ctx context.Context, b int) error {
+		o := opts
+		o.TargetBER = targetBERs[b]
+		res, err := e.Network(ctx, cfg, o)
+		if err != nil {
+			return err
 		}
-	}
-	return g, nil
+		visit(b, res)
+		return nil
+	})
 }
 
-// solvePoint solves lattice point i (BER-major, then link, then scheme)
-// into evals, which is indexed evals[ber][link][scheme].
-func (e *Engine) solvePoint(ctx context.Context, g *netGrid, evals [][][]core.Evaluation, i int) error {
-	perBER := g.pointsPerBER()
-	b := i / perBER
-	rem := i % perBER
-	l := rem / len(g.schemes)
-	s := rem % len(g.schemes)
-	ev, err := e.evaluateCompiled(ctx, g.links[l].Fingerprint, g.compiled[l], g.schemes[s], g.bers[b])
-	if err != nil {
-		return err
-	}
-	evals[b][l][s] = ev
-	return nil
-}
-
-// newEvalLattice allocates evals[ber][link][scheme].
-func (g *netGrid) newEvalLattice() [][][]core.Evaluation {
-	evals := make([][][]core.Evaluation, len(g.bers))
-	for b := range evals {
-		evals[b] = make([][]core.Evaluation, len(g.links))
-		for l := range evals[b] {
-			evals[b][l] = make([]core.Evaluation, len(g.schemes))
-		}
-	}
-	return evals
-}
-
-// aggregateBER folds one solved BER plane into its network Result.
-func (g *netGrid) aggregateBER(b int, evals [][][]core.Evaluation, opts noc.EvalOptions) (noc.Result, error) {
-	opts.TargetBER = g.bers[b]
-	decisions, err := noc.Decide(g.net, evals[b], opts)
-	if err != nil {
-		return noc.Result{}, fmt.Errorf("%w: %w", ErrInvalidInput, err)
-	}
-	res, err := noc.Aggregate(g.net, decisions, opts)
-	if err != nil {
-		return noc.Result{}, fmt.Errorf("%w: %w", ErrInvalidInput, err)
-	}
-	return res, nil
-}
-
-// Network evaluates one topology at opts.TargetBER: every link is solved
-// against the engine's scheme roster across the worker pool (links sharing
-// a configuration fingerprint share memo-cache entries), the per-link
-// winners are picked with the manager's selection rule, and the traffic
-// matrix is folded into network energy, saturation throughput and latency
-// figures. A link with no feasible scheme does not error: the Result comes
-// back with Feasible == false, mirroring single-link evaluations.
-func (e *Engine) Network(ctx context.Context, cfg noc.Config, opts noc.EvalOptions) (noc.Result, error) {
-	if err := validateBER(opts.TargetBER); err != nil {
-		return noc.Result{}, err
-	}
-	results, err := e.NetworkSweep(ctx, cfg, []float64{opts.TargetBER}, opts)
-	if err != nil {
-		return noc.Result{}, err
-	}
-	return results[0], nil
-}
-
-// NetworkSweep evaluates the topology across a grid of target BERs. All
-// (BER, link, scheme) solves fan across the worker pool as one batch; the
-// per-BER aggregation is sequential and deterministic, so the result slice
-// is identical regardless of the worker count. opts.TargetBER is ignored —
-// each grid point uses its own BER.
+// NetworkSweep evaluates the topology across a grid of target BERs, the
+// BERs spread across the worker pool. Each BER is one Network evaluation,
+// so the result slice is identical regardless of the worker count.
+// opts.TargetBER is ignored — each grid point uses its own BER.
 func (e *Engine) NetworkSweep(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions) ([]noc.Result, error) {
-	g, err := e.prepareNetwork(cfg, targetBERs)
-	if err != nil {
+	if err := e.checkNetworkSweep(cfg, targetBERs); err != nil {
 		return nil, err
 	}
-	evals := g.newEvalLattice()
-	if err := e.forEach(ctx, len(g.bers)*g.pointsPerBER(), func(ctx context.Context, i int) error {
-		return e.solvePoint(ctx, g, evals, i)
-	}); err != nil {
+	out := make([]noc.Result, len(targetBERs))
+	if err := e.networkEach(ctx, cfg, targetBERs, opts, func(b int, res noc.Result) { out[b] = res }); err != nil {
 		return nil, err
-	}
-	out := make([]noc.Result, len(g.bers))
-	for b := range g.bers {
-		if out[b], err = g.aggregateBER(b, evals, opts); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
 
 // NetworkSweepStream is the streaming variant of NetworkSweep: it returns
 // immediately with a channel yielding one aggregated NetworkResult per
-// target BER, in grid order, as soon as each BER plane (and all its
-// predecessors) has been solved. The channel is buffered for the whole
+// target BER, in grid order, as soon as each BER (and all its
+// predecessors) has been evaluated. The channel is buffered for the whole
 // grid; on error or cancellation the stream ends early with a final
 // NetworkResult carrying Err, and the channel is always closed.
 func (e *Engine) NetworkSweepStream(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions) <-chan NetworkResult {
-	g, err := e.prepareNetwork(cfg, targetBERs)
-	if err != nil {
-		out := make(chan NetworkResult, 1)
-		out <- NetworkResult{Index: 0, Err: err}
-		close(out)
-		return out
+	if err := e.checkNetworkSweep(cfg, targetBERs); err != nil {
+		return failed(NetworkResult{Err: err})
 	}
-	out := make(chan NetworkResult, len(g.bers)+1)
-	go func() {
-		defer close(out)
-		evals := g.newEvalLattice()
-		perBER := g.pointsPerBER()
-		total := perBER * len(g.bers)
-
-		// Workers report solved point indices; the coordinator counts down
-		// each BER plane and releases aggregated results in grid order.
-		done := make(chan int, total)
-		var poolErr error
-		go func() {
-			defer close(done)
-			poolErr = e.forEach(ctx, total, func(ctx context.Context, i int) error {
-				if err := e.solvePoint(ctx, g, evals, i); err != nil {
-					return err
-				}
-				done <- i
-				return nil
-			})
-		}()
-
-		remaining := make([]int, len(g.bers))
-		for b := range remaining {
-			remaining[b] = perBER
+	bers := append([]float64(nil), targetBERs...)
+	return ordered(ctx, len(bers), func(emit func(int, NetworkResult)) error {
+		return e.networkEach(ctx, cfg, bers, opts, func(b int, res noc.Result) {
+			emit(b, NetworkResult{Index: b, TargetBER: bers[b], Result: res})
+		})
+	}, func(next int, err error) NetworkResult {
+		if err == nil {
+			err = fmt.Errorf("photonoc: network sweep aborted at BER index %d", next)
 		}
-		next := 0
-		for i := range done {
-			b := i / perBER
-			remaining[b]--
-			for next < len(g.bers) && remaining[next] == 0 {
-				res, err := g.aggregateBER(next, evals, opts)
-				if err != nil {
-					out <- NetworkResult{Index: next, TargetBER: g.bers[next], Err: err}
-					return
-				}
-				out <- NetworkResult{Index: next, TargetBER: g.bers[next], Result: res}
-				next++
-			}
-		}
-		if next < len(g.bers) {
-			err := poolErr
-			if err == nil {
-				err = ctx.Err()
-			}
-			if err == nil {
-				err = fmt.Errorf("photonoc: network sweep aborted at BER index %d", next)
-			}
-			out <- NetworkResult{Index: next, TargetBER: g.bers[next], Err: err}
-		}
-	}()
-	return out
+		return NetworkResult{Index: next, TargetBER: bers[next], Err: err}
+	})
 }

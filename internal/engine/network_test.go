@@ -310,3 +310,108 @@ func TestNetworkTraceDrivenMatrix(t *testing.T) {
 		t.Error("trace-driven network delivers nothing")
 	}
 }
+
+// TestNetworkCallsShareNoState: Network and SimulateNetwork start every
+// call from an invalidated session, so on a cache-disabled engine two
+// identical calls re-solve every cell and reuse none. A batch of the same
+// candidates does diff its neighbors.
+func TestNetworkCallsShareNoState(t *testing.T) {
+	e := newNetEngine(t, ecc.PaperSchemes(), WithCache(0), WithWorkers(1))
+	ctx := context.Background()
+	topo := noc.Config{Kind: noc.Mesh, Tiles: 16, Columns: 4}
+	opts := noc.EvalOptions{TargetBER: 1e-11, Objective: manager.MinEnergy}
+	coldOf := func(call func() error) uint64 {
+		t.Helper()
+		before := e.CacheStats().ColdSolves
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+		return e.CacheStats().ColdSolves - before
+	}
+	network := func() error {
+		_, err := e.Network(ctx, topo, opts)
+		return err
+	}
+	simulate := func() error {
+		_, err := e.SimulateNetwork(ctx, topo, NetworkSimOptions{TargetBER: opts.TargetBER, Objective: opts.Objective, Messages: 500, Seed: 1})
+		return err
+	}
+	for name, call := range map[string]func() error{"Network": network, "SimulateNetwork": simulate} {
+		first, second := coldOf(call), coldOf(call)
+		if first == 0 || first != second {
+			t.Errorf("%s: cold solves %d then %d, want the same nonzero count", name, first, second)
+		}
+	}
+	if r := e.CacheStats().SessionReuses; r != 0 {
+		t.Fatalf("single calls reused %d session cells, want 0", r)
+	}
+	cand := NetworkCandidate{Topology: topo, Opts: opts}
+	if _, err := e.NetworkBatch(ctx, []NetworkCandidate{cand, cand}); err != nil {
+		t.Fatal(err)
+	}
+	if r := e.CacheStats().SessionReuses; r == 0 {
+		t.Error("a batch of two identical candidates reused no session cells")
+	}
+}
+
+// TestNetworkWarmAllocs pins the warm Network path: one pooled session,
+// every cell a cache hit, and only the detached Result allocated.
+func TestNetworkWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled sessions at random under -race")
+	}
+	e := newNetEngine(t, ecc.PaperSchemes())
+	ctx := context.Background()
+	topo := noc.Config{Kind: noc.Mesh, Tiles: 16, Columns: 4}
+	opts := noc.EvalOptions{TargetBER: 1e-11, Objective: manager.MinEnergy}
+	run := func() {
+		if _, err := e.Network(ctx, topo, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: builds, compiles and caches the mesh
+	if allocs := testing.AllocsPerRun(200, run); allocs > 8 {
+		t.Errorf("warm Network allocated %.1f times per call, want ≤ 8", allocs)
+	}
+}
+
+// TestNetworkSweepStreamMidCancellation: a long BER grid whose first BER
+// is cached and whose every other BER blocks in its cold solves until
+// cancellation; cancelling after the first delivered result must end the
+// stream early with a Canceled item.
+func TestNetworkSweepStreamMidCancellation(t *testing.T) {
+	o := &blockingObserver{}
+	e := newNetEngine(t, ecc.PaperSchemes(), WithWorkers(4), WithObserver(o))
+	topo := noc.Config{Kind: noc.Ring, Tiles: 8}
+	bers := make([]float64, 40)
+	for i := range bers {
+		bers[i] = 1e-11 * float64(i+1)
+	}
+	if _, err := e.Network(context.Background(), topo, noc.EvalOptions{TargetBER: bers[0]}); err != nil {
+		t.Fatal(err)
+	}
+	o.armed.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stream := e.NetworkSweepStream(ctx, topo, bers, noc.EvalOptions{})
+	delivered := 0
+	var terminal error
+	for r := range stream {
+		if r.Err != nil {
+			terminal = r.Err
+			break
+		}
+		delivered++
+		if delivered == 1 {
+			cancel()
+		}
+	}
+	for range stream {
+	}
+	if delivered >= len(bers) {
+		t.Fatalf("cancellation did not stop the sweep: %d/%d delivered", delivered, len(bers))
+	}
+	if !errors.Is(terminal, context.Canceled) {
+		t.Errorf("terminal stream error = %v, want context.Canceled", terminal)
+	}
+}

@@ -13,9 +13,11 @@ import (
 //
 // Every hook receives the context of the evaluation that triggered it, which
 // may belong to a different goroutine than the request that submitted the
-// work (sweep and batch solves fan across the worker pool with the request
-// context threaded through). Implementations attribute events per-request by
-// reading request-scoped carriers out of that context.
+// work (sweep, network-sweep and batch solves fan across the worker pool
+// with the request context threaded through; one Network or
+// SimulateNetwork call fires its events on the caller's goroutine).
+// Implementations attribute events per-request by reading request-scoped
+// carriers out of that context.
 //
 // Hooks are called synchronously on the solve path, potentially from many
 // goroutines at once: implementations must be concurrency-safe and cheap

@@ -19,10 +19,12 @@ type NetworkCandidate struct {
 	Opts     noc.EvalOptions
 }
 
-// NetworkSession is the incremental, allocation-free network evaluator the
-// autotuner workload runs on. It wraps a noc.EvalSession with the solve
-// lattice of the previous candidate, and on each Evaluate diffs the new
-// candidate against it by per-link configuration fingerprint: a link whose
+// NetworkSession is the engine's one network evaluator: Network,
+// NetworkSweep and SimulateNetwork run on pooled sessions they invalidate
+// first, while the NetworkBatch family keeps its sessions warm across
+// candidates. It wraps a noc.EvalSession with the solve lattice of the
+// previous candidate, and on each Evaluate diffs the new candidate
+// against it by per-link configuration fingerprint: a link whose
 // fingerprint appeared in the previous candidate (same roster, same target
 // BER) reuses that candidate's solved evaluations outright — no pipeline,
 // no memo-cache lookup — and only the changed (link, scheme, BER) cells
@@ -33,9 +35,8 @@ type NetworkCandidate struct {
 //
 // A session is NOT safe for concurrent use, and the Result returned by
 // Evaluate aliases session-owned storage — it is valid only until the next
-// Evaluate call (Clone it to keep it). Engine.NetworkBatchEach drives one
-// pooled session per worker, and NetworkBatch on top of it clones every
-// result; those are the concurrency-safe entry points.
+// Evaluate call (Clone it to keep it). The Engine methods, which hold one
+// pooled session per goroutine, are the concurrency-safe entry points.
 type NetworkSession struct {
 	e    *Engine
 	eval *noc.EvalSession
@@ -101,24 +102,60 @@ func (s *NetworkSession) Evaluate(ctx context.Context, cand NetworkCandidate) (*
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts := cand.Opts
-	if err := validateBER(opts.TargetBER); err != nil {
+	net, schemes, err := s.solve(ctx, cand)
+	if err != nil {
 		return nil, err
+	}
+	decisions, err := s.eval.Decide(net, s.rows, cand.Opts)
+	if err != nil {
+		s.invalidate()
+		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
+	}
+	res, err := s.eval.Aggregate(net, decisions, cand.Opts)
+	if err != nil {
+		s.invalidate()
+		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
+	}
+
+	// Roll the lattice into the previous-candidate slot for the next diff.
+	s.prevNet = net
+	s.prevBER = cand.Opts.TargetBER
+	s.prevNames = s.prevNames[:0]
+	for _, c := range schemes {
+		s.prevNames = append(s.prevNames, c.Name())
+	}
+	clear(s.prevIndex)
+	for l := 0; l < net.NumLinks(); l++ {
+		s.prevIndex[net.LinkRef(l).Fingerprint] = l
+	}
+	s.flat, s.prevFlat = s.prevFlat, s.flat
+	return res, nil
+}
+
+// solve builds the candidate's network, compiles its links and fills
+// s.rows with every (link, scheme) evaluation at the candidate's target
+// BER: cells the previous candidate solved are copied, the rest go through
+// the engine's memo cache. It returns the network and the resolved roster;
+// the previous-candidate state is left for Evaluate to roll over.
+func (s *NetworkSession) solve(ctx context.Context, cand NetworkCandidate) (*noc.Network, []ecc.Code, error) {
+	ber := cand.Opts.TargetBER
+	if err := validateBER(ber); err != nil {
+		return nil, nil, err
 	}
 	net, err := s.e.BuildNetwork(cand.Topology)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	schemes := cand.Schemes
 	if schemes == nil {
 		schemes = s.e.schemes
 	}
 	if len(schemes) == 0 {
-		return nil, fmt.Errorf("%w: empty scheme roster", ErrInvalidInput)
+		return nil, nil, fmt.Errorf("%w: empty scheme roster", ErrInvalidInput)
 	}
 	for i, c := range schemes {
 		if c == nil {
-			return nil, fmt.Errorf("%w: nil code at index %d", ErrInvalidInput, i)
+			return nil, nil, fmt.Errorf("%w: nil code at index %d", ErrInvalidInput, i)
 		}
 	}
 
@@ -127,7 +164,7 @@ func (s *NetworkSession) Evaluate(ctx context.Context, cand NetworkCandidate) (*
 	for l := 0; l < nlinks; l++ {
 		if s.compiled[l], err = s.e.compiledForLink(net.LinkRef(l)); err != nil {
 			s.invalidate()
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	s.flat = growSlice(s.flat, nlinks*nschemes)
@@ -139,12 +176,12 @@ func (s *NetworkSession) Evaluate(ctx context.Context, cand NetworkCandidate) (*
 	// The diff is valid only against a lattice solved for the same roster
 	// and target BER; the traffic matrix, rate, objective and DAC do not
 	// enter the solve cells, so they may differ freely between neighbors.
-	diffOK := s.prevNet != nil && s.prevBER == opts.TargetBER && s.sameRoster(schemes)
+	diffOK := s.prevNet != nil && s.prevBER == ber && s.sameRoster(schemes)
 	reusedCells := 0
 	for l := 0; l < nlinks; l++ {
 		if err := ctx.Err(); err != nil {
 			s.invalidate()
-			return nil, err
+			return nil, nil, err
 		}
 		fp := net.LinkRef(l).Fingerprint
 		if diffOK {
@@ -155,10 +192,10 @@ func (s *NetworkSession) Evaluate(ctx context.Context, cand NetworkCandidate) (*
 			}
 		}
 		for si := 0; si < nschemes; si++ {
-			ev, err := s.e.evaluateCompiled(ctx, fp, s.compiled[l], schemes[si], opts.TargetBER)
+			ev, err := s.e.evaluateCompiled(ctx, fp, s.compiled[l], schemes[si], ber)
 			if err != nil {
 				s.invalidate()
-				return nil, err
+				return nil, nil, err
 			}
 			s.rows[l][si] = ev
 		}
@@ -169,31 +206,7 @@ func (s *NetworkSession) Evaluate(ctx context.Context, cand NetworkCandidate) (*
 			s.e.obs.SessionReuse(ctx, reusedCells)
 		}
 	}
-
-	decisions, err := s.eval.Decide(net, s.rows, opts)
-	if err != nil {
-		s.invalidate()
-		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
-	}
-	res, err := s.eval.Aggregate(net, decisions, opts)
-	if err != nil {
-		s.invalidate()
-		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
-	}
-
-	// Roll the lattice into the previous-candidate slot for the next diff.
-	s.prevNet = net
-	s.prevBER = opts.TargetBER
-	s.prevNames = s.prevNames[:0]
-	for _, c := range schemes {
-		s.prevNames = append(s.prevNames, c.Name())
-	}
-	clear(s.prevIndex)
-	for l := 0; l < nlinks; l++ {
-		s.prevIndex[net.LinkRef(l).Fingerprint] = l
-	}
-	s.flat, s.prevFlat = s.prevFlat, s.flat
-	return res, nil
+	return net, schemes, nil
 }
 
 // acquireSession takes a pooled session (sessions keep their grown buffers
@@ -370,53 +383,20 @@ func (e *Engine) NetworkBatch(ctx context.Context, cands []NetworkCandidate, opt
 // stream early with a terminal Err.
 func (e *Engine) NetworkBatchStream(ctx context.Context, cands []NetworkCandidate, opts ...BatchOptions) <-chan NetworkResult {
 	if len(cands) == 0 {
-		out := make(chan NetworkResult, 1)
-		out <- NetworkResult{Index: 0, Err: fmt.Errorf("%w: empty candidate population", ErrInvalidInput)}
-		close(out)
-		return out
+		return failed(NetworkResult{Err: fmt.Errorf("%w: empty candidate population", ErrInvalidInput)})
 	}
-	out := make(chan NetworkResult, len(cands)+1)
-	go func() {
-		defer close(out)
-		// Workers publish out of order; the reorder buffer releases the
-		// longest contiguous prefix so consumers render incrementally in
-		// population order.
-		unordered := make(chan NetworkResult, len(cands))
-		var poolErr error
-		go func() {
-			defer close(unordered)
-			poolErr = e.NetworkBatchEach(ctx, cands, func(i int, res *noc.Result, cerr *CandidateError) {
-				if cerr != nil {
-					unordered <- NetworkResult{Index: i, TargetBER: cands[i].Opts.TargetBER, Err: cerr}
-					return
-				}
-				unordered <- NetworkResult{Index: i, TargetBER: res.TargetBER, Result: res.Clone()}
-			}, opts...)
-		}()
-		pending := make(map[int]NetworkResult)
-		next := 0
-		for r := range unordered {
-			pending[r.Index] = r
-			for {
-				q, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				out <- q
-				next++
+	return ordered(ctx, len(cands), func(emit func(int, NetworkResult)) error {
+		return e.NetworkBatchEach(ctx, cands, func(i int, res *noc.Result, cerr *CandidateError) {
+			if cerr != nil {
+				emit(i, NetworkResult{Index: i, TargetBER: cands[i].Opts.TargetBER, Err: cerr})
+				return
 			}
+			emit(i, NetworkResult{Index: i, TargetBER: res.TargetBER, Result: res.Clone()})
+		}, opts...)
+	}, func(next int, err error) NetworkResult {
+		if err == nil {
+			err = fmt.Errorf("photonoc: network batch aborted at candidate %d", next)
 		}
-		if next < len(cands) {
-			err := poolErr
-			if err == nil {
-				err = ctx.Err()
-			}
-			if err == nil {
-				err = fmt.Errorf("photonoc: network batch aborted at candidate %d", next)
-			}
-			out <- NetworkResult{Index: next, TargetBER: cands[next].Opts.TargetBER, Err: err}
-		}
-	}()
-	return out
+		return NetworkResult{Index: next, TargetBER: cands[next].Opts.TargetBER, Err: err}
+	})
 }

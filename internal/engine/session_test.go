@@ -450,3 +450,46 @@ func TestNetworkBatchStreamContinueOnError(t *testing.T) {
 		t.Fatalf("canceled partial batch err = %v", err)
 	}
 }
+
+// TestNetworkBatchStreamMidCancellation: a population whose first
+// candidate is cached and whose every other candidate blocks in its cold
+// solves until cancellation; cancelling after the first delivered result
+// must end the stream early with a Canceled item.
+func TestNetworkBatchStreamMidCancellation(t *testing.T) {
+	o := &blockingObserver{}
+	e := newNetEngine(t, ecc.PaperSchemes(), WithWorkers(4), WithObserver(o))
+	cands := make([]NetworkCandidate, 40)
+	for i := range cands {
+		cands[i] = NetworkCandidate{
+			Topology: noc.Config{Kind: noc.Ring, Tiles: 8},
+			Opts:     noc.EvalOptions{TargetBER: 1e-11 * float64(i+1)},
+		}
+	}
+	if _, err := e.Network(context.Background(), cands[0].Topology, cands[0].Opts); err != nil {
+		t.Fatal(err)
+	}
+	o.armed.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stream := e.NetworkBatchStream(ctx, cands)
+	delivered := 0
+	var terminal error
+	for r := range stream {
+		if r.Err != nil {
+			terminal = r.Err
+			break
+		}
+		delivered++
+		if delivered == 1 {
+			cancel()
+		}
+	}
+	for range stream {
+	}
+	if delivered >= len(cands) {
+		t.Fatalf("cancellation did not stop the batch: %d/%d delivered", delivered, len(cands))
+	}
+	if !errors.Is(terminal, context.Canceled) {
+		t.Errorf("terminal stream error = %v, want context.Canceled", terminal)
+	}
+}

@@ -89,56 +89,70 @@ func (e *Engine) Sweep(ctx context.Context, codes []ecc.Code, targetBERs []float
 func (e *Engine) SweepStream(ctx context.Context, codes []ecc.Code, targetBERs []float64) <-chan Result {
 	pts, err := e.sweepPoints(codes, targetBERs)
 	if err != nil {
-		out := make(chan Result, 1)
-		out <- Result{Index: 0, Err: err}
-		close(out)
-		return out
+		return failed(Result{Err: err})
 	}
-	out := make(chan Result, len(pts)+1)
+	return ordered(ctx, len(pts), func(emit func(int, Result)) error {
+		return e.forEach(ctx, len(pts), func(ctx context.Context, i int) error {
+			ev, err := e.Evaluate(ctx, pts[i].code, pts[i].ber)
+			if err != nil {
+				return err
+			}
+			emit(i, Result{Index: i, Evaluation: ev})
+			return nil
+		})
+	}, func(next int, err error) Result {
+		if err == nil {
+			err = fmt.Errorf("photonoc: sweep aborted at point %d", next)
+		}
+		return Result{Index: next, Err: err}
+	})
+}
+
+// failed returns a closed stream holding the single item v: the stream
+// form of an error found before any work starts.
+func failed[T any](v T) <-chan T {
+	out := make(chan T, 1)
+	out <- v
+	close(out)
+	return out
+}
+
+// ordered is the reorder buffer behind every engine stream: produce runs
+// on its own goroutine and emits items 0..n-1 in any order, and the
+// returned channel yields each in index order once its predecessors have.
+// It buffers all n items plus one, so abandoning it leaks nothing. If
+// produce stops early, the stream ends with terminal(next, err): next is
+// the first missing index, err produce's error, else ctx's, else nil.
+func ordered[T any](ctx context.Context, n int, produce func(emit func(int, T)) error, terminal func(next int, err error) T) <-chan T {
+	type item struct {
+		i int
+		v T
+	}
+	out := make(chan T, n+1)
 	go func() {
 		defer close(out)
-		// Workers publish out of order; the reorder buffer releases the
-		// longest contiguous prefix so consumers render incrementally in
-		// sweep order.
-		unordered := make(chan Result, len(pts))
-		var poolErr error
+		unordered := make(chan item, n)
+		var err error
 		go func() {
 			defer close(unordered)
-			poolErr = e.forEach(ctx, len(pts), func(ctx context.Context, i int) error {
-				ev, err := e.Evaluate(ctx, pts[i].code, pts[i].ber)
-				if err != nil {
-					return err
-				}
-				unordered <- Result{Index: i, Evaluation: ev}
-				return nil
-			})
+			err = produce(func(i int, v T) { unordered <- item{i, v} })
 		}()
-		pending := make(map[int]Result)
+		pending := make([]T, n)
+		arrived := make([]bool, n)
 		next := 0
-		for r := range unordered {
-			pending[r.Index] = r
-			for {
-				q, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				out <- q
-				next++
+		for it := range unordered {
+			pending[it.i], arrived[it.i] = it.v, true
+			for ; next < n && arrived[next]; next++ {
+				out <- pending[next]
 			}
 		}
-		if next < len(pts) {
-			// The pool stopped early: report why as the terminal item.
-			// poolErr is safely visible here — the worker goroutine wrote
-			// it before closing unordered, and the range above completed.
-			err := poolErr
+		if next < n {
+			// err is safely visible here: produce's goroutine wrote it
+			// before closing unordered, and the range above completed.
 			if err == nil {
 				err = ctx.Err()
 			}
-			if err == nil {
-				err = fmt.Errorf("photonoc: sweep aborted at point %d", next)
-			}
-			out <- Result{Index: next, Err: err}
+			out <- terminal(next, err)
 		}
 	}()
 	return out

@@ -358,3 +358,86 @@ func TestExperimentsMatchSequential(t *testing.T) {
 		t.Error("engine BestEnergySchemeByBER differs from sequential")
 	}
 }
+
+// TestOrdered drives the reorder buffer behind every engine stream
+// directly: items emitted in any order come out in index order, and a
+// producer that stops early — with an error, or on cancellation — ends the
+// stream with one terminal item at the first missing index.
+func TestOrdered(t *testing.T) {
+	type item struct {
+		i   int
+		err error
+	}
+	terminal := func(next int, err error) item {
+		if err == nil {
+			err = errors.New("aborted")
+		}
+		return item{next, err}
+	}
+	collect := func(ch <-chan item) []item {
+		var out []item
+		for it := range ch {
+			out = append(out, it)
+		}
+		return out
+	}
+
+	t.Run("out of order", func(t *testing.T) {
+		const n = 64
+		got := collect(ordered(context.Background(), n, func(emit func(int, item)) error {
+			var wg sync.WaitGroup
+			for i := n - 1; i >= 0; i-- {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					emit(i, item{i: i})
+				}()
+			}
+			wg.Wait()
+			return nil
+		}, terminal))
+		if len(got) != n {
+			t.Fatalf("got %d items, want %d", len(got), n)
+		}
+		for i, it := range got {
+			if it.i != i || it.err != nil {
+				t.Fatalf("item %d = %+v", i, it)
+			}
+		}
+	})
+
+	t.Run("early error", func(t *testing.T) {
+		boom := errors.New("boom")
+		got := collect(ordered(context.Background(), 5, func(emit func(int, item)) error {
+			emit(2, item{i: 2})
+			emit(0, item{i: 0})
+			return boom
+		}, terminal))
+		want := []item{{0, nil}, {1, boom}}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("got %+v, want %+v", got, want)
+		}
+	})
+
+	t.Run("cancel between emissions", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		got := collect(ordered(ctx, 5, func(emit func(int, item)) error {
+			emit(0, item{i: 0})
+			cancel()
+			return nil
+		}, terminal))
+		if len(got) != 2 || got[0] != (item{0, nil}) || got[1].i != 1 || !errors.Is(got[1].err, context.Canceled) {
+			t.Fatalf("got %+v, want item 0 then a Canceled terminal at 1", got)
+		}
+	})
+
+	t.Run("stopped without error", func(t *testing.T) {
+		got := collect(ordered(context.Background(), 3, func(emit func(int, item)) error {
+			emit(0, item{i: 0})
+			return nil
+		}, terminal))
+		if len(got) != 2 || got[1].i != 1 || got[1].err == nil || got[1].err.Error() != "aborted" {
+			t.Fatalf("got %+v, want item 0 then the fallback terminal at 1", got)
+		}
+	})
+}

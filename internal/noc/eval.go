@@ -90,7 +90,7 @@ type LinkDecision struct {
 
 // Decide picks each link's scheme from its solved roster evaluations.
 // evals[linkID] holds the link's evaluations in roster order, as produced
-// by the engine's per-link fan-out. Selection mirrors the runtime manager:
+// by the engine's per-link solves. Selection mirrors the runtime manager:
 // feasible schemes compete under the objective with the manager's
 // tie-breaking, then the optional DAC programs the laser.
 //

@@ -24,9 +24,9 @@
 //     (row first, then column).
 //
 // Build compiles a Config into an immutable Network (links, wavelength
-// allocation, routes); the engine layer fans the per-link solves across its
-// worker pool and Aggregate folds the solved links under a traffic matrix
-// into a Result.
+// allocation, routes); the engine layer solves every (link, scheme) cell
+// and Aggregate folds the solved links under a traffic matrix into a
+// Result.
 package noc
 
 import (
