@@ -8,8 +8,8 @@
 //	onocsim -remote http://127.0.0.1:9137 -load 0.4
 //
 // With -remote, the simulator adopts the daemon's link configuration and
-// scheme roster and resolves every per-transfer manager decision over HTTP
-// against the daemon's shared memo cache; the event loop itself still runs
+// scheme roster and solves the roster once over HTTP against the daemon's
+// shared memo cache; the per-transfer decisions and the event loop run
 // locally.
 package main
 
@@ -116,8 +116,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		// The engine owns the link configuration; every per-transfer manager
-		// decision inside the simulator resolves against its memo cache.
+		// The engine owns the link configuration; the simulator solves its
+		// roster against the engine's memo cache.
 		eng, err := photonoc.New(photonoc.WithConfig(cfg.Link), photonoc.WithSchemes(cfg.Schemes...))
 		if err != nil {
 			return err

@@ -125,9 +125,9 @@
 // same routing table, one MWSR server per link serializing transfers at
 // the link's decided capacity, with token arbitration and waveguide
 // flight charged per hop as pipeline latency. The per-link scheme/DAC
-// decisions ARE noc.Decide's output solved through the shared LRU, so
-// they are bit-identical to the analytic Result's; the simulation core is
-// sequential and seeded, so a fixed seed reproduces every count and
+// decisions ARE the analytic evaluator's, solved through the shared LRU,
+// so they are bit-identical to the analytic Result's; the simulation core
+// is sequential and seeded, so a fixed seed reproduces every count and
 // percentile across runs and across Worker counts.
 //
 //	sim, err := eng.SimulateNetwork(ctx, topo, photonoc.NoCSimOptions{
@@ -243,11 +243,12 @@
 //   - internal/noise      — analog OOK channel and importance-sampled BER
 //     validation (the coded Monte-Carlo path runs on internal/mc)
 //   - internal/manager    — the runtime link manager with its laser DAC
+//     (Choose and Program also decide every link and simulated transfer)
 //   - internal/netsim     — the discrete-event traffic simulator: one event
 //     loop with per-link hold and pipeline constants runs both the single
-//     calibrated link with its per-transfer manager (the paper's
-//     future-work evaluation) and whole networks with static per-link
-//     decisions, which cross-validate the analytic aggregates
+//     calibrated link, deciding every transfer from a roster solved once
+//     (the paper's future-work evaluation), and whole networks with static
+//     per-link decisions, which cross-validate the analytic aggregates
 //     (Engine.SimulateNetwork); generated network runs overlap trace
 //     generation with the sequential loop, with the results (and the
 //     seeded determinism) of recording the trace and then replaying it

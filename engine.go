@@ -151,12 +151,12 @@ func (e *Engine) adoptSimConfig(cfg SimConfig) (SimConfig, error) {
 	return cfg, nil
 }
 
-// Simulate runs the discrete-event traffic simulator with this Engine in
-// the manager loop, so every per-transfer decision resolves against the
-// Engine's cache. cfg.Link must either be the zero value (the Engine's
-// configuration is used) or match the Engine's configuration exactly;
-// a nil cfg.Schemes roster defaults to the Engine's. Cancellation of ctx
-// aborts workload generation and the event loop.
+// Simulate runs the discrete-event traffic simulator on this Engine: the
+// run solves its roster once through the Engine's cache, and the manager
+// decides every transfer from it. cfg.Link must either be the zero value
+// (the Engine's configuration is used) or match the Engine's configuration
+// exactly; a nil cfg.Schemes roster defaults to the Engine's. Cancellation
+// of ctx aborts workload generation and the event loop.
 func (e *Engine) Simulate(ctx context.Context, cfg SimConfig) (SimResults, error) {
 	cfg, err := e.adoptSimConfig(cfg)
 	if err != nil {

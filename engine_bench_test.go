@@ -288,3 +288,37 @@ func BenchmarkManagerDecision(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSimulate measures the single-link DES through a cached engine:
+// 20k messages of DefaultSimConfig, without deadlines (static) and with
+// per-transfer CT caps from a 1.4× deadline slack (deadline). The roster
+// is solved once per run, so the event loop dominates.
+func BenchmarkSimulate(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		mutate func(*SimConfig)
+	}{
+		{"static", func(*SimConfig) {}},
+		{"deadline", func(c *SimConfig) { c.DeadlineSlack = 1.4; c.AdaptToDeadline = true }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng, err := New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := DefaultSimConfig()
+			bc.mutate(&cfg)
+			ctx := context.Background()
+			if _, err := eng.Simulate(ctx, cfg); err != nil {
+				b.Fatal(err) // warm the memo cache untimed
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Simulate(ctx, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -162,6 +162,29 @@ func TestEngineSimulateMatchesRunSimulation(t *testing.T) {
 	}
 }
 
+// TestSimulateAllocs pins the cached single-link DES: one 20k-message run
+// solves its roster once, so its allocations are the trace, the per-run
+// tables and the results, not a count that grows with the messages.
+func TestSimulateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts only hold without -race")
+	}
+	eng, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultSimConfig()
+	run := func() {
+		if _, err := eng.Simulate(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the memo cache
+	if allocs := testing.AllocsPerRun(5, run); allocs > 200 {
+		t.Errorf("cached Simulate allocated %.0f times per run, want ≤ 200", allocs)
+	}
+}
+
 func TestEngineSimulateConfigMismatch(t *testing.T) {
 	custom := DefaultConfig()
 	custom.Channel.Waveguide.LengthCM = 9

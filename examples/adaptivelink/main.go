@@ -1,8 +1,8 @@
 // Adaptivelink: the paper's Section III-C scenario — a runtime manager
 // receives per-transfer requirements (target BER, deadline pressure) and
 // jointly configures the ECC scheme and the laser DAC. The manager and the
-// traffic simulator both evaluate through one shared photonoc.Engine, so
-// every policy variant below reuses the same memoized operating points.
+// traffic simulator both evaluate through one shared photonoc.Engine; each
+// simulation below solves its roster once, from points already cached.
 //
 //	go run ./examples/adaptivelink
 package main

@@ -42,30 +42,3 @@ func EnergySweepWith(ctx context.Context, ev Evaluator, cfg *LinkConfig, codes [
 	}
 	return out, nil
 }
-
-// BestEnergySchemeByBERWith returns, per BER, the feasible scheme with the
-// lowest energy per bit solved through ev — the operating map a runtime
-// manager would follow under the MinEnergy objective.
-func BestEnergySchemeByBERWith(ctx context.Context, ev Evaluator, codes []ecc.Code, targetBERs []float64) (map[float64]string, error) {
-	out := make(map[float64]string, len(targetBERs))
-	for _, ber := range targetBERs {
-		best := ""
-		bestE := 0.0
-		for _, code := range codes {
-			e, err := ev.Evaluate(ctx, code, ber)
-			if err != nil {
-				return nil, err
-			}
-			if !e.Feasible {
-				continue
-			}
-			if best == "" || e.EnergyPerBitJ < bestE {
-				best, bestE = code.Name(), e.EnergyPerBitJ
-			}
-		}
-		if best != "" {
-			out[ber] = best
-		}
-	}
-	return out, nil
-}

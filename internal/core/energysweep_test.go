@@ -59,27 +59,3 @@ func TestEnergySweepShape(t *testing.T) {
 		}
 	}
 }
-
-func TestBestEnergySchemeByBER(t *testing.T) {
-	cfg := DefaultConfig()
-	bers := []float64{1e-12, 1e-11, 1e-9, 1e-6}
-	best, err := BestEnergySchemeByBERWith(context.Background(), evaluator(t, &cfg), ecc.PaperSchemes(), bers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ber := range bers {
-		if best[ber] != "H(71,64)" {
-			t.Errorf("best scheme at %g = %q, want H(71,64)", ber, best[ber])
-		}
-	}
-	// With only the uncoded scheme in the pool, 1e-12 has no feasible
-	// entry at all.
-	only := []ecc.Code{ecc.MustUncoded64()}
-	best, err = BestEnergySchemeByBERWith(context.Background(), evaluator(t, &cfg), only, []float64{1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := best[1e-12]; ok {
-		t.Error("uncoded-only pool should have no feasible scheme at 1e-12")
-	}
-}

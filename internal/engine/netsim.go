@@ -14,7 +14,7 @@ import (
 type NetworkSimOptions struct {
 	// TargetBER is the post-decoding BER every link must meet.
 	TargetBER float64
-	// Objective picks the per-link scheme (manager.Better's rule).
+	// Objective picks the per-link scheme (manager.Choose's rule).
 	Objective manager.Objective
 	// DAC, when non-nil, quantizes each link's laser setting exactly as
 	// the runtime manager would program it.
@@ -23,8 +23,8 @@ type NetworkSimOptions struct {
 	Traffic noc.Matrix
 	// InjectionRateBitsPerSec is the offered payload per active tile;
 	// 0 simulates at half the analytic saturation rate — the same default
-	// operating point noc.Aggregate evaluates, so analytic and simulated
-	// results are directly comparable out of the box.
+	// operating point the analytic Network evaluates, so analytic and
+	// simulated results are directly comparable out of the box.
 	InjectionRateBitsPerSec float64
 	// MessageBits is the payload per message (0 = 4 KiB).
 	MessageBits int
@@ -41,10 +41,10 @@ type NetworkSimOptions struct {
 // topology: the (link × scheme) lattice at the target BER is solved on the
 // caller's goroutine (every solve keyed in the shared LRU by the link's
 // configuration fingerprint, exactly like Network/NetworkSweep), the
-// per-link winners are picked with noc.Decide's rule — so the simulated
-// scheme/DAC decisions are bit-identical to the analytic evaluator's —
-// and the event-driven simulation replays a seeded synthetic workload over
-// the routes. The simulation core is sequential, so results for a fixed
+// per-link winners are decided as Network decides them — so the simulated
+// scheme/DAC decisions are bit-identical to the analytic evaluator's — and
+// the event-driven simulation replays a seeded synthetic workload over the
+// routes. The simulation core is sequential, so results for a fixed
 // seed are bit-identical across engine worker counts.
 //
 // A topology with an infeasible link cannot be simulated and returns an

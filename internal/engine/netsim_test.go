@@ -126,9 +126,10 @@ func TestSimulateNetworkDeterministicAcrossWorkers(t *testing.T) {
 
 // TestSimulateNetworkDecisionsMatchDecide pins the decision-identity
 // acceptance criterion: the scheme/DAC decisions the simulator runs on are
-// bit-identical to noc.Decide's — byte for byte, quantized laser power and
-// DAC code included — because they ARE noc.Decide's output, solved through
-// the engine's shared LRU.
+// bit-identical to the analytic Network's — byte for byte, quantized laser
+// power and DAC code included — because both come from one
+// noc.EvalSession.Decide over the lattice solved through the engine's
+// shared LRU.
 func TestSimulateNetworkDecisionsMatchDecide(t *testing.T) {
 	e := newNetEngine(t, ecc.PaperSchemes())
 	topo := noc.Config{Kind: noc.Mesh, Tiles: 16}
@@ -148,7 +149,7 @@ func TestSimulateNetworkDecisionsMatchDecide(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sim.Decisions, ana.Decisions) {
-		t.Fatal("simulator decisions differ from noc.Decide's")
+		t.Fatal("simulator decisions differ from the analytic Network's")
 	}
 	for i := range sim.Decisions {
 		if sim.Decisions[i].DACCode < 0 {

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -79,39 +81,63 @@ func TestDegenerateBusMatchesSingleLinkSweep(t *testing.T) {
 }
 
 // TestDegenerateBusMatchesNetsimManager ties the network decisions to the
-// netsim path: with the same DAC, the per-link scheme and quantized laser
-// power equal the runtime manager's per-transfer decision.
+// runtime manager's: on the degenerate bus with the extended roster, over a
+// seeded sweep of target BERs (one per decade, 1e-4 … 1e-12), all three
+// objectives and DAC resolutions of 4, 6 and 8 bits, every link's scheme,
+// DAC code and quantized laser power equal the manager's decision bit for
+// bit. A DAC whose full scale is below every laser setting makes both
+// refuse: the link is infeasible exactly when the manager fails.
 func TestDegenerateBusMatchesNetsimManager(t *testing.T) {
-	codes := ecc.PaperSchemes()
+	codes := ecc.ExtendedSchemes()
 	e := newNetEngine(t, codes)
 	cfg := core.DefaultConfig()
-	dac := manager.PaperDAC()
-
-	mgr, err := manager.NewWithEvaluator(&cfg, codes, dac, evaluator(t, &cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ber = 1e-11
-	dec, err := mgr.Configure(manager.Requirements{TargetBER: ber, Objective: manager.MinEnergy})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := e.Network(context.Background(), noc.Config{Kind: noc.Bus, Tiles: cfg.Channel.Topo.ONIs},
-		noc.EvalOptions{TargetBER: ber, Objective: manager.MinEnergy, DAC: &dac})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range res.Decisions {
-		if d.Eval.Code.Name() != dec.Eval.Code.Name() {
-			t.Fatalf("link %d picked %s, manager picked %s", d.Link, d.Eval.Code.Name(), dec.Eval.Code.Name())
+	topo := noc.Config{Kind: noc.Bus, Tiles: cfg.Channel.Topo.ONIs}
+	rng := rand.New(rand.NewSource(21))
+	decided, refused := 0, 0
+	for exp := 4; exp <= 12; exp++ {
+		ber := (1 + 9*rng.Float64()) * math.Pow(10, -float64(exp))
+		for _, obj := range []manager.Objective{manager.MinPower, manager.MinEnergy, manager.MinLatency} {
+			for _, dac := range []manager.DAC{
+				{Bits: 4, MaxOpticalW: 700e-6}, {Bits: 6, MaxOpticalW: 700e-6}, {Bits: 8, MaxOpticalW: 700e-6},
+				{Bits: 6, MaxOpticalW: 1e-6},
+			} {
+				mgr, err := manager.NewWithEvaluator(&cfg, codes, dac, evaluator(t, &cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, mgrErr := mgr.Configure(manager.Requirements{TargetBER: ber, Objective: obj})
+				res, err := e.Network(context.Background(), topo, noc.EvalOptions{TargetBER: ber, Objective: obj, DAC: &dac})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("BER %g %v %+v", ber, obj, dac)
+				if mgrErr != nil {
+					if res.Feasible {
+						t.Fatalf("%s: network feasible, manager refused: %v", name, mgrErr)
+					}
+					refused++
+					continue
+				}
+				if !res.Feasible {
+					t.Fatalf("%s: network infeasible (%s), manager picked %s", name, res.InfeasibleReason, dec.Eval.Code.Name())
+				}
+				decided++
+				for _, d := range res.Decisions {
+					if d.Eval.Code.Name() != dec.Eval.Code.Name() {
+						t.Fatalf("%s: link %d picked %s, manager picked %s", name, d.Link, d.Eval.Code.Name(), dec.Eval.Code.Name())
+					}
+					if d.DACCode != dec.DACCode {
+						t.Fatalf("%s: link %d DAC code %d != manager's %d", name, d.Link, d.DACCode, dec.DACCode)
+					}
+					if math.Float64bits(d.LaserPowerW) != math.Float64bits(dec.QuantizedLaserPowerW) {
+						t.Fatalf("%s: link %d quantized laser %g != manager's %g", name, d.Link, d.LaserPowerW, dec.QuantizedLaserPowerW)
+					}
+				}
+			}
 		}
-		if d.LaserPowerW != dec.QuantizedLaserPowerW {
-			t.Fatalf("link %d quantized laser %g != manager's %g", d.Link, d.LaserPowerW, dec.QuantizedLaserPowerW)
-		}
-		if d.DACCode != dec.DACCode {
-			t.Fatalf("link %d DAC code %d != manager's %d", d.Link, d.DACCode, dec.DACCode)
-		}
+	}
+	if decided == 0 || refused == 0 {
+		t.Fatalf("the sweep decided %d points and refused %d, want both nonzero", decided, refused)
 	}
 }
 

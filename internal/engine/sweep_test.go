@@ -345,18 +345,6 @@ func TestExperimentsMatchSequential(t *testing.T) {
 	if !reflect.DeepEqual(gotEnergy, wantEnergy) {
 		t.Error("engine EnergySweep differs from sequential")
 	}
-
-	wantBest, err := core.BestEnergySchemeByBERWith(context.Background(), evaluator(t, &cfg), ecc.PaperSchemes(), testBERs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotBest, err := core.BestEnergySchemeByBERWith(ctx, e, ecc.PaperSchemes(), testBERs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotBest, wantBest) {
-		t.Error("engine BestEnergySchemeByBER differs from sequential")
-	}
 }
 
 // TestOrdered drives the reorder buffer behind every engine stream

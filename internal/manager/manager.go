@@ -31,6 +31,14 @@ const (
 	MinLatency
 )
 
+// Validate reports an objective that is none of the three above.
+func (o Objective) Validate() error {
+	if o < MinPower || o > MinLatency {
+		return fmt.Errorf("manager: unknown objective %d", int(o))
+	}
+	return nil
+}
+
 // String implements fmt.Stringer.
 func (o Objective) String() string {
 	switch o {
@@ -124,7 +132,7 @@ func (m *Manager) Configure(req Requirements) (Decision, error) {
 }
 
 // ConfigureCtx is Configure under a context: cancellation aborts the
-// per-scheme evaluation loop. Input errors wrap the API-boundary
+// evaluation of the roster. Input errors wrap the API-boundary
 // ErrInvalidInput; an unsatisfiable request wraps both ErrNoFeasibleScheme
 // and the API-boundary ErrInfeasible.
 func (m *Manager) ConfigureCtx(ctx context.Context, req Requirements) (Decision, error) {
@@ -134,42 +142,46 @@ func (m *Manager) ConfigureCtx(ctx context.Context, req Requirements) (Decision,
 	if !(req.MaxCT >= 0) {
 		return Decision{}, fmt.Errorf("%w: manager: CT cap %g is negative or NaN", apierr.ErrInvalidInput, req.MaxCT)
 	}
-	var best *core.Evaluation
+	if err := req.Objective.Validate(); err != nil {
+		return Decision{}, fmt.Errorf("%w: %v", apierr.ErrInvalidInput, err)
+	}
+	var buf [8]core.Evaluation // the row stays on the stack for up to 8 schemes
+	row := buf[:0]
 	for _, code := range m.schemes {
-		if err := ctx.Err(); err != nil {
-			return Decision{}, err
-		}
 		ev, err := m.eval.Evaluate(ctx, code, req.TargetBER)
 		if err != nil {
 			return Decision{}, err
 		}
-		if !ev.Feasible {
-			continue
-		}
-		if req.MaxCT > 0 && ev.CT > req.MaxCT {
-			continue
-		}
-		if best == nil || m.better(ev, *best, req.Objective) {
-			evCopy := ev
-			best = &evCopy
-		}
+		row = append(row, ev)
 	}
-	if best == nil {
+	i := Choose(row, req)
+	if i < 0 {
 		return Decision{}, fmt.Errorf("%w (%w): BER %g, CT cap %g",
 			ErrNoFeasibleScheme, apierr.ErrInfeasible, req.TargetBER, req.MaxCT)
 	}
-	return m.program(*best)
+	return Program(m.dac, m.cfg, row[i])
 }
 
-// better reports whether a beats b under the objective.
-func (m *Manager) better(a, b core.Evaluation, obj Objective) bool {
-	return Better(a, b, obj)
+// Choose is the selection rule of the manager, the network evaluator and
+// both simulators: the index of the feasible entry of row with CT within
+// req.MaxCT (0 = no cap) that wins under Better — the first on a full tie
+// — or −1. req.TargetBER is not read; the row is solved at it.
+func Choose(row []core.Evaluation, req Requirements) int {
+	best := -1
+	for i := range row {
+		ev := &row[i]
+		if !ev.Feasible || (req.MaxCT > 0 && ev.CT > req.MaxCT) {
+			continue
+		}
+		if best < 0 || Better(*ev, row[best], req.Objective) {
+			best = i
+		}
+	}
+	return best
 }
 
 // Better reports whether evaluation a beats b under the objective, breaking
-// ties toward lower channel power and then lower CT. It is the manager's
-// selection rule, exported so the network-level evaluator picks per-link
-// schemes exactly as a per-transfer manager decision would.
+// ties toward lower channel power and then lower CT: Choose's comparison.
 func Better(a, b core.Evaluation, obj Objective) bool {
 	switch obj {
 	case MinEnergy:
@@ -191,13 +203,15 @@ func Better(a, b core.Evaluation, obj Objective) bool {
 	return a.CT < b.CT
 }
 
-// program quantizes the laser setting for the chosen evaluation.
-func (m *Manager) program(ev core.Evaluation) (Decision, error) {
-	code, quantW, err := m.dac.Quantize(ev.Op.LaserOpticalW)
+// Program programs the laser DAC of cfg's link for a chosen evaluation: it
+// rounds the required optical power up to the next DAC step and returns
+// the code with the laser's electrical power at that setting.
+func Program(dac DAC, cfg *core.LinkConfig, ev core.Evaluation) (Decision, error) {
+	code, quantW, err := dac.Quantize(ev.Op.LaserOpticalW)
 	if err != nil {
 		return Decision{}, fmt.Errorf("manager: programming %s: %w", ev.Code.Name(), err)
 	}
-	pe, err := m.cfg.Channel.Laser.ElectricalPower(quantW, m.cfg.Channel.Activity)
+	pe, err := cfg.Channel.Laser.ElectricalPower(quantW, cfg.Channel.Activity)
 	if err != nil {
 		return Decision{}, fmt.Errorf("manager: quantized setting infeasible: %w", err)
 	}

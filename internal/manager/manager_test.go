@@ -140,9 +140,63 @@ func TestConfigureRejectsBadRequirements(t *testing.T) {
 		{TargetBER: 1e-9, MaxCT: -1},
 		{TargetBER: math.NaN()},
 		{TargetBER: 1e-9, MaxCT: math.NaN()},
+		{TargetBER: 1e-9, Objective: Objective(7)},
+		{TargetBER: 1e-9, Objective: Objective(-1)},
 	} {
 		if _, err := m.Configure(req); !errors.Is(err, apierr.ErrInvalidInput) {
 			t.Errorf("requirements %+v should be rejected as invalid input, got %v", req, err)
+		}
+	}
+}
+
+// TestChoose pins the selection rule every decision runs through: the CT
+// cap and infeasibility exclude entries, the objective ranks the rest, ties
+// break to lower channel power and then lower CT, a full tie keeps the
+// first entry, and a row with nothing eligible yields −1.
+func TestChoose(t *testing.T) {
+	ev := func(feasible bool, ct, powerW, energyJ float64) core.Evaluation {
+		return core.Evaluation{Feasible: feasible, CT: ct, ChannelPowerW: powerW, EnergyPerBitJ: energyJ}
+	}
+	fast := ev(true, 1, 3, 3)
+	slow := ev(true, 1.75, 2, 3.5)
+	for _, tc := range []struct {
+		name string
+		row  []core.Evaluation
+		req  Requirements
+		want int
+	}{
+		{"min power uncapped", []core.Evaluation{fast, slow}, Requirements{Objective: MinPower}, 1},
+		{"CT cap excludes the cheaper entry", []core.Evaluation{fast, slow}, Requirements{Objective: MinPower, MaxCT: 1.5}, 0},
+		{"CT cap at an entry's CT admits it", []core.Evaluation{fast, slow}, Requirements{Objective: MinPower, MaxCT: 1.75}, 1},
+		{"min energy", []core.Evaluation{slow, fast}, Requirements{Objective: MinEnergy}, 1},
+		{"min latency", []core.Evaluation{slow, fast}, Requirements{Objective: MinLatency}, 1},
+		{"infeasible skipped", []core.Evaluation{ev(false, 1, 0.1, 0.1), fast}, Requirements{Objective: MinPower}, 1},
+		{"energy tie breaks to lower power", []core.Evaluation{ev(true, 1, 3, 2), ev(true, 2, 1, 2)}, Requirements{Objective: MinEnergy}, 1},
+		{"latency tie breaks to lower power", []core.Evaluation{ev(true, 1, 3, 2), ev(true, 1, 2, 9)}, Requirements{Objective: MinLatency}, 1},
+		{"power tie breaks to lower CT", []core.Evaluation{ev(true, 1.5, 2, 2), ev(true, 1.2, 2, 9)}, Requirements{Objective: MinPower}, 1},
+		{"energy and power tie breaks to lower CT", []core.Evaluation{ev(true, 1.5, 2, 2), ev(true, 1.2, 2, 2)}, Requirements{Objective: MinEnergy}, 1},
+		{"full tie keeps the first", []core.Evaluation{fast, fast}, Requirements{Objective: MinEnergy}, 0},
+		{"all infeasible", []core.Evaluation{ev(false, 1, 1, 1), ev(false, 2, 1, 1)}, Requirements{Objective: MinPower}, -1},
+		{"cap excludes all", []core.Evaluation{fast, slow}, Requirements{Objective: MinLatency, MaxCT: 0.5}, -1},
+		{"empty row", []core.Evaluation{}, Requirements{Objective: MinPower}, -1},
+		{"nil row", nil, Requirements{Objective: MinEnergy}, -1},
+	} {
+		if got := Choose(tc.row, tc.req); got != tc.want {
+			t.Errorf("%s: Choose = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestObjectiveValidate accepts exactly the three defined objectives.
+func TestObjectiveValidate(t *testing.T) {
+	for _, o := range []Objective{MinPower, MinEnergy, MinLatency} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%v rejected: %v", o, err)
+		}
+	}
+	for _, o := range []Objective{-1, 3, 42} {
+		if err := o.Validate(); err == nil {
+			t.Errorf("%v accepted", o)
 		}
 	}
 }

@@ -84,8 +84,8 @@ func UnmarshalRequest(b []byte) (RequestMsg, error) {
 		MaxCTCenti:  binary.LittleEndian.Uint16(b[4:6]),
 		Objective:   Objective(b[6]),
 	}
-	if r.Objective > MinLatency {
-		return RequestMsg{}, fmt.Errorf("manager: unknown objective %d", b[6])
+	if err := r.Objective.Validate(); err != nil {
+		return RequestMsg{}, err
 	}
 	return r, nil
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"photonoc/internal/ecc"
 	"photonoc/internal/manager"
 	"photonoc/internal/noc"
 )
@@ -39,6 +40,15 @@ var desSingleLink = []struct {
 	{"idle_laser_off", func(c *Config) { c.Load = 0.1; c.IdleLaserOff = true }},
 	{"min_power", func(c *Config) { c.Objective = manager.MinPower }},
 	{"min_latency", func(c *Config) { c.Objective = manager.MinLatency }},
+	{"extended_1e6_deadlines", func(c *Config) {
+		c.Schemes = ecc.ExtendedSchemes()
+		c.TargetBER = 1e-6
+		c.DeadlineSlack = 1.05
+		c.AdaptToDeadline = true
+	}},
+	// Every scheme's laser setting exceeds the DAC's full scale, so the
+	// run fails programming its first transfer; the golden holds the error.
+	{"dac_ceiling", func(c *Config) { c.DAC = manager.DAC{Bits: 6, MaxOpticalW: 1e-6} }},
 }
 
 // desNetwork are the network fixtures of the DES golden: a topology, its
@@ -59,9 +69,9 @@ var desNetwork = []struct {
 }
 
 // TestDESGolden pins both simulators on fixed workloads: every count,
-// latency, wait, utilization and depth exactly, and every energy field
-// within 1e-12 relative (energies are sums whose rounding depends on the
-// accumulation order, not on the model).
+// latency, wait, utilization and depth exactly, every energy field within
+// 1e-12 relative (energies are sums whose rounding depends on the
+// accumulation order, not on the model), and the text of a failed run.
 func TestDESGolden(t *testing.T) {
 	got := map[string]any{}
 	for _, fx := range desSingleLink {
@@ -69,7 +79,8 @@ func TestDESGolden(t *testing.T) {
 		fx.mutate(&cfg)
 		res, err := run(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", fx.name, err)
+			got["link/"+fx.name] = err.Error()
+			continue
 		}
 		got["link/"+fx.name] = res
 	}

@@ -19,26 +19,26 @@
 // contract is unchanged: a fixed seed gives bit-identical results, exactly
 // those of recording the trace and replaying it. The run cancels and waits
 // for its generator before returning. The single link's RunCtx records,
-// then replays: its manager call per transfer dwarfs generation. Both
-// loops order events by (time, sequence): forwarded hops at equal times run
-// first-scheduled-first-served, generated arrivals at equal times pop in
-// source order, and a trace arrival runs ahead of a forwarded hop at the
-// same instant.
+// then replays. Both loops order events by (time, sequence): forwarded
+// hops at equal times run first-scheduled-first-served, generated arrivals
+// at equal times pop in source order, and a trace arrival runs ahead of a
+// forwarded hop at the same instant.
 //
 // The single calibrated link (RunCtx/RunTraceCtx) is the loop's degenerate
 // network: reader channel d is link d, the token and manager round trip
 // holds the channel before each transfer, and the manager decides every
-// transfer. Whole noc.Network topologies (RunNetwork/RunNetworkTrace) add
-// Poisson injection from a traffic matrix, XY multi-hop forwarding, bounded
-// or unbounded queues, and static per-link decisions from noc.Decide (the
-// engine layer solves them through its shared LRU), which makes the results
-// comparable decision for decision with the analytic noc.Aggregate they
-// cross-validate.
+// transfer from the roster the run solved once. Whole noc.Network
+// topologies (RunNetwork/RunNetworkTrace) add Poisson injection from a
+// traffic matrix, XY multi-hop forwarding, bounded or unbounded queues, and
+// static per-link decisions from noc.EvalSession.Decide (the engine layer
+// solves them through its shared LRU), which makes the results comparable
+// decision for decision with the analytic aggregates they cross-validate.
 package netsim
 
 import (
 	"fmt"
 
+	"photonoc/internal/apierr"
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
 	"photonoc/internal/manager"
@@ -185,7 +185,7 @@ func (c *Config) Validate() error {
 }
 
 // validateLink checks the fields a trace replay reads: the link, the
-// scheme roster and the target BER.
+// scheme roster, the target BER and the objective.
 func (c *Config) validateLink() error {
 	if err := c.Link.Validate(); err != nil {
 		return err
@@ -195,6 +195,9 @@ func (c *Config) validateLink() error {
 	}
 	if !(c.TargetBER > 0 && c.TargetBER < 0.5) {
 		return fmt.Errorf("netsim: target BER %g outside (0, 0.5)", c.TargetBER)
+	}
+	if err := c.Objective.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", apierr.ErrInvalidInput, err)
 	}
 	return nil
 }

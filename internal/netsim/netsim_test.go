@@ -2,14 +2,16 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"photonoc/internal/apierr"
 	"photonoc/internal/manager"
 )
 
-// run simulates cfg with every manager decision solved through the
-// compiled, uncached evaluator of cfg.Link.
+// run simulates cfg with its roster solved through the compiled, uncached
+// evaluator of cfg.Link.
 func run(cfg Config) (Results, error) {
 	c, err := cfg.Link.Compile()
 	if err != nil {
@@ -235,6 +237,25 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d should fail validation", i)
 		}
+	}
+}
+
+// TestReplayRejectsBadManagerInputs: a replay needs an evaluator for its
+// roster solve and a valid DAC to program; either missing is an invalid
+// configuration, as it is for the manager.
+func TestReplayRejectsBadManagerInputs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Messages = 10
+	tr, err := RecordTraceCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunTraceCtx(context.Background(), cfg, tr, nil); !errors.Is(err, apierr.ErrInvalidConfig) {
+		t.Errorf("nil evaluator: want ErrInvalidConfig, got %v", err)
+	}
+	cfg.DAC.Bits = 0
+	if _, err := runTrace(cfg, tr); !errors.Is(err, apierr.ErrInvalidConfig) {
+		t.Errorf("zero-bit DAC: want ErrInvalidConfig, got %v", err)
 	}
 }
 

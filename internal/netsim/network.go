@@ -12,16 +12,16 @@ import (
 )
 
 // NetConfig drives one network-scale discrete-event simulation: a built
-// topology, the per-link operating points chosen by noc.Decide (the engine
-// layer solves them through its shared LRU and passes them in, so the
-// simulator's scheme/DAC decisions are bit-identical to the analytic
+// topology, the per-link operating points chosen by noc.EvalSession.Decide
+// (the engine layer solves them through its shared LRU and passes them in,
+// so the simulator's scheme/DAC decisions are bit-identical to the analytic
 // evaluator's), and a synthetic workload drawn from a traffic matrix.
 type NetConfig struct {
 	// Net is the compiled topology the messages traverse.
 	Net *noc.Network
 	// Decisions are the per-link operating points in link-ID order, as
-	// produced by noc.Decide. Every link must be feasible: an infeasible
-	// link has no configured scheme to simulate.
+	// produced by noc.EvalSession.Decide. Every link must be feasible: an
+	// infeasible link has no configured scheme to simulate.
 	Decisions []noc.LinkDecision
 	// Traffic is the row-normalized destination distribution each source
 	// samples; nil means uniform. Only message generation reads it —
@@ -151,7 +151,7 @@ type NetResults struct {
 	MeanHops float64
 	// Energy split: lasers hold their standing (DAC-quantized) power for
 	// the whole run; modulator and interface energy scale with each
-	// link's transmission time — the same accounting as noc.Aggregate.
+	// link's transmission time — the same accounting as the aggregates.
 	LaserEnergyJ     float64
 	ModulatorEnergyJ float64
 	InterfaceEnergyJ float64

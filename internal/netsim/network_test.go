@@ -38,7 +38,7 @@ func buildNetwork(t testing.TB, kind noc.Kind, tiles int, ber float64) (*noc.Net
 		}
 	}
 	opts := noc.EvalOptions{TargetBER: ber, Objective: manager.MinEnergy}
-	decisions, err := noc.Decide(net, evals, opts)
+	decisions, err := noc.NewEvalSession().Decide(net, evals, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func buildNetwork(t testing.TB, kind noc.Kind, tiles int, ber float64) (*noc.Net
 // decision set.
 func saturationRate(t testing.TB, net *noc.Network, decisions []noc.LinkDecision, opts noc.EvalOptions) float64 {
 	t.Helper()
-	res, err := noc.Aggregate(net, decisions, opts)
+	res, err := noc.NewEvalSession().Aggregate(net, decisions, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestNetworkSaturationGrowsQueues(t *testing.T) {
 	}
 
 	// The analytic model flags the overload...
-	over, err := noc.Aggregate(net, decisions, noc.EvalOptions{
+	over, err := noc.NewEvalSession().Aggregate(net, decisions, noc.EvalOptions{
 		TargetBER: opts.TargetBER, Objective: opts.Objective,
 		InjectionRateBitsPerSec: 1.3 * sat,
 	})

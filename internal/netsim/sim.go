@@ -4,16 +4,17 @@ import (
 	"context"
 	"fmt"
 
+	"photonoc/internal/apierr"
 	"photonoc/internal/core"
 	"photonoc/internal/manager"
 )
 
-// RunCtx generates the configured workload and executes the simulation
-// with every per-transfer manager decision solved through ev. It is exactly
-// RecordTraceCtx followed by RunTraceCtx, which guarantees that recorded
-// traces replay to identical results. The engine layer passes itself as ev
-// so decisions resolve against its memo cache; a nil ev is an invalid
-// configuration. Cancellation aborts the event loop between transfers.
+// RunCtx generates the configured workload and executes the simulation,
+// solving the scheme roster through ev. It is exactly RecordTraceCtx
+// followed by RunTraceCtx, which guarantees that recorded traces replay to
+// identical results. The engine layer passes itself as ev so the roster
+// resolves against its memo cache; a nil ev is an invalid configuration.
+// Cancellation aborts trace generation and the event loop.
 func RunCtx(ctx context.Context, cfg Config, ev core.Evaluator) (Results, error) {
 	tr, err := RecordTraceCtx(ctx, cfg)
 	if err != nil {
@@ -23,18 +24,18 @@ func RunCtx(ctx context.Context, cfg Config, ev core.Evaluator) (Results, error)
 }
 
 // RunTraceCtx replays a recorded trace against the configured link and
-// policies, solving every manager decision through ev (see RunCtx). The
-// traffic fields of cfg (Pattern, HotspotNode, HotspotFraction,
-// MessageBits, Load, Messages, Seed, DeadlineSlack) are ignored and not
-// validated: the trace carries its own arrivals, payloads and deadlines.
+// policies (see RunCtx). The traffic fields of cfg (Pattern, HotspotNode,
+// HotspotFraction, MessageBits, Load, Messages, Seed, DeadlineSlack) are
+// ignored and not validated: the trace carries its own arrivals, payloads
+// and deadlines.
 //
 // The link is the event loop's degenerate network: reader channel d is
-// link d, one hop from every writer. The manager reconfigures the link for
-// every transfer, so the token grant and manager round trip
-// (core.TokenOverheadSec) occupy the channel before each transfer. With
-// AdaptToDeadline the manager caps CT at what the message's remaining slack
-// allows; when no scheme fits it falls back to the fastest, and the miss is
-// counted at delivery.
+// link d, one hop from every writer. The run solves the roster through ev
+// and programs each feasible scheme's DAC once; manager.Choose decides
+// each transfer after the token grant and manager round trip
+// (core.TokenOverheadSec) have held the channel. With AdaptToDeadline the
+// CT cap is what the message's remaining slack allows; when no scheme fits
+// the fastest is used, and the miss is counted at delivery.
 func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (Results, error) {
 	if err := cfg.validateLink(); err != nil {
 		return Results{}, err
@@ -44,13 +45,44 @@ func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (
 	if err := tr.Validate(n); err != nil {
 		return Results{}, err
 	}
-	mgr, err := manager.NewWithEvaluator(&cfg.Link, cfg.Schemes, cfg.DAC, ev)
-	if err != nil {
-		return Results{}, err
+	if _, err := manager.NewWithEvaluator(&cfg.Link, cfg.Schemes, cfg.DAC, ev); err != nil {
+		return Results{}, err // a nil evaluator or an invalid DAC
 	}
 	nw := float64(topo.Wavelengths)
 	capacity := nw * cfg.Link.FmodHz
 	modW := cfg.Link.ModulatorPowerW * nw
+
+	row, err := core.EvaluateAllWith(ctx, ev, cfg.Schemes, cfg.TargetBER)
+	if err != nil {
+		return Results{}, fmt.Errorf("netsim: configuring transfer: %w", err)
+	}
+	// Program each feasible scheme once. A programming error is kept with
+	// its scheme: only the transfers that choose that scheme fail on it.
+	grants := make([]grant, len(row))
+	progErr := make([]error, len(row))
+	for i := range row {
+		if !row[i].Feasible {
+			continue
+		}
+		dec, err := manager.Program(cfg.DAC, &cfg.Link, row[i])
+		progErr[i] = err
+		grants[i] = grant{
+			laserW: dec.QuantizedLaserPowerW * nw,
+			modW:   modW,
+			intfW:  cfg.Link.InterfacePowerFor(row[i].Code).TotalW(),
+		}
+		if !cfg.IdleLaserOff {
+			// Lasers of an idle channel keep their standing power unless
+			// the idle-laser-off extension [9] is active.
+			grants[i].heldW = grants[i].laserW
+		}
+	}
+	// The deadline fallback (fastest, uncapped) and its error are fixed too.
+	fallback := manager.Choose(row, manager.Requirements{Objective: manager.MinLatency})
+	fallbackErr := fmt.Errorf("%w (%w): BER %g, CT cap 0", manager.ErrNoFeasibleScheme, apierr.ErrInfeasible, cfg.TargetBER)
+	if fallback >= 0 {
+		fallbackErr = progErr[fallback]
+	}
 
 	hop := make([][]int, n)
 	servers := make([]server, n)
@@ -63,14 +95,9 @@ func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (
 		routes[s] = hop
 	}
 
-	res := Results{SchemeUse: make(map[string]int64)}
+	uses := make([]int64, len(row))
 	t, err := simulate(ctx, tr, nil, routes, servers, 0, func(_ int, m *TraceEvent, start float64) (grant, error) {
-		// Each transfer costs a manager call, so cancellation is checked
-		// per transfer here, not only every 4096 events as in the loop.
-		if err := ctx.Err(); err != nil {
-			return grant{}, err
-		}
-		req := manager.Requirements{TargetBER: cfg.TargetBER, Objective: cfg.Objective}
+		req := manager.Requirements{Objective: cfg.Objective}
 		if cfg.AdaptToDeadline && m.DeadlineSec > 0 {
 			if maxCT := (m.DeadlineSec - start) / (float64(m.Bits) / capacity); maxCT >= 1 {
 				req.MaxCT = maxCT
@@ -78,34 +105,30 @@ func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (
 				req.Objective = manager.MinLatency // already late: go fastest
 			}
 		}
-		dec, err := mgr.ConfigureCtx(ctx, req)
-		if err != nil {
-			// Deadline pressure can make every scheme ineligible; retry
-			// without the cap (best effort, counted as a miss).
-			req.MaxCT = 0
-			req.Objective = manager.MinLatency
-			if dec, err = mgr.ConfigureCtx(ctx, req); err != nil {
-				return grant{}, fmt.Errorf("netsim: configuring transfer: %w", err)
+		i := manager.Choose(row, req)
+		if i < 0 || progErr[i] != nil {
+			// Deadline pressure can make every scheme ineligible; fall back
+			// to the fastest (best effort, counted as a miss).
+			if fallbackErr != nil {
+				return grant{}, fmt.Errorf("netsim: configuring transfer: %w", fallbackErr)
 			}
+			i = fallback
 		}
-		res.SchemeUse[dec.Eval.Code.Name()]++
-		g := grant{
-			sec:    float64(m.Bits) / capacity * dec.Eval.CT,
-			laserW: dec.QuantizedLaserPowerW * nw,
-			modW:   modW,
-			intfW:  cfg.Link.InterfacePowerFor(dec.Eval.Code).TotalW(),
-		}
-		if !cfg.IdleLaserOff {
-			// Lasers of an idle channel keep their standing power unless
-			// the idle-laser-off extension [9] is active.
-			g.heldW = g.laserW
-		}
+		uses[i]++
+		g := grants[i]
+		g.sec = float64(m.Bits) / capacity * row[i].CT
 		return g, nil
 	})
 	if err != nil {
 		return Results{}, err
 	}
 
+	res := Results{SchemeUse: make(map[string]int64)}
+	for i, u := range uses {
+		if u > 0 {
+			res.SchemeUse[row[i].Code.Name()] += u
+		}
+	}
 	res.Messages = t.delivered
 	res.DeliveredBits = t.deliveredBits
 	res.SimTimeSec = t.horizon

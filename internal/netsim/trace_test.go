@@ -191,6 +191,22 @@ func TestReplayIgnoresGenerationFields(t *testing.T) {
 	}
 }
 
+// TestEmptyTraceReplays: an empty trace is valid and replays to zero
+// Results — no transfers, no energy, no time — with no error.
+func TestEmptyTraceReplays(t *testing.T) {
+	res, err := runTrace(DefaultConfig(), Trace{})
+	if err != nil {
+		t.Fatalf("empty trace rejected: %v", err)
+	}
+	if len(res.SchemeUse) != 0 {
+		t.Fatalf("empty trace used schemes %v", res.SchemeUse)
+	}
+	res.SchemeUse = nil
+	if !reflect.DeepEqual(res, Results{}) {
+		t.Fatalf("empty trace replayed to %+v, want zero Results", res)
+	}
+}
+
 // TestGeneratedTracesValidate: at operating-point rates every generated
 // trace passes Trace.Validate and holds exactly the configured number of
 // arrivals — on every topology kind, under uniform, hotspot and partly

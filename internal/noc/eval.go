@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"math"
 
 	"photonoc/internal/core"
 	"photonoc/internal/manager"
@@ -22,8 +21,8 @@ const (
 type EvalOptions struct {
 	// TargetBER is the post-decoding BER every link must meet.
 	TargetBER float64
-	// Objective picks the per-link scheme among feasible evaluations,
-	// using exactly the manager's selection rule (manager.Better).
+	// Objective picks the per-link scheme among feasible evaluations with
+	// the runtime manager's rule, manager.Choose.
 	Objective manager.Objective
 	// Traffic is the row-normalized traffic matrix; nil means uniform.
 	Traffic Matrix
@@ -33,38 +32,9 @@ type EvalOptions struct {
 	// MessageBits sizes the serialization and queueing terms of the
 	// latency model (default 4 KiB messages, netsim's default payload).
 	MessageBits int
-	// DAC, when non-nil, quantizes each link's laser setting exactly as
-	// the runtime manager programs it (rounding the optical power up to
-	// the next step). Nil keeps the exact analytic laser power.
+	// DAC, when non-nil, programs each link's laser with manager.Program,
+	// as the runtime manager does; nil keeps the exact analytic power.
 	DAC *manager.DAC
-}
-
-// withDefaults resolves the option defaults against a network.
-func (o EvalOptions) withDefaults(net *Network) (EvalOptions, error) {
-	if math.IsNaN(o.TargetBER) || o.TargetBER <= 0 || o.TargetBER >= 0.5 {
-		return o, fmt.Errorf("noc: target BER %g outside (0, 0.5)", o.TargetBER)
-	}
-	if o.Traffic == nil {
-		o.Traffic = UniformMatrix(net.Tiles())
-	}
-	if err := o.Traffic.Validate(net.Tiles()); err != nil {
-		return o, err
-	}
-	if o.MessageBits == 0 {
-		o.MessageBits = 4096 * 8
-	}
-	if o.MessageBits < 0 {
-		return o, fmt.Errorf("noc: message size %d must be positive", o.MessageBits)
-	}
-	if math.IsNaN(o.InjectionRateBitsPerSec) || o.InjectionRateBitsPerSec < 0 {
-		return o, fmt.Errorf("noc: injection rate %g must be a non-negative number", o.InjectionRateBitsPerSec)
-	}
-	if o.DAC != nil {
-		if err := o.DAC.Validate(); err != nil {
-			return o, err
-		}
-	}
-	return o, nil
 }
 
 // LinkDecision is the chosen operating point of one link.
@@ -88,59 +58,29 @@ type LinkDecision struct {
 	InfeasibleReason string
 }
 
-// Decide picks each link's scheme from its solved roster evaluations.
-// evals[linkID] holds the link's evaluations in roster order, as produced
-// by the engine's per-link solves. Selection mirrors the runtime manager:
-// feasible schemes compete under the objective with the manager's
-// tie-breaking, then the optional DAC programs the laser.
-//
-// Decide is the one-shot entry point; it runs on a fresh EvalSession and
-// the returned slice is owned by the caller. Hot loops reuse an
-// EvalSession instead, which performs the identical computation with zero
-// steady-state allocations.
-func Decide(net *Network, evals [][]core.Evaluation, opts EvalOptions) ([]LinkDecision, error) {
-	decisions, err := NewEvalSession().Decide(net, evals, opts)
-	if err != nil {
-		return nil, err
-	}
-	return decisions, nil
-}
-
-// decideLink resolves one link's decision.
+// decideLink resolves one link's decision with the runtime manager's rule:
+// manager.Choose with no CT cap, then manager.Program for an optional DAC.
 func decideLink(l *Link, evals []core.Evaluation, opts EvalOptions) LinkDecision {
 	d := LinkDecision{Link: l.ID, DACCode: -1}
-	var best *core.Evaluation
-	for i := range evals {
-		ev := &evals[i]
-		if !ev.Feasible {
-			continue
-		}
-		if best == nil || manager.Better(*ev, *best, opts.Objective) {
-			best = ev
-		}
-	}
-	if best == nil {
+	i := manager.Choose(evals, manager.Requirements{Objective: opts.Objective})
+	if i < 0 {
 		d.InfeasibleReason = fmt.Sprintf("no feasible scheme at BER %g", opts.TargetBER)
 		if len(evals) > 0 && evals[0].InfeasibleReason != "" {
 			d.InfeasibleReason += ": " + evals[0].InfeasibleReason
 		}
 		return d
 	}
+	best := &evals[i]
 	d.Eval = *best
 	d.LaserPowerW = best.LaserPowerW
 	if opts.DAC != nil {
-		code, quantW, err := opts.DAC.Quantize(best.Op.LaserOpticalW)
+		dec, err := manager.Program(*opts.DAC, &l.Config, *best)
 		if err != nil {
-			d.InfeasibleReason = fmt.Sprintf("DAC cannot program %s: %v", best.Code.Name(), err)
+			d.InfeasibleReason = err.Error()
 			return d
 		}
-		pe, err := l.Config.Channel.Laser.ElectricalPower(quantW, l.Config.Channel.Activity)
-		if err != nil {
-			d.InfeasibleReason = fmt.Sprintf("quantized setting infeasible for %s: %v", best.Code.Name(), err)
-			return d
-		}
-		d.DACCode = code
-		d.LaserPowerW = pe
+		d.DACCode = dec.DACCode
+		d.LaserPowerW = dec.QuantizedLaserPowerW
 	}
 	nw := float64(l.Config.Channel.Topo.Wavelengths)
 	perLambda := d.LaserPowerW + l.Config.ModulatorPowerW + l.Config.InterfacePowerFor(best.Code).TotalW()/nw
@@ -215,20 +155,4 @@ type Result struct {
 	P95LatencySec  float64
 	P99LatencySec  float64
 	MaxLatencySec  float64
-}
-
-// Aggregate folds solved per-link decisions under the traffic matrix into
-// the network-level figures: per-link loads, saturation injection rate
-// (bisection), energy totals and traffic-weighted latency percentiles.
-//
-// Aggregate is the one-shot entry point; it runs on a fresh EvalSession
-// and the returned Result is owned by the caller. Hot loops reuse an
-// EvalSession instead, which performs the identical computation with zero
-// steady-state allocations.
-func Aggregate(net *Network, decisions []LinkDecision, opts EvalOptions) (Result, error) {
-	res, err := NewEvalSession().Aggregate(net, decisions, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return *res, nil
 }

@@ -43,15 +43,16 @@ func solveNetwork(t *testing.T, net *Network, codes []ecc.Code, ber float64) [][
 func evalNetwork(t *testing.T, net *Network, codes []ecc.Code, opts EvalOptions) Result {
 	t.Helper()
 	evals := solveNetwork(t, net, codes, opts.TargetBER)
-	decisions, err := Decide(net, evals, opts)
+	sess := NewEvalSession()
+	decisions, err := sess.Decide(net, evals, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Aggregate(net, decisions, opts)
+	res, err := sess.Aggregate(net, decisions, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return *res
 }
 
 // TestBusAggregateMatchesSingleLink is the degenerate-bus energy identity:

@@ -21,9 +21,8 @@ import (
 // A session is NOT safe for concurrent use, and the Result returned by
 // Aggregate aliases session-owned storage (Decisions, Loads, SchemeUse):
 // it is valid only until the session's next call. Callers that need the
-// result to outlive the session copy it with Result.Clone. The package
-// level Decide and Aggregate remain the one-shot entry points; they run on
-// a fresh session per call and are bit-identical to the session path.
+// result to outlive the session copy it with Result.Clone; a one-shot
+// evaluation runs on a fresh session.
 type EvalSession struct {
 	decisions []LinkDecision
 	shares    []float64
@@ -74,23 +73,46 @@ func (s *EvalSession) uniformFor(tiles int) Matrix {
 	return m
 }
 
-// withDefaults resolves the option defaults against a network with the
-// shared validation rules, serving the default uniform matrix from the
-// session memo instead of allocating one per call.
+// withDefaults validates the options and resolves their defaults against a
+// network, serving the default uniform matrix from the session memo
+// instead of allocating one per call.
 func (s *EvalSession) withDefaults(o EvalOptions, net *Network) (EvalOptions, error) {
+	if math.IsNaN(o.TargetBER) || o.TargetBER <= 0 || o.TargetBER >= 0.5 {
+		return o, fmt.Errorf("noc: target BER %g outside (0, 0.5)", o.TargetBER)
+	}
 	if o.Traffic == nil {
 		o.Traffic = s.uniformFor(net.Tiles())
 	}
-	return o.withDefaults(net)
+	if err := o.Traffic.Validate(net.Tiles()); err != nil {
+		return o, err
+	}
+	if o.MessageBits == 0 {
+		o.MessageBits = 4096 * 8
+	}
+	if o.MessageBits < 0 {
+		return o, fmt.Errorf("noc: message size %d must be positive", o.MessageBits)
+	}
+	if math.IsNaN(o.InjectionRateBitsPerSec) || o.InjectionRateBitsPerSec < 0 {
+		return o, fmt.Errorf("noc: injection rate %g must be a non-negative number", o.InjectionRateBitsPerSec)
+	}
+	if o.DAC != nil {
+		if err := o.DAC.Validate(); err != nil {
+			return o, err
+		}
+	}
+	return o, nil
 }
 
-// Decide picks each link's scheme from its solved roster evaluations,
-// exactly like the package-level Decide, writing into the session's
-// decision buffer. The returned slice is valid until the session's next
-// Decide call.
+// Decide picks each link's scheme from evals[linkID], its roster solved in
+// order, with manager.Choose, and programs an optional DAC with
+// manager.Program. The returned slice is the session's decision buffer,
+// valid until the session's next Decide call.
 func (s *EvalSession) Decide(net *Network, evals [][]core.Evaluation, opts EvalOptions) ([]LinkDecision, error) {
 	if len(evals) != net.NumLinks() {
 		return nil, fmt.Errorf("noc: %d evaluation rows for %d links", len(evals), net.NumLinks())
+	}
+	if err := opts.Objective.Validate(); err != nil {
+		return nil, err
 	}
 	s.decisions = grow(s.decisions, net.NumLinks())
 	for id := range evals {
@@ -100,10 +122,10 @@ func (s *EvalSession) Decide(net *Network, evals [][]core.Evaluation, opts EvalO
 }
 
 // Aggregate folds solved per-link decisions under the traffic matrix into
-// the network-level figures, exactly like the package-level Aggregate but
-// on session-owned storage. The returned Result aliases the session
-// (Decisions, Loads, SchemeUse) and is valid until the next session call;
-// use Result.Clone to detach it.
+// the network-level figures: per-link loads, saturation injection rate
+// (bisection), energy totals and traffic-weighted latency percentiles. The
+// returned Result aliases the session (Decisions, Loads, SchemeUse) and is
+// valid until the next session call; use Result.Clone to detach it.
 func (s *EvalSession) Aggregate(net *Network, decisions []LinkDecision, opts EvalOptions) (*Result, error) {
 	opts, err := s.withDefaults(opts, net)
 	if err != nil {

@@ -37,13 +37,13 @@ func hotspotMatrix(tiles int) Matrix {
 	return m
 }
 
-// TestEvalSessionMatchesPackageLevel reuses one session across a chain of
+// TestEvalSessionMatchesFreshSession reuses one session across a chain of
 // heterogeneous evaluations — different topology kinds, tile counts,
-// traffic patterns and DAC settings — and requires every step to equal the
-// package-level Decide + Aggregate bit for bit. Shrinking topologies after
-// growing ones exercise stale-buffer reuse; the repeated shapes exercise
-// the memoized uniform matrices.
-func TestEvalSessionMatchesPackageLevel(t *testing.T) {
+// traffic patterns and DAC settings — and requires every step to equal
+// Decide + Aggregate on a fresh session bit for bit. Shrinking topologies
+// after growing ones exercise stale-buffer reuse; the repeated shapes
+// exercise the memoized uniform matrices.
+func TestEvalSessionMatchesFreshSession(t *testing.T) {
 	base := core.DefaultConfig()
 	codes := ecc.PaperSchemes()
 	dac := manager.PaperDAC()
@@ -68,11 +68,12 @@ func TestEvalSessionMatchesPackageLevel(t *testing.T) {
 		}
 		evals := solveNetwork(t, net, codes, st.opts.TargetBER)
 
-		wantDec, err := Decide(net, evals, st.opts)
+		fresh := NewEvalSession()
+		wantDec, err := fresh.Decide(net, evals, st.opts)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		want, err := Aggregate(net, wantDec, st.opts)
+		want, err := fresh.Aggregate(net, wantDec, st.opts)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -82,14 +83,14 @@ func TestEvalSessionMatchesPackageLevel(t *testing.T) {
 			t.Fatalf("step %d: session decide: %v", i, err)
 		}
 		if !reflect.DeepEqual(gotDec, wantDec) {
-			t.Fatalf("step %d: session decisions differ from package-level", i)
+			t.Fatalf("step %d: reused session's decisions differ from a fresh one's", i)
 		}
 		got, err := sess.Aggregate(net, gotDec, st.opts)
 		if err != nil {
 			t.Fatalf("step %d: session aggregate: %v", i, err)
 		}
-		if !reflect.DeepEqual(*got, want) {
-			t.Fatalf("step %d: session result differs from package-level:\n%+v\nvs\n%+v", i, *got, want)
+		if !reflect.DeepEqual(*got, *want) {
+			t.Fatalf("step %d: reused session's result differs from a fresh one's:\n%+v\nvs\n%+v", i, *got, *want)
 		}
 	}
 }

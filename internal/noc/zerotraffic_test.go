@@ -46,8 +46,7 @@ func TestMatrixValidateZeroTraffic(t *testing.T) {
 // bug: evaluating an all-silent matrix used to leave minSat at +Inf, hand
 // Bisect an infinite bracket, and fall back to reporting
 // SaturationInjectionBitsPerSec = DeliveredBitsPerSec = +Inf with no
-// signal. The contract is now a typed error at both the package-level and
-// session Aggregate entry points.
+// signal. The contract is now a typed error from Aggregate, with no result.
 func TestAggregateZeroTrafficTyped(t *testing.T) {
 	base := core.DefaultConfig()
 	codes := ecc.PaperSchemes()
@@ -57,16 +56,11 @@ func TestAggregateZeroTrafficTyped(t *testing.T) {
 	}
 	opts := EvalOptions{TargetBER: 1e-11, Objective: manager.MinEnergy, Traffic: silentMatrix(8)}
 	evals := solveNetwork(t, net, codes, opts.TargetBER)
-	dec, err := Decide(net, evals, opts)
+	sess := NewEvalSession()
+	dec, err := sess.Decide(net, evals, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if _, err := Aggregate(net, dec, opts); !errors.Is(err, ErrZeroTraffic) {
-		t.Fatalf("package Aggregate error = %v, want ErrZeroTraffic in chain", err)
-	}
-
-	sess := NewEvalSession()
 	res, err := sess.Aggregate(net, dec, opts)
 	if !errors.Is(err, ErrZeroTraffic) {
 		t.Fatalf("session Aggregate error = %v, want ErrZeroTraffic in chain", err)
@@ -89,11 +83,12 @@ func TestAggregateSingleActiveRow(t *testing.T) {
 	}
 	opts := EvalOptions{TargetBER: 1e-11, Objective: manager.MinEnergy, Traffic: singleRowMatrix(8)}
 	evals := solveNetwork(t, net, codes, opts.TargetBER)
-	dec, err := Decide(net, evals, opts)
+	sess := NewEvalSession()
+	dec, err := sess.Decide(net, evals, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Aggregate(net, dec, opts)
+	res, err := sess.Aggregate(net, dec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

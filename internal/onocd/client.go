@@ -29,8 +29,8 @@ import (
 // Client is a typed onocd client. Errors decoded from the daemon's JSON
 // envelope round-trip the package's typed sentinels, so errors.Is works on
 // a remote failure exactly as it would in process. Client implements
-// core.Evaluator, which is what lets onocsim push per-transfer manager
-// decisions through a remote daemon.
+// core.Evaluator, which is what lets onocsim solve its simulation's scheme
+// roster on a remote daemon.
 //
 // Every call is resilient by default: retryable failures (429/503/504,
 // transport errors, truncated streams) are retried with capped
@@ -549,9 +549,8 @@ func (c *Client) Validate(ctx context.Context, req ValidateRequest) (mc.Result, 
 }
 
 // Evaluate implements core.Evaluator against the daemon: one (scheme,
-// target BER) point via a single-cell sweep. The daemon's singleflight and
-// sharded LRU make the repeated per-transfer calls of a simulation loop
-// cheap.
+// target BER) point via a single-cell sweep, answered from the daemon's
+// singleflight-coalesced, sharded LRU.
 func (c *Client) Evaluate(ctx context.Context, code ecc.Code, targetBER float64) (core.Evaluation, error) {
 	resp, err := c.Sweep(ctx, SweepRequest{Schemes: []string{code.Name()}, TargetBERs: []float64{targetBER}})
 	if err != nil {

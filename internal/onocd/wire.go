@@ -391,7 +391,7 @@ func toWireDecision(d noc.LinkDecision) NoCLinkDecision {
 }
 
 // coreDecision rebuilds an in-process link decision; infeasible links have
-// no scheme and keep a zero Eval, matching noc.Decide.
+// no scheme and keep a zero Eval, matching noc.EvalSession.Decide.
 func (w NoCLinkDecision) coreDecision() (noc.LinkDecision, error) {
 	d := noc.LinkDecision{
 		Link:             w.Link,

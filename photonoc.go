@@ -135,10 +135,20 @@ func EnergySweepWith(ctx context.Context, ev Evaluator, cfg *LinkConfig, codes [
 	return core.EnergySweepWith(ctx, ev, cfg, codes, targetBERs)
 }
 
-// BestEnergySchemeByBERWith returns, per BER, the feasible scheme with the
-// lowest energy per bit.
+// BestEnergySchemeByBERWith returns, per BER, the scheme the runtime
+// manager picks under MinEnergy with no CT cap; infeasible BERs are absent.
 func BestEnergySchemeByBERWith(ctx context.Context, ev Evaluator, codes []Code, targetBERs []float64) (map[float64]string, error) {
-	return core.BestEnergySchemeByBERWith(ctx, ev, codes, targetBERs)
+	out := make(map[float64]string, len(targetBERs))
+	for _, ber := range targetBERs {
+		row, err := core.EvaluateAllWith(ctx, ev, codes, ber)
+		if err != nil {
+			return nil, err
+		}
+		if i := manager.Choose(row, Requirements{Objective: MinEnergy}); i >= 0 {
+			out[ber] = codes[i].Name()
+		}
+	}
+	return out, nil
 }
 
 // ParetoByBER returns the non-dominated (CT, Pchannel) set per BER.

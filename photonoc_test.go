@@ -3,6 +3,8 @@ package photonoc
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"photonoc/internal/manager"
@@ -63,6 +65,85 @@ func TestFacadeManager(t *testing.T) {
 	_, err = m.Configure(Requirements{TargetBER: 1e-12, MaxCT: 1})
 	if !errors.Is(err, manager.ErrNoFeasibleScheme) {
 		t.Errorf("want ErrNoFeasibleScheme, got %v", err)
+	}
+}
+
+// TestBestEnergySchemeByBER: under MinEnergy the paper roster's map is
+// H(71,64) across the feasible BERs, an engine yields the sequential
+// evaluator's map, and a BER no scheme closes is absent.
+func TestBestEnergySchemeByBER(t *testing.T) {
+	cfg := DefaultConfig()
+	ctx := context.Background()
+	bers := []float64{1e-12, 1e-11, 1e-9, 1e-6}
+	best, err := BestEnergySchemeByBERWith(ctx, reference(t, &cfg), PaperSchemes(), bers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ber := range bers {
+		if best[ber] != "H(71,64)" {
+			t.Errorf("best scheme at %g = %q, want H(71,64)", ber, best[ber])
+		}
+	}
+	eng, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaEngine, err := BestEnergySchemeByBERWith(ctx, eng, PaperSchemes(), bers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(viaEngine, best) {
+		t.Errorf("engine map %v differs from the sequential %v", viaEngine, best)
+	}
+	// With only the uncoded scheme in the pool, 1e-12 has no feasible
+	// entry at all.
+	best, err = BestEnergySchemeByBERWith(ctx, reference(t, &cfg), []Code{Uncoded64()}, []float64{1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := best[1e-12]; ok {
+		t.Error("uncoded-only pool should have no feasible scheme at 1e-12")
+	}
+}
+
+// TestUnknownObjectiveRejected: an Objective outside the three defined
+// ones is invalid input at every entry point that takes one, instead of
+// being decided as min-power.
+func TestUnknownObjectiveRejected(t *testing.T) {
+	eng, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	mgr, err := eng.Manager(PaperDAC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := DefaultSimConfig()
+	sim.Messages = 100
+	sim.Objective = manager.Objective(42)
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Manager.Configure", func() error {
+			_, err := mgr.Configure(Requirements{TargetBER: 1e-11, Objective: manager.Objective(7)})
+			return err
+		}},
+		{"Engine.Network", func() error {
+			_, err := eng.Network(ctx, NoCConfig{Kind: NoCBus, Tiles: 12},
+				NoCEvalOptions{TargetBER: 1e-11, Objective: manager.Objective(-3)})
+			return err
+		}},
+		{"Engine.Simulate", func() error {
+			_, err := eng.Simulate(ctx, sim)
+			return err
+		}},
+	} {
+		err := tc.call()
+		if !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), "unknown objective") {
+			t.Errorf("%s: want ErrInvalidInput naming the unknown objective, got %v", tc.name, err)
+		}
 	}
 }
 
