@@ -19,6 +19,7 @@ import (
 	"photonoc/internal/ecc"
 	"photonoc/internal/manager"
 	"photonoc/internal/mathx"
+	"photonoc/internal/mc"
 	"photonoc/internal/netsim"
 	"photonoc/internal/noise"
 	"photonoc/internal/photonics"
@@ -498,14 +499,17 @@ func BenchmarkMonteCarloValidation(b *testing.B) {
 				fmt.Sprintf("%.3e", res.Expected), fmt.Sprintf("%.3e", res.BER),
 				fmt.Sprintf("[%.2e, %.2e]", res.LowCI, res.HighCI))
 		}
+		// A hard-decision OOK channel at SNR 2 is a BSC at Eq. 3's raw BER.
 		for _, c := range []ecc.Code{ecc.MustHamming74(), ecc.MustHamming7164()} {
-			res, err := noise.MonteCarloCodedBER(c, 2.0, 100000, r)
+			res, err := mc.Run(context.Background(), c, ecc.RawBERFromSNR(2), mc.Options{
+				Frames: 100000, Seed: r.Int63(), Workers: 1,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			t.AddRowf(fmt.Sprintf("coded BER %s @ SNR 2", c.Name()),
-				fmt.Sprintf("%.3e", res.Expected), fmt.Sprintf("%.3e", res.BER),
-				fmt.Sprintf("[%.2e, %.2e]", res.LowCI, res.HighCI))
+				fmt.Sprintf("%.3e", res.ExpectedBER), fmt.Sprintf("%.3e", res.BER),
+				fmt.Sprintf("[%.2e, %.2e]", res.BERLow, res.BERHigh))
 		}
 		is, err := noise.ImportanceSampledRawBER(22.5, 2_000_000, 3.0, r)
 		if err != nil {

@@ -122,16 +122,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		sweepBERs = mathx.Logspace(lo, hi, *points)
 	}
-	var obj manager.Objective
-	switch *objective {
-	case "min-power":
-		obj = photonoc.MinPower
-	case "min-energy":
-		obj = photonoc.MinEnergy
-	case "min-latency":
-		obj = photonoc.MinLatency
-	default:
-		return fmt.Errorf("unknown objective %q", *objective)
+	obj, err := manager.ParseObjective(*objective)
+	if err != nil {
+		return err
 	}
 
 	traffic, err := pat.Matrix(*tiles, *hotspot, *hotFrac)

@@ -85,15 +85,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if cfg.Pattern, err = netsim.ParsePattern(*pattern); err != nil {
 		return err
 	}
-	switch *objective {
-	case "min-power":
-		cfg.Objective = manager.MinPower
-	case "min-energy":
-		cfg.Objective = manager.MinEnergy
-	case "min-latency":
-		cfg.Objective = manager.MinLatency
-	default:
-		return fmt.Errorf("unknown objective %q", *objective)
+	if cfg.Objective, err = manager.ParseObjective(*objective); err != nil {
+		return err
 	}
 
 	var res netsim.Results

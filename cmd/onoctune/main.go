@@ -94,16 +94,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *particles < 0 || *generations < 0 || *archive < 0 {
 		return fmt.Errorf("-particles, -generations and -archive must be non-negative")
 	}
-	var obj manager.Objective
-	switch *objective {
-	case "min-power":
-		obj = photonoc.MinPower
-	case "min-energy":
-		obj = photonoc.MinEnergy
-	case "min-latency":
-		obj = photonoc.MinLatency
-	default:
-		return fmt.Errorf("unknown objective %q", *objective)
+	obj, err := manager.ParseObjective(*objective)
+	if err != nil {
+		return err
 	}
 	pat, err := photonoc.ParsePattern(*pattern)
 	if err != nil {

@@ -3,6 +3,7 @@ package bits
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -69,6 +70,66 @@ func TestBSCBinomialStatistics(t *testing.T) {
 		sigma := math.Sqrt(float64(n)*p*(1-p)) / math.Sqrt(blocks)
 		if math.Abs(mean-want) > 5*sigma {
 			t.Errorf("p=%g: mean flips %g, want %g ± %g", p, mean, want, 5*sigma)
+		}
+	}
+}
+
+// TestBSCGapsAreGeometric checks the sampler itself, not only its flip
+// counts: the runs of clean bits between consecutive flips must follow the
+// Geometric(p) law P(G ≥ g) = (1−p)^g. It is a seeded chi-square
+// goodness-of-fit test at the 0.1% level over bins of at least 1/20 of the
+// law each, for a skip-heavy, a moderate and a dense p.
+func TestBSCGapsAreGeometric(t *testing.T) {
+	const minGaps, maxBins = 40_000, 20
+	rng := rand.New(rand.NewSource(17))
+	for _, p := range []float64{0.001, 0.02, 0.35} {
+		b, err := NewBSC(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The gaps between the flips of 1 Mibit blocks. The run cut off by
+		// a block's end is dropped, which biases long gaps by about
+		// gap/blocklength (under 1% here).
+		var gaps []int
+		for len(gaps) < minGaps {
+			v := New(1 << 20)
+			b.Corrupt(v, rng)
+			prev := -1
+			for _, pos := range v.OnesPositions() {
+				gaps = append(gaps, pos-prev-1)
+				prev = pos
+			}
+		}
+		// Bin j is [edges[j], edges[j+1]); the last bin is the open tail.
+		tail := func(g int) float64 { return math.Pow(1-p, float64(g)) }
+		edges := []int{0}
+		for a := 0; tail(a) >= 2.0/maxBins; a = edges[len(edges)-1] {
+			hi := a + 1
+			for tail(a)-tail(hi) < 1.0/maxBins {
+				hi++
+			}
+			edges = append(edges, hi)
+		}
+		observed := make([]float64, len(edges))
+		for _, g := range gaps {
+			observed[sort.SearchInts(edges, g+1)-1]++
+		}
+		chi2 := 0.0
+		for j, o := range observed {
+			prob := tail(edges[j])
+			if j+1 < len(edges) {
+				prob -= tail(edges[j+1])
+			}
+			e := prob * float64(len(gaps))
+			chi2 += (o - e) * (o - e) / e
+		}
+		// Upper 0.1% point of χ²(df) by the Wilson–Hilferty approximation.
+		df := float64(len(edges) - 1)
+		h := 2 / (9 * df)
+		crit := df * math.Pow(1-h+3.09*math.Sqrt(h), 3)
+		if chi2 > crit {
+			t.Errorf("p=%g: gap χ² = %.1f over %d bins exceeds the 0.1%% point %.1f (%d gaps)",
+				p, chi2, len(edges), crit, len(gaps))
 		}
 	}
 }

@@ -41,11 +41,15 @@ func FlipRandom(v Vector, rng *rand.Rand, p float64) int {
 // packed vectors: flip positions are drawn by geometric gap sampling
 // (O(expected flips) RNG draws instead of one per bit) and applied by XOR
 // on the 64-bit words. A BSC carries no per-call state beyond its
-// precomputed 1/ln(1−p), so one instance can corrupt any number of blocks
-// with zero allocations. It is the default channel of the serdes pipeline
-// (the bit-true Monte-Carlo path) and the tracked monte_carlo_block
-// benchmark; the analog OOK channel in internal/noise keeps its per-bit
-// Gaussian draws, which a BSC abstraction cannot replace.
+// precomputed 1/ln(1−p), so one value can corrupt any number of blocks
+// with zero allocations.
+//
+// It is the one channel sampler of the bit-true Monte-Carlo paths: the
+// serdes pipeline's default channel, both kernels of internal/mc (the
+// bit-sliced kernel corrupts its lane-major words through a FromWords
+// view) and the tracked monte_carlo_block benchmark. The analog OOK
+// channel in internal/noise keeps its per-bit Gaussian draws, which a BSC
+// abstraction cannot replace.
 //
 // The sampled flip-count distribution is identical to FlipRandom's
 // (Binomial(n, p)); the RNG consumption differs, so the two are not
@@ -56,11 +60,11 @@ type BSC struct {
 }
 
 // NewBSC returns an injector with bit flip probability p in [0, 1).
-func NewBSC(p float64) (*BSC, error) {
+func NewBSC(p float64) (BSC, error) {
 	if math.IsNaN(p) || p < 0 || p >= 1 {
-		return nil, fmt.Errorf("bits: flip probability %g outside [0, 1)", p)
+		return BSC{}, fmt.Errorf("bits: flip probability %g outside [0, 1)", p)
 	}
-	b := &BSC{p: p}
+	b := BSC{p: p}
 	if p > 0 {
 		b.invLn1mP = 1 / math.Log1p(-p)
 	}
@@ -68,11 +72,11 @@ func NewBSC(p float64) (*BSC, error) {
 }
 
 // P returns the channel's bit flip probability.
-func (b *BSC) P() float64 { return b.p }
+func (b BSC) P() float64 { return b.p }
 
 // Corrupt flips each bit of v independently with probability p and returns
 // the number of flips. It allocates nothing.
-func (b *BSC) Corrupt(v Vector, rng *rand.Rand) int {
+func (b BSC) Corrupt(v Vector, rng *rand.Rand) int {
 	if b.p == 0 || v.n == 0 {
 		return 0
 	}

@@ -48,21 +48,9 @@ func (q *Queue) Pop() int {
 	return b
 }
 
-// PopVector removes the n oldest bits and returns them as a vector.
-func (q *Queue) PopVector(n int) (Vector, error) {
-	if n > q.Len() {
-		return Vector{}, fmt.Errorf("bits: PopVector(%d) with only %d queued", n, q.Len())
-	}
-	v := New(n)
-	for i := 0; i < n; i++ {
-		v.Set(i, q.Pop())
-	}
-	return v, nil
-}
-
 // PopVectorInto removes the dst.Len() oldest bits into dst, overwriting it.
-// It is the allocation-free form of PopVector used by the serdes pipeline's
-// per-word drain loop.
+// It allocates nothing, which makes it the per-word drain of the serdes
+// pipeline.
 func (q *Queue) PopVectorInto(dst Vector) error {
 	if dst.Len() > q.Len() {
 		return fmt.Errorf("bits: PopVectorInto(%d) with only %d queued", dst.Len(), q.Len())

@@ -45,7 +45,8 @@ func TestQueueVectorRoundTrip(t *testing.T) {
 		}
 		var q Queue
 		q.PushVector(v)
-		out, err := q.PopVector(n)
+		out := New(n)
+		err := q.PopVectorInto(out)
 		return err == nil && out.Equal(v) && q.Len() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
@@ -56,7 +57,7 @@ func TestQueueVectorRoundTrip(t *testing.T) {
 func TestQueuePopVectorUnderflow(t *testing.T) {
 	var q Queue
 	q.Push(1)
-	if _, err := q.PopVector(2); err == nil {
+	if err := q.PopVectorInto(New(2)); err == nil {
 		t.Error("underflow should error")
 	}
 }
@@ -68,6 +69,7 @@ func TestQueueInterleavedGearbox(t *testing.T) {
 	var expect []int
 	rng := rand.New(rand.NewSource(7))
 	var got []int
+	frame := New(16)
 	for round := 0; round < 100; round++ {
 		w := New(7)
 		for i := 0; i < 7; i++ {
@@ -77,8 +79,7 @@ func TestQueueInterleavedGearbox(t *testing.T) {
 		}
 		q.PushVector(w)
 		for q.Len() >= 16 {
-			frame, err := q.PopVector(16)
-			if err != nil {
+			if err := q.PopVectorInto(frame); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 16; i++ {

@@ -60,6 +60,13 @@ func FromUint(x uint64, n int) Vector {
 	return v
 }
 
+// FromWords returns a len(words)·64-bit vector backed by words itself: bit
+// i is bit i&63 of words[i>>6]. It copies nothing — the vector aliases
+// words — so code that keeps its bits in raw words (the bit-sliced
+// Monte-Carlo kernel) can hand them to Vector operations such as
+// BSC.Corrupt without allocating.
+func FromWords(words []uint64) Vector { return Vector{words: words, n: len(words) * 64} }
+
 // Len returns the number of bits in the vector.
 func (v Vector) Len() int { return v.n }
 

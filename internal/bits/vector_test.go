@@ -86,6 +86,22 @@ func TestFromUintAndUint(t *testing.T) {
 	}
 }
 
+func TestFromWordsAliases(t *testing.T) {
+	words := []uint64{0b101, 1 << 63}
+	v := FromWords(words)
+	if v.Len() != 128 {
+		t.Fatalf("Len = %d, want 128", v.Len())
+	}
+	if got := v.OnesPositions(); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 127 {
+		t.Errorf("ones at %v, want [0 2 127]", got)
+	}
+	// The view writes through to the caller's words.
+	v.Flip(64)
+	if words[1] != 1<<63|1 {
+		t.Errorf("Flip through the view left words[1] = %#x", words[1])
+	}
+}
+
 func TestXorPopcountProperty(t *testing.T) {
 	// Property: PopCount(a^b) == HammingDistance(a, b), and a^a == 0.
 	prop := func(seed int64, nRaw uint8) bool {

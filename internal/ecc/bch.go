@@ -108,7 +108,7 @@ func (c *BCH) Encode(data bits.Vector) (bits.Vector, error) {
 	return out, nil
 }
 
-// EncodeInto implements InplaceCode without allocating. dst is fully
+// EncodeInto implements Code without allocating. dst is fully
 // overwritten (parity remainder in the low n−k bits, data above).
 func (c *BCH) EncodeInto(dst, data bits.Vector) error {
 	if err := checkDataLen(c, data); err != nil {
@@ -191,7 +191,7 @@ func (c *BCH) Decode(word bits.Vector) (bits.Vector, DecodeInfo, error) {
 	return out, info, nil
 }
 
-// DecodeInto implements InplaceCode with Decode's exact semantics. The
+// DecodeInto implements Code with Decode's exact semantics. The
 // received word is never cloned: the miscorrection guard re-evaluates the
 // syndromes with the candidate flips folded in algebraically
 // (S_j(word ⊕ e) = S_j(word) ⊕ Σ α^{j·p}), and only data-region flips are

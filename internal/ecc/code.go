@@ -32,52 +32,18 @@ type Code interface {
 	// T returns the number of bit errors per block the decoder is
 	// guaranteed to correct.
 	T() int
-	// Encode maps K data bits to an N-bit codeword.
+	// Encode maps K data bits to a new N-bit codeword.
 	Encode(data bits.Vector) (bits.Vector, error)
-	// Decode maps a (possibly corrupted) N-bit word back to K data bits,
-	// correcting up to T errors.
+	// Decode maps a (possibly corrupted) N-bit word back to K new data
+	// bits, correcting up to T errors.
 	Decode(word bits.Vector) (bits.Vector, DecodeInfo, error)
-}
-
-// InplaceCode is implemented by codes whose encode/decode can run into
-// caller-provided buffers: EncodeInto writes the N-bit codeword for data into
-// dst, DecodeInto recovers the K data bits of word into dst, both with the
-// same semantics (and validation errors) as Encode/Decode but without
-// allocating the result. Every code in this package implements it; the
-// Monte-Carlo runners and the serdes pipeline run exclusively through these
-// seams.
-type InplaceCode interface {
-	Code
+	// EncodeInto writes the N-bit codeword for data into dst, and
+	// DecodeInto recovers the K data bits of word into dst. They have
+	// Encode's and Decode's semantics and validation errors but allocate
+	// no result: the Monte-Carlo runners and the serdes pipeline run
+	// exclusively through them.
 	EncodeInto(dst, data bits.Vector) error
 	DecodeInto(dst, word bits.Vector) (DecodeInfo, error)
-}
-
-// encodeIntoAny encodes through the InplaceCode seam when available and
-// falls back on a copy from Encode otherwise.
-func encodeIntoAny(c Code, dst, data bits.Vector) error {
-	if ic, ok := c.(InplaceCode); ok {
-		return ic.EncodeInto(dst, data)
-	}
-	w, err := c.Encode(data)
-	if err != nil {
-		return err
-	}
-	w.CopyInto(dst, 0)
-	return nil
-}
-
-// decodeIntoAny decodes through the InplaceCode seam when available and
-// falls back on a copy from Decode otherwise.
-func decodeIntoAny(c Code, dst, word bits.Vector) (DecodeInfo, error) {
-	if ic, ok := c.(InplaceCode); ok {
-		return ic.DecodeInto(dst, word)
-	}
-	d, info, err := c.Decode(word)
-	if err != nil {
-		return DecodeInfo{}, err
-	}
-	d.CopyInto(dst, 0)
-	return info, nil
 }
 
 // DecodeInfo reports what the decoder did to a received word.

@@ -58,7 +58,7 @@ func (c *ExtendedHamming) Encode(data bits.Vector) (bits.Vector, error) {
 	return out, nil
 }
 
-// EncodeInto implements InplaceCode without allocating: the inner systematic
+// EncodeInto implements Code without allocating: the inner systematic
 // layout is written directly into dst and the overall parity accumulated
 // alongside the inner parity bits.
 func (c *ExtendedHamming) EncodeInto(dst, data bits.Vector) error {
@@ -94,7 +94,7 @@ func (c *ExtendedHamming) Decode(word bits.Vector) (bits.Vector, DecodeInfo, err
 	return out, info, nil
 }
 
-// DecodeInto implements InplaceCode: Decode's SECDED case analysis without
+// DecodeInto implements Code: Decode's SECDED case analysis without
 // allocating. The inner syndrome is evaluated directly on the extended word
 // (the parity masks read only the data prefix, and the inner parity bits sit
 // at their inner positions).

@@ -129,7 +129,7 @@ func (c *InterleavedCode) Encode(data bits.Vector) (bits.Vector, error) {
 	return out, nil
 }
 
-// EncodeInto implements InplaceCode. Unlike the single-block codes it keeps
+// EncodeInto implements Code. Unlike the single-block codes it keeps
 // two inner-block scratch vectors per call (the interleaver permutation
 // prevents encoding in place); only the output allocation is avoided.
 func (c *InterleavedCode) EncodeInto(dst, data bits.Vector) error {
@@ -144,7 +144,7 @@ func (c *InterleavedCode) EncodeInto(dst, data bits.Vector) error {
 	blockWord := bits.New(width)
 	for row := 0; row < depth; row++ {
 		data.SliceInto(blockData, row*k)
-		if err := encodeIntoAny(c.inner, blockWord, blockData); err != nil {
+		if err := c.inner.EncodeInto(blockWord, blockData); err != nil {
 			return err
 		}
 		for col := 0; col < width; col++ {
@@ -164,7 +164,7 @@ func (c *InterleavedCode) Decode(stream bits.Vector) (bits.Vector, DecodeInfo, e
 	return out, info, nil
 }
 
-// DecodeInto implements InplaceCode, with the same two-scratch-vector caveat
+// DecodeInto implements Code, with the same two-scratch-vector caveat
 // as EncodeInto.
 func (c *InterleavedCode) DecodeInto(dst, stream bits.Vector) (DecodeInfo, error) {
 	if err := checkWordLen(c, stream); err != nil {
@@ -181,7 +181,7 @@ func (c *InterleavedCode) DecodeInto(dst, stream bits.Vector) (DecodeInfo, error
 		for col := 0; col < width; col++ {
 			blockWord.Set(col, stream.Bit(col*depth+row))
 		}
-		info, err := decodeIntoAny(c.inner, blockData, blockWord)
+		info, err := c.inner.DecodeInto(blockData, blockWord)
 		if err != nil {
 			return DecodeInfo{}, err
 		}

@@ -186,7 +186,7 @@ func (c *LinearCode) Encode(data bits.Vector) (bits.Vector, error) {
 	return out, nil
 }
 
-// EncodeInto implements InplaceCode: it writes the codeword for data into
+// EncodeInto implements Code: it writes the codeword for data into
 // dst (length N) without allocating.
 func (c *LinearCode) EncodeInto(dst, data bits.Vector) error {
 	if err := checkDataLen(c, data); err != nil {
@@ -238,7 +238,7 @@ func (c *LinearCode) Decode(word bits.Vector) (bits.Vector, DecodeInfo, error) {
 	return out, info, nil
 }
 
-// DecodeInto implements InplaceCode: it recovers the K data bits of word
+// DecodeInto implements Code: it recovers the K data bits of word
 // into dst without allocating, under Decode's exact semantics.
 func (c *LinearCode) DecodeInto(dst, word bits.Vector) (DecodeInfo, error) {
 	if err := checkWordLen(c, word); err != nil {

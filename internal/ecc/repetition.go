@@ -47,7 +47,7 @@ func (c *Repetition) Encode(data bits.Vector) (bits.Vector, error) {
 	return out, nil
 }
 
-// EncodeInto implements InplaceCode without allocating.
+// EncodeInto implements Code without allocating.
 func (c *Repetition) EncodeInto(dst, data bits.Vector) error {
 	if err := checkDataLen(c, data); err != nil {
 		return err
@@ -74,7 +74,7 @@ func (c *Repetition) Decode(word bits.Vector) (bits.Vector, DecodeInfo, error) {
 	return data, info, nil
 }
 
-// DecodeInto implements InplaceCode: the majority vote without allocating.
+// DecodeInto implements Code: the majority vote without allocating.
 func (c *Repetition) DecodeInto(dst, word bits.Vector) (DecodeInfo, error) {
 	if err := checkWordLen(c, word); err != nil {
 		return DecodeInfo{}, err

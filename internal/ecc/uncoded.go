@@ -50,7 +50,7 @@ func (c *Uncoded) Encode(data bits.Vector) (bits.Vector, error) {
 	return data.Clone(), nil
 }
 
-// EncodeInto implements InplaceCode (identity copy).
+// EncodeInto implements Code (identity copy).
 func (c *Uncoded) EncodeInto(dst, data bits.Vector) error {
 	if err := checkDataLen(c, data); err != nil {
 		return err
@@ -70,7 +70,7 @@ func (c *Uncoded) Decode(word bits.Vector) (bits.Vector, DecodeInfo, error) {
 	return word.Clone(), DecodeInfo{}, nil
 }
 
-// DecodeInto implements InplaceCode (identity copy).
+// DecodeInto implements Code (identity copy).
 func (c *Uncoded) DecodeInto(dst, word bits.Vector) (DecodeInfo, error) {
 	if err := checkWordLen(c, word); err != nil {
 		return DecodeInfo{}, err

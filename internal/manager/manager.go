@@ -53,6 +53,17 @@ func (o Objective) String() string {
 	}
 }
 
+// ParseObjective is the inverse of Objective.String: it maps "min-power",
+// "min-energy" or "min-latency" to its objective.
+func ParseObjective(s string) (Objective, error) {
+	for _, o := range []Objective{MinPower, MinEnergy, MinLatency} {
+		if o.String() == s {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("manager: unknown objective %q (want min-power|min-energy|min-latency)", s)
+}
+
 // Requirements is a source core's request to the manager.
 type Requirements struct {
 	// TargetBER is the required post-decoding bit error rate.

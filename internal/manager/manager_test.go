@@ -201,6 +201,23 @@ func TestObjectiveValidate(t *testing.T) {
 	}
 }
 
+// TestParseObjective pins ParseObjective as the inverse of String on every
+// objective, and its rejection of every other spelling (the empty default
+// belongs to the callers, not to the parser).
+func TestParseObjective(t *testing.T) {
+	for _, o := range []Objective{MinPower, MinEnergy, MinLatency} {
+		got, err := ParseObjective(o.String())
+		if err != nil || got != o {
+			t.Errorf("ParseObjective(%q) = %v, %v; want %v", o.String(), got, err, o)
+		}
+	}
+	for _, s := range []string{"", "min_energy", "MIN-POWER", "Objective(3)", "energy"} {
+		if _, err := ParseObjective(s); err == nil {
+			t.Errorf("ParseObjective(%q) accepted", s)
+		}
+	}
+}
+
 func TestDecisionQuantization(t *testing.T) {
 	m := newTestManager(t)
 	d, err := m.Configure(Requirements{TargetBER: 1e-11, Objective: MinPower})

@@ -7,9 +7,11 @@
 // independent frames into lane-major []uint64 words — sliced word i holds
 // codeword bit i of all 64 frames — so each XOR/AND/popcount advances 64
 // trials at once (see ecc.Slicer); codes without a sliced kernel (BCH) run
-// on a scalar per-frame path through the zero-alloc ecc.InplaceCode seams.
-// Both kernels draw channel errors with the same geometric gap sampling as
-// bits.BSC, so work is O(expected flips), not O(bits).
+// on a scalar per-frame path through the zero-alloc EncodeInto/DecodeInto
+// methods of ecc.Code. Both kernels draw channel errors through one
+// bits.BSC (the sliced kernel hands it its words as a bits.FromWords view),
+// so work is O(expected flips), not O(bits), and a warm shard allocates
+// nothing per word.
 //
 // The harness shards the trial volume over independent deterministic RNG
 // streams: shard s always simulates the same frames with the same stream
@@ -30,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"photonoc/internal/bits"
 	"photonoc/internal/ecc"
 	"photonoc/internal/mathx"
 )
@@ -171,8 +174,9 @@ func Run(ctx context.Context, code ecc.Code, p float64, opts Options) (Result, e
 	if code == nil {
 		return Result{}, fmt.Errorf("mc: nil code")
 	}
-	if math.IsNaN(p) || p < 0 || p >= 1 {
-		return Result{}, fmt.Errorf("mc: flip probability %g outside [0, 1)", p)
+	bsc, err := bits.NewBSC(p)
+	if err != nil {
+		return Result{}, fmt.Errorf("mc: %w", err)
 	}
 	if opts.Frames <= 0 {
 		return Result{}, fmt.Errorf("mc: Frames must be positive, got %d", opts.Frames)
@@ -218,13 +222,9 @@ func Run(ctx context.Context, code ecc.Code, p float64, opts Options) (Result, e
 	for s := range states {
 		rng := rand.New(rand.NewSource(DeriveSeed(opts.Seed, s)))
 		if sliced {
-			states[s] = newSlicedRunner(slicer, p, rng)
+			states[s] = newSlicedRunner(slicer, bsc, rng)
 		} else {
-			r, err := newScalarRunner(code, p, rng)
-			if err != nil {
-				return Result{}, err
-			}
-			states[s] = r
+			states[s] = newScalarRunner(code, bsc, rng)
 		}
 	}
 

@@ -3,9 +3,11 @@ package mc
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
+	"photonoc/internal/bits"
 	"photonoc/internal/ecc"
 )
 
@@ -294,4 +296,40 @@ func benchThroughput(b *testing.B, scalar bool) {
 	}
 	b.SetBytes(0)
 	b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// TestRunnerZeroAlloc pins the kernels' hot path: once built, a shard
+// runner of either kind simulates 64-frame words without allocating, for
+// every extended-roster code with a sliced kernel. BCH is left out: its
+// algebraic decoder's Berlekamp–Massey and Chien stages still allocate per
+// frame with a nonzero syndrome.
+func TestRunnerZeroAlloc(t *testing.T) {
+	ctx := context.Background()
+	bsc, err := bits.NewBSC(3e-2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range ecc.ExtendedSchemes() {
+		sl, ok := ecc.AsSlicer(code)
+		if !ok {
+			continue
+		}
+		for kind, r := range map[string]runner{
+			"sliced": newSlicedRunner(sl, bsc, rand.New(rand.NewSource(1))),
+			"scalar": newScalarRunner(code, bsc, rand.New(rand.NewSource(1))),
+		} {
+			var c counts
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := r.runWords(ctx, 2, &c); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s runner: %.1f allocations per 2 words, want 0", code.Name(), kind, allocs)
+			}
+			if c.bitErrors == 0 && c.correctedBits == 0 {
+				t.Errorf("%s %s runner saw no channel errors at p=3e-2", code.Name(), kind)
+			}
+		}
+	}
 }

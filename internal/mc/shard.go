@@ -2,8 +2,6 @@ package mc
 
 import (
 	"context"
-	"fmt"
-	"math"
 	mathbits "math/bits"
 	"math/rand"
 
@@ -16,52 +14,25 @@ import (
 // of 64 concurrent frames.
 type slicedRunner struct {
 	code ecc.Slicer
-	k, n int
+	k    int
 	rng  *rand.Rand
+	// bsc corrupts the N codeword slices as one n·64-bit vector. Bit f of
+	// sliced word i is codeword bit i of frame f, so per-frame flips are
+	// i.i.d. Bernoulli(p), exactly a BSC.
+	bsc bits.BSC
 
 	data, word, out []uint64
-
-	// invLn1mP = 1/ln(1−p) for the geometric gap sampler; 0 when p == 0.
-	invLn1mP float64
 }
 
-func newSlicedRunner(code ecc.Slicer, p float64, rng *rand.Rand) *slicedRunner {
-	r := &slicedRunner{
+func newSlicedRunner(code ecc.Slicer, bsc bits.BSC, rng *rand.Rand) *slicedRunner {
+	return &slicedRunner{
 		code: code,
 		k:    code.K(),
-		n:    code.N(),
 		rng:  rng,
+		bsc:  bsc,
 		data: make([]uint64, code.K()),
 		word: make([]uint64, code.N()),
 		out:  make([]uint64, code.K()),
-	}
-	if p > 0 {
-		r.invLn1mP = 1 / math.Log1p(-p)
-	}
-	return r
-}
-
-// corrupt flips each of the n·64 bits of the sliced word independently with
-// probability p, by geometric gap sampling over the flattened bit space —
-// the same O(expected flips) scheme as bits.BSC.Corrupt. Bit f of sliced
-// word i is codeword bit i of frame f, so per-frame flips are i.i.d.
-// Bernoulli(p), exactly a BSC.
-func (r *slicedRunner) corrupt() {
-	if r.invLn1mP == 0 {
-		return
-	}
-	nbits := len(r.word) * 64
-	i := -1
-	for {
-		gap := math.Log(r.rng.Float64()) * r.invLn1mP
-		if gap >= float64(nbits-i) {
-			return
-		}
-		i += 1 + int(gap)
-		if i >= nbits {
-			return
-		}
-		r.word[i>>6] ^= 1 << (uint(i) & 63)
 	}
 }
 
@@ -76,7 +47,7 @@ func (r *slicedRunner) runWords(ctx context.Context, words int, c *counts) error
 			r.data[i] = r.rng.Uint64()
 		}
 		r.code.EncodeSliced(r.word, r.data)
-		r.corrupt()
+		r.bsc.Corrupt(bits.FromWords(r.word), r.rng)
 		info := r.code.DecodeSliced(r.out, r.word)
 
 		var frameBad uint64
@@ -100,34 +71,27 @@ func (r *slicedRunner) runWords(ctx context.Context, words int, c *counts) error
 
 // scalarRunner is one shard of the per-frame reference kernel: the classic
 // encode → corrupt → decode loop over bits.Vector buffers, allocation-free
-// through the ecc.InplaceCode seams. It is the fallback for codes without a
-// sliced kernel (BCH) and, under Options.ForceScalar, the baseline the
-// bit-sliced estimator is cross-validated and benchmarked against.
+// through the EncodeInto/DecodeInto seams of ecc.Code. It is the fallback
+// for codes without a sliced kernel (BCH) and, under Options.ForceScalar,
+// the baseline the bit-sliced estimator is cross-validated and benchmarked
+// against.
 type scalarRunner struct {
-	code ecc.InplaceCode
+	code ecc.Code
 	rng  *rand.Rand
-	bsc  *bits.BSC
+	bsc  bits.BSC
 
 	data, word, out bits.Vector
 }
 
-func newScalarRunner(code ecc.Code, p float64, rng *rand.Rand) (*scalarRunner, error) {
-	ic, ok := code.(ecc.InplaceCode)
-	if !ok {
-		return nil, fmt.Errorf("mc: %s implements neither ecc.Slicer nor ecc.InplaceCode", code.Name())
-	}
-	bsc, err := bits.NewBSC(p)
-	if err != nil {
-		return nil, fmt.Errorf("mc: %w", err)
-	}
+func newScalarRunner(code ecc.Code, bsc bits.BSC, rng *rand.Rand) *scalarRunner {
 	return &scalarRunner{
-		code: ic,
+		code: code,
 		rng:  rng,
 		bsc:  bsc,
 		data: bits.New(code.K()),
 		word: bits.New(code.N()),
 		out:  bits.New(code.K()),
-	}, nil
+	}
 }
 
 func (r *scalarRunner) runWords(ctx context.Context, words int, c *counts) error {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"photonoc/internal/bits"
 	"photonoc/internal/ecc"
 	"photonoc/internal/onoc"
 	"photonoc/internal/serdes"
@@ -28,13 +27,11 @@ func TestPhysicalPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats, err := serdes.RunPipeline(serdes.PipelineConfig{
-		Code:  code,
-		NData: 64,
-		Lanes: 16,
-		Channel: func(v bits.Vector) (bits.Vector, int) {
-			return ch.TransmitVector(v)
-		},
-		Rng: rng,
+		Code:    code,
+		NData:   64,
+		Lanes:   16,
+		Channel: ch.Transmit,
+		Rng:     rng,
 	}, 30000) // 1.92M payload bits → ≈1900 expected residual errors
 	if err != nil {
 		t.Fatal(err)
@@ -88,13 +85,11 @@ func TestPhysicalPipelineOnLinkSolvedSNR(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats, err := serdes.RunPipeline(serdes.PipelineConfig{
-		Code:  code,
-		NData: 64,
-		Lanes: 16,
-		Channel: func(v bits.Vector) (bits.Vector, int) {
-			return ch.TransmitVector(v)
-		},
-		Rng: rng,
+		Code:    code,
+		NData:   64,
+		Lanes:   16,
+		Channel: ch.Transmit,
+		Rng:     rng,
 	}, 30000)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,14 @@
-// Package noise validates the paper's analytic BER models (Eq. 2/3) by
-// direct simulation: an OOK decision channel with additive Gaussian noise
+// Package noise validates the paper's raw-BER model (Eq. 3) by direct
+// simulation: an OOK decision channel with additive Gaussian noise
 // calibrated so that the raw bit error probability is p = ½·erfc(√SNR),
 // plus an importance-sampled estimator that reaches the low-BER regime
 // (1e-9 and below) where plain Monte-Carlo is hopeless.
+//
+// Coded (Eq. 2) validation runs elsewhere: a hard-decision OOK channel at
+// SNR is exactly a binary symmetric channel with p = ½·erfc(√SNR), so
+// internal/mc measures post-decoding rates at ecc.RawBERFromSNR(snr), and
+// the OOK channel itself drives the bit-true serdes pipeline through
+// Transmit, which flips the received bits in place.
 package noise
 
 import (
@@ -61,32 +67,20 @@ func (c *OOKChannel) TransmitBit(b int) int {
 	return 0
 }
 
-// TransmitVector passes every bit of v through the channel, returning the
-// received vector and the number of flips.
-func (c *OOKChannel) TransmitVector(v bits.Vector) (bits.Vector, int) {
-	out := bits.New(v.Len())
-	flips, _ := c.TransmitInto(out, v)
-	return out, flips
-}
-
-// TransmitInto passes every bit of v through the channel into dst, which
-// must have v's length, and returns the number of flips. It reuses dst's
-// storage, so a Monte-Carlo loop can run block after block without
-// per-block allocations. The RNG consumption is identical to
-// TransmitVector's.
-func (c *OOKChannel) TransmitInto(dst, v bits.Vector) (int, error) {
-	if dst.Len() != v.Len() {
-		return 0, fmt.Errorf("noise: TransmitInto destination holds %d bits, want %d", dst.Len(), v.Len())
-	}
+// Transmit passes every bit of v through the channel in place — each
+// received bit overwrites the sent one — and returns the number of flips.
+// It draws one Gaussian sample per bit in index order and allocates
+// nothing, so its shape matches serdes.ChannelFunc.
+func (c *OOKChannel) Transmit(v bits.Vector) int {
 	flips := 0
 	for i := 0; i < v.Len(); i++ {
-		b := c.TransmitBit(v.Bit(i))
-		dst.Set(i, b)
-		if b != v.Bit(i) {
+		sent := v.Bit(i)
+		if b := c.TransmitBit(sent); b != sent {
+			v.Flip(i)
 			flips++
 		}
 	}
-	return flips, nil
+	return flips
 }
 
 // RawBERResult is a Monte-Carlo BER estimate with its confidence interval.
@@ -121,5 +115,49 @@ func MonteCarloRawBER(snr float64, nbits int64, rng *rand.Rand) (RawBERResult, e
 		Errors:   errs,
 		Bits:     nbits,
 		Expected: ch.TheoreticalRawBER(),
+	}, nil
+}
+
+// ImportanceSampledRawBER estimates the raw BER at SNRs where direct
+// sampling would need >1e9 bits, by widening the noise by `widen` (> 1) and
+// reweighting each error event with the Gaussian likelihood ratio.
+// For widen = 1 it degenerates to plain Monte-Carlo.
+func ImportanceSampledRawBER(snr float64, samples int64, widen float64, rng *rand.Rand) (RawBERResult, error) {
+	if snr <= 0 {
+		return RawBERResult{}, fmt.Errorf("noise: SNR %g must be positive", snr)
+	}
+	if widen < 1 {
+		return RawBERResult{}, fmt.Errorf("noise: widening factor %g must be >= 1", widen)
+	}
+	if rng == nil {
+		return RawBERResult{}, fmt.Errorf("noise: nil RNG")
+	}
+	sigma := 1 / math.Sqrt(2*snr)
+	wide := sigma * widen
+	var sum, sumSq float64
+	var hits int64
+	for i := int64(0); i < samples; i++ {
+		// Transmit '1' (+1); an error is a sample below threshold 0.
+		x := rng.NormFloat64() * wide
+		if 1+x >= 0 {
+			continue
+		}
+		hits++
+		// Likelihood ratio between the true and widened densities.
+		w := (wide / sigma) * math.Exp(x*x/(2*wide*wide)-x*x/(2*sigma*sigma))
+		sum += w
+		sumSq += w * w
+	}
+	n := float64(samples)
+	mean := sum / n
+	variance := (sumSq/n - mean*mean) / n
+	stderr := math.Sqrt(math.Max(variance, 0))
+	return RawBERResult{
+		BER:      mean,
+		LowCI:    math.Max(0, mean-1.96*stderr),
+		HighCI:   mean + 1.96*stderr,
+		Errors:   hits,
+		Bits:     samples,
+		Expected: ecc.RawBERFromSNR(snr),
 	}, nil
 }

@@ -21,9 +21,10 @@ var coldSolveBuckets = []float64{
 
 // engineObserver is the serving layer's engine.Observer: it aggregates the
 // engine's instrumentation events into /metrics series (cold-solve
-// histogram, per-shard cache traffic, coalesce and reuse counters) and
-// mirrors each event into the per-request obs.RequestStats riding the
-// evaluation's context, so the access log can attribute latency per request.
+// histogram, per-shard cache traffic; the shared-solve and session-reuse
+// totals come from engine.CacheStats) and mirrors each event into the
+// per-request obs.RequestStats riding the evaluation's context, so the
+// access log can attribute latency per request.
 //
 // One observer lives per engine generation (it is built alongside the engine
 // in newEngineState), so a hot reload starts its histograms cold together
@@ -36,9 +37,6 @@ type engineObserver struct {
 
 	shardHits   []atomic.Uint64
 	shardMisses []atomic.Uint64
-
-	coalesces     atomic.Uint64
-	sessionReuses atomic.Uint64
 }
 
 func newEngineObserver() *engineObserver {
@@ -88,14 +86,12 @@ func (o *engineObserver) CacheMiss(ctx context.Context, shard int) {
 }
 
 func (o *engineObserver) SharedSolve(ctx context.Context) {
-	o.coalesces.Add(1)
 	if s := obs.StatsFrom(ctx); s != nil {
 		s.SharedSolves.Add(1)
 	}
 }
 
 func (o *engineObserver) SessionReuse(ctx context.Context, cells int) {
-	o.sessionReuses.Add(uint64(cells))
 	if s := obs.StatsFrom(ctx); s != nil {
 		s.SessionReuses.Add(uint64(cells))
 	}

@@ -81,19 +81,18 @@ func (f *WFloat) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// parseObjective maps the CLI/wire spelling to the manager objective; the
-// empty string defaults to min-energy, matching the onocnet CLI default.
+// parseObjective maps the wire spelling to the manager objective through
+// manager.ParseObjective; the empty string defaults to min-energy, matching
+// the onocnet CLI default.
 func parseObjective(s string) (manager.Objective, error) {
-	switch s {
-	case "", "min-energy":
+	if s == "" {
 		return manager.MinEnergy, nil
-	case "min-power":
-		return manager.MinPower, nil
-	case "min-latency":
-		return manager.MinLatency, nil
-	default:
+	}
+	obj, err := manager.ParseObjective(s)
+	if err != nil {
 		return 0, fmt.Errorf("%w: unknown objective %q (want min-power|min-energy|min-latency)", apierr.ErrInvalidInput, s)
 	}
+	return obj, nil
 }
 
 // ResolveSchemes maps wire scheme names onto codes from the extended

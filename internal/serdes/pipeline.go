@@ -8,11 +8,12 @@ import (
 	"photonoc/internal/ecc"
 )
 
-// ChannelFunc transforms one lane's bitstream in flight, returning the
-// received stream and the number of bit flips. It lets callers plug in a
-// physical channel model (e.g. the OOK/AWGN channel in internal/noise)
-// instead of the default binary symmetric channel.
-type ChannelFunc func(bits.Vector) (bits.Vector, int)
+// ChannelFunc carries one lane's bitstream through the channel: it flips
+// the received bits of v in place and returns how many it flipped. The
+// default is the word-wise binary symmetric channel bits.BSC; callers plug
+// in a physical channel model (e.g. the OOK/AWGN channel in internal/noise,
+// whose Transmit has this shape) through PipelineConfig.Channel.
+type ChannelFunc func(v bits.Vector) int
 
 // PipelineConfig describes an end-to-end TX → channel → RX run.
 type PipelineConfig struct {
@@ -23,7 +24,8 @@ type PipelineConfig struct {
 	// Lanes is the number of wavelength lanes (16 in the paper).
 	Lanes int
 	// RawBER is the binary-symmetric channel flip probability applied to
-	// every coded bit in flight (ignored when Channel is set).
+	// every coded bit in flight (validated, but unused when Channel is
+	// set).
 	RawBER float64
 	// Channel, when non-nil, replaces the BSC with a custom channel.
 	Channel ChannelFunc
@@ -65,18 +67,22 @@ func (s PipelineStats) ResidualBER() float64 {
 // payload integrity bit by bit.
 //
 // The loop is streaming and allocation-free in steady state: each word is
-// generated, encoded through the EncodeWordInto seam into reused block
-// buffers, carried over the lanes (flushed per word), decoded back through
-// DecodeWordInto and compared word-wise against the buffer it was generated
-// in — nothing is retained per word. A custom Channel function keeps its
-// allocating vector-in/vector-out signature; the default BSC path corrupts
-// the reused lane buffers in place.
+// generated, encoded through EncodeWordInto into reused block buffers,
+// carried over the lanes (flushed per word: each lane is drained into a
+// reused buffer, passed through the channel in place and pushed to the
+// deserializer), decoded back through DecodeWordInto and compared word-wise
+// against the buffer it was generated in — nothing is retained per word.
 func RunPipeline(cfg PipelineConfig, words int) (PipelineStats, error) {
 	if cfg.Rng == nil {
 		return PipelineStats{}, fmt.Errorf("serdes: pipeline needs an RNG")
 	}
-	if cfg.RawBER < 0 || cfg.RawBER >= 1 {
-		return PipelineStats{}, fmt.Errorf("serdes: raw BER %g outside [0,1)", cfg.RawBER)
+	bsc, err := bits.NewBSC(cfg.RawBER)
+	if err != nil {
+		return PipelineStats{}, fmt.Errorf("serdes: raw BER: %w", err)
+	}
+	channel := cfg.Channel
+	if channel == nil {
+		channel = func(v bits.Vector) int { return bsc.Corrupt(v, cfg.Rng) }
 	}
 	iface, err := NewInterface(cfg.Code, cfg.NData)
 	if err != nil {
@@ -92,14 +98,6 @@ func RunPipeline(cfg PipelineConfig, words int) (PipelineStats, error) {
 	}
 
 	stats := PipelineStats{}
-
-	// The default channel is a word-wise BSC injector: geometric gap
-	// sampling + XOR on the packed lane words, O(expected flips) per lane
-	// instead of one RNG draw per bit.
-	bsc, err := bits.NewBSC(cfg.RawBER)
-	if err != nil {
-		return PipelineStats{}, fmt.Errorf("serdes: %w", err)
-	}
 
 	// Reused buffers: the TX word, its encoded blocks, the received blocks,
 	// the decoded word, and one lane buffer per distinct flush size (lane
@@ -121,18 +119,6 @@ func RunPipeline(cfg PipelineConfig, words int) (PipelineStats, error) {
 			if n == 0 {
 				continue
 			}
-			if cfg.Channel != nil {
-				stream, err := ser.PopLane(lane, n)
-				if err != nil {
-					return err
-				}
-				rx, flips := cfg.Channel(stream)
-				stats.InjectedErrors += int64(flips)
-				if err := des.PushLane(lane, rx); err != nil {
-					return err
-				}
-				continue
-			}
 			buf, ok := laneBufs[n]
 			if !ok {
 				buf = bits.New(n)
@@ -141,7 +127,7 @@ func RunPipeline(cfg PipelineConfig, words int) (PipelineStats, error) {
 			if err := ser.PopLaneInto(buf, lane); err != nil {
 				return err
 			}
-			stats.InjectedErrors += int64(bsc.Corrupt(buf, cfg.Rng))
+			stats.InjectedErrors += int64(channel(buf))
 			if err := des.PushLane(lane, buf); err != nil {
 				return err
 			}

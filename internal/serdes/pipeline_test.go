@@ -99,9 +99,9 @@ func TestPipelineValidation(t *testing.T) {
 
 // TestPipelinePerWordAllocations is the allocation-regression pin for the
 // streaming pipeline: once the lane buffers and queues are warm, pushing
-// more words through must not allocate per word (the EncodeWordInto /
-// DecodeWordInto / PopVectorInto seams replaced the historical per-block
-// Encode and per-word vector churn). Measured as the marginal allocations
+// more words through must not allocate per word (every block, lane and
+// word moves through the EncodeWordInto / DecodeWordInto / PopLaneInto /
+// PopWordInto seams into reused buffers). Measured as the marginal allocations
 // between a short and a long run, amortized per extra word.
 func TestPipelinePerWordAllocations(t *testing.T) {
 	for _, code := range []ecc.Code{ecc.MustHamming7164(), ecc.MustHamming74()} {

@@ -46,16 +46,8 @@ func (s *Serializer) PushWord(w bits.Vector) {
 // LaneLen returns the bits currently queued on a lane.
 func (s *Serializer) LaneLen(lane int) int { return s.lanes[lane].Len() }
 
-// PopLane drains n bits from a lane as they would be modulated.
-func (s *Serializer) PopLane(lane, n int) (bits.Vector, error) {
-	if lane < 0 || lane >= len(s.lanes) {
-		return bits.Vector{}, fmt.Errorf("serdes: lane %d out of range [0,%d)", lane, len(s.lanes))
-	}
-	return s.lanes[lane].PopVector(n)
-}
-
-// PopLaneInto drains dst.Len() bits from a lane into dst without
-// allocating — the pipeline's steady-state drain path.
+// PopLaneInto drains dst.Len() bits from a lane into dst, as they would be
+// modulated, without allocating.
 func (s *Serializer) PopLaneInto(dst bits.Vector, lane int) error {
 	if lane < 0 || lane >= len(s.lanes) {
 		return fmt.Errorf("serdes: lane %d out of range [0,%d)", lane, len(s.lanes))
@@ -92,22 +84,10 @@ func (d *Deserializer) PushLane(lane int, v bits.Vector) error {
 	return nil
 }
 
-// PopWord returns the next complete word, if its lane has enough bits.
-func (d *Deserializer) PopWord() (bits.Vector, bool) {
-	if d.lanes[d.next].Len() < d.wordBits {
-		return bits.Vector{}, false
-	}
-	w, err := d.lanes[d.next].PopVector(d.wordBits)
-	if err != nil {
-		return bits.Vector{}, false // unreachable: length checked above
-	}
-	d.next = (d.next + 1) % len(d.lanes)
-	return w, true
-}
-
-// PopWordInto is the allocation-free PopWord: it fills dst (which must hold
-// wordBits bits) with the next complete word. The boolean reports whether a
-// word was available; a mis-sized dst is a caller bug and returns an error.
+// PopWordInto fills dst (which must hold wordBits bits) with the next
+// complete word, without allocating. The boolean reports whether the word's
+// lane had enough bits; a mis-sized dst is a caller bug and returns an
+// error.
 func (d *Deserializer) PopWordInto(dst bits.Vector) (bool, error) {
 	if dst.Len() != d.wordBits {
 		return false, fmt.Errorf("serdes: PopWordInto buffer holds %d bits, deserializer words are %d", dst.Len(), d.wordBits)
@@ -123,20 +103,17 @@ func (d *Deserializer) PopWordInto(dst bits.Vector) (bool, error) {
 }
 
 // Interface is the full transmit or receive conversion for one IP word:
-// splitting an Ndata-bit word into code blocks and back. The *Into forms
-// reuse an internal block scratch buffer, so an Interface, like the
-// serializers it feeds, is a serial datapath element — not safe for
-// concurrent use.
+// splitting an Ndata-bit word into code blocks and back, into
+// caller-provided buffers. It reuses an internal block scratch buffer, so
+// an Interface, like the serializers it feeds, is a serial datapath element
+// — not safe for concurrent use.
 type Interface struct {
 	Code  ecc.Code
 	NData int
 	// BlocksPerWord is NData / K.
 	BlocksPerWord int
 
-	// inplace is Code's zero-alloc seam when it offers one (every code in
-	// internal/ecc does); blockBuf is the K-bit scratch of the Into forms.
-	inplace  ecc.InplaceCode
-	blockBuf bits.Vector
+	blockBuf bits.Vector // K-bit scratch of EncodeWordInto/DecodeWordInto
 }
 
 // NewInterface validates that the code tiles the IP bus width exactly
@@ -148,36 +125,17 @@ func NewInterface(code ecc.Code, nData int) (*Interface, error) {
 	if nData%code.K() != 0 {
 		return nil, fmt.Errorf("serdes: Ndata %d not divisible by %s block size %d", nData, code.Name(), code.K())
 	}
-	ic, _ := code.(ecc.InplaceCode)
 	return &Interface{
 		Code:          code,
 		NData:         nData,
 		BlocksPerWord: nData / code.K(),
-		inplace:       ic,
 		blockBuf:      bits.New(code.K()),
 	}, nil
 }
 
-// EncodeWord splits an IP word into blocks and encodes each.
-func (f *Interface) EncodeWord(word bits.Vector) ([]bits.Vector, error) {
-	if word.Len() != f.NData {
-		return nil, fmt.Errorf("serdes: word is %d bits, interface expects %d", word.Len(), f.NData)
-	}
-	out := make([]bits.Vector, f.BlocksPerWord)
-	for b := 0; b < f.BlocksPerWord; b++ {
-		block := word.Slice(b*f.Code.K(), (b+1)*f.Code.K())
-		coded, err := f.Code.Encode(block)
-		if err != nil {
-			return nil, err
-		}
-		out[b] = coded
-	}
-	return out, nil
-}
-
-// EncodeWordInto is the allocation-free EncodeWord: blocks must hold
-// BlocksPerWord vectors of N bits each, which are overwritten with the
-// encoded blocks of word.
+// EncodeWordInto splits an IP word into blocks and encodes each, without
+// allocating: blocks must hold BlocksPerWord vectors of N bits each, which
+// are overwritten with the encoded blocks of word.
 func (f *Interface) EncodeWordInto(blocks []bits.Vector, word bits.Vector) error {
 	if word.Len() != f.NData {
 		return fmt.Errorf("serdes: word is %d bits, interface expects %d", word.Len(), f.NData)
@@ -188,23 +146,15 @@ func (f *Interface) EncodeWordInto(blocks []bits.Vector, word bits.Vector) error
 	k := f.Code.K()
 	for b := range blocks {
 		word.SliceInto(f.blockBuf, b*k)
-		if f.inplace != nil {
-			if err := f.inplace.EncodeInto(blocks[b], f.blockBuf); err != nil {
-				return err
-			}
-			continue
-		}
-		coded, err := f.Code.Encode(f.blockBuf)
-		if err != nil {
+		if err := f.Code.EncodeInto(blocks[b], f.blockBuf); err != nil {
 			return err
 		}
-		coded.CopyInto(blocks[b], 0)
 	}
 	return nil
 }
 
-// DecodeWordInto is the allocation-free DecodeWord: the decoded IP word is
-// assembled into word (NData bits).
+// DecodeWordInto reassembles an IP word from received code blocks into
+// word (NData bits), without allocating.
 func (f *Interface) DecodeWordInto(word bits.Vector, blocks []bits.Vector) (ecc.DecodeInfo, error) {
 	if word.Len() != f.NData {
 		return ecc.DecodeInfo{}, fmt.Errorf("serdes: word buffer is %d bits, interface expects %d", word.Len(), f.NData)
@@ -215,43 +165,13 @@ func (f *Interface) DecodeWordInto(word bits.Vector, blocks []bits.Vector) (ecc.
 	k := f.Code.K()
 	var agg ecc.DecodeInfo
 	for b, blk := range blocks {
-		var info ecc.DecodeInfo
-		if f.inplace != nil {
-			var err error
-			info, err = f.inplace.DecodeInto(f.blockBuf, blk)
-			if err != nil {
-				return ecc.DecodeInfo{}, err
-			}
-			f.blockBuf.CopyInto(word, b*k)
-		} else {
-			data, di, err := f.Code.Decode(blk)
-			if err != nil {
-				return ecc.DecodeInfo{}, err
-			}
-			info = di
-			data.CopyInto(word, b*k)
+		info, err := f.Code.DecodeInto(f.blockBuf, blk)
+		if err != nil {
+			return ecc.DecodeInfo{}, err
 		}
+		f.blockBuf.CopyInto(word, b*k)
 		agg.Corrected += info.Corrected
 		agg.Detected = agg.Detected || info.Detected
 	}
 	return agg, nil
-}
-
-// DecodeWord reassembles an IP word from received code blocks.
-func (f *Interface) DecodeWord(blocks []bits.Vector) (bits.Vector, ecc.DecodeInfo, error) {
-	if len(blocks) != f.BlocksPerWord {
-		return bits.Vector{}, ecc.DecodeInfo{}, fmt.Errorf("serdes: got %d blocks, want %d", len(blocks), f.BlocksPerWord)
-	}
-	word := bits.New(f.NData)
-	var agg ecc.DecodeInfo
-	for b, blk := range blocks {
-		data, info, err := f.Code.Decode(blk)
-		if err != nil {
-			return bits.Vector{}, ecc.DecodeInfo{}, err
-		}
-		agg.Corrected += info.Corrected
-		agg.Detected = agg.Detected || info.Detected
-		data.CopyInto(word, b*f.Code.K())
-	}
-	return word, agg, nil
 }

@@ -46,6 +46,15 @@ func TestInterfaceBlockCounts(t *testing.T) {
 	}
 }
 
+// newBlocks returns BlocksPerWord fresh N-bit block buffers for iface.
+func newBlocks(iface *Interface) []bits.Vector {
+	blocks := make([]bits.Vector, iface.BlocksPerWord)
+	for b := range blocks {
+		blocks[b] = bits.New(iface.Code.N())
+	}
+	return blocks
+}
+
 func TestEncodeDecodeWordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, code := range ecc.PaperSchemes() {
@@ -53,22 +62,29 @@ func TestEncodeDecodeWordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		blocks := newBlocks(iface)
+		back := bits.New(64)
 		for trial := 0; trial < 50; trial++ {
 			word := bits.New(64)
 			for i := 0; i < 64; i++ {
 				word.Set(i, rng.Intn(2))
 			}
-			blocks, err := iface.EncodeWord(word)
-			if err != nil {
+			if err := iface.EncodeWordInto(blocks, word); err != nil {
 				t.Fatal(err)
 			}
-			back, info, err := iface.DecodeWord(blocks)
+			info, err := iface.DecodeWordInto(back, blocks)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !back.Equal(word) || info.Corrected != 0 || info.Detected {
 				t.Fatalf("%s: clean word roundtrip failed", code.Name())
 			}
+		}
+		if err := iface.EncodeWordInto(blocks[1:], bits.New(64)); err == nil {
+			t.Errorf("%s: short block list should be rejected", code.Name())
+		}
+		if _, err := iface.DecodeWordInto(bits.New(32), blocks); err == nil {
+			t.Errorf("%s: short word buffer should be rejected", code.Name())
 		}
 	}
 }
@@ -83,15 +99,16 @@ func TestDecodeWordRepairsPerBlockErrors(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		word.Set(i, rng.Intn(2))
 	}
-	blocks, err := iface.EncodeWord(word)
-	if err != nil {
+	blocks := newBlocks(iface)
+	if err := iface.EncodeWordInto(blocks, word); err != nil {
 		t.Fatal(err)
 	}
 	// One error in every one of the 16 blocks: all must be repaired.
 	for b := range blocks {
 		blocks[b].Flip(rng.Intn(7))
 	}
-	back, info, err := iface.DecodeWord(blocks)
+	back := bits.New(64)
+	info, err := iface.DecodeWordInto(back, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,17 +143,20 @@ func TestSerializerDeserializerRoundRobin(t *testing.T) {
 		t.Errorf("CodedBits = %d", ser.CodedBits)
 	}
 	for lane := 0; lane < 4; lane++ {
-		n := ser.LaneLen(lane)
-		stream, err := ser.PopLane(lane, n)
-		if err != nil {
+		stream := bits.New(ser.LaneLen(lane))
+		if err := ser.PopLaneInto(stream, lane); err != nil {
 			t.Fatal(err)
 		}
 		if err := des.PushLane(lane, stream); err != nil {
 			t.Fatal(err)
 		}
 	}
+	got := bits.New(8)
 	for w := 0; w < 10; w++ {
-		got, ok := des.PopWord()
+		ok, err := des.PopWordInto(got)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			t.Fatalf("word %d missing", w)
 		}
@@ -144,8 +164,11 @@ func TestSerializerDeserializerRoundRobin(t *testing.T) {
 			t.Fatalf("word %d corrupted in transit", w)
 		}
 	}
-	if _, ok := des.PopWord(); ok {
+	if ok, _ := des.PopWordInto(got); ok {
 		t.Error("extra word appeared")
+	}
+	if _, err := des.PopWordInto(bits.New(7)); err == nil {
+		t.Error("mis-sized word buffer should be rejected")
 	}
 }
 
@@ -160,8 +183,11 @@ func TestSerializerErrors(t *testing.T) {
 		t.Error("0 word bits should be rejected")
 	}
 	ser, _ := NewSerializer(2)
-	if _, err := ser.PopLane(5, 1); err == nil {
+	if err := ser.PopLaneInto(bits.New(1), 5); err == nil {
 		t.Error("bad lane should error")
+	}
+	if err := ser.PopLaneInto(bits.New(1), 0); err == nil {
+		t.Error("underflowing lane should error")
 	}
 	des, _ := NewDeserializer(2, 4)
 	if err := des.PushLane(5, bits.New(4)); err == nil {

@@ -36,7 +36,10 @@ type (
 	InterfacePower = core.InterfacePower
 	// Headline carries the Section V-C summary numbers.
 	Headline = core.Headline
-	// Code is a block code (scheme) on the link.
+	// Code is a block code (scheme) on the link. Besides the allocating
+	// Encode/Decode it carries the in-place EncodeInto/DecodeInto that the
+	// Monte-Carlo engine and the serdes pipeline run on, so an external
+	// implementation must provide all four.
 	Code = ecc.Code
 	// LinearCode is a systematic linear block code (the concrete type
 	// behind the paper's Hamming schemes).
