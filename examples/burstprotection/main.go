@@ -70,23 +70,23 @@ func main() {
 // burst across the concatenated stream.
 func measureBare(rng *rand.Rand, code photonoc.Code) float64 {
 	errors := 0
+	datas := make([]bits.Vector, depth)
+	stream := bits.New(depth * code.N())
+	word, got := bits.New(code.N()), bits.New(code.K())
 	for trial := 0; trial < trials; trial++ {
-		datas := make([]bits.Vector, depth)
-		stream := bits.New(0)
 		for i := range datas {
 			datas[i] = randomWord(rng, code.K())
-			w, err := code.Encode(datas[i])
-			if err != nil {
+			if err := code.EncodeInto(word, datas[i]); err != nil {
 				log.Fatal(err)
 			}
-			stream = stream.Concat(w)
+			word.CopyInto(stream, i*code.N())
 		}
 		if err := bits.BurstError(stream, rng.Intn(stream.Len()), burstLength); err != nil {
 			log.Fatal(err)
 		}
 		for i := range datas {
-			got, _, err := code.Decode(stream.Slice(i*code.N(), (i+1)*code.N()))
-			if err != nil {
+			stream.SliceInto(word, i*code.N())
+			if _, err := code.DecodeInto(got, word); err != nil {
 				log.Fatal(err)
 			}
 			if !got.Equal(datas[i]) {
@@ -101,17 +101,16 @@ func measureBare(rng *rand.Rand, code photonoc.Code) float64 {
 // measureInterleaved sends the same payload through the interleaved code.
 func measureInterleaved(rng *rand.Rand, code *photonoc.InterleavedCode) float64 {
 	errors := 0
+	stream, got := bits.New(code.N()), bits.New(code.K())
 	for trial := 0; trial < trials; trial++ {
 		data := randomWord(rng, code.K())
-		stream, err := code.Encode(data)
-		if err != nil {
+		if err := code.EncodeInto(stream, data); err != nil {
 			log.Fatal(err)
 		}
 		if err := bits.BurstError(stream, rng.Intn(stream.Len()), burstLength); err != nil {
 			log.Fatal(err)
 		}
-		got, _, err := code.Decode(stream)
-		if err != nil {
+		if _, err := code.DecodeInto(got, stream); err != nil {
 			log.Fatal(err)
 		}
 		if !got.Equal(data) {

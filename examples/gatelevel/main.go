@@ -65,8 +65,8 @@ func main() {
 		}
 		word.Set(i, v)
 	}
-	want, err := code.Encode(data)
-	if err != nil {
+	want := bits.New(code.N())
+	if err := code.EncodeInto(want, data); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\npayload %s → gate-level codeword %s (behavioral: %s, match=%v)\n",

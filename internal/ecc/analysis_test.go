@@ -98,7 +98,7 @@ func TestUnionBoundBER(t *testing.T) {
 
 func TestPostDecodeBERDispatch(t *testing.T) {
 	p := 1e-4
-	// Uncoded: pass-through (BERModeler).
+	// Uncoded: pass-through (t = 0).
 	if got := PlanFor(MustUncoded64()).PostDecodeBER(p); got != p {
 		t.Errorf("uncoded: %g", got)
 	}

@@ -98,23 +98,11 @@ func (c *BCH) T() int { return c.t }
 // Generator returns the generator polynomial.
 func (c *BCH) Generator() gf2.BinPoly { return c.gen }
 
-// Encode implements Code: systematic polynomial encoding. Data bit j becomes
-// the coefficient of x^{n−k+j}; the low n−k coefficients hold the remainder.
-func (c *BCH) Encode(data bits.Vector) (bits.Vector, error) {
-	out := bits.New(c.n)
-	if err := c.EncodeInto(out, data); err != nil {
-		return bits.Vector{}, err
-	}
-	return out, nil
-}
-
-// EncodeInto implements Code without allocating. dst is fully
-// overwritten (parity remainder in the low n−k bits, data above).
+// EncodeInto implements Code: systematic polynomial encoding without
+// allocating. Data bit j becomes the coefficient of x^{n−k+j}; the low n−k
+// coefficients hold the remainder.
 func (c *BCH) EncodeInto(dst, data bits.Vector) error {
-	if err := checkDataLen(c, data); err != nil {
-		return err
-	}
-	if err := checkEncodeDst(c, dst); err != nil {
+	if err := checkEncode(c, dst, data); err != nil {
 		return err
 	}
 	deg := c.n - c.k
@@ -149,19 +137,6 @@ func (c *BCH) Syndromes(word bits.Vector) []uint16 {
 	return synd
 }
 
-// SyndromesInto implements the syndrome seam without allocating: dst must
-// hold 2t entries and receives S_1..S_2t.
-func (c *BCH) SyndromesInto(dst []uint16, word bits.Vector) error {
-	if len(dst) != 2*c.t {
-		return fmt.Errorf("ecc: %s: SyndromesInto needs %d entries, got %d", c.name, 2*c.t, len(dst))
-	}
-	if err := checkWordLen(c, word); err != nil {
-		return err
-	}
-	c.syndromesInto(dst, word)
-	return nil
-}
-
 // syndromesInto accumulates each set bit's α^{j·pos} contribution into dst,
 // visiting the word once instead of materializing the ones-position list.
 func (c *BCH) syndromesInto(dst []uint16, word bits.Vector) {
@@ -178,40 +153,35 @@ func (c *BCH) syndromesInto(dst []uint16, word bits.Vector) {
 	}
 }
 
-// Decode implements Code using algebraic decoding. Error patterns of weight
-// greater than t are flagged Detected whenever the locator polynomial fails
-// to factor over the field (miscorrection, as for any bounded-distance
-// decoder, remains possible and is exercised by the Monte-Carlo tests).
-func (c *BCH) Decode(word bits.Vector) (bits.Vector, DecodeInfo, error) {
-	out := bits.New(c.k)
-	info, err := c.DecodeInto(out, word)
-	if err != nil {
-		return bits.Vector{}, DecodeInfo{}, err
-	}
-	return out, info, nil
-}
+// stackT is the largest t whose DecodeInto workspace (2t syndromes, two
+// locator buffers of 2t+1 coefficients, t error positions) lives on the
+// stack; larger designs allocate it per call.
+const stackT = 8
 
-// DecodeInto implements Code with Decode's exact semantics. The
-// received word is never cloned: the miscorrection guard re-evaluates the
-// syndromes with the candidate flips folded in algebraically
-// (S_j(word ⊕ e) = S_j(word) ⊕ Σ α^{j·p}), and only data-region flips are
-// applied to dst. The Berlekamp-Massey and Chien stages retain their small
-// internal allocations.
+// DecodeInto implements Code using algebraic decoding, without allocating
+// for t <= 8. Error patterns of weight greater than t are flagged Detected
+// whenever the locator polynomial fails to factor over the field
+// (miscorrection, as for any bounded-distance decoder, remains possible and
+// is exercised by the Monte-Carlo tests). The received word is never
+// cloned: the miscorrection guard re-evaluates the syndromes with the
+// candidate flips folded in algebraically (S_j(word ⊕ e) = S_j(word) ⊕
+// Σ α^{j·p}), and only data-region flips are applied to dst.
 func (c *BCH) DecodeInto(dst, word bits.Vector) (DecodeInfo, error) {
-	if err := checkWordLen(c, word); err != nil {
-		return DecodeInfo{}, err
-	}
-	if err := checkDecodeDst(c, dst); err != nil {
+	if err := checkDecode(c, dst, word); err != nil {
 		return DecodeInfo{}, err
 	}
 	deg := c.n - c.k
-	var synBuf [16]uint16
-	var synd []uint16
-	if 2*c.t <= len(synBuf) {
-		synd = synBuf[:2*c.t]
-	} else {
-		synd = make([]uint16, 2*c.t)
+	var (
+		synBuf       [2 * stackT]uint16
+		lamBuf, bBuf [2*stackT + 1]uint16
+		posBuf       [stackT]int
+	)
+	synd, lam, prev, pos := synBuf[:], lamBuf[:], bBuf[:], posBuf[:]
+	if c.t > stackT {
+		synd, pos = make([]uint16, 2*c.t), make([]int, c.t)
+		lam, prev = make([]uint16, 2*c.t+1), make([]uint16, 2*c.t+1)
 	}
+	synd = synd[:2*c.t]
 	c.syndromesInto(synd, word)
 	word.SliceInto(dst, deg)
 	allZero := true
@@ -224,11 +194,11 @@ func (c *BCH) DecodeInto(dst, word bits.Vector) (DecodeInfo, error) {
 	if allZero {
 		return DecodeInfo{}, nil
 	}
-	lambda := c.field.BerlekampMassey(synd)
+	lambda := c.field.BerlekampMassey(lam, prev, synd)
 	if gf2.PolyDegree(lambda) > c.t {
 		return DecodeInfo{Detected: true}, nil
 	}
-	positions, ok := c.field.ChienSearch(lambda, c.n)
+	positions, ok := c.field.ChienSearch(pos, lambda, c.n)
 	if !ok || len(positions) == 0 {
 		return DecodeInfo{Detected: true}, nil
 	}

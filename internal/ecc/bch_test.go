@@ -56,7 +56,7 @@ func TestBCHCodewordsDivisibleByGenerator(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	code := MustBCH157()
 	for trial := 0; trial < 100; trial++ {
-		word, err := code.Encode(randomData(rng, code.K()))
+		word, err := encode(code, randomData(rng, code.K()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +71,11 @@ func TestBCHRoundTripClean(t *testing.T) {
 	for _, code := range []*BCH{MustBCH157(), MustBCH3121()} {
 		for trial := 0; trial < 100; trial++ {
 			data := randomData(rng, code.K())
-			word, err := code.Encode(data)
+			word, err := encode(code, data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, info, err := code.Decode(word)
+			got, info, err := decode(code, word)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,14 +91,14 @@ func TestBCH157CorrectsAllSingleAndDoubleErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	code := MustBCH157()
 	data := randomData(rng, code.K())
-	clean, err := code.Encode(data)
+	clean, err := encode(code, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < code.N(); i++ {
 		w := clean.Clone()
 		w.Flip(i)
-		got, info, err := code.Decode(w)
+		got, info, err := decode(code, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestBCH157CorrectsAllSingleAndDoubleErrors(t *testing.T) {
 			w2 := clean.Clone()
 			w2.Flip(i)
 			w2.Flip(j)
-			got, info, err := code.Decode(w2)
+			got, info, err := decode(code, w2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestBCH3121CorrectsRandomDoubleErrors(t *testing.T) {
 	code := MustBCH3121()
 	for trial := 0; trial < 500; trial++ {
 		data := randomData(rng, code.K())
-		word, err := code.Encode(data)
+		word, err := encode(code, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestBCH3121CorrectsRandomDoubleErrors(t *testing.T) {
 		if _, err := bits.FlipExactly(word, rng, k); err != nil {
 			t.Fatal(err)
 		}
-		got, info, err := code.Decode(word)
+		got, info, err := decode(code, word)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,14 +152,14 @@ func TestBCHTripleErrorsNeverSilentlyRestore(t *testing.T) {
 	detected := 0
 	for trial := 0; trial < 500; trial++ {
 		data := randomData(rng, code.K())
-		word, err := code.Encode(data)
+		word, err := encode(code, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := bits.FlipExactly(word, rng, 3); err != nil {
 			t.Fatal(err)
 		}
-		got, info, err := code.Decode(word)
+		got, info, err := decode(code, word)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,10 +178,42 @@ func TestBCHTripleErrorsNeverSilentlyRestore(t *testing.T) {
 
 func TestBCHSizeErrors(t *testing.T) {
 	code := MustBCH157()
-	if _, err := code.Encode(bits.New(8)); err == nil {
+	if _, err := encode(code, bits.New(8)); err == nil {
 		t.Error("wrong data size should error")
 	}
-	if _, _, err := code.Decode(bits.New(14)); err == nil {
+	if _, _, err := decode(code, bits.New(14)); err == nil {
 		t.Error("wrong word size should error")
+	}
+}
+
+func TestBCHBeyondStackWorkspace(t *testing.T) {
+	// t = 10 exceeds the stack workspace of DecodeInto, so the syndromes,
+	// locator buffers and positions come from the heap fallback instead;
+	// every pattern of up to t errors must still be corrected.
+	code, err := NewBCH(6, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code.T() <= stackT {
+		t.Fatalf("%s: t = %d does not exceed the stack workspace (%d)", code.Name(), code.T(), stackT)
+	}
+	rng := rand.New(rand.NewSource(18))
+	word, got := bits.New(code.N()), bits.New(code.K())
+	for trial := 0; trial < 200; trial++ {
+		data := randomData(rng, code.K())
+		if err := code.EncodeInto(word, data); err != nil {
+			t.Fatal(err)
+		}
+		k := trial % (code.T() + 1)
+		if _, err := bits.FlipExactly(word, rng, k); err != nil {
+			t.Fatal(err)
+		}
+		info, err := code.DecodeInto(got, word)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(data) || info != (DecodeInfo{Corrected: k}) {
+			t.Fatalf("%s: %d errors: info %+v, data ok %v", code.Name(), k, info, got.Equal(data))
+		}
 	}
 }

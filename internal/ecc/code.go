@@ -2,12 +2,16 @@
 // uncoded transmission, Hamming(7,4) and the shortened Hamming(71,64) — plus
 // the natural extensions the paper mentions ("other coding techniques can be
 // used"): extended Hamming (SECDED), repetition, single-parity and
-// double-error-correcting BCH codes.
+// double-error-correcting BCH codes. Every code implements the six-method
+// Code contract, whose codec is the in-place pair EncodeInto/DecodeInto on
+// caller-owned buffers.
 //
 // It also provides the analytic BER machinery of Section IV-D: the SNR↔BER
 // relations (Eq. 1 and 3), the Hamming post-decoding BER (Eq. 2), a general
 // union-bound model for t-error-correcting codes, and their numeric
-// inversions used by the link configurator.
+// inversions used by the link configurator. FERPlan picks the model per
+// code: the generic t-indexed ones, or the exact expression (BER and slope
+// together) a code such as Repetition supplies.
 package ecc
 
 import (
@@ -18,7 +22,8 @@ import (
 
 // Code is a binary block code. Implementations are systematic: the K data
 // bits appear verbatim inside the N-bit codeword (the exact layout is an
-// implementation detail; Encode and Decode are always mutually consistent).
+// implementation detail; EncodeInto and DecodeInto are always mutually
+// consistent).
 //
 // The single-letter method names follow coding-theory convention:
 // an (n, k) code correcting t errors per block.
@@ -32,17 +37,13 @@ type Code interface {
 	// T returns the number of bit errors per block the decoder is
 	// guaranteed to correct.
 	T() int
-	// Encode maps K data bits to a new N-bit codeword.
-	Encode(data bits.Vector) (bits.Vector, error)
-	// Decode maps a (possibly corrupted) N-bit word back to K new data
-	// bits, correcting up to T errors.
-	Decode(word bits.Vector) (bits.Vector, DecodeInfo, error)
-	// EncodeInto writes the N-bit codeword for data into dst, and
-	// DecodeInto recovers the K data bits of word into dst. They have
-	// Encode's and Decode's semantics and validation errors but allocate
-	// no result: the Monte-Carlo runners and the serdes pipeline run
-	// exclusively through them.
+	// EncodeInto writes the N-bit codeword for the K bits of data into
+	// dst, overwriting all of it.
 	EncodeInto(dst, data bits.Vector) error
+	// DecodeInto recovers the K data bits of a (possibly corrupted) N-bit
+	// word into dst, correcting up to T errors. Both methods allocate
+	// nothing: the Monte-Carlo runners and the serdes pipeline run on
+	// caller-owned buffers.
 	DecodeInto(dst, word bits.Vector) (DecodeInfo, error)
 }
 
@@ -53,13 +54,6 @@ type DecodeInfo struct {
 	// Detected is true when the decoder saw an error pattern it could
 	// not correct (the returned data should be treated as suspect).
 	Detected bool
-}
-
-// BERModeler is implemented by codes that know an exact (or better)
-// post-decoding BER expression than the generic models in this package.
-// PostDecodeBER consults it before falling back on Eq. 2 / union bound.
-type BERModeler interface {
-	PostDecodeBER(p float64) float64
 }
 
 // Rate returns the code rate k/n.
@@ -79,34 +73,20 @@ func Describe(c Code) string {
 		c.Name(), c.N(), c.K(), c.T(), Rate(c), CT(c))
 }
 
-// checkDataLen validates an Encode input size.
-func checkDataLen(c Code, data bits.Vector) error {
-	if data.Len() != c.K() {
-		return fmt.Errorf("ecc: %s: Encode needs %d data bits, got %d", c.Name(), c.K(), data.Len())
+// checkEncode validates EncodeInto's sizes: K data bits into an N-bit dst.
+func checkEncode(c Code, dst, data bits.Vector) error {
+	if data.Len() != c.K() || dst.Len() != c.N() {
+		return fmt.Errorf("ecc: %s: EncodeInto needs %d data bits and a %d-bit destination, got %d and %d",
+			c.Name(), c.K(), c.N(), data.Len(), dst.Len())
 	}
 	return nil
 }
 
-// checkEncodeDst validates an EncodeInto destination size (N bits).
-func checkEncodeDst(c Code, dst bits.Vector) error {
-	if dst.Len() != c.N() {
-		return fmt.Errorf("ecc: %s: EncodeInto needs a %d-bit destination, got %d", c.Name(), c.N(), dst.Len())
-	}
-	return nil
-}
-
-// checkDecodeDst validates a DecodeInto destination size (K bits).
-func checkDecodeDst(c Code, dst bits.Vector) error {
-	if dst.Len() != c.K() {
-		return fmt.Errorf("ecc: %s: DecodeInto needs a %d-bit destination, got %d", c.Name(), c.K(), dst.Len())
-	}
-	return nil
-}
-
-// checkWordLen validates a Decode input size.
-func checkWordLen(c Code, word bits.Vector) error {
-	if word.Len() != c.N() {
-		return fmt.Errorf("ecc: %s: Decode needs %d-bit words, got %d", c.Name(), c.N(), word.Len())
+// checkDecode validates DecodeInto's sizes: an N-bit word into a K-bit dst.
+func checkDecode(c Code, dst, word bits.Vector) error {
+	if word.Len() != c.N() || dst.Len() != c.K() {
+		return fmt.Errorf("ecc: %s: DecodeInto needs a %d-bit word and a %d-bit destination, got %d and %d",
+			c.Name(), c.N(), c.K(), word.Len(), dst.Len())
 	}
 	return nil
 }

@@ -49,23 +49,11 @@ func (c *ExtendedHamming) K() int { return c.inner.K() }
 // T implements Code.
 func (c *ExtendedHamming) T() int { return 1 }
 
-// Encode implements Code: inner codeword plus an overall even-parity bit.
-func (c *ExtendedHamming) Encode(data bits.Vector) (bits.Vector, error) {
-	out := bits.New(c.N())
-	if err := c.EncodeInto(out, data); err != nil {
-		return bits.Vector{}, err
-	}
-	return out, nil
-}
-
 // EncodeInto implements Code without allocating: the inner systematic
 // layout is written directly into dst and the overall parity accumulated
 // alongside the inner parity bits.
 func (c *ExtendedHamming) EncodeInto(dst, data bits.Vector) error {
-	if err := checkDataLen(c, data); err != nil {
-		return err
-	}
-	if err := checkEncodeDst(c, dst); err != nil {
+	if err := checkEncode(c, dst, data); err != nil {
 		return err
 	}
 	data.CopyInto(dst, 0)
@@ -79,30 +67,19 @@ func (c *ExtendedHamming) EncodeInto(dst, data bits.Vector) error {
 	return nil
 }
 
-// Decode implements Code with the standard SECDED case analysis:
+// DecodeInto implements Code with the standard SECDED case analysis,
+// without allocating:
 //
 //	syndrome == 0, parity ok   → clean word
 //	syndrome == 0, parity bad  → the overall parity bit itself flipped
 //	syndrome != 0, parity bad  → single error, corrected by lookup
 //	syndrome != 0, parity ok   → double error, detected-uncorrectable
-func (c *ExtendedHamming) Decode(word bits.Vector) (bits.Vector, DecodeInfo, error) {
-	out := bits.New(c.K())
-	info, err := c.DecodeInto(out, word)
-	if err != nil {
-		return bits.Vector{}, DecodeInfo{}, err
-	}
-	return out, info, nil
-}
-
-// DecodeInto implements Code: Decode's SECDED case analysis without
-// allocating. The inner syndrome is evaluated directly on the extended word
-// (the parity masks read only the data prefix, and the inner parity bits sit
-// at their inner positions).
+//
+// The inner syndrome is evaluated directly on the extended word (the parity
+// masks read only the data prefix, and the inner parity bits sit at their
+// inner positions).
 func (c *ExtendedHamming) DecodeInto(dst, word bits.Vector) (DecodeInfo, error) {
-	if err := checkWordLen(c, word); err != nil {
-		return DecodeInfo{}, err
-	}
-	if err := checkDecodeDst(c, dst); err != nil {
+	if err := checkDecode(c, dst, word); err != nil {
 		return DecodeInfo{}, err
 	}
 	syn := c.inner.syndromeOf(word)

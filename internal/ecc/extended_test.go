@@ -29,7 +29,7 @@ func TestSECDEDMinimumDistanceFour(t *testing.T) {
 	}
 	minW := 8
 	for v := 1; v < 16; v++ {
-		word, err := code.Encode(bits.FromUint(uint64(v), 4))
+		word, err := encode(code, bits.FromUint(uint64(v), 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,12 +47,12 @@ func TestSECDEDCorrectsAllSingleErrors(t *testing.T) {
 	code := MustSECDED7264()
 	for pos := 0; pos < code.N(); pos++ {
 		data := randomData(rng, code.K())
-		word, err := code.Encode(data)
+		word, err := encode(code, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		word.Flip(pos)
-		got, info, err := code.Decode(word)
+		got, info, err := decode(code, word)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestSECDEDDetectsAllDoubleErrors(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	data := randomData(rng, code.K())
-	clean, err := code.Encode(data)
+	clean, err := encode(code, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSECDEDDetectsAllDoubleErrors(t *testing.T) {
 			w := clean.Clone()
 			w.Flip(i)
 			w.Flip(j)
-			_, info, err := code.Decode(w)
+			_, info, err := decode(code, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,14 +96,14 @@ func TestSECDEDDetectsRandomDoubleErrors72(t *testing.T) {
 	code := MustSECDED7264()
 	for trial := 0; trial < 500; trial++ {
 		data := randomData(rng, code.K())
-		word, err := code.Encode(data)
+		word, err := encode(code, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := bits.FlipExactly(word, rng, 2); err != nil {
 			t.Fatal(err)
 		}
-		_, info, err := code.Decode(word)
+		_, info, err := decode(code, word)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,19 +118,19 @@ func TestSECDEDRoundTripAndSizeErrors(t *testing.T) {
 	code := MustSECDED7264()
 	for trial := 0; trial < 100; trial++ {
 		data := randomData(rng, 64)
-		word, err := code.Encode(data)
+		word, err := encode(code, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, info, err := code.Decode(word)
+		got, info, err := decode(code, word)
 		if err != nil || !got.Equal(data) || info.Corrected != 0 || info.Detected {
 			t.Fatalf("clean roundtrip failed: %+v %v", info, err)
 		}
 	}
-	if _, err := code.Encode(bits.New(63)); err == nil {
+	if _, err := encode(code, bits.New(63)); err == nil {
 		t.Error("wrong data size should error")
 	}
-	if _, _, err := code.Decode(bits.New(71)); err == nil {
+	if _, _, err := decode(code, bits.New(71)); err == nil {
 		t.Error("wrong word size should error")
 	}
 }

@@ -58,12 +58,12 @@ func TestFrameErrorRateMatchesMonteCarlo(t *testing.T) {
 	const words = 30000
 	for w := 0; w < words; w++ {
 		data := randomData(rng, code.K())
-		word, err := code.Encode(data)
+		word, err := encode(code, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bits.FlipRandom(word, rng, p)
-		got, _, err := code.Decode(word)
+		got, _, err := decode(code, word)
 		if err != nil {
 			t.Fatal(err)
 		}

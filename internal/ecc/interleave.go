@@ -120,23 +120,11 @@ func (c *InterleavedCode) T() int { return c.inner.T() }
 // composition always corrects: depth · t of the inner code.
 func (c *InterleavedCode) BurstTolerance() int { return c.il.Depth() * c.inner.T() }
 
-// Encode implements Code.
-func (c *InterleavedCode) Encode(data bits.Vector) (bits.Vector, error) {
-	out := bits.New(c.N())
-	if err := c.EncodeInto(out, data); err != nil {
-		return bits.Vector{}, err
-	}
-	return out, nil
-}
-
 // EncodeInto implements Code. Unlike the single-block codes it keeps
 // two inner-block scratch vectors per call (the interleaver permutation
 // prevents encoding in place); only the output allocation is avoided.
 func (c *InterleavedCode) EncodeInto(dst, data bits.Vector) error {
-	if err := checkDataLen(c, data); err != nil {
-		return err
-	}
-	if err := checkEncodeDst(c, dst); err != nil {
+	if err := checkEncode(c, dst, data); err != nil {
 		return err
 	}
 	depth, width, k := c.il.Depth(), c.il.width, c.inner.K()
@@ -154,23 +142,10 @@ func (c *InterleavedCode) EncodeInto(dst, data bits.Vector) error {
 	return nil
 }
 
-// Decode implements Code.
-func (c *InterleavedCode) Decode(stream bits.Vector) (bits.Vector, DecodeInfo, error) {
-	out := bits.New(c.K())
-	info, err := c.DecodeInto(out, stream)
-	if err != nil {
-		return bits.Vector{}, DecodeInfo{}, err
-	}
-	return out, info, nil
-}
-
 // DecodeInto implements Code, with the same two-scratch-vector caveat
 // as EncodeInto.
 func (c *InterleavedCode) DecodeInto(dst, stream bits.Vector) (DecodeInfo, error) {
-	if err := checkWordLen(c, stream); err != nil {
-		return DecodeInfo{}, err
-	}
-	if err := checkDecodeDst(c, dst); err != nil {
+	if err := checkDecode(c, dst, stream); err != nil {
 		return DecodeInfo{}, err
 	}
 	depth, width, k := c.il.Depth(), c.il.width, c.inner.K()

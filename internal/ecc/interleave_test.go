@@ -103,7 +103,7 @@ func TestInterleavedCodeCorrectsBursts(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(81))
 	data := randomData(rng, code.K())
-	clean, err := code.Encode(data)
+	clean, err := encode(code, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestInterleavedCodeCorrectsBursts(t *testing.T) {
 		if err := bits.BurstError(stream, start, 8); err != nil {
 			t.Fatal(err)
 		}
-		got, info, err := code.Decode(stream)
+		got, info, err := decode(code, stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestBareCodeFailsOnBursts(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			d := randomData(rng, 4)
 			datas = append(datas, d)
-			w, err := inner.Encode(d)
+			w, err := encode(inner, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestBareCodeFailsOnBursts(t *testing.T) {
 		}
 		ok := true
 		for i := 0; i < 8; i++ {
-			got, _, err := inner.Decode(stream.Slice(i*7, (i+1)*7))
+			got, _, err := decode(inner, stream.Slice(i*7, (i+1)*7))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,11 +182,11 @@ func TestInterleavedCodeCleanRoundTrip(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		data := randomData(rng, code.K())
-		word, err := code.Encode(data)
+		word, err := encode(code, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, info, err := code.Decode(word)
+		got, info, err := decode(code, word)
 		if err != nil || !got.Equal(data) || info.Corrected != 0 || info.Detected {
 			t.Fatal("clean roundtrip failed")
 		}

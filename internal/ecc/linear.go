@@ -21,7 +21,7 @@ type LinearCode struct {
 	t    int
 	// parityMasks[j] is a packed mask over the data words: parity bit j is
 	// the parity of data AND mask. This is the bitwise image of column j
-	// of P and the hot loop of Encode.
+	// of P and the hot loop of EncodeInto.
 	parityMasks [][]uint64
 	// parityIdx[j] lists the data-bit positions under parityMasks[j] — the
 	// same footprint as an index list, which is what the bit-sliced kernels
@@ -177,22 +177,10 @@ func (c *LinearCode) ParityCheck() *gf2.Matrix { return c.h.Clone() }
 // synthesis netlist builders which need the exact XOR-tree footprints).
 func (c *LinearCode) ParityMask(j int) []uint64 { return c.parityMasks[j] }
 
-// Encode implements Code: codeword = data ++ parity.
-func (c *LinearCode) Encode(data bits.Vector) (bits.Vector, error) {
-	out := bits.New(c.N())
-	if err := c.EncodeInto(out, data); err != nil {
-		return bits.Vector{}, err
-	}
-	return out, nil
-}
-
-// EncodeInto implements Code: it writes the codeword for data into
-// dst (length N) without allocating.
+// EncodeInto implements Code: codeword = data ++ parity, written into dst
+// without allocating.
 func (c *LinearCode) EncodeInto(dst, data bits.Vector) error {
-	if err := checkDataLen(c, data); err != nil {
-		return err
-	}
-	if err := checkEncodeDst(c, dst); err != nil {
+	if err := checkEncode(c, dst, data); err != nil {
 		return err
 	}
 	data.CopyInto(dst, 0)
@@ -219,32 +207,18 @@ func (c *LinearCode) syndromeOf(word bits.Vector) uint64 {
 // Syndrome returns the r-bit syndrome of a received word as an integer.
 // It allocates nothing.
 func (c *LinearCode) Syndrome(word bits.Vector) (uint64, error) {
-	if err := checkWordLen(c, word); err != nil {
-		return 0, err
+	if word.Len() != c.N() {
+		return 0, fmt.Errorf("ecc: %s: Syndrome needs %d-bit words, got %d", c.name, c.N(), word.Len())
 	}
 	return c.syndromeOf(word), nil
 }
 
-// Decode implements Code. For t = 1 codes a nonzero syndrome is corrected by
-// syndrome lookup (dense table for r <= 22 parity bits, map above); unknown
-// syndromes (shortened codes) are flagged Detected. For t = 0 codes any
-// nonzero syndrome is Detected.
-func (c *LinearCode) Decode(word bits.Vector) (bits.Vector, DecodeInfo, error) {
-	out := bits.New(c.k)
-	info, err := c.DecodeInto(out, word)
-	if err != nil {
-		return bits.Vector{}, DecodeInfo{}, err
-	}
-	return out, info, nil
-}
-
-// DecodeInto implements Code: it recovers the K data bits of word
-// into dst without allocating, under Decode's exact semantics.
+// DecodeInto implements Code without allocating. For t = 1 codes a nonzero
+// syndrome is corrected by syndrome lookup (dense table for r <= 22 parity
+// bits, map above); unknown syndromes (shortened codes) are flagged
+// Detected. For t = 0 codes any nonzero syndrome is Detected.
 func (c *LinearCode) DecodeInto(dst, word bits.Vector) (DecodeInfo, error) {
-	if err := checkWordLen(c, word); err != nil {
-		return DecodeInfo{}, err
-	}
-	if err := checkDecodeDst(c, dst); err != nil {
+	if err := checkDecode(c, dst, word); err != nil {
 		return DecodeInfo{}, err
 	}
 	syn := c.syndromeOf(word)

@@ -7,15 +7,12 @@ import (
 	"photonoc/internal/mathx"
 )
 
-// berDerivModeler is implemented by codes that know the analytic derivative
-// of their exact post-decoding BER alongside its value. The planned Newton
-// inversion consults it; BERModeler codes without it fall back to the
-// derivative-free monotone solve.
-type berDerivModeler interface {
-	BERModeler
-	// postDecodeBERAndDeriv returns PostDecodeBER(p) (bit-identical to the
-	// BERModeler method) and dBER/dp at the same point.
-	postDecodeBERAndDeriv(p float64) (ber, dBERdP float64)
+// berModel is implemented by codes whose exact post-decoding BER replaces
+// the generic t-indexed models (Repetition's majority vote). It returns the
+// BER at raw flip probability p together with dBER/dp at the same point,
+// the slope the planned Newton inversion runs on.
+type berModel interface {
+	postDecodeBER(p float64) (ber, dBERdP float64)
 }
 
 // FERPlan is the precomputed evaluation plan for one code's analytic error
@@ -36,11 +33,9 @@ type FERPlan struct {
 	// lnCPrev = ln C(n−1, t): d/dp P(X ≤ t) = −n·C(n−1,t)·p^t·(1−p)^(n−1−t).
 	lnCPrev float64
 
-	// Post-decoding model dispatch, resolved at compile time. Exactly one
-	// of deriv/opaque is non-nil for BERModeler codes; both nil means the
-	// generic t-indexed models apply.
-	deriv  berDerivModeler
-	opaque BERModeler
+	// model is the code's exact post-decoding model, resolved at compile
+	// time; nil means the generic t-indexed models apply.
+	model berModel
 }
 
 // PlanFor returns the FER plan for code c. A code that is the scheme
@@ -68,12 +63,7 @@ func compilePlan(c Code) *FERPlan {
 	if t <= n-1 {
 		p.lnCPrev = lchoose(n-1, t)
 	}
-	switch m := c.(type) {
-	case berDerivModeler:
-		p.deriv = m
-	case BERModeler:
-		p.opaque = m
-	}
+	p.model, _ = c.(berModel)
 	return p
 }
 
@@ -144,15 +134,14 @@ func (p *FERPlan) ferTailDeriv(pe float64) (fer, dLnFERdLnP float64) {
 }
 
 // PostDecodeBER returns the post-decoding BER at raw bit error probability
-// pe: exact BERModeler expressions first (repetition, uncoded), then
-// pass-through (t = 0), the paper's Eq. 2 (t = 1), or the union bound
-// (t ≥ 2) with its tail evaluated by the incremental term recurrence.
+// pe: the code's exact model first (repetition's majority vote), then
+// pass-through (t = 0, uncoded and detect-only codes), the paper's Eq. 2
+// (t = 1), or the union bound (t ≥ 2) with its tail evaluated by the
+// incremental term recurrence.
 func (p *FERPlan) PostDecodeBER(pe float64) float64 {
-	if p.deriv != nil {
-		return p.deriv.PostDecodeBER(pe)
-	}
-	if p.opaque != nil {
-		return p.opaque.PostDecodeBER(pe)
+	if p.model != nil {
+		ber, _ := p.model.postDecodeBER(pe)
+		return ber
 	}
 	switch {
 	case p.t == 0:
@@ -205,37 +194,34 @@ func (p *FERPlan) unionTail(pe float64) (ber, dBERdP float64) {
 }
 
 // postDecodeBERDeriv returns PostDecodeBER(pe) together with the log-log
-// slope d lnBER / d lnp, and reports whether the derivative is available
-// (opaque BERModeler codes only supply the value).
-func (p *FERPlan) postDecodeBERDeriv(pe float64) (ber, dLnBdLnP float64, ok bool) {
+// slope d lnBER / d lnp.
+func (p *FERPlan) postDecodeBERDeriv(pe float64) (ber, dLnBdLnP float64) {
 	switch {
-	case p.deriv != nil:
-		b, d := p.deriv.postDecodeBERAndDeriv(pe)
+	case p.model != nil:
+		b, d := p.model.postDecodeBER(pe)
 		if b <= 0 {
-			return b, 0, true
+			return b, 0
 		}
-		return b, pe * d / b, true
-	case p.opaque != nil:
-		return p.opaque.PostDecodeBER(pe), 0, false
+		return b, pe * d / b
 	case p.t == 0:
-		return pe, 1, true
+		return pe, 1
 	case p.t == 1:
 		// Eq. 2: B = p − p(1−p)^(n−1) = p·(1 − q^(n−1)).
 		q := 1 - pe
 		qn1 := math.Pow(q, float64(p.n-1))
 		b := pe - pe*qn1
 		if b <= 0 {
-			return b, 0, true
+			return b, 0
 		}
 		// dB/dp = (1 − q^(n−1)) + p(n−1)q^(n−2).
 		dBdP := (1 - qn1) + pe*float64(p.n-1)*math.Pow(q, float64(p.n-2))
-		return b, pe * dBdP / b, true
+		return b, pe * dBdP / b
 	default:
 		b, dBdP := p.unionTail(pe)
 		if b <= 0 || b >= 1 {
-			return b, 0, true
+			return b, 0
 		}
-		return b, pe * dBdP / b, true
+		return b, pe * dBdP / b
 	}
 }
 
@@ -258,25 +244,9 @@ func (p *FERPlan) RequiredRawBER(target float64) (float64, error) {
 	if !(target > 0 && target < 0.5) {
 		return 0, fmt.Errorf("ecc: target BER %g outside (0, 0.5)", target)
 	}
-	if p.opaque != nil {
-		// Opaque BERModeler: no derivative available, use the legacy
-		// derivative-free monotone solve.
-		f := func(lnP float64) float64 {
-			post := p.PostDecodeBER(math.Exp(lnP))
-			if post <= 0 {
-				return math.Inf(-1)
-			}
-			return math.Log(post)
-		}
-		lnP, err := mathx.SolveMonotone(f, math.Log(target), lnPLo, lnPHi, 1e-12)
-		if err != nil {
-			return 0, fmt.Errorf("ecc: %s: inverting BER %g: %w", p.code.Name(), target, err)
-		}
-		return math.Exp(lnP), nil
-	}
 	lnT := math.Log(target)
 	fd := func(lnP float64) (float64, float64) {
-		ber, d, _ := p.postDecodeBERDeriv(math.Exp(lnP))
+		ber, d := p.postDecodeBERDeriv(math.Exp(lnP))
 		if ber <= 0 {
 			return math.Inf(-1), 0
 		}

@@ -28,8 +28,13 @@ func referenceFrameErrorRate(c Code, p float64) float64 {
 }
 
 func referencePostDecodeBER(c Code, p float64) float64 {
-	if m, ok := c.(BERModeler); ok {
-		return m.PostDecodeBER(p)
+	if rep, ok := c.(*Repetition); ok {
+		// Majority vote fails when more than r/2 of the r copies flip.
+		var sum float64
+		for i := rep.r/2 + 1; i <= rep.r; i++ {
+			sum += binomialTerm(rep.r, i, p)
+		}
+		return math.Min(sum, 1)
 	}
 	switch {
 	case c.T() == 0:

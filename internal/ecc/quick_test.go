@@ -21,18 +21,18 @@ func quickCodes(t *testing.T) []Code {
 }
 
 // TestQuickEncodeDecodeIdentity: for every scheme and arbitrary payloads,
-// Decode(Encode(x)) == x with a clean report.
+// DecodeInto(EncodeInto(x)) == x with a clean report.
 func TestQuickEncodeDecodeIdentity(t *testing.T) {
 	for _, code := range quickCodes(t) {
 		code := code
 		prop := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			data := randomData(rng, code.K())
-			word, err := code.Encode(data)
+			word, err := encode(code, data)
 			if err != nil {
 				return false
 			}
-			got, info, err := code.Decode(word)
+			got, info, err := decode(code, word)
 			return err == nil && got.Equal(data) && info.Corrected == 0 && !info.Detected
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
@@ -51,12 +51,12 @@ func TestQuickSingleErrorProperty(t *testing.T) {
 		prop := func(seed int64, posRaw uint16) bool {
 			rng := rand.New(rand.NewSource(seed))
 			data := randomData(rng, code.K())
-			word, err := code.Encode(data)
+			word, err := encode(code, data)
 			if err != nil {
 				return false
 			}
 			word.Flip(int(posRaw) % code.N())
-			got, info, err := code.Decode(word)
+			got, info, err := decode(code, word)
 			return err == nil && got.Equal(data) && info.Corrected >= 1
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
@@ -75,11 +75,11 @@ func TestQuickLinearityProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			a := randomData(rng, code.K())
 			b := randomData(rng, code.K())
-			ca, err := code.Encode(a)
+			ca, err := encode(code, a)
 			if err != nil {
 				return false
 			}
-			cb, err := code.Encode(b)
+			cb, err := encode(code, b)
 			if err != nil {
 				return false
 			}
@@ -87,7 +87,7 @@ func TestQuickLinearityProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			cab, err := code.Encode(ab)
+			cab, err := encode(code, ab)
 			if err != nil {
 				return false
 			}
@@ -110,7 +110,7 @@ func TestQuickSystematicProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		lin := MustHamming7164()
 		data := randomData(rng, lin.K())
-		word, err := lin.Encode(data)
+		word, err := encode(lin, data)
 		if err != nil {
 			return false
 		}
@@ -119,7 +119,7 @@ func TestQuickSystematicProperty(t *testing.T) {
 		}
 		bch := MustBCH157()
 		d2 := randomData(rng, bch.K())
-		w2, err := bch.Encode(d2)
+		w2, err := encode(bch, d2)
 		if err != nil {
 			return false
 		}
@@ -173,7 +173,7 @@ func TestQuickCodewordWeightBounds(t *testing.T) {
 			if data.PopCount() == 0 {
 				data.Set(0, 1)
 			}
-			word, err := c.code.Encode(data)
+			word, err := encode(c.code, data)
 			if err != nil {
 				return false
 			}

@@ -97,34 +97,26 @@ func TestRoundTripCorrectsUpToT(t *testing.T) {
 }
 
 // TestCodecRejectsMisSizedBuffers requires EncodeInto and DecodeInto to
-// reject a mis-sized destination, data vector or received word with an
-// error naming the code.
+// reject a destination, data vector or received word one bit short or long
+// with an error naming the code.
 func TestCodecRejectsMisSizedBuffers(t *testing.T) {
 	for _, code := range slicedTestCodes(t) {
 		n, k := code.N(), code.K()
-		for _, tc := range []struct {
-			what string
-			err  error
-		}{
-			{"encode: short dst", code.EncodeInto(bits.New(n-1), bits.New(k))},
-			{"encode: long dst", code.EncodeInto(bits.New(n+1), bits.New(k))},
-			{"encode: short data", code.EncodeInto(bits.New(n), bits.New(k-1))},
-			{"encode: long data", code.EncodeInto(bits.New(n), bits.New(k+1))},
-			{"decode: short dst", decodeErr(code, bits.New(k-1), bits.New(n))},
-			{"decode: long dst", decodeErr(code, bits.New(k+1), bits.New(n))},
-			{"decode: short word", decodeErr(code, bits.New(k), bits.New(n-1))},
-			{"decode: long word", decodeErr(code, bits.New(k), bits.New(n+1))},
-		} {
-			if tc.err == nil {
-				t.Errorf("%s %s: no error", code.Name(), tc.what)
-			} else if !strings.Contains(tc.err.Error(), code.Name()) {
-				t.Errorf("%s %s: error %q does not name the code", code.Name(), tc.what, tc.err)
+		for _, d := range []int{-1, 1} {
+			_, decDst := code.DecodeInto(bits.New(k+d), bits.New(n))
+			_, decWord := code.DecodeInto(bits.New(k), bits.New(n+d))
+			for what, err := range map[string]error{
+				"EncodeInto dst":  code.EncodeInto(bits.New(n+d), bits.New(k)),
+				"EncodeInto data": code.EncodeInto(bits.New(n), bits.New(k+d)),
+				"DecodeInto dst":  decDst,
+				"DecodeInto word": decWord,
+			} {
+				if err == nil {
+					t.Errorf("%s: %s off by %+d: no error", code.Name(), what, d)
+				} else if !strings.Contains(err.Error(), code.Name()) {
+					t.Errorf("%s: %s off by %+d: error %q does not name the code", code.Name(), what, d, err)
+				}
 			}
 		}
 	}
-}
-
-func decodeErr(c Code, dst, word bits.Vector) error {
-	_, err := c.DecodeInto(dst, word)
-	return err
 }

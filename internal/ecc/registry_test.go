@@ -32,21 +32,21 @@ func TestExtendedSchemesAllRoundTrip(t *testing.T) {
 	for _, c := range ExtendedSchemes() {
 		for trial := 0; trial < 50; trial++ {
 			data := randomData(rng, c.K())
-			word, err := c.Encode(data)
+			word, err := encode(c, data)
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name(), err)
 			}
 			if word.Len() != c.N() {
 				t.Fatalf("%s: wrong codeword length", c.Name())
 			}
-			got, info, err := c.Decode(word)
+			got, info, err := decode(c, word)
 			if err != nil || !got.Equal(data) || info.Detected {
 				t.Fatalf("%s: clean roundtrip failed (%+v, %v)", c.Name(), info, err)
 			}
 			if c.T() >= 1 {
 				pos := rng.Intn(c.N())
 				word.Flip(pos)
-				got, _, err := c.Decode(word)
+				got, _, err := decode(c, word)
 				if err != nil {
 					t.Fatalf("%s: %v", c.Name(), err)
 				}
@@ -185,7 +185,7 @@ func BenchmarkHamming74Encode(b *testing.B) {
 	data := randomData(rng, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := code.Encode(data); err != nil {
+		if _, err := encode(code, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func BenchmarkHamming7164Encode(b *testing.B) {
 	data := randomData(rng, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := code.Encode(data); err != nil {
+		if _, err := encode(code, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,14 +207,14 @@ func BenchmarkHamming7164DecodeWithError(b *testing.B) {
 	code := MustHamming7164()
 	rng := rand.New(rand.NewSource(1))
 	data := randomData(rng, 64)
-	word, err := code.Encode(data)
+	word, err := encode(code, data)
 	if err != nil {
 		b.Fatal(err)
 	}
 	word.Flip(17)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := code.Decode(word); err != nil {
+		if _, _, err := decode(code, word); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func BenchmarkBCH157DecodeDoubleError(b *testing.B) {
 	code := MustBCH157()
 	rng := rand.New(rand.NewSource(1))
 	data := randomData(rng, 7)
-	word, err := code.Encode(data)
+	word, err := encode(code, data)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func BenchmarkBCH157DecodeDoubleError(b *testing.B) {
 	word.Flip(11)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := code.Decode(word); err != nil {
+		if _, _, err := decode(code, word); err != nil {
 			b.Fatal(err)
 		}
 	}

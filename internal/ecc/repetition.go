@@ -38,21 +38,10 @@ func (c *Repetition) K() int { return c.k }
 // T implements Code: majority vote fixes up to (r−1)/2 flips per data bit.
 func (c *Repetition) T() int { return (c.r - 1) / 2 }
 
-// Encode implements Code: bit i occupies positions [i·r, (i+1)·r).
-func (c *Repetition) Encode(data bits.Vector) (bits.Vector, error) {
-	out := bits.New(c.N())
-	if err := c.EncodeInto(out, data); err != nil {
-		return bits.Vector{}, err
-	}
-	return out, nil
-}
-
-// EncodeInto implements Code without allocating.
+// EncodeInto implements Code without allocating: bit i occupies positions
+// [i·r, (i+1)·r).
 func (c *Repetition) EncodeInto(dst, data bits.Vector) error {
-	if err := checkDataLen(c, data); err != nil {
-		return err
-	}
-	if err := checkEncodeDst(c, dst); err != nil {
+	if err := checkEncode(c, dst, data); err != nil {
 		return err
 	}
 	for i := 0; i < c.k; i++ {
@@ -64,22 +53,9 @@ func (c *Repetition) EncodeInto(dst, data bits.Vector) error {
 	return nil
 }
 
-// Decode implements Code by per-bit majority vote.
-func (c *Repetition) Decode(word bits.Vector) (bits.Vector, DecodeInfo, error) {
-	data := bits.New(c.k)
-	info, err := c.DecodeInto(data, word)
-	if err != nil {
-		return bits.Vector{}, DecodeInfo{}, err
-	}
-	return data, info, nil
-}
-
-// DecodeInto implements Code: the majority vote without allocating.
+// DecodeInto implements Code by per-bit majority vote, without allocating.
 func (c *Repetition) DecodeInto(dst, word bits.Vector) (DecodeInfo, error) {
-	if err := checkWordLen(c, word); err != nil {
-		return DecodeInfo{}, err
-	}
-	if err := checkDecodeDst(c, dst); err != nil {
+	if err := checkDecode(c, dst, word); err != nil {
 		return DecodeInfo{}, err
 	}
 	info := DecodeInfo{}
@@ -103,31 +79,20 @@ func (c *Repetition) DecodeInto(dst, word bits.Vector) (DecodeInfo, error) {
 	return info, nil
 }
 
-// PostDecodeBER implements BERModeler with the exact majority-vote error
-// probability: P(more than r/2 of r copies flip) at raw flip probability p.
-func (c *Repetition) PostDecodeBER(p float64) float64 {
+// postDecodeBER implements berModel with the exact majority-vote error
+// probability, P(more than r/2 of r copies flip) at raw flip probability p,
+// and its derivative from the binomial-tail identity
+// d/dp P(X ≥ m) = r·C(r−1, m−1)·p^(m−1)·(1−p)^(r−m) with m = r/2 + 1.
+func (c *Repetition) postDecodeBER(p float64) (ber, dBERdP float64) {
+	m := c.r/2 + 1
 	var sum float64
-	for i := c.r/2 + 1; i <= c.r; i++ {
+	for i := m; i <= c.r; i++ {
 		sum += binomialTerm(c.r, i, p)
 	}
-	return math.Min(sum, 1)
-}
-
-// postDecodeBERAndDeriv implements berDerivModeler. The value duplicates
-// PostDecodeBER term for term (bit-identical); the derivative is the
-// binomial-tail identity d/dp P(X ≥ m) = r·C(r−1, m−1)·p^(m−1)·(1−p)^(r−m)
-// with m = r/2 + 1.
-func (c *Repetition) postDecodeBERAndDeriv(p float64) (float64, float64) {
-	var sum float64
-	for i := c.r/2 + 1; i <= c.r; i++ {
-		sum += binomialTerm(c.r, i, p)
-	}
-	ber := math.Min(sum, 1)
+	ber = math.Min(sum, 1)
 	if p <= 0 || p >= 1 {
 		return ber, 0
 	}
-	m := c.r/2 + 1
-	deriv := float64(c.r) * math.Exp(lchoose(c.r-1, m-1)+
+	return ber, float64(c.r) * math.Exp(lchoose(c.r-1, m-1)+
 		float64(m-1)*math.Log(p)+float64(c.r-m)*math.Log1p(-p))
-	return ber, deriv
 }

@@ -30,7 +30,7 @@ func TestRepetitionRoundTripAndCorrection(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 200; trial++ {
 		data := randomData(rng, 8)
-		word, err := code.Encode(data)
+		word, err := encode(code, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestRepetitionRoundTripAndCorrection(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			word.Flip(i*3 + rng.Intn(3))
 		}
-		got, info, err := code.Decode(word)
+		got, info, err := decode(code, word)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,14 +61,14 @@ func TestRepetitionFiveWayCorrectsTwoPerBlock(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20))
 	data := randomData(rng, 4)
-	word, err := code.Encode(data)
+	word, err := encode(code, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two flips in one block.
 	word.Flip(5)
 	word.Flip(7)
-	got, _, err := code.Decode(word)
+	got, _, err := decode(code, word)
 	if err != nil || !got.Equal(data) {
 		t.Error("two flips within a 5-way block should be repaired")
 	}
@@ -82,11 +82,11 @@ func TestRepetitionExactBERModel(t *testing.T) {
 	}
 	for _, p := range []float64{1e-4, 1e-3, 0.01, 0.1, 0.3} {
 		want := 3*p*p*(1-p) + p*p*p
-		if got := code.PostDecodeBER(p); !approx(got, want, 1e-9) {
+		if got, _ := code.postDecodeBER(p); !approx(got, want, 1e-9) {
 			t.Errorf("PostDecodeBER(%g) = %g, want %g", p, got, want)
 		}
 	}
-	if got := code.PostDecodeBER(0); got != 0 {
+	if got, _ := code.postDecodeBER(0); got != 0 {
 		t.Errorf("PostDecodeBER(0) = %g", got)
 	}
 }
@@ -103,12 +103,12 @@ func TestRepetitionModelMatchesMonteCarlo(t *testing.T) {
 	errors, total := 0, 0
 	for trial := 0; trial < 2000; trial++ {
 		data := randomData(rng, 16)
-		word, err := code.Encode(data)
+		word, err := encode(code, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bits.FlipRandom(word, rng, p)
-		got, _, err := code.Decode(word)
+		got, _, err := decode(code, word)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestRepetitionModelMatchesMonteCarlo(t *testing.T) {
 		}
 	}
 	sim := float64(errors) / float64(total)
-	want := code.PostDecodeBER(p)
+	want, _ := code.postDecodeBER(p)
 	if sim < want*0.8 || sim > want*1.2 {
 		t.Errorf("simulated BER %g vs model %g (>20%% apart)", sim, want)
 	}

@@ -23,7 +23,7 @@ type SlicedInfo struct {
 // Slicer is implemented by codes with bit-sliced kernels. data holds K
 // sliced words and word N sliced words; both methods are allocation-free and
 // overwrite their destination completely. DecodeSliced must agree exactly,
-// frame by frame, with Decode applied to the transposed frames (the property
+// frame by frame, with DecodeInto applied to the transposed frames (the property
 // tests enforce this across the registry).
 //
 // Obtain a Slicer through AsSlicer rather than type-asserting: composed

@@ -51,7 +51,7 @@ func transposeFromSliced(sliced []uint64, n, f int) bits.Vector {
 // TestSlicedKernelsMatchScalar is the frame-exactness property test: for
 // every sliced code, 64 random frames pushed through
 // EncodeSliced → random corruption → DecodeSliced must reproduce, bit for
-// bit and flag for flag, what Encode → Decode does on each frame
+// bit and flag for flag, what EncodeInto → DecodeInto does on each frame
 // individually.
 func TestSlicedKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260727))
@@ -76,7 +76,7 @@ func TestSlicedKernelsMatchScalar(t *testing.T) {
 				sl.EncodeSliced(word, data)
 				scalarWords := make([]bits.Vector, SlicedWidth)
 				for f := range frames {
-					w, err := code.Encode(frames[f])
+					w, err := encode(code, frames[f])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -107,7 +107,7 @@ func TestSlicedKernelsMatchScalar(t *testing.T) {
 				info := sl.DecodeSliced(out, word)
 				totalCorrected := 0
 				for f := range scalarWords {
-					dec, di, err := code.Decode(scalarWords[f])
+					dec, di, err := decode(code, scalarWords[f])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -179,7 +179,7 @@ func TestDenseSyndromeTableMatchesMap(t *testing.T) {
 			n := code.N()
 			data := bits.New(code.K())
 			data.FillRandom(rng)
-			clean, err := code.Encode(data)
+			clean, err := encode(code, data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func TestDenseSyndromeTableMatchesMap(t *testing.T) {
 							desc, syn, posDense, okDense, posMap, okMap)
 					}
 				}
-				decDense, infoDense, err := code.Decode(word)
+				decDense, infoDense, err := decode(code, word)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -243,85 +243,4 @@ func (c *LinearCode) decodeViaMap(word bits.Vector) (bits.Vector, DecodeInfo) {
 		out.Flip(pos)
 	}
 	return out, DecodeInfo{Corrected: 1}
-}
-
-// TestInplaceSeamsMatchAllocating checks EncodeInto/DecodeInto against
-// Encode/Decode for every registry code plus the interleaved composition,
-// over random words with random low-weight corruption.
-func TestInplaceSeamsMatchAllocating(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, code := range slicedTestCodes(t) {
-		code := code
-		t.Run(code.Name(), func(t *testing.T) {
-			data := bits.New(code.K())
-			word := bits.New(code.N())
-			out := bits.New(code.K())
-			for trial := 0; trial < 50; trial++ {
-				data.FillRandom(rng)
-				ref, err := code.Encode(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := code.EncodeInto(word, data); err != nil {
-					t.Fatal(err)
-				}
-				if !word.Equal(ref) {
-					t.Fatalf("EncodeInto %s != Encode %s", word, ref)
-				}
-				if _, err := bits.FlipExactly(word, rng, trial%4); err != nil {
-					t.Fatal(err)
-				}
-				refDec, refInfo, err := code.Decode(word)
-				if err != nil {
-					t.Fatal(err)
-				}
-				info, err := code.DecodeInto(out, word)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !out.Equal(refDec) || info != refInfo {
-					t.Fatalf("DecodeInto (%s,%+v) != Decode (%s,%+v)", out, info, refDec, refInfo)
-				}
-			}
-		})
-	}
-}
-
-// TestInplaceSeamsOnBCH covers the scalar-only decoder's seams, including
-// patterns beyond t that exercise the detected path and the algebraic
-// miscorrection guard.
-func TestInplaceSeamsOnBCH(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, code := range []*BCH{MustBCH157(), MustBCH3121()} {
-		data := bits.New(code.K())
-		word := bits.New(code.N())
-		out := bits.New(code.K())
-		for trial := 0; trial < 200; trial++ {
-			data.FillRandom(rng)
-			ref, err := code.Encode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := code.EncodeInto(word, data); err != nil {
-				t.Fatal(err)
-			}
-			if !word.Equal(ref) {
-				t.Fatalf("%s: EncodeInto mismatch", code.Name())
-			}
-			if _, err := bits.FlipExactly(word, rng, trial%5); err != nil {
-				t.Fatal(err)
-			}
-			refDec, refInfo, err := code.Decode(word)
-			if err != nil {
-				t.Fatal(err)
-			}
-			info, err := code.DecodeInto(out, word)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !out.Equal(refDec) || info != refInfo {
-				t.Fatalf("%s: DecodeInto (%+v) != Decode (%+v)", code.Name(), info, refInfo)
-			}
-		}
-	}
 }

@@ -163,16 +163,25 @@ func (f *Field) MinimalPoly(beta uint16) (BinPoly, error) {
 // syndrome sequence synd (synd[i] = S_{i+1}) over the field. The returned
 // polynomial satisfies Λ(0) = 1 and its degree equals the number of errors
 // when that number is within the code's correction capability.
-func (f *Field) BerlekampMassey(synd []uint16) FieldPoly {
-	c := FieldPoly{1} // current locator estimate
-	b := FieldPoly{1} // copy from the last length change
-	L := 0            // current LFSR length
-	m := 1            // steps since last length change
-	bd := uint16(1)   // discrepancy at last length change
+//
+// Neither the locator nor its copy from the last length change ever exceeds
+// degree len(synd), so both live in caller-owned buffers of len(synd)+1
+// coefficients: lambda and prev must each hold that many (their contents are
+// overwritten), and the result is lambda trimmed to its degree. Nothing is
+// allocated.
+func (f *Field) BerlekampMassey(lambda, prev FieldPoly, synd []uint16) FieldPoly {
+	size := len(synd) + 1
+	c, b := lambda[:size], prev[:size] // current locator; copy at the last length change
+	clear(c)
+	clear(b)
+	c[0], b[0] = 1, 1
+	L := 0          // current LFSR length
+	m := 1          // steps since last length change
+	bd := uint16(1) // discrepancy at last length change
 	for n := 0; n < len(synd); n++ {
 		// Discrepancy of the next syndrome against the current LFSR.
 		d := synd[n]
-		for i := 1; i <= L && i < len(c); i++ {
+		for i := 1; i <= L; i++ {
 			if c[i] != 0 && synd[n-i] != 0 {
 				d ^= f.Mul(c[i], synd[n-i])
 			}
@@ -187,48 +196,48 @@ func (f *Field) BerlekampMassey(synd []uint16) FieldPoly {
 			m++
 			continue
 		}
-		// c ← c − coef·x^m·b
-		next := make(FieldPoly, maxInt(len(c), len(b)+m))
-		copy(next, c)
-		for i, bc := range b {
-			if bc != 0 {
-				next[i+m] ^= f.Mul(coef, bc)
+		// c ← c − coef·x^m·b, and on a length change b ← the old c. Walking
+		// down from the top reads b[i−m] before index i−m is overwritten;
+		// coef·x^m·b never exceeds degree n+1, so nothing falls off the top.
+		grow := 2*L <= n
+		for i := size - 1; i >= 0; i-- {
+			old := c[i]
+			if i >= m && b[i-m] != 0 {
+				c[i] ^= f.Mul(coef, b[i-m])
+			}
+			if grow {
+				b[i] = old
 			}
 		}
-		if 2*L <= n {
-			b = append(FieldPoly(nil), c...)
+		if grow {
 			L = n + 1 - L
 			bd = d
 			m = 1
 		} else {
 			m++
 		}
-		c = next
 	}
 	return c[:PolyDegree(c)+1]
 }
 
-// ChienSearch returns the error positions encoded by the locator polynomial
+// ChienSearch finds the error positions encoded by the locator polynomial
 // lambda for a code of block length n: position i is in error when
-// Λ(α^{-i}) = 0. The positions are returned in increasing order. If the
-// number of roots does not match the locator degree the pattern is
+// Λ(α^{-i}) = 0. A degree-d locator has at most d roots, so the search
+// writes them in increasing order into dst, which must hold d entries, and
+// stops at the d-th; positions is dst[:count] and nothing is allocated. If
+// the number of roots does not match the locator degree the pattern is
 // uncorrectable and ok is false.
-func (f *Field) ChienSearch(lambda FieldPoly, n int) (positions []int, ok bool) {
+func (f *Field) ChienSearch(dst []int, lambda FieldPoly, n int) (positions []int, ok bool) {
 	deg := PolyDegree(lambda)
 	if deg <= 0 {
-		return nil, deg == 0 // zero errors is fine; zero polynomial is not
+		return dst[:0], deg == 0 // zero errors is fine; zero polynomial is not
 	}
-	for i := 0; i < n; i++ {
+	count := 0
+	for i := 0; i < n && count < deg; i++ {
 		if f.PolyEval(lambda, f.Alpha(-i)) == 0 {
-			positions = append(positions, i)
+			dst[count] = i
+			count++
 		}
 	}
-	return positions, len(positions) == deg
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return dst[:count], count == deg
 }

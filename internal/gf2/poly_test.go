@@ -161,8 +161,8 @@ func TestBerlekampMasseyChienRoundTrip(t *testing.T) {
 			}
 			synd[j-1] = s
 		}
-		lambda := f.BerlekampMassey(synd)
-		got, ok := f.ChienSearch(lambda, n)
+		lambda := f.BerlekampMassey(make(FieldPoly, t2+1), make(FieldPoly, t2+1), synd)
+		got, ok := f.ChienSearch(make([]int, 3), lambda, n)
 		if !ok {
 			t.Fatalf("trial %d: Chien failed for %d errors at %v", trial, nerr, pos)
 		}
@@ -177,11 +177,11 @@ func TestBerlekampMasseyChienRoundTrip(t *testing.T) {
 func TestChienSearchDegenerate(t *testing.T) {
 	f, _ := NewField(4)
 	// Constant locator: no errors.
-	if pos, ok := f.ChienSearch(FieldPoly{1}, 15); !ok || pos != nil {
+	if pos, ok := f.ChienSearch(nil, FieldPoly{1}, 15); !ok || pos != nil {
 		t.Error("constant locator should mean zero errors")
 	}
 	// Zero polynomial: invalid.
-	if _, ok := f.ChienSearch(FieldPoly{0}, 15); ok {
+	if _, ok := f.ChienSearch(nil, FieldPoly{0}, 15); ok {
 		t.Error("zero locator should be rejected")
 	}
 }
@@ -191,5 +191,26 @@ func sortInts(xs []int) {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
+	}
+}
+
+func TestBerlekampMasseyChienZeroAlloc(t *testing.T) {
+	// Both stages run in caller-owned buffers: 2t+1 locator coefficients
+	// twice, and t positions for a degree-t locator.
+	f, _ := NewField(5)
+	synd := make([]uint16, 4) // t = 2
+	for j := 1; j <= len(synd); j++ {
+		synd[j-1] = f.Alpha(j*3) ^ f.Alpha(j*17)
+	}
+	lambda, prev, pos := make(FieldPoly, 5), make(FieldPoly, 5), make([]int, 2)
+	var got []int
+	allocs := testing.AllocsPerRun(100, func() {
+		got, _ = f.ChienSearch(pos, f.BerlekampMassey(lambda, prev, synd), f.N())
+	})
+	if allocs != 0 {
+		t.Errorf("BerlekampMassey+ChienSearch: %.1f allocations, want 0", allocs)
+	}
+	if !reflect.DeepEqual(got, []int{3, 17}) {
+		t.Errorf("positions %v, want [3 17]", got)
 	}
 }

@@ -116,8 +116,9 @@ func NewtonBisect(fd func(float64) (fx, dfx float64), lo, hi, tol float64) (floa
 }
 
 // SolveMonotone solves f(x) == target for x in [lo, hi], assuming f is
-// monotone (either direction) on the interval. It is the workhorse used to
-// invert the post-decoding BER.
+// monotone (either direction) on the interval. It is the derivative-free
+// reference inversion the planned Newton solves of the ecc package are
+// tested against.
 func SolveMonotone(f func(float64) float64, target, lo, hi, tol float64) (float64, error) {
 	g := func(x float64) float64 { return f(x) - target }
 	return Bisect(g, lo, hi, tol)

@@ -59,7 +59,7 @@ func TestSlicedMatchesScalarWithin3Sigma(t *testing.T) {
 func exactFER(c ecc.Code, p float64) float64 {
 	plan := ecc.PlanFor(c)
 	if rep, ok := c.(*ecc.Repetition); ok {
-		return 1 - math.Pow(1-rep.PostDecodeBER(p), float64(c.K()))
+		return 1 - math.Pow(1-plan.PostDecodeBER(p), float64(rep.K()))
 	}
 	return plan.FrameErrorRate(p)
 }
@@ -299,10 +299,9 @@ func benchThroughput(b *testing.B, scalar bool) {
 }
 
 // TestRunnerZeroAlloc pins the kernels' hot path: once built, a shard
-// runner of either kind simulates 64-frame words without allocating, for
-// every extended-roster code with a sliced kernel. BCH is left out: its
-// algebraic decoder's Berlekamp–Massey and Chien stages still allocate per
-// frame with a nonzero syndrome.
+// runner simulates 64-frame words without allocating. The scalar runner is
+// checked on every extended-roster code, BCH's algebraic decoder included,
+// and the sliced runner on every code with a sliced kernel.
 func TestRunnerZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	bsc, err := bits.NewBSC(3e-2)
@@ -310,14 +309,11 @@ func TestRunnerZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, code := range ecc.ExtendedSchemes() {
-		sl, ok := ecc.AsSlicer(code)
-		if !ok {
-			continue
+		runners := map[string]runner{"scalar": newScalarRunner(code, bsc, rand.New(rand.NewSource(1)))}
+		if sl, ok := ecc.AsSlicer(code); ok {
+			runners["sliced"] = newSlicedRunner(sl, bsc, rand.New(rand.NewSource(1)))
 		}
-		for kind, r := range map[string]runner{
-			"sliced": newSlicedRunner(sl, bsc, rand.New(rand.NewSource(1))),
-			"scalar": newScalarRunner(code, bsc, rand.New(rand.NewSource(1))),
-		} {
+		for kind, r := range runners {
 			var c counts
 			allocs := testing.AllocsPerRun(20, func() {
 				if err := r.runWords(ctx, 2, &c); err != nil {

@@ -74,7 +74,7 @@ func BuildEncoder(code *ecc.LinearCode) *Netlist {
 	}
 
 	// Systematic bits pass through; parity bits come from XOR trees over
-	// the mask footprints (identical to LinearCode.Encode's hot loop).
+	// the mask footprints (identical to LinearCode.EncodeInto's hot loop).
 	for i := 0; i < k; i++ {
 		n.MarkOutput(data[i], fmt.Sprintf("pre_c%d", i))
 		q := n.AddGate(CellDFF, fmt.Sprintf("c%d_reg", i), data[i])

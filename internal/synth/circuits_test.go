@@ -44,8 +44,8 @@ func TestEncoderNetlistMatchesBehavioralH74Exhaustive(t *testing.T) {
 	}
 	for v := 0; v < 16; v++ {
 		data := bits.FromUint(uint64(v), 4)
-		want, err := code.Encode(data)
-		if err != nil {
+		want := bits.New(code.N())
+		if err := code.EncodeInto(want, data); err != nil {
 			t.Fatal(err)
 		}
 		got := encodeViaNetlist(t, sim, code, data)
@@ -68,8 +68,8 @@ func TestEncoderNetlistMatchesBehavioralH7164Random(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			data.Set(i, rng.Intn(2))
 		}
-		want, err := code.Encode(data)
-		if err != nil {
+		want := bits.New(code.N())
+		if err := code.EncodeInto(want, data); err != nil {
 			t.Fatal(err)
 		}
 		got := encodeViaNetlist(t, sim, code, data)
@@ -120,8 +120,8 @@ func TestDecoderNetlistCorrectsAllSingleErrors(t *testing.T) {
 			for i := 0; i < code.K(); i++ {
 				data.Set(i, rng.Intn(2))
 			}
-			word, err := code.Encode(data)
-			if err != nil {
+			word := bits.New(code.N())
+			if err := code.EncodeInto(word, data); err != nil {
 				t.Fatal(err)
 			}
 			// Clean word first: no error flagged, data passes through.
@@ -158,14 +158,15 @@ func TestDecoderNetlistMatchesBehavioralOnRandomNoise(t *testing.T) {
 		for i := 0; i < code.K(); i++ {
 			data.Set(i, rng.Intn(2))
 		}
-		word, err := code.Encode(data)
-		if err != nil {
+		word := bits.New(code.N())
+		if err := code.EncodeInto(word, data); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := bits.FlipExactly(word, rng, trial%3); err != nil {
 			t.Fatal(err)
 		}
-		wantData, info, err := code.Decode(word)
+		wantData := bits.New(code.K())
+		info, err := code.DecodeInto(wantData, word)
 		if err != nil {
 			t.Fatal(err)
 		}

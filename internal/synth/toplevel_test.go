@@ -85,8 +85,8 @@ func TestReceiverTopDecodesThroughFullPipeline(t *testing.T) {
 		data[i] = (i*7 + 3) % 2
 	}
 	dataVec := vecFromInts(data)
-	word, err := code.Encode(dataVec)
-	if err != nil {
+	word := bits.New(code.N())
+	if err := code.EncodeInto(word, dataVec); err != nil {
 		t.Fatal(err)
 	}
 	word.Flip(40) // inject one error mid-word

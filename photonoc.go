@@ -36,10 +36,12 @@ type (
 	InterfacePower = core.InterfacePower
 	// Headline carries the Section V-C summary numbers.
 	Headline = core.Headline
-	// Code is a block code (scheme) on the link. Besides the allocating
-	// Encode/Decode it carries the in-place EncodeInto/DecodeInto that the
-	// Monte-Carlo engine and the serdes pipeline run on, so an external
-	// implementation must provide all four.
+	// Code is a block code (scheme) on the link: Name, N, K, T and the
+	// in-place codec EncodeInto/DecodeInto, which writes into caller-owned
+	// buffers and is what the Monte-Carlo engine and the serdes pipeline
+	// run on. An external implementation provides these six methods; its
+	// post-decoding BER comes from the generic model for its T (Eq. 2 for
+	// T = 1, the union bound above).
 	Code = ecc.Code
 	// LinearCode is a systematic linear block code (the concrete type
 	// behind the paper's Hamming schemes).
