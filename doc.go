@@ -61,8 +61,10 @@
 // transposed into lane-major []uint64 words — sliced word i carries
 // codeword bit i of all 64 frames — so each XOR/AND/popcount of the
 // encode → BSC → decode loop advances 64 trials at once, with channel
-// errors drawn by bits.BSC's geometric gap sampling (O(expected flips)) and
-// syndromes resolved through a dense table. Codes without a sliced kernel (BCH) run
+// errors drawn by bits.BSC's geometric gap sampling (O(expected flips), one
+// ziggurat exponential per flip) and nonzero syndromes resolved by a dense
+// table lookup per frame when few, or for all 64 frames at once by syndrome
+// minterms when many. Codes without a sliced kernel (BCH) run
 // on a scalar per-frame fallback through the same harness.
 //
 //	// One operating point: H(71,64) at raw flip probability 1e-3,

@@ -24,8 +24,9 @@ func FlipPositions(v Vector, positions ...int) error {
 // It is the per-bit reference channel: one uniform draw per bit, with a
 // fixed RNG consumption that the ecc Monte-Carlo tests and the tracked
 // monte_carlo_block baseline are seeded against. Fast paths use
-// BSC.Corrupt, which samples the same distribution in O(expected flips)
-// via geometric gap sampling and applies flips by XOR on the packed words.
+// BSC.Corrupt, which samples the same distribution in O(expected flips):
+// it draws the run of clean bits before each flip as a scaled exponential
+// (ziggurat, no logarithm) and applies flips by XOR on the packed words.
 func FlipRandom(v Vector, rng *rand.Rand, p float64) int {
 	flips := 0
 	for i := 0; i < v.Len(); i++ {
@@ -40,9 +41,12 @@ func FlipRandom(v Vector, rng *rand.Rand, p float64) int {
 // BSC is a binary symmetric channel error injector operating word-wise on
 // packed vectors: flip positions are drawn by geometric gap sampling
 // (O(expected flips) RNG draws instead of one per bit) and applied by XOR
-// on the 64-bit words. A BSC carries no per-call state beyond its
-// precomputed 1/ln(1−p), so one value can corrupt any number of blocks
-// with zero allocations.
+// on the 64-bit words. Each gap is floor(E·s) with E a standard exponential
+// from rand.ExpFloat64 (a ziggurat draw, a table lookup and a multiply in
+// all but a few percent of calls) and s = −1/ln(1−p): P(gap ≥ g) =
+// P(E ≥ g/s) = (1−p)^g, the Geometric(p) law of the clean runs between
+// flips. A BSC carries no per-call state beyond the precomputed s, so one
+// value can corrupt any number of blocks with zero allocations.
 //
 // It is the one channel sampler of the bit-true Monte-Carlo paths: the
 // serdes pipeline's default channel, both kernels of internal/mc (the
@@ -56,7 +60,7 @@ func FlipRandom(v Vector, rng *rand.Rand, p float64) int {
 // sequence-compatible under a shared seed.
 type BSC struct {
 	p        float64
-	invLn1mP float64 // 1 / ln(1−p); 0 when p == 0
+	gapScale float64 // −1 / ln(1−p), which scales a unit exponential to a clean run; 0 when p == 0
 }
 
 // NewBSC returns an injector with bit flip probability p in [0, 1).
@@ -66,7 +70,7 @@ func NewBSC(p float64) (BSC, error) {
 	}
 	b := BSC{p: p}
 	if p > 0 {
-		b.invLn1mP = 1 / math.Log1p(-p)
+		b.gapScale = -1 / math.Log1p(-p)
 	}
 	return b, nil
 }
@@ -75,7 +79,8 @@ func NewBSC(p float64) (BSC, error) {
 func (b BSC) P() float64 { return b.p }
 
 // Corrupt flips each bit of v independently with probability p and returns
-// the number of flips. It allocates nothing.
+// the number of flips. It draws one exponential per flip, plus one for the
+// run that ends past the vector, and allocates nothing.
 func (b BSC) Corrupt(v Vector, rng *rand.Rand) int {
 	if b.p == 0 || v.n == 0 {
 		return 0
@@ -83,9 +88,9 @@ func (b BSC) Corrupt(v Vector, rng *rand.Rand) int {
 	flips := 0
 	i := -1
 	for {
-		// Geometric gap: skip ahead floor(ln U / ln(1−p)) clean bits. A
-		// U of exactly 0 yields +Inf — past any vector, ending the scan.
-		gap := math.Log(rng.Float64()) * b.invLn1mP
+		// Geometric gap: skip floor(E·s) clean bits. The comparison in
+		// float64 ends the scan before a huge gap could overflow int.
+		gap := rng.ExpFloat64() * b.gapScale
 		if gap >= float64(v.n-i) {
 			return flips
 		}

@@ -60,12 +60,18 @@ func FromUint(x uint64, n int) Vector {
 	return v
 }
 
-// FromWords returns a len(words)·64-bit vector backed by words itself: bit
-// i is bit i&63 of words[i>>6]. It copies nothing — the vector aliases
-// words — so code that keeps its bits in raw words (the bit-sliced
-// Monte-Carlo kernel) can hand them to Vector operations such as
-// BSC.Corrupt without allocating.
-func FromWords(words []uint64) Vector { return Vector{words: words, n: len(words) * 64} }
+// FromWords returns an n-bit vector backed by words itself: bit i is bit
+// i&63 of words[i>>6]. It copies nothing — the vector aliases the first
+// (n+63)/64 words — so code that keeps its bits in raw words (the bit-sliced
+// Monte-Carlo kernel, fixed-size stack scratch) can hand them to Vector
+// operations such as BSC.Corrupt without allocating. The bits of the last
+// word past n must be zero. It panics unless 0 <= n <= 64·len(words).
+func FromWords(words []uint64, n int) Vector {
+	if n < 0 || n > 64*len(words) {
+		panic(fmt.Sprintf("bits: FromWords(%d words, %d bits)", len(words), n))
+	}
+	return Vector{words: words[:(n+63)/64], n: n}
+}
 
 // Len returns the number of bits in the vector.
 func (v Vector) Len() int { return v.n }

@@ -88,9 +88,12 @@ func TestFromUintAndUint(t *testing.T) {
 
 func TestFromWordsAliases(t *testing.T) {
 	words := []uint64{0b101, 1 << 63}
-	v := FromWords(words)
+	v := FromWords(words, 128)
 	if v.Len() != 128 {
 		t.Fatalf("Len = %d, want 128", v.Len())
+	}
+	if short := FromWords(words, 3); short.Len() != 3 || short.PopCount() != 2 {
+		t.Errorf("3-bit view: Len %d, PopCount %d, want 3 and 2", short.Len(), short.PopCount())
 	}
 	if got := v.OnesPositions(); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 127 {
 		t.Errorf("ones at %v, want [0 2 127]", got)
@@ -99,6 +102,16 @@ func TestFromWordsAliases(t *testing.T) {
 	v.Flip(64)
 	if words[1] != 1<<63|1 {
 		t.Errorf("Flip through the view left words[1] = %#x", words[1])
+	}
+	for _, n := range []int{-1, 129} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FromWords(2 words, %d) did not panic", n)
+				}
+			}()
+			FromWords(words, n)
+		}()
 	}
 }
 

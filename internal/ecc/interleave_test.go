@@ -3,89 +3,128 @@ package ecc
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"photonoc/internal/bits"
 )
 
+// foreignCode hides a code's concrete type, as a Code implemented outside
+// the package would: InterleavedCode must take its heap-scratch path.
+type foreignCode struct{ Code }
+
+// TestInterleaverRoundTrip checks the interleaver permutation: stream
+// position col·depth+row carries bit col of row's inner codeword, and
+// decoding a clean stream returns the data. Inner codes include one above
+// maxRowBits and one of foreign type, the two heap-scratch paths.
 func TestInterleaverRoundTrip(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		depth := rng.Intn(8) + 1
-		width := rng.Intn(30) + 1
-		il, err := NewInterleaver(depth, width)
-		if err != nil {
-			return false
-		}
-		words := make([]bits.Vector, depth)
-		for i := range words {
-			words[i] = randomData(rng, width)
-		}
-		stream, err := il.Interleave(words)
-		if err != nil {
-			return false
-		}
-		back, err := il.Deinterleave(stream)
-		if err != nil {
-			return false
-		}
-		for i := range words {
-			if !back[i].Equal(words[i]) {
-				return false
+	bigRep, err := NewRepetition(2, 257)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(80))
+	for _, inner := range append(ExtendedSchemes(), bigRep, foreignCode{MustHamming74()}) {
+		for _, depth := range []int{1, 3, 8} {
+			code, err := NewInterleavedCode(inner, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := randomData(rng, code.K())
+			stream, err := encode(code, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := inner.K()
+			for row := 0; row < depth; row++ {
+				rowWord, err := encode(inner, data.Slice(row*k, (row+1)*k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for col := 0; col < inner.N(); col++ {
+					if stream.Bit(col*depth+row) != rowWord.Bit(col) {
+						t.Fatalf("%s: stream bit %d != bit %d of row %d", code.Name(), col*depth+row, col, row)
+					}
+				}
+			}
+			got, info, err := decode(code, stream)
+			if err != nil || !got.Equal(data) || info != (DecodeInfo{}) {
+				t.Fatalf("%s: clean round trip gave %+v, %v", code.Name(), info, err)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 
 func TestInterleaverSpreadsBursts(t *testing.T) {
 	// The defining property: a burst of `depth` consecutive stream errors
-	// touches each codeword at most once.
-	il, err := NewInterleaver(4, 7)
+	// touches each codeword at most once. With an uncoded inner the decoded
+	// rows show the damage as it arrived.
+	inner, err := NewUncoded(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := make([]bits.Vector, 4)
-	for i := range words {
-		words[i] = bits.New(7)
-	}
-	stream, err := il.Interleave(words)
+	code, err := NewInterleavedCode(inner, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bits.BurstError(stream, 5, 4); err != nil {
-		t.Fatal(err)
-	}
-	back, err := il.Deinterleave(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range back {
-		if w.PopCount() > 1 {
-			t.Errorf("codeword %d received %d burst errors, want <= 1", i, w.PopCount())
+	for start := 0; start < code.N(); start++ {
+		stream := bits.New(code.N())
+		if err := bits.BurstError(stream, start, 4); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := decode(code, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row := 0; row < 4; row++ {
+			if n := got.Slice(row*7, (row+1)*7).PopCount(); n > 1 {
+				t.Errorf("burst at %d: codeword %d received %d errors, want <= 1", start, row, n)
+			}
 		}
 	}
 }
 
 func TestInterleaverValidation(t *testing.T) {
-	if _, err := NewInterleaver(0, 7); err == nil {
-		t.Error("depth 0 should fail")
+	for _, depth := range []int{0, -1} {
+		if _, err := NewInterleavedCode(MustHamming74(), depth); err == nil {
+			t.Errorf("depth %d should fail", depth)
+		}
 	}
-	if _, err := NewInterleaver(4, 0); err == nil {
-		t.Error("width 0 should fail")
+	code, err := NewInterleavedCode(MustHamming74(), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	il, _ := NewInterleaver(2, 7)
-	if _, err := il.Interleave([]bits.Vector{bits.New(7)}); err == nil {
-		t.Error("wrong word count should fail")
+	if err := code.EncodeInto(bits.New(14), bits.New(7)); err == nil {
+		t.Error("wrong data size should fail")
 	}
-	if _, err := il.Interleave([]bits.Vector{bits.New(7), bits.New(6)}); err == nil {
-		t.Error("wrong word size should fail")
+	if err := code.EncodeInto(bits.New(13), bits.New(8)); err == nil {
+		t.Error("wrong codeword size should fail")
 	}
-	if _, err := il.Deinterleave(bits.New(13)); err == nil {
+	if _, err := code.DecodeInto(bits.New(8), bits.New(13)); err == nil {
 		t.Error("wrong stream size should fail")
+	}
+}
+
+// TestInterleavedCodecZeroAlloc pins the stack scratch: over every roster
+// code as inner (all within maxRowBits), a round trip through a corrupted
+// stream allocates nothing.
+func TestInterleavedCodecZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	for _, inner := range ExtendedSchemes() {
+		code, err := NewInterleavedCode(inner, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, word, out := randomData(rng, code.K()), bits.New(code.N()), bits.New(code.K())
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := code.EncodeInto(word, data); err != nil {
+				t.Fatal(err)
+			}
+			word.Flip(rng.Intn(code.N()))
+			if _, err := code.DecodeInto(out, word); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per round trip, want 0", code.Name(), allocs)
+		}
 	}
 }
 

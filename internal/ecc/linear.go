@@ -27,21 +27,28 @@ type LinearCode struct {
 	// same footprint as an index list, which is what the bit-sliced kernels
 	// iterate (one XOR of sliced words per listed position).
 	parityIdx [][]int32
-	// synDecode maps a syndrome (as an r-bit integer) to the codeword
-	// position it corrects. Populated only for t == 1 codes; retained even
-	// when the dense table below is built, as the reference lookup.
-	synDecode map[uint64]int
-	// synTable is the dense image of synDecode, indexed directly by the
-	// syndrome: entry s holds the position correcting syndrome s, or
-	// synDetected (−1) for syndromes with no entry (detected-uncorrectable,
-	// possible for shortened codes). Built for t == 1 codes with
-	// r <= denseSynBits; larger codes fall back on the map.
+	// synTable maps a syndrome, as an r-bit integer, straight to the
+	// codeword position it corrects, or to synDetected (−1) for syndromes
+	// with no entry (detected-uncorrectable, possible for shortened codes).
+	// Built for t == 1 codes with r <= denseSynBits.
 	synTable []int32
-	g, h     *gf2.Matrix
+	// synDecode is the sparse form of the same lookup, for t == 1 codes
+	// with more parity bits than the dense table allows.
+	synDecode map[uint64]int
+	// synCols[i] is column i of H, the syndrome a single error at codeword
+	// position i leaves, split for the sliced corrector's minterm tables:
+	// its low r/2 bits in the low mintermBits bits, the rest above. Built
+	// for t == 1 codes with r <= 2·mintermBits, where both halves fit.
+	synCols []uint8
+	// mintermFrom is the sliced corrector's crossover: a 64-frame word with
+	// at least this many frames to correct takes the minterm branch (see
+	// correctSliced). SlicedWidth+1, never reached, without synCols.
+	mintermFrom int
+	g, h        *gf2.Matrix
 }
 
 // denseSynBits caps the dense syndrome table at 2^22 × 4 B = 16 MiB; codes
-// with more parity bits keep the map lookup.
+// with more parity bits use the map lookup instead.
 const denseSynBits = 22
 
 // synDetected is the dense-table sentinel for syndromes with no correctable
@@ -97,40 +104,64 @@ func NewLinear(name string, p *gf2.Matrix, t int) (*LinearCode, error) {
 	}
 
 	if t == 1 {
-		c.synDecode = make(map[uint64]int, k+r)
-		for i := 0; i < k; i++ {
-			var syn uint64
-			for j := 0; j < r; j++ {
-				if p.At(i, j) == 1 {
-					syn |= 1 << uint(j)
-				}
-			}
-			if syn == 0 {
-				return nil, fmt.Errorf("ecc: %s: data bit %d has empty parity footprint; d_min < 2", name, i)
-			}
-			if prev, dup := c.synDecode[syn]; dup {
-				return nil, fmt.Errorf("ecc: %s: data bits %d and %d share syndrome %#x; not single-error-correcting", name, prev, i, syn)
-			}
-			c.synDecode[syn] = i
-		}
-		for j := 0; j < r; j++ {
-			syn := uint64(1) << uint(j)
-			if prev, dup := c.synDecode[syn]; dup {
-				return nil, fmt.Errorf("ecc: %s: parity bit %d collides with position %d; not single-error-correcting", name, j, prev)
-			}
-			c.synDecode[syn] = k + j
-		}
-		if r <= denseSynBits {
-			c.synTable = make([]int32, 1<<uint(r))
-			for s := range c.synTable {
-				c.synTable[s] = synDetected
-			}
-			for syn, pos := range c.synDecode {
-				c.synTable[syn] = int32(pos)
-			}
+		if err := c.buildSyndromeLookup(p); err != nil {
+			return nil, err
 		}
 	}
 	return c, nil
+}
+
+// buildSyndromeLookup checks that the k+r columns of H are distinct and
+// nonzero — the code corrects every single error — and builds the lookups
+// that map a column back to its position: the dense synTable, or the
+// synDecode map above denseSynBits, plus the sliced corrector's synCols.
+func (c *LinearCode) buildSyndromeLookup(p *gf2.Matrix) error {
+	k, r := c.k, c.r
+	cols := make([]uint64, k+r)
+	for i := 0; i < k; i++ {
+		for j := 0; j < r; j++ {
+			if p.At(i, j) == 1 {
+				cols[i] |= 1 << uint(j)
+			}
+		}
+		if cols[i] == 0 {
+			return fmt.Errorf("ecc: %s: data bit %d has empty parity footprint; d_min < 2", c.name, i)
+		}
+	}
+	for j := 0; j < r; j++ {
+		cols[k+j] = 1 << uint(j)
+	}
+	pos := make(map[uint64]int, k+r)
+	for i, syn := range cols {
+		if prev, dup := pos[syn]; dup {
+			if i < k {
+				return fmt.Errorf("ecc: %s: data bits %d and %d share syndrome %#x; not single-error-correcting", c.name, prev, i, syn)
+			}
+			return fmt.Errorf("ecc: %s: parity bit %d collides with position %d; not single-error-correcting", c.name, i-k, prev)
+		}
+		pos[syn] = i
+	}
+	if r > denseSynBits {
+		c.synDecode = pos
+	} else {
+		c.synTable = make([]int32, 1<<uint(r))
+		for s := range c.synTable {
+			c.synTable[s] = synDetected
+		}
+		for i, syn := range cols {
+			c.synTable[syn] = int32(i)
+		}
+	}
+	c.mintermFrom = SlicedWidth + 1
+	if r <= 2*mintermBits {
+		c.synCols = make([]uint8, len(cols))
+		half := uint(r / 2)
+		for i, syn := range cols {
+			c.synCols[i] = uint8(syn&(1<<half-1) | syn>>half<<mintermBits)
+		}
+		c.mintermFrom = mintermCrossover(k+r, r)
+	}
+	return nil
 }
 
 // synLookup resolves a nonzero syndrome to the codeword position it corrects,
@@ -144,13 +175,6 @@ func (c *LinearCode) synLookup(syn uint64) (int, bool) {
 		}
 		return int(pos), true
 	}
-	pos, ok := c.synDecode[syn]
-	return pos, ok
-}
-
-// synLookupMap is the map-only reference lookup, kept for the dense-vs-map
-// property tests.
-func (c *LinearCode) synLookupMap(syn uint64) (int, bool) {
 	pos, ok := c.synDecode[syn]
 	return pos, ok
 }

@@ -298,17 +298,52 @@ func benchThroughput(b *testing.B, scalar bool) {
 	b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
+// BenchmarkThroughputAtFER is the per-layer number behind the referee's
+// Monte-Carlo step: one 2^18-frame, 8-shard validation of the uncoded
+// baseline, H(7,4) and H(71,64) at the raw BER where each code's planned
+// FER is 5%, on one worker so ms/op is the kernels' CPU cost. The FER check
+// keeps the benchmark honest: a kernel that got fast by getting wrong fails.
+func BenchmarkThroughputAtFER(b *testing.B) {
+	const frames, shards, fer = 1 << 18, 8, 0.05
+	for _, code := range []ecc.Code{ecc.MustUncoded64(), ecc.MustHamming74(), ecc.MustHamming7164()} {
+		p, err := ecc.PlanFor(code).RequiredRawBERForFER(fer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(code.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(context.Background(), code, p, Options{
+					Frames: frames, Shards: shards, Workers: 1, Seed: int64(i),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if lo, hi := res.FERLow, res.FERHigh; fer < lo-3*(hi-lo) || fer > hi+3*(hi-lo) {
+					b.Fatalf("p=%g: FER %g [%g, %g] far from the planned %g", p, res.FER, lo, hi, fer)
+				}
+			}
+			b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+		})
+	}
+}
+
 // TestRunnerZeroAlloc pins the kernels' hot path: once built, a shard
 // runner simulates 64-frame words without allocating. The scalar runner is
 // checked on every extended-roster code, BCH's algebraic decoder included,
-// and the sliced runner on every code with a sliced kernel.
+// and on IL4xH(7,4), whose codec keeps its inner blocks on the stack; the
+// sliced runner on every one of them with a sliced kernel.
 func TestRunnerZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	bsc, err := bits.NewBSC(3e-2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, code := range ecc.ExtendedSchemes() {
+	il, err := ecc.NewInterleavedCode(ecc.MustHamming74(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range append(ecc.ExtendedSchemes(), il) {
 		runners := map[string]runner{"scalar": newScalarRunner(code, bsc, rand.New(rand.NewSource(1)))}
 		if sl, ok := ecc.AsSlicer(code); ok {
 			runners["sliced"] = newSlicedRunner(sl, bsc, rand.New(rand.NewSource(1)))

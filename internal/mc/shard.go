@@ -47,7 +47,7 @@ func (r *slicedRunner) runWords(ctx context.Context, words int, c *counts) error
 			r.data[i] = r.rng.Uint64()
 		}
 		r.code.EncodeSliced(r.word, r.data)
-		r.bsc.Corrupt(bits.FromWords(r.word), r.rng)
+		r.bsc.Corrupt(bits.FromWords(r.word, 64*len(r.word)), r.rng)
 		info := r.code.DecodeSliced(r.out, r.word)
 
 		var frameBad uint64
