@@ -109,10 +109,10 @@
 //
 // Network and SimulateNetwork solve every (link, scheme) cell on the
 // caller's goroutine, on a pooled, freshly invalidated NoCSession;
-// NetworkSweep spreads its BERs across the Engine's worker pool. Cells are
-// keyed in the LRU by the link's configuration fingerprint — links sharing
-// a compiled plan (every bus link, every repeated mesh position) reuse
-// each other's solves. Scheme selection per link follows the runtime
+// NetworkSweep hands its BERs to the Engine's worker pool one at a time.
+// Cells are keyed in the LRU by the link's configuration
+// fingerprint — links sharing a compiled plan (every bus link, every
+// repeated mesh position) reuse each other's solves. Scheme selection per link follows the runtime
 // manager's rule exactly, and a 1-waveguide bus over the paper topology
 // reproduces the single-link sweep bit for bit. Traffic matrices come from
 // the netsim patterns (Pattern.Matrix) or recorded traces (Trace.Matrix);
@@ -159,9 +159,9 @@
 // cells, copying the rest forward without touching the cache
 // (CacheStats.SessionReuses counts them) — bit-identical to a cold
 // evaluation by construction, property-tested across topology kinds and
-// mutation sequences. Engine.NetworkBatch / NetworkBatchStream fan a
-// []NoCCandidate population over the worker pool in contiguous chunks so
-// each worker's session still sees neighbors, returning deep-copied
+// mutation sequences. Engine.NetworkBatch / NetworkBatchStream split a
+// []NoCCandidate population into contiguous chunks on the worker pool, one
+// pooled session per chunk, so each session sees neighbors, returning deep-copied
 // results in population order, deterministic across worker counts:
 //
 //	cands := []photonoc.NoCCandidate{
@@ -226,8 +226,11 @@
 //
 // The package is a façade over the internal subsystems:
 //
-//   - internal/engine     — the concurrent batch evaluator: worker pool,
+//   - internal/engine     — the concurrent batch evaluator: sweeps, batches,
 //     LRU memo cache, typed errors (the machinery behind Engine)
+//   - internal/fanout     — the one worker pool: contiguous chunks claimed
+//     in index order by a bounded set of goroutines, first error cancels
+//     the rest
 //   - internal/mc         — the bit-sliced Monte-Carlo validation engine:
 //     sharded deterministic RNG streams, streaming Wilson intervals
 //     (the machinery behind ValidateMC / ValidateGrid)

@@ -98,9 +98,12 @@ func WithConfig(cfg LinkConfig) Option { return engine.WithConfig(cfg) }
 // An explicitly empty roster is rejected.
 func WithSchemes(codes ...Code) Option { return engine.WithSchemes(codes...) }
 
-// WithWorkers sets the worker-pool size (default: GOMAXPROCS) that sweeps,
-// network BER sweeps, batches and MC runs fan across; one Network or
-// SimulateNetwork call solves on the caller's goroutine.
+// WithWorkers sets the worker-pool size (default: GOMAXPROCS): at most
+// that many goroutines claim a sweep's grid points, a network sweep's BERs
+// or an MC run's shards one at a time, in index order, and a batch's
+// candidates in one contiguous chunk each (one worker runs on the caller's
+// goroutine); one Network or SimulateNetwork call solves on the caller's
+// goroutine.
 func WithWorkers(n int) Option { return engine.WithWorkers(n) }
 
 // WithCache sets the memo-cache capacity in entries; zero disables

@@ -39,9 +39,9 @@ func (e *Engine) ValidateMC(ctx context.Context, code ecc.Code, p float64, opts 
 	return res, nil
 }
 
-// ValidateGrid runs ValidateMC over the codes × rawBERs grid, fanning the
-// points across the engine's sweep worker pool (each point runs its shards
-// on the one goroutine the pool hands it). Results are in deterministic
+// ValidateGrid runs ValidateMC over the codes × rawBERs grid, the engine's
+// worker pool claiming one point at a time (each point runs its shards on
+// the goroutine that claimed it). Results are in deterministic
 // p-major order — all codes at rawBERs[0], then rawBERs[1], ... — matching
 // Sweep's grid order. A nil codes slice validates the engine roster.
 //

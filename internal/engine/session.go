@@ -7,6 +7,7 @@ import (
 
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
+	"photonoc/internal/fanout"
 	"photonoc/internal/noc"
 )
 
@@ -36,7 +37,8 @@ type NetworkCandidate struct {
 // A session is NOT safe for concurrent use, and the Result returned by
 // Evaluate aliases session-owned storage — it is valid only until the next
 // Evaluate call (Clone it to keep it). The Engine methods, which hold one
-// pooled session per goroutine, are the concurrency-safe entry points.
+// pooled session per call or per contiguous chunk of the worker pool, are
+// the concurrency-safe entry points.
 type NetworkSession struct {
 	e    *Engine
 	eval *noc.EvalSession
@@ -221,7 +223,7 @@ func (e *Engine) acquireSession() *NetworkSession {
 
 func (e *Engine) releaseSession(s *NetworkSession) { e.sessions.Put(s) }
 
-// NetworkBatchEach evaluates a candidate population across the worker pool
+// NetworkBatchEach evaluates a candidate population on the worker pool
 // like NetworkBatch, but instead of collecting copies it hands each outcome
 // to visit with its population index: a result on success, or — only with
 // BatchOptions.ContinueOnError — a *CandidateError on failure, after which
@@ -236,24 +238,26 @@ func (e *Engine) releaseSession(s *NetworkSession) { e.sessions.Put(s) }
 // completed candidate, so it must be safe for concurrent calls with
 // distinct indices (writing slot i of a pre-sized slice is).
 //
-// Candidates are split into contiguous per-worker chunks rather than
-// interleaved, so neighboring candidates land on the same session and the
-// fingerprint diff sees the chain locality autotuner populations have.
+// The pool splits the population into at most Workers contiguous chunks of
+// ⌈n/Workers⌉ candidates, one goroutine and one pooled session per chunk,
+// so neighboring candidates land on the same session and the fingerprint
+// diff sees the chain locality autotuner populations have; a strict
+// failure cancels the other chunks.
 func (e *Engine) NetworkBatchEach(ctx context.Context, cands []NetworkCandidate, visit func(i int, res *noc.Result, cerr *CandidateError), opts ...BatchOptions) error {
 	if len(cands) == 0 {
 		return fmt.Errorf("%w: empty candidate population", ErrInvalidInput)
 	}
 	continueOnError := batchOptions(opts).ContinueOnError
-	workers := e.workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
+	chunk := (len(cands) + e.workers - 1) / e.workers
+	return fanout.Chunks(ctx, e.workers, len(cands), chunk, func(ctx context.Context, lo, hi int) error {
 		sess := e.acquireSession()
 		defer e.releaseSession(sess)
-		for i := range cands {
+		for i := lo; i < hi; i++ {
 			res, err := sess.Evaluate(ctx, cands[i])
 			if err != nil {
+				// The context going down means the whole batch is being torn
+				// down (cancellation or a sibling chunk's strict failure) —
+				// never record that as a candidate failure.
 				if continueOnError && ctx.Err() == nil {
 					visit(i, nil, &CandidateError{Index: i, Err: err})
 					continue
@@ -262,72 +266,14 @@ func (e *Engine) NetworkBatchEach(ctx context.Context, cands []NetworkCandidate,
 			}
 			visit(i, res, nil)
 		}
-		return ctx.Err()
-	}
-
-	poolCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	chunk := (len(cands) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sess := e.acquireSession()
-			defer e.releaseSession(sess)
-			for i := lo; i < hi; i++ {
-				if poolCtx.Err() != nil {
-					return
-				}
-				res, err := sess.Evaluate(poolCtx, cands[i])
-				if err != nil {
-					// The pool context going down means the whole batch is
-					// being torn down (cancellation or a sibling's strict
-					// failure) — never record that as a candidate failure.
-					if continueOnError && poolCtx.Err() == nil {
-						visit(i, nil, &CandidateError{Index: i, Err: err})
-						continue
-					}
-					fail(fmt.Errorf("candidate %d: %w", i, err))
-					return
-				}
-				visit(i, res, nil)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
+		return nil
+	})
 }
 
 // NetworkBatch evaluates a whole candidate population across the worker
 // pool and returns one Result per candidate, in population order,
-// regardless of the worker count. Each worker owns a pooled
-// NetworkSession, so within a worker's contiguous chunk every candidate is
+// regardless of the worker count. Each contiguous chunk of the worker pool
+// owns a pooled NetworkSession, so within a chunk every candidate is
 // solved incrementally against its predecessor; cells no session can reuse
 // go through the coalescing memo cache like any other solve
 // (CacheStats reports both, plus SessionReuses for the diffed cells). An

@@ -305,6 +305,36 @@ func TestNetworkSessionReuseAccounting(t *testing.T) {
 	}
 }
 
+// TestNetworkBatchContiguousChunks pins the batch's chunk layout: on two
+// workers, candidates 0–3 (BER a) and 4–7 (BER b) split into two contiguous
+// chunks, so each chunk's session solves its first candidate and diffs the
+// other three — exactly 6 × links × schemes reused cells on any schedule.
+// A round-robin assignment reuses 4×, one-index claims can reuse fewer than 6×.
+func TestNetworkBatchContiguousChunks(t *testing.T) {
+	codes := ecc.PaperSchemes()
+	e := newNetEngine(t, codes, WithWorkers(2))
+	topo := noc.Config{Kind: noc.Crossbar, Tiles: 8}
+	net, err := e.BuildNetwork(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := make([]NetworkCandidate, 8)
+	for i := range cands {
+		ber := 1e-9
+		if i >= 4 {
+			ber = 1e-11
+		}
+		cands[i] = NetworkCandidate{Topology: topo, Opts: noc.EvalOptions{TargetBER: ber, Objective: manager.MinEnergy}}
+	}
+	if _, err := e.NetworkBatch(context.Background(), cands); err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(6 * net.NumLinks() * len(codes))
+	if got := e.CacheStats().SessionReuses; got != want {
+		t.Errorf("SessionReuses = %d, want %d (6 × %d links × %d schemes)", got, want, net.NumLinks(), len(codes))
+	}
+}
+
 // TestNetworkSessionZeroAlloc is the allocation-regression pin of the
 // autotuner fast path: steady-state session evaluation — alternating two
 // warmed candidates, one diff-reused and one re-filled from the memo

@@ -3,10 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
 
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
+	"photonoc/internal/fanout"
 )
 
 // point is one (scheme, target BER) cell of a sweep grid.
@@ -135,7 +136,10 @@ func ordered[T any](ctx context.Context, n int, produce func(emit func(int, T)) 
 		var err error
 		go func() {
 			defer close(unordered)
-			err = produce(func(i int, v T) { unordered <- item{i, v} })
+			err = produce(func(i int, v T) {
+				unordered <- item{i, v}
+				runtime.Gosched() // pool workers never block: let the reorder loop run
+			})
 		}()
 		pending := make([]T, n)
 		arrived := make([]bool, n)
@@ -158,72 +162,12 @@ func ordered[T any](ctx context.Context, n int, produce func(emit func(int, T)) 
 	return out
 }
 
-// forEach runs fn(0..n-1) across the worker pool, stopping at the first
-// error or context cancellation and returning it.
+// forEach runs fn(0..n-1) on the engine's worker pool, one index per
+// claim in index order: grid points of uneven cost balance across the
+// workers, and a stream's in-order prefix grows at the pool's rate. The
+// first error or the caller's cancellation stops the rest and is returned.
 func (e *Engine) forEach(ctx context.Context, n int, fn func(context.Context, int) error) error {
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	poolCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if poolCtx.Err() != nil {
-					continue // drain remaining indices without working
-				}
-				if err := fn(poolCtx, i); err != nil {
-					fail(err)
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-poolCtx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return firstErr
-	}
-	// No worker failed; surface the caller's cancellation if that is what
-	// stopped the pool (poolCtx.Err() alone would also trip on our own
-	// deferred cancel).
-	return ctx.Err()
+	return fanout.Chunks(ctx, e.workers, n, 1, func(ctx context.Context, i, _ int) error {
+		return fn(ctx, i)
+	})
 }

@@ -35,11 +35,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"photonoc/internal/bits"
 	"photonoc/internal/ecc"
+	"photonoc/internal/fanout"
 	"photonoc/internal/mathx"
 )
 
@@ -77,7 +77,9 @@ type Options struct {
 	// half-width of the frame-error rate falls below TargetRelErr × FER
 	// (checked after every round, on the aggregate counts).
 	TargetRelErr float64
-	// Workers is the number of goroutines executing shards. Defaults to
+	// Workers bounds the goroutines executing shards: each round, at most
+	// Workers goroutines of the worker pool claim the shards one at a
+	// time (one worker runs them on the caller's goroutine). Defaults to
 	// GOMAXPROCS. Workers affects wall time only, never the counts.
 	Workers int
 	// Shards is the number of independent deterministic RNG streams the
@@ -312,62 +314,17 @@ func Run(ctx context.Context, code ecc.Code, p float64, opts Options) (Result, e
 }
 
 // runRound advances every shard with remaining quota by up to `batch` words,
-// fanning the shards over the worker pool. perRound[s] receives shard s's
-// counts for this round (zeroed first); remaining is decremented in place.
+// the worker pool claiming one shard at a time. perRound[s] receives shard
+// s's counts for this round (zeroed first); remaining is decremented in
+// place.
 func runRound(ctx context.Context, states []runner, remaining []int64, perRound []counts, batch int64, workers int) error {
-	type job struct {
-		shard int
-		words int
-	}
-	jobs := make([]job, 0, len(states))
-	for s := range states {
+	return fanout.Chunks(ctx, workers, len(states), 1, func(ctx context.Context, s, _ int) error {
 		perRound[s] = counts{}
-		if remaining[s] <= 0 {
-			continue
-		}
-		w := batch
-		if remaining[s] < w {
-			w = remaining[s]
+		w := min(batch, remaining[s])
+		if w <= 0 {
+			return nil
 		}
 		remaining[s] -= w
-		jobs = append(jobs, job{shard: s, words: int(w)})
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			if err := states[j.shard].runWords(ctx, j.words, &perRound[j.shard]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	idx := make(chan job)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range idx {
-				if err := states[j.shard].runWords(ctx, j.words, &perRound[j.shard]); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		idx <- j
-	}
-	close(idx)
-	wg.Wait()
-	return firstErr
+		return states[s].runWords(ctx, int(w), &perRound[s])
+	})
 }

@@ -831,9 +831,20 @@ func (s *Server) handleNoCBatch(ctx context.Context, st *engineState, w *statusW
 	if start >= len(cands) {
 		return fmt.Errorf("%w: start_index %d beyond population of %d", apierr.ErrInvalidInput, start, len(cands))
 	}
+	writeNoCStream(w, st.eng.NetworkBatchStream(ctx, cands, engine.BatchOptions{ContinueOnError: partial}), start, convFails)
+	return nil
+}
+
+// writeNoCStream writes a network result stream as NDJSON NoCStreamItem
+// lines, flushing per line, and stops when the client goes away. Items
+// below start are skipped — a resumed stream's client already has them —
+// unless they carry the terminal error. A *engine.CandidateError becomes a
+// Partial item, its cause replaced by the candidate's wire-conversion
+// failure in convFails if it has one.
+func writeNoCStream(w *statusWriter, results <-chan engine.NetworkResult, start int, convFails map[int]error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	for res := range st.eng.NetworkBatchStream(ctx, cands, engine.BatchOptions{ContinueOnError: partial}) {
+	for res := range results {
 		item := NoCStreamItem{Index: res.Index, TargetBER: res.TargetBER}
 		if res.Err != nil {
 			errCause := res.Err
@@ -854,17 +865,17 @@ func (s *Server) handleNoCBatch(ctx context.Context, st *engineState, w *statusW
 			continue // resumed stream: the client already has this item
 		}
 		if err := enc.Encode(item); err != nil {
-			return nil // client went away mid-stream
+			return // client went away mid-stream
 		}
 		w.Flush()
 	}
-	return nil
 }
 
 // handleNoCSweep streams one NDJSON NoCStreamItem per target BER, reusing
 // the engine's streaming network sweep. ?start_index=N resumes an
 // interrupted stream at grid point N (the skipped prefix re-solves warm
-// through the memo cache).
+// through the memo cache); a cursor at or past the end of the grid is
+// rejected before any solve, as on /v1/noc/batch.
 func (s *Server) handleNoCSweep(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
 	start, err := startIndexParam(r)
 	if err != nil {
@@ -882,25 +893,10 @@ func (s *Server) handleNoCSweep(ctx context.Context, st *engineState, w *statusW
 	if err != nil {
 		return err
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for res := range st.eng.NetworkSweepStream(ctx, cfg, req.TargetBERs, opts) {
-		item := NoCStreamItem{Index: res.Index, TargetBER: res.TargetBER}
-		if res.Err != nil {
-			_, body := apierr.EnvelopeFor(res.Err)
-			item.Error = &body.Error
-		} else {
-			wr := toWireNoC(res.Result)
-			item.Result = &wr
-		}
-		if item.Index < start && item.Error == nil {
-			continue // resumed stream: the client already has this item
-		}
-		if err := enc.Encode(item); err != nil {
-			return nil
-		}
-		w.Flush()
+	if start > 0 && start >= len(req.TargetBERs) {
+		return fmt.Errorf("%w: start_index %d beyond grid of %d target BERs", apierr.ErrInvalidInput, start, len(req.TargetBERs))
 	}
+	writeNoCStream(w, st.eng.NetworkSweepStream(ctx, cfg, req.TargetBERs, opts), start, nil)
 	return nil
 }
 

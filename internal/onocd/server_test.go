@@ -265,6 +265,54 @@ func TestErrorEnvelopesPerRoute(t *testing.T) {
 	}
 }
 
+// TestNoCStreamStartIndexBounds: a resume cursor at or past the end of the
+// stream is rejected with 400 invalid_input before any solve, on
+// /v1/noc/sweep exactly as on /v1/noc/batch; the last valid cursor streams
+// the final item alone.
+func TestNoCStreamStartIndexBounds(t *testing.T) {
+	s, c := newTestServer(t, Options{})
+	sweep := `{"topology": "crossbar", "tiles": 8, "target_bers": [1e-9, 1e-11]}`
+	batch := `{"topology": "crossbar", "tiles": 8, "target_ber": 1e-9}` + "\n" +
+		`{"topology": "crossbar", "tiles": 8, "target_ber": 1e-11}`
+	post := func(path, body string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(c.Base+path, "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, out
+	}
+	for _, route := range []struct{ path, body string }{{"/v1/noc/sweep", sweep}, {"/v1/noc/batch", batch}} {
+		for _, start := range []string{"2", "3", "100"} {
+			before := s.Engine().CacheStats()
+			resp, out := post(route.path+"?start_index="+start, route.body)
+			var env apierr.Envelope
+			if err := json.Unmarshal(out, &env); err != nil {
+				t.Fatalf("%s start_index=%s: status %d, body %q is not an error envelope", route.path, start, resp.StatusCode, out)
+			}
+			if resp.StatusCode != 400 || env.Error.Code != apierr.CodeInvalidInput || !strings.Contains(env.Error.Message, "start_index "+start+" beyond") {
+				t.Errorf("%s start_index=%s: got %d/%q %q, want 400/%q naming the cursor",
+					route.path, start, resp.StatusCode, env.Error.Code, env.Error.Message, apierr.CodeInvalidInput)
+			}
+			if after := s.Engine().CacheStats(); after != before {
+				t.Errorf("%s start_index=%s: rejected request touched the engine (%+v → %+v)", route.path, start, before, after)
+			}
+		}
+		resp, out := post(route.path+"?start_index=1", route.body)
+		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+		var item NoCStreamItem
+		if resp.StatusCode != 200 || len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &item) != nil ||
+			item.Index != 1 || item.Error != nil || item.Result == nil {
+			t.Errorf("%s start_index=1: got %d %q, want 200 and the single item at index 1", route.path, resp.StatusCode, out)
+		}
+	}
+}
+
 func TestDeadlineExpiryMapsTo504(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	// A Monte-Carlo run big enough to outlive a 1 ms budget by orders of
