@@ -60,9 +60,11 @@
 // bit-sliced Monte-Carlo engine (internal/mc): 64 independent frames are
 // transposed into lane-major []uint64 words — sliced word i carries
 // codeword bit i of all 64 frames — so each XOR/AND/popcount of the
-// encode → BSC → decode loop advances 64 trials at once, with channel
-// errors drawn by bits.BSC's geometric gap sampling (O(expected flips), one
-// ziggurat exponential per flip) and nonzero syndromes resolved by a dense
+// BSC → decode loop advances 64 trials at once. Every frame sends the
+// all-zero codeword: for these linear codes the decoded data error depends
+// on the error pattern alone, so no payload is drawn or encoded. Channel
+// errors are drawn by bits.BSC's geometric gap sampling (O(expected flips),
+// one ziggurat exponential per flip) and nonzero syndromes resolved by a dense
 // table lookup per frame when few, or for all 64 frames at once by syndrome
 // minterms when many. Codes without a sliced kernel (BCH) run
 // on a scalar per-frame fallback through the same harness.

@@ -20,33 +20,35 @@ type SlicedInfo struct {
 	Detected uint64
 }
 
-// Slicer is implemented by codes with bit-sliced kernels. data holds K
-// sliced words and word N sliced words; both methods are allocation-free and
-// overwrite their destination completely. DecodeSliced must agree exactly,
-// frame by frame, with DecodeInto applied to the transposed frames (the property
-// tests enforce this across the registry). The single-error correctors
-// (LinearCode, ExtendedHamming and InterleavedCode over a LinearCode) share
-// one corrector, correctSliced, whose per-frame and all-frames branches
-// give identical results.
+// Slicer is implemented by codes with bit-sliced decoders. data holds K
+// sliced words and word N sliced words; DecodeSliced is allocation-free and
+// overwrites data completely. It must agree exactly, frame by frame, with
+// DecodeInto applied to the transposed frames (the property tests enforce
+// this across the registry). There is no sliced encoder: every Slicer is a
+// linear code whose decoder's data error depends on the error pattern alone,
+// so the Monte-Carlo kernel sends the all-zero codeword and corrupts it
+// (TestZeroCodewordCoupling checks the property on every Slicer). The
+// single-error correctors (LinearCode, ExtendedHamming and InterleavedCode
+// over a LinearCode) share one corrector, correctSliced, whose per-frame and
+// all-frames branches give identical results.
 //
 // Obtain a Slicer through AsSlicer rather than type-asserting: composed
 // codes may carry the methods while only supporting them for particular
 // inner codes.
 type Slicer interface {
 	Code
-	// EncodeSliced computes the N sliced codeword words from K sliced data
-	// words.
-	EncodeSliced(word, data []uint64)
 	// DecodeSliced recovers the K sliced data words from N received sliced
 	// words and reports the aggregate decode outcome.
 	DecodeSliced(data, word []uint64) SlicedInfo
 }
 
-// AsSlicer returns the bit-sliced kernel of c when one is available:
+// AsSlicer returns the bit-sliced decoder of c when one is available:
 // LinearCode (Hamming, shortened Hamming, parity), Uncoded, ExtendedHamming,
-// Repetition, and InterleavedCode over a LinearCode inner. Codes without a
-// kernel (BCH's algebraic decoder, interleaved compositions over non-linear
-// inners) return false and run on the scalar per-frame path.
+// Repetition (odd factors only, so the majority vote has no ties), and
+// InterleavedCode over a LinearCode inner. Codes without one (BCH's
+// algebraic decoder, interleaved compositions over non-linear inners)
+// return false and run on the scalar per-frame path, which encodes random
+// payloads.
 func AsSlicer(c Code) (Slicer, bool) {
 	if il, ok := c.(*InterleavedCode); ok {
 		if il.innerLin == nil {
@@ -56,20 +58,6 @@ func AsSlicer(c Code) (Slicer, bool) {
 	}
 	s, ok := c.(Slicer)
 	return s, ok
-}
-
-// EncodeSliced implements Slicer: the data words pass through and each
-// parity slice is the XOR of the data slices in its footprint — one word-op
-// per (parity, footprint-bit) pair for 64 frames.
-func (c *LinearCode) EncodeSliced(word, data []uint64) {
-	copy(word[:c.k], data[:c.k])
-	for j, idx := range c.parityIdx {
-		var acc uint64
-		for _, i := range idx {
-			acc ^= data[i]
-		}
-		word[c.k+j] = acc
-	}
 }
 
 // syndromeSlices fills synd[j] with sliced syndrome bit j of the received
@@ -194,28 +182,10 @@ func (c *LinearCode) DecodeSliced(data, word []uint64) SlicedInfo {
 	return SlicedInfo{Corrected: corrected, Detected: detected}
 }
 
-// EncodeSliced implements Slicer (identity).
-func (c *Uncoded) EncodeSliced(word, data []uint64) {
-	copy(word[:c.k], data[:c.k])
-}
-
 // DecodeSliced implements Slicer (identity).
 func (c *Uncoded) DecodeSliced(data, word []uint64) SlicedInfo {
 	copy(data[:c.k], word[:c.k])
 	return SlicedInfo{}
-}
-
-// EncodeSliced implements Slicer: the inner kernel plus the overall parity
-// slice (XOR of every inner codeword slice).
-func (c *ExtendedHamming) EncodeSliced(word, data []uint64) {
-	in := c.inner
-	innerN := in.N()
-	in.EncodeSliced(word[:innerN], data)
-	var acc uint64
-	for i := 0; i < innerN; i++ {
-		acc ^= word[i]
-	}
-	word[innerN] = acc
 }
 
 // DecodeSliced implements Slicer with the SECDED case analysis, one mask
@@ -237,16 +207,6 @@ func (c *ExtendedHamming) DecodeSliced(data, word []uint64) SlicedInfo {
 	return SlicedInfo{
 		Corrected: corrected + mathbits.OnesCount64(parityBad&^nz),
 		Detected:  detected | nz&^parityBad,
-	}
-}
-
-// EncodeSliced implements Slicer: each data slice is replicated r times.
-func (c *Repetition) EncodeSliced(word, data []uint64) {
-	for i := 0; i < c.k; i++ {
-		base := i * c.r
-		for j := 0; j < c.r; j++ {
-			word[base+j] = data[i]
-		}
 	}
 }
 
@@ -292,32 +252,11 @@ func (c *Repetition) DecodeSliced(data, word []uint64) SlicedInfo {
 	return info
 }
 
-// EncodeSliced implements Slicer for LinearCode inners: the interleaver
-// permutation is a pure re-indexing of sliced words, so each inner block
-// encodes directly into its scattered positions with no scratch.
-// AsSlicer guards availability; calling this with a non-LinearCode inner
-// panics.
-func (c *InterleavedCode) EncodeSliced(word, data []uint64) {
-	in := c.innerLin
-	depth, k := c.depth, in.k
-	for row := 0; row < depth; row++ {
-		d := data[row*k : (row+1)*k]
-		for col := 0; col < k; col++ {
-			word[col*depth+row] = d[col]
-		}
-		for j, idx := range in.parityIdx {
-			var acc uint64
-			for _, i := range idx {
-				acc ^= d[i]
-			}
-			word[(k+j)*depth+row] = acc
-		}
-	}
-}
-
-// DecodeSliced implements Slicer for LinearCode inners; see EncodeSliced.
-// Each row gathers its syndrome slices from the scattered positions and
-// goes through the inner code's corrector.
+// DecodeSliced implements Slicer for LinearCode inners: the interleaver
+// permutation is a pure re-indexing of sliced words, so each row gathers its
+// data and syndrome slices from their scattered positions, with no scratch,
+// and goes through the inner code's corrector. AsSlicer guards
+// availability; calling this with a non-LinearCode inner panics.
 func (c *InterleavedCode) DecodeSliced(data, word []uint64) SlicedInfo {
 	in := c.innerLin
 	depth, k, r := c.depth, in.k, in.r

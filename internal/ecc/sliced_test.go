@@ -59,11 +59,10 @@ func transposeFromSliced(sliced []uint64, n, f int) bits.Vector {
 }
 
 // TestSlicedKernelsMatchScalar is the frame-exactness property test: for
-// every sliced code, 64 random frames pushed through
-// EncodeSliced → corruption → DecodeSliced must reproduce, bit for bit and
-// flag for flag, what EncodeInto → DecodeInto does on each frame
-// individually. The random trials mix clean, single, double and heavier
-// error patterns. For the single-error correctors (every t = 1 linear code,
+// every sliced code, 64 random frames encoded with EncodeInto, corrupted,
+// transposed and pushed through DecodeSliced must reproduce, bit for bit and
+// flag for flag, what DecodeInto does on each frame individually. The
+// random trials mix clean, single, double and heavier error patterns. For the single-error correctors (every t = 1 linear code,
 // SECDED(72,64), IL4xH(7,4)) further words hold exactly 0, 1, a few, the
 // minterm crossover ±1 and all 64 frames for the corrector to resolve, so
 // both branches of correctSliced run on either side of the switch.
@@ -171,38 +170,25 @@ func correctorErrors(code Code, rng *rand.Rand) (*LinearCode, func(w bits.Vector
 	return nil, nil
 }
 
-// compareSliced encodes 64 random frames both ways, corrupts frame f's
-// scalar codeword with corrupt(f, word) and copies the damage into the
-// sliced words, then decodes both ways and requires identical codewords,
-// data, per-frame Detected flags and total corrections.
+// compareSliced encodes 64 random frames with EncodeInto, corrupts frame
+// f's codeword with corrupt(f, word) and transposes the corrupted words into
+// sliced words, then decodes both ways and requires identical data,
+// per-frame Detected flags and total corrections.
 func compareSliced(t *testing.T, code Code, sl Slicer, rng *rand.Rand, corrupt func(f int, w bits.Vector)) {
 	t.Helper()
 	k, n := code.K(), code.N()
-	frames := make([]bits.Vector, SlicedWidth)
-	for f := range frames {
-		frames[f] = bits.New(k)
-		frames[f].FillRandom(rng)
-	}
-	data := transposeToSliced(frames, k)
-
-	word := make([]uint64, n)
-	sl.EncodeSliced(word, data)
 	scalarWords := make([]bits.Vector, SlicedWidth)
-	for f := range frames {
-		w, err := encode(code, frames[f])
+	for f := range scalarWords {
+		data := bits.New(k)
+		data.FillRandom(rng)
+		w, err := encode(code, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := transposeFromSliced(word, n, f); !got.Equal(w) {
-			t.Fatalf("frame %d: sliced codeword %s != scalar %s", f, got, w)
-		}
-		clean := w.Clone()
 		corrupt(f, w)
-		for pos := 0; pos < n; pos++ {
-			word[pos] ^= uint64(w.Bit(pos)^clean.Bit(pos)) << uint(f)
-		}
 		scalarWords[f] = w
 	}
+	word := transposeToSliced(scalarWords, n)
 
 	out := make([]uint64, k)
 	info := sl.DecodeSliced(out, word)

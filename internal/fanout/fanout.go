@@ -20,12 +20,11 @@ import (
 // claims and is returned; otherwise Chunks returns ctx.Err(). work checks
 // its context between the items of a chunk.
 func Chunks(ctx context.Context, workers, n, size int, work func(ctx context.Context, lo, hi int) error) error {
-	size = max(size, 1)
-	chunks := (n + size - 1) / size
-	run := func(ctx context.Context, c int) error { return work(ctx, c*size, min((c+1)*size, n)) }
+	step := max(size, 1) // a fresh variable, so the goroutines capture it by value
+	chunks := (n + step - 1) / step
 	if workers = min(workers, chunks); workers <= 1 {
 		for c := 0; c < chunks && ctx.Err() == nil; c++ {
-			if err := run(ctx, c); err != nil {
+			if err := work(ctx, c*step, min((c+1)*step, n)); err != nil {
 				return err
 			}
 		}
@@ -45,7 +44,7 @@ func Chunks(ctx context.Context, workers, n, size int, work func(ctx context.Con
 		go func() {
 			defer wg.Done()
 			for c := g; c < chunks && poolCtx.Err() == nil; c = int(next.Add(1) - 1) {
-				if err := run(poolCtx, c); err != nil {
+				if err := work(poolCtx, c*step, min((c+1)*step, n)); err != nil {
 					once.Do(func() { first = err; cancel() })
 					return
 				}

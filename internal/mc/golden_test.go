@@ -20,8 +20,8 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // TestMCGolden pins the exact counts of both kernels: every extended-roster
 // code plus a depth-4 interleaved H(7,4), at three flip probabilities,
 // sliced and ForceScalar, on a fixed (Seed, Shards, Workers). Any change to
-// the channel sampler, the payload draws or a codec that moves a single
-// count shows up here.
+// the shard generators, the channel sampler, the scalar kernel's payload
+// draws or a codec that moves a single count shows up here.
 func TestMCGolden(t *testing.T) {
 	il, err := ecc.NewInterleavedCode(ecc.MustHamming74(), 4)
 	if err != nil {

@@ -1,18 +1,22 @@
 // Package mc is the bit-sliced Monte-Carlo validation engine: it measures a
 // code's post-decoding bit and frame error rates over a binary symmetric
-// channel by direct simulation of the encode → BSC → decode loop, at the
-// volumes the paper's operating points demand.
+// channel by direct simulation of the BSC → decode loop, at the volumes the
+// paper's operating points demand.
 //
 // Two kernels share one harness. The bit-sliced kernel transposes 64
 // independent frames into lane-major []uint64 words — sliced word i holds
 // codeword bit i of all 64 frames — so each XOR/AND/popcount advances 64
-// trials at once (see ecc.Slicer); codes without a sliced kernel (BCH) run
-// on a scalar per-frame path through the zero-alloc EncodeInto/DecodeInto
-// methods of ecc.Code. Both kernels draw channel errors through one
-// bits.BSC (the sliced kernel hands it its words as a bits.FromWords view),
-// which samples the clean run before each flip as a ziggurat exponential
-// scaled by −1/ln(1−p), so channel work is O(expected flips), not O(bits),
-// with no logarithm per flip. In the sliced kernel the single-error
+// trials at once (see ecc.Slicer). It simulates error patterns only: every
+// frame sends the all-zero codeword, because for a linear code with a
+// syndrome decoder decode(c ⊕ e) ⊕ data depends on the error pattern e
+// alone, so a random payload and its encoding would be pure cost. Codes
+// without a sliced kernel (BCH) run on a scalar per-frame path that encodes
+// random payloads through the zero-alloc EncodeInto/DecodeInto methods of
+// ecc.Code. Both kernels draw channel errors through one bits.BSC (the
+// sliced kernel hands it its words as a bits.FromWords view), which samples
+// the clean run before each flip as a ziggurat exponential scaled by
+// −1/ln(1−p), so channel work is O(expected flips), not O(bits), with no
+// logarithm per flip. In the sliced kernel the single-error
 // correctors (Hamming, SECDED, interleaved Hamming) resolve the frames with
 // a nonzero syndrome one by one when they are few and all 64 at once, by
 // syndrome minterms, when they are many — the dense case at the FER-5%
@@ -20,13 +24,13 @@
 // per word.
 //
 // The harness shards the trial volume over independent deterministic RNG
-// streams: shard s always simulates the same frames with the same stream
-// regardless of how many worker goroutines execute it, so a (Seed, Shards)
-// pair pins the counts exactly — across runs and across Workers settings.
-// Aggregation is streamed: after every round the harness folds the shard
-// counts, publishes a snapshot with Wilson confidence intervals, and stops
-// early once the frame-error estimate reaches the requested relative
-// precision.
+// streams, each a 128-bit PCG that costs two stores to seed: shard s always
+// simulates the same frames with the same stream regardless of how many
+// worker goroutines execute it, so a (Seed, Shards) pair pins the counts
+// exactly — across runs and across Workers settings. Aggregation is
+// streamed: after every round the harness folds the shard counts, publishes
+// a snapshot with Wilson confidence intervals, and stops early once the
+// frame-error estimate reaches the requested relative precision.
 package mc
 
 import (
@@ -34,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"runtime"
 	"time"
 
@@ -68,6 +73,15 @@ func DeriveSeed(root int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// pcgSource adapts a math/rand/v2 PCG to the math/rand Source64 that
+// bits.BSC.Corrupt and the scalar runner draw from. Its 128-bit state seeds
+// with two stores, where rand.NewSource fills a 607-word table (~4.9 KB) per
+// shard per Run.
+type pcgSource struct{ randv2.PCG }
+
+func (s *pcgSource) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *pcgSource) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }
+
 // Options configures a Monte-Carlo run.
 type Options struct {
 	// Frames is the trial volume: the number of codewords to simulate.
@@ -86,8 +100,8 @@ type Options struct {
 	// trial volume is split over. Defaults to DefaultShards. Part of the
 	// determinism contract: same Seed + same Shards ⇒ same counts.
 	Shards int
-	// Seed is the root seed; shard s draws from
-	// rand.NewSource(DeriveSeed(Seed, s)).
+	// Seed is the root seed; shard s draws from a math/rand/v2 PCG
+	// seeded with (DeriveSeed(Seed, s), 0).
 	Seed int64
 	// BatchWords is the number of 64-frame words each shard simulates per
 	// round, between aggregation barriers. Defaults to the smaller of 256
@@ -228,7 +242,9 @@ func Run(ctx context.Context, code ecc.Code, p float64, opts Options) (Result, e
 	}
 	states := make([]runner, shards)
 	for s := range states {
-		rng := rand.New(rand.NewSource(DeriveSeed(opts.Seed, s)))
+		src := &pcgSource{}
+		src.Seed(DeriveSeed(opts.Seed, s))
+		rng := rand.New(src)
 		if sliced {
 			states[s] = newSlicedRunner(slicer, bsc, rng)
 		} else {
@@ -274,9 +290,22 @@ func Run(ctx context.Context, code ecc.Code, p float64, opts Options) (Result, e
 		return res
 	}
 
+	// A round advances every shard with remaining quota by up to `batch`
+	// words, the worker pool claiming one shard at a time; perRound[s]
+	// receives shard s's counts for the round. The closure is built once,
+	// so a round allocates nothing.
 	remaining := make([]int64, shards)
 	copy(remaining, quota)
 	perRound := make([]counts, shards)
+	round := func(ctx context.Context, s, _ int) error {
+		perRound[s] = counts{}
+		w := min(batch, remaining[s])
+		if w <= 0 {
+			return nil
+		}
+		remaining[s] -= w
+		return states[s].runWords(ctx, int(w), &perRound[s])
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -290,7 +319,7 @@ func Run(ctx context.Context, code ecc.Code, p float64, opts Options) (Result, e
 		if active == 0 {
 			break
 		}
-		if err := runRound(ctx, states, remaining, perRound, batch, workers); err != nil {
+		if err := fanout.Chunks(ctx, workers, shards, 1, round); err != nil {
 			return Result{}, err
 		}
 		for s := range perRound {
@@ -311,20 +340,4 @@ func Run(ctx context.Context, code ecc.Code, p float64, opts Options) (Result, e
 		}
 	}
 	return snapshot(), nil
-}
-
-// runRound advances every shard with remaining quota by up to `batch` words,
-// the worker pool claiming one shard at a time. perRound[s] receives shard
-// s's counts for this round (zeroed first); remaining is decremented in
-// place.
-func runRound(ctx context.Context, states []runner, remaining []int64, perRound []counts, batch int64, workers int) error {
-	return fanout.Chunks(ctx, workers, len(states), 1, func(ctx context.Context, s, _ int) error {
-		perRound[s] = counts{}
-		w := min(batch, remaining[s])
-		if w <= 0 {
-			return nil
-		}
-		remaining[s] -= w
-		return states[s].runWords(ctx, int(w), &perRound[s])
-	})
 }

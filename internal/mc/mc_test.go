@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -361,6 +362,53 @@ func TestRunnerZeroAlloc(t *testing.T) {
 			if c.bitErrors == 0 && c.correctedBits == 0 {
 				t.Errorf("%s %s runner saw no channel errors at p=3e-2", code.Name(), kind)
 			}
+		}
+	}
+}
+
+// TestRunAllocations gates what one warm Run allocates (8 shards, one
+// worker): only its setup — the shard generators, runners and counters —
+// so the count is the same at 2^12 frames (one round) as at 2^18 (two
+// rounds of 256 words per shard), and the bytes stay under a bound that a
+// math/rand lagged-Fibonacci source per shard (~4.9 KB each) would break.
+// It covers the referee's three codes. Each figure is the least of three 5-run averages, so a
+// stray allocation elsewhere in the process (seen under -race) is not
+// charged to Run.
+func TestRunAllocations(t *testing.T) {
+	const limit = 16 << 10 // measured ≤ 11.9 KB (H(71,64)), go1.24 amd64
+	for _, code := range []ecc.Code{ecc.MustUncoded64(), ecc.MustHamming74(), ecc.MustHamming7164()} {
+		var allocs [2]uint64
+		for i, frames := range []int64{1 << 12, 1 << 18} {
+			run := func() {
+				if _, err := Run(context.Background(), code, 1e-3, Options{
+					Frames: frames, Shards: 8, Workers: 1, Seed: 1,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			const runs = 5
+			allocs[i] = math.MaxUint64
+			perRun := uint64(math.MaxUint64)
+			for trial := 0; trial < 3; trial++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for r := 0; r < runs; r++ {
+					run()
+				}
+				runtime.ReadMemStats(&after)
+				allocs[i] = min(allocs[i], (after.Mallocs-before.Mallocs)/runs)
+				perRun = min(perRun, (after.TotalAlloc-before.TotalAlloc)/runs)
+			}
+			t.Logf("%s, %d frames: %d allocations, %d bytes", code.Name(), frames, allocs[i], perRun)
+			if perRun > limit {
+				t.Errorf("%s, %d frames: Run allocates %d bytes, want at most %d", code.Name(), frames, perRun, limit)
+			}
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: Run makes %d allocations at 2^12 frames but %d at 2^18; a round must allocate nothing",
+				code.Name(), allocs[0], allocs[1])
 		}
 	}
 }

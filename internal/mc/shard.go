@@ -9,9 +9,13 @@ import (
 	"photonoc/internal/ecc"
 )
 
-// slicedRunner is one shard of the bit-sliced kernel: K data slices, N
-// codeword slices and K decoded slices, each word carrying one bit position
-// of 64 concurrent frames.
+// slicedRunner is one shard of the bit-sliced kernel: N codeword slices and
+// K decoded slices, each word carrying one bit position of 64 concurrent
+// frames. It sends the all-zero codeword: the codes it runs are linear with
+// syndrome decoders, so decode(c ⊕ e) ⊕ data depends on the error pattern e
+// alone (ecc's TestZeroCodewordCoupling checks this on every sliced code),
+// and the decoded slices of a corrupted zero codeword are the frames' data
+// errors themselves. No payload is drawn and nothing is encoded.
 type slicedRunner struct {
 	code ecc.Slicer
 	k    int
@@ -21,18 +25,19 @@ type slicedRunner struct {
 	// i.i.d. Bernoulli(p), exactly a BSC.
 	bsc bits.BSC
 
-	data, word, out []uint64
+	word, out []uint64
 }
 
 func newSlicedRunner(code ecc.Slicer, bsc bits.BSC, rng *rand.Rand) *slicedRunner {
+	n := code.N()
+	buf := make([]uint64, n+code.K())
 	return &slicedRunner{
 		code: code,
 		k:    code.K(),
 		rng:  rng,
 		bsc:  bsc,
-		data: make([]uint64, code.K()),
-		word: make([]uint64, code.N()),
-		out:  make([]uint64, code.K()),
+		word: buf[:n:n],
+		out:  buf[n:],
 	}
 }
 
@@ -43,17 +48,13 @@ func (r *slicedRunner) runWords(ctx context.Context, words int, c *counts) error
 				return err
 			}
 		}
-		for i := range r.data {
-			r.data[i] = r.rng.Uint64()
-		}
-		r.code.EncodeSliced(r.word, r.data)
+		clear(r.word)
 		r.bsc.Corrupt(bits.FromWords(r.word, 64*len(r.word)), r.rng)
 		info := r.code.DecodeSliced(r.out, r.word)
 
 		var frameBad uint64
 		bitErrs := 0
-		for i := range r.data {
-			d := r.out[i] ^ r.data[i]
+		for _, d := range r.out {
 			bitErrs += mathbits.OnesCount64(d)
 			frameBad |= d
 		}
@@ -74,7 +75,8 @@ func (r *slicedRunner) runWords(ctx context.Context, words int, c *counts) error
 // through the EncodeInto/DecodeInto seams of ecc.Code. It is the fallback
 // for codes without a sliced kernel (BCH) and, under Options.ForceScalar,
 // the baseline the bit-sliced estimator is cross-validated and benchmarked
-// against.
+// against. It keeps random payloads, so that cross-check also covers the
+// sliced kernel's zero-codeword shortcut.
 type scalarRunner struct {
 	code ecc.Code
 	rng  *rand.Rand

@@ -13,8 +13,9 @@
 // archive's spread leaders pull the swarm's social term.
 //
 // Campaigns are deterministic from a root seed: every particle owns a
-// derived RNG stream (mc.DeriveSeed, the same splitmix64 contract as the
-// Monte-Carlo and traffic layers), all draws happen on the driver
+// derived RNG stream (a math/rand source seeded by mc.DeriveSeed, the
+// splitmix64 derivation the Monte-Carlo layer also seeds its shards' PCGs
+// with), all draws happen on the driver
 // goroutine in particle order, and batch evaluation is bit-identical
 // regardless of the engine's worker count — so fronts are reproducible
 // across Workers=1/2/4 runs and every archived point can be re-derived by
