@@ -65,7 +65,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	configPath := fs.String("config", "", "link configuration JSON (default: the paper's configuration); re-read on SIGHUP")
 	workers := fs.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
 	cache := fs.Int("cache", 0, "memo-cache entries (0 = engine default)")
-	shards := fs.Int("shards", 0, "LRU shard count (0 = scale with capacity)")
 	maxInFlight := fs.Int("max-inflight", 0, "admission-control concurrency limit (0 = default)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline ceiling (0 = default 30s)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests")
@@ -124,7 +123,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Config:         cfg,
 		Workers:        *workers,
 		CacheEntries:   *cache,
-		CacheShards:    *shards,
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *timeout,
 		FaultInjector:  injector,

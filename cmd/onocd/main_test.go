@@ -217,7 +217,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-nosuchflag"},
 		{"-config", "/nonexistent/link.json"},
 		{"-addr", "999.999.999.999:0"},
-		{"-shards", "-3"},
 	} {
 		var out bytes.Buffer
 		if err := run(context.Background(), args, &out); err == nil {

@@ -13,7 +13,7 @@
 // The working set is the cross product of -bers and the daemon roster; a
 // warm-up pass touches every point once (cold solves), then the measured
 // phase replays it round-robin — the steady serving state where the
-// sharded LRU and singleflight coalescing carry the load. The -assert-*
+// memo LRU and singleflight coalescing carry the load. The -assert-*
 // flags turn the run into the CI smoke test: non-zero exit when a request
 // fails or the warm hit rate falls short.
 //
@@ -76,7 +76,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	requests := fs.Int("requests", 1000, "measured requests (after warm-up)")
 	bers := fs.String("bers", "1e-11", "comma-separated target BERs forming the working set")
 	workers := fs.Int("workers", 0, "selfhosted engine workers (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "selfhosted LRU shard count (0 = scale with capacity)")
 	faultRate := fs.Float64("fault-rate", 0, "selfhost chaos: fraction of requests receiving an injected fault (0 = off)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the deterministic fault injector (with -fault-rate)")
 	streams := fs.Int("streams", 0, "resumable /v1/noc/batch NDJSON streams to run after the load phase")
@@ -140,7 +139,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	base := *addr
 	if *selfhost {
-		_, hs, url, err := onocd.ListenLocal(onocd.Options{Workers: *workers, CacheShards: *shards, FaultInjector: injector, Logger: daemonLog})
+		_, hs, url, err := onocd.ListenLocal(onocd.Options{Workers: *workers, FaultInjector: injector, Logger: daemonLog})
 		if err != nil {
 			return err
 		}
@@ -199,8 +198,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			if hits+misses > 0 {
 				hitRate = float64(hits) / float64(hits+misses)
 			}
-			fmt.Fprintf(out, "daemon cache: %.1f%% hit rate over the measured phase (%d shards, %d shared solves total)\n",
-				hitRate*100, statsAfter.Cache.Shards, statsAfter.Cache.SharedSolves)
+			fmt.Fprintf(out, "daemon cache: %.1f%% hit rate over the measured phase (%d shared solves total)\n",
+				hitRate*100, statsAfter.Cache.SharedSolves)
 		}
 	}
 

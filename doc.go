@@ -270,7 +270,7 @@
 //     DTOs over the Engine, a Go client that is itself a core.Evaluator,
 //     and the closed-loop load generator (cmd/onocload); the daemon adds
 //     admission control, per-request deadlines, cold solves coalesced in
-//     the sharded LRU, Prometheus-text metrics and SIGHUP hot
+//     the memo LRU, Prometheus-text metrics and SIGHUP hot
 //     reload; the client retries retryable failures with backoff behind a
 //     circuit breaker and resumes interrupted NDJSON streams via
 //     ?start_index

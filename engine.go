@@ -110,15 +110,8 @@ func WithWorkers(n int) Option { return engine.WithWorkers(n) }
 // memoization (default: engine.DefaultCacheEntries).
 func WithCache(entries int) Option { return engine.WithCache(entries) }
 
-// WithCacheShards fixes the number of independently locked LRU shards the
-// cache capacity is split across (0, the default, scales the count with the
-// capacity). Shard count 1 reproduces the single-mutex LRU exactly; the
-// sharded default spreads lock contention across shards under concurrent
-// serving load. See CacheStats.Shards and CacheStats.SharedSolves.
-func WithCacheShards(n int) Option { return engine.WithCacheShards(n) }
-
 // Observer receives engine instrumentation events — cold-solve durations,
-// per-shard cache traffic, singleflight coalesces, session reuses. Hooks run
+// cache hits and misses, singleflight coalesces, session reuses. Hooks run
 // synchronously on the solve path from many goroutines; implementations must
 // be concurrency-safe and cheap. See WithObserver.
 type Observer = engine.Observer

@@ -71,7 +71,6 @@ type settings struct {
 	schemes      []ecc.Code
 	workers      int
 	cacheEntries int
-	cacheShards  int // 0 = automatic (scales with capacity)
 	obs          Observer
 }
 
@@ -131,26 +130,6 @@ func WithCache(entries int) Option {
 	}
 }
 
-// WithCacheShards fixes the number of independently locked LRU shards the
-// cache capacity is split across. The default (0) scales the shard count
-// with the capacity — one shard per 64 entries, at most 16 — so small
-// caches keep the exact single-LRU eviction behavior while the production
-// default spreads lock contention across shards. Shard count 1 reproduces
-// the single-mutex LRU byte for byte, eviction accounting included. The
-// count is clamped so every shard holds at least one entry.
-func WithCacheShards(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("%w: cache shard count %d must be non-negative", ErrInvalidConfig, n)
-		}
-		if n > maxCacheShards {
-			return fmt.Errorf("%w: cache shard count %d exceeds the maximum %d", ErrInvalidConfig, n, maxCacheShards)
-		}
-		s.cacheShards = n
-		return nil
-	}
-}
-
 // New builds an Engine from functional options, validating the assembled
 // configuration at the boundary: errors wrap ErrInvalidConfig.
 func New(opts ...Option) (*Engine, error) {
@@ -201,14 +180,7 @@ func New(opts ...Option) (*Engine, error) {
 		obs:         s.obs,
 	}
 	if s.cacheEntries > 0 {
-		shards := s.cacheShards
-		if shards == 0 {
-			shards = autoShards(s.cacheEntries)
-		}
-		if shards > s.cacheEntries {
-			shards = s.cacheEntries
-		}
-		e.cache = newLRUCache(s.cacheEntries, shards)
+		e.cache = newLRUCache(s.cacheEntries)
 	}
 	return e, nil
 }
@@ -314,7 +286,7 @@ func (e *Engine) evaluateCompiled(ctx context.Context, fp string, compiled *core
 		return e.solveCold(ctx, compiled, code, targetBER)
 	}
 	key := cacheKey{fingerprint: fp, scheme: code.Name(), targetBER: targetBER}
-	ev, shard, how, err := e.cache.do(key, func() (core.Evaluation, error) {
+	ev, how, err := e.cache.do(key, func() (core.Evaluation, error) {
 		return e.solveCold(ctx, compiled, code, targetBER)
 	})
 	if how == shared {
@@ -322,9 +294,9 @@ func (e *Engine) evaluateCompiled(ctx context.Context, fp string, compiled *core
 	}
 	if e.obs != nil {
 		if how == hit {
-			e.obs.CacheHit(ctx, shard)
+			e.obs.CacheHit(ctx, 0)
 		} else {
-			e.obs.CacheMiss(ctx, shard)
+			e.obs.CacheMiss(ctx, 0)
 		}
 		if how == shared {
 			e.obs.SharedSolve(ctx)

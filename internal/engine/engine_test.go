@@ -209,34 +209,50 @@ func TestColdSolveTiming(t *testing.T) {
 	}
 }
 
+// TestLRUEviction: a cache of capacity c holds c distinct keys without
+// evicting any, and key c+1 evicts exactly the least recently used one —
+// for a tiny cache and for the default capacity, which is one LRU, not
+// partitions that evict before the whole budget is used.
 func TestLRUEviction(t *testing.T) {
-	e, err := New(WithCache(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	bers := []float64{1e-9, 1e-10, 1e-11} // three distinct keys, capacity two
-	for _, ber := range bers {
-		if _, err := e.Evaluate(ctx, ecc.MustHamming74(), ber); err != nil {
+	code := ecc.MustHamming74()
+	for _, capacity := range []int{2, DefaultCacheEntries} {
+		e, err := New(WithCache(capacity))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if s := e.CacheStats(); s.Entries != 2 || s.Misses != 3 {
-		t.Errorf("after fill: %+v", s)
-	}
-	// 1e-9 was evicted (least recently used) — re-solving it must miss.
-	if _, err := e.Evaluate(ctx, ecc.MustHamming74(), 1e-9); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.CacheStats(); s.Misses != 4 {
-		t.Errorf("evicted entry should re-miss: %+v", s)
-	}
-	// 1e-11 stayed — it must hit.
-	if _, err := e.Evaluate(ctx, ecc.MustHamming74(), 1e-11); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.CacheStats(); s.Hits != 1 {
-		t.Errorf("resident entry should hit: %+v", s)
+		bers := make([]float64, capacity+1) // distinct keys, oldest first
+		for i := range bers {
+			bers[i] = 1e-10 * (1 + float64(i)/float64(capacity))
+		}
+		eval := func(ber float64) {
+			t.Helper()
+			if _, err := e.Evaluate(ctx, code, ber); err != nil {
+				t.Fatalf("capacity %d, BER %g: %v", capacity, ber, err)
+			}
+		}
+		for _, ber := range bers[:capacity] {
+			eval(ber)
+		}
+		if s := e.CacheStats(); s.Entries != capacity || s.Misses != uint64(capacity) || s.Capacity != capacity {
+			t.Fatalf("capacity %d, after fill: %+v", capacity, s)
+		}
+		eval(bers[capacity])
+		if s := e.CacheStats(); s.Entries != capacity || s.Misses != uint64(capacity+1) {
+			t.Fatalf("capacity %d, one key past the fill: %+v", capacity, s)
+		}
+		// Every key but the oldest stayed resident and hits.
+		for _, ber := range bers[1:] {
+			eval(ber)
+		}
+		if s := e.CacheStats(); s.Hits != uint64(capacity) || s.Misses != uint64(capacity+1) {
+			t.Errorf("capacity %d: resident keys should all hit: %+v", capacity, s)
+		}
+		// The oldest was evicted: re-solving it misses.
+		eval(bers[0])
+		if s := e.CacheStats(); s.Misses != uint64(capacity+2) {
+			t.Errorf("capacity %d: evicted key should re-miss: %+v", capacity, s)
+		}
 	}
 }
 
@@ -300,7 +316,7 @@ func TestConfigIsolation(t *testing.T) {
 }
 
 // TestNewAllocatedBytes bounds what building a default engine allocates.
-// The memo cache's shard maps grow with use; pre-sizing them for the full
+// The memo cache's map grows with use; pre-sizing it for the full
 // 4096-entry capacity cost ~475 KB per engine, which a campaign on a fresh
 // engine paid before its first solve.
 func TestNewAllocatedBytes(t *testing.T) {

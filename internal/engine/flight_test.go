@@ -18,7 +18,7 @@ import (
 // they shared it.
 func TestFlightGroupCoalesces(t *testing.T) {
 	const followers = 16
-	c := newLRUCache(8, 1)
+	c := newLRUCache(8)
 	key := cacheKey{fingerprint: "fp", scheme: "s", targetBER: 1e-11}
 
 	leaderEntered := make(chan struct{})
@@ -32,7 +32,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ev, _, how, err := c.do(key, func() (core.Evaluation, error) {
+		ev, how, err := c.do(key, func() (core.Evaluation, error) {
 			calls++
 			close(leaderEntered)
 			<-release
@@ -55,7 +55,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			joined <- struct{}{}
-			ev, _, how, err := c.do(key, func() (core.Evaluation, error) {
+			ev, how, err := c.do(key, func() (core.Evaluation, error) {
 				t.Error("follower executed solve")
 				return core.Evaluation{}, nil
 			})
@@ -103,10 +103,10 @@ func waitMisses(t *testing.T, c *lruCache, n uint64) {
 // TestFlightGroupPropagatesError: a failing solve is not memoized, and
 // nothing is retried implicitly — the next call solves afresh.
 func TestFlightGroupPropagatesError(t *testing.T) {
-	c := newLRUCache(8, 1)
+	c := newLRUCache(8)
 	key := cacheKey{fingerprint: "fp", scheme: "s", targetBER: 1e-9}
 	boom := errors.New("boom")
-	if _, _, how, err := c.do(key, func() (core.Evaluation, error) {
+	if _, how, err := c.do(key, func() (core.Evaluation, error) {
 		return core.Evaluation{}, boom
 	}); !errors.Is(err, boom) || how != solved {
 		t.Errorf("outcome=%v err=%v", how, err)
@@ -115,7 +115,7 @@ func TestFlightGroupPropagatesError(t *testing.T) {
 		t.Errorf("failed solve left %d entries", s.Entries)
 	}
 	ran := false
-	if _, _, how, err := c.do(key, func() (core.Evaluation, error) {
+	if _, how, err := c.do(key, func() (core.Evaluation, error) {
 		ran = true
 		return core.Evaluation{}, nil
 	}); err != nil || !ran || how != solved {
@@ -127,7 +127,7 @@ func TestFlightGroupPropagatesError(t *testing.T) {
 // completes while key A's solve is still running must not evict A's pending
 // entry — a second A caller shares A's solve instead of running another.
 func TestFlightPendingSurvivesEviction(t *testing.T) {
-	c := newLRUCache(1, 1)
+	c := newLRUCache(1)
 	keyA := cacheKey{fingerprint: "fp", scheme: "a", targetBER: 1e-11}
 	keyB := cacheKey{fingerprint: "fp", scheme: "b", targetBER: 1e-11}
 	wantA := core.Evaluation{TargetBER: 1e-11, CT: 2}
@@ -144,7 +144,7 @@ func TestFlightPendingSurvivesEviction(t *testing.T) {
 	}()
 	<-entered
 
-	if _, _, how, err := c.do(keyB, func() (core.Evaluation, error) {
+	if _, how, err := c.do(keyB, func() (core.Evaluation, error) {
 		return core.Evaluation{TargetBER: 1e-11, CT: 3}, nil
 	}); err != nil || how != solved {
 		t.Fatalf("B: outcome=%v err=%v", how, err)
@@ -157,7 +157,7 @@ func TestFlightPendingSurvivesEviction(t *testing.T) {
 	}
 	second := make(chan res, 1)
 	go func() {
-		ev, _, how, err := c.do(keyA, func() (core.Evaluation, error) {
+		ev, how, err := c.do(keyA, func() (core.Evaluation, error) {
 			t.Error("second A caller solved again: the pending entry was evicted")
 			return wantA, nil
 		})
@@ -259,107 +259,5 @@ func TestColdSweepStampedeCoalesces(t *testing.T) {
 		if !reflect.DeepEqual(results[i], results[0]) {
 			t.Errorf("client %d saw a different sweep", i)
 		}
-	}
-}
-
-// TestShardOneReproducesSingleLRU: with WithCacheShards(1) the sharded
-// cache is the single-mutex LRU, eviction accounting included — the exact
-// sequence the pre-shard TestCacheEviction pinned.
-func TestShardOneReproducesSingleLRU(t *testing.T) {
-	e, err := New(WithCache(2), WithCacheShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	h74, h7164, unc := ecc.MustHamming74(), ecc.MustHamming7164(), ecc.MustUncoded64()
-	for _, c := range []ecc.Code{h74, h7164, unc} { // fills, then evicts h74
-		if _, err := e.Evaluate(ctx, c, 1e-11); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := e.CacheStats(); s.Entries != 2 || s.Misses != 3 || s.Shards != 1 {
-		t.Errorf("after fill: %+v", s)
-	}
-	// h74 was evicted (LRU), so it misses and evicts h7164 in turn.
-	if _, err := e.Evaluate(ctx, h74, 1e-11); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.CacheStats(); s.Misses != 4 {
-		t.Errorf("evicted entry should miss: %+v", s)
-	}
-	// unc stayed resident.
-	if _, err := e.Evaluate(ctx, unc, 1e-11); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.CacheStats(); s.Hits != 1 {
-		t.Errorf("resident entry should hit: %+v", s)
-	}
-}
-
-// TestAutoShardScaling pins the automatic shard policy: small caches
-// collapse to one shard (legacy behavior), the production default spreads
-// across 16, and explicit shard counts are clamped to the capacity.
-func TestAutoShardScaling(t *testing.T) {
-	for _, tc := range []struct {
-		opts   []Option
-		shards int
-	}{
-		{[]Option{WithCache(2)}, 1},
-		{[]Option{WithCache(64)}, 1},
-		{[]Option{WithCache(128)}, 2},
-		{[]Option{}, 16}, // DefaultCacheEntries = 4096
-		{[]Option{WithCache(8), WithCacheShards(32)}, 8},
-		{[]Option{WithCacheShards(4)}, 4},
-	} {
-		e, err := New(tc.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := e.CacheStats(); s.Shards != tc.shards || s.Capacity != e.cache.capacity {
-			t.Errorf("%v: shards = %d (want %d), capacity %d vs %d",
-				tc.opts, s.Shards, tc.shards, s.Capacity, e.cache.capacity)
-		}
-	}
-	if _, err := New(WithCacheShards(-1)); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("negative shard count: want ErrInvalidConfig, got %v", err)
-	}
-	if _, err := New(WithCacheShards(maxCacheShards + 1)); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("oversized shard count: want ErrInvalidConfig, got %v", err)
-	}
-}
-
-// TestShardedSweepDeterminism: the sharded cache never changes results —
-// sweeps through 1-shard and 16-shard engines are element-identical, warm
-// or cold, and the capacity splits exactly across shards.
-func TestShardedSweepDeterminism(t *testing.T) {
-	bers := []float64{1e-12, 1e-10, 1e-8}
-	single, err := New(WithCacheShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := New(WithCacheShards(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	a, err := single.Sweep(ctx, nil, bers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ { // cold then warm
-		b, err := sharded.Sweep(ctx, nil, bers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("pass %d: sharded sweep differs from single-shard", pass)
-		}
-	}
-	s := sharded.CacheStats()
-	if s.Shards != 16 || s.Capacity != DefaultCacheEntries {
-		t.Errorf("sharded stats: %+v", s)
-	}
-	if want := uint64(len(a)); s.Hits != want || s.Misses != want {
-		t.Errorf("hits %d misses %d, want %d each (cold pass misses, warm pass hits)", s.Hits, s.Misses, want)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Observer receives engine instrumentation events: cold-solve durations,
-// per-shard cache traffic, coalesced solves and session reuses. It is
+// cache hits and misses, coalesced solves and session reuses. It is
 // the seam the serving layer hangs its telemetry on — histograms, access-log
 // attribution, per-request statistics — without the engine knowing anything
 // about metrics or logging.
@@ -31,10 +31,12 @@ type Observer interface {
 	// pipeline, and for every solve when the cache is disabled.
 	ColdSolve(ctx context.Context, scheme string, d time.Duration)
 
-	// CacheHit reports a memo-cache hit on the given shard index.
+	// CacheHit reports a memo-cache hit. The cache is one LRU, so shard is
+	// always 0; the argument keeps existing implementations compiling.
 	CacheHit(ctx context.Context, shard int)
 
-	// CacheMiss reports a memo-cache miss on the given shard index.
+	// CacheMiss reports a memo-cache miss; shard is always 0, as for
+	// CacheHit.
 	CacheMiss(ctx context.Context, shard int)
 
 	// SharedSolve reports an evaluation served by joining another

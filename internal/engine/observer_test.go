@@ -22,7 +22,6 @@ type countingObserver struct {
 	cacheMisses   atomic.Uint64
 	sharedSolves  atomic.Uint64
 	sessionReuses atomic.Uint64
-	maxShard      atomic.Int64
 }
 
 func (o *countingObserver) ColdSolve(ctx context.Context, scheme string, d time.Duration) {
@@ -34,17 +33,15 @@ func (o *countingObserver) ColdSolve(ctx context.Context, scheme string, d time.
 	}
 }
 
-func (o *countingObserver) CacheHit(ctx context.Context, shard int) {
+func (o *countingObserver) CacheHit(ctx context.Context, _ int) {
 	o.cacheHits.Add(1)
-	o.noteShard(shard)
 	if s := obs.StatsFrom(ctx); s != nil {
 		s.CacheHits.Add(1)
 	}
 }
 
-func (o *countingObserver) CacheMiss(ctx context.Context, shard int) {
+func (o *countingObserver) CacheMiss(ctx context.Context, _ int) {
 	o.cacheMisses.Add(1)
-	o.noteShard(shard)
 	if s := obs.StatsFrom(ctx); s != nil {
 		s.CacheMisses.Add(1)
 	}
@@ -61,15 +58,6 @@ func (o *countingObserver) SessionReuse(ctx context.Context, cells int) {
 	o.sessionReuses.Add(uint64(cells))
 	if s := obs.StatsFrom(ctx); s != nil {
 		s.SessionReuses.Add(uint64(cells))
-	}
-}
-
-func (o *countingObserver) noteShard(shard int) {
-	for {
-		cur := o.maxShard.Load()
-		if int64(shard) <= cur || o.maxShard.CompareAndSwap(cur, int64(shard)) {
-			return
-		}
 	}
 }
 
@@ -107,9 +95,6 @@ func TestObserverMatchesCacheStats(t *testing.T) {
 	}
 	if o.coldNS.Load() <= 0 {
 		t.Error("observer accumulated no cold-solve time")
-	}
-	if max := o.maxShard.Load(); max >= int64(cs.Shards) {
-		t.Errorf("observer saw shard index %d, cache has %d shards", max, cs.Shards)
 	}
 	// The second sweep is all hits: at least one hit per grid point.
 	if o.cacheHits.Load() < uint64(len(codes)*len(bers)) {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,10 +17,14 @@ import (
 // TestChunksContract: every index of [0, n) is visited exactly once, in
 // contiguous chunks of size indices (the last one shorter, a size below 1
 // counting as 1), on at most workers goroutines at a time; ⌈n/workers⌉
-// gives at most workers chunks; one worker runs the chunks in order on the
-// caller's goroutine. Covers n < workers, n == 0 and non-positive worker
-// counts.
+// gives at most workers chunks; chunk 0 runs on the caller's goroutine,
+// and one worker runs the chunks in order there. Covers n < workers,
+// n == 0 and non-positive worker counts.
 func TestChunksContract(t *testing.T) {
+	caller := goroutineID()
+	if caller == 0 {
+		t.Fatal("cannot parse the goroutine ID from runtime.Stack")
+	}
 	for _, n := range []int{0, 1, 2, 3, 5, 7, 8, 100} {
 		for _, workers := range []int{-1, 0, 1, 2, 3, 4, 8} {
 			perWorker := (n + max(workers, 1) - 1) / max(workers, 1)
@@ -28,9 +34,13 @@ func TestChunksContract(t *testing.T) {
 					chunks   [][2]int
 					inFlight atomic.Int32
 					peak     atomic.Int32
+					first    atomic.Uint64
 				)
 				visits := make([]int, n)
 				err := Chunks(context.Background(), workers, n, size, func(_ context.Context, lo, hi int) error {
+					if lo == 0 {
+						first.Store(goroutineID())
+					}
 					cur := inFlight.Add(1)
 					defer inFlight.Add(-1)
 					for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
@@ -53,6 +63,9 @@ func TestChunksContract(t *testing.T) {
 						t.Fatalf("%s: index %d visited %d times", name, i, v)
 					}
 				}
+				if got := first.Load(); n > 0 && got != caller {
+					t.Fatalf("%s: chunk 0 ran on goroutine %d, want the caller's %d", name, got, caller)
+				}
 				if p := int(peak.Load()); p > max(workers, 1) {
 					t.Fatalf("%s: %d chunks ran at once, want at most %d", name, p, max(workers, 1))
 				}
@@ -71,6 +84,18 @@ func TestChunksContract(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goroutineID parses the running goroutine's ID from its stack header,
+// "goroutine N [running]:"; 0 if the header does not parse.
+func goroutineID() uint64 {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	if len(f) < 2 {
+		return 0
+	}
+	id, _ := strconv.ParseUint(f[1], 10, 64)
+	return id
 }
 
 // TestChunksBalancesUnevenItems: with size 1 the goroutines claim indices in

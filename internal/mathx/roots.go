@@ -67,8 +67,9 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 // method inherits bisection's guaranteed convergence while smooth functions
 // converge quadratically. fd must return f(x) and f'(x); f(lo) and f(hi)
 // must have opposite signs (−Inf/+Inf endpoint values bracket like any other
-// sign). It is the solver behind the ecc package's planned FER inversions
-// and the laser characteristic's inversion in photonics.
+// sign). If 100 guarded iterations leave the bracket wider than tol, plain
+// bisection finishes it. It is the solver behind the ecc package's planned
+// FER inversions and the laser characteristic's inversion in photonics.
 func NewtonBisect(fd func(float64) (fx, dfx float64), lo, hi, tol float64) (float64, error) {
 	if lo > hi {
 		lo, hi = hi, lo
@@ -112,7 +113,10 @@ func NewtonBisect(fd func(float64) (fx, dfx float64), lo, hi, tol float64) (floa
 		}
 		x = nx
 	}
-	return 0, fmt.Errorf("%w: tolerance %g not reached, final bracket [%g, %g]", ErrNoConverge, tol, lo, hi)
+	// Newton steps can stay inside the bracket without shrinking it to tol
+	// (an f known only to within its rounding noise near the root, or a
+	// derivative off by a constant factor). Bisect what is left.
+	return Bisect(func(x float64) float64 { f, _ := fd(x); return f }, lo, hi, tol)
 }
 
 // SolveMonotone solves f(x) == target for x in [lo, hi], assuming f is

@@ -113,6 +113,18 @@ func TestNewtonBisectGuards(t *testing.T) {
 	if err != nil || !ApproxEqual(got, 1, 1e-9) {
 		t.Errorf("zero-derivative fallback: got %g, %v", got, err)
 	}
+	// A derivative 0.55× the true one makes every Newton step overshoot by
+	// 0.82× the error: the steps stay inside the bracket but shrink it far
+	// too slowly for 100 iterations to reach tol, so bisection must finish
+	// it. An impossible tolerance still reports the final bracket.
+	stalled := func(x float64) (float64, float64) { return x*x - 2, 0.55 * 2 * x }
+	got, err = NewtonBisect(stalled, 0, 5, 1e-13)
+	if err != nil || math.Abs(got-math.Sqrt2) > 1e-13 {
+		t.Errorf("stalled Newton: got %.17g, %v", got, err)
+	}
+	if _, err := NewtonBisect(stalled, 0, 5, 0); !errors.Is(err, ErrNoConverge) || !strings.Contains(err.Error(), "bracket") {
+		t.Errorf("zero tolerance: err = %v, want ErrNoConverge with the final bracket", err)
+	}
 	// −Inf endpoint values bracket like any finite negative value (the FER
 	// inversion sees ln(0) at its lower bracket).
 	got, err = NewtonBisect(func(x float64) (float64, float64) {

@@ -550,7 +550,7 @@ func (c *Client) Validate(ctx context.Context, req ValidateRequest) (mc.Result, 
 
 // Evaluate implements core.Evaluator against the daemon: one (scheme,
 // target BER) point via a single-cell sweep, answered from the daemon's
-// singleflight-coalesced, sharded LRU.
+// singleflight-coalesced memo LRU.
 func (c *Client) Evaluate(ctx context.Context, code ecc.Code, targetBER float64) (core.Evaluation, error) {
 	resp, err := c.Sweep(ctx, SweepRequest{Schemes: []string{code.Name()}, TargetBERs: []float64{targetBER}})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -20,11 +19,10 @@ var coldSolveBuckets = []float64{
 }
 
 // engineObserver is the serving layer's engine.Observer: it aggregates the
-// engine's instrumentation events into /metrics series (cold-solve
-// histogram, per-shard cache traffic; the shared-solve and session-reuse
-// totals come from engine.CacheStats) and mirrors each event into the
-// per-request obs.RequestStats riding the evaluation's context, so the
-// access log can attribute latency per request.
+// engine's cold solves into the /metrics histogram (the cache, shared-solve
+// and session-reuse totals come from engine.CacheStats) and mirrors each
+// event into the per-request obs.RequestStats riding the evaluation's
+// context, so the access log can attribute latency per request.
 //
 // One observer lives per engine generation (it is built alongside the engine
 // in newEngineState), so a hot reload starts its histograms cold together
@@ -34,21 +32,10 @@ type engineObserver struct {
 	coldBuckets []atomic.Uint64 // indexed like coldSolveBuckets; overflow uncounted (le=+Inf uses count)
 	coldCount   atomic.Uint64
 	coldSumNS   atomic.Int64
-
-	shardHits   []atomic.Uint64
-	shardMisses []atomic.Uint64
 }
 
 func newEngineObserver() *engineObserver {
 	return &engineObserver{coldBuckets: make([]atomic.Uint64, len(coldSolveBuckets))}
-}
-
-// initShards sizes the per-shard counters once the engine reports its shard
-// count. Called before the generation is published, so the hooks never see
-// the slices mid-resize.
-func (o *engineObserver) initShards(n int) {
-	o.shardHits = make([]atomic.Uint64, n)
-	o.shardMisses = make([]atomic.Uint64, n)
 }
 
 func (o *engineObserver) ColdSolve(ctx context.Context, scheme string, d time.Duration) {
@@ -67,19 +54,13 @@ func (o *engineObserver) ColdSolve(ctx context.Context, scheme string, d time.Du
 	}
 }
 
-func (o *engineObserver) CacheHit(ctx context.Context, shard int) {
-	if shard >= 0 && shard < len(o.shardHits) {
-		o.shardHits[shard].Add(1)
-	}
+func (o *engineObserver) CacheHit(ctx context.Context, _ int) {
 	if s := obs.StatsFrom(ctx); s != nil {
 		s.CacheHits.Add(1)
 	}
 }
 
-func (o *engineObserver) CacheMiss(ctx context.Context, shard int) {
-	if shard >= 0 && shard < len(o.shardMisses) {
-		o.shardMisses[shard].Add(1)
-	}
+func (o *engineObserver) CacheMiss(ctx context.Context, _ int) {
 	if s := obs.StatsFrom(ctx); s != nil {
 		s.CacheMisses.Add(1)
 	}
@@ -109,13 +90,4 @@ func (o *engineObserver) writeTo(w io.Writer) {
 	fmt.Fprintf(w, "onocd_cold_solve_duration_seconds_bucket{le=\"+Inf\"} %d\n", count)
 	fmt.Fprintf(w, "onocd_cold_solve_duration_seconds_sum %g\n", time.Duration(o.coldSumNS.Load()).Seconds())
 	fmt.Fprintf(w, "onocd_cold_solve_duration_seconds_count %d\n", count)
-
-	fmt.Fprintf(w, "# HELP onocd_cache_shard_hits_total Memo-cache hits by LRU shard.\n# TYPE onocd_cache_shard_hits_total counter\n")
-	for i := range o.shardHits {
-		fmt.Fprintf(w, "onocd_cache_shard_hits_total{shard=\"%s\"} %d\n", strconv.Itoa(i), o.shardHits[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP onocd_cache_shard_misses_total Memo-cache misses by LRU shard.\n# TYPE onocd_cache_shard_misses_total counter\n")
-	for i := range o.shardMisses {
-		fmt.Fprintf(w, "onocd_cache_shard_misses_total{shard=\"%s\"} %d\n", strconv.Itoa(i), o.shardMisses[i].Load())
-	}
 }

@@ -341,7 +341,7 @@ func TestMetricsStrictFormat(t *testing.T) {
 	if _, err := c.NetworkEval(ctx, NoCRequest{Topology: "crossbar", Tiles: 8, TargetBER: 1e-9}); err != nil {
 		t.Fatal(err)
 	}
-	// Repeat for cache hits, so shard hit counters move.
+	// Repeat for cache hits, so the hit counter moves.
 	if _, err := c.Sweep(ctx, SweepRequest{TargetBERs: []float64{1e-9, 1e-10}}); err != nil {
 		t.Fatal(err)
 	}
@@ -370,12 +370,9 @@ func TestMetricsStrictFormat(t *testing.T) {
 		"onocd_cache_session_reuses_total",
 		"onocd_cache_entries",
 		"onocd_cache_capacity",
-		"onocd_cache_shards",
 		"onocd_cache_cold_solve_seconds_total",
 		"onocd_engine_registry_entries",
 		"onocd_cold_solve_duration_seconds",
-		"onocd_cache_shard_hits_total",
-		"onocd_cache_shard_misses_total",
 		"onocd_goroutines",
 		"onocd_heap_alloc_bytes",
 		"onocd_heap_sys_bytes",
@@ -413,20 +410,7 @@ func TestMetricsStrictFormat(t *testing.T) {
 		}
 	}
 
-	// Per-shard counters must cover every shard and sum to the cache totals.
-	shards := fams["onocd_cache_shards"].samples[0].value
-	if got := float64(len(fams["onocd_cache_shard_hits_total"].samples)); got != shards {
-		t.Errorf("shard hit series = %g, want one per shard (%g)", got, shards)
-	}
-	var shardHits, totalHits float64
-	for _, s := range fams["onocd_cache_shard_hits_total"].samples {
-		shardHits += s.value
-	}
-	totalHits = fams["onocd_cache_hits_total"].samples[0].value
-	if shardHits != totalHits {
-		t.Errorf("per-shard hits sum %g != onocd_cache_hits_total %g", shardHits, totalHits)
-	}
-	if totalHits == 0 {
+	if fams["onocd_cache_hits_total"].samples[0].value == 0 {
 		t.Error("no cache hits recorded; the repeat sweep should have hit the memo cache")
 	}
 	if fams["onocd_cold_solve_duration_seconds"].samples[len(fams["onocd_cold_solve_duration_seconds"].samples)-1].value == 0 {

@@ -56,8 +56,6 @@ type Options struct {
 	// CacheEntries is the memo-cache capacity; 0 means the engine default.
 	// A service without a cache makes no sense, so there is no disable knob.
 	CacheEntries int
-	// CacheShards fixes the LRU shard count; 0 scales with capacity.
-	CacheShards int
 
 	// MaxInFlight is the admission limit (0 = DefaultMaxInFlight).
 	MaxInFlight int
@@ -106,7 +104,7 @@ type engineState struct {
 }
 
 // newEngineState builds one engine generation, instrumented with its own
-// observer (histograms and per-shard counters start cold with the cache).
+// observer (its histogram starts cold with the cache).
 func newEngineState(opts Options, cfg core.LinkConfig) (*engineState, error) {
 	o := newEngineObserver()
 	eopts := []engine.Option{engine.WithObserver(o)}
@@ -122,14 +120,10 @@ func newEngineState(opts Options, cfg core.LinkConfig) (*engineState, error) {
 	if opts.CacheEntries != 0 {
 		eopts = append(eopts, engine.WithCache(opts.CacheEntries))
 	}
-	if opts.CacheShards != 0 {
-		eopts = append(eopts, engine.WithCacheShards(opts.CacheShards))
-	}
 	eng, err := engine.New(eopts...)
 	if err != nil {
 		return nil, err
 	}
-	o.initShards(eng.CacheStats().Shards)
 	ecfg := eng.Config()
 	mgr, err := manager.NewWithEvaluator(&ecfg, eng.Schemes(), manager.PaperDAC(), eng)
 	if err != nil {
@@ -574,7 +568,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter(w, "onocd_cache_session_reuses_total", "Per-cell solves avoided by incremental session diffing.", cs.SessionReuses)
 	gauge(w, "onocd_cache_entries", "Memoized operating points.", float64(cs.Entries))
 	gauge(w, "onocd_cache_capacity", "Memo-cache capacity.", float64(cs.Capacity))
-	gauge(w, "onocd_cache_shards", "Independently locked LRU shards.", float64(cs.Shards))
 	gauge(w, "onocd_cache_cold_solve_seconds_total", "Cumulative wall time in cold solves.", cs.ColdSolveTime.Seconds())
 	fmt.Fprint(w, "# HELP onocd_engine_registry_entries Entries in the engine's plan and network registries.\n# TYPE onocd_engine_registry_entries gauge\n")
 	fmt.Fprintf(w, "onocd_engine_registry_entries{registry=\"fer_plans\"} %d\n", cs.FERPlans)

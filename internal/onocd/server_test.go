@@ -471,7 +471,6 @@ func TestMetricsExposition(t *testing.T) {
 		`onocd_request_duration_seconds_bucket{route="/v1/sweep",le="+Inf"} 1`,
 		"onocd_cache_misses_total",
 		"onocd_cache_session_reuses_total",
-		"onocd_cache_shards",
 		"onocd_in_flight_requests 0",
 		"onocd_admission_rejected_total 0",
 		"onocd_engine_reloads_total 0",
