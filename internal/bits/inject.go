@@ -6,17 +6,6 @@ import (
 	"math/rand"
 )
 
-// FlipPositions inverts the bits of v at each listed position.
-func FlipPositions(v Vector, positions ...int) error {
-	for _, p := range positions {
-		if p < 0 || p >= v.Len() {
-			return fmt.Errorf("bits: flip position %d out of range [0,%d)", p, v.Len())
-		}
-		v.Flip(p)
-	}
-	return nil
-}
-
 // FlipRandom inverts each bit of v independently with probability p and
 // returns how many bits were flipped. It models a memoryless binary symmetric
 // channel, the abstraction under the paper's Eq. 2.
@@ -74,9 +63,6 @@ func NewBSC(p float64) (BSC, error) {
 	}
 	return b, nil
 }
-
-// P returns the channel's bit flip probability.
-func (b BSC) P() float64 { return b.p }
 
 // Corrupt flips each bit of v independently with probability p and returns
 // the number of flips. It draws one exponential per flip, plus one for the

@@ -6,26 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestFlipPositions(t *testing.T) {
-	v := New(8)
-	if err := FlipPositions(v, 0, 3, 7); err != nil {
-		t.Fatal(err)
-	}
-	if v.String() != "10010001" {
-		t.Errorf("after flips: %q", v.String())
-	}
-	// Double flip leaves the bit unchanged.
-	if err := FlipPositions(v, 3, 3); err != nil {
-		t.Fatal(err)
-	}
-	if v.Bit(3) != 1 {
-		t.Error("double flip should leave bit unchanged")
-	}
-	if err := FlipPositions(v, 8); err == nil {
-		t.Error("out-of-range flip should error")
-	}
-}
-
 func TestFlipRandomRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const n = 200000

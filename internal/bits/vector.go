@@ -1,7 +1,7 @@
 // Package bits provides the bit-exact data plane shared by the coding,
 // serdes and channel-simulation packages: packed bit vectors, a FIFO bit
-// queue used by the serializer gearbox, PRBS pattern generators and error
-// injection helpers.
+// queue used by the serializer gearbox, the binary symmetric channel and
+// error injection helpers.
 package bits
 
 import (

@@ -64,9 +64,6 @@ func Rate(c Code) float64 { return float64(c.K()) / float64(c.N()) }
 // (CT = 1.75 for H(7,4), 1.109 for H(71,64), 1 for uncoded).
 func CT(c Code) float64 { return float64(c.N()) / float64(c.K()) }
 
-// Overhead returns the fraction of transmitted bits that are redundancy.
-func Overhead(c Code) float64 { return 1 - Rate(c) }
-
 // Describe returns a one-line human-readable summary of the code.
 func Describe(c Code) string {
 	return fmt.Sprintf("%s: (n=%d, k=%d, t=%d) rate=%.3f CT=%.3f",

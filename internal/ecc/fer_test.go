@@ -98,15 +98,3 @@ func TestRequiredRawBERForFERRoundTrip(t *testing.T) {
 		t.Error("FER 1 should be rejected")
 	}
 }
-
-func TestExpectedWordsBetweenFailures(t *testing.T) {
-	code := MustHamming7164()
-	p := 1e-6
-	mtbf := PlanFor(code).ExpectedWordsBetweenFailures(p)
-	if !approx(mtbf*PlanFor(code).FrameErrorRate(p), 1, 1e-9) {
-		t.Error("MTBF must be the reciprocal of FER")
-	}
-	if !math.IsInf(PlanFor(code).ExpectedWordsBetweenFailures(0), 1) {
-		t.Error("error-free channel should give infinite MTBF")
-	}
-}

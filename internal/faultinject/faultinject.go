@@ -16,7 +16,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -406,9 +405,3 @@ func (b *truncBody) Read(p []byte) (int, error) {
 }
 
 func (b *truncBody) Close() error { return b.rc.Close() }
-
-// String summarizes the configuration for startup logs.
-func (inj *Injector) String() string {
-	return "faultinject: rate=" + strconv.FormatFloat(inj.opts.Rates.Total(), 'g', 3, 64) +
-		" seed=" + strconv.FormatInt(inj.opts.Seed, 10)
-}

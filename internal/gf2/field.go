@@ -98,30 +98,9 @@ func (f *Field) Div(a, b uint16) (uint16, error) {
 	return f.Mul(a, bi), nil
 }
 
-// Pow returns a^e; negative exponents are taken modulo the group order.
-func (f *Field) Pow(a uint16, e int) uint16 {
-	if a == 0 {
-		if e == 0 {
-			return 1
-		}
-		return 0
-	}
-	n := f.N()
-	le := (f.log[a]*e%n + n) % n
-	return f.exp[le]
-}
-
 // Alpha returns α^i for any integer i (reduced modulo the group order).
 func (f *Field) Alpha(i int) uint16 {
 	n := f.N()
 	i = (i%n + n) % n
 	return f.exp[i]
-}
-
-// LogOf returns the discrete logarithm of a to base α; a must be nonzero.
-func (f *Field) LogOf(a uint16) (int, error) {
-	if a == 0 {
-		return 0, fmt.Errorf("gf2: log of zero in GF(2^%d)", f.M)
-	}
-	return f.log[a], nil
 }

@@ -91,36 +91,3 @@ func TestAlphaIsGenerator(t *testing.T) {
 		t.Error("negative exponents should wrap")
 	}
 }
-
-func TestPowAndLog(t *testing.T) {
-	f, _ := NewField(6)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		a := uint16(rng.Intn(f.N()) + 1)
-		e := rng.Intn(40) - 20
-		want := uint16(1)
-		if e >= 0 {
-			for j := 0; j < e; j++ {
-				want = f.Mul(want, a)
-			}
-		} else {
-			inv, _ := f.Inv(a)
-			for j := 0; j < -e; j++ {
-				want = f.Mul(want, inv)
-			}
-		}
-		if got := f.Pow(a, e); got != want {
-			t.Fatalf("Pow(%d,%d) = %d, want %d", a, e, got, want)
-		}
-	}
-	if f.Pow(0, 0) != 1 || f.Pow(0, 5) != 0 {
-		t.Error("Pow with zero base wrong")
-	}
-	lg, err := f.LogOf(f.Alpha(17))
-	if err != nil || lg != 17 {
-		t.Errorf("LogOf(α^17) = %d, %v", lg, err)
-	}
-	if _, err := f.LogOf(0); err == nil {
-		t.Error("LogOf(0) should error")
-	}
-}

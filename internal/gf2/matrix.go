@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-
-	pbits "photonoc/internal/bits"
 )
 
 // Matrix is a dense binary matrix with rows packed into 64-bit words.
@@ -96,18 +94,6 @@ func (m *Matrix) Equal(o *Matrix) bool {
 	return true
 }
 
-// MulVec computes m·v over GF(2); v.Len() must equal Cols().
-func (m *Matrix) MulVec(v pbits.Vector) (pbits.Vector, error) {
-	if v.Len() != m.cols {
-		return pbits.Vector{}, fmt.Errorf("gf2: MulVec dimension mismatch: %d cols vs %d-bit vector", m.cols, v.Len())
-	}
-	out := pbits.New(m.rows)
-	for r := 0; r < m.rows; r++ {
-		out.Set(r, v.AndMaskParity(m.Row(r)))
-	}
-	return out, nil
-}
-
 // Mul computes the matrix product m·o over GF(2).
 func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 	if m.cols != o.rows {
@@ -164,54 +150,6 @@ func (m *Matrix) Augment(o *Matrix) (*Matrix, error) {
 	}
 	return out, nil
 }
-
-// xorRow adds (XOR) row src into row dst.
-func (m *Matrix) xorRow(dst, src int) {
-	d := m.Row(dst)
-	s := m.Row(src)
-	for i := range d {
-		d[i] ^= s[i]
-	}
-}
-
-// swapRows exchanges two rows.
-func (m *Matrix) swapRows(a, b int) {
-	if a == b {
-		return
-	}
-	ra, rb := m.Row(a), m.Row(b)
-	for i := range ra {
-		ra[i], rb[i] = rb[i], ra[i]
-	}
-}
-
-// RowReduce performs in-place Gauss-Jordan elimination and returns the rank.
-func (m *Matrix) RowReduce() int {
-	rank := 0
-	for col := 0; col < m.cols && rank < m.rows; col++ {
-		pivot := -1
-		for r := rank; r < m.rows; r++ {
-			if m.At(r, col) == 1 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		m.swapRows(rank, pivot)
-		for r := 0; r < m.rows; r++ {
-			if r != rank && m.At(r, col) == 1 {
-				m.xorRow(r, rank)
-			}
-		}
-		rank++
-	}
-	return rank
-}
-
-// Rank returns the rank of m without modifying it.
-func (m *Matrix) Rank() int { return m.Clone().RowReduce() }
 
 // IsZero reports whether every entry is zero.
 func (m *Matrix) IsZero() bool {

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	pbits "photonoc/internal/bits"
 )
 
 func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
@@ -80,62 +78,6 @@ func TestMulTransposeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMulVecAgainstNaive(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows, cols := rng.Intn(10)+1, rng.Intn(100)+1
-		m := randomMatrix(rng, rows, cols)
-		v := pbits.New(cols)
-		for i := 0; i < cols; i++ {
-			v.Set(i, rng.Intn(2))
-		}
-		got, err := m.MulVec(v)
-		if err != nil {
-			return false
-		}
-		for r := 0; r < rows; r++ {
-			parity := 0
-			for c := 0; c < cols; c++ {
-				parity ^= m.At(r, c) & v.Bit(c)
-			}
-			if got.Bit(r) != parity {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-	if _, err := NewMatrix(2, 3).MulVec(pbits.New(4)); err == nil {
-		t.Error("dimension mismatch should error")
-	}
-}
-
-func TestRowReduceRank(t *testing.T) {
-	// A known singular matrix: row3 = row1 + row2.
-	m := NewMatrix(3, 4)
-	rows := [][]int{
-		{1, 0, 1, 0},
-		{0, 1, 1, 0},
-		{1, 1, 0, 0},
-	}
-	for r, row := range rows {
-		for c, b := range row {
-			m.Set(r, c, b)
-		}
-	}
-	if got := m.Rank(); got != 2 {
-		t.Errorf("Rank = %d, want 2", got)
-	}
-	if got := Identity(7).Rank(); got != 7 {
-		t.Errorf("identity rank = %d", got)
-	}
-	if got := NewMatrix(3, 3).Rank(); got != 0 {
-		t.Errorf("zero matrix rank = %d", got)
 	}
 }
 

@@ -64,21 +64,6 @@ func MulBin(a, b BinPoly) (BinPoly, error) {
 	return out, nil
 }
 
-// DivModBin returns quotient and remainder of a divided by b over GF(2).
-func DivModBin(a, b BinPoly) (q, r BinPoly, err error) {
-	if b == 0 {
-		return 0, 0, fmt.Errorf("gf2: division by zero polynomial")
-	}
-	db := b.Degree()
-	r = a
-	for r != 0 && r.Degree() >= db {
-		shift := uint(r.Degree() - db)
-		q ^= 1 << shift
-		r ^= b << shift
-	}
-	return q, r, nil
-}
-
 // FieldPoly is a polynomial with coefficients in a Field; index i holds the
 // coefficient of x^i. Trailing zero coefficients are permitted.
 type FieldPoly []uint16

@@ -44,31 +44,6 @@ func TestMulBinKnown(t *testing.T) {
 	}
 }
 
-func TestDivModBinRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		a := BinPoly(rng.Uint64() >> 8)
-		b := BinPoly(rng.Uint64()>>40 | 1) // nonzero
-		q, r, err := DivModBin(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r != 0 && r.Degree() >= b.Degree() {
-			t.Fatalf("remainder degree %d >= divisor degree %d", r.Degree(), b.Degree())
-		}
-		qb, err := MulBin(q, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qb^r != a {
-			t.Fatalf("q·b + r != a for a=%b b=%b", a, b)
-		}
-	}
-	if _, _, err := DivModBin(0b101, 0); err == nil {
-		t.Error("division by zero should error")
-	}
-}
-
 func TestPolyEvalAndMul(t *testing.T) {
 	f, _ := NewField(4)
 	// p(x) = x² + αx + 1 with α = 2 (the primitive element).

@@ -71,13 +71,3 @@ func erfcInvSeed(y float64) float64 {
 	}
 	return x
 }
-
-// Q is the Gaussian tail probability Q(x) = P(N(0,1) > x) = erfc(x/√2)/2.
-func Q(x float64) float64 {
-	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
-// QInv is the inverse of Q: QInv(Q(x)) == x for p in (0, 1).
-func QInv(p float64) float64 {
-	return math.Sqrt2 * ErfcInv(2*p)
-}

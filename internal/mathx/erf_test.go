@@ -86,23 +86,6 @@ func TestErfcInvEdgeCases(t *testing.T) {
 	}
 }
 
-func TestQAndQInv(t *testing.T) {
-	// Q(0) = 0.5, Q(1.2815...) ~ 0.1, and QInv inverts Q.
-	if got := Q(0); !ApproxEqual(got, 0.5, 1e-12) {
-		t.Errorf("Q(0) = %g, want 0.5", got)
-	}
-	for _, x := range []float64{0.1, 0.5, 1, 2, 3, 4, 5, 6, 7} {
-		p := Q(x)
-		if got := QInv(p); !ApproxEqual(got, x, 1e-8) {
-			t.Errorf("QInv(Q(%g)) = %g", x, got)
-		}
-	}
-	// The classic value used for BER 1e-9 links: Q(5.998) ~ 1e-9.
-	if got := QInv(1e-9); !ApproxEqual(got, 5.9978, 1e-3) {
-		t.Errorf("QInv(1e-9) = %g, want ~5.998", got)
-	}
-}
-
 func BenchmarkErfcInv(b *testing.B) {
 	ys := Logspace(1e-14, 1, 64)
 	b.ReportAllocs()

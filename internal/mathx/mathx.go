@@ -2,7 +2,8 @@
 // are built on: the inverse complementary error function used by the
 // BER/SNR relations (paper Eq. 1 and 3), bracketing root finders used to
 // invert the Hamming post-decoding BER (Eq. 2) and the laser thermal model,
-// decibel conversions, grids, interpolation and running statistics.
+// decibel conversions, grids and the Wilson interval of the Monte-Carlo
+// validator.
 //
 // Everything in this package is pure and allocation-light; only the Go
 // standard library is used.
@@ -38,11 +39,6 @@ func Clamp(x, lo, hi float64) float64 {
 	default:
 		return x
 	}
-}
-
-// Lerp linearly interpolates between a and b: Lerp(a,b,0)=a, Lerp(a,b,1)=b.
-func Lerp(a, b, t float64) float64 {
-	return a + (b-a)*t
 }
 
 // Linspace returns n points evenly spaced over [lo, hi] inclusive.

@@ -77,18 +77,6 @@ func TestLogspace(t *testing.T) {
 	}
 }
 
-func TestLerp(t *testing.T) {
-	if got := Lerp(2, 4, 0.5); got != 3 {
-		t.Errorf("Lerp(2,4,0.5) = %g, want 3", got)
-	}
-	if got := Lerp(2, 4, 0); got != 2 {
-		t.Errorf("Lerp(2,4,0) = %g, want 2", got)
-	}
-	if got := Lerp(2, 4, 1); got != 4 {
-		t.Errorf("Lerp(2,4,1) = %g, want 4", got)
-	}
-}
-
 func TestApproxEqual(t *testing.T) {
 	if !ApproxEqual(1e12, 1e12*(1+1e-13), 1e-12) {
 		t.Error("large values within rel tol should be equal")

@@ -127,44 +127,3 @@ func SolveMonotone(f func(float64) float64, target, lo, hi, tol float64) (float6
 	g := func(x float64) float64 { return f(x) - target }
 	return Bisect(g, lo, hi, tol)
 }
-
-// FixedPoint iterates x ← g(x) from x0 until successive values differ by at
-// most tol, for at most maxIter iterations.
-func FixedPoint(g func(float64) float64, x0, tol float64, maxIter int) (float64, error) {
-	x := x0
-	for i := 0; i < maxIter; i++ {
-		nx := g(x)
-		if math.IsNaN(nx) || math.IsInf(nx, 0) {
-			return 0, fmt.Errorf("%w: iterate diverged at step %d", ErrNoConverge, i)
-		}
-		if math.Abs(nx-x) <= tol {
-			return nx, nil
-		}
-		x = nx
-	}
-	return 0, ErrNoConverge
-}
-
-// GoldenMax locates the maximizer of a unimodal function f on [lo, hi] to
-// absolute tolerance tol using golden-section search. It is used to find the
-// peak optical output of the thermally-limited laser characteristic.
-func GoldenMax(f func(float64) float64, lo, hi, tol float64) (x, fx float64) {
-	const invPhi = 0.6180339887498949 // (sqrt(5)-1)/2
-	a, b := lo, hi
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc > fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	x = 0.5 * (a + b)
-	return x, f(x)
-}

@@ -137,32 +137,3 @@ func TestNewtonBisectGuards(t *testing.T) {
 		t.Errorf("-Inf endpoint: got %g, %v", got, err)
 	}
 }
-
-func TestFixedPoint(t *testing.T) {
-	// x = cos(x) has the Dottie number as its unique fixed point.
-	got, err := FixedPoint(math.Cos, 1.0, 1e-12, 500)
-	if err != nil {
-		t.Fatalf("FixedPoint: %v", err)
-	}
-	if !ApproxEqual(got, 0.7390851332151607, 1e-9) {
-		t.Errorf("fixed point = %.15g, want Dottie number", got)
-	}
-
-	// A diverging map must report failure rather than loop forever.
-	if _, err := FixedPoint(func(x float64) float64 { return 2*x + 1 }, 1, 1e-12, 50); err == nil {
-		t.Error("diverging map: want error, got nil")
-	}
-}
-
-func TestGoldenMax(t *testing.T) {
-	// Peak of the laser-like characteristic x·(1-x^4) on [0,1] is at (1/5)^(1/4).
-	f := func(x float64) float64 { return x * (1 - math.Pow(x, 4)) }
-	x, fx := GoldenMax(f, 0, 1, 1e-10)
-	wantX := math.Pow(0.2, 0.25)
-	if !ApproxEqual(x, wantX, 1e-6) {
-		t.Errorf("argmax = %.10g, want %.10g", x, wantX)
-	}
-	if fx < f(wantX)-1e-9 {
-		t.Errorf("max value %.10g below true max %.10g", fx, f(wantX))
-	}
-}

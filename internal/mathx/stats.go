@@ -2,64 +2,6 @@ package mathx
 
 import "math"
 
-// RunningStats accumulates count, mean and variance in a single pass using
-// Welford's algorithm. The zero value is ready to use.
-type RunningStats struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (s *RunningStats) Add(x float64) {
-	s.n++
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
-}
-
-// N returns the number of observations accumulated so far.
-func (s *RunningStats) N() int64 { return s.n }
-
-// Mean returns the sample mean, or 0 when empty.
-func (s *RunningStats) Mean() float64 { return s.mean }
-
-// Variance returns the unbiased sample variance, or 0 with fewer than two
-// observations.
-func (s *RunningStats) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *RunningStats) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// StdErr returns the standard error of the mean, or 0 when empty.
-func (s *RunningStats) StdErr() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.StdDev() / math.Sqrt(float64(s.n))
-}
-
-// Merge folds another accumulator into s (parallel Welford merge).
-func (s *RunningStats) Merge(o RunningStats) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.mean += delta * float64(o.n) / float64(n)
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	s.n = n
-}
-
 // WilsonInterval returns the Wilson score confidence interval for a binomial
 // proportion with k successes out of n trials at normal quantile z
 // (z = 1.96 for 95 %). It is the interval the Monte-Carlo BER validator

@@ -1,95 +1,6 @@
 package mathx
 
-import (
-	"math"
-	"math/rand"
-	"reflect"
-	"testing"
-	"testing/quick"
-)
-
-// randomFloats returns n pseudo-random observations in a moderate range.
-func randomFloats(rng *rand.Rand, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = rng.NormFloat64() * 10
-	}
-	return out
-}
-
-func TestRunningStatsAgainstDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 1000)
-	var s RunningStats
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 7
-		s.Add(xs[i])
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
-	}
-	variance := ss / float64(len(xs)-1)
-
-	if s.N() != 1000 {
-		t.Errorf("N = %d", s.N())
-	}
-	if !ApproxEqual(s.Mean(), mean, 1e-10) {
-		t.Errorf("Mean = %g, want %g", s.Mean(), mean)
-	}
-	if !ApproxEqual(s.Variance(), variance, 1e-10) {
-		t.Errorf("Variance = %g, want %g", s.Variance(), variance)
-	}
-	if !ApproxEqual(s.StdErr(), math.Sqrt(variance/1000), 1e-10) {
-		t.Errorf("StdErr = %g", s.StdErr())
-	}
-}
-
-func TestRunningStatsEmptyAndSingle(t *testing.T) {
-	var s RunningStats
-	if s.Mean() != 0 || s.Variance() != 0 || s.StdErr() != 0 {
-		t.Error("empty accumulator should report zeros")
-	}
-	s.Add(5)
-	if s.Mean() != 5 || s.Variance() != 0 {
-		t.Errorf("single observation: mean %g var %g", s.Mean(), s.Variance())
-	}
-}
-
-func TestRunningStatsMergeProperty(t *testing.T) {
-	// Property: merging two accumulators equals accumulating the
-	// concatenated stream.
-	prop := func(a, b []float64) bool {
-		var whole, left, right RunningStats
-		for _, x := range a {
-			whole.Add(x)
-			left.Add(x)
-		}
-		for _, x := range b {
-			whole.Add(x)
-			right.Add(x)
-		}
-		left.Merge(right)
-		return left.N() == whole.N() &&
-			ApproxEqual(left.Mean(), whole.Mean(), 1e-9) &&
-			ApproxEqual(left.Variance(), whole.Variance(), 1e-6)
-	}
-	cfg := &quick.Config{
-		MaxCount: 200,
-		Values: func(vs []reflect.Value, rng *rand.Rand) {
-			vs[0] = reflect.ValueOf(randomFloats(rng, rng.Intn(50)))
-			vs[1] = reflect.ValueOf(randomFloats(rng, rng.Intn(50)))
-		},
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 func TestWilsonInterval(t *testing.T) {
 	// Zero successes still yields a usable upper bound (rule-of-three-like).

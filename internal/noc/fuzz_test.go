@@ -103,9 +103,9 @@ func FuzzMatrixValidate(f *testing.F) {
 		if active == 0 {
 			t.Fatal("accepted a matrix with no active source")
 		}
-		// And the accepted matrix survives the activeRows fold without
-		// disagreeing with the sums above.
-		flags := m.activeRows()
+		// And the evaluator's active-source fold agrees with the sums
+		// above on every accepted matrix.
+		flags := NewEvalSession().activeRows(m)
 		got := 0
 		for _, on := range flags {
 			if on {

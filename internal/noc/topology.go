@@ -46,14 +46,6 @@ func (l *Link) CapacityBitsPerSec(ct float64) float64 {
 	return float64(len(l.Lambdas)) * l.Config.FmodHz / ct
 }
 
-// ServiceTimeSec is the serialization time of one messageBits-bit payload
-// on this link under a communication-time expansion ct — the deterministic
-// service time of the link's M/D/1 abstraction and of the simulator's
-// per-link server.
-func (l *Link) ServiceTimeSec(messageBits int, ct float64) float64 {
-	return float64(messageBits) / l.CapacityBitsPerSec(ct)
-}
-
 // Network is a compiled topology: links, wavelength allocation and routes.
 // It is immutable and safe for concurrent use.
 type Network struct {

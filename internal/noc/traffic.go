@@ -73,16 +73,3 @@ func (m Matrix) Validate(tiles int) error {
 	}
 	return nil
 }
-
-// activeRows reports which sources inject traffic.
-func (m Matrix) activeRows() []bool {
-	out := make([]bool, len(m))
-	for s, row := range m {
-		sum := 0.0
-		for _, w := range row {
-			sum += w
-		}
-		out[s] = sum > 0
-	}
-	return out
-}

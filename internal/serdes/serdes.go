@@ -33,9 +33,6 @@ func NewSerializer(lanes int) (*Serializer, error) {
 	return &Serializer{lanes: make([]bits.Queue, lanes)}, nil
 }
 
-// Lanes returns the lane count.
-func (s *Serializer) Lanes() int { return len(s.lanes) }
-
 // PushWord assigns an encoded word to the next lane in round-robin order.
 func (s *Serializer) PushWord(w bits.Vector) {
 	s.lanes[s.next].PushVector(w)

@@ -38,12 +38,12 @@ import (
 	"photonoc/internal/noc"
 )
 
-// Canonical PSO constriction coefficients (Clerc & Kennedy), the defaults
-// for the velocity update v' = w·v + c1·r1·(pbest−x) + c2·r2·(leader−x).
+// Canonical PSO constriction coefficients (Clerc & Kennedy) of the velocity
+// update v' = w·v + c1·r1·(pbest−x) + c2·r2·(leader−x).
 const (
-	defaultInertia   = 0.7298
-	defaultCognitive = 1.49618
-	defaultSocial    = 1.49618
+	inertia   = 0.7298  // w
+	cognitive = 1.49618 // c1
+	social    = 1.49618 // c2
 	// maxVelocity clamps each velocity component to half the unit cube, so
 	// one step never overshoots more than the full choice range.
 	maxVelocity = 0.5
@@ -98,11 +98,6 @@ type Options struct {
 	Wavelengths []int
 	Rosters     [][]ecc.Code
 	DACBits     []int
-
-	// PSO coefficients (defaults: the Clerc constriction set).
-	Inertia   float64
-	Cognitive float64
-	Social    float64
 
 	// OnGeneration, when non-nil, receives the archive front after each
 	// generation's evaluation (gen counts from 0). Returning an error
@@ -188,15 +183,6 @@ func (o Options) resolve(eng *engine.Engine) (Options, *space, error) {
 	}
 	if o.Particles < 1 || o.Generations < 1 || o.ArchiveCap < 1 {
 		return fail("particles %d, generations %d and archive cap %d must be positive", o.Particles, o.Generations, o.ArchiveCap)
-	}
-	if o.Inertia == 0 {
-		o.Inertia = defaultInertia
-	}
-	if o.Cognitive == 0 {
-		o.Cognitive = defaultCognitive
-	}
-	if o.Social == 0 {
-		o.Social = defaultSocial
 	}
 	if o.Kinds == nil {
 		o.Kinds = []noc.Kind{noc.Bus, noc.Ring, noc.Mesh}
@@ -390,7 +376,7 @@ func Run(ctx context.Context, eng *engine.Engine, opts Options) (*Result, error)
 				if leader != nil {
 					gb = leader[d]
 				}
-				v := opts.Inertia*p.vel[d] + opts.Cognitive*r1*(pb-p.pos[d]) + opts.Social*r2*(gb-p.pos[d])
+				v := inertia*p.vel[d] + cognitive*r1*(pb-p.pos[d]) + social*r2*(gb-p.pos[d])
 				v = math.Max(-maxVelocity, math.Min(maxVelocity, v))
 				x := p.pos[d] + v
 				// Reflect off the cube walls so boundary choices stay
