@@ -12,7 +12,6 @@ import (
 
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
-	"photonoc/internal/noc"
 )
 
 // DefaultCacheEntries is the memo-cache capacity when WithCache is not
@@ -55,14 +54,36 @@ type Engine struct {
 	// batches.
 	sessions sync.Pool
 
-	// Registries, each filled on first use: FER plans by scheme name (the
-	// identity the memo cache keys on), per-link configurations compiled
-	// once per distinct fingerprint (the engine's own configuration is
-	// served from e.compiled instead), and built topologies, so repeated
-	// evaluations of one network never re-derive links or routes.
-	plans    registry[string, *ecc.FERPlan]
-	netPlans registry[string, *core.Compiled]
-	netBuilt registry[netBuildKey, *noc.Network]
+	// Registries, each filled on first use: schemes by name and link
+	// configurations by fingerprint, each interned with an ID and its FER
+	// plan or compiled solve plan (the engine's own configuration is ID 0,
+	// served from e.compiled instead), and built topologies with their
+	// links' plans, so repeated evaluations of one network never re-derive
+	// links or routes and never look a link up by fingerprint.
+	plans    registry[string, *schemePlan]
+	netPlans registry[string, linkPlan]
+	netBuilt registry[netBuildKey, *builtNet]
+
+	// lastID is the last interned ID handed out. The counter never resets:
+	// a registry that is flushed and meets a configuration again stamps it
+	// with a fresh ID, so no ID ever names two configurations and no memo
+	// key can alias. It is 64 bits wide so that a long-lived engine cannot
+	// wrap it.
+	lastID atomic.Uint64
+}
+
+// schemePlan is one interned scheme: the ID the memo cache keys it by and
+// its FER plan.
+type schemePlan struct {
+	id   uint64
+	plan *ecc.FERPlan
+}
+
+// linkPlan is one interned link configuration: the ID the memo cache keys
+// it by (0 for the engine's own configuration) and its compiled solve plan.
+type linkPlan struct {
+	id       uint64
+	compiled *core.Compiled
 }
 
 // settings accumulates functional options before validation.
@@ -221,26 +242,27 @@ func (e *Engine) CacheStats() CacheStats {
 	return s
 }
 
-// planFor returns the engine's FER plan for code, compiling it on first
-// use.
-func (e *Engine) planFor(code ecc.Code) *ecc.FERPlan {
-	if p, ok := e.plans.lookup(code.Name()); ok {
-		return p
+// schemeFor returns the engine's interned plan for code, compiling its FER
+// plan on first use. Schemes are identified by name: two distinct codes must
+// not share one.
+func (e *Engine) schemeFor(code ecc.Code) *schemePlan {
+	if sp, ok := e.plans.lookup(code.Name()); ok {
+		return sp
 	}
-	return e.plans.add(code.Name(), ecc.PlanFor(code))
+	return e.plans.add(code.Name(), &schemePlan{id: e.lastID.Add(1), plan: ecc.PlanFor(code)})
 }
 
 // solveCold runs a compiled pipeline for one grid point, accounting the
 // wall time under the engine's cold-solve statistics. The context is the
 // evaluation's — the observer uses it to attribute the solve to a request.
-func (e *Engine) solveCold(ctx context.Context, compiled *core.Compiled, code ecc.Code, targetBER float64) (core.Evaluation, error) {
+func (e *Engine) solveCold(ctx context.Context, compiled *core.Compiled, sp *schemePlan, targetBER float64) (core.Evaluation, error) {
 	start := time.Now()
-	ev, err := compiled.EvaluatePlan(e.planFor(code), targetBER)
+	ev, err := compiled.EvaluatePlan(sp.plan, targetBER)
 	elapsed := time.Since(start)
 	e.coldSolves.Add(1)
 	e.coldSolveNS.Add(int64(elapsed))
 	if e.obs != nil {
-		e.obs.ColdSolve(ctx, code.Name(), elapsed)
+		e.obs.ColdSolve(ctx, sp.plan.Code().Name(), elapsed)
 	}
 	return ev, err
 }
@@ -270,24 +292,25 @@ func (e *Engine) Evaluate(ctx context.Context, code ecc.Code, targetBER float64)
 	if err := validateBER(targetBER); err != nil {
 		return core.Evaluation{}, err
 	}
-	return e.evaluateCompiled(ctx, e.fingerprint, e.compiled, code, targetBER)
+	return e.evaluateCompiled(ctx, linkPlan{compiled: e.compiled}, e.schemeFor(code), targetBER)
 }
 
-// evaluateCompiled solves one operating point of one compiled configuration
-// through the memo cache, keyed by that configuration's fingerprint. The
-// engine's own configuration and every per-link network configuration share
-// this path — and therefore the LRU — without aliasing. Concurrent identical
-// misses coalesce onto one compiled solve inside the cache, the rest sharing
-// its result (CacheStats.SharedSolves). With the cache disabled every solve
-// is cold and uncoalesced — that is the benchmark configuration, where each
-// call must really run the pipeline.
-func (e *Engine) evaluateCompiled(ctx context.Context, fp string, compiled *core.Compiled, code ecc.Code, targetBER float64) (core.Evaluation, error) {
+// evaluateCompiled solves one operating point of one interned link
+// configuration through the memo cache, keyed by the link's and the
+// scheme's interned IDs. The engine's own configuration (ID 0) and every
+// per-link network configuration share this path — and therefore the LRU
+// — without aliasing. Concurrent identical misses coalesce onto one
+// compiled solve inside the cache, the rest sharing its result
+// (CacheStats.SharedSolves). With the cache disabled every solve is cold
+// and uncoalesced — that is the benchmark configuration, where each call
+// must really run the pipeline.
+func (e *Engine) evaluateCompiled(ctx context.Context, link linkPlan, sp *schemePlan, targetBER float64) (core.Evaluation, error) {
 	if e.cache == nil {
-		return e.solveCold(ctx, compiled, code, targetBER)
+		return e.solveCold(ctx, link.compiled, sp, targetBER)
 	}
-	key := cacheKey{fingerprint: fp, scheme: code.Name(), targetBER: targetBER}
+	key := cacheKey{link: link.id, scheme: sp.id, ber: math.Float64bits(targetBER)}
 	ev, how, err := e.cache.do(key, func() (core.Evaluation, error) {
-		return e.solveCold(ctx, compiled, code, targetBER)
+		return e.solveCold(ctx, link.compiled, sp, targetBER)
 	})
 	if how == shared {
 		e.sharedSolves.Add(1)

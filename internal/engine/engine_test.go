@@ -159,17 +159,17 @@ func TestEngineOwnsFERPlans(t *testing.T) {
 	if _, err := a.Evaluate(context.Background(), ecc.MustHamming74(), 1e-11); err != nil {
 		t.Fatal(err)
 	}
-	p := a.planFor(ecc.MustHamming74()) // a distinct instance of the solved code
+	p := a.schemeFor(ecc.MustHamming74()).plan // a distinct instance of the solved code
 	if s := a.CacheStats(); s.FERPlans != 1 {
 		t.Errorf("plans after one scheme = %d, want 1", s.FERPlans)
 	}
-	if a.planFor(ecc.MustHamming74()) != p {
+	if a.schemeFor(ecc.MustHamming74()).plan != p {
 		t.Error("one engine must hand every H(7,4) instance the same plan")
 	}
-	if a.planFor(ecc.MustHamming7164()) == p {
+	if a.schemeFor(ecc.MustHamming7164()).plan == p {
 		t.Error("distinct schemes must not share a plan")
 	}
-	if b.planFor(ecc.MustHamming74()) == p {
+	if b.schemeFor(ecc.MustHamming74()).plan == p {
 		t.Error("two engines must not share a plan")
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ import (
 func TestFlightGroupCoalesces(t *testing.T) {
 	const followers = 16
 	c := newLRUCache(8)
-	key := cacheKey{fingerprint: "fp", scheme: "s", targetBER: 1e-11}
+	key := cacheKey{link: 1, scheme: 2, ber: math.Float64bits(1e-11)}
 
 	leaderEntered := make(chan struct{})
 	release := make(chan struct{})
@@ -104,7 +105,7 @@ func waitMisses(t *testing.T, c *lruCache, n uint64) {
 // nothing is retried implicitly — the next call solves afresh.
 func TestFlightGroupPropagatesError(t *testing.T) {
 	c := newLRUCache(8)
-	key := cacheKey{fingerprint: "fp", scheme: "s", targetBER: 1e-9}
+	key := cacheKey{link: 1, scheme: 2, ber: math.Float64bits(1e-9)}
 	boom := errors.New("boom")
 	if _, how, err := c.do(key, func() (core.Evaluation, error) {
 		return core.Evaluation{}, boom
@@ -128,8 +129,8 @@ func TestFlightGroupPropagatesError(t *testing.T) {
 // entry — a second A caller shares A's solve instead of running another.
 func TestFlightPendingSurvivesEviction(t *testing.T) {
 	c := newLRUCache(1)
-	keyA := cacheKey{fingerprint: "fp", scheme: "a", targetBER: 1e-11}
-	keyB := cacheKey{fingerprint: "fp", scheme: "b", targetBER: 1e-11}
+	keyA := cacheKey{link: 1, scheme: 2, ber: math.Float64bits(1e-11)}
+	keyB := cacheKey{link: 1, scheme: 3, ber: math.Float64bits(1e-11)}
 	wantA := core.Evaluation{TargetBER: 1e-11, CT: 2}
 
 	entered, release := make(chan struct{}), make(chan struct{})

@@ -8,14 +8,12 @@ import (
 	"photonoc/internal/core"
 )
 
-// cacheKey identifies one memoized solve. The fingerprint pins the link
-// configuration, so engines over different configurations never alias even
-// if a cache were shared; schemes are keyed by display name (two distinct
-// codes must not share one).
+// cacheKey identifies one memoized solve: the interned IDs of the link
+// configuration and the scheme, and the target BER's bits. Validated BERs
+// lie in (0, 0.5), where equal bits and equal values coincide.
 type cacheKey struct {
-	fingerprint string
-	scheme      string
-	targetBER   float64
+	link, scheme uint64
+	ber          uint64
 }
 
 // CacheStats is a snapshot of the memo cache accounting plus the engine's

@@ -40,7 +40,7 @@ type NetworkSimOptions struct {
 // SimulateNetwork runs the network-scale discrete-event simulator over a
 // topology: the (link × scheme) lattice at the target BER is solved on the
 // caller's goroutine (every solve keyed in the shared LRU by the link's
-// configuration fingerprint, exactly like Network/NetworkSweep), the
+// interned configuration ID, exactly like Network/NetworkSweep), the
 // per-link winners are decided as Network decides them — so the simulated
 // scheme/DAC decisions are bit-identical to the analytic evaluator's — and
 // the event-driven simulation replays a seeded synthetic workload over the
@@ -79,7 +79,7 @@ func (e *Engine) SimulateNetwork(ctx context.Context, cfg noc.Config, opts Netwo
 	s := e.acquireSession()
 	defer e.releaseSession(s)
 	s.invalidate()
-	if _, _, err := s.solve(ctx, NetworkCandidate{Topology: cfg, Opts: evalOpts}); err != nil {
+	if _, err := s.solve(ctx, NetworkCandidate{Topology: cfg, Opts: evalOpts}); err != nil {
 		return netsim.NetResults{}, err
 	}
 	decisions, err := s.eval.Decide(net, s.rows, evalOpts)

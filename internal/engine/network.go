@@ -29,6 +29,14 @@ type netBuildKey struct {
 	baseFP         string
 }
 
+// builtNet is one entry of the engine's build memo: the built network and
+// its links' interned plans in link-ID order, so a candidate on a topology
+// the engine has built does no per-link lookup.
+type builtNet struct {
+	net   *noc.Network
+	links []linkPlan
+}
+
 // BuildNetwork compiles a topology configuration against this engine: a
 // zero Base adopts the engine's link configuration (the common case — the
 // engine's calibrated channel becomes the prototype every link derives
@@ -38,14 +46,24 @@ type netBuildKey struct {
 // re-evaluated across traffic matrices or rates never re-derives links,
 // wavelength blocks or routes.
 func (e *Engine) BuildNetwork(cfg noc.Config) (*noc.Network, error) {
+	b, err := e.build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return b.net, nil
+}
+
+// build returns the memoized build of a topology, building it and
+// interning its links' configurations on a miss.
+func (e *Engine) build(cfg noc.Config) (*builtNet, error) {
 	baseFP := e.fingerprint
 	adoptBase := reflect.ValueOf(cfg.Base).IsZero()
 	if !adoptBase {
 		baseFP = core.Fingerprint(cfg.Base)
 	}
 	key := netBuildKey{kind: cfg.Kind, tiles: cfg.Tiles, columns: cfg.Columns, pitchCM: cfg.TilePitchCM, baseFP: baseFP}
-	if net, ok := e.netBuilt.lookup(key); ok {
-		return net, nil
+	if b, ok := e.netBuilt.lookup(key); ok {
+		return b, nil
 	}
 	// Adopt the engine configuration only on a memo miss: the copy
 	// allocates, and the warm path — every steady-state session
@@ -57,31 +75,37 @@ func (e *Engine) BuildNetwork(cfg noc.Config) (*noc.Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-	return e.netBuilt.add(key, net), nil
+	b := &builtNet{net: net, links: make([]linkPlan, net.NumLinks())}
+	for l := range b.links {
+		if b.links[l], err = e.linkPlanFor(net.LinkRef(l)); err != nil {
+			return nil, err
+		}
+	}
+	return e.netBuilt.add(key, b), nil
 }
 
-// compiledForLink returns the compiled solve plan of one link, memoized by
-// configuration fingerprint. Links matching the engine's own configuration
-// (the degenerate bus case) are served from the engine's plan, so their
-// solves are bit-identical to — and cache-shared with — single-link sweeps.
-func (e *Engine) compiledForLink(l *noc.Link) (*core.Compiled, error) {
+// linkPlanFor interns one link's configuration by fingerprint, compiling
+// it on first use. Links matching the engine's own configuration (the
+// degenerate bus case) get ID 0 and the engine's plan, so their solves are
+// bit-identical to — and cache-shared with — single-link sweeps.
+func (e *Engine) linkPlanFor(l *noc.Link) (linkPlan, error) {
 	if l.Fingerprint == e.fingerprint {
-		return e.compiled, nil
+		return linkPlan{compiled: e.compiled}, nil
 	}
-	if c, ok := e.netPlans.lookup(l.Fingerprint); ok {
-		return c, nil
+	if lp, ok := e.netPlans.lookup(l.Fingerprint); ok {
+		return lp, nil
 	}
 	cfg := l.Config
 	c, err := cfg.Compile()
 	if err != nil {
-		return nil, fmt.Errorf("%w: link %d: %v", ErrInvalidConfig, l.ID, err)
+		return linkPlan{}, fmt.Errorf("%w: link %d: %v", ErrInvalidConfig, l.ID, err)
 	}
-	return e.netPlans.add(l.Fingerprint, c), nil
+	return e.netPlans.add(l.Fingerprint, linkPlan{id: e.lastID.Add(1), compiled: c}), nil
 }
 
 // Network evaluates one topology at opts.TargetBER: every link is solved
-// against the engine's scheme roster (links sharing a configuration
-// fingerprint share memo-cache entries), the per-link winners are picked
+// against the engine's scheme roster (links sharing a configuration share
+// its interned ID and so its memo-cache entries), the per-link winners are picked
 // with the manager's selection rule, and the traffic matrix is folded into
 // network energy, saturation throughput and latency figures. A link with
 // no feasible scheme does not error: the Result comes back with

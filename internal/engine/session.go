@@ -25,14 +25,14 @@ type NetworkCandidate struct {
 // first, while the NetworkBatch family keeps its sessions warm across
 // candidates. It wraps a noc.EvalSession with the solve lattice of the
 // previous candidate, and on each Evaluate diffs the new candidate
-// against it by per-link configuration fingerprint: a link whose
-// fingerprint appeared in the previous candidate (same roster, same target
-// BER) reuses that candidate's solved evaluations outright — no pipeline,
-// no memo-cache lookup — and only the changed (link, scheme, BER) cells
-// are solved, through the engine's coalescing LRU.
+// against it by each link's interned configuration ID: a link whose ID
+// appeared in the previous candidate (same roster, same target BER) reuses
+// that candidate's solved evaluations outright — no pipeline, no
+// memo-cache lookup — and only the changed (link, scheme, BER) cells are
+// solved, through the engine's coalescing LRU.
 // Results are bit-identical to a cold full evaluation: reused cells carry
-// the exact values the same (fingerprint, scheme, BER) solve produces,
-// and Decide/Aggregate run the identical code either way.
+// the exact values the same (link, scheme, BER) solve produces, and
+// Decide/Aggregate run the identical code either way.
 //
 // A session is NOT safe for concurrent use, and the Result returned by
 // Evaluate aliases session-owned storage — it is valid only until the next
@@ -43,18 +43,18 @@ type NetworkSession struct {
 	e    *Engine
 	eval *noc.EvalSession
 
-	compiled []*core.Compiled
-	flat     []core.Evaluation   // current lattice, link-major: flat[l*S+s]
-	rows     [][]core.Evaluation // re-sliced views into flat, one per link
+	schemes []*schemePlan       // the current candidate's interned roster
+	flat    []core.Evaluation   // current lattice, link-major: flat[l*S+s]
+	rows    [][]core.Evaluation // re-sliced views into flat, one per link
 
-	// Previous-candidate state for the fingerprint diff. prevNet is nil
-	// when there is nothing valid to diff against (fresh session, or the
-	// last Evaluate failed partway).
-	prevNet   *noc.Network
-	prevBER   float64
-	prevNames []string
-	prevIndex map[string]int // link fingerprint → link index in prevFlat
-	prevFlat  []core.Evaluation
+	// Previous-candidate state for the diff. prevNet is nil when there is
+	// nothing valid to diff against (fresh session, or the last Evaluate
+	// failed partway).
+	prevNet     *noc.Network
+	prevBER     float64
+	prevSchemes []uint64       // interned scheme IDs of the roster
+	prevIndex   map[uint64]int // interned link ID → link index in prevFlat
+	prevFlat    []core.Evaluation
 }
 
 // NewNetworkSession returns a fresh session bound to the engine. Buffers
@@ -63,7 +63,7 @@ func (e *Engine) NewNetworkSession() *NetworkSession {
 	return &NetworkSession{
 		e:         e,
 		eval:      noc.NewEvalSession(),
-		prevIndex: make(map[string]int, 16),
+		prevIndex: make(map[uint64]int, 16),
 	}
 }
 
@@ -82,14 +82,14 @@ func (s *NetworkSession) invalidate() {
 	s.prevNet = nil
 }
 
-// sameRoster reports whether the roster matches the previous candidate's,
-// by scheme name (the identity the memo cache keys on).
-func (s *NetworkSession) sameRoster(schemes []ecc.Code) bool {
-	if len(schemes) != len(s.prevNames) {
+// sameRoster reports whether the current roster matches the previous
+// candidate's, by interned scheme ID.
+func (s *NetworkSession) sameRoster() bool {
+	if len(s.schemes) != len(s.prevSchemes) {
 		return false
 	}
-	for i, c := range schemes {
-		if c.Name() != s.prevNames[i] {
+	for i, sp := range s.schemes {
+		if sp.id != s.prevSchemes[i] {
 			return false
 		}
 	}
@@ -97,17 +97,18 @@ func (s *NetworkSession) sameRoster(schemes []ecc.Code) bool {
 }
 
 // Evaluate solves one candidate, reusing the previous candidate's solved
-// cells for every link fingerprint the two share. The returned Result
+// cells for every link configuration the two share. The returned Result
 // aliases session storage and is valid until the next call on this
 // session; use noc.Result.Clone to detach it.
 func (s *NetworkSession) Evaluate(ctx context.Context, cand NetworkCandidate) (*noc.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	net, schemes, err := s.solve(ctx, cand)
+	built, err := s.solve(ctx, cand)
 	if err != nil {
 		return nil, err
 	}
+	net := built.net
 	decisions, err := s.eval.Decide(net, s.rows, cand.Opts)
 	if err != nil {
 		s.invalidate()
@@ -122,53 +123,50 @@ func (s *NetworkSession) Evaluate(ctx context.Context, cand NetworkCandidate) (*
 	// Roll the lattice into the previous-candidate slot for the next diff.
 	s.prevNet = net
 	s.prevBER = cand.Opts.TargetBER
-	s.prevNames = s.prevNames[:0]
-	for _, c := range schemes {
-		s.prevNames = append(s.prevNames, c.Name())
+	s.prevSchemes = s.prevSchemes[:0]
+	for _, sp := range s.schemes {
+		s.prevSchemes = append(s.prevSchemes, sp.id)
 	}
 	clear(s.prevIndex)
-	for l := 0; l < net.NumLinks(); l++ {
-		s.prevIndex[net.LinkRef(l).Fingerprint] = l
+	for l := range built.links {
+		s.prevIndex[built.links[l].id] = l
 	}
 	s.flat, s.prevFlat = s.prevFlat, s.flat
 	return res, nil
 }
 
-// solve builds the candidate's network, compiles its links and fills
+// solve builds the candidate's network, interns its roster and fills
 // s.rows with every (link, scheme) evaluation at the candidate's target
 // BER: cells the previous candidate solved are copied, the rest go through
-// the engine's memo cache. It returns the network and the resolved roster;
-// the previous-candidate state is left for Evaluate to roll over.
-func (s *NetworkSession) solve(ctx context.Context, cand NetworkCandidate) (*noc.Network, []ecc.Code, error) {
+// the engine's memo cache. It returns the build; the previous-candidate
+// state is left for Evaluate to roll over.
+func (s *NetworkSession) solve(ctx context.Context, cand NetworkCandidate) (*builtNet, error) {
 	ber := cand.Opts.TargetBER
 	if err := validateBER(ber); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	net, err := s.e.BuildNetwork(cand.Topology)
+	built, err := s.e.build(cand.Topology)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	schemes := cand.Schemes
 	if schemes == nil {
 		schemes = s.e.schemes
 	}
 	if len(schemes) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty scheme roster", ErrInvalidInput)
+		return nil, fmt.Errorf("%w: empty scheme roster", ErrInvalidInput)
 	}
 	for i, c := range schemes {
 		if c == nil {
-			return nil, nil, fmt.Errorf("%w: nil code at index %d", ErrInvalidInput, i)
+			return nil, fmt.Errorf("%w: nil code at index %d", ErrInvalidInput, i)
 		}
+	}
+	s.schemes = s.schemes[:0]
+	for _, c := range schemes {
+		s.schemes = append(s.schemes, s.e.schemeFor(c))
 	}
 
-	nlinks, nschemes := net.NumLinks(), len(schemes)
-	s.compiled = growSlice(s.compiled, nlinks)
-	for l := 0; l < nlinks; l++ {
-		if s.compiled[l], err = s.e.compiledForLink(net.LinkRef(l)); err != nil {
-			s.invalidate()
-			return nil, nil, err
-		}
-	}
+	nlinks, nschemes := len(built.links), len(s.schemes)
 	s.flat = growSlice(s.flat, nlinks*nschemes)
 	s.rows = growSlice(s.rows, nlinks)
 	for l := 0; l < nlinks; l++ {
@@ -178,26 +176,26 @@ func (s *NetworkSession) solve(ctx context.Context, cand NetworkCandidate) (*noc
 	// The diff is valid only against a lattice solved for the same roster
 	// and target BER; the traffic matrix, rate, objective and DAC do not
 	// enter the solve cells, so they may differ freely between neighbors.
-	diffOK := s.prevNet != nil && s.prevBER == ber && s.sameRoster(schemes)
+	diffOK := s.prevNet != nil && s.prevBER == ber && s.sameRoster()
 	reusedCells := 0
-	for l := 0; l < nlinks; l++ {
+	for l := range built.links {
 		if err := ctx.Err(); err != nil {
 			s.invalidate()
-			return nil, nil, err
+			return nil, err
 		}
-		fp := net.LinkRef(l).Fingerprint
+		link := built.links[l]
 		if diffOK {
-			if pi, ok := s.prevIndex[fp]; ok {
+			if pi, ok := s.prevIndex[link.id]; ok {
 				copy(s.rows[l], s.prevFlat[pi*nschemes:(pi+1)*nschemes])
 				reusedCells += nschemes
 				continue
 			}
 		}
-		for si := 0; si < nschemes; si++ {
-			ev, err := s.e.evaluateCompiled(ctx, fp, s.compiled[l], schemes[si], ber)
+		for si, sp := range s.schemes {
+			ev, err := s.e.evaluateCompiled(ctx, link, sp, ber)
 			if err != nil {
 				s.invalidate()
-				return nil, nil, err
+				return nil, err
 			}
 			s.rows[l][si] = ev
 		}
@@ -208,7 +206,7 @@ func (s *NetworkSession) solve(ctx context.Context, cand NetworkCandidate) (*noc
 			s.e.obs.SessionReuse(ctx, reusedCells)
 		}
 	}
-	return net, schemes, nil
+	return built, nil
 }
 
 // acquireSession takes a pooled session (sessions keep their grown buffers

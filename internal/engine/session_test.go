@@ -335,6 +335,56 @@ func TestNetworkBatchContiguousChunks(t *testing.T) {
 	}
 }
 
+// TestInternNeverAliases drives one engine over more distinct link
+// configurations than a registry holds — 4-tile crossbars at 200 pitches,
+// four distinct link lengths each — twice over, on two workers, so the
+// link registry flushes and meets configurations again while the memo
+// cache and the sessions still hold cells keyed by the IDs handed out
+// before the flush. Every result must equal a cache-less engine's bit for
+// bit: an ID reused after a flush would serve one configuration's cells
+// for another.
+func TestInternNeverAliases(t *testing.T) {
+	codes := ecc.PaperSchemes()
+	var cands []NetworkCandidate
+	for i := 0; i < 200; i++ {
+		cands = append(cands, NetworkCandidate{
+			Topology: noc.Config{Kind: noc.Crossbar, Tiles: 4, TilePitchCM: 0.1 + 0.004*float64(i)},
+			Opts:     noc.EvalOptions{TargetBER: 1e-11, Objective: manager.MinEnergy},
+		})
+	}
+	cands = append(cands, cands...)
+
+	e := newNetEngine(t, codes, WithWorkers(2))
+	got, err := e.NetworkBatch(context.Background(), cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := map[string]bool{}
+	for _, c := range cands[:200] {
+		net, err := e.BuildNetwork(c.Topology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range net.Links() {
+			fps[l.Fingerprint] = true
+		}
+	}
+	if len(fps) <= registryCap || e.CacheStats().LinkPlans >= len(fps) {
+		t.Fatalf("%d distinct link configurations, %d link plans held: the registry never flushed", len(fps), e.CacheStats().LinkPlans)
+	}
+
+	ref := newNetEngine(t, codes, WithWorkers(2), WithCache(0))
+	want, err := ref.NetworkBatch(context.Background(), cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cands {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("candidate %d (pitch %g cm) differs from the cache-less engine", i, cands[i].Topology.TilePitchCM)
+		}
+	}
+}
+
 // TestNetworkSessionZeroAlloc is the allocation-regression pin of the
 // autotuner fast path: steady-state session evaluation — alternating two
 // warmed candidates, one diff-reused and one re-filled from the memo
