@@ -386,9 +386,10 @@ func TestInternNeverAliases(t *testing.T) {
 }
 
 // TestNetworkSessionZeroAlloc is the allocation-regression pin of the
-// autotuner fast path: steady-state session evaluation — alternating two
-// warmed candidates, one diff-reused and one re-filled from the memo
-// cache — allocates nothing per evaluation.
+// autotuner fast path: steady-state session evaluation — cycling through
+// warmed candidates, each re-filled from the memo cache or diff-reused,
+// one of them a mesh whose lasers a DAC programs from the session's laser
+// memo — allocates nothing per evaluation.
 func TestNetworkSessionZeroAlloc(t *testing.T) {
 	codes := ecc.PaperSchemes()
 	e := newNetEngine(t, codes, WithWorkers(1))
@@ -400,8 +401,13 @@ func TestNetworkSessionZeroAlloc(t *testing.T) {
 	}
 	b := a
 	b.Topology.Tiles = 12
+	dac := manager.PaperDAC()
+	c := NetworkCandidate{
+		Topology: noc.Config{Kind: noc.Mesh, Tiles: 16, Columns: 4},
+		Opts:     noc.EvalOptions{TargetBER: 1e-11, Objective: manager.MinEnergy, DAC: &dac},
+	}
 	run := func() {
-		for _, cand := range []NetworkCandidate{a, b} {
+		for _, cand := range []NetworkCandidate{a, b, c} {
 			if _, err := sess.Evaluate(ctx, cand); err != nil {
 				t.Fatal(err)
 			}

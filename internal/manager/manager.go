@@ -14,6 +14,7 @@ import (
 	"photonoc/internal/apierr"
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
+	"photonoc/internal/photonics"
 )
 
 // ErrNoFeasibleScheme is returned when no registered scheme can satisfy the
@@ -233,6 +234,58 @@ func Program(dac DAC, cfg *core.LinkConfig, ev core.Evaluation) (Decision, error
 		QuantizedLaserPowerW: pe,
 		QuantizationWasteW:   pe - ev.LaserPowerW,
 	}, nil
+}
+
+// laserMemoCap bounds a LaserMemo. A memo holds one entry per (laser,
+// activity, programmed level); a full memo is flushed rather than tracked
+// for recency, since one inversion costs far less than bookkeeping it.
+const laserMemoCap = 1024
+
+// LaserMemo memoizes the laser inversion behind Program. The electrical
+// power of a programmed laser is a pure function of the laser, the chip
+// activity and the quantized optical setting, which takes one of at most
+// 2^Bits values per DAC, so a decision maker that programs many links
+// inverts each setting once. The zero value is an empty memo. A LaserMemo
+// is not safe for concurrent use.
+type LaserMemo struct {
+	m map[laserKey]float64
+}
+
+// laserKey identifies one programmed laser setting.
+type laserKey struct {
+	laser    photonics.Laser
+	activity float64
+	quantW   float64
+}
+
+// Program returns Program(dac, cfg, ev), serving the laser's electrical
+// power from the memo when this laser at this activity was programmed to
+// the same optical setting before. Errors are never memoized: a failing
+// request goes through Program every time.
+func (m *LaserMemo) Program(dac DAC, cfg *core.LinkConfig, ev core.Evaluation) (Decision, error) {
+	code, quantW, err := dac.Quantize(ev.Op.LaserOpticalW)
+	if err != nil {
+		return Program(dac, cfg, ev)
+	}
+	k := laserKey{laser: cfg.Channel.Laser, activity: cfg.Channel.Activity, quantW: quantW}
+	if pe, ok := m.m[k]; ok {
+		return Decision{
+			Eval:                 ev,
+			DACCode:              code,
+			QuantizedOpticalW:    quantW,
+			QuantizedLaserPowerW: pe,
+			QuantizationWasteW:   pe - ev.LaserPowerW,
+		}, nil
+	}
+	d, err := Program(dac, cfg, ev)
+	if err != nil {
+		return d, err
+	}
+	if m.m == nil || len(m.m) >= laserMemoCap {
+		m.m = make(map[laserKey]float64)
+	}
+	m.m[k] = d.QuantizedLaserPowerW
+	return d, nil
 }
 
 // Schemes returns the registered scheme roster.

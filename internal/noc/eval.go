@@ -59,8 +59,9 @@ type LinkDecision struct {
 }
 
 // decideLink resolves one link's decision with the runtime manager's rule:
-// manager.Choose with no CT cap, then manager.Program for an optional DAC.
-func decideLink(l *Link, evals []core.Evaluation, opts EvalOptions) LinkDecision {
+// manager.Choose with no CT cap, then manager.Program, through the
+// session's laser memo, for an optional DAC.
+func decideLink(l *Link, evals []core.Evaluation, opts EvalOptions, lasers *manager.LaserMemo) LinkDecision {
 	d := LinkDecision{Link: l.ID, DACCode: -1}
 	i := manager.Choose(evals, manager.Requirements{Objective: opts.Objective})
 	if i < 0 {
@@ -74,7 +75,7 @@ func decideLink(l *Link, evals []core.Evaluation, opts EvalOptions) LinkDecision
 	d.Eval = *best
 	d.LaserPowerW = best.LaserPowerW
 	if opts.DAC != nil {
-		dec, err := manager.Program(*opts.DAC, &l.Config, *best)
+		dec, err := lasers.Program(*opts.DAC, &l.Config, *best)
 		if err != nil {
 			d.InfeasibleReason = err.Error()
 			return d

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"photonoc/internal/core"
+	"photonoc/internal/manager"
 	"photonoc/internal/mathx"
 )
 
@@ -35,7 +36,9 @@ type EvalSession struct {
 	// nil Traffic (the default) stay allocation-free even when the chain
 	// alternates between topology shapes.
 	uniform map[int]Matrix
-	result  Result
+	// lasers memoizes the DAC-programmed laser powers of Decide.
+	lasers manager.LaserMemo
+	result Result
 }
 
 // pairLat is one traffic-weighted (src, dst) path latency sample of the
@@ -105,7 +108,7 @@ func (s *EvalSession) withDefaults(o EvalOptions, net *Network) (EvalOptions, er
 
 // Decide picks each link's scheme from evals[linkID], its roster solved in
 // order, with manager.Choose, and programs an optional DAC with
-// manager.Program. The returned slice is the session's decision buffer,
+// manager.Program through the session's laser memo. The returned slice is the session's decision buffer,
 // valid until the session's next Decide call.
 func (s *EvalSession) Decide(net *Network, evals [][]core.Evaluation, opts EvalOptions) ([]LinkDecision, error) {
 	if len(evals) != net.NumLinks() {
@@ -116,7 +119,7 @@ func (s *EvalSession) Decide(net *Network, evals [][]core.Evaluation, opts EvalO
 	}
 	s.decisions = grow(s.decisions, net.NumLinks())
 	for id := range evals {
-		s.decisions[id] = decideLink(&net.links[id], evals[id], opts)
+		s.decisions[id] = decideLink(&net.links[id], evals[id], opts, &s.lasers)
 	}
 	return s.decisions, nil
 }
