@@ -72,15 +72,40 @@ func (c *Compiled) Evaluate(code ecc.Code, targetBER float64) (Evaluation, error
 // BER from the FER plan, the detector SNR, then the worst-channel laser
 // inversion.
 func (c *Compiled) EvaluatePlan(plan *ecc.FERPlan, targetBER float64) (Evaluation, error) {
-	code := plan.Code()
-	rawBER, err := plan.RequiredRawBER(targetBER)
+	pt, err := SolveCodePoint(plan, targetBER)
 	if err != nil {
 		return Evaluation{}, err
 	}
+	return c.EvaluatePoint(plan.Code(), targetBER, pt)
+}
+
+// CodePoint is the code side of one operating point: the raw channel BER a
+// code needs to meet a target BER, and the detector SNR that raw BER needs.
+// It depends on the code and the target only, so every link solving one
+// (code, target BER) shares it.
+type CodePoint struct {
+	RawBER, SNR float64
+}
+
+// SolveCodePoint solves the code side of the plan's code at one target
+// BER.
+func SolveCodePoint(plan *ecc.FERPlan, targetBER float64) (CodePoint, error) {
+	rawBER, err := plan.RequiredRawBER(targetBER)
+	if err != nil {
+		return CodePoint{}, err
+	}
 	snr, err := ecc.SNRForRawBER(rawBER)
 	if err != nil {
-		return Evaluation{}, fmt.Errorf("core: %s at BER %g: %w", code.Name(), targetBER, err)
+		return CodePoint{}, fmt.Errorf("core: %s at BER %g: %w", plan.Code().Name(), targetBER, err)
 	}
+	return CodePoint{RawBER: rawBER, SNR: snr}, nil
+}
+
+// EvaluatePoint finishes the operating point of code at targetBER on this
+// link from its solved code side: the worst-channel laser inversion at the
+// point's SNR and the power and energy figures.
+func (c *Compiled) EvaluatePoint(code ecc.Code, targetBER float64, pt CodePoint) (Evaluation, error) {
+	rawBER, snr := pt.RawBER, pt.SNR
 	op, err := c.link.WorstOperatingPoint(snr)
 	if err != nil {
 		return Evaluation{}, err

@@ -72,11 +72,27 @@ type Engine struct {
 	lastID atomic.Uint64
 }
 
-// schemePlan is one interned scheme: the ID the memo cache keys it by and
-// its FER plan.
+// schemePlan is one interned scheme: the ID the memo cache keys it by, its
+// FER plan, and the code-side points solved from that plan by target BER
+// bits, which every link solving the scheme at that BER shares.
 type schemePlan struct {
-	id   uint64
-	plan *ecc.FERPlan
+	id     uint64
+	plan   *ecc.FERPlan
+	points registry[uint64, core.CodePoint]
+}
+
+// point returns the code side of the scheme at targetBER, solving it on
+// first use. Errors are not memoized.
+func (sp *schemePlan) point(targetBER float64) (core.CodePoint, error) {
+	bits := math.Float64bits(targetBER)
+	if pt, ok := sp.points.lookup(bits); ok {
+		return pt, nil
+	}
+	pt, err := core.SolveCodePoint(sp.plan, targetBER)
+	if err != nil {
+		return core.CodePoint{}, err
+	}
+	return sp.points.add(bits, pt), nil
 }
 
 // linkPlan is one interned link configuration: the ID the memo cache keys
@@ -252,12 +268,22 @@ func (e *Engine) schemeFor(code ecc.Code) *schemePlan {
 	return e.plans.add(code.Name(), &schemePlan{id: e.lastID.Add(1), plan: ecc.PlanFor(code)})
 }
 
+// evaluate solves the scheme at targetBER on one compiled link from its
+// memoized code-side point.
+func (sp *schemePlan) evaluate(compiled *core.Compiled, targetBER float64) (core.Evaluation, error) {
+	pt, err := sp.point(targetBER)
+	if err != nil {
+		return core.Evaluation{}, err
+	}
+	return compiled.EvaluatePoint(sp.plan.Code(), targetBER, pt)
+}
+
 // solveCold runs a compiled pipeline for one grid point, accounting the
 // wall time under the engine's cold-solve statistics. The context is the
 // evaluation's — the observer uses it to attribute the solve to a request.
 func (e *Engine) solveCold(ctx context.Context, compiled *core.Compiled, sp *schemePlan, targetBER float64) (core.Evaluation, error) {
 	start := time.Now()
-	ev, err := compiled.EvaluatePlan(sp.plan, targetBER)
+	ev, err := sp.evaluate(compiled, targetBER)
 	elapsed := time.Since(start)
 	e.coldSolves.Add(1)
 	e.coldSolveNS.Add(int64(elapsed))
