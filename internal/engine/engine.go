@@ -318,11 +318,13 @@ func (e *Engine) Evaluate(ctx context.Context, code ecc.Code, targetBER float64)
 	if err := validateBER(targetBER); err != nil {
 		return core.Evaluation{}, err
 	}
-	return e.evaluateCompiled(ctx, linkPlan{compiled: e.compiled}, e.schemeFor(code), targetBER)
+	var ev core.Evaluation
+	err := e.evaluateCompiled(ctx, &ev, &linkPlan{compiled: e.compiled}, e.schemeFor(code), targetBER)
+	return ev, err
 }
 
 // evaluateCompiled solves one operating point of one interned link
-// configuration through the memo cache, keyed by the link's and the
+// configuration into dst through the memo cache, keyed by the link's and the
 // scheme's interned IDs. The engine's own configuration (ID 0) and every
 // per-link network configuration share this path — and therefore the LRU
 // — without aliasing. Concurrent identical misses coalesce onto one
@@ -330,14 +332,17 @@ func (e *Engine) Evaluate(ctx context.Context, code ecc.Code, targetBER float64)
 // (CacheStats.SharedSolves). With the cache disabled every solve is cold
 // and uncoalesced — that is the benchmark configuration, where each call
 // must really run the pipeline.
-func (e *Engine) evaluateCompiled(ctx context.Context, link linkPlan, sp *schemePlan, targetBER float64) (core.Evaluation, error) {
+func (e *Engine) evaluateCompiled(ctx context.Context, dst *core.Evaluation, link *linkPlan, sp *schemePlan, targetBER float64) error {
 	if e.cache == nil {
-		return e.solveCold(ctx, link.compiled, sp, targetBER)
+		ev, err := e.solveCold(ctx, link.compiled, sp, targetBER)
+		*dst = ev
+		return err
 	}
 	key := cacheKey{link: link.id, scheme: sp.id, ber: math.Float64bits(targetBER)}
 	ev, how, err := e.cache.do(key, func() (core.Evaluation, error) {
 		return e.solveCold(ctx, link.compiled, sp, targetBER)
 	})
+	*dst = *ev
 	if how == shared {
 		e.sharedSolves.Add(1)
 	}
@@ -351,5 +356,5 @@ func (e *Engine) evaluateCompiled(ctx context.Context, link linkPlan, sp *scheme
 			e.obs.SharedSolve(ctx)
 		}
 	}
-	return ev, err
+	return err
 }

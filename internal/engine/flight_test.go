@@ -42,7 +42,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		if err != nil || how != solved {
 			t.Errorf("leader: outcome=%v err=%v", how, err)
 		}
-		if !reflect.DeepEqual(ev, want) {
+		if !reflect.DeepEqual(*ev, want) {
 			t.Errorf("leader result = %+v", ev)
 		}
 	}()
@@ -63,7 +63,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			if err != nil {
 				t.Errorf("follower %d: %v", i, err)
 			}
-			results[i] = ev
+			results[i] = *ev
 			hows[i] = how
 		}(i)
 	}
@@ -162,7 +162,7 @@ func TestFlightPendingSurvivesEviction(t *testing.T) {
 			t.Error("second A caller solved again: the pending entry was evicted")
 			return wantA, nil
 		})
-		second <- res{ev, how, err}
+		second <- res{*ev, how, err}
 	}()
 	waitMisses(t, c, 3)
 	close(release)

@@ -120,22 +120,23 @@ func newLRUCache(capacity int) *lruCache {
 // caller runs solve; callers that find the entry pending count a miss,
 // wait, and share its outcome, so a stampede of identical cold queries
 // costs one solve. A failed solve is removed rather than published: errors
-// are never memoized.
-func (c *lruCache) do(k cacheKey, solve func() (core.Evaluation, error)) (core.Evaluation, outcome, error) {
+// are never memoized. The returned evaluation is the entry's own, which
+// never changes once published; callers copy it out and must not write
+// through it.
+func (c *lruCache) do(k cacheKey, solve func() (core.Evaluation, error)) (*core.Evaluation, outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[k]; ok {
 		ent := el.Value.(*lruEntry)
 		if !ent.pending() {
 			c.hits++
 			c.order.MoveToFront(el)
-			ev := ent.val
 			c.mu.Unlock()
-			return ev, hit, nil
+			return &ent.val, hit, nil
 		}
 		c.misses++
 		c.mu.Unlock()
 		<-ent.ready
-		return ent.val, shared, ent.err
+		return &ent.val, shared, ent.err
 	}
 	c.misses++
 	ent := &lruEntry{key: k, ready: make(chan struct{})}
@@ -156,7 +157,7 @@ func (c *lruCache) do(k cacheKey, solve func() (core.Evaluation, error)) (core.E
 	}
 	close(ent.ready)
 	c.mu.Unlock()
-	return ev, solved, err
+	return &ent.val, solved, err
 }
 
 // evict drops least recently used published entries other than keep until

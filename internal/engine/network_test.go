@@ -55,7 +55,7 @@ func TestDegenerateBusMatchesSingleLinkSweep(t *testing.T) {
 			if !ev.Feasible {
 				continue
 			}
-			if want == nil || manager.Better(*ev, *want, manager.MinEnergy) {
+			if want == nil || manager.Better(ev, want, manager.MinEnergy) {
 				want = ev
 			}
 		}

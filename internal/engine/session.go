@@ -183,7 +183,7 @@ func (s *NetworkSession) solve(ctx context.Context, cand NetworkCandidate) (*bui
 			s.invalidate()
 			return nil, err
 		}
-		link := built.links[l]
+		link := &built.links[l]
 		if diffOK {
 			if pi, ok := s.prevIndex[link.id]; ok {
 				copy(s.rows[l], s.prevFlat[pi*nschemes:(pi+1)*nschemes])
@@ -192,12 +192,10 @@ func (s *NetworkSession) solve(ctx context.Context, cand NetworkCandidate) (*bui
 			}
 		}
 		for si, sp := range s.schemes {
-			ev, err := s.e.evaluateCompiled(ctx, link, sp, ber)
-			if err != nil {
+			if err := s.e.evaluateCompiled(ctx, &s.rows[l][si], link, sp, ber); err != nil {
 				s.invalidate()
 				return nil, err
 			}
-			s.rows[l][si] = ev
 		}
 	}
 	if reusedCells > 0 {

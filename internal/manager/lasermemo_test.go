@@ -61,10 +61,10 @@ func TestLaserMemoMatchesProgram(t *testing.T) {
 				for _, bits := range []int{1, 4, 6, 8, 16} {
 					for _, maxW := range []float64{700e-6, 150e-6, 2e-3} {
 						dac := manager.DAC{Bits: bits, MaxOpticalW: maxW}
-						want, werr := manager.Program(dac, &cfg, ev)
+						want, werr := manager.Program(dac, &cfg, &ev)
 						for pass := 0; pass < 2; pass++ {
 							held := memo.Len()
-							got, gerr := memo.Program(dac, &cfg, ev)
+							got, gerr := memo.Program(dac, &cfg, &ev)
 							if werr != nil {
 								if gerr == nil || gerr.Error() != werr.Error() {
 									t.Fatalf("%s at %g, %+v: memo error %v, Program error %v", code.Name(), ber, dac, gerr, werr)

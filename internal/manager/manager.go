@@ -171,7 +171,7 @@ func (m *Manager) ConfigureCtx(ctx context.Context, req Requirements) (Decision,
 		return Decision{}, fmt.Errorf("%w (%w): BER %g, CT cap %g",
 			ErrNoFeasibleScheme, apierr.ErrInfeasible, req.TargetBER, req.MaxCT)
 	}
-	return Program(m.dac, m.cfg, row[i])
+	return Program(m.dac, m.cfg, &row[i])
 }
 
 // Choose is the selection rule of the manager, the network evaluator and
@@ -185,7 +185,7 @@ func Choose(row []core.Evaluation, req Requirements) int {
 		if !ev.Feasible || (req.MaxCT > 0 && ev.CT > req.MaxCT) {
 			continue
 		}
-		if best < 0 || Better(*ev, row[best], req.Objective) {
+		if best < 0 || Better(ev, &row[best], req.Objective) {
 			best = i
 		}
 	}
@@ -194,7 +194,7 @@ func Choose(row []core.Evaluation, req Requirements) int {
 
 // Better reports whether evaluation a beats b under the objective, breaking
 // ties toward lower channel power and then lower CT: Choose's comparison.
-func Better(a, b core.Evaluation, obj Objective) bool {
+func Better(a, b *core.Evaluation, obj Objective) bool {
 	switch obj {
 	case MinEnergy:
 		if a.EnergyPerBitJ != b.EnergyPerBitJ {
@@ -218,7 +218,7 @@ func Better(a, b core.Evaluation, obj Objective) bool {
 // Program programs the laser DAC of cfg's link for a chosen evaluation: it
 // rounds the required optical power up to the next DAC step and returns
 // the code with the laser's electrical power at that setting.
-func Program(dac DAC, cfg *core.LinkConfig, ev core.Evaluation) (Decision, error) {
+func Program(dac DAC, cfg *core.LinkConfig, ev *core.Evaluation) (Decision, error) {
 	code, quantW, err := dac.Quantize(ev.Op.LaserOpticalW)
 	if err != nil {
 		return Decision{}, fmt.Errorf("manager: programming %s: %w", ev.Code.Name(), err)
@@ -228,7 +228,7 @@ func Program(dac DAC, cfg *core.LinkConfig, ev core.Evaluation) (Decision, error
 		return Decision{}, fmt.Errorf("manager: quantized setting infeasible: %w", err)
 	}
 	return Decision{
-		Eval:                 ev,
+		Eval:                 *ev,
 		DACCode:              code,
 		QuantizedOpticalW:    quantW,
 		QuantizedLaserPowerW: pe,
@@ -262,7 +262,7 @@ type laserKey struct {
 // power from the memo when this laser at this activity was programmed to
 // the same optical setting before. Errors are never memoized: a failing
 // request goes through Program every time.
-func (m *LaserMemo) Program(dac DAC, cfg *core.LinkConfig, ev core.Evaluation) (Decision, error) {
+func (m *LaserMemo) Program(dac DAC, cfg *core.LinkConfig, ev *core.Evaluation) (Decision, error) {
 	code, quantW, err := dac.Quantize(ev.Op.LaserOpticalW)
 	if err != nil {
 		return Program(dac, cfg, ev)
@@ -270,7 +270,7 @@ func (m *LaserMemo) Program(dac DAC, cfg *core.LinkConfig, ev core.Evaluation) (
 	k := laserKey{laser: cfg.Channel.Laser, activity: cfg.Channel.Activity, quantW: quantW}
 	if pe, ok := m.m[k]; ok {
 		return Decision{
-			Eval:                 ev,
+			Eval:                 *ev,
 			DACCode:              code,
 			QuantizedOpticalW:    quantW,
 			QuantizedLaserPowerW: pe,

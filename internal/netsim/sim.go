@@ -64,7 +64,7 @@ func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (
 		if !row[i].Feasible {
 			continue
 		}
-		dec, err := manager.Program(cfg.DAC, &cfg.Link, row[i])
+		dec, err := manager.Program(cfg.DAC, &cfg.Link, &row[i])
 		progErr[i] = err
 		grants[i] = grant{
 			laserW: dec.QuantizedLaserPowerW * nw,

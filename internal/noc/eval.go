@@ -58,27 +58,27 @@ type LinkDecision struct {
 	InfeasibleReason string
 }
 
-// decideLink resolves one link's decision with the runtime manager's rule:
-// manager.Choose with no CT cap, then manager.Program, through the
-// session's laser memo, for an optional DAC.
-func decideLink(l *Link, evals []core.Evaluation, opts EvalOptions, lasers *manager.LaserMemo) LinkDecision {
-	d := LinkDecision{Link: l.ID, DACCode: -1}
+// decideLink resolves one link's decision into d with the runtime
+// manager's rule: manager.Choose with no CT cap, then manager.Program,
+// through the session's laser memo, for an optional DAC.
+func decideLink(d *LinkDecision, l *Link, evals []core.Evaluation, opts *EvalOptions, lasers *manager.LaserMemo) {
+	*d = LinkDecision{Link: l.ID, DACCode: -1}
 	i := manager.Choose(evals, manager.Requirements{Objective: opts.Objective})
 	if i < 0 {
 		d.InfeasibleReason = fmt.Sprintf("no feasible scheme at BER %g", opts.TargetBER)
 		if len(evals) > 0 && evals[0].InfeasibleReason != "" {
 			d.InfeasibleReason += ": " + evals[0].InfeasibleReason
 		}
-		return d
+		return
 	}
 	best := &evals[i]
 	d.Eval = *best
 	d.LaserPowerW = best.LaserPowerW
 	if opts.DAC != nil {
-		dec, err := lasers.Program(*opts.DAC, &l.Config, *best)
+		dec, err := lasers.Program(*opts.DAC, &l.Config, best)
 		if err != nil {
 			d.InfeasibleReason = err.Error()
-			return d
+			return
 		}
 		d.DACCode = dec.DACCode
 		d.LaserPowerW = dec.QuantizedLaserPowerW
@@ -87,7 +87,6 @@ func decideLink(l *Link, evals []core.Evaluation, opts EvalOptions, lasers *mana
 	perLambda := d.LaserPowerW + l.Config.ModulatorPowerW + l.Config.InterfacePowerFor(best.Code).TotalW()/nw
 	d.EnergyPerBitJ = perLambda * best.CT / l.Config.FmodHz
 	d.Feasible = true
-	return d
 }
 
 // LinkLoad is the traffic view of one link at the evaluated injection rate.

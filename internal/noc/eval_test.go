@@ -85,7 +85,7 @@ func TestBusAggregateMatchesSingleLink(t *testing.T) {
 		if !evs[i].Feasible {
 			continue
 		}
-		if want == nil || manager.Better(evs[i], *want, manager.MinEnergy) {
+		if want == nil || manager.Better(&evs[i], want, manager.MinEnergy) {
 			want = &evs[i]
 		}
 	}

@@ -119,7 +119,7 @@ func (s *EvalSession) Decide(net *Network, evals [][]core.Evaluation, opts EvalO
 	}
 	s.decisions = grow(s.decisions, net.NumLinks())
 	for id := range evals {
-		s.decisions[id] = decideLink(&net.links[id], evals[id], opts, &s.lasers)
+		decideLink(&s.decisions[id], &net.links[id], evals[id], &opts, &s.lasers)
 	}
 	return s.decisions, nil
 }

@@ -82,7 +82,8 @@ func Build(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n.waveguideLinks = make(map[int][]int)
-	for _, l := range n.links {
+	for i := range n.links {
+		l := &n.links[i]
 		n.waveguideLinks[l.Waveguide] = append(n.waveguideLinks[l.Waveguide], l.ID)
 	}
 	if err := n.finishLinks(); err != nil {
