@@ -10,9 +10,22 @@ import "fmt"
 // links.
 func (n *Network) buildRoutes() error {
 	t := n.cfg.Tiles
+	// Every route is a sub-slice of one hop array (a mesh route has at most
+	// two hops), and the rows are views into one table of t·t routes.
+	maxHops := 1
+	if n.cfg.Kind == Mesh {
+		maxHops = 2
+	}
+	hops := make([]int, 0, maxHops*t*(t-1))
+	table := make([][]int, t*t)
 	n.routes = make([][][]int, t)
 	for s := range n.routes {
-		n.routes[s] = make([][]int, t)
+		n.routes[s] = table[s*t : (s+1)*t : (s+1)*t]
+	}
+	route := func(s, d int, ids ...int) {
+		start := len(hops)
+		hops = append(hops, ids...)
+		n.routes[s][d] = hops[start:len(hops):len(hops)]
 	}
 
 	switch n.cfg.Kind {
@@ -21,7 +34,7 @@ func (n *Network) buildRoutes() error {
 		for s := 0; s < t; s++ {
 			for d := 0; d < t; d++ {
 				if s != d {
-					n.routes[s][d] = []int{d}
+					route(s, d, d)
 				}
 			}
 		}
@@ -44,11 +57,11 @@ func (n *Network) buildRoutes() error {
 				r2, c2 := d/cols, d%cols
 				switch {
 				case r1 == r2:
-					n.routes[s][d] = []int{rowLink(r1, c2)}
+					route(s, d, rowLink(r1, c2))
 				case c1 == c2:
-					n.routes[s][d] = []int{colLink(r2, c1)}
+					route(s, d, colLink(r2, c1))
 				default:
-					n.routes[s][d] = []int{rowLink(r1, c2), colLink(r2, c2)}
+					route(s, d, rowLink(r1, c2), colLink(r2, c2))
 				}
 			}
 		}

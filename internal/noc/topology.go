@@ -100,15 +100,8 @@ func Build(cfg Config) (*Network, error) {
 // Tiles == base ONIs the per-link configuration is the base configuration,
 // byte for byte.
 func (n *Network) buildBus() error {
-	for d := 0; d < n.cfg.Tiles; d++ {
-		n.links = append(n.links, Link{
-			ID:        d,
-			Reader:    d,
-			Writers:   otherTiles(n.cfg.Tiles, d),
-			Waveguide: d,
-			LengthCM:  n.cfg.Base.Channel.Waveguide.LengthCM,
-		})
-	}
+	length := n.cfg.Base.Channel.Waveguide.LengthCM
+	n.buildReaders(func(d int) int { return d }, func(int) float64 { return length })
 	return nil
 }
 
@@ -119,15 +112,7 @@ func (n *Network) buildBus() error {
 func (n *Network) buildCrossbar() error {
 	pitch := n.cfg.pitchCM()
 	span := float64(n.cfg.Tiles - 1)
-	for d := 0; d < n.cfg.Tiles; d++ {
-		n.links = append(n.links, Link{
-			ID:        d,
-			Reader:    d,
-			Writers:   otherTiles(n.cfg.Tiles, d),
-			Waveguide: d,
-			LengthCM:  pitch * (span + span - float64(d)),
-		})
-	}
+	n.buildReaders(func(d int) int { return d }, func(d int) float64 { return pitch * (span + span - float64(d)) })
 	return nil
 }
 
@@ -135,18 +120,33 @@ func (n *Network) buildCrossbar() error {
 // owns a disjoint block of the grid (allocated in finishLinks) and the
 // worst-case writer sits a full ring minus one hop away.
 func (n *Network) buildRing() error {
-	pitch := n.cfg.pitchCM()
-	length := pitch * float64(n.cfg.Tiles-1)
-	for d := 0; d < n.cfg.Tiles; d++ {
-		n.links = append(n.links, Link{
+	length := n.cfg.pitchCM() * float64(n.cfg.Tiles-1)
+	n.buildReaders(func(int) int { return 0 }, func(int) float64 { return length })
+	return nil
+}
+
+// buildReaders lays out the single-hop kinds: link d is tile d's reader
+// channel on waveguide waveguide(d), spanning length(d), with every other
+// tile a writer. The writer lists share one backing array.
+func (n *Network) buildReaders(waveguide func(d int) int, length func(d int) float64) {
+	t := n.cfg.Tiles
+	n.links = make([]Link, t)
+	writers := make([]int, 0, t*(t-1))
+	for d := 0; d < t; d++ {
+		start := len(writers)
+		for w := 0; w < t; w++ {
+			if w != d {
+				writers = append(writers, w)
+			}
+		}
+		n.links[d] = Link{
 			ID:        d,
 			Reader:    d,
-			Writers:   otherTiles(n.cfg.Tiles, d),
-			Waveguide: 0,
-			LengthCM:  length,
-		})
+			Writers:   writers[start:len(writers):len(writers)],
+			Waveguide: waveguide(d),
+			LengthCM:  length(d),
+		}
 	}
-	return nil
 }
 
 // buildMesh lays tiles in a rows × cols rectangle. Each row (when it has at
@@ -161,8 +161,21 @@ func (n *Network) buildMesh() error {
 	n.rows, n.cols = rows, cols
 	pitch := n.cfg.pitchCM()
 	tile := func(r, c int) int { return r*cols + c }
-	addLink := func(reader, waveguide int, members []int, span int) {
-		writers := make([]int, 0, len(members)-1)
+	// Each bus of m ≥ 2 members carries m links of m − 1 writers; the links
+	// and the writer lists are sized up front.
+	nlinks, nwriters := 0, 0
+	if cols >= 2 {
+		nlinks += rows * cols
+		nwriters += rows * cols * (cols - 1)
+	}
+	if rows >= 2 {
+		nlinks += rows * cols
+		nwriters += rows * cols * (rows - 1)
+	}
+	n.links = make([]Link, 0, nlinks)
+	writers := make([]int, 0, nwriters)
+	addLink := func(reader, waveguide int, members []int) {
+		start := len(writers)
 		for _, t := range members {
 			if t != reader {
 				writers = append(writers, t)
@@ -171,30 +184,29 @@ func (n *Network) buildMesh() error {
 		n.links = append(n.links, Link{
 			ID:        len(n.links),
 			Reader:    reader,
-			Writers:   writers,
+			Writers:   writers[start:len(writers):len(writers)],
 			Waveguide: waveguide,
-			LengthCM:  pitch * float64(span-1),
+			LengthCM:  pitch * float64(len(members)-1),
 		})
 	}
+	members := make([]int, max(rows, cols))
 	if cols >= 2 {
 		for r := 0; r < rows; r++ {
-			members := make([]int, cols)
 			for c := 0; c < cols; c++ {
 				members[c] = tile(r, c)
 			}
 			for c := 0; c < cols; c++ {
-				addLink(tile(r, c), r, members, cols)
+				addLink(tile(r, c), r, members[:cols])
 			}
 		}
 	}
 	if rows >= 2 {
 		for c := 0; c < cols; c++ {
-			members := make([]int, rows)
 			for r := 0; r < rows; r++ {
 				members[r] = tile(r, c)
 			}
 			for r := 0; r < rows; r++ {
-				addLink(tile(r, c), rows+c, members, rows)
+				addLink(tile(r, c), rows+c, members[:rows])
 			}
 		}
 	}
@@ -301,17 +313,6 @@ func (n *Network) Waveguides() map[int][]int {
 	out := make(map[int][]int, len(n.waveguideLinks))
 	for wg, ids := range n.waveguideLinks {
 		out[wg] = append([]int(nil), ids...)
-	}
-	return out
-}
-
-// otherTiles lists every tile except self, ascending.
-func otherTiles(tiles, self int) []int {
-	out := make([]int, 0, tiles-1)
-	for t := 0; t < tiles; t++ {
-		if t != self {
-			out = append(out, t)
-		}
 	}
 	return out
 }
