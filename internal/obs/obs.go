@@ -12,7 +12,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -59,21 +58,3 @@ func NewLogger(w io.Writer, level slog.Level, format string) (*slog.Logger, erro
 // Nop returns a logger that discards everything — the nil-safety default
 // callers use so logging sites never nil-check.
 func Nop() *slog.Logger { return slog.New(slog.DiscardHandler) }
-
-// loggerKey carries a request-scoped logger in a context.
-type loggerKey struct{}
-
-// ContextWithLogger attaches a request-scoped logger (typically a child
-// logger pre-bound with trace_id/span_id/route attributes).
-func ContextWithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey{}, l)
-}
-
-// Logger returns the context's logger, or a no-op logger when none is
-// attached — call sites log unconditionally.
-func Logger(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok && l != nil {
-		return l
-	}
-	return Nop()
-}

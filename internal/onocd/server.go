@@ -332,9 +332,9 @@ func (w *statusWriter) Flush() {
 type handlerFunc func(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error
 
 // instrument wraps a route body with the service middleware: trace identity
-// (continue an incoming W3C traceparent or start a fresh trace), a
-// request-scoped child logger and stats accumulator in the context, the
-// in-flight gauge, admission control, the per-request deadline, error
+// (continue an incoming W3C traceparent or start a fresh trace), the span
+// and a stats accumulator in the context, a request-scoped child logger
+// for the wrapper's own log lines, the in-flight gauge, admission control, the per-request deadline, error
 // enveloping, request accounting, the access log and the slow-request log.
 func (s *Server) instrument(route string, admission bool, fn handlerFunc) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
@@ -409,7 +409,6 @@ func (s *Server) instrument(route string, admission bool, fn handlerFunc) http.H
 		}
 		defer cancel()
 		ctx = obs.ContextWithSpan(ctx, sc)
-		ctx = obs.ContextWithLogger(ctx, reqLog)
 		ctx = obs.ContextWithStats(ctx, stats)
 
 		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
