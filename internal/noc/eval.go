@@ -83,8 +83,9 @@ func decideLink(d *LinkDecision, l *Link, evals []core.Evaluation, opts *EvalOpt
 		d.DACCode = dec.DACCode
 		d.LaserPowerW = dec.QuantizedLaserPowerW
 	}
-	nw := float64(l.Config.Channel.Topo.Wavelengths)
-	perLambda := d.LaserPowerW + l.Config.ModulatorPowerW + l.Config.InterfacePowerFor(best.Code).TotalW()/nw
+	// The evaluation was solved on this link's configuration, so its
+	// per-wavelength modulator and interface powers are the link's.
+	perLambda := d.LaserPowerW + best.ModulatorPowerW + best.InterfacePowerW
 	d.EnergyPerBitJ = perLambda * best.CT / l.Config.FmodHz
 	d.Feasible = true
 }
