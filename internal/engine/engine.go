@@ -45,7 +45,7 @@ type Engine struct {
 	sharedSolves atomic.Uint64
 
 	// sessionReuses counts per-point solves served by a NetworkSession's
-	// incremental fingerprint diff from its previous candidate — cells
+	// incremental link diff from its previous candidate — cells
 	// that avoided both the pipeline and the memo cache entirely.
 	sessionReuses atomic.Uint64
 
@@ -81,18 +81,19 @@ type schemePlan struct {
 	points registry[uint64, core.CodePoint]
 }
 
-// point returns the code side of the scheme at targetBER, solving it on
-// first use. Errors are not memoized.
-func (sp *schemePlan) point(targetBER float64) (core.CodePoint, error) {
+// evaluate solves the scheme at targetBER on one compiled link, solving
+// the code side once per target BER. Errors are not memoized.
+func (sp *schemePlan) evaluate(compiled *core.Compiled, targetBER float64) (core.Evaluation, error) {
 	bits := math.Float64bits(targetBER)
-	if pt, ok := sp.points.lookup(bits); ok {
-		return pt, nil
+	pt, ok := sp.points.lookup(bits)
+	if !ok {
+		var err error
+		if pt, err = core.SolveCodePoint(sp.plan, targetBER); err != nil {
+			return core.Evaluation{}, err
+		}
+		pt = sp.points.add(bits, pt)
 	}
-	pt, err := core.SolveCodePoint(sp.plan, targetBER)
-	if err != nil {
-		return core.CodePoint{}, err
-	}
-	return sp.points.add(bits, pt), nil
+	return compiled.EvaluatePoint(sp.plan.Code(), targetBER, pt)
 }
 
 // linkPlan is one interned link configuration: the ID the memo cache keys
@@ -222,8 +223,8 @@ func New(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// Fingerprint computes the cache fingerprint of an arbitrary configuration
-// — the same digest an Engine over cfg would use in its cache keys.
+// Fingerprint computes the configuration digest of an arbitrary
+// configuration — the same digest an Engine over cfg interns it by.
 func Fingerprint(cfg core.LinkConfig) string { return core.Fingerprint(cfg) }
 
 // Config returns a copy of the engine's link configuration.
@@ -235,8 +236,8 @@ func (e *Engine) Schemes() []ecc.Code { return append([]ecc.Code(nil), e.schemes
 // Workers returns the worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// ConfigFingerprint returns the engine's configuration digest — the first
-// component of every cache key.
+// ConfigFingerprint returns the engine's configuration digest, the
+// identity its own configuration (interned ID 0) stands for.
 func (e *Engine) ConfigFingerprint() string { return e.fingerprint }
 
 // CacheStats snapshots the memo-cache accounting, the engine's cold-solve
@@ -266,16 +267,6 @@ func (e *Engine) schemeFor(code ecc.Code) *schemePlan {
 		return sp
 	}
 	return e.plans.add(code.Name(), &schemePlan{id: e.lastID.Add(1), plan: ecc.PlanFor(code)})
-}
-
-// evaluate solves the scheme at targetBER on one compiled link from its
-// memoized code-side point.
-func (sp *schemePlan) evaluate(compiled *core.Compiled, targetBER float64) (core.Evaluation, error) {
-	pt, err := sp.point(targetBER)
-	if err != nil {
-		return core.Evaluation{}, err
-	}
-	return compiled.EvaluatePoint(sp.plan.Code(), targetBER, pt)
 }
 
 // solveCold runs a compiled pipeline for one grid point, accounting the

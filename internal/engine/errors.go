@@ -1,7 +1,7 @@
 // Package engine is the concurrent, context-aware evaluation core behind
 // the public photonoc.Engine API: a worker-pool batch solver over the
 // (scheme × target-BER) design space, an LRU memo cache keyed by
-// (configuration fingerprint, scheme, BER), and typed errors for the API
+// (interned configuration, interned scheme, BER), and typed errors for the API
 // boundary. The manager and the traffic simulator evaluate through it, so
 // repeated decisions and overlapping sweeps never re-solve the optical
 // budget.

@@ -36,7 +36,7 @@ type CacheStats struct {
 	// other participant increments this counter instead of ColdSolves.
 	SharedSolves uint64
 	// SessionReuses counts per-point solves served by a NetworkSession's
-	// incremental fingerprint diff from its previous candidate: each reused
+	// incremental link diff from its previous candidate: each reused
 	// cell avoided both the compiled pipeline and the memo cache.
 	SessionReuses uint64
 	// FERPlans, LinkPlans and Networks count the entries of the engine's

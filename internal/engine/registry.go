@@ -8,8 +8,9 @@ import "sync"
 const registryCap = 512
 
 // registry is a bounded memo of immutable values the engine derives once
-// per key: FER plans by scheme name, compiled link plans by configuration
-// fingerprint, built networks by topology. Callers build a missing value
+// per key: interned scheme plans by name, interned link plans by
+// configuration fingerprint, built networks by topology, code-side points
+// by target BER. Callers build a missing value
 // outside the lock and add it; lookup and add are split so a warm lookup
 // allocates nothing.
 type registry[K comparable, V any] struct {

@@ -236,8 +236,8 @@ func (e *Engine) releaseSession(s *NetworkSession) { e.sessions.Put(s) }
 //
 // The pool splits the population into at most Workers contiguous chunks of
 // ⌈n/Workers⌉ candidates, one goroutine and one pooled session per chunk,
-// so neighboring candidates land on the same session and the fingerprint
-// diff sees the chain locality autotuner populations have; a strict
+// so neighboring candidates land on the same session and the link diff
+// sees the chain locality autotuner populations have; a strict
 // failure cancels the other chunks.
 func (e *Engine) NetworkBatchEach(ctx context.Context, cands []NetworkCandidate, visit func(i int, res *noc.Result, cerr *CandidateError), opts ...BatchOptions) error {
 	if len(cands) == 0 {

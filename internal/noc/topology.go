@@ -28,8 +28,8 @@ type Link struct {
 	// the base configuration re-scoped to this link's waveguide length,
 	// writer count and wavelength subgrid.
 	Config core.LinkConfig
-	// Fingerprint is the cache digest of Config — links sharing it share
-	// one compiled solve plan and therefore memoized operating points.
+	// Fingerprint is the digest of Config — links sharing it share one
+	// compiled solve plan and therefore memoized operating points.
 	Fingerprint string
 }
 
