@@ -13,13 +13,15 @@ import (
 
 // TestLaserMemoMatchesProgram checks the memoized DAC step against
 // manager.Program on every link configuration of the tuner's default
-// design space (bus, ring and every mesh shape at 8, 12 and 16 tiles) ×
+// design space (bus, ring and every mesh shape at 8, 12 and 16 tiles),
+// each also at a hotter chip activity and with a less efficient laser, ×
 // the paper roster × a BER grid × DACs of 1, 4, 6, 8 and 16 bits at three
 // full scales: the paper's 700 µW, 150 µW (long links request above it)
 // and 2 mW (coarse steps land above the laser's thermal ceiling). Each
-// request runs twice, a miss and then a hit; both must equal Program's
-// decision bit for bit, or its error text, and a failing request must
-// leave the memo as it was.
+// request runs twice, a miss and then a hit, and the three variants of a
+// link take turns, so the memo keeps switching lasers. Every answer must
+// equal Program's decision bit for bit, or its error text, and a failing
+// request must leave the memo as it was.
 func TestLaserMemoMatchesProgram(t *testing.T) {
 	cfgs := map[string]core.LinkConfig{}
 	for _, kind := range []noc.Kind{noc.Bus, noc.Ring, noc.Mesh} {
@@ -47,44 +49,57 @@ func TestLaserMemoMatchesProgram(t *testing.T) {
 
 	var memo manager.LaserMemo
 	var fullScale, ceiling, ok int
-	for _, cfg := range cfgs {
-		compiled, err := cfg.Compile()
-		if err != nil {
-			t.Fatal(err)
+	for _, base := range cfgs {
+		hot, dim := base, base
+		hot.Channel.Activity = 0.5
+		dim.Channel.Laser.Eta0 *= 0.9
+		variants := []core.LinkConfig{base, hot, dim}
+		compiled := make([]*core.Compiled, len(variants))
+		for i := range variants {
+			var err error
+			if compiled[i], err = variants[i].Compile(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, code := range ecc.PaperSchemes() {
 			for _, ber := range []float64{1e-6, 1e-9, 1e-11, 1e-12} {
-				ev, err := compiled.Evaluate(code, ber)
-				if err != nil {
-					t.Fatal(err)
+				evs := make([]core.Evaluation, len(variants))
+				for v := range variants {
+					var err error
+					if evs[v], err = compiled[v].Evaluate(code, ber); err != nil {
+						t.Fatal(err)
+					}
 				}
 				for _, bits := range []int{1, 4, 6, 8, 16} {
 					for _, maxW := range []float64{700e-6, 150e-6, 2e-3} {
-						dac := manager.DAC{Bits: bits, MaxOpticalW: maxW}
-						want, werr := manager.Program(dac, &cfg, &ev)
-						for pass := 0; pass < 2; pass++ {
-							held := memo.Len()
-							got, gerr := memo.Program(dac, &cfg, &ev)
-							if werr != nil {
-								if gerr == nil || gerr.Error() != werr.Error() {
-									t.Fatalf("%s at %g, %+v: memo error %v, Program error %v", code.Name(), ber, dac, gerr, werr)
+						for v := range variants {
+							cfg, ev := &variants[v], &evs[v]
+							dac := manager.DAC{Bits: bits, MaxOpticalW: maxW}
+							want, werr := manager.Program(dac, cfg, ev)
+							for pass := 0; pass < 2; pass++ {
+								held := memo.Len()
+								got, gerr := memo.Program(dac, cfg, ev)
+								if werr != nil {
+									if gerr == nil || gerr.Error() != werr.Error() {
+										t.Fatalf("%s at %g, %+v: memo error %v, Program error %v", code.Name(), ber, dac, gerr, werr)
+									}
+									if memo.Len() != held {
+										t.Fatalf("%s at %g, %+v: a failed request changed the memo from %d to %d entries", code.Name(), ber, dac, held, memo.Len())
+									}
+									continue
 								}
-								if memo.Len() != held {
-									t.Fatalf("%s at %g, %+v: a failed request changed the memo from %d to %d entries", code.Name(), ber, dac, held, memo.Len())
+								if gerr != nil || !reflect.DeepEqual(got, want) {
+									t.Fatalf("%s at %g, %+v, pass %d: memo %+v, %v; Program %+v", code.Name(), ber, dac, pass, got, gerr, want)
 								}
-								continue
 							}
-							if gerr != nil || !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s at %g, %+v, pass %d: memo %+v, %v; Program %+v", code.Name(), ber, dac, pass, got, gerr, want)
+							switch {
+							case werr == nil:
+								ok++
+							case strings.Contains(werr.Error(), "exceeds DAC full scale"):
+								fullScale++
+							case strings.Contains(werr.Error(), "quantized setting infeasible"):
+								ceiling++
 							}
-						}
-						switch {
-						case werr == nil:
-							ok++
-						case strings.Contains(werr.Error(), "exceeds DAC full scale"):
-							fullScale++
-						case strings.Contains(werr.Error(), "quantized setting infeasible"):
-							ceiling++
 						}
 					}
 				}

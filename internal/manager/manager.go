@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"photonoc/internal/apierr"
 	"photonoc/internal/core"
@@ -236,26 +237,23 @@ func Program(dac DAC, cfg *core.LinkConfig, ev *core.Evaluation) (Decision, erro
 	}, nil
 }
 
-// laserMemoCap bounds a LaserMemo. A memo holds one entry per (laser,
-// activity, programmed level); a full memo is flushed rather than tracked
-// for recency, since one inversion costs far less than bookkeeping it.
+// laserMemoCap bounds a LaserMemo. A full memo is flushed rather than
+// tracked for recency, since one inversion costs far less than bookkeeping
+// it.
 const laserMemoCap = 1024
 
 // LaserMemo memoizes the laser inversion behind Program. The electrical
 // power of a programmed laser is a pure function of the laser, the chip
 // activity and the quantized optical setting, which takes one of at most
 // 2^Bits values per DAC, so a decision maker that programs many links
-// inverts each setting once. The zero value is an empty memo. A LaserMemo
-// is not safe for concurrent use.
+// inverts each setting once. The memo holds the settings of one (laser,
+// activity) pair, the last one programmed: links of one network, and the
+// candidates of a design-space search, share it. The zero value is an
+// empty memo. A LaserMemo is not safe for concurrent use.
 type LaserMemo struct {
-	m map[laserKey]float64
-}
-
-// laserKey identifies one programmed laser setting.
-type laserKey struct {
 	laser    photonics.Laser
 	activity float64
-	quantW   float64
+	powers   map[uint64]float64 // electrical W by the bits of the quantized optical W
 }
 
 // Program returns Program(dac, cfg, ev), serving the laser's electrical
@@ -267,8 +265,10 @@ func (m *LaserMemo) Program(dac DAC, cfg *core.LinkConfig, ev *core.Evaluation) 
 	if err != nil {
 		return Program(dac, cfg, ev)
 	}
-	k := laserKey{laser: cfg.Channel.Laser, activity: cfg.Channel.Activity, quantW: quantW}
-	if pe, ok := m.m[k]; ok {
+	ch := &cfg.Channel
+	same := m.powers != nil && ch.Laser == m.laser && ch.Activity == m.activity
+	bits := math.Float64bits(quantW)
+	if pe, ok := m.powers[bits]; ok && same {
 		return Decision{
 			Eval:                 *ev,
 			DACCode:              code,
@@ -281,10 +281,14 @@ func (m *LaserMemo) Program(dac DAC, cfg *core.LinkConfig, ev *core.Evaluation) 
 	if err != nil {
 		return d, err
 	}
-	if m.m == nil || len(m.m) >= laserMemoCap {
-		m.m = make(map[laserKey]float64)
+	switch {
+	case m.powers == nil:
+		m.powers = make(map[uint64]float64)
+	case !same || len(m.powers) >= laserMemoCap:
+		clear(m.powers)
 	}
-	m.m[k] = d.QuantizedLaserPowerW
+	m.laser, m.activity = ch.Laser, ch.Activity
+	m.powers[bits] = d.QuantizedLaserPowerW
 	return d, nil
 }
 
