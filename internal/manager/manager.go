@@ -266,7 +266,7 @@ func (m *LaserMemo) Program(dac DAC, cfg *core.LinkConfig, ev *core.Evaluation) 
 		return Program(dac, cfg, ev)
 	}
 	ch := &cfg.Channel
-	same := m.powers != nil && ch.Laser == m.laser && ch.Activity == m.activity
+	same := ch.Laser == m.laser && ch.Activity == m.activity
 	bits := math.Float64bits(quantW)
 	if pe, ok := m.powers[bits]; ok && same {
 		return Decision{
