@@ -38,8 +38,10 @@
 //	res, err := eng.Simulate(ctx, photonoc.DefaultSimConfig())
 //
 // Solved operating points are memoized in an LRU cache keyed by
-// (configuration fingerprint, scheme, target BER), so repeated manager
-// decisions and overlapping sweeps never re-solve the optical budget.
+// (configuration, scheme, target BER), so repeated manager decisions and
+// overlapping sweeps never re-solve the optical budget. The engine interns
+// each configuration fingerprint and scheme name once, to an ID that is
+// never reused; the cache key holds the IDs, not the strings.
 // All Engine calls take a context and honor cancellation; API-boundary
 // failures are typed (ErrInvalidConfig, ErrInvalidInput, ErrInfeasible).
 //
@@ -112,8 +114,9 @@
 // Network and SimulateNetwork solve every (link, scheme) cell on the
 // caller's goroutine, on a pooled, freshly invalidated NoCSession;
 // NetworkSweep hands its BERs to the Engine's worker pool one at a time.
-// Cells are keyed in the LRU by the link's configuration
-// fingerprint — links sharing a compiled plan (every bus link, every
+// Cells are keyed in the LRU by the ID the link's configuration
+// fingerprint was interned to, which the build memo keeps with the link's
+// compiled plan — links sharing a compiled plan (every bus link, every
 // repeated mesh position) reuse each other's solves. Scheme selection per link follows the runtime
 // manager's rule exactly, and a 1-waveguide bus over the paper topology
 // reproduces the single-link sweep bit for bit. Traffic matrices come from
@@ -156,9 +159,9 @@
 // Decide/Aggregate pass needs, so a warmed session evaluation allocates
 // nothing (pinned by an allocation-regression test and a CI gate). A
 // NoCSession (Engine.NewNetworkSession) adds incremental re-evaluation: it
-// diffs each candidate's links against the previous candidate by
-// configuration fingerprint and re-solves only changed (link, scheme, BER)
-// cells, copying the rest forward without touching the cache
+// diffs each candidate's links against the previous candidate by interned
+// configuration ID and re-solves only changed (link, scheme, BER) cells,
+// copying the rest forward without touching the cache
 // (CacheStats.SessionReuses counts them) — bit-identical to a cold
 // evaluation by construction, property-tested across topology kinds and
 // mutation sequences. Engine.NetworkBatch / NetworkBatchStream split a
