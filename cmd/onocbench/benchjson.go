@@ -339,7 +339,7 @@ func runBenchJSON(w io.Writer, cfg photonoc.LinkConfig, workers int) error {
 	// Service throughput: a selfhosted onocd daemon under the closed-loop
 	// load harness (cmd/onocload), warm phase — the working set (the tracked
 	// BER grid) is pre-solved, so the measurement is the serving stack itself:
-	// HTTP + JSON + the memo LRU under concurrent clients.
+	// HTTP + JSON + the memo cache under concurrent clients.
 	_, hs, base, err := onocd.ListenLocal(onocd.Options{Config: cfg, Workers: workers})
 	if err != nil {
 		return err

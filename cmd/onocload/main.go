@@ -13,7 +13,7 @@
 // The working set is the cross product of -bers and the daemon roster; a
 // warm-up pass touches every point once (cold solves), then the measured
 // phase replays it round-robin — the steady serving state where the
-// memo LRU and singleflight coalescing carry the load. The -assert-*
+// memo cache and its coalescing of concurrent misses carry the load. The -assert-*
 // flags turn the run into the CI smoke test: non-zero exit when a request
 // fails or the warm hit rate falls short.
 //

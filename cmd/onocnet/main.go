@@ -233,8 +233,7 @@ type remoteRun struct {
 }
 
 // runRemote executes the invocation against an onocd daemon. The daemon
-// solves every operating point (through its memo cache and
-// singleflight coalescing); the topology geometry is rebuilt locally from
+// solves every operating point (through its coalescing memo cache); the topology geometry is rebuilt locally from
 // the daemon's own link configuration so the header and per-link table
 // describe exactly the network the daemon evaluated, and the results render
 // through the same table code as the in-process path.

@@ -94,7 +94,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		// Remote mode: the daemon owns the link configuration and scheme
 		// roster; the Client is the simulator's core.Evaluator, so every
 		// cache-missing decision becomes one /v1/sweep round trip and every
-		// repeat hits the daemon's memo LRU.
+		// repeat hits the daemon's memo cache.
 		c := onocd.NewClient(*remote)
 		conf, err := c.Config(ctx)
 		if err != nil {

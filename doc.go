@@ -37,7 +37,7 @@
 //	mgr, err := eng.Manager(photonoc.PaperDAC())
 //	res, err := eng.Simulate(ctx, photonoc.DefaultSimConfig())
 //
-// Solved operating points are memoized in an LRU cache keyed by
+// Solved operating points are memoized in a bounded cache keyed by
 // (configuration, scheme, target BER), so repeated manager decisions and
 // overlapping sweeps never re-solve the optical budget. The engine interns
 // each configuration fingerprint and scheme name once, to an ID that is
@@ -114,7 +114,7 @@
 // Network and SimulateNetwork solve every (link, scheme) cell on the
 // caller's goroutine, on a pooled, freshly invalidated NoCSession;
 // NetworkSweep hands its BERs to the Engine's worker pool one at a time.
-// Cells are keyed in the LRU by the ID the link's configuration
+// Cells are keyed in the memo cache by the ID the link's configuration
 // fingerprint was interned to, which the build memo keeps with the link's
 // compiled plan — links sharing a compiled plan (every bus link, every
 // repeated mesh position) reuse each other's solves. Scheme selection per link follows the runtime
@@ -132,7 +132,7 @@
 // same routing table, one MWSR server per link serializing transfers at
 // the link's decided capacity, with token arbitration and waveguide
 // flight charged per hop as pipeline latency. The per-link scheme/DAC
-// decisions ARE the analytic evaluator's, solved through the shared LRU,
+// decisions ARE the analytic evaluator's, solved through the shared cache,
 // so they are bit-identical to the analytic Result's; the simulation core
 // is sequential and seeded, so a fixed seed reproduces every count and
 // percentile across runs and across Worker counts.
@@ -211,7 +211,7 @@
 //
 // # Performance model
 //
-// Solves come in two costs. A warm solve is an LRU cache hit (microseconds).
+// Solves come in two costs. A warm solve is a memo cache hit (microseconds).
 // A cold solve runs the physics through a precompute-then-evaluate pipeline
 // compiled once per configuration generation: each code's FER plan
 // (ln C(n,i) precomputed per plan, incremental binomial-tail recurrence,
@@ -232,7 +232,7 @@
 // The package is a façade over the internal subsystems:
 //
 //   - internal/engine     — the concurrent batch evaluator: sweeps, batches,
-//     LRU memo cache, typed errors (the machinery behind Engine)
+//     memo cache, typed errors (the machinery behind Engine)
 //   - internal/fanout     — the one worker pool: contiguous chunks claimed
 //     in index order by a bounded set of goroutines, first error cancels
 //     the rest
@@ -273,7 +273,7 @@
 //     DTOs over the Engine, a Go client that is itself a core.Evaluator,
 //     and the closed-loop load generator (cmd/onocload); the daemon adds
 //     admission control, per-request deadlines, cold solves coalesced in
-//     the memo LRU, Prometheus-text metrics and SIGHUP hot
+//     the memo cache, Prometheus-text metrics and SIGHUP hot
 //     reload; the client retries retryable failures with backoff behind a
 //     circuit breaker and resumes interrupted NDJSON streams via
 //     ?start_index

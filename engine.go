@@ -58,7 +58,7 @@ type MCResult = mc.Result
 type CacheStats = engine.CacheStats
 
 // Engine is the concurrent entry point of the package: a worker-pool batch
-// evaluator over the (scheme × target-BER) design space with an LRU memo
+// evaluator over the (scheme × target-BER) design space with a memo
 // cache keyed by (configuration fingerprint, scheme, BER), context
 // propagation and typed errors. One Engine owns one immutable link
 // configuration and one scheme roster; it is safe for concurrent use, and
@@ -111,7 +111,7 @@ func WithWorkers(n int) Option { return engine.WithWorkers(n) }
 func WithCache(entries int) Option { return engine.WithCache(entries) }
 
 // Observer receives engine instrumentation events — cold-solve durations,
-// cache hits and misses, singleflight coalesces, session reuses. Hooks run
+// cache hits and misses, coalesced solves, session reuses. Hooks run
 // synchronously on the solve path from many goroutines; implementations must
 // be concurrency-safe and cheap. See WithObserver.
 type Observer = engine.Observer

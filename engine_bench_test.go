@@ -253,7 +253,7 @@ func BenchmarkTune(b *testing.B) {
 // BenchmarkManagerDecision compares per-request manager latency: a
 // standalone manager over the uncached compiled solver (every decision
 // re-solves the roster) against an engine-backed manager sharing the
-// sweep-warmed LRU.
+// sweep-warmed memo cache.
 func BenchmarkManagerDecision(b *testing.B) {
 	req := Requirements{TargetBER: 1e-11, Objective: MinEnergy}
 	b.Run("standalone", func(b *testing.B) {

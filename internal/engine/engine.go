@@ -29,7 +29,7 @@ type Engine struct {
 	compiled    *core.Compiled
 	schemes     []ecc.Code
 	workers     int
-	cache       *lruCache // nil when disabled via WithCache(0)
+	cache       *memo[cacheKey, core.Evaluation] // nil when disabled via WithCache(0)
 	fingerprint string
 
 	// obs receives instrumentation events; nil (the default) disables the
@@ -60,9 +60,9 @@ type Engine struct {
 	// served from e.compiled instead), and built topologies with their
 	// links' plans, so repeated evaluations of one network never re-derive
 	// links or routes and never look a link up by fingerprint.
-	plans    registry[string, *schemePlan]
-	netPlans registry[string, linkPlan]
-	netBuilt registry[netBuildKey, *builtNet]
+	plans    memo[string, *schemePlan]
+	netPlans memo[string, linkPlan]
+	netBuilt memo[netBuildKey, *builtNet]
 
 	// lastID is the last interned ID handed out. The counter never resets:
 	// a registry that is flushed and meets a configuration again stamps it
@@ -78,22 +78,19 @@ type Engine struct {
 type schemePlan struct {
 	id     uint64
 	plan   *ecc.FERPlan
-	points registry[uint64, core.CodePoint]
+	points memo[uint64, core.CodePoint]
 }
 
 // evaluate solves the scheme at targetBER on one compiled link, solving
 // the code side once per target BER. Errors are not memoized.
 func (sp *schemePlan) evaluate(compiled *core.Compiled, targetBER float64) (core.Evaluation, error) {
-	bits := math.Float64bits(targetBER)
-	pt, ok := sp.points.lookup(bits)
-	if !ok {
-		var err error
-		if pt, err = core.SolveCodePoint(sp.plan, targetBER); err != nil {
-			return core.Evaluation{}, err
-		}
-		pt = sp.points.add(bits, pt)
+	pt, _, err := sp.points.do(math.Float64bits(targetBER), func() (core.CodePoint, error) {
+		return core.SolveCodePoint(sp.plan, targetBER)
+	})
+	if err != nil {
+		return core.Evaluation{}, err
 	}
-	return compiled.EvaluatePoint(sp.plan.Code(), targetBER, pt)
+	return compiled.EvaluatePoint(sp.plan.Code(), targetBER, *pt)
 }
 
 // linkPlan is one interned link configuration: the ID the memo cache keys
@@ -216,9 +213,12 @@ func New(opts ...Option) (*Engine, error) {
 		workers:     s.workers,
 		fingerprint: core.Fingerprint(cfgCopy),
 		obs:         s.obs,
+		plans:       memo[string, *schemePlan]{capacity: registryCap},
+		netPlans:    memo[string, linkPlan]{capacity: registryCap},
+		netBuilt:    memo[netBuildKey, *builtNet]{capacity: registryCap},
 	}
 	if s.cacheEntries > 0 {
-		e.cache = newLRUCache(s.cacheEntries)
+		e.cache = &memo[cacheKey, core.Evaluation]{capacity: s.cacheEntries}
 	}
 	return e, nil
 }
@@ -253,9 +253,9 @@ func (e *Engine) CacheStats() CacheStats {
 	s.ColdSolveTime = time.Duration(e.coldSolveNS.Load())
 	s.SharedSolves = e.sharedSolves.Load()
 	s.SessionReuses = e.sessionReuses.Load()
-	s.FERPlans = e.plans.len()
-	s.LinkPlans = e.netPlans.len()
-	s.Networks = e.netBuilt.len()
+	s.FERPlans = e.plans.stats().Entries
+	s.LinkPlans = e.netPlans.stats().Entries
+	s.Networks = e.netBuilt.stats().Entries
 	return s
 }
 
@@ -263,10 +263,14 @@ func (e *Engine) CacheStats() CacheStats {
 // plan on first use. Schemes are identified by name: two distinct codes must
 // not share one.
 func (e *Engine) schemeFor(code ecc.Code) *schemePlan {
-	if sp, ok := e.plans.lookup(code.Name()); ok {
-		return sp
-	}
-	return e.plans.add(code.Name(), &schemePlan{id: e.lastID.Add(1), plan: ecc.PlanFor(code)})
+	sp, _, _ := e.plans.do(code.Name(), func() (*schemePlan, error) {
+		return &schemePlan{
+			id:     e.lastID.Add(1),
+			plan:   ecc.PlanFor(code),
+			points: memo[uint64, core.CodePoint]{capacity: registryCap},
+		}, nil
+	})
+	return *sp
 }
 
 // solveCold runs a compiled pipeline for one grid point, accounting the
@@ -317,8 +321,8 @@ func (e *Engine) Evaluate(ctx context.Context, code ecc.Code, targetBER float64)
 // evaluateCompiled solves one operating point of one interned link
 // configuration into dst through the memo cache, keyed by the link's and the
 // scheme's interned IDs. The engine's own configuration (ID 0) and every
-// per-link network configuration share this path — and therefore the LRU
-// — without aliasing. Concurrent identical misses coalesce onto one
+// per-link network configuration share this path — and therefore the memo
+// cache — without aliasing. Concurrent identical misses coalesce onto one
 // compiled solve inside the cache, the rest sharing its result
 // (CacheStats.SharedSolves). With the cache disabled every solve is cold
 // and uncoalesced — that is the benchmark configuration, where each call

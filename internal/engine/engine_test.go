@@ -209,11 +209,11 @@ func TestColdSolveTiming(t *testing.T) {
 	}
 }
 
-// TestLRUEviction: a cache of capacity c holds c distinct keys without
-// evicting any, and key c+1 evicts exactly the least recently used one —
-// for a tiny cache and for the default capacity, which is one LRU, not
-// partitions that evict before the whole budget is used.
-func TestLRUEviction(t *testing.T) {
+// TestMemoFlush: a cache of capacity c holds c distinct keys without
+// dropping any, and key c+1 flushes every published entry, keeping only
+// itself — for a tiny cache and for the default capacity, which is one
+// memo, not partitions that flush before the whole budget is used.
+func TestMemoFlush(t *testing.T) {
 	ctx := context.Background()
 	code := ecc.MustHamming74()
 	for _, capacity := range []int{2, DefaultCacheEntries} {
@@ -221,7 +221,7 @@ func TestLRUEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bers := make([]float64, capacity+1) // distinct keys, oldest first
+		bers := make([]float64, capacity+1) // distinct keys
 		for i := range bers {
 			bers[i] = 1e-10 * (1 + float64(i)/float64(capacity))
 		}
@@ -237,21 +237,23 @@ func TestLRUEviction(t *testing.T) {
 		if s := e.CacheStats(); s.Entries != capacity || s.Misses != uint64(capacity) || s.Capacity != capacity {
 			t.Fatalf("capacity %d, after fill: %+v", capacity, s)
 		}
-		eval(bers[capacity])
-		if s := e.CacheStats(); s.Entries != capacity || s.Misses != uint64(capacity+1) {
-			t.Fatalf("capacity %d, one key past the fill: %+v", capacity, s)
-		}
-		// Every key but the oldest stayed resident and hits.
-		for _, ber := range bers[1:] {
+		// A full cache keeps every key resident: each one hits.
+		for _, ber := range bers[:capacity] {
 			eval(ber)
 		}
-		if s := e.CacheStats(); s.Hits != uint64(capacity) || s.Misses != uint64(capacity+1) {
-			t.Errorf("capacity %d: resident keys should all hit: %+v", capacity, s)
+		if s := e.CacheStats(); s.Hits != uint64(capacity) || s.Misses != uint64(capacity) {
+			t.Fatalf("capacity %d: resident keys should all hit: %+v", capacity, s)
 		}
-		// The oldest was evicted: re-solving it misses.
+		// Key c+1 flushes the published entries and stays resident itself.
+		eval(bers[capacity])
+		eval(bers[capacity])
+		if s := e.CacheStats(); s.Entries != 1 || s.Hits != uint64(capacity+1) || s.Misses != uint64(capacity+1) {
+			t.Fatalf("capacity %d, one key past the fill: %+v", capacity, s)
+		}
+		// A flushed key is solved again: it misses.
 		eval(bers[0])
-		if s := e.CacheStats(); s.Misses != uint64(capacity+2) {
-			t.Errorf("capacity %d: evicted key should re-miss: %+v", capacity, s)
+		if s := e.CacheStats(); s.Entries != 2 || s.Misses != uint64(capacity+2) || s.ColdSolves != s.Misses {
+			t.Errorf("capacity %d: flushed key should re-miss: %+v", capacity, s)
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // they shared it.
 func TestFlightGroupCoalesces(t *testing.T) {
 	const followers = 16
-	c := newLRUCache(8)
+	c := &memo[cacheKey, core.Evaluation]{capacity: 8}
 	key := cacheKey{link: 1, scheme: 2, ber: math.Float64bits(1e-11)}
 
 	leaderEntered := make(chan struct{})
@@ -90,7 +90,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 // waitMisses blocks until the cache has counted n misses: every caller
 // counts its miss before it waits on a pending entry, so this is how a test
 // knows its followers have joined.
-func waitMisses(t *testing.T, c *lruCache, n uint64) {
+func waitMisses(t *testing.T, c *memo[cacheKey, core.Evaluation], n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for c.stats().Misses < n {
@@ -104,7 +104,7 @@ func waitMisses(t *testing.T, c *lruCache, n uint64) {
 // TestFlightGroupPropagatesError: a failing solve is not memoized, and
 // nothing is retried implicitly — the next call solves afresh.
 func TestFlightGroupPropagatesError(t *testing.T) {
-	c := newLRUCache(8)
+	c := &memo[cacheKey, core.Evaluation]{capacity: 8}
 	key := cacheKey{link: 1, scheme: 2, ber: math.Float64bits(1e-9)}
 	boom := errors.New("boom")
 	if _, how, err := c.do(key, func() (core.Evaluation, error) {
@@ -128,7 +128,7 @@ func TestFlightGroupPropagatesError(t *testing.T) {
 // completes while key A's solve is still running must not evict A's pending
 // entry — a second A caller shares A's solve instead of running another.
 func TestFlightPendingSurvivesEviction(t *testing.T) {
-	c := newLRUCache(1)
+	c := &memo[cacheKey, core.Evaluation]{capacity: 1}
 	keyA := cacheKey{link: 1, scheme: 2, ber: math.Float64bits(1e-11)}
 	keyB := cacheKey{link: 1, scheme: 3, ber: math.Float64bits(1e-11)}
 	wantA := core.Evaluation{TargetBER: 1e-11, CT: 2}

@@ -39,7 +39,7 @@ type NetworkSimOptions struct {
 
 // SimulateNetwork runs the network-scale discrete-event simulator over a
 // topology: the (link × scheme) lattice at the target BER is solved on the
-// caller's goroutine (every solve keyed in the shared LRU by the link's
+// caller's goroutine (every solve keyed in the shared memo cache by the link's
 // interned configuration ID, exactly like Network/NetworkSweep), the
 // per-link winners are decided as Network decides them — so the simulated
 // scheme/DAC decisions are bit-identical to the analytic evaluator's — and

@@ -129,7 +129,7 @@ func TestSimulateNetworkDeterministicAcrossWorkers(t *testing.T) {
 // bit-identical to the analytic Network's — byte for byte, quantized laser
 // power and DAC code included — because both come from one
 // noc.EvalSession.Decide over the lattice solved through the engine's
-// shared LRU.
+// shared memo cache.
 func TestSimulateNetworkDecisionsMatchDecide(t *testing.T) {
 	e := newNetEngine(t, ecc.PaperSchemes())
 	topo := noc.Config{Kind: noc.Mesh, Tiles: 16}
@@ -159,7 +159,7 @@ func TestSimulateNetworkDecisionsMatchDecide(t *testing.T) {
 }
 
 // TestSimulateNetworkSharesCache: solving the degenerate bus for the
-// simulator is served from the LRU a plain single-link sweep already
+// simulator is served from the memo cache a plain single-link sweep already
 // primed — zero additional cold solves, the decisions literally come out
 // of the same cache entries as every other engine path.
 func TestSimulateNetworkSharesCache(t *testing.T) {

@@ -62,26 +62,26 @@ func (e *Engine) build(cfg noc.Config) (*builtNet, error) {
 		baseFP = core.Fingerprint(cfg.Base)
 	}
 	key := netBuildKey{kind: cfg.Kind, tiles: cfg.Tiles, columns: cfg.Columns, pitchCM: cfg.TilePitchCM, baseFP: baseFP}
-	if b, ok := e.netBuilt.lookup(key); ok {
-		return b, nil
-	}
-	// Adopt the engine configuration only on a memo miss: the copy
-	// allocates, and the warm path — every steady-state session
-	// evaluation — must not.
-	if adoptBase {
-		cfg.Base = e.Config()
-	}
-	net, err := noc.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	b := &builtNet{net: net, links: make([]linkPlan, net.NumLinks())}
-	for l := range b.links {
-		if b.links[l], err = e.linkPlanFor(net.LinkRef(l)); err != nil {
-			return nil, err
+	b, _, err := e.netBuilt.do(key, func() (*builtNet, error) {
+		// Adopt the engine configuration only on a memo miss: the copy
+		// allocates, and the warm path — every steady-state session
+		// evaluation — must not.
+		if adoptBase {
+			cfg.Base = e.Config()
 		}
-	}
-	return e.netBuilt.add(key, b), nil
+		net, err := noc.Build(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+		}
+		b := &builtNet{net: net, links: make([]linkPlan, net.NumLinks())}
+		for l := range b.links {
+			if b.links[l], err = e.linkPlanFor(net.LinkRef(l)); err != nil {
+				return nil, err
+			}
+		}
+		return b, nil
+	})
+	return *b, err
 }
 
 // linkPlanFor interns one link's configuration by fingerprint, compiling
@@ -92,15 +92,15 @@ func (e *Engine) linkPlanFor(l *noc.Link) (linkPlan, error) {
 	if l.Fingerprint == e.fingerprint {
 		return linkPlan{compiled: e.compiled}, nil
 	}
-	if lp, ok := e.netPlans.lookup(l.Fingerprint); ok {
-		return lp, nil
-	}
-	cfg := l.Config
-	c, err := cfg.Compile()
-	if err != nil {
-		return linkPlan{}, fmt.Errorf("%w: link %d: %v", ErrInvalidConfig, l.ID, err)
-	}
-	return e.netPlans.add(l.Fingerprint, linkPlan{id: e.lastID.Add(1), compiled: c}), nil
+	lp, _, err := e.netPlans.do(l.Fingerprint, func() (linkPlan, error) {
+		cfg := l.Config
+		c, err := cfg.Compile()
+		if err != nil {
+			return linkPlan{}, fmt.Errorf("%w: link %d: %v", ErrInvalidConfig, l.ID, err)
+		}
+		return linkPlan{id: e.lastID.Add(1), compiled: c}, nil
+	})
+	return *lp, err
 }
 
 // Network evaluates one topology at opts.TargetBER: every link is solved

@@ -170,7 +170,7 @@ func TestNetworkSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestNetworkCacheReuseAcrossLinks asserts the cache-reuse half of the
-// acceptance criterion: links sharing a compiled plan hit the LRU instead
+// acceptance criterion: links sharing a compiled plan hit the memo cache instead
 // of re-solving. On the degenerate bus all 12 links share the engine's own
 // fingerprint, so exactly one cold solve runs per (scheme, BER).
 func TestNetworkCacheReuseAcrossLinks(t *testing.T) {

@@ -31,7 +31,7 @@ type Observer interface {
 	// pipeline, and for every solve when the cache is disabled.
 	ColdSolve(ctx context.Context, scheme string, d time.Duration)
 
-	// CacheHit reports a memo-cache hit. The cache is one LRU, so shard is
+	// CacheHit reports a memo-cache hit. The cache is one memo, so shard is
 	// always 0; the argument keeps existing implementations compiling.
 	CacheHit(ctx context.Context, shard int)
 

@@ -29,7 +29,7 @@ type NetworkCandidate struct {
 // appeared in the previous candidate (same roster, same target BER) reuses
 // that candidate's solved evaluations outright — no pipeline, no
 // memo-cache lookup — and only the changed (link, scheme, BER) cells are
-// solved, through the engine's coalescing LRU.
+// solved, through the engine's coalescing memo cache.
 // Results are bit-identical to a cold full evaluation: reused cells carry
 // the exact values the same (link, scheme, BER) solve produces, and
 // Decide/Aggregate run the identical code either way.

@@ -1,18 +1,14 @@
 // Package faultinject is the deterministic chaos layer of the serving
-// stack. One seeded Injector drives both sides of the wire: as onocd
-// middleware it delays, rejects (429/503 envelopes), resets, or truncates
-// responses mid-stream; as an http.RoundTripper wrapper it does the same to
-// a client without a server in the loop. Every fault decision is one draw
-// from a single mutex-guarded RNG, so a given seed replays the same fault
-// mix — the CI chaos gate depends on that. The injector is never built in
+// stack. One seeded Injector, as onocd middleware, delays, rejects
+// (429/503 envelopes), resets, or truncates responses mid-stream. Every
+// fault decision is one draw from a single mutex-guarded RNG, so a given
+// seed replays the same fault mix — the CI chaos gate depends on that. The injector is never built in
 // the default path: onocd only constructs one when -fault-rate > 0.
 package faultinject
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -22,11 +18,6 @@ import (
 	"photonoc/internal/apierr"
 	"photonoc/internal/obs"
 )
-
-// ErrInjectedReset is the transport-level error surfaced by the client-side
-// wrapper when a reset fault fires: the request never reaches the wrapped
-// transport, mimicking a connection torn down before the response.
-var ErrInjectedReset = fmt.Errorf("faultinject: injected connection reset")
 
 // Rates holds per-fault-mode probabilities. They are cumulative in spirit:
 // on each request a single uniform draw lands in at most one mode, so the
@@ -317,91 +308,3 @@ func (w *truncWriter) Flush() {
 		f.Flush()
 	}
 }
-
-// Transport wraps an http.RoundTripper with the same fault model, for
-// exercising a client without a faulty server. Reset faults fail before the
-// wrapped transport runs; truncate faults cut the real response body so it
-// ends in io.ErrUnexpectedEOF.
-func (inj *Injector) Transport(next http.RoundTripper) http.RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return &transport{inj: inj, next: next}
-}
-
-type transport struct {
-	inj  *Injector
-	next http.RoundTripper
-}
-
-func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	// Streaming-ness is keyed off the Accept header the onocd client sets
-	// for NDJSON routes.
-	streaming := req.Header.Get("Accept") == "application/x-ndjson"
-	k, budget := t.inj.decide(streaming)
-	if k != none {
-		t.inj.logFault(k.String(), req.URL.Path, req.Header.Get("Traceparent"))
-	}
-	switch k {
-	case latency:
-		time.Sleep(t.inj.opts.Latency)
-	case reject:
-		status, body := envelopeBody(apierr.ErrOverloaded)
-		resp := synthetic(req, status, body)
-		resp.Header.Set("Retry-After", t.inj.opts.RetryAfter)
-		return resp, nil
-	case unavailable:
-		status, body := envelopeBody(apierr.ErrUnavailable)
-		return synthetic(req, status, body), nil
-	case reset:
-		if req.Body != nil {
-			req.Body.Close()
-		}
-		return nil, ErrInjectedReset
-	}
-	resp, err := t.next.RoundTrip(req)
-	if err == nil && k == truncate {
-		resp.Body = &truncBody{rc: resp.Body, remaining: budget}
-		resp.ContentLength = -1
-	}
-	return resp, err
-}
-
-// synthetic builds an injected JSON response without touching the network.
-func synthetic(req *http.Request, status int, body []byte) *http.Response {
-	h := make(http.Header)
-	h.Set("Content-Type", "application/json")
-	return &http.Response{
-		Status:        fmt.Sprintf("%d %s", status, http.StatusText(status)),
-		StatusCode:    status,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        h,
-		Body:          io.NopCloser(bytes.NewReader(body)),
-		ContentLength: int64(len(body)),
-		Request:       req,
-	}
-}
-
-// truncBody passes through the real body until the budget runs out, then
-// reports io.ErrUnexpectedEOF — exactly what a torn connection looks like
-// to a reader.
-type truncBody struct {
-	rc        io.ReadCloser
-	remaining int
-}
-
-func (b *truncBody) Read(p []byte) (int, error) {
-	if b.remaining <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if len(p) > b.remaining {
-		p = p[:b.remaining]
-	}
-	n, err := b.rc.Read(p)
-	b.remaining -= n
-	return n, err
-}
-
-func (b *truncBody) Close() error { return b.rc.Close() }

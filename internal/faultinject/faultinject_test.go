@@ -178,67 +178,6 @@ func TestMiddlewareTruncateCutsBody(t *testing.T) {
 	}
 }
 
-// TestTransportFaults: the client-side wrapper synthesizes the same fault
-// model without a server.
-func TestTransportFaults(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, strings.Repeat("data\n", 100))
-	}))
-	defer backend.Close()
-
-	t.Run("reject", func(t *testing.T) {
-		inj := New(Options{Rates: Rates{Reject: 1}, RetryAfter: "1"})
-		c := &http.Client{Transport: inj.Transport(nil)}
-		resp, err := c.Get(backend.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 429 || resp.Header.Get("Retry-After") != "1" {
-			t.Fatalf("status %d Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
-		}
-	})
-	t.Run("reset", func(t *testing.T) {
-		inj := New(Options{Rates: Rates{Reset: 1}})
-		c := &http.Client{Transport: inj.Transport(nil)}
-		_, err := c.Get(backend.URL)
-		if err == nil || !strings.Contains(err.Error(), "injected connection reset") {
-			t.Fatalf("err = %v, want injected reset", err)
-		}
-	})
-	t.Run("truncate", func(t *testing.T) {
-		inj := New(Options{Rates: Rates{Truncate: 1}, TruncateMinBytes: 37, TruncateSpanBytes: 1})
-		req, _ := http.NewRequest("GET", backend.URL, nil)
-		req.Header.Set("Accept", "application/x-ndjson")
-		c := &http.Client{Transport: inj.Transport(nil)}
-		resp, err := c.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("read err = %v, want io.ErrUnexpectedEOF", err)
-		}
-		if len(body) != 37 {
-			t.Fatalf("read %d bytes before the cut, want 37", len(body))
-		}
-	})
-	t.Run("no-fault passthrough", func(t *testing.T) {
-		inj := New(Options{}) // zero rates: everything serves normally
-		c := &http.Client{Transport: inj.Transport(nil)}
-		resp, err := c.Get(backend.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || len(body) != 500 {
-			t.Fatalf("body %d bytes err %v", len(body), err)
-		}
-	})
-}
-
 // decodeBody unmarshals a JSON body string.
 func decodeBody(s string, v any) error {
 	return json.Unmarshal([]byte(s), v)

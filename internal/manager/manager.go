@@ -109,7 +109,7 @@ type Manager struct {
 	schemes []ecc.Code
 	dac     DAC
 	// eval performs (and typically memoizes) the link solves — the engine
-	// layer passes itself here so manager decisions share the engine's LRU
+	// layer passes itself here so manager decisions share the engine's memo
 	// cache with sweeps and the traffic simulator.
 	eval core.Evaluator
 }

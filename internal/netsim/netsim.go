@@ -31,7 +31,7 @@
 // topologies (RunNetwork/RunNetworkTrace) add Poisson injection from a
 // traffic matrix, XY multi-hop forwarding, bounded or unbounded queues, and
 // static per-link decisions from noc.EvalSession.Decide (the engine layer
-// solves them through its shared LRU), which makes the results comparable
+// solves them through its shared memo cache), which makes the results comparable
 // decision for decision with the analytic aggregates they cross-validate.
 package netsim
 

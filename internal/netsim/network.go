@@ -13,7 +13,7 @@ import (
 
 // NetConfig drives one network-scale discrete-event simulation: a built
 // topology, the per-link operating points chosen by noc.EvalSession.Decide
-// (the engine layer solves them through its shared LRU and passes them in,
+// (the engine layer solves them through its shared memo cache and passes them in,
 // so the simulator's scheme/DAC decisions are bit-identical to the analytic
 // evaluator's), and a synthetic workload drawn from a traffic matrix.
 type NetConfig struct {

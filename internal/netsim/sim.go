@@ -45,8 +45,11 @@ func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (
 	if err := tr.Validate(n); err != nil {
 		return Results{}, err
 	}
-	if _, err := manager.NewWithEvaluator(&cfg.Link, cfg.Schemes, cfg.DAC, ev); err != nil {
-		return Results{}, err // a nil evaluator or an invalid DAC
+	if ev == nil {
+		return Results{}, fmt.Errorf("%w: netsim: nil evaluator", apierr.ErrInvalidConfig)
+	}
+	if err := cfg.DAC.Validate(); err != nil {
+		return Results{}, fmt.Errorf("%w: %v", apierr.ErrInvalidConfig, err)
 	}
 	nw := float64(topo.Wavelengths)
 	capacity := nw * cfg.Link.FmodHz

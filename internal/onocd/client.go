@@ -266,7 +266,7 @@ func (c *Client) NetworkSweep(ctx context.Context, req NoCRequest, fn func(int, 
 	if err != nil {
 		return fmt.Errorf("onocd: encode sweep request: %w", err)
 	}
-	return c.streamNoC(ctx, "/v1/noc/sweep", "application/json", raw, len(req.TargetBERs),
+	return streamItems(c, ctx, "/v1/noc/sweep", "application/json", raw, len(req.TargetBERs),
 		func(item NoCStreamItem) error {
 			if item.Partial {
 				return fmt.Errorf("onocd: unexpected partial item %d on /v1/noc/sweep", item.Index)
@@ -303,11 +303,6 @@ func (i NoCTuneItem) itemIndex() int { return i.Index }
 
 // terminal implements wireStreamItem: every tune error line is terminal.
 func (i NoCTuneItem) terminal() *apierr.ErrorBody { return i.Error }
-
-// streamNoC runs one resumable NoCStreamItem call; see streamItems.
-func (c *Client) streamNoC(ctx context.Context, path, contentType string, body []byte, expect int, onItem func(NoCStreamItem) error) error {
-	return streamItems(c, ctx, path, contentType, body, expect, onItem)
-}
 
 // streamItems runs one resumable NDJSON stream call: POST body to path,
 // scan item lines through onItem, and on interruption reconnect with
@@ -473,7 +468,7 @@ func (c *Client) NetworkBatch(ctx context.Context, items []NoCBatchItem, fn func
 	if err != nil {
 		return err
 	}
-	return c.streamNoC(ctx, "/v1/noc/batch", "application/x-ndjson", body, len(items),
+	return streamItems(c, ctx, "/v1/noc/batch", "application/x-ndjson", body, len(items),
 		func(item NoCStreamItem) error {
 			if item.Partial {
 				return fmt.Errorf("onocd: unexpected partial item %d on strict /v1/noc/batch", item.Index)
@@ -501,7 +496,7 @@ func (c *Client) NetworkBatchPartial(ctx context.Context, items []NoCBatchItem, 
 	}
 	var fails []*engine.CandidateError
 	seen := make(map[int]bool)
-	err = c.streamNoC(ctx, "/v1/noc/batch?continue_on_error=1", "application/x-ndjson", body, len(items),
+	err = streamItems(c, ctx, "/v1/noc/batch?continue_on_error=1", "application/x-ndjson", body, len(items),
 		func(item NoCStreamItem) error {
 			if item.Partial {
 				// Defensive dedupe: the server does not replay partial
@@ -550,7 +545,7 @@ func (c *Client) Validate(ctx context.Context, req ValidateRequest) (mc.Result, 
 
 // Evaluate implements core.Evaluator against the daemon: one (scheme,
 // target BER) point via a single-cell sweep, answered from the daemon's
-// singleflight-coalesced memo LRU.
+// coalescing memo cache.
 func (c *Client) Evaluate(ctx context.Context, code ecc.Code, targetBER float64) (core.Evaluation, error) {
 	resp, err := c.Sweep(ctx, SweepRequest{Schemes: []string{code.Name()}, TargetBERs: []float64{targetBER}})
 	if err != nil {

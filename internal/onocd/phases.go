@@ -11,7 +11,7 @@ import (
 
 // PhaseBreakdown splits a run's engine work into its serving phases, scraped
 // from the daemon's /metrics page: cold solves (the compiled pipeline ran),
-// warm hits (the memo LRU answered), coalesced solves (singleflight
+// warm hits (the memo cache answered), coalesced solves (a miss
 // joined an in-flight solve) and session reuses (incremental diffing skipped
 // per-cell work). The load harness and the tracked benchmark report both
 // record it, so BENCH_cold_sweep.json shows where a serving run's time went.

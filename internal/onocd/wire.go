@@ -1,7 +1,7 @@
 // Package onocd is the production evaluation service over the photonoc
 // Engine: an HTTP/JSON daemon (stdlib net/http only) serving sweep, decide,
 // network-evaluate, network-simulate and Monte-Carlo-validate queries at
-// high concurrency, with request coalescing and the memo LRU underneath,
+// high concurrency, with request coalescing and the memo cache underneath,
 // per-request deadlines, semaphore admission control (429 + Retry-After),
 // Prometheus-text metrics, hot config reload and graceful drain. cmd/onocd
 // wraps it in a daemon; cmd/onocload drives it with a closed-loop load
