@@ -58,7 +58,8 @@ type BenchMetric struct {
 	// autotuner workload; set on the noc_batch* metrics (noc_batch is
 	// the incremental batch evaluator, noc_batch_cold the per-candidate
 	// cold baseline it is measured against) and on noc_tune, where it
-	// counts the campaign's particles × generations evaluations.
+	// counts the campaign's particles × generations evaluations, the
+	// repeats a campaign copies from its design memo included.
 	CandidatesPerSec float64 `json:"candidates_per_sec,omitempty"`
 	// FrontSize is the final Pareto-front size of the tracked seeded
 	// autotuner campaign; set only on the noc_tune metric. The campaign is

@@ -199,8 +199,10 @@
 //		fmt.Println(p.Spec.String(), p.EnergyPerBitJ, p.P99LatencySec)
 //	}
 //
-// Each generation evaluates the whole swarm as one Engine.NetworkBatchEach
-// population, so neighboring particles ride the incremental sessions.
+// Each generation evaluates the designs not seen earlier in the campaign as
+// one Engine.NetworkBatchEach population, so neighboring designs ride the
+// incremental sessions; a particle on a design already seen copies its
+// score.
 // Campaigns are bit-identical across Engine worker counts from the root
 // seed; infeasible candidates are counted and skipped, never fatal; and
 // every archived point's Spec rebuilds a candidate whose independent

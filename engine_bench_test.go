@@ -225,7 +225,8 @@ func BenchmarkNetworkBatch(b *testing.B) {
 // BenchmarkTune runs the tracked noc_tune campaign: a seeded 8-particle ×
 // 5-generation swarm over the default design space, evaluated through the
 // incremental batch path. Candidate throughput (cand/s) counts the 40
-// evaluations each campaign performs.
+// particle evaluations of each campaign, the repeats it copies from its
+// design memo included.
 func BenchmarkTune(b *testing.B) {
 	eng, err := New()
 	if err != nil {

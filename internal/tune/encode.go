@@ -187,22 +187,44 @@ func (sp *space) trafficFor(tiles int) (noc.Matrix, error) {
 	return m, nil
 }
 
-// decode maps a particle position to its design spec and the evaluation
-// candidate the engine batch runs. Positions that decode to a topology the
-// wavelength grid cannot carry still decode — the engine reports them as
-// typed per-candidate errors and the campaign treats them as infeasible.
-func (sp *space) decode(pos []float64) (CandidateSpec, engine.NetworkCandidate, error) {
+// designKey is the identity of one decoded design: the chosen bin of every
+// dimension, with the column bin zeroed for non-mesh kinds, which have no
+// columns. Positions with equal keys decode to identical candidates. Each
+// bin is an int32 because the tile and roster choice lists come off the
+// wire, bounded only by the request body, and may hold more than 256
+// entries.
+type designKey [dims]int32
+
+// bins maps a particle position to its design key without allocating once
+// the divisors of its tile count are memoized.
+func (sp *space) bins(pos []float64) designKey {
+	var k designKey
+	k[dimKind] = int32(pick(pos[dimKind], len(sp.kinds)))
+	k[dimTiles] = int32(pick(pos[dimTiles], len(sp.tiles)))
+	k[dimWavelengths] = int32(pick(pos[dimWavelengths], len(sp.wavelengths)))
+	k[dimRoster] = int32(pick(pos[dimRoster], len(sp.rosters)))
+	k[dimDAC] = int32(pick(pos[dimDAC], len(sp.dacBits)))
+	if sp.kinds[k[dimKind]] == noc.Mesh {
+		k[dimColumns] = int32(pick(pos[dimColumns], len(sp.divisorsOf(sp.tiles[k[dimTiles]]))))
+	}
+	return k
+}
+
+// decode maps a design key to its spec and the evaluation candidate the
+// engine batch runs. Designs the wavelength grid cannot carry still decode
+// — the engine reports them as typed per-candidate errors and the campaign
+// treats them as infeasible.
+func (sp *space) decode(k designKey) (CandidateSpec, engine.NetworkCandidate, error) {
 	spec := CandidateSpec{
-		Kind:        sp.kinds[pick(pos[dimKind], len(sp.kinds))],
-		Tiles:       sp.tiles[pick(pos[dimTiles], len(sp.tiles))],
-		Wavelengths: sp.wavelengths[pick(pos[dimWavelengths], len(sp.wavelengths))],
-		DACBits:     sp.dacBits[pick(pos[dimDAC], len(sp.dacBits))],
+		Kind:        sp.kinds[k[dimKind]],
+		Tiles:       sp.tiles[k[dimTiles]],
+		Wavelengths: sp.wavelengths[k[dimWavelengths]],
+		DACBits:     sp.dacBits[k[dimDAC]],
 	}
 	if spec.Kind == noc.Mesh {
-		div := sp.divisorsOf(spec.Tiles)
-		spec.Columns = div[pick(pos[dimColumns], len(div))]
+		spec.Columns = sp.divisorsOf(spec.Tiles)[k[dimColumns]]
 	}
-	roster := sp.rosters[pick(pos[dimRoster], len(sp.rosters))]
+	roster := sp.rosters[k[dimRoster]]
 	spec.Roster = make([]string, len(roster))
 	for i, c := range roster {
 		spec.Roster[i] = c.Name()

@@ -5,10 +5,12 @@
 // saturation throughput) operating points.
 //
 // Each particle is a continuous position in [0, 1]^6 decoded into a
-// discrete design (see encode.go). Every generation decodes the whole
-// swarm and evaluates it as one Engine.NetworkBatchEach population, so
-// neighboring particles ride the engine's per-worker incremental sessions
-// and the fingerprint-diff reuse of the zero-alloc fast path. Survivors
+// discrete design (see encode.go). Every generation evaluates the designs
+// not seen earlier in the campaign as one Engine.NetworkBatchEach
+// population, in particle order, so neighboring designs ride the engine's
+// per-worker incremental sessions and the fingerprint-diff reuse of the
+// zero-alloc fast path; a particle on a design already seen copies its
+// score, since an evaluation is a pure function of its candidate. Survivors
 // feed a bounded Pareto archive with crowding-distance pruning; the
 // archive's spread leaders pull the swarm's social term.
 //
@@ -134,10 +136,12 @@ type Result struct {
 	// Generations and Particles echo the campaign shape.
 	Generations int
 	Particles   int
-	// Evaluated counts candidate evaluations (particles × generations);
-	// Infeasible counts the ones that produced no archivable point —
-	// designs the wavelength grid cannot carry, rosters that cannot close
-	// a link at the target BER, DACs that cannot program the winner.
+	// Evaluated counts candidate evaluations (particles × generations),
+	// repeats of a design already seen included, though each distinct
+	// design reaches the engine once; Infeasible counts the ones that
+	// produced no archivable point — designs the wavelength grid cannot
+	// carry, rosters that cannot close a link at the target BER, DACs that
+	// cannot program the winner.
 	Evaluated  int
 	Infeasible int
 }
@@ -158,6 +162,13 @@ type particle struct {
 type score struct {
 	feasible               bool
 	energy, p99, saturated float64
+}
+
+// design is one distinct design of a campaign: its decoded spec and, once
+// its batch has run, its score.
+type design struct {
+	spec  CandidateSpec
+	score score
 }
 
 // resolve validates the options, applies defaults and builds the campaign
@@ -284,44 +295,67 @@ func Run(ctx context.Context, eng *engine.Engine, opts Options) (*Result, error)
 
 	arch := &archive{cap: opts.ArchiveCap}
 	res := &Result{Generations: opts.Generations, Particles: opts.Particles}
-	cands := make([]engine.NetworkCandidate, opts.Particles)
-	specs := make([]CandidateSpec, opts.Particles)
-	// scores[i] holds candidate i's objectives for the current generation;
-	// each batch visit writes only its own slot.
-	scores := make([]score, opts.Particles)
+	// designs holds every design the campaign has decoded, in order of
+	// first sighting, and seen indexes it by key: a design reaches the
+	// engine once, in the generation that first sights it, and a repeat
+	// copies its score. cur[i] is particle i's design this generation.
+	var (
+		designs []design
+		cands   []engine.NetworkCandidate
+	)
+	seen := make(map[designKey]int, opts.Particles)
+	cur := make([]int, opts.Particles)
 
 	for gen := 0; gen < opts.Generations; gen++ {
+		// The generation's first sightings append to designs in particle
+		// order, so cands[j] is the candidate of designs[first+j].
+		first := len(designs)
+		cands = cands[:0]
 		for i, p := range parts {
-			specs[i], cands[i], err = sp.decode(p.pos)
-			if err != nil {
-				return nil, fmt.Errorf("%w: tune: %v", apierr.ErrInvalidInput, err)
+			k := sp.bins(p.pos)
+			j, ok := seen[k]
+			if !ok {
+				spec, cand, err := sp.decode(k)
+				if err != nil {
+					return nil, fmt.Errorf("%w: tune: %v", apierr.ErrInvalidInput, err)
+				}
+				j = len(designs)
+				seen[k] = j
+				designs = append(designs, design{spec: spec})
+				cands = append(cands, cand)
 			}
+			cur[i] = j
 		}
-		err := eng.NetworkBatchEach(ctx, cands, func(i int, r *noc.Result, cerr *engine.CandidateError) {
-			if cerr != nil || !r.Feasible {
-				scores[i] = score{}
-				return
-			}
-			scores[i] = score{
-				feasible:  true,
-				energy:    r.EnergyPerBitJ,
-				p99:       r.P99LatencySec,
-				saturated: r.SaturationInjectionBitsPerSec,
-			}
-		}, engine.BatchOptions{ContinueOnError: true})
+		if len(cands) > 0 {
+			fresh := designs[first:]
+			err = eng.NetworkBatchEach(ctx, cands, func(j int, r *noc.Result, cerr *engine.CandidateError) {
+				if cerr != nil || !r.Feasible {
+					return
+				}
+				fresh[j].score = score{
+					feasible:  true,
+					energy:    r.EnergyPerBitJ,
+					p99:       r.P99LatencySec,
+					saturated: r.SaturationInjectionBitsPerSec,
+				}
+			}, engine.BatchOptions{ContinueOnError: true})
+		} else {
+			err = ctx.Err()
+		}
 		if err != nil {
 			return nil, err // terminal: cancellation, deadline, engine fault
 		}
 
 		for i, p := range parts {
 			res.Evaluated++
-			sc := &scores[i]
+			d := &designs[cur[i]]
+			sc := &d.score
 			if !sc.feasible {
 				res.Infeasible++
 				continue
 			}
 			pt := Point{
-				Spec:                 specs[i],
+				Spec:                 d.spec,
 				Position:             append([]float64(nil), p.pos...),
 				EnergyPerBitJ:        sc.energy,
 				P99LatencySec:        sc.p99,

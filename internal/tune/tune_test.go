@@ -231,3 +231,40 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestRunEvaluatesEachDesignOnce pins the campaign's design memo: in a
+// space of one design, a 16 × 20 campaign reaches the engine exactly as
+// often as a 1 × 1 campaign does, while still counting every particle
+// evaluation.
+func TestRunEvaluatesEachDesignOnce(t *testing.T) {
+	run := func(particles, generations int) (*Result, engine.CacheStats) {
+		e := newTestEngine(t, 2)
+		res, err := Run(context.Background(), e, Options{
+			TargetBER:   1e-11,
+			Particles:   particles,
+			Generations: generations,
+			Kinds:       []noc.Kind{noc.Bus},
+			Tiles:       []int{8},
+			Rosters:     [][]ecc.Code{e.Schemes()},
+			DACBits:     []int{0},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, e.CacheStats()
+	}
+	one, oneStats := run(1, 1)
+	res, stats := run(16, 20)
+	if res.Evaluated != 320 || res.Infeasible != 0 || len(res.Front) != 1 {
+		t.Fatalf("evaluated %d, infeasible %d, front %d; want 320, 0, 1", res.Evaluated, res.Infeasible, len(res.Front))
+	}
+	if !reflect.DeepEqual(res.Front, one.Front) {
+		t.Fatalf("front %+v, want the 1 × 1 front %+v", res.Front, one.Front)
+	}
+	type counts struct{ hits, misses, cold, reuses uint64 }
+	got := counts{stats.Hits, stats.Misses, stats.ColdSolves, stats.SessionReuses}
+	want := counts{oneStats.Hits, oneStats.Misses, oneStats.ColdSolves, oneStats.SessionReuses}
+	if got != want {
+		t.Fatalf("16 × 20 campaign engine counts %+v, want the 1 × 1 campaign's %+v", got, want)
+	}
+}
