@@ -56,7 +56,7 @@ type BenchMetric struct {
 	SolvesPerSec float64 `json:"solves_per_sec,omitempty"`
 	// CandidatesPerSec is the design-space candidate throughput of the
 	// autotuner workload; set on the noc_batch* metrics (noc_batch is
-	// the incremental batch evaluator, noc_batch_cold the per-candidate
+	// the pooled-session batch evaluator, noc_batch_cold the per-candidate
 	// cold baseline it is measured against) and on noc_tune, where it
 	// counts the campaign's particles × generations evaluations, the
 	// repeats a campaign copies from its design memo included.
@@ -273,7 +273,7 @@ func runBenchJSON(w io.Writer, cfg photonoc.LinkConfig, workers int) error {
 	m.SolvesPerSec = float64(nocSolves) / m.NsPerOp * 1e9
 
 	// The autotuner workload: a 64-candidate mutate-one-knob chain. The
-	// tracked noc_batch metric is the incremental batch evaluator in steady
+	// tracked noc_batch metric is the pooled-session batch evaluator in steady
 	// state (sessions and memo cache warm); noc_batch_cold is the
 	// per-candidate cold evaluation the same chain would cost without it —
 	// the frozen baseline of the batch speedup claim.

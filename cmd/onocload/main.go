@@ -231,8 +231,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var phases *onocd.PhaseBreakdown
 	if pb, err := onocd.ScrapePhases(ctx, c.HTTP, base); err == nil {
 		phases = &pb
-		fmt.Fprintf(out, "phases: %d cold solves (%.2f ms mean), %d cache hits, %d coalesced, %d session reuses\n",
-			pb.ColdSolves, pb.ColdSolveMeanMS, pb.CacheHits, pb.CoalescedSolves, pb.SessionReuses)
+		fmt.Fprintf(out, "phases: %d cold solves (%.2f ms mean), %d cache hits, %d coalesced\n",
+			pb.ColdSolves, pb.ColdSolveMeanMS, pb.CacheHits, pb.CoalescedSolves)
 	} else {
 		fmt.Fprintf(out, "phases: /metrics scrape failed: %v\n", err)
 	}

@@ -136,8 +136,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// partial output behind.
 	minTiles := 8 // smallest default tile choice
 	for i, t := range tileList {
-		if t < 2 {
-			return fmt.Errorf("-tiles: choice %d must be at least 2", t)
+		if t < 2 || t > noc.MaxTiles {
+			return fmt.Errorf("-tiles: choice %d must be between 2 and %d", t, noc.MaxTiles)
 		}
 		if i == 0 || t < minTiles {
 			minTiles = t

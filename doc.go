@@ -112,7 +112,7 @@
 //	for r := range eng.NetworkSweepStream(ctx, topo, bers, opts) { ... }
 //
 // Network and SimulateNetwork solve every (link, scheme) cell on the
-// caller's goroutine, on a pooled, freshly invalidated NoCSession;
+// caller's goroutine, on a pooled NoCSession;
 // NetworkSweep hands its BERs to the Engine's worker pool one at a time.
 // Cells are keyed in the memo cache by the ID the link's configuration
 // fingerprint was interned to, which the build memo keeps with the link's
@@ -158,15 +158,15 @@
 // workload cheap. A NoCEvalSession owns every buffer the noc-layer
 // Decide/Aggregate pass needs, so a warmed session evaluation allocates
 // nothing (pinned by an allocation-regression test and a CI gate). A
-// NoCSession (Engine.NewNetworkSession) adds incremental re-evaluation: it
-// diffs each candidate's links against the previous candidate by interned
-// configuration ID and re-solves only changed (link, scheme, BER) cells,
-// copying the rest forward without touching the cache
-// (CacheStats.SessionReuses counts them) — bit-identical to a cold
-// evaluation by construction, property-tested across topology kinds and
-// mutation sequences. Engine.NetworkBatch / NetworkBatchStream split a
+// NoCSession (Engine.NewNetworkSession) adds the engine's solves: it looks
+// every (link, scheme, BER) cell up in the memo cache by interned
+// configuration ID, so a cell any earlier candidate solved is a cache hit
+// and only new cells run the physics — bit-identical to a cold evaluation,
+// property-tested across topology kinds and mutation sequences.
+// Engine.NetworkBatch / NetworkBatchStream split a
 // []NoCCandidate population into contiguous chunks on the worker pool, one
-// pooled session per chunk, so each session sees neighbors, returning deep-copied
+// pooled session per chunk, so each worker keeps one session's buffers and
+// laser memo warm, returning deep-copied
 // results in population order, deterministic across worker counts:
 //
 //	cands := []photonoc.NoCCandidate{
@@ -200,8 +200,7 @@
 //	}
 //
 // Each generation evaluates the designs not seen earlier in the campaign as
-// one Engine.NetworkBatchEach population, so neighboring designs ride the
-// incremental sessions; a particle on a design already seen copies its
+// one Engine.NetworkBatchEach population on the pooled sessions; a particle on a design already seen copies its
 // score.
 // Campaigns are bit-identical across Engine worker counts from the root
 // seed; infeasible candidates are counted and skipped, never fatal; and

@@ -111,7 +111,7 @@ func WithWorkers(n int) Option { return engine.WithWorkers(n) }
 func WithCache(entries int) Option { return engine.WithCache(entries) }
 
 // Observer receives engine instrumentation events — cold-solve durations,
-// cache hits and misses, coalesced solves, session reuses. Hooks run
+// cache hits and misses, coalesced solves. Hooks run
 // synchronously on the solve path from many goroutines; implementations must
 // be concurrency-safe and cheap. See WithObserver.
 type Observer = engine.Observer

@@ -181,8 +181,9 @@ func autotunerChain(n int) []NoCCandidate {
 }
 
 // BenchmarkNetworkBatch is the tracked noc_batch workload: a 64-candidate
-// mutate-one-knob population through the incremental batch evaluator
-// (sessions warm, memo cache on) against the per-candidate cold baseline
+// mutate-one-knob population through the pooled-session batch evaluator
+// (sessions warm, memo cache on; the sub-benchmark keeps its historical
+// name "incremental") against the per-candidate cold baseline
 // the autotuner would otherwise pay.
 func BenchmarkNetworkBatch(b *testing.B) {
 	chain := autotunerChain(64)
@@ -224,7 +225,7 @@ func BenchmarkNetworkBatch(b *testing.B) {
 
 // BenchmarkTune runs the tracked noc_tune campaign: a seeded 8-particle ×
 // 5-generation swarm over the default design space, evaluated through the
-// incremental batch path. Candidate throughput (cand/s) counts the 40
+// batch path. Candidate throughput (cand/s) counts the 40
 // particle evaluations of each campaign, the repeats it copies from its
 // design memo included.
 func BenchmarkTune(b *testing.B) {

@@ -44,14 +44,8 @@ type Engine struct {
 	coldSolveNS  atomic.Int64
 	sharedSolves atomic.Uint64
 
-	// sessionReuses counts per-point solves served by a NetworkSession's
-	// incremental link diff from its previous candidate — cells
-	// that avoided both the pipeline and the memo cache entirely.
-	sessionReuses atomic.Uint64
-
-	// sessions pools NetworkSessions for NetworkBatch workers, keeping
-	// their grown buffers and previous-candidate lattices warm across
-	// batches.
+	// sessions pools NetworkSessions for every network call, keeping
+	// their grown buffers and laser memos warm across calls.
 	sessions sync.Pool
 
 	// Registries, each filled on first use: schemes by name and link
@@ -252,7 +246,6 @@ func (e *Engine) CacheStats() CacheStats {
 	s.ColdSolves = e.coldSolves.Load()
 	s.ColdSolveTime = time.Duration(e.coldSolveNS.Load())
 	s.SharedSolves = e.sharedSolves.Load()
-	s.SessionReuses = e.sessionReuses.Load()
 	s.FERPlans = e.plans.stats().Entries
 	s.LinkPlans = e.netPlans.stats().Entries
 	s.Networks = e.netBuilt.stats().Entries

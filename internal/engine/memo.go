@@ -32,10 +32,6 @@ type CacheStats struct {
 	// of identical cold queries costs exactly one compiled solve, and every
 	// other participant increments this counter instead of ColdSolves.
 	SharedSolves uint64
-	// SessionReuses counts per-point solves served by a NetworkSession's
-	// incremental link diff from its previous candidate: each reused
-	// cell avoided both the compiled pipeline and the memo cache.
-	SessionReuses uint64
 	// FERPlans, LinkPlans and Networks count the entries of the engine's
 	// registries: FER plans by scheme name, compiled per-link
 	// configurations by fingerprint, and built topologies. They fill

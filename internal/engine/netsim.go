@@ -78,7 +78,6 @@ func (e *Engine) SimulateNetwork(ctx context.Context, cfg noc.Config, opts Netwo
 	// has copied them.
 	s := e.acquireSession()
 	defer e.releaseSession(s)
-	s.invalidate()
 	if _, err := s.solve(ctx, NetworkCandidate{Topology: cfg, Opts: evalOpts}); err != nil {
 		return netsim.NetResults{}, err
 	}

@@ -112,12 +112,10 @@ func (e *Engine) linkPlanFor(l *noc.Link) (linkPlan, error) {
 // Feasible == false, mirroring single-link evaluations.
 //
 // The evaluation runs on the caller's goroutine, on a pooled
-// NetworkSession that is invalidated first: every cell goes through the
-// memo cache, so one call never reuses the lattice of another.
+// NetworkSession; every cell goes through the memo cache.
 func (e *Engine) Network(ctx context.Context, cfg noc.Config, opts noc.EvalOptions) (noc.Result, error) {
 	s := e.acquireSession()
 	defer e.releaseSession(s)
-	s.invalidate()
 	res, err := s.Evaluate(ctx, NetworkCandidate{Topology: cfg, Opts: opts})
 	if err != nil {
 		return noc.Result{}, err

@@ -48,7 +48,7 @@ var goldenBERs = []float64{1e-7, 1e-9, 1e-10, 1e-11, 1e-12}
 // the result, a SHA-256 digest of every field (every decision, load and
 // evaluation, floats exactly), and the engine's cache counters. With one
 // worker every counter is recorded; with two, only those no schedule can
-// move (lookups, cold solves, session reuses), since concurrent identical
+// move (lookups, cold solves), since concurrent identical
 // misses may split between Hits and SharedSolves.
 func TestNetworkGolden(t *testing.T) {
 	var b strings.Builder
@@ -77,10 +77,10 @@ func goldenDump(t *testing.T, w io.Writer, workers int, cfg noc.Config, obj mana
 	counters := func() {
 		s := e.CacheStats()
 		if workers == 1 {
-			fmt.Fprintf(w, "  cache hits=%d misses=%d cold=%d shared=%d reuses=%d\n",
-				s.Hits, s.Misses, s.ColdSolves, s.SharedSolves, s.SessionReuses)
+			fmt.Fprintf(w, "  cache hits=%d misses=%d cold=%d shared=%d\n",
+				s.Hits, s.Misses, s.ColdSolves, s.SharedSolves)
 		} else {
-			fmt.Fprintf(w, "  cache lookups=%d cold=%d reuses=%d\n", s.Hits+s.Misses, s.ColdSolves, s.SessionReuses)
+			fmt.Fprintf(w, "  cache lookups=%d cold=%d\n", s.Hits+s.Misses, s.ColdSolves)
 		}
 	}
 

@@ -337,10 +337,10 @@ func TestNetworkTraceDrivenMatrix(t *testing.T) {
 	}
 }
 
-// TestNetworkCallsShareNoState: Network and SimulateNetwork start every
-// call from an invalidated session, so on a cache-disabled engine two
-// identical calls re-solve every cell and reuse none. A batch of the same
-// candidates does diff its neighbors.
+// TestNetworkCallsShareNoState: a session carries no solved cells from one
+// candidate to the next, so on a cache-disabled engine two identical
+// Network or SimulateNetwork calls re-solve every cell, and a batch of two
+// identical candidates cold-solves both: the memo is the only reuse.
 func TestNetworkCallsShareNoState(t *testing.T) {
 	e := newNetEngine(t, ecc.PaperSchemes(), WithCache(0), WithWorkers(1))
 	ctx := context.Background()
@@ -368,15 +368,14 @@ func TestNetworkCallsShareNoState(t *testing.T) {
 			t.Errorf("%s: cold solves %d then %d, want the same nonzero count", name, first, second)
 		}
 	}
-	if r := e.CacheStats().SessionReuses; r != 0 {
-		t.Fatalf("single calls reused %d session cells, want 0", r)
-	}
+	one := coldOf(network)
 	cand := NetworkCandidate{Topology: topo, Opts: opts}
-	if _, err := e.NetworkBatch(ctx, []NetworkCandidate{cand, cand}); err != nil {
-		t.Fatal(err)
-	}
-	if r := e.CacheStats().SessionReuses; r == 0 {
-		t.Error("a batch of two identical candidates reused no session cells")
+	batch := coldOf(func() error {
+		_, err := e.NetworkBatch(ctx, []NetworkCandidate{cand, cand})
+		return err
+	})
+	if batch != 2*one {
+		t.Errorf("a batch of two identical candidates ran %d cold solves, want %d", batch, 2*one)
 	}
 }
 

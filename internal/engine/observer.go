@@ -6,7 +6,7 @@ import (
 )
 
 // Observer receives engine instrumentation events: cold-solve durations,
-// cache hits and misses, coalesced solves and session reuses. It is
+// cache hits and misses and coalesced solves. It is
 // the seam the serving layer hangs its telemetry on — histograms, access-log
 // attribution, per-request statistics — without the engine knowing anything
 // about metrics or logging.
@@ -42,11 +42,6 @@ type Observer interface {
 	// SharedSolve reports an evaluation served by joining another
 	// goroutine's in-flight cold solve (a pending cache entry).
 	SharedSolve(ctx context.Context)
-
-	// SessionReuse reports cells a NetworkSession served from its
-	// previous-candidate diff — solves that skipped the pipeline and the
-	// cache entirely.
-	SessionReuse(ctx context.Context, cells int)
 }
 
 // WithObserver installs an instrumentation observer (default: none). The

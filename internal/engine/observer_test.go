@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"photonoc/internal/ecc"
-	"photonoc/internal/manager"
-	"photonoc/internal/noc"
 	"photonoc/internal/obs"
 )
 
@@ -16,12 +14,11 @@ import (
 // context's RequestStats when one is attached — the same shape the serving
 // layer's observer has.
 type countingObserver struct {
-	coldSolves    atomic.Uint64
-	coldNS        atomic.Int64
-	cacheHits     atomic.Uint64
-	cacheMisses   atomic.Uint64
-	sharedSolves  atomic.Uint64
-	sessionReuses atomic.Uint64
+	coldSolves   atomic.Uint64
+	coldNS       atomic.Int64
+	cacheHits    atomic.Uint64
+	cacheMisses  atomic.Uint64
+	sharedSolves atomic.Uint64
 }
 
 func (o *countingObserver) ColdSolve(ctx context.Context, scheme string, d time.Duration) {
@@ -51,13 +48,6 @@ func (o *countingObserver) SharedSolve(ctx context.Context) {
 	o.sharedSolves.Add(1)
 	if s := obs.StatsFrom(ctx); s != nil {
 		s.SharedSolves.Add(1)
-	}
-}
-
-func (o *countingObserver) SessionReuse(ctx context.Context, cells int) {
-	o.sessionReuses.Add(uint64(cells))
-	if s := obs.StatsFrom(ctx); s != nil {
-		s.SessionReuses.Add(uint64(cells))
 	}
 }
 
@@ -104,32 +94,6 @@ func TestObserverMatchesCacheStats(t *testing.T) {
 	if st.ColdSolves.Load() != cs.ColdSolves || st.CacheHits.Load() != cs.Hits {
 		t.Errorf("request stats (cold %d, hits %d) diverge from CacheStats (cold %d, hits %d)",
 			st.ColdSolves.Load(), st.CacheHits.Load(), cs.ColdSolves, cs.Hits)
-	}
-}
-
-// TestObserverSessionReuse: the SessionReuse hook fires with the engine's
-// sessionReuses accounting when a NetworkSession serves cells from its
-// previous-candidate diff.
-func TestObserverSessionReuse(t *testing.T) {
-	o := &countingObserver{}
-	codes := ecc.PaperSchemes()
-	e := newNetEngine(t, codes, WithObserver(o))
-	sess := e.NewNetworkSession()
-	cand := NetworkCandidate{
-		Topology: noc.Config{Kind: noc.Crossbar, Tiles: 16},
-		Opts:     noc.EvalOptions{TargetBER: 1e-11, Objective: manager.MinEnergy},
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := sess.Evaluate(context.Background(), cand); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cs := e.CacheStats()
-	if cs.SessionReuses == 0 {
-		t.Fatal("repeated candidate produced no session reuses")
-	}
-	if got := o.sessionReuses.Load(); got != cs.SessionReuses {
-		t.Errorf("observer session reuses %d, CacheStats %d", got, cs.SessionReuses)
 	}
 }
 

@@ -21,18 +21,13 @@ type NetworkCandidate struct {
 }
 
 // NetworkSession is the engine's one network evaluator: Network,
-// NetworkSweep and SimulateNetwork run on pooled sessions they invalidate
-// first, while the NetworkBatch family keeps its sessions warm across
-// candidates. It wraps a noc.EvalSession with the solve lattice of the
-// previous candidate, and on each Evaluate diffs the new candidate
-// against it by each link's interned configuration ID: a link whose ID
-// appeared in the previous candidate (same roster, same target BER) reuses
-// that candidate's solved evaluations outright — no pipeline, no
-// memo-cache lookup — and only the changed (link, scheme, BER) cells are
-// solved, through the engine's coalescing memo cache.
-// Results are bit-identical to a cold full evaluation: reused cells carry
-// the exact values the same (link, scheme, BER) solve produces, and
-// Decide/Aggregate run the identical code either way.
+// NetworkSweep, SimulateNetwork and the NetworkBatch family all run on
+// pooled sessions. It wraps a noc.EvalSession with the solve lattice of
+// the current candidate: each Evaluate builds the candidate's network,
+// solves every (link, scheme, BER) cell through the engine's coalescing
+// memo cache, and runs Decide and Aggregate. Links that share a
+// configuration share its interned ID and so its memo entries, and a
+// session's buffers grow to its largest candidate and are then reused.
 //
 // A session is NOT safe for concurrent use, and the Result returned by
 // Evaluate aliases session-owned storage — it is valid only until the next
@@ -46,25 +41,12 @@ type NetworkSession struct {
 	schemes []*schemePlan       // the current candidate's interned roster
 	flat    []core.Evaluation   // current lattice, link-major: flat[l*S+s]
 	rows    [][]core.Evaluation // re-sliced views into flat, one per link
-
-	// Previous-candidate state for the diff. prevNet is nil when there is
-	// nothing valid to diff against (fresh session, or the last Evaluate
-	// failed partway).
-	prevNet     *noc.Network
-	prevBER     float64
-	prevSchemes []uint64       // interned scheme IDs of the roster
-	prevIndex   map[uint64]int // interned link ID → link index in prevFlat
-	prevFlat    []core.Evaluation
 }
 
 // NewNetworkSession returns a fresh session bound to the engine. Buffers
 // grow to the largest candidate evaluated through it and are then reused.
 func (e *Engine) NewNetworkSession() *NetworkSession {
-	return &NetworkSession{
-		e:         e,
-		eval:      noc.NewEvalSession(),
-		prevIndex: make(map[uint64]int, 16),
-	}
+	return &NetworkSession{e: e, eval: noc.NewEvalSession()}
 }
 
 // growSlice resizes buf to n elements, reusing its backing array when
@@ -76,71 +58,32 @@ func growSlice[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// invalidate forgets the previous candidate after a failed or partial
-// evaluation, so the next Evaluate diffs against nothing.
-func (s *NetworkSession) invalidate() {
-	s.prevNet = nil
-}
-
-// sameRoster reports whether the current roster matches the previous
-// candidate's, by interned scheme ID.
-func (s *NetworkSession) sameRoster() bool {
-	if len(s.schemes) != len(s.prevSchemes) {
-		return false
-	}
-	for i, sp := range s.schemes {
-		if sp.id != s.prevSchemes[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Evaluate solves one candidate, reusing the previous candidate's solved
-// cells for every link configuration the two share. The returned Result
-// aliases session storage and is valid until the next call on this
-// session; use noc.Result.Clone to detach it.
+// Evaluate solves one candidate. The returned Result aliases session
+// storage and is valid until the next call on this session; use
+// noc.Result.Clone to detach it.
 func (s *NetworkSession) Evaluate(ctx context.Context, cand NetworkCandidate) (*noc.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	built, err := s.solve(ctx, cand)
+	net, err := s.solve(ctx, cand)
 	if err != nil {
 		return nil, err
 	}
-	net := built.net
 	decisions, err := s.eval.Decide(net, s.rows, cand.Opts)
 	if err != nil {
-		s.invalidate()
 		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
 	res, err := s.eval.Aggregate(net, decisions, cand.Opts)
 	if err != nil {
-		s.invalidate()
 		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
-
-	// Roll the lattice into the previous-candidate slot for the next diff.
-	s.prevNet = net
-	s.prevBER = cand.Opts.TargetBER
-	s.prevSchemes = s.prevSchemes[:0]
-	for _, sp := range s.schemes {
-		s.prevSchemes = append(s.prevSchemes, sp.id)
-	}
-	clear(s.prevIndex)
-	for l := range built.links {
-		s.prevIndex[built.links[l].id] = l
-	}
-	s.flat, s.prevFlat = s.prevFlat, s.flat
 	return res, nil
 }
 
 // solve builds the candidate's network, interns its roster and fills
 // s.rows with every (link, scheme) evaluation at the candidate's target
-// BER: cells the previous candidate solved are copied, the rest go through
-// the engine's memo cache. It returns the build; the previous-candidate
-// state is left for Evaluate to roll over.
-func (s *NetworkSession) solve(ctx context.Context, cand NetworkCandidate) (*builtNet, error) {
+// BER through the engine's memo cache. It returns the built network.
+func (s *NetworkSession) solve(ctx context.Context, cand NetworkCandidate) (*noc.Network, error) {
 	ber := cand.Opts.TargetBER
 	if err := validateBER(ber); err != nil {
 		return nil, err
@@ -169,47 +112,22 @@ func (s *NetworkSession) solve(ctx context.Context, cand NetworkCandidate) (*bui
 	nlinks, nschemes := len(built.links), len(s.schemes)
 	s.flat = growSlice(s.flat, nlinks*nschemes)
 	s.rows = growSlice(s.rows, nlinks)
-	for l := 0; l < nlinks; l++ {
-		s.rows[l] = s.flat[l*nschemes : (l+1)*nschemes : (l+1)*nschemes]
-	}
-
-	// The diff is valid only against a lattice solved for the same roster
-	// and target BER; the traffic matrix, rate, objective and DAC do not
-	// enter the solve cells, so they may differ freely between neighbors.
-	diffOK := s.prevNet != nil && s.prevBER == ber && s.sameRoster()
-	reusedCells := 0
 	for l := range built.links {
 		if err := ctx.Err(); err != nil {
-			s.invalidate()
 			return nil, err
 		}
-		link := &built.links[l]
-		if diffOK {
-			if pi, ok := s.prevIndex[link.id]; ok {
-				copy(s.rows[l], s.prevFlat[pi*nschemes:(pi+1)*nschemes])
-				reusedCells += nschemes
-				continue
-			}
-		}
+		s.rows[l] = s.flat[l*nschemes : (l+1)*nschemes : (l+1)*nschemes]
 		for si, sp := range s.schemes {
-			if err := s.e.evaluateCompiled(ctx, &s.rows[l][si], link, sp, ber); err != nil {
-				s.invalidate()
+			if err := s.e.evaluateCompiled(ctx, &s.rows[l][si], &built.links[l], sp, ber); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if reusedCells > 0 {
-		s.e.sessionReuses.Add(uint64(reusedCells))
-		if s.e.obs != nil {
-			s.e.obs.SessionReuse(ctx, reusedCells)
-		}
-	}
-	return built, nil
+	return built.net, nil
 }
 
 // acquireSession takes a pooled session (sessions keep their grown buffers
-// and previous-candidate lattice across batches, so repeated batches over
-// similar populations stay warm).
+// and laser memo across calls, so repeated batches stay warm).
 func (e *Engine) acquireSession() *NetworkSession {
 	if s, ok := e.sessions.Get().(*NetworkSession); ok {
 		return s
@@ -236,9 +154,8 @@ func (e *Engine) releaseSession(s *NetworkSession) { e.sessions.Put(s) }
 //
 // The pool splits the population into at most Workers contiguous chunks of
 // ⌈n/Workers⌉ candidates, one goroutine and one pooled session per chunk,
-// so neighboring candidates land on the same session and the link diff
-// sees the chain locality autotuner populations have; a strict
-// failure cancels the other chunks.
+// so each worker keeps one session's laser memo and scratch buffers warm
+// across its candidates; a strict failure cancels the other chunks.
 func (e *Engine) NetworkBatchEach(ctx context.Context, cands []NetworkCandidate, visit func(i int, res *noc.Result, cerr *CandidateError), opts ...BatchOptions) error {
 	if len(cands) == 0 {
 		return fmt.Errorf("%w: empty candidate population", ErrInvalidInput)
@@ -269,10 +186,9 @@ func (e *Engine) NetworkBatchEach(ctx context.Context, cands []NetworkCandidate,
 // NetworkBatch evaluates a whole candidate population across the worker
 // pool and returns one Result per candidate, in population order,
 // regardless of the worker count. Each contiguous chunk of the worker pool
-// owns a pooled NetworkSession, so within a chunk every candidate is
-// solved incrementally against its predecessor; cells no session can reuse
-// go through the coalescing memo cache like any other solve
-// (CacheStats reports both, plus SessionReuses for the diffed cells). An
+// owns a pooled NetworkSession, and every cell goes through the coalescing
+// memo cache like any other solve, so a cell another candidate already
+// solved is a cache hit (CacheStats reports hits and cold solves). An
 // infeasible candidate is not an error: its Result has Feasible == false.
 // Returned results are deep copies, independent of the pooled sessions.
 //

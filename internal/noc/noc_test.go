@@ -41,6 +41,8 @@ func TestConfigValidate(t *testing.T) {
 	base := core.DefaultConfig()
 	bad := []Config{
 		{Kind: Bus, Tiles: 1, Base: base},
+		{Kind: Bus, Tiles: MaxTiles + 1, Base: base},
+		{Kind: Mesh, Tiles: 1 << 62, Base: base},
 		{Kind: Kind(99), Tiles: 4, Base: base},
 		{Kind: Ring, Tiles: 17, Base: base},            // 16-λ grid, 17 readers
 		{Kind: Mesh, Tiles: 6, Columns: 4, Base: base}, // 6 % 4 != 0

@@ -13,12 +13,11 @@ import (
 // handed and add to it atomically. The access log then attributes each
 // p99 spike to cold solves vs cache traffic without any global state.
 type RequestStats struct {
-	ColdSolves    atomic.Uint64
-	ColdSolveNS   atomic.Int64
-	CacheHits     atomic.Uint64
-	CacheMisses   atomic.Uint64
-	SharedSolves  atomic.Uint64
-	SessionReuses atomic.Uint64
+	ColdSolves   atomic.Uint64
+	ColdSolveNS  atomic.Int64
+	CacheHits    atomic.Uint64
+	CacheMisses  atomic.Uint64
+	SharedSolves atomic.Uint64
 }
 
 // ColdSolveTime returns the accumulated cold-solve wall time.

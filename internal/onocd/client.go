@@ -457,8 +457,8 @@ func encodeBatchItems(items []NoCBatchItem) ([]byte, error) {
 // NetworkBatch streams a candidate-population evaluation from the daemon:
 // the items go up as NDJSON lines of POST /v1/noc/batch, and fn is invoked
 // once per candidate in population order with the rebuilt result. One
-// request amortizes HTTP overhead over the whole population, and the
-// daemon's worker sessions diff neighboring candidates incrementally. A
+// request amortizes HTTP overhead over the whole population, and cells
+// neighboring candidates share are memo-cache hits on the daemon. A
 // terminal stream error is returned as the typed error it carried; an
 // interrupted stream resumes transparently from the last delivered item.
 // This is the strict mode: the first failing candidate ends the batch. Use

@@ -72,12 +72,6 @@ func (o *engineObserver) SharedSolve(ctx context.Context) {
 	}
 }
 
-func (o *engineObserver) SessionReuse(ctx context.Context, cells int) {
-	if s := obs.StatsFrom(ctx); s != nil {
-		s.SessionReuses.Add(uint64(cells))
-	}
-}
-
 // writeTo renders the observer's series in the Prometheus text format.
 func (o *engineObserver) writeTo(w io.Writer) {
 	fmt.Fprintf(w, "# HELP onocd_cold_solve_duration_seconds Wall time of compiled-pipeline solves (cache misses).\n# TYPE onocd_cold_solve_duration_seconds histogram\n")

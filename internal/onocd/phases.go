@@ -11,9 +11,8 @@ import (
 
 // PhaseBreakdown splits a run's engine work into its serving phases, scraped
 // from the daemon's /metrics page: cold solves (the compiled pipeline ran),
-// warm hits (the memo cache answered), coalesced solves (a miss
-// joined an in-flight solve) and session reuses (incremental diffing skipped
-// per-cell work). The load harness and the tracked benchmark report both
+// warm hits (the memo cache answered) and coalesced solves (a miss
+// joined an in-flight solve). The load harness and the tracked benchmark report both
 // record it, so BENCH_cold_sweep.json shows where a serving run's time went.
 type PhaseBreakdown struct {
 	// ColdSolves and ColdSolveSeconds come from the
@@ -26,8 +25,6 @@ type PhaseBreakdown struct {
 	// joined another request's in-flight solve.
 	CacheHits       uint64 `json:"cache_hits"`
 	CoalescedSolves uint64 `json:"coalesced_solves"`
-	// SessionReuses counts per-cell solves avoided by batch session diffing.
-	SessionReuses uint64 `json:"session_reuses"`
 }
 
 // ScrapePhases reads the daemon's /metrics page and extracts the phase
@@ -75,8 +72,6 @@ func ScrapePhases(ctx context.Context, hc *http.Client, base string) (PhaseBreak
 			pb.CacheHits = uint64(v)
 		case "onocd_cache_shared_solves_total":
 			pb.CoalescedSolves = uint64(v)
-		case "onocd_cache_session_reuses_total":
-			pb.SessionReuses = uint64(v)
 		}
 	}
 	if err := sc.Err(); err != nil {

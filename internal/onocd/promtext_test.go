@@ -367,7 +367,6 @@ func TestMetricsStrictFormat(t *testing.T) {
 		"onocd_cache_misses_total",
 		"onocd_cache_cold_solves_total",
 		"onocd_cache_shared_solves_total",
-		"onocd_cache_session_reuses_total",
 		"onocd_cache_entries",
 		"onocd_cache_capacity",
 		"onocd_cache_cold_solve_seconds_total",

@@ -381,7 +381,6 @@ func (s *Server) instrument(route string, admission bool, fn handlerFunc) http.H
 				"cold_solve_ms", float64(stats.ColdSolveTime().Microseconds()) / 1e3,
 				"cache_hits", stats.CacheHits.Load(),
 				"shared_solves", stats.SharedSolves.Load(),
-				"session_reuses", stats.SessionReuses.Load(),
 			}
 			reqLog.Info("request", attrs...)
 			if s.opts.SlowRequest > 0 && elapsed >= s.opts.SlowRequest {
@@ -564,7 +563,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter(w, "onocd_cache_misses_total", "Memo-cache misses.", cs.Misses)
 	counter(w, "onocd_cache_cold_solves_total", "Solves that ran the compiled pipeline.", cs.ColdSolves)
 	counter(w, "onocd_cache_shared_solves_total", "Evaluations served by joining an in-flight solve.", cs.SharedSolves)
-	counter(w, "onocd_cache_session_reuses_total", "Per-cell solves avoided by incremental session diffing.", cs.SessionReuses)
 	gauge(w, "onocd_cache_entries", "Memoized operating points.", float64(cs.Entries))
 	gauge(w, "onocd_cache_capacity", "Memo-cache capacity.", float64(cs.Capacity))
 	gauge(w, "onocd_cache_cold_solve_seconds_total", "Cumulative wall time in cold solves.", cs.ColdSolveTime.Seconds())
@@ -748,7 +746,7 @@ func boolParam(r *http.Request, name string) (bool, error) {
 // routes: the server recomputes the full stream but only emits items with
 // Index >= N, so a client that lost a connection mid-stream can fetch
 // exactly the missing suffix. Skipped prefix work is warm — the memo cache
-// and worker-session diffs already hold the first pass's cells.
+// already holds the first pass's cells.
 func startIndexParam(r *http.Request) (int, error) {
 	v := r.URL.Query().Get("start_index")
 	if v == "" {
@@ -764,9 +762,9 @@ func startIndexParam(r *http.Request) (int, error) {
 // handleNoCBatch evaluates a candidate population: the request body is an
 // NDJSON (or concatenated-JSON) stream of NoCBatchItem lines, the response
 // one NDJSON NoCStreamItem per candidate in population order, backed by
-// Engine.NetworkBatchStream — neighboring candidates are diffed
-// incrementally inside the worker sessions, so a mutate-one-knob autotuner
-// population amortizes both HTTP overhead and per-cell solves.
+// Engine.NetworkBatchStream — every cell goes through the memo cache, so a
+// mutate-one-knob autotuner population amortizes both HTTP overhead and
+// per-cell solves.
 //
 // ?start_index=N resumes an interrupted stream at item N;
 // ?continue_on_error=1 switches to partial-failure mode, where a failed

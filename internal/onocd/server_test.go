@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
 	"photonoc/internal/engine"
+	"photonoc/internal/noc"
 	"photonoc/internal/resilience"
 )
 
@@ -265,6 +267,38 @@ func TestErrorEnvelopesPerRoute(t *testing.T) {
 	}
 }
 
+// TestTileBoundRefused: a tile count above noc.MaxTiles is refused with a
+// typed 400 on every network route, before any network is built.
+func TestTileBoundRefused(t *testing.T) {
+	s, c := newTestServer(t, Options{})
+	huge := 1_000_000_000
+	for _, tc := range []struct{ path, body, code string }{
+		{"/v1/noc/eval", fmt.Sprintf(`{"topology": "bus", "tiles": %d, "target_ber": 1e-9}`, huge), apierr.CodeInvalidConfig},
+		{"/v1/noc/sweep", fmt.Sprintf(`{"topology": "crossbar", "tiles": %d, "target_bers": [1e-9]}`, huge), apierr.CodeInvalidConfig},
+		{"/v1/noc/batch", fmt.Sprintf(`{"topology": "mesh", "tiles": %d, "target_ber": 1e-9}`, huge), apierr.CodeInvalidConfig},
+		{"/v1/noc/sim", fmt.Sprintf(`{"topology": "bus", "tiles": %d, "target_ber": 1e-9, "messages": 10}`, huge), apierr.CodeInvalidConfig},
+		{"/v1/noc/tune", fmt.Sprintf(`{"target_ber": 1e-11, "kinds": ["mesh"], "tiles": [8, %d]}`, huge), apierr.CodeInvalidInput},
+		{"/v1/noc/eval", fmt.Sprintf(`{"topology": "bus", "tiles": %d, "target_ber": 1e-9}`, noc.MaxTiles+1), apierr.CodeInvalidConfig},
+	} {
+		resp, err := http.Post(c.Base+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env apierr.Envelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding envelope: %v", tc.path, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != tc.code {
+			t.Errorf("%s %s: got %d/%q, want 400/%q (message %q)", tc.path, tc.body, resp.StatusCode, env.Error.Code, tc.code, env.Error.Message)
+		}
+	}
+	if n := s.state.Load().eng.CacheStats().Networks; n != 0 {
+		t.Errorf("refused requests built %d networks, want 0", n)
+	}
+}
+
 // TestNoCStreamStartIndexBounds: a resume cursor at or past the end of the
 // stream is rejected with 400 invalid_input before any solve, on
 // /v1/noc/sweep exactly as on /v1/noc/batch; the last valid cursor streams
@@ -470,7 +504,6 @@ func TestMetricsExposition(t *testing.T) {
 		`onocd_request_duration_seconds_count{route="/v1/sweep"} 1`,
 		`onocd_request_duration_seconds_bucket{route="/v1/sweep",le="+Inf"} 1`,
 		"onocd_cache_misses_total",
-		"onocd_cache_session_reuses_total",
 		"onocd_in_flight_requests 0",
 		"onocd_admission_rejected_total 0",
 		"onocd_engine_reloads_total 0",

@@ -198,11 +198,16 @@ func (it *NoCBatchItem) candidate() (engine.NetworkCandidate, error) {
 }
 
 // topology converts the wire request into a noc.Config (Base is left zero,
-// so the daemon's engine configuration is adopted).
+// so the daemon's engine configuration is adopted). The tile count is
+// checked here, so the streaming routes refuse it with a status code
+// rather than a stream item.
 func (r *NoCRequest) topology() (noc.Config, error) {
 	kind, err := noc.ParseKind(r.Topology)
 	if err != nil {
 		return noc.Config{}, fmt.Errorf("%w: %v", apierr.ErrInvalidInput, err)
+	}
+	if err := noc.ValidateTiles(r.Tiles); err != nil {
+		return noc.Config{}, fmt.Errorf("%w: %v", apierr.ErrInvalidConfig, err)
 	}
 	return noc.Config{Kind: kind, Tiles: r.Tiles, Columns: r.Columns, TilePitchCM: r.TilePitchCM}, nil
 }

@@ -127,9 +127,20 @@ func (sp *space) divisorsOf(t int) []int {
 	if d, ok := sp.divisors[t]; ok {
 		return d
 	}
-	var d []int
-	for c := 1; c <= t; c++ {
+	// Trial division up to √t: each divisor c at or below the root pairs
+	// with t/c at or above it, so the upper half is the lower half
+	// mirrored.
+	var buf [64]int
+	lo := buf[:0]
+	for c := 1; c <= t/c; c++ {
 		if t%c == 0 {
+			lo = append(lo, c)
+		}
+	}
+	d := make([]int, len(lo), 2*len(lo))
+	copy(d, lo)
+	for i := len(lo) - 1; i >= 0; i-- {
+		if c := t / lo[i]; c != lo[i] {
 			d = append(d, c)
 		}
 	}

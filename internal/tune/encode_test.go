@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
+	"time"
 
 	"photonoc/internal/ecc"
 	"photonoc/internal/engine"
@@ -29,6 +31,37 @@ func wideSpace(t *testing.T) *space {
 		t.Fatal(err)
 	}
 	return sp
+}
+
+// TestDivisorsOf: the mesh column list is every divisor in ascending order,
+// found by trial division up to √t, so even a tile count of 10⁹ (100
+// divisors) lists in well under a millisecond of work.
+func TestDivisorsOf(t *testing.T) {
+	sp := &space{divisors: make(map[int][]int)}
+	for n := 1; n <= 600; n++ {
+		var want []int
+		for c := 1; c <= n; c++ {
+			if n%c == 0 {
+				want = append(want, c)
+			}
+		}
+		if got := sp.divisorsOf(n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("divisorsOf(%d) = %v, want %v", n, got, want)
+		}
+	}
+	start := time.Now()
+	d := sp.divisorsOf(1_000_000_000)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("divisorsOf(1e9) took %v, want milliseconds", took)
+	}
+	if len(d) != 100 || d[0] != 1 || d[99] != 1_000_000_000 || !sort.IntsAreSorted(d) {
+		t.Fatalf("divisorsOf(1e9) = %d divisors %v, want 100 ascending from 1 to 1e9", len(d), d)
+	}
+	for _, c := range d {
+		if 1_000_000_000%c != 0 {
+			t.Fatalf("divisorsOf(1e9) lists %d, which does not divide it", c)
+		}
+	}
 }
 
 // centre returns the position of bin i of n choices.

@@ -7,12 +7,12 @@
 // Each particle is a continuous position in [0, 1]^6 decoded into a
 // discrete design (see encode.go). Every generation evaluates the designs
 // not seen earlier in the campaign as one Engine.NetworkBatchEach
-// population, in particle order, so neighboring designs ride the engine's
-// per-worker incremental sessions and the fingerprint-diff reuse of the
-// zero-alloc fast path; a particle on a design already seen copies its
-// score, since an evaluation is a pure function of its candidate. Survivors
-// feed a bounded Pareto archive with crowding-distance pruning; the
-// archive's spread leaders pull the swarm's social term.
+// population, in particle order, on the engine's per-worker zero-alloc
+// sessions, whose cells go through the engine's memo cache; a particle on
+// a design already seen copies its score, since an evaluation is a pure
+// function of its candidate. Survivors feed a bounded Pareto archive with
+// crowding-distance pruning; the archive's spread leaders pull the swarm's
+// social term.
 //
 // Campaigns are deterministic from a root seed: every particle owns a
 // derived RNG stream (a math/rand source seeded by mc.DeriveSeed, the
@@ -217,8 +217,8 @@ func (o Options) resolve(eng *engine.Engine) (Options, *space, error) {
 	o.Wavelengths = sortedInts(o.Wavelengths)
 	o.DACBits = sortedInts(o.DACBits)
 	for _, t := range o.Tiles {
-		if t < 2 {
-			return fail("tile choice %d must be at least 2", t)
+		if t < 2 || t > noc.MaxTiles {
+			return fail("tile choice %d must be between 2 and %d", t, noc.MaxTiles)
 		}
 	}
 	for _, w := range o.Wavelengths {

@@ -220,11 +220,12 @@ func TestArchiveProperties(t *testing.T) {
 func TestRunRejectsBadOptions(t *testing.T) {
 	e := newTestEngine(t, 1)
 	for _, opts := range []Options{
-		{},                                     // missing BER
-		{TargetBER: 0.7},                       // out of range
-		{TargetBER: 1e-11, Particles: -1},      // negative swarm
-		{TargetBER: 1e-11, Tiles: []int{1}},    // degenerate tiles
-		{TargetBER: 1e-11, DACBits: []int{99}}, // impossible DAC
+		{},                                  // missing BER
+		{TargetBER: 0.7},                    // out of range
+		{TargetBER: 1e-11, Particles: -1},   // negative swarm
+		{TargetBER: 1e-11, Tiles: []int{1}}, // degenerate tiles
+		{TargetBER: 1e-11, Tiles: []int{8, noc.MaxTiles + 1}}, // above the tile bound
+		{TargetBER: 1e-11, DACBits: []int{99}},                // impossible DAC
 	} {
 		if _, err := Run(context.Background(), e, opts); !errors.Is(err, engine.ErrInvalidInput) {
 			t.Errorf("opts %+v: error = %v, want ErrInvalidInput", opts, err)
@@ -261,9 +262,9 @@ func TestRunEvaluatesEachDesignOnce(t *testing.T) {
 	if !reflect.DeepEqual(res.Front, one.Front) {
 		t.Fatalf("front %+v, want the 1 × 1 front %+v", res.Front, one.Front)
 	}
-	type counts struct{ hits, misses, cold, reuses uint64 }
-	got := counts{stats.Hits, stats.Misses, stats.ColdSolves, stats.SessionReuses}
-	want := counts{oneStats.Hits, oneStats.Misses, oneStats.ColdSolves, oneStats.SessionReuses}
+	type counts struct{ hits, misses, cold uint64 }
+	got := counts{stats.Hits, stats.Misses, stats.ColdSolves}
+	want := counts{oneStats.Hits, oneStats.Misses, oneStats.ColdSolves}
 	if got != want {
 		t.Fatalf("16 × 20 campaign engine counts %+v, want the 1 × 1 campaign's %+v", got, want)
 	}

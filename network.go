@@ -42,7 +42,7 @@ type (
 	// NoCCandidate is one point of a design-space population: topology,
 	// optional roster restriction and evaluation options. Evaluate whole
 	// populations with the promoted Engine.NetworkBatch /
-	// Engine.NetworkBatchStream, or drive a single incremental
+	// Engine.NetworkBatchStream, or drive a single
 	// NoCSession via the promoted Engine.NewNetworkSession.
 	NoCCandidate = engine.NetworkCandidate
 	// NoCBatchOptions parameterizes Engine.NetworkBatch /
@@ -55,10 +55,10 @@ type (
 	// NoCBatchErrors aggregates the per-candidate failures of a
 	// partial-failure batch; it multi-unwraps for errors.Is/As.
 	NoCBatchErrors = engine.BatchErrors
-	// NoCSession is the incremental, zero-allocation network evaluator
-	// of the autotuner fast path: it diffs each candidate against the
-	// previous one by per-link fingerprint and re-solves only the changed
-	// cells. Not safe for concurrent use; results alias session storage
+	// NoCSession is the zero-allocation network evaluator of the
+	// autotuner fast path: it solves each candidate's (link, scheme, BER)
+	// cells through the engine's memo cache, so only cells no earlier
+	// candidate solved run the physics. Not safe for concurrent use; results alias session storage
 	// until the next Evaluate (Clone them to keep them).
 	NoCSession = engine.NetworkSession
 	// SimPattern is a synthetic netsim workload (see ParsePattern).
