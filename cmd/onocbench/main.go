@@ -33,7 +33,7 @@ func main() {
 	jsonBench := flag.Bool("json", false, "measure the tracked solve-pipeline benchmarks (cold/warm sweep, FER inversion, Monte-Carlo block) and emit them as JSON (see BENCH_cold_sweep.json)")
 	ber := flag.Float64("ber", 1e-11, "target BER for fig6a/headline")
 	configPath := flag.String("config", "", "load a study configuration (JSON from SaveConfig) instead of the paper defaults")
-	workers := flag.Int("workers", 0, "engine sweep workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS); of the -json metrics it sizes noc_batch, noc_tune and the served engine")
 	flag.Parse()
 
 	// Ctrl-C cancels mid-experiment: the context threads through every

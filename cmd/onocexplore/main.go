@@ -27,7 +27,6 @@ import (
 func main() {
 	sweep := flag.String("sweep", "codes", "codes|activity|dac|length|spacing")
 	ber := flag.Float64("ber", 1e-9, "target BER")
-	workers := flag.Int("workers", 0, "engine sweep workers (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -36,7 +35,7 @@ func main() {
 	var err error
 	switch *sweep {
 	case "codes":
-		err = sweepCodes(ctx, *ber, *workers)
+		err = sweepCodes(ctx, *ber)
 	case "activity":
 		err = sweepActivity()
 	case "dac":
@@ -56,22 +55,15 @@ func main() {
 }
 
 // newEngine builds an explorer engine over cfg and the extended roster.
-func newEngine(cfg photonoc.LinkConfig, workers int) (*photonoc.Engine, error) {
-	opts := []photonoc.Option{
-		photonoc.WithConfig(cfg),
-		photonoc.WithSchemes(photonoc.ExtendedSchemes()...),
-	}
-	if workers != 0 { // let negative values hit the engine's typed validation
-		opts = append(opts, photonoc.WithWorkers(workers))
-	}
-	return photonoc.New(opts...)
+func newEngine(cfg photonoc.LinkConfig) (*photonoc.Engine, error) {
+	return photonoc.New(photonoc.WithConfig(cfg), photonoc.WithSchemes(photonoc.ExtendedSchemes()...))
 }
 
 // sweepCodes streams the extended-roster evaluation: rows print as each
 // operating point (and its predecessors) is solved, and the Pareto verdict
 // follows once the whole BER group is in.
-func sweepCodes(ctx context.Context, ber float64, workers int) error {
-	eng, err := newEngine(photonoc.DefaultConfig(), workers)
+func sweepCodes(ctx context.Context, ber float64) error {
+	eng, err := newEngine(photonoc.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -172,7 +164,7 @@ func sweepSpacing(ctx context.Context, ber float64) error {
 		if err != nil {
 			return err
 		}
-		eng, err := newEngine(cfg, 0)
+		eng, err := newEngine(cfg)
 		if err != nil {
 			return err
 		}
@@ -195,7 +187,7 @@ func sweepLength(ctx context.Context, ber float64) error {
 	for _, cm := range []float64{2, 4, 6, 8, 10, 12} {
 		cfg := photonoc.DefaultConfig()
 		cfg.Channel.Waveguide.LengthCM = cm
-		eng, err := newEngine(cfg, 0)
+		eng, err := newEngine(cfg)
 		if err != nil {
 			return err
 		}

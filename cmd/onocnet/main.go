@@ -72,7 +72,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	rate := fs.Float64("rate", 0, "injection rate per tile in bits/s (0 = half of saturation)")
 	useDAC := fs.Bool("dac", false, "quantize laser settings through the paper's 6-bit DAC")
 	perLink := fs.Bool("links", false, "print the per-link table")
-	workers := fs.Int("workers", 0, "engine workers (0 = GOMAXPROCS; ignored with -remote)")
 	remote := fs.String("remote", "", "base URL of an onocd daemon to evaluate against instead of the in-process engine")
 	sim := fs.Bool("sim", false, "run the discrete-event simulator and print it against the analytic aggregates")
 	messages := fs.Int("messages", 0, "messages to simulate with -sim (0 = 20000)")
@@ -142,11 +141,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		})
 	}
 
-	opts := []photonoc.Option{}
-	if *workers != 0 {
-		opts = append(opts, photonoc.WithWorkers(*workers))
-	}
-	eng, err := photonoc.New(opts...)
+	eng, err := photonoc.New()
 	if err != nil {
 		return err
 	}

@@ -23,8 +23,8 @@
 //	)
 //	if err != nil { ... }
 //
-//	// Batch: fan (scheme × BER) points across the worker pool; results
-//	// arrive in deterministic order, identical to the sequential path.
+//	// Batch: solve the (scheme × BER) grid in grid order over the memo
+//	// cache; results are identical to the sequential reference.
 //	evs, err := eng.Sweep(ctx, nil, []float64{1e-9, 1e-11})
 //
 //	// Streaming: render incrementally as points are solved.
@@ -77,7 +77,7 @@
 //		photonoc.MCOptions{Frames: 10_000_000, TargetRelErr: 0.02, Seed: 1})
 //	fmt.Println(res.BER, res.BERLow, res.BERHigh, res.FramesPerSec)
 //
-//	// A whole validation grid through the sweep worker pool.
+//	// A whole validation grid, its points spread over the worker pool.
 //	grid, err := eng.ValidateGrid(ctx, nil, []float64{1e-2, 1e-3},
 //		photonoc.MCOptions{Frames: 1_000_000, Seed: 1})
 //
@@ -111,9 +111,9 @@
 //	results, err := eng.NetworkSweep(ctx, topo, bers, opts)
 //	for r := range eng.NetworkSweepStream(ctx, topo, bers, opts) { ... }
 //
-// Network and SimulateNetwork solve every (link, scheme) cell on the
-// caller's goroutine, on a pooled NoCSession;
-// NetworkSweep hands its BERs to the Engine's worker pool one at a time.
+// Network, NetworkSweep and SimulateNetwork solve every (link, scheme)
+// cell on the caller's goroutine, on a pooled NoCSession; NetworkSweep
+// takes its BERs in grid order on one session.
 // Cells are keyed in the memo cache by the ID the link's configuration
 // fingerprint was interned to, which the build memo keeps with the link's
 // compiled plan — links sharing a compiled plan (every bus link, every
@@ -234,9 +234,10 @@
 //
 //   - internal/engine     — the concurrent batch evaluator: sweeps, batches,
 //     memo cache, typed errors (the machinery behind Engine)
-//   - internal/fanout     — the one worker pool: contiguous chunks claimed
-//     in index order by a bounded set of goroutines, first error cancels
-//     the rest
+//   - internal/fanout     — the one worker pool (network batches,
+//     validation grids, Monte-Carlo shard rounds): contiguous chunks
+//     claimed in index order by a bounded set of goroutines, first error
+//     cancels the rest
 //   - internal/mc         — the bit-sliced Monte-Carlo validation engine:
 //     sharded deterministic RNG streams, streaming Wilson intervals
 //     (the machinery behind ValidateMC / ValidateGrid)

@@ -2,7 +2,6 @@ package photonoc
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"photonoc/internal/core"
@@ -28,26 +27,23 @@ func BenchmarkSweepSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSweepCold measures the worker pool alone: memoization is
-// disabled, so every iteration re-solves the full grid across N workers.
-// Speedup over BenchmarkSweepSequential tracks available CPUs.
+// BenchmarkEngineSweepCold is the engine's cold path: memoization is
+// disabled, so every iteration re-solves the full grid, in grid order on
+// the caller's goroutine. Against BenchmarkSweepSequential it shows what
+// the engine's interned plans save.
 func BenchmarkEngineSweepCold(b *testing.B) {
 	codes := ExtendedSchemes()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng, err := New(WithSchemes(codes...), WithWorkers(workers), WithCache(0))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Sweep(ctx, codes, benchBERs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	eng, err := New(WithSchemes(codes...), WithCache(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Sweep(ctx, codes, benchBERs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -57,24 +53,20 @@ func BenchmarkEngineSweepCold(b *testing.B) {
 // cache hits.
 func BenchmarkEngineSweepWarm(b *testing.B) {
 	codes := ExtendedSchemes()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng, err := New(WithSchemes(codes...), WithWorkers(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			if _, err := eng.Sweep(ctx, codes, benchBERs); err != nil {
-				b.Fatal(err) // warm the cache outside the timed region
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Sweep(ctx, codes, benchBERs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	eng, err := New(WithSchemes(codes...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := eng.Sweep(ctx, codes, benchBERs); err != nil {
+		b.Fatal(err) // warm the cache outside the timed region
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Sweep(ctx, codes, benchBERs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

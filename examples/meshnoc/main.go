@@ -36,9 +36,9 @@ func main() {
 	fmt.Printf("8×8 mesh: %d links over %d waveguides, %d wavelengths each\n",
 		net.NumLinks(), len(net.Waveguides()), len(net.Links()[0].Lambdas))
 
-	// Sweep the BER target across the paper's range. The engine spreads the
-	// BERs over its worker pool; links sharing a compiled plan (every
-	// row/column position repeats) hit the memo cache.
+	// Sweep the BER target across the paper's range, one BER after the
+	// other; links sharing a compiled plan (every row/column position
+	// repeats) hit the memo cache.
 	bers := []float64{1e-6, 1e-9, 1e-11, 1e-12}
 	results, err := eng.NetworkSweep(ctx, topo, bers, photonoc.NoCEvalOptions{
 		Objective: photonoc.MinEnergy,

@@ -67,15 +67,18 @@ func EvaluateAllWith(ctx context.Context, ev Evaluator, codes []ecc.Code, target
 }
 
 // SweepWith evaluates codes × targetBERs (outer loop over BER) through ev.
-// The result order is deterministic: BER-major, then scheme order.
+// The result order is deterministic: BER-major, then scheme order. The
+// result is the one allocation of the sweep itself.
 func SweepWith(ctx context.Context, ev Evaluator, codes []ecc.Code, targetBERs []float64) ([]Evaluation, error) {
 	out := make([]Evaluation, 0, len(codes)*len(targetBERs))
 	for _, ber := range targetBERs {
-		evs, err := EvaluateAllWith(ctx, ev, codes, ber)
-		if err != nil {
-			return nil, err
+		for _, c := range codes {
+			e, err := ev.Evaluate(ctx, c, ber)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, e)
 		}
-		out = append(out, evs...)
 	}
 	return out, nil
 }

@@ -1,6 +1,6 @@
 // Package engine is the concurrent, context-aware evaluation core behind
-// the public photonoc.Engine API: a worker-pool batch solver over the
-// (scheme × target-BER) design space, a bounded, coalescing memo cache
+// the public photonoc.Engine API: a batch solver over the (scheme ×
+// target-BER) design space, a bounded, coalescing memo cache
 // keyed by (interned configuration, interned scheme, BER), and typed errors
 // for the API boundary. The manager and the traffic simulator evaluate through it, so
 // repeated decisions and overlapping sweeps never re-solve the optical

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"photonoc/internal/core"
 	"photonoc/internal/noc"
@@ -138,32 +139,37 @@ func (e *Engine) checkNetworkSweep(cfg noc.Config, targetBERs []float64) error {
 	return err
 }
 
-// networkEach evaluates the topology at every BER of the grid across the
-// worker pool, one Network evaluation per BER, and hands each result to
-// visit with its grid index.
-func (e *Engine) networkEach(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions, visit func(int, noc.Result)) error {
-	return e.forEach(ctx, len(targetBERs), func(ctx context.Context, b int) error {
-		o := opts
-		o.TargetBER = targetBERs[b]
-		res, err := e.Network(ctx, cfg, o)
+// networkEach evaluates the topology at every BER of the grid, in grid
+// order on the caller's goroutine, on one pooled NetworkSession, and hands
+// each result to visit with its grid index. The result aliases the session
+// and is valid only during visit.
+func (e *Engine) networkEach(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions, visit func(int, *noc.Result)) error {
+	s := e.acquireSession()
+	defer e.releaseSession(s)
+	for b, ber := range targetBERs {
+		opts.TargetBER = ber
+		res, err := s.Evaluate(ctx, NetworkCandidate{Topology: cfg, Opts: opts})
 		if err != nil {
 			return err
 		}
 		visit(b, res)
-		return nil
-	})
+	}
+	return nil
 }
 
-// NetworkSweep evaluates the topology across a grid of target BERs, the
-// BERs spread across the worker pool. Each BER is one Network evaluation,
-// so the result slice is identical regardless of the worker count.
-// opts.TargetBER is ignored — each grid point uses its own BER.
+// NetworkSweep evaluates the topology across a grid of target BERs, in
+// grid order on the caller's goroutine. Each BER is evaluated exactly as
+// Network evaluates it, so the result slice is identical regardless of the
+// worker count. opts.TargetBER is ignored — each grid point uses its own
+// BER. With the memo cache disabled (WithCache(0)), every BER is a cold
+// solve, still in order on one goroutine; use NetworkBatch to spread cold
+// solves over the workers.
 func (e *Engine) NetworkSweep(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions) ([]noc.Result, error) {
 	if err := e.checkNetworkSweep(cfg, targetBERs); err != nil {
 		return nil, err
 	}
 	out := make([]noc.Result, len(targetBERs))
-	if err := e.networkEach(ctx, cfg, targetBERs, opts, func(b int, res noc.Result) { out[b] = res }); err != nil {
+	if err := e.networkEach(ctx, cfg, targetBERs, opts, func(b int, res *noc.Result) { out[b] = res.Clone() }); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -171,23 +177,25 @@ func (e *Engine) NetworkSweep(ctx context.Context, cfg noc.Config, targetBERs []
 
 // NetworkSweepStream is the streaming variant of NetworkSweep: it returns
 // immediately with a channel yielding one aggregated NetworkResult per
-// target BER, in grid order, as soon as each BER (and all its
-// predecessors) has been evaluated. The channel is buffered for the whole
-// grid; on error or cancellation the stream ends early with a final
+// target BER, in grid order, as soon as the one producer goroutine behind
+// the stream has evaluated it. The channel is buffered for the whole grid;
+// on error or cancellation the stream ends early with a final
 // NetworkResult carrying Err, and the channel is always closed.
 func (e *Engine) NetworkSweepStream(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions) <-chan NetworkResult {
 	if err := e.checkNetworkSweep(cfg, targetBERs); err != nil {
 		return failed(NetworkResult{Err: err})
 	}
-	bers := append([]float64(nil), targetBERs...)
-	return ordered(ctx, len(bers), func(emit func(int, NetworkResult)) error {
-		return e.networkEach(ctx, cfg, bers, opts, func(b int, res noc.Result) {
-			emit(b, NetworkResult{Index: b, TargetBER: bers[b], Result: res})
-		})
-	}, func(next int, err error) NetworkResult {
-		if err == nil {
-			err = fmt.Errorf("photonoc: network sweep aborted at BER index %d", next)
+	bers := slices.Clone(targetBERs)
+	out := make(chan NetworkResult, len(bers))
+	go func() {
+		defer close(out)
+		next := 0
+		if err := e.networkEach(ctx, cfg, bers, opts, func(b int, res *noc.Result) {
+			out <- NetworkResult{Index: b, TargetBER: bers[b], Result: res.Clone()}
+			next = b + 1
+		}); err != nil {
+			out <- NetworkResult{Index: next, TargetBER: bers[next], Err: err}
 		}
-		return NetworkResult{Index: next, TargetBER: bers[next], Err: err}
-	})
+	}()
+	return out
 }

@@ -67,6 +67,27 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSweepWarmAllocs pins the warm Sweep path: every cell is a cache hit
+// solved on the caller's goroutine, so the result slice is the one
+// allocation.
+func TestSweepWarmAllocs(t *testing.T) {
+	e, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	codes := ecc.ExtendedSchemes()
+	run := func() {
+		if _, err := e.Sweep(ctx, codes, testBERs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: interns the roster and caches the grid
+	if allocs := testing.AllocsPerRun(200, run); allocs > 1 {
+		t.Errorf("warm %d×%d Sweep allocated %.1f times per call, want ≤ 1", len(codes), len(testBERs), allocs)
+	}
+}
+
 func TestSweepNilCodesUsesRoster(t *testing.T) {
 	e, err := New(WithSchemes(ecc.MustHamming74(), ecc.MustUncoded64()))
 	if err != nil {

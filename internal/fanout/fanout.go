@@ -1,5 +1,8 @@
-// Package fanout is the module's one worker pool: sweeps, validation grids,
-// network batches and Monte-Carlo shard rounds all run on Chunks.
+// Package fanout is the module's one worker pool: network batches,
+// validation grids and Monte-Carlo shard rounds run on Chunks. Each of them
+// has items that cost far more than a goroutine hand-off; sweeps, whose
+// cells cost about a microsecond, run in order on the caller's goroutine
+// instead.
 package fanout
 
 import (
@@ -14,12 +17,12 @@ import (
 // each on at most workers goroutines, which claim the chunks in index
 // order, goroutine g starting with chunk g. Goroutine 0 is the caller's
 // own, so with one worker the chunks run in order on it. Size 1 balances
-// items of uneven cost and grows the finished prefix at the pool's rate, as
-// an in-order stream needs; size ⌈n/workers⌉ gives each goroutine exactly
-// one block, so per-chunk state (a pooled session) sees the locality of its
-// input. The first error cancels the context the other chunks see, stops
-// further claims and is returned; otherwise Chunks returns ctx.Err(). work
-// checks its context between the items of a chunk.
+// items of uneven cost, such as validation points or Monte-Carlo shards;
+// size ⌈n/workers⌉ gives each goroutine exactly one block, so per-chunk
+// state (a pooled session) sees the locality of its input. The first error
+// cancels the context the other chunks see, stops further claims and is
+// returned; otherwise Chunks returns ctx.Err(). work checks its context
+// between the items of a chunk.
 func Chunks(ctx context.Context, workers, n, size int, work func(ctx context.Context, lo, hi int) error) error {
 	step := max(size, 1) // a fresh variable, so the closures capture it by value
 	chunks := (n + step - 1) / step
