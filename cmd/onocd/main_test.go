@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +29,9 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // content type and body. Every case is deterministic — the engine solves
 // are pure computation, map-ordered output is sorted, and the deadline
 // case expires with certainty (a 2^30-frame Monte-Carlo run against a
-// 1 ms budget).
+// 1 ms budget). TestGolden also holds every application/json body to its
+// json.Compact form plus one newline, so indentation cannot return with a
+// regenerated fixture.
 var goldenCases = []struct {
 	name   string
 	method string
@@ -74,6 +77,16 @@ func TestGolden(t *testing.T) {
 			resp.Body.Close()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if resp.Header.Get("Content-Type") == "application/json" {
+				var compact bytes.Buffer
+				if err := json.Compact(&compact, body); err != nil {
+					t.Fatalf("body is not JSON: %v\n%s", err, body)
+				}
+				compact.WriteByte('\n')
+				if !bytes.Equal(body, compact.Bytes()) {
+					t.Errorf("body is not compact JSON plus a newline:\n%s", body)
+				}
 			}
 			var out bytes.Buffer
 			fmt.Fprintf(&out, "status: %d\ncontent-type: %s\n\n%s",

@@ -54,7 +54,8 @@ type MCOptions = mc.Options
 // predictions, and throughput accounting.
 type MCResult = mc.Result
 
-// CacheStats is a snapshot of the Engine's memo-cache accounting.
+// CacheStats is a snapshot of the Engine's memo-cache accounting and of its
+// plan and network registries' sizes, hits and misses.
 type CacheStats = engine.CacheStats
 
 // Engine is the concurrent entry point of the package: a batch evaluator

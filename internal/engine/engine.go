@@ -236,9 +236,9 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) ConfigFingerprint() string { return e.fingerprint }
 
 // CacheStats snapshots the memo-cache accounting, the engine's cold-solve
-// timing and its registry sizes. With the cache disabled the
-// hit/miss/entry fields report zeroes; the cold-solve fields still
-// accumulate, since every solve is then cold.
+// timing and its registries' sizes, hits and misses. With the cache
+// disabled the memo's hit/miss/entry fields report zeroes; the cold-solve
+// fields still accumulate, since every solve is then cold.
 func (e *Engine) CacheStats() CacheStats {
 	var s CacheStats
 	if e.cache != nil {
@@ -247,9 +247,10 @@ func (e *Engine) CacheStats() CacheStats {
 	s.ColdSolves = e.coldSolves.Load()
 	s.ColdSolveTime = time.Duration(e.coldSolveNS.Load())
 	s.SharedSolves = e.sharedSolves.Load()
-	s.FERPlans = e.plans.stats().Entries
-	s.LinkPlans = e.netPlans.stats().Entries
-	s.Networks = e.netBuilt.stats().Entries
+	plans, links, nets := e.plans.stats(), e.netPlans.stats(), e.netBuilt.stats()
+	s.FERPlans, s.FERPlanHits, s.FERPlanMisses = plans.Entries, plans.Hits, plans.Misses
+	s.LinkPlans, s.LinkPlanHits, s.LinkPlanMisses = links.Entries, links.Hits, links.Misses
+	s.Networks, s.NetworkHits, s.NetworkMisses = nets.Entries, nets.Hits, nets.Misses
 	return s
 }
 

@@ -160,8 +160,9 @@ func TestEngineOwnsFERPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := a.schemeFor(ecc.MustHamming74()).plan // a distinct instance of the solved code
-	if s := a.CacheStats(); s.FERPlans != 1 {
-		t.Errorf("plans after one scheme = %d, want 1", s.FERPlans)
+	if s := a.CacheStats(); s.FERPlans != 1 || s.FERPlanMisses != 1 || s.FERPlanHits != 1 {
+		t.Errorf("plans after one scheme = %d (%d hits, %d misses), want 1 (1 hit, 1 miss)",
+			s.FERPlans, s.FERPlanHits, s.FERPlanMisses)
 	}
 	if a.schemeFor(ecc.MustHamming74()).plan != p {
 		t.Error("one engine must hand every H(7,4) instance the same plan")

@@ -37,6 +37,11 @@ type CacheStats struct {
 	// configurations by fingerprint, and built topologies. They fill
 	// whether or not the memo cache is enabled.
 	FERPlans, LinkPlans, Networks int
+	// FERPlanHits, LinkPlanHits and NetworkHits count the lookups each
+	// registry served from a published entry since the engine was built;
+	// the Misses fields count the rest, as for the solve memo.
+	FERPlanHits, LinkPlanHits, NetworkHits       uint64
+	FERPlanMisses, LinkPlanMisses, NetworkMisses uint64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.

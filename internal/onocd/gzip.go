@@ -46,11 +46,16 @@ func (s *Server) withGzip(next http.Handler) http.Handler {
 	})
 }
 
-// gzipWriters pools the compressors of finished responses: a gzip.Writer
-// carries a flate state of several hundred KiB that Reset reuses, where a
-// fresh writer per response would allocate it anew. Only close returns a
+// gzipWriters pools the compressors of finished responses. They compress at
+// gzip.BestSpeed, whose deflatefast path takes about half the default
+// level's CPU on compact JSON for 4–5% more bytes. A BestSpeed
+// gzip.Writer carries about 1.2 MiB of flate state that Reset reuses, where
+// a fresh writer per response would allocate it anew. Only close returns a
 // writer, so a writer whose handler panicked mid-stream is dropped.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+var gzipWriters = sync.Pool{New: func() any {
+	gz, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a valid level never errs
+	return gz
+}}
 
 // acceptsGzip reports whether the request's Accept-Encoding admits gzip
 // (a gzip token with a non-zero quality value).

@@ -371,6 +371,8 @@ func TestMetricsStrictFormat(t *testing.T) {
 		"onocd_cache_capacity",
 		"onocd_cache_cold_solve_seconds_total",
 		"onocd_engine_registry_entries",
+		"onocd_engine_registry_hits_total",
+		"onocd_engine_registry_misses_total",
 		"onocd_cold_solve_duration_seconds",
 		"onocd_goroutines",
 		"onocd_heap_alloc_bytes",
@@ -416,13 +418,25 @@ func TestMetricsStrictFormat(t *testing.T) {
 		t.Error("cold-solve histogram empty; the first sweep should have solved cold")
 	}
 	// The sweeps compiled the roster's FER plans and the crossbar request
-	// built one network, so both registries must report entries.
-	registries := map[string]float64{}
-	for _, s := range fams["onocd_engine_registry_entries"].samples {
-		registries[s.labels["registry"]] = s.value
+	// built one network, so both registries must report entries; the
+	// repeat sweep found its plans published.
+	registry := func(family string) map[string]float64 {
+		m := map[string]float64{}
+		for _, s := range fams[family].samples {
+			m[s.labels["registry"]] = s.value
+		}
+		return m
 	}
+	registries := registry("onocd_engine_registry_entries")
 	if _, ok := registries["link_plans"]; !ok || registries["fer_plans"] < 1 || registries["networks"] != 1 {
 		t.Errorf("onocd_engine_registry_entries = %v, want a link_plans series, fer_plans ≥ 1 and networks = 1", registries)
+	}
+	hits, misses := registry("onocd_engine_registry_hits_total"), registry("onocd_engine_registry_misses_total")
+	if _, ok := hits["link_plans"]; !ok || hits["fer_plans"] < 1 {
+		t.Errorf("onocd_engine_registry_hits_total = %v, want a link_plans series and fer_plans ≥ 1", hits)
+	}
+	if _, ok := misses["link_plans"]; !ok || misses["fer_plans"] < 1 || misses["networks"] != 1 {
+		t.Errorf("onocd_engine_registry_misses_total = %v, want a link_plans series, fer_plans ≥ 1 and networks = 1", misses)
 	}
 	if fams["onocd_build_info"].samples[0].labels["go_version"] == "" {
 		t.Error("onocd_build_info missing go_version label")

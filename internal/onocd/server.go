@@ -450,13 +450,13 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, env)
 }
 
-// writeJSON writes one JSON response body.
+// writeJSON writes one JSON response body as compact JSON on one line plus
+// a newline. Indentation would only add bytes for the encoder to write and
+// the gzip writer to compress; a reader pipes the body to jq.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
 // decodeJSON strictly decodes a request body: unknown fields, trailing
@@ -566,10 +566,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge(w, "onocd_cache_entries", "Memoized operating points.", float64(cs.Entries))
 	gauge(w, "onocd_cache_capacity", "Memo-cache capacity.", float64(cs.Capacity))
 	gauge(w, "onocd_cache_cold_solve_seconds_total", "Cumulative wall time in cold solves.", cs.ColdSolveTime.Seconds())
+	registries := []struct {
+		name         string
+		entries      int
+		hits, misses uint64
+	}{
+		{"fer_plans", cs.FERPlans, cs.FERPlanHits, cs.FERPlanMisses},
+		{"link_plans", cs.LinkPlans, cs.LinkPlanHits, cs.LinkPlanMisses},
+		{"networks", cs.Networks, cs.NetworkHits, cs.NetworkMisses},
+	}
 	fmt.Fprint(w, "# HELP onocd_engine_registry_entries Entries in the engine's plan and network registries.\n# TYPE onocd_engine_registry_entries gauge\n")
-	fmt.Fprintf(w, "onocd_engine_registry_entries{registry=\"fer_plans\"} %d\n", cs.FERPlans)
-	fmt.Fprintf(w, "onocd_engine_registry_entries{registry=\"link_plans\"} %d\n", cs.LinkPlans)
-	fmt.Fprintf(w, "onocd_engine_registry_entries{registry=\"networks\"} %d\n", cs.Networks)
+	for _, reg := range registries {
+		fmt.Fprintf(w, "onocd_engine_registry_entries{registry=%q} %d\n", reg.name, reg.entries)
+	}
+	fmt.Fprint(w, "# HELP onocd_engine_registry_hits_total Registry lookups served from a published entry.\n# TYPE onocd_engine_registry_hits_total counter\n")
+	for _, reg := range registries {
+		fmt.Fprintf(w, "onocd_engine_registry_hits_total{registry=%q} %d\n", reg.name, reg.hits)
+	}
+	fmt.Fprint(w, "# HELP onocd_engine_registry_misses_total Registry lookups that built or waited for an entry.\n# TYPE onocd_engine_registry_misses_total counter\n")
+	for _, reg := range registries {
+		fmt.Fprintf(w, "onocd_engine_registry_misses_total{registry=%q} %d\n", reg.name, reg.misses)
+	}
 	st.obs.writeTo(w)
 	writeRuntimeMetrics(w)
 	if inj := s.opts.FaultInjector; inj != nil {

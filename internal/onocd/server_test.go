@@ -507,6 +507,11 @@ func TestMetricsExposition(t *testing.T) {
 		"onocd_in_flight_requests 0",
 		"onocd_admission_rejected_total 0",
 		"onocd_engine_reloads_total 0",
+		// One sweep over the paper's three schemes compiles each FER plan
+		// once and builds no network.
+		`onocd_engine_registry_hits_total{registry="fer_plans"} 0`,
+		`onocd_engine_registry_misses_total{registry="fer_plans"} 3`,
+		`onocd_engine_registry_misses_total{registry="networks"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
