@@ -40,7 +40,19 @@ func PaperHammingBER(n int, p float64) float64 {
 	if p >= 1 {
 		return 1
 	}
-	return p - p*math.Pow(1-p, float64(n-1))
+	ber, _ := eq2(n, p)
+	return ber
+}
+
+// eq2 evaluates Eq. 2 at p in (0, 1) without cancellation, as
+// BER = −p·expm1((n−1)·ln(1−p)), together with its slope
+// dBER/dp = (1 − (1−p)^(n−1)) + p·(n−1)·(1−p)^(n−2) from the same log1p.
+// The textbook p − p·(1−p)^(n−1) is only good to ≈1e-16/p relative and
+// reads 0 below p ≈ 1e-17.
+func eq2(n int, p float64) (ber, dBERdP float64) {
+	ln1mP := math.Log1p(-p)
+	miss := -math.Expm1(float64(n-1) * ln1mP) // 1 − (1−p)^(n−1)
+	return p * miss, miss + p*float64(n-1)*math.Exp(float64(n-2)*ln1mP)
 }
 
 // UnionBoundBER is the standard post-decoding bit-error model for a

@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"math"
 	"testing"
 
 	"photonoc/internal/bits"
@@ -66,6 +67,29 @@ func FuzzBCH157Decode(f *testing.F) {
 		for _, s := range code.Syndromes(re) {
 			if s != 0 {
 				t.Fatal("re-encoded BCH word not a codeword")
+			}
+		}
+	})
+}
+
+// FuzzRequiredRawBER maps its input to a target post-decoding BER in
+// [1e-15, 1e-2] (log-uniform) and requires every extended scheme's planned
+// inversion to round-trip through PostDecodeBER to 1e-9 relative.
+func FuzzRequiredRawBER(f *testing.F) {
+	f.Add(uint64(0))
+	f.Add(uint64(math.MaxUint64))
+	f.Add(uint64(1) << 63)
+	lo, hi := math.Log(1e-15), math.Log(1e-2)
+	f.Fuzz(func(t *testing.T, u uint64) {
+		target := math.Exp(lo + (hi-lo)*float64(u)/math.MaxUint64)
+		for _, code := range ExtendedSchemes() {
+			plan := PlanFor(code)
+			p, err := plan.RequiredRawBER(target)
+			if err != nil {
+				t.Fatalf("%s: RequiredRawBER(%.17g): %v", code.Name(), target, err)
+			}
+			if back := plan.PostDecodeBER(p); relDiff(back, target) > 1e-9 {
+				t.Fatalf("%s: BER round trip %.17g → %.17g", code.Name(), target, back)
 			}
 		}
 	})

@@ -91,19 +91,19 @@ func (p *FERPlan) FrameErrorRate(pe float64) float64 {
 	return math.Min(math.Max(1-ok, 0), 1)
 }
 
-// ferTailDeriv evaluates the frame error rate by its direct binomial tail,
+// ferTail evaluates the frame error rate by its direct binomial tail,
 //
 //	P(X > t) = Σ_{i=t+1}^{n} C(n, i)·p^i·(1−p)^(n−i),
 //
 // via the incremental term recurrence b_{i+1} = b_i·(n−i)/(i+1)·p/q, along
-// with the analytic log-log slope d lnFER / d lnp from the binomial-CDF
-// identity d/dp P(X > t) = n·C(n−1, t)·p^t·(1−p)^(n−1−t).
+// with dFER/dp from the binomial-CDF identity
+// d/dp P(X > t) = n·C(n−1, t)·p^t·(1−p)^(n−1−t).
 //
 // Unlike the 1 − Σ_head formulation of FrameErrorRate (kept bit-compatible
 // with the historical helper), the direct tail stays accurate to a few ulp
 // even where the head sum cancels catastrophically (FER ≪ 1e-10), which is
 // exactly where the Newton inversion needs a well-conditioned function.
-func (p *FERPlan) ferTailDeriv(pe float64) (fer, dLnFERdLnP float64) {
+func (p *FERPlan) ferTail(pe float64) (fer, dFERdP float64) {
 	if pe <= 0 {
 		return 0, 0
 	}
@@ -125,12 +125,10 @@ func (p *FERPlan) ferTailDeriv(pe float64) (fer, dLnFERdLnP float64) {
 		}
 		sum += term
 	}
-	fer = math.Min(sum, 1)
-	if fer <= 0 || fer >= 1 {
-		return fer, 0
+	if sum >= 1 {
+		return 1, 0
 	}
-	dFdP := math.Exp(math.Log(float64(n)) + p.lnCPrev + float64(t)*lnP + float64(n-1-t)*ln1mP)
-	return fer, pe * dFdP / fer
+	return sum, math.Exp(math.Log(float64(n)) + p.lnCPrev + float64(t)*lnP + float64(n-1-t)*ln1mP)
 }
 
 // PostDecodeBER returns the post-decoding BER at raw bit error probability
@@ -139,22 +137,31 @@ func (p *FERPlan) ferTailDeriv(pe float64) (fer, dLnFERdLnP float64) {
 // (t = 1), or the union bound (t ≥ 2) with its tail evaluated by the
 // incremental term recurrence.
 func (p *FERPlan) PostDecodeBER(pe float64) float64 {
-	if p.model != nil {
-		ber, _ := p.model.postDecodeBER(pe)
-		return ber
-	}
+	ber, _ := p.postDecode(pe)
+	return ber
+}
+
+// postDecode is the one dispatch over the post-decoding models: the BER at
+// raw bit error probability pe and its slope dBER/dp, the pair the Newton
+// inversion runs on.
+func (p *FERPlan) postDecode(pe float64) (ber, dBERdP float64) {
 	switch {
+	case p.model != nil:
+		return p.model.postDecodeBER(pe)
+	case pe <= 0:
+		return 0, 0
+	case pe >= 1:
+		return 1, 0
 	case p.t == 0:
-		return pe
+		return pe, 1
 	case p.t == 1:
-		return PaperHammingBER(p.n, pe)
+		return eq2(p.n, pe)
 	default:
-		ber, _ := p.unionTail(pe)
-		return ber
+		return p.unionTail(pe)
 	}
 }
 
-// unionTail evaluates the union-bound post-decoding BER
+// unionTail evaluates the union-bound post-decoding BER at pe in (0, 1),
 //
 //	(1/n) · Σ_{i=t+1}^{n} (i + t) · C(n, i) · p^i · (1−p)^(n−i)
 //
@@ -162,12 +169,6 @@ func (p *FERPlan) PostDecodeBER(pe float64) float64 {
 // successive binomial terms follow from b_{i+1} = b_i · (n−i)/(i+1) · p/q,
 // and each term's derivative is b_i · (i/p − (n−i)/q).
 func (p *FERPlan) unionTail(pe float64) (ber, dBERdP float64) {
-	if pe <= 0 {
-		return 0, 0
-	}
-	if pe >= 1 {
-		return 1, 0
-	}
 	n, t := p.n, p.t
 	lnP, ln1mP := math.Log(pe), math.Log1p(-pe)
 	q := 1 - pe
@@ -193,38 +194,6 @@ func (p *FERPlan) unionTail(pe float64) (ber, dBERdP float64) {
 	return sum / nf, dsum / nf
 }
 
-// postDecodeBERDeriv returns PostDecodeBER(pe) together with the log-log
-// slope d lnBER / d lnp.
-func (p *FERPlan) postDecodeBERDeriv(pe float64) (ber, dLnBdLnP float64) {
-	switch {
-	case p.model != nil:
-		b, d := p.model.postDecodeBER(pe)
-		if b <= 0 {
-			return b, 0
-		}
-		return b, pe * d / b
-	case p.t == 0:
-		return pe, 1
-	case p.t == 1:
-		// Eq. 2: B = p − p(1−p)^(n−1) = p·(1 − q^(n−1)).
-		q := 1 - pe
-		qn1 := math.Pow(q, float64(p.n-1))
-		b := pe - pe*qn1
-		if b <= 0 {
-			return b, 0
-		}
-		// dB/dp = (1 − q^(n−1)) + p(n−1)q^(n−2).
-		dBdP := (1 - qn1) + pe*float64(p.n-1)*math.Pow(q, float64(p.n-2))
-		return b, pe * dBdP / b
-	default:
-		b, dBdP := p.unionTail(pe)
-		if b <= 0 || b >= 1 {
-			return b, 0
-		}
-		return b, pe * dBdP / b
-	}
-}
-
 // Search bracket shared by both planned inversions, matching the unplanned
 // solvers: ln p over [1e-18, 0.4999].
 var (
@@ -237,33 +206,19 @@ var (
 // roots agree to well under 1e-12 relative.
 const newtonTol = 1e-13
 
-// RequiredRawBER inverts PostDecodeBER with bisection-guarded Newton
-// iterations on ln p: the raw channel bit error probability at which the
-// post-decoding BER equals target.
+// RequiredRawBER inverts PostDecodeBER: the raw channel bit error
+// probability at which the post-decoding BER equals target.
 func (p *FERPlan) RequiredRawBER(target float64) (float64, error) {
 	if !(target > 0 && target < 0.5) {
 		return 0, fmt.Errorf("ecc: target BER %g outside (0, 0.5)", target)
 	}
-	lnT := math.Log(target)
-	fd := func(lnP float64) (float64, float64) {
-		ber, d := p.postDecodeBERDeriv(math.Exp(lnP))
-		if ber <= 0 {
-			return math.Inf(-1), 0
-		}
-		return math.Log(ber) - lnT, d
-	}
-	lnP, err := mathx.NewtonBisect(fd, lnPLo, lnPHi, newtonTol)
-	if err != nil {
-		return 0, fmt.Errorf("ecc: %s: inverting BER %g: %w", p.code.Name(), target, err)
-	}
-	return math.Exp(lnP), nil
+	return p.invert(target, "BER", p.postDecode)
 }
 
-// RequiredRawBERForFER inverts the frame error rate with bisection-guarded
-// Newton iterations on ln p: the raw channel bit error probability at which
-// the code's FER equals target.
+// RequiredRawBERForFER inverts the frame error rate: the raw channel bit
+// error probability at which the code's FER equals target.
 //
-// The solve runs on the direct binomial-tail evaluation (see ferTailDeriv),
+// The solve runs on the direct binomial-tail evaluation (see ferTail),
 // which stays well-conditioned at deep targets where the historical
 // 1 − Σ_head formulation only defines the FER to ≈2e-16/target relative;
 // within that intrinsic roundoff band the returned root is the accurate one.
@@ -271,17 +226,25 @@ func (p *FERPlan) RequiredRawBERForFER(target float64) (float64, error) {
 	if !(target > 0 && target < 1) {
 		return 0, fmt.Errorf("ecc: target FER %g outside (0, 1)", target)
 	}
+	return p.invert(target, "FER", p.ferTail)
+}
+
+// invert solves f(p) = target for p with bisection-guarded Newton
+// iterations on ln p, where f returns its value and slope d/dp; the
+// log-log slope d ln f / d ln p = p·f'/f is the Newton derivative.
+func (p *FERPlan) invert(target float64, what string, f func(float64) (float64, float64)) (float64, error) {
 	lnT := math.Log(target)
 	fd := func(lnP float64) (float64, float64) {
-		fer, d := p.ferTailDeriv(math.Exp(lnP))
-		if fer <= 0 {
+		pe := math.Exp(lnP)
+		v, d := f(pe)
+		if v <= 0 {
 			return math.Inf(-1), 0
 		}
-		return math.Log(fer) - lnT, d
+		return math.Log(v) - lnT, pe * d / v
 	}
 	lnP, err := mathx.NewtonBisect(fd, lnPLo, lnPHi, newtonTol)
 	if err != nil {
-		return 0, fmt.Errorf("ecc: %s: inverting FER %g: %w", p.code.Name(), target, err)
+		return 0, fmt.Errorf("ecc: %s: inverting %s %g: %w", p.code.Name(), what, target, err)
 	}
 	return math.Exp(lnP), nil
 }

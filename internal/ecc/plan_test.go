@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
 	"photonoc/internal/mathx"
@@ -40,9 +41,47 @@ func referencePostDecodeBER(c Code, p float64) float64 {
 	case c.T() == 0:
 		return p
 	case c.T() == 1:
-		return PaperHammingBER(c.N(), p)
+		ber, _ := bigEq2(c.N(), p)
+		return ber
 	default:
 		return UnionBoundBER(c.N(), c.T(), p)
+	}
+}
+
+// bigEq2 evaluates Eq. 2, p·(1 − (1−p)^(n−1)), and its slope
+// (1 − (1−p)^(n−1)) + p·(n−1)·(1−p)^(n−2) in 256-bit arithmetic, an oracle
+// that shares no code with the float64 evaluation under test.
+func bigEq2(n int, p float64) (ber, dBERdP float64) {
+	const prec = 256
+	x := new(big.Float).SetPrec(prec).SetFloat64(p)
+	q := new(big.Float).SetPrec(prec).Sub(big.NewFloat(1).SetPrec(prec), x)
+	pow := new(big.Float).SetPrec(prec).SetInt64(1) // q^(n−2), then q^(n−1)
+	for i := 0; i < n-2; i++ {
+		pow.Mul(pow, q)
+	}
+	slopeTail := new(big.Float).SetPrec(prec).Mul(x, pow)
+	slopeTail.Mul(slopeTail, new(big.Float).SetPrec(prec).SetInt64(int64(n-1)))
+	pow.Mul(pow, q)
+	miss := new(big.Float).SetPrec(prec).Sub(big.NewFloat(1).SetPrec(prec), pow)
+	ber, _ = new(big.Float).SetPrec(prec).Mul(x, miss).Float64()
+	dBERdP, _ = new(big.Float).SetPrec(prec).Add(miss, slopeTail).Float64()
+	return ber, dBERdP
+}
+
+func TestEq2MatchesBigFloat(t *testing.T) {
+	const tol = 1e-15
+	for _, n := range []int{7, 71, 72} {
+		for _, p := range mathx.Logspace(1e-18, 0.4999, 5000) {
+			wantBER, wantSlope := bigEq2(n, p)
+			if got := PaperHammingBER(n, p); relDiff(got, wantBER) > tol {
+				t.Fatalf("n=%d: PaperHammingBER(%.17g) = %.17g, 256-bit %.17g (rel diff %.3g)",
+					n, p, got, wantBER, relDiff(got, wantBER))
+			}
+			if _, got := eq2(n, p); relDiff(got, wantSlope) > tol {
+				t.Fatalf("n=%d: Eq. 2 slope at %.17g = %.17g, 256-bit %.17g (rel diff %.3g)",
+					n, p, got, wantSlope, relDiff(got, wantSlope))
+			}
+		}
 	}
 }
 
@@ -179,28 +218,19 @@ func TestPlanCarriesCode(t *testing.T) {
 
 func TestPlanInversionRoundTrips(t *testing.T) {
 	// The planned Newton inversions must land on raw BERs whose forward
-	// model reproduces the target. The BER inversion also runs on a dense
-	// grid plus a target at which H(7,4)'s guarded Newton steps stall above
-	// the ln-p tolerance: Eq. 2 resolves the post-decode BER only to its
-	// rounding noise there, so the solver must bisect the rest.
+	// model reproduces the target, to one tolerance for every code. The BER
+	// inversion also runs on a dense grid plus a target at which the
+	// textbook Eq. 2 used to stall H(7,4)'s guarded Newton steps above the
+	// ln-p tolerance.
 	berTargets := append(mathx.Logspace(1e-15, 1e-2, 20_000), 1.0045073642544624e-12)
 	for _, code := range ExtendedSchemes() {
 		plan := PlanFor(code)
-		// Only plans that evaluate Eq. 2 (t = 1 without an exact model)
-		// get a noise allowance: its p − p·q^(n−1) rounds q = 1 − p to one
-		// ulp, so the forward model is only defined to ≈1.1e-16/p relative
-		// at small p (≈3e-8 at the 1e-15 targets).
-		eq2 := plan.model == nil && plan.t == 1
 		for _, target := range berTargets {
 			p, err := plan.RequiredRawBER(target)
 			if err != nil {
 				t.Fatalf("%s: RequiredRawBER(%.17g): %v", code.Name(), target, err)
 			}
-			tol := 1e-9
-			if eq2 {
-				tol = math.Max(tol, 4e-16/p)
-			}
-			if back := plan.PostDecodeBER(p); relDiff(back, target) > tol {
+			if back := plan.PostDecodeBER(p); relDiff(back, target) > 1e-9 {
 				t.Fatalf("%s: BER round trip %.17g → %.17g", code.Name(), target, back)
 			}
 		}

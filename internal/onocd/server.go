@@ -667,9 +667,10 @@ func (s *Server) handleSweep(ctx context.Context, st *engineState, w *statusWrit
 }
 
 // handleSweepStream streams one NDJSON StreamItem per grid point, in the
-// deterministic batch order, flushing per line. A mid-stream failure
-// arrives as a terminal line with Error set (the HTTP status is already
-// 200 by then — NDJSON semantics).
+// deterministic batch order, flushing per line. A failure before the first
+// line is a plain HTTP error, as on /v1/sweep; a mid-stream failure arrives
+// as a terminal line with Error set (the HTTP status is already 200 by
+// then — NDJSON semantics).
 func (s *Server) handleSweepStream(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -679,9 +680,14 @@ func (s *Server) handleSweepStream(ctx context.Context, st *engineState, w *stat
 	if err != nil {
 		return err
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	for res := range st.eng.SweepStream(ctx, codes, req.TargetBERs) {
+		if w.code == 0 {
+			if res.Err != nil {
+				return res.Err // refused before the first line
+			}
+			w.Header().Set("Content-Type", "application/x-ndjson")
+		}
 		item := StreamItem{Index: res.Index}
 		if res.Err != nil {
 			_, body := apierr.EnvelopeFor(res.Err)
@@ -838,8 +844,7 @@ func (s *Server) handleNoCBatch(ctx context.Context, st *engineState, w *statusW
 	if start >= len(cands) {
 		return fmt.Errorf("%w: start_index %d beyond population of %d", apierr.ErrInvalidInput, start, len(cands))
 	}
-	writeNoCStream(w, st.eng.NetworkBatchStream(ctx, cands, engine.BatchOptions{ContinueOnError: partial}), start, convFails)
-	return nil
+	return writeNoCStream(w, st.eng.NetworkBatchStream(ctx, cands, engine.BatchOptions{ContinueOnError: partial}), start, convFails)
 }
 
 // writeNoCStream writes a network result stream as NDJSON NoCStreamItem
@@ -847,9 +852,10 @@ func (s *Server) handleNoCBatch(ctx context.Context, st *engineState, w *statusW
 // below start are skipped — a resumed stream's client already has them —
 // unless they carry the terminal error. A *engine.CandidateError becomes a
 // Partial item, its cause replaced by the candidate's wire-conversion
-// failure in convFails if it has one.
-func writeNoCStream(w *statusWriter, results <-chan engine.NetworkResult, start int, convFails map[int]error) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
+// failure in convFails if it has one. A terminal error that arrives before
+// the first line is returned instead, for instrument to send as a plain
+// HTTP error.
+func writeNoCStream(w *statusWriter, results <-chan engine.NetworkResult, start int, convFails map[int]error) error {
 	enc := json.NewEncoder(w)
 	for res := range results {
 		item := NoCStreamItem{Index: res.Index, TargetBER: res.TargetBER}
@@ -871,11 +877,18 @@ func writeNoCStream(w *statusWriter, results <-chan engine.NetworkResult, start 
 		if item.Index < start && (item.Error == nil || item.Partial) {
 			continue // resumed stream: the client already has this item
 		}
+		if w.code == 0 {
+			if item.terminal() != nil {
+				return res.Err
+			}
+			w.Header().Set("Content-Type", "application/x-ndjson")
+		}
 		if err := enc.Encode(item); err != nil {
-			return // client went away mid-stream
+			return nil // client went away mid-stream
 		}
 		w.Flush()
 	}
+	return nil
 }
 
 // handleNoCSweep streams one NDJSON NoCStreamItem per target BER, reusing
@@ -903,8 +916,7 @@ func (s *Server) handleNoCSweep(ctx context.Context, st *engineState, w *statusW
 	if start > 0 && start >= len(req.TargetBERs) {
 		return fmt.Errorf("%w: start_index %d beyond grid of %d target BERs", apierr.ErrInvalidInput, start, len(req.TargetBERs))
 	}
-	writeNoCStream(w, st.eng.NetworkSweepStream(ctx, cfg, req.TargetBERs, opts), start, nil)
-	return nil
+	return writeNoCStream(w, st.eng.NetworkSweepStream(ctx, cfg, req.TargetBERs, opts), start, nil)
 }
 
 // errClientGone marks a streaming write that failed because the client
@@ -937,7 +949,7 @@ func (s *Server) handleNoCTune(ctx context.Context, st *engineState, w *statusWr
 	if gens == 0 {
 		gens = tune.DefaultGenerations
 	}
-	if start > gens {
+	if start > 0 && start > gens {
 		return fmt.Errorf("%w: start_index %d beyond campaign stream of %d items", apierr.ErrInvalidInput, start, gens+1)
 	}
 	enc := json.NewEncoder(w)

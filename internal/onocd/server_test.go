@@ -347,6 +347,52 @@ func TestNoCStreamStartIndexBounds(t *testing.T) {
 	}
 }
 
+// TestStreamRefusedBeforeFirstLine: a streaming route that refuses its
+// request before emitting a line answers with the HTTP error envelope, as
+// the batch routes do, while a Partial candidate failure stays a 200 line.
+func TestStreamRefusedBeforeFirstLine(t *testing.T) {
+	_, c := newTestServer(t, Options{})
+	hot := `{"topology": "crossbar", "tiles": 8, "target_ber": 0.9}`
+	for _, tc := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/sweep/stream", `{"target_bers": []}`, 400},
+		{"/v1/sweep/stream", `{"target_bers": [0.9]}`, 400},
+		{"/v1/noc/sweep", `{"topology": "crossbar", "tiles": 8, "target_bers": []}`, 400},
+		{"/v1/noc/sweep", `{"topology": "crossbar", "tiles": 8, "target_bers": [0.7]}`, 400},
+		{"/v1/noc/sweep", `{"topology": "mesh", "tiles": 8, "columns": 3, "target_bers": [1e-9]}`, 400},
+		{"/v1/noc/batch", hot, 400},
+		{"/v1/noc/batch?continue_on_error=1", hot, 200},
+	} {
+		resp, err := http.Post(c.Base+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s %s: status %d, want %d (body %q)", tc.path, tc.body, resp.StatusCode, tc.status, out)
+			continue
+		}
+		if tc.status == 200 {
+			var item NoCStreamItem
+			lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+			if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &item) != nil || !item.Partial || item.Error == nil {
+				t.Errorf("%s: body %q, want one partial error line", tc.path, out)
+			}
+			continue
+		}
+		var env apierr.Envelope
+		if err := json.Unmarshal(out, &env); err != nil || env.Error.Status != tc.status {
+			t.Errorf("%s %s: body %q is not a %d error envelope", tc.path, tc.body, out, tc.status)
+		}
+	}
+}
+
 func TestDeadlineExpiryMapsTo504(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	// A Monte-Carlo run big enough to outlive a 1 ms budget by orders of

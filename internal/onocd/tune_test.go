@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"photonoc/internal/apierr"
@@ -151,6 +152,12 @@ func TestTuneBadRequest(t *testing.T) {
 		if _, err := c.Tune(ctx, req, nil); !errors.Is(err, apierr.ErrInvalidInput) {
 			t.Errorf("%s: error = %v, want ErrInvalidInput", name, err)
 		}
+	}
+	// A zero cursor is never out of range: tune's own option check names
+	// the bad generation count.
+	_, err := c.Tune(ctx, NoCTuneRequest{TargetBER: 1e-11, Generations: -1}, nil)
+	if !errors.Is(err, apierr.ErrInvalidInput) || !strings.Contains(err.Error(), "generations -1") {
+		t.Errorf("negative generations: error = %v, want ErrInvalidInput naming generations -1", err)
 	}
 }
 
