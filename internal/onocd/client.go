@@ -266,43 +266,24 @@ func (c *Client) NetworkSweep(ctx context.Context, req NoCRequest, fn func(int, 
 	if err != nil {
 		return fmt.Errorf("onocd: encode sweep request: %w", err)
 	}
-	return streamItems(c, ctx, "/v1/noc/sweep", "application/json", raw, len(req.TargetBERs),
-		func(item NoCStreamItem) error {
-			if item.Partial {
-				return fmt.Errorf("onocd: unexpected partial item %d on /v1/noc/sweep", item.Index)
-			}
-			res, err := item.Result.Core()
-			if err != nil {
-				return err
-			}
-			return fn(item.Index, item.TargetBER, res)
-		})
+	return streamItems(c, ctx, "/v1/noc/sweep", "application/json", raw, len(req.TargetBERs), nocResults(fn))
 }
 
-// wireStreamItem is the contract shared by the resumable NDJSON stream
-// line types: an index cursor into the full (unresumed) stream plus a
-// way to recognize a terminal error line.
-type wireStreamItem interface {
-	itemIndex() int
-	// terminal reports the error body that ends the stream, nil otherwise.
-	terminal() *apierr.ErrorBody
-}
-
-func (i NoCStreamItem) itemIndex() int { return i.Index }
-
-// terminal implements wireStreamItem: a Partial error is one candidate's
-// failure record, not the end of the stream.
-func (i NoCStreamItem) terminal() *apierr.ErrorBody {
-	if i.Error != nil && !i.Partial {
-		return i.Error
+// nocResults rebuilds each NoCStreamItem of a network stream into its
+// noc.Result and hands it to fn. A Partial item is a protocol error here:
+// only NetworkBatchPartial asks for them, and it sees them first.
+func nocResults(fn func(int, float64, noc.Result) error) func(NoCStreamItem) error {
+	return func(item NoCStreamItem) error {
+		if item.Partial {
+			return fmt.Errorf("onocd: unexpected partial item %d on a strict network stream", item.Index)
+		}
+		res, err := item.Result.Core()
+		if err != nil {
+			return err
+		}
+		return fn(item.Index, item.TargetBER, res)
 	}
-	return nil
 }
-
-func (i NoCTuneItem) itemIndex() int { return i.Index }
-
-// terminal implements wireStreamItem: every tune error line is terminal.
-func (i NoCTuneItem) terminal() *apierr.ErrorBody { return i.Error }
 
 // streamItems runs one resumable NDJSON stream call: POST body to path,
 // scan item lines through onItem, and on interruption reconnect with
@@ -468,17 +449,7 @@ func (c *Client) NetworkBatch(ctx context.Context, items []NoCBatchItem, fn func
 	if err != nil {
 		return err
 	}
-	return streamItems(c, ctx, "/v1/noc/batch", "application/x-ndjson", body, len(items),
-		func(item NoCStreamItem) error {
-			if item.Partial {
-				return fmt.Errorf("onocd: unexpected partial item %d on strict /v1/noc/batch", item.Index)
-			}
-			res, err := item.Result.Core()
-			if err != nil {
-				return err
-			}
-			return fn(item.Index, item.TargetBER, res)
-		})
+	return streamItems(c, ctx, "/v1/noc/batch", "application/x-ndjson", body, len(items), nocResults(fn))
 }
 
 // NetworkBatchPartial is the partial-failure variant of NetworkBatch
@@ -496,6 +467,7 @@ func (c *Client) NetworkBatchPartial(ctx context.Context, items []NoCBatchItem, 
 	}
 	var fails []*engine.CandidateError
 	seen := make(map[int]bool)
+	onResult := nocResults(fn)
 	err = streamItems(c, ctx, "/v1/noc/batch?continue_on_error=1", "application/x-ndjson", body, len(items),
 		func(item NoCStreamItem) error {
 			if item.Partial {
@@ -511,11 +483,7 @@ func (c *Client) NetworkBatchPartial(ctx context.Context, items []NoCBatchItem, 
 				}
 				return nil
 			}
-			res, err := item.Result.Core()
-			if err != nil {
-				return err
-			}
-			return fn(item.Index, item.TargetBER, res)
+			return onResult(item)
 		})
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"log/slog"
 	"net"
 	"net/http"
@@ -250,17 +251,17 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statusz", s.handleStatusz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.v1("GET /v1/config", "/v1/config", false, false, s.handleConfig)
+	s.v1("GET /v1/config", false, false, s.handleConfig)
 
-	s.v1("POST /v1/sweep", "/v1/sweep", true, false, s.handleSweep)
-	s.v1("POST /v1/sweep/stream", "/v1/sweep/stream", true, true, s.handleSweepStream)
-	s.v1("POST /v1/decide", "/v1/decide", true, false, s.handleDecide)
-	s.v1("POST /v1/noc/eval", "/v1/noc/eval", true, false, s.handleNoCEval)
-	s.v1("POST /v1/noc/batch", "/v1/noc/batch", true, true, s.handleNoCBatch)
-	s.v1("POST /v1/noc/sweep", "/v1/noc/sweep", true, true, s.handleNoCSweep)
-	s.v1("POST /v1/noc/sim", "/v1/noc/sim", true, false, s.handleNoCSim)
-	s.v1("POST /v1/noc/tune", "/v1/noc/tune", true, true, s.handleNoCTune)
-	s.v1("POST /v1/validate", "/v1/validate", true, false, s.handleValidate)
+	s.v1("POST /v1/sweep", true, false, unary(s.handleSweep))
+	s.v1("POST /v1/sweep/stream", true, true, stream(s.handleSweepStream))
+	s.v1("POST /v1/decide", true, false, unary(s.handleDecide))
+	s.v1("POST /v1/noc/eval", true, false, unary(s.handleNoCEval))
+	s.v1("POST /v1/noc/batch", true, true, stream(s.handleNoCBatch))
+	s.v1("POST /v1/noc/sweep", true, true, stream(s.handleNoCSweep))
+	s.v1("POST /v1/noc/sim", true, false, unary(s.handleNoCSim))
+	s.v1("POST /v1/noc/tune", true, true, stream(s.handleNoCTune))
+	s.v1("POST /v1/validate", true, false, unary(s.handleValidate))
 
 	// The profiling routes are deliberately outside instrument: no admission
 	// slot (a saturated server is exactly when a profile is wanted), no
@@ -279,8 +280,10 @@ func (s *Server) routes() {
 // first: gzip (so everything inside writes uncompressed bytes), the chaos
 // injector (injected rejections never consume an admission slot; truncation
 // budgets count pre-compression bytes), then instrument (tracing, logging,
-// admission, deadline, metrics) around the handler body.
-func (s *Server) v1(pattern, route string, admission, streaming bool, fn handlerFunc) {
+// admission, deadline, metrics) around the handler body. The route label
+// is the pattern's path.
+func (s *Server) v1(pattern string, admission, streaming bool, fn handlerFunc) {
+	_, route, _ := strings.Cut(pattern, " ")
 	s.mux.Handle(pattern, s.withGzip(s.withFaults(s.instrument(route, admission, fn), streaming)))
 }
 
@@ -465,16 +468,106 @@ func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return fmt.Errorf("%w: request body exceeds %d bytes", apierr.ErrInvalidInput, maxErr.Limit)
-		}
-		return fmt.Errorf("%w: malformed request body: %v", apierr.ErrInvalidInput, err)
+		return bodyError(err, "request body")
 	}
 	if dec.More() {
 		return fmt.Errorf("%w: trailing data after request body", apierr.ErrInvalidInput)
 	}
 	return nil
+}
+
+// bodyError maps a request-body decode failure to invalid input: an
+// oversized body names the limit, anything else names what failed to parse.
+func bodyError(err error, what string) error {
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		return fmt.Errorf("%w: request body exceeds %d bytes", apierr.ErrInvalidInput, maxErr.Limit)
+	}
+	return fmt.Errorf("%w: malformed %s: %v", apierr.ErrInvalidInput, what, err)
+}
+
+// unary is the pipeline of the single-body routes: decode the request
+// strictly, compute the answer against one engine generation, and write
+// it as one JSON body. An error from either step goes back to instrument,
+// which envelopes it.
+func unary[Req any](compute func(context.Context, *engineState, *Req) (any, error)) handlerFunc {
+	return func(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
+		var req Req
+		if err := decodeJSON(r, &req); err != nil {
+			return err
+		}
+		resp, err := compute(ctx, st, &req)
+		if err != nil {
+			return err
+		}
+		writeJSON(w, http.StatusOK, resp)
+		return nil
+	}
+}
+
+// stream is the pipeline of the resumable NDJSON routes. open validates
+// the request and returns the stream's length and a lazy iterator over its
+// lines, each paired with the Go error behind it when the line is terminal;
+// the engine starts only when the iterator runs, so a refused request
+// never reaches it.
+//
+// ?start_index=N resumes an interrupted stream: the server replays it (the
+// prefix re-solves warm through the memo cache) and writes only the items
+// from N on, plus a terminal line wherever it falls. A cursor at or past
+// the end of a non-empty stream is refused before any solve. The NDJSON
+// header goes out with the first written line, so a terminal error that
+// arrives before it returns to instrument as a plain HTTP error; after it,
+// the error is the stream's last line under the committed 200. Every line
+// is flushed, and a failed write ends the stream: the client went away.
+func stream[T wireStreamItem](open func(context.Context, *engineState, *http.Request) (int, iter.Seq2[T, error], error)) handlerFunc {
+	return func(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
+		start := 0
+		if v := r.URL.Query().Get("start_index"); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				return fmt.Errorf("%w: start_index %q must be a non-negative integer", apierr.ErrInvalidInput, v)
+			}
+			start = n
+		}
+		n, items, err := open(ctx, st, r)
+		if err != nil {
+			return err
+		}
+		if n > 0 && start >= n {
+			return fmt.Errorf("%w: start_index %d beyond stream of %d items", apierr.ErrInvalidInput, start, n)
+		}
+		enc := json.NewEncoder(w)
+		for item, err := range items {
+			if item.terminal() == nil && item.itemIndex() < start {
+				continue // the client already has this item
+			}
+			if w.code == 0 {
+				if item.terminal() != nil {
+					return err
+				}
+				w.Header().Set("Content-Type", "application/x-ndjson")
+			}
+			if enc.Encode(item) != nil {
+				return nil
+			}
+			w.Flush()
+		}
+		return nil
+	}
+}
+
+// engineLines lazily maps an engine result stream onto its wire lines:
+// results starts the engine's work, so it is called only when the
+// iterator runs. Abandoning the iterator early leaks nothing, because the
+// engine's streams are buffered to their full length.
+func engineLines[R any, T wireStreamItem](results func() <-chan R, line func(R) (T, error)) iter.Seq2[T, error] {
+	return func(yield func(T, error) bool) {
+		for res := range results() {
+			if !yield(line(res)) {
+				return
+			}
+		}
+	}
 }
 
 // --- observability routes ---
@@ -645,73 +738,55 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-func (s *Server) handleSweep(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
-	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return err
-	}
+func (s *Server) handleSweep(ctx context.Context, st *engineState, req *SweepRequest) (any, error) {
 	codes, err := ResolveSchemes(req.Schemes)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	evs, err := st.eng.Sweep(ctx, codes, req.TargetBERs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp := SweepResponse{Evaluations: make([]Evaluation, len(evs))}
 	for i, ev := range evs {
 		resp.Evaluations[i] = toWireEval(ev)
 	}
-	writeJSON(w, http.StatusOK, resp)
-	return nil
+	return resp, nil
 }
 
-// handleSweepStream streams one NDJSON StreamItem per grid point, in the
-// deterministic batch order, flushing per line. A failure before the first
-// line is a plain HTTP error, as on /v1/sweep; a mid-stream failure arrives
-// as a terminal line with Error set (the HTTP status is already 200 by
-// then — NDJSON semantics).
-func (s *Server) handleSweepStream(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
+// handleSweepStream streams one StreamItem per grid point, in the batch
+// sweep's BER-major, then scheme order.
+func (s *Server) handleSweepStream(ctx context.Context, st *engineState, r *http.Request) (int, iter.Seq2[StreamItem, error], error) {
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
-		return err
+		return 0, nil, err
 	}
 	codes, err := ResolveSchemes(req.Schemes)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	enc := json.NewEncoder(w)
-	for res := range st.eng.SweepStream(ctx, codes, req.TargetBERs) {
-		if w.code == 0 {
-			if res.Err != nil {
-				return res.Err // refused before the first line
-			}
-			w.Header().Set("Content-Type", "application/x-ndjson")
-		}
+	schemes := len(codes)
+	if codes == nil {
+		schemes = len(st.eng.Schemes())
+	}
+	results := func() <-chan engine.Result { return st.eng.SweepStream(ctx, codes, req.TargetBERs) }
+	return schemes * len(req.TargetBERs), engineLines(results, func(res engine.Result) (StreamItem, error) {
 		item := StreamItem{Index: res.Index}
 		if res.Err != nil {
 			_, body := apierr.EnvelopeFor(res.Err)
 			item.Error = &body.Error
-		} else {
-			ev := toWireEval(res.Evaluation)
-			item.Evaluation = &ev
+			return item, res.Err
 		}
-		if err := enc.Encode(item); err != nil {
-			return nil // client went away mid-stream
-		}
-		w.Flush()
-	}
-	return nil
+		ev := toWireEval(res.Evaluation)
+		item.Evaluation = &ev
+		return item, nil
+	}), nil
 }
 
-func (s *Server) handleDecide(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
-	var req DecideRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return err
-	}
+func (s *Server) handleDecide(ctx context.Context, st *engineState, req *DecideRequest) (any, error) {
 	obj, err := parseObjective(req.Objective)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	dec, err := st.mgr.ConfigureCtx(ctx, manager.Requirements{
 		TargetBER: req.TargetBER,
@@ -719,37 +794,31 @@ func (s *Server) handleDecide(ctx context.Context, st *engineState, w *statusWri
 		Objective: obj,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, DecideResponse{
+	return DecideResponse{
 		Eval:                 toWireEval(dec.Eval),
 		DACCode:              dec.DACCode,
 		QuantizedOpticalW:    dec.QuantizedOpticalW,
 		QuantizedLaserPowerW: dec.QuantizedLaserPowerW,
 		QuantizationWasteW:   dec.QuantizationWasteW,
-	})
-	return nil
+	}, nil
 }
 
-func (s *Server) handleNoCEval(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
-	var req NoCRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return err
-	}
+func (s *Server) handleNoCEval(ctx context.Context, st *engineState, req *NoCRequest) (any, error) {
 	cfg, err := req.topology()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	opts, err := req.evalOptions()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res, err := st.eng.Network(ctx, cfg, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, toWireNoC(res))
-	return nil
+	return toWireNoC(res), nil
 }
 
 // boolParam parses a "0"/"1"/"false"/"true" query parameter (empty means
@@ -765,42 +834,20 @@ func boolParam(r *http.Request, name string) (bool, error) {
 	}
 }
 
-// startIndexParam parses the ?start_index=N resume cursor of the streaming
-// routes: the server recomputes the full stream but only emits items with
-// Index >= N, so a client that lost a connection mid-stream can fetch
-// exactly the missing suffix. Skipped prefix work is warm — the memo cache
-// already holds the first pass's cells.
-func startIndexParam(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("start_index")
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("%w: start_index %q must be a non-negative integer", apierr.ErrInvalidInput, v)
-	}
-	return n, nil
-}
-
 // handleNoCBatch evaluates a candidate population: the request body is an
 // NDJSON (or concatenated-JSON) stream of NoCBatchItem lines, the response
-// one NDJSON NoCStreamItem per candidate in population order, backed by
+// one NoCStreamItem per candidate in population order, backed by
 // Engine.NetworkBatchStream — every cell goes through the memo cache, so a
 // mutate-one-knob autotuner population amortizes both HTTP overhead and
 // per-cell solves.
 //
-// ?start_index=N resumes an interrupted stream at item N;
 // ?continue_on_error=1 switches to partial-failure mode, where a failed
 // candidate (including one that failed wire-level conversion) becomes an
 // indexed Partial error item instead of ending the stream.
-func (s *Server) handleNoCBatch(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
-	start, err := startIndexParam(r)
-	if err != nil {
-		return err
-	}
+func (s *Server) handleNoCBatch(ctx context.Context, st *engineState, r *http.Request) (int, iter.Seq2[NoCStreamItem, error], error) {
 	partial, err := boolParam(r, "continue_on_error")
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -814,20 +861,15 @@ func (s *Server) handleNoCBatch(ctx context.Context, st *engineState, w *statusW
 	var convFails map[int]error
 	for {
 		var it NoCBatchItem
-		if err := dec.Decode(&it); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			var maxErr *http.MaxBytesError
-			if errors.As(err, &maxErr) {
-				return fmt.Errorf("%w: request body exceeds %d bytes", apierr.ErrInvalidInput, maxErr.Limit)
-			}
-			return fmt.Errorf("%w: malformed candidate %d: %v", apierr.ErrInvalidInput, len(cands), err)
+		if err := dec.Decode(&it); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return 0, nil, bodyError(err, fmt.Sprintf("candidate %d", len(cands)))
 		}
 		cand, err := it.candidate()
 		if err != nil {
 			if !partial {
-				return fmt.Errorf("candidate %d: %w", len(cands), err)
+				return 0, nil, fmt.Errorf("candidate %d: %w", len(cands), err)
 			}
 			if convFails == nil {
 				convFails = make(map[int]error)
@@ -838,176 +880,113 @@ func (s *Server) handleNoCBatch(ctx context.Context, st *engineState, w *statusW
 		}
 		cands = append(cands, cand)
 	}
-	if len(cands) == 0 {
-		return fmt.Errorf("%w: empty candidate population", apierr.ErrInvalidInput)
+	results := func() <-chan engine.NetworkResult {
+		return st.eng.NetworkBatchStream(ctx, cands, engine.BatchOptions{ContinueOnError: partial})
 	}
-	if start >= len(cands) {
-		return fmt.Errorf("%w: start_index %d beyond population of %d", apierr.ErrInvalidInput, start, len(cands))
-	}
-	return writeNoCStream(w, st.eng.NetworkBatchStream(ctx, cands, engine.BatchOptions{ContinueOnError: partial}), start, convFails)
+	return len(cands), engineLines(results, nocLine(convFails)), nil
 }
 
-// writeNoCStream writes a network result stream as NDJSON NoCStreamItem
-// lines, flushing per line, and stops when the client goes away. Items
-// below start are skipped — a resumed stream's client already has them —
-// unless they carry the terminal error. A *engine.CandidateError becomes a
-// Partial item, its cause replaced by the candidate's wire-conversion
-// failure in convFails if it has one. A terminal error that arrives before
-// the first line is returned instead, for instrument to send as a plain
-// HTTP error.
-func writeNoCStream(w *statusWriter, results <-chan engine.NetworkResult, start int, convFails map[int]error) error {
-	enc := json.NewEncoder(w)
-	for res := range results {
+// nocLine renders one network result as a NoCStreamItem. A
+// *engine.CandidateError becomes a Partial item, its cause replaced by
+// the candidate's wire-conversion failure in convFails if it has one; any
+// other error is terminal and returned with the line.
+func nocLine(convFails map[int]error) func(engine.NetworkResult) (NoCStreamItem, error) {
+	return func(res engine.NetworkResult) (NoCStreamItem, error) {
 		item := NoCStreamItem{Index: res.Index, TargetBER: res.TargetBER}
-		if res.Err != nil {
-			errCause := res.Err
-			var ce *engine.CandidateError
-			if errors.As(res.Err, &ce) {
-				item.Partial = true
-				if oe, ok := convFails[ce.Index]; ok {
-					errCause = oe
-				}
-			}
-			_, body := apierr.EnvelopeFor(errCause)
-			item.Error = &body.Error
-		} else {
+		if res.Err == nil {
 			wr := toWireNoC(res.Result)
 			item.Result = &wr
+			return item, nil
 		}
-		if item.Index < start && (item.Error == nil || item.Partial) {
-			continue // resumed stream: the client already has this item
-		}
-		if w.code == 0 {
-			if item.terminal() != nil {
-				return res.Err
+		cause, terminal := res.Err, res.Err
+		var ce *engine.CandidateError
+		if errors.As(res.Err, &ce) {
+			item.Partial, terminal = true, nil
+			if oe, ok := convFails[ce.Index]; ok {
+				cause = oe
 			}
-			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
-		if err := enc.Encode(item); err != nil {
-			return nil // client went away mid-stream
-		}
-		w.Flush()
+		_, body := apierr.EnvelopeFor(cause)
+		item.Error = &body.Error
+		return item, terminal
 	}
-	return nil
 }
 
-// handleNoCSweep streams one NDJSON NoCStreamItem per target BER, reusing
-// the engine's streaming network sweep. ?start_index=N resumes an
-// interrupted stream at grid point N (the skipped prefix re-solves warm
-// through the memo cache); a cursor at or past the end of the grid is
-// rejected before any solve, as on /v1/noc/batch.
-func (s *Server) handleNoCSweep(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
-	start, err := startIndexParam(r)
-	if err != nil {
-		return err
-	}
+// handleNoCSweep streams one NoCStreamItem per target BER, reusing the
+// engine's streaming network sweep.
+func (s *Server) handleNoCSweep(ctx context.Context, st *engineState, r *http.Request) (int, iter.Seq2[NoCStreamItem, error], error) {
 	var req NoCRequest
 	if err := decodeJSON(r, &req); err != nil {
-		return err
+		return 0, nil, err
 	}
 	cfg, err := req.topology()
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	opts, err := req.evalOptions()
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	if start > 0 && start >= len(req.TargetBERs) {
-		return fmt.Errorf("%w: start_index %d beyond grid of %d target BERs", apierr.ErrInvalidInput, start, len(req.TargetBERs))
+	results := func() <-chan engine.NetworkResult {
+		return st.eng.NetworkSweepStream(ctx, cfg, req.TargetBERs, opts)
 	}
-	return writeNoCStream(w, st.eng.NetworkSweepStream(ctx, cfg, req.TargetBERs, opts), start, nil)
+	return len(req.TargetBERs), engineLines(results, nocLine(nil)), nil
 }
 
-// errClientGone marks a streaming write that failed because the client
-// disconnected: the campaign aborts, but the handler exits cleanly.
+// errClientGone aborts a campaign whose stream stopped taking lines: the
+// client went away.
 var errClientGone = errors.New("onocd: client went away mid-stream")
 
 // handleNoCTune runs one autotuner campaign (internal/tune) against the
-// daemon's engine, streaming one NDJSON NoCTuneItem per generation — the
-// archive front after that generation's batch evaluation — plus a terminal
-// summary item at Index = generations. Campaigns are deterministic from
-// the request seed, so ?start_index=N resumes an interrupted stream by
-// replaying the campaign (warm through the memo cache) and emitting only
-// the missing suffix. Option errors surface before any output as a plain
-// HTTP error; mid-campaign failures (cancellation, deadline) arrive as a
-// terminal Error line under the already-committed 200.
-func (s *Server) handleNoCTune(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
-	start, err := startIndexParam(r)
-	if err != nil {
-		return err
-	}
+// daemon's engine, streaming one NoCTuneItem per generation — the archive
+// front after that generation's batch evaluation — plus a terminal summary
+// item at Index = generations. Campaigns are deterministic from the request
+// seed, so a resumed stream replays the campaign warm through the memo
+// cache. A campaign error (tune's own option check, cancellation, a
+// deadline) is the stream's terminal Error item.
+func (s *Server) handleNoCTune(ctx context.Context, st *engineState, r *http.Request) (int, iter.Seq2[NoCTuneItem, error], error) {
 	var req NoCTuneRequest
 	if err := decodeJSON(r, &req); err != nil {
-		return err
+		return 0, nil, err
 	}
 	opts, err := req.options()
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	gens := opts.Generations
 	if gens == 0 {
 		gens = tune.DefaultGenerations
 	}
-	if start > 0 && start > gens {
-		return fmt.Errorf("%w: start_index %d beyond campaign stream of %d items", apierr.ErrInvalidInput, start, gens+1)
-	}
-	enc := json.NewEncoder(w)
-	streamed := false
-	done := 0
-	opts.OnGeneration = func(gen int, front []tune.Point) error {
-		if !streamed {
-			// Defer the header to the first generation so option validation
-			// inside tune.Run still yields a proper HTTP error status.
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			streamed = true
-		}
-		done = gen + 1
-		if gen < start {
-			return nil // resumed stream: the client already has this item
-		}
-		item := NoCTuneItem{Index: gen, Front: toWireTuneFront(front)}
-		if err := enc.Encode(item); err != nil {
-			return errClientGone
-		}
-		w.Flush()
-		return nil
-	}
-	res, err := tune.Run(ctx, st.eng, opts)
-	if err != nil {
-		if errors.Is(err, errClientGone) {
+	return gens + 1, func(yield func(NoCTuneItem, error) bool) {
+		done := 0
+		opts.OnGeneration = func(gen int, front []tune.Point) error {
+			done = gen + 1
+			if !yield(NoCTuneItem{Index: gen, Front: toWireTuneFront(front)}, nil) {
+				return errClientGone // yield must not be called again
+			}
 			return nil
 		}
-		if !streamed {
-			return err // failed before any output: plain HTTP error
+		res, err := tune.Run(ctx, st.eng, opts)
+		switch {
+		case errors.Is(err, errClientGone):
+		case err != nil:
+			_, body := apierr.EnvelopeFor(err)
+			yield(NoCTuneItem{Index: done, Error: &body.Error}, err)
+		default:
+			sum := TuneSummary(res)
+			yield(NoCTuneItem{Index: res.Generations, Summary: &sum}, nil)
 		}
-		_, body := apierr.EnvelopeFor(err)
-		if encErr := enc.Encode(NoCTuneItem{Index: done, Error: &body.Error}); encErr == nil {
-			w.Flush()
-		}
-		return nil
-	}
-	sum := TuneSummary(res)
-	item := NoCTuneItem{Index: res.Generations, Summary: &sum}
-	if err := enc.Encode(item); err != nil {
-		return nil
-	}
-	w.Flush()
-	return nil
+	}, nil
 }
 
-func (s *Server) handleNoCSim(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
-	var req NoCRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return err
-	}
+func (s *Server) handleNoCSim(ctx context.Context, st *engineState, req *NoCRequest) (any, error) {
 	cfg, err := req.topology()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	evalOpts, err := req.evalOptions()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	simOpts := engine.NetworkSimOptions{
 		TargetBER:               req.TargetBER,
@@ -1022,30 +1001,20 @@ func (s *Server) handleNoCSim(ctx context.Context, st *engineState, w *statusWri
 	}
 	res, err := st.eng.SimulateNetwork(ctx, cfg, simOpts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, toWireSim(res))
-	return nil
+	return toWireSim(res), nil
 }
 
-func (s *Server) handleValidate(ctx context.Context, st *engineState, w *statusWriter, r *http.Request) error {
-	var req ValidateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return err
-	}
+func (s *Server) handleValidate(ctx context.Context, st *engineState, req *ValidateRequest) (any, error) {
 	code, ok := ecc.SchemeByName(req.Scheme)
 	if !ok {
-		return fmt.Errorf("%w: unknown scheme %q", apierr.ErrInvalidInput, req.Scheme)
+		return nil, fmt.Errorf("%w: unknown scheme %q", apierr.ErrInvalidInput, req.Scheme)
 	}
-	res, err := st.eng.ValidateMC(ctx, code, req.RawBER, mc.Options{
+	return st.eng.ValidateMC(ctx, code, req.RawBER, mc.Options{
 		Frames:       req.Frames,
 		TargetRelErr: req.TargetRelErr,
 		Shards:       req.Shards,
 		Seed:         req.Seed,
 	})
-	if err != nil {
-		return err
-	}
-	writeJSON(w, http.StatusOK, res)
-	return nil
 }

@@ -8,12 +8,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"photonoc/internal/apierr"
 	"photonoc/internal/core"
@@ -299,15 +301,12 @@ func TestTileBoundRefused(t *testing.T) {
 	}
 }
 
-// TestNoCStreamStartIndexBounds: a resume cursor at or past the end of the
-// stream is rejected with 400 invalid_input before any solve, on
-// /v1/noc/sweep exactly as on /v1/noc/batch; the last valid cursor streams
-// the final item alone.
+// TestNoCStreamStartIndexBounds: on every streaming route, a resume cursor
+// at or past the end of the stream is rejected with 400 invalid_input
+// before any solve, a cursor that is not a non-negative integer is
+// rejected too, and the last valid cursor streams the final item alone.
 func TestNoCStreamStartIndexBounds(t *testing.T) {
 	s, c := newTestServer(t, Options{})
-	sweep := `{"topology": "crossbar", "tiles": 8, "target_bers": [1e-9, 1e-11]}`
-	batch := `{"topology": "crossbar", "tiles": 8, "target_ber": 1e-9}` + "\n" +
-		`{"topology": "crossbar", "tiles": 8, "target_ber": 1e-11}`
 	post := func(path, body string) (*http.Response, []byte) {
 		t.Helper()
 		resp, err := http.Post(c.Base+path, "application/x-ndjson", strings.NewReader(body))
@@ -321,15 +320,28 @@ func TestNoCStreamStartIndexBounds(t *testing.T) {
 		}
 		return resp, out
 	}
-	for _, route := range []struct{ path, body string }{{"/v1/noc/sweep", sweep}, {"/v1/noc/batch", batch}} {
-		for _, start := range []string{"2", "3", "100"} {
+	for _, route := range []struct {
+		path, body string
+		items      int
+	}{
+		{"/v1/sweep/stream", `{"target_bers": [1e-9, 1e-11]}`, 6},
+		{"/v1/noc/sweep", `{"topology": "crossbar", "tiles": 8, "target_bers": [1e-9, 1e-11]}`, 2},
+		{"/v1/noc/batch", `{"topology": "crossbar", "tiles": 8, "target_ber": 1e-9}` + "\n" +
+			`{"topology": "crossbar", "tiles": 8, "target_ber": 1e-11}`, 2},
+		{"/v1/noc/tune", `{"target_ber": 1e-11, "seed": 7, "particles": 4, "generations": 2}`, 3},
+	} {
+		for _, start := range []string{fmt.Sprint(route.items), fmt.Sprint(route.items + 1), "100", "abc", "-1"} {
 			before := s.Engine().CacheStats()
 			resp, out := post(route.path+"?start_index="+start, route.body)
 			var env apierr.Envelope
 			if err := json.Unmarshal(out, &env); err != nil {
 				t.Fatalf("%s start_index=%s: status %d, body %q is not an error envelope", route.path, start, resp.StatusCode, out)
 			}
-			if resp.StatusCode != 400 || env.Error.Code != apierr.CodeInvalidInput || !strings.Contains(env.Error.Message, "start_index "+start+" beyond") {
+			want := "start_index " + start + " beyond"
+			if start == "abc" || start == "-1" {
+				want = "must be a non-negative integer"
+			}
+			if resp.StatusCode != 400 || env.Error.Code != apierr.CodeInvalidInput || !strings.Contains(env.Error.Message, want) {
 				t.Errorf("%s start_index=%s: got %d/%q %q, want 400/%q naming the cursor",
 					route.path, start, resp.StatusCode, env.Error.Code, env.Error.Message, apierr.CodeInvalidInput)
 			}
@@ -337,12 +349,16 @@ func TestNoCStreamStartIndexBounds(t *testing.T) {
 				t.Errorf("%s start_index=%s: rejected request touched the engine (%+v → %+v)", route.path, start, before, after)
 			}
 		}
-		resp, out := post(route.path+"?start_index=1", route.body)
+		last := route.items - 1
+		resp, out := post(route.path+"?start_index="+fmt.Sprint(last), route.body)
 		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-		var item NoCStreamItem
+		var item struct {
+			Index int
+			Error *apierr.ErrorBody
+		}
 		if resp.StatusCode != 200 || len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &item) != nil ||
-			item.Index != 1 || item.Error != nil || item.Result == nil {
-			t.Errorf("%s start_index=1: got %d %q, want 200 and the single item at index 1", route.path, resp.StatusCode, out)
+			item.Index != last || item.Error != nil {
+			t.Errorf("%s start_index=%d: got %d %q, want 200 and the single item at index %d", route.path, last, resp.StatusCode, out, last)
 		}
 	}
 }
@@ -390,6 +406,111 @@ func TestStreamRefusedBeforeFirstLine(t *testing.T) {
 		if err := json.Unmarshal(out, &env); err != nil || env.Error.Status != tc.status {
 			t.Errorf("%s %s: body %q is not a %d error envelope", tc.path, tc.body, out, tc.status)
 		}
+	}
+}
+
+// brokenPipe is a response writer whose client leaves after the first
+// line: every later write fails, while the request context stays live.
+type brokenPipe struct {
+	header http.Header
+	lines  int
+}
+
+func (w *brokenPipe) Header() http.Header { return w.header }
+func (w *brokenPipe) WriteHeader(int)     {}
+
+func (w *brokenPipe) Write(p []byte) (int, error) {
+	if w.lines > 0 {
+		return 0, errors.New("broken pipe")
+	}
+	w.lines++
+	return len(p), nil
+}
+
+// TestStreamClientGoneMidStream: a client that leaves after the first line
+// of a stream frees its request on every streaming route. Over the wire the
+// in-flight gauge returns to zero, with no handler panic. In process, where
+// the second line's write fails before the request context ends, the
+// stream stops on the failed write itself, and a tune campaign stops
+// instead of running out its remaining generations.
+func TestStreamClientGoneMidStream(t *testing.T) {
+	s, err := NewServer(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serveLog syncBuffer
+	hs := httptest.NewUnstartedServer(s.Handler())
+	hs.Config.ErrorLog = log.New(&serveLog, "", 0)
+	hs.Start()
+	t.Cleanup(hs.Close)
+	// lookups counts the engine's memo lookups: the work requests did.
+	lookups := func() uint64 { cs := s.Engine().CacheStats(); return cs.Hits + cs.Misses }
+
+	bers, batch := make([]string, 120), ""
+	for i := range bers {
+		bers[i] = fmt.Sprintf("%.6g", 1e-12*math.Pow(1e4, float64(i)/float64(len(bers))))
+		batch += `{"topology": "mesh", "tiles": 16, "target_ber": ` + bers[i] + "}\n"
+	}
+	grid := strings.Join(bers, ",")
+	// Every tile count from 8 to 64 keeps the swarm finding new designs for
+	// hundreds of generations, so a campaign that ran on after its client
+	// left would do most of a full campaign's lookups.
+	tiles := make([]string, 0, 57)
+	for n := 8; n <= 64; n++ {
+		tiles = append(tiles, fmt.Sprint(n))
+	}
+	campaign := `{"target_ber": 1e-11, "seed": 3, "generations": 400, "tiles": [` + strings.Join(tiles, ",") + `]}`
+
+	var left uint64
+	for _, route := range []struct{ path, body string }{
+		{"/v1/sweep/stream", `{"target_bers": [` + grid + `]}`},
+		{"/v1/noc/sweep", `{"topology": "mesh", "tiles": 16, "target_bers": [` + grid + `]}`},
+		{"/v1/noc/batch", batch},
+		{"/v1/noc/tune", campaign},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+route.path, strings.NewReader(route.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := bufio.NewReader(resp.Body).ReadString('\n')
+		cancel()
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: first line %q, status %d, error %v", route.path, line, resp.StatusCode, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for s.met.inFlight.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d requests still in flight 5 s after the client left", route.path, s.met.inFlight.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+
+		before := lookups()
+		w := &brokenPipe{header: http.Header{}}
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, route.path, strings.NewReader(route.body)))
+		if w.lines != 1 || w.header.Get("Content-Type") != "application/x-ndjson" {
+			t.Errorf("%s: %d lines written as %q, want the one NDJSON line", route.path, w.lines, w.header.Get("Content-Type"))
+		}
+		left = lookups() - before
+	}
+	if bytes.Contains(serveLog.Bytes(), []byte("panic")) {
+		t.Errorf("a handler panicked:\n%s", serveLog.Bytes())
+	}
+
+	before := lookups()
+	full := httptest.NewRecorder()
+	s.Handler().ServeHTTP(full, httptest.NewRequest(http.MethodPost, "/v1/noc/tune", strings.NewReader(campaign)))
+	if !strings.Contains(full.Body.String(), `"summary"`) {
+		t.Fatalf("full campaign: status %d, no summary line", full.Code)
+	}
+	if all := lookups() - before; 2*left > all {
+		t.Errorf("a campaign whose client left after its first line made %d engine lookups, a full one %d", left, all)
 	}
 }
 

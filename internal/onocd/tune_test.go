@@ -159,6 +159,19 @@ func TestTuneBadRequest(t *testing.T) {
 	if !errors.Is(err, apierr.ErrInvalidInput) || !strings.Contains(err.Error(), "generations -1") {
 		t.Errorf("negative generations: error = %v, want ErrInvalidInput naming generations -1", err)
 	}
+	// Nor does a resume cursor hide it: a stream with no items bounds no
+	// cursor.
+	resp, err := http.Post(c.Base+"/v1/noc/tune?start_index=1", "application/json",
+		strings.NewReader(`{"target_ber": 1e-11, "generations": -1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env apierr.Envelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusBadRequest ||
+		env.Error.Code != apierr.CodeInvalidInput || !strings.Contains(env.Error.Message, "generations -1") {
+		t.Errorf("negative generations at start_index=1: got %d %+v (%v), want 400 naming generations -1", resp.StatusCode, env, err)
+	}
 }
 
 // TestNetworkEvalZeroTrafficCrossWire is the HTTP layer of the all-silent

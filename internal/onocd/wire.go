@@ -303,6 +303,16 @@ type SweepResponse struct {
 	Evaluations []Evaluation `json:"evaluations"`
 }
 
+// wireStreamItem is the contract shared by the resumable NDJSON stream
+// line types, and the one rule the server's stream pipeline and the
+// client's resume loop both apply: an index cursor into the full
+// (unresumed) stream plus a way to recognize the line that ends it.
+type wireStreamItem interface {
+	itemIndex() int
+	// terminal reports the error body that ends the stream, nil otherwise.
+	terminal() *apierr.ErrorBody
+}
+
 // StreamItem is one NDJSON line of /v1/sweep/stream: either an indexed
 // evaluation or a terminal error.
 type StreamItem struct {
@@ -310,6 +320,11 @@ type StreamItem struct {
 	Evaluation *Evaluation       `json:"evaluation,omitempty"`
 	Error      *apierr.ErrorBody `json:"error,omitempty"`
 }
+
+func (i StreamItem) itemIndex() int { return i.Index }
+
+// terminal implements wireStreamItem: every sweep error line is terminal.
+func (i StreamItem) terminal() *apierr.ErrorBody { return i.Error }
 
 // DecideResponse is the body of /v1/decide: the manager's scheme choice
 // and quantized laser programming.
@@ -528,6 +543,17 @@ type NoCStreamItem struct {
 	Result    *NoCResult        `json:"result,omitempty"`
 	Error     *apierr.ErrorBody `json:"error,omitempty"`
 	Partial   bool              `json:"partial,omitempty"`
+}
+
+func (i NoCStreamItem) itemIndex() int { return i.Index }
+
+// terminal implements wireStreamItem: a Partial error is one candidate's
+// failure record, not the end of the stream.
+func (i NoCStreamItem) terminal() *apierr.ErrorBody {
+	if i.Error != nil && !i.Partial {
+		return i.Error
+	}
+	return nil
 }
 
 // NoCSimResult is a network discrete-event simulation on the wire.
@@ -815,6 +841,11 @@ type NoCTuneItem struct {
 	Summary *NoCTuneSummary   `json:"summary,omitempty"`
 	Error   *apierr.ErrorBody `json:"error,omitempty"`
 }
+
+func (i NoCTuneItem) itemIndex() int { return i.Index }
+
+// terminal implements wireStreamItem: every tune error line is terminal.
+func (i NoCTuneItem) terminal() *apierr.ErrorBody { return i.Error }
 
 // TuneSummary flattens a finished campaign — the daemon's terminal stream
 // line and the onoctune -json document share this exact shape, so a remote
