@@ -99,7 +99,7 @@
 // count; Engine.BuildNetwork compiles it into links with per-link waveguide
 // lengths (distinct loss budgets), a wavelength-allocation pass that
 // partitions the shared WavelengthGrid so no wavelength is reused on a
-// shared waveguide, and a routing table covering every (src, dst) pair:
+// shared waveguide, and a routing rule covering every (src, dst) pair:
 //
 //	topo := photonoc.NoCConfig{Kind: photonoc.NoCMesh, Tiles: 64}
 //	res, err := eng.Network(ctx, topo, photonoc.NoCEvalOptions{
@@ -128,8 +128,8 @@
 //
 // The analytic aggregates are cross-validated by the network-scale
 // discrete-event simulator, Engine.SimulateNetwork: Poisson injection
-// sampled from the same traffic matrix, XY multi-hop forwarding over the
-// same routing table, one MWSR server per link serializing transfers at
+// sampled from the same traffic matrix, XY multi-hop forwarding by the
+// same routing rule, one MWSR server per link serializing transfers at
 // the link's decided capacity, with token arbitration and waveguide
 // flight charged per hop as pipeline latency. The per-link scheme/DAC
 // decisions ARE the analytic evaluator's, solved through the shared cache,

@@ -3,6 +3,8 @@ package netsim
 import (
 	"context"
 	"math"
+
+	"photonoc/internal/noc"
 )
 
 // server is one link's constant timing model in the event loop.
@@ -49,16 +51,17 @@ type tally struct {
 	laserJ, modJ, intfJ, idleJ float64
 }
 
-// netEvent is one heap entry of the event loop: a message arriving at hop
-// `hop` of its route. seq breaks time ties among forwarded hops
-// first-scheduled-first-served, which pins the event order — and with it
-// every statistic — for a fixed trace. The trace generator reuses the type
-// for its pending arrivals, with seq the source's position (see generate).
+// netEvent is one heap entry of the event loop: a message forwarded to the
+// second and last link of its route, link `hop`. seq breaks time ties
+// among forwarded hops first-scheduled-first-served, which pins the event
+// order — and with it every statistic — for a fixed trace. The trace
+// generator reuses the type for its pending arrivals, with seq the
+// source's position (see generate).
 type netEvent struct {
 	at  float64
 	seq uint64
 	msg int32 // index into the trace
-	hop int16 // position in the message's route
+	hop int32 // the onward link
 }
 
 // publishEvery is how many arrivals the generator writes between two
@@ -66,18 +69,20 @@ type netEvent struct {
 const publishEvery = 1024
 
 // simulate is the discrete-event loop both simulators run on. Every message
-// of tr crosses routes[src][dst] link by link; each link is one MWSR server
-// that serializes transfers in arrival order. A transfer starts when the
-// medium is free, after servers[l].hold of arbitration, lasts what decide
-// grants, and reaches the next hop token + prop later. With maxQueue > 0 an
-// arrival finding maxQueue messages on the link is dropped. The loop is
-// sequential: a fixed trace and decide give bit-identical results.
+// of tr, its endpoints in [0, tiles), crosses the at most two links
+// router.Route(src, dst) names, computed once at its arrival; each link is
+// one MWSR server that serializes transfers in arrival order. A transfer
+// starts when the medium is free, after servers[l].hold of arbitration,
+// lasts what decide grants, and reaches the next hop token + prop later.
+// With maxQueue > 0 an arrival finding maxQueue messages on the link is
+// dropped. The loop is sequential: a fixed trace and decide give
+// bit-identical results.
 //
 // A nil ready means tr is complete and already validated. Otherwise tr is
 // being written by a concurrent generate: the loop reads tr[i] only once a
 // count above i has been received from ready, and validates each newly
 // published chunk before reading it.
-func simulate(ctx context.Context, tr Trace, ready <-chan int, routes [][][]int, servers []server, maxQueue int,
+func simulate(ctx context.Context, tr Trace, ready <-chan int, tiles int, router noc.Router, servers []server, maxQueue int,
 	decide func(link int, ev *TraceEvent, start float64) (grant, error)) (tally, error) {
 	t := tally{links: make([]linkTally, len(servers))}
 	for l := range t.links {
@@ -114,23 +119,27 @@ func simulate(ctx context.Context, tr Trace, ready <-chan int, routes [][][]int,
 				return tally{}, ctx.Err()
 			}
 			// Generated arrivals are checked as replayed ones are: a
-			// degenerate rate can push their times to +Inf. Every
-			// route table has one row per endpoint.
-			if err := tr.validateRange(len(routes), avail, written); err != nil {
+			// degenerate rate can push their times to +Inf.
+			if err := tr.validateRange(tiles, avail, written); err != nil {
 				return tally{}, err
 			}
 			avail = written
 		}
+		// l is the link the message arrives at, onward the link it is
+		// forwarded to after it (−1 on its last hop), and crossed the links
+		// it has crossed once l serves it.
 		var ev netEvent
+		var l, onward int
+		crossed := int64(1)
 		if next < len(tr) && (len(hops) == 0 || tr[next].TimeSec <= hops[0].at) {
 			ev = netEvent{at: tr[next].TimeSec, msg: int32(next)}
 			next++
+			l, onward = router.Route(tr[ev.msg].Src, tr[ev.msg].Dst)
 		} else {
 			ev = hops.pop()
+			l, onward, crossed = int(ev.hop), -1, 2
 		}
 		m := &tr[ev.msg]
-		route := routes[m.Src][m.Dst]
-		l := route[ev.hop]
 		lt := &t.links[l]
 
 		// Drop the expired occupants, then test the buffer bound.
@@ -178,14 +187,14 @@ func simulate(ctx context.Context, tr Trace, ready <-chan int, routes [][][]int,
 		lt.heldW = g.heldW
 
 		out := start + g.sec + servers[l].token + servers[l].prop
-		if int(ev.hop)+1 < len(route) {
-			hops.push(netEvent{at: out, seq: seq, msg: ev.msg, hop: ev.hop + 1})
+		if onward >= 0 {
+			hops.push(netEvent{at: out, seq: seq, msg: ev.msg, hop: int32(onward)})
 			seq++
 			continue
 		}
 		t.delivered++
 		t.deliveredBits += int64(m.Bits)
-		t.hops += int64(len(route))
+		t.hops += crossed
 		waitSum += waited[ev.msg]
 		latencies = append(latencies, out-m.TimeSec)
 		if m.DeadlineSec > 0 && out > m.DeadlineSec {

@@ -279,22 +279,6 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 // simulateNetwork runs the event loop of a validated configuration over tr,
 // read as simulate reads it.
 func simulateNetwork(ctx context.Context, cfg NetConfig, tr Trace, ready <-chan int) (NetResults, error) {
-	tiles := cfg.Net.Tiles()
-	// Route table and per-link derived constants, resolved once.
-	routes := make([][][]int, tiles)
-	for s := 0; s < tiles; s++ {
-		routes[s] = make([][]int, tiles)
-		for d := 0; d < tiles; d++ {
-			if s == d {
-				continue
-			}
-			route, err := cfg.Net.Route(s, d)
-			if err != nil {
-				return NetResults{}, err
-			}
-			routes[s][d] = route
-		}
-	}
 	// Each link's grant is static: its decision's scheme and DAC setting,
 	// with sec holding the serialization seconds per payload bit until a
 	// transfer scales it by its size.
@@ -314,7 +298,7 @@ func simulateNetwork(ctx context.Context, cfg NetConfig, tr Trace, ready <-chan 
 			heldW:  laserW,
 		}
 	}
-	t, err := simulate(ctx, tr, ready, routes, servers, cfg.MaxQueueDepth, func(l int, m *TraceEvent, _ float64) (grant, error) {
+	t, err := simulate(ctx, tr, ready, cfg.Net.Tiles(), cfg.Net.Router(), servers, cfg.MaxQueueDepth, func(l int, m *TraceEvent, _ float64) (grant, error) {
 		g := grants[l]
 		g.sec *= float64(m.Bits)
 		return g, nil

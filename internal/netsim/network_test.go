@@ -139,7 +139,7 @@ func TestNetworkDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestNetworkMultiHopForwarding: on a mesh, off-row/off-column pairs cross
-// two links, and the simulator's mean hop count matches the routing table's
+// two links, and the simulator's mean hop count matches Network.Route's
 // traffic-weighted mean exactly on a permutation workload.
 func TestNetworkMultiHopForwarding(t *testing.T) {
 	net, decisions, opts := buildNetwork(t, noc.Mesh, 16, 1e-11)
@@ -170,7 +170,7 @@ func TestNetworkMultiHopForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(res.MeanHops-wantHops) > 0.02 {
-		t.Fatalf("mean hops %.3f, routing table says %.3f", res.MeanHops, wantHops)
+		t.Fatalf("mean hops %.3f, Network.Route says %.3f", res.MeanHops, wantHops)
 	}
 	if res.MeanHops <= 1 {
 		t.Fatalf("mean hops %.3f — no multi-hop traffic on a permutation mesh workload", res.MeanHops)

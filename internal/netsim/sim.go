@@ -7,6 +7,7 @@ import (
 	"photonoc/internal/apierr"
 	"photonoc/internal/core"
 	"photonoc/internal/manager"
+	"photonoc/internal/noc"
 )
 
 // RunCtx generates the configured workload and executes the simulation,
@@ -30,12 +31,13 @@ func RunCtx(ctx context.Context, cfg Config, ev core.Evaluator) (Results, error)
 // and deadlines.
 //
 // The link is the event loop's degenerate network: reader channel d is
-// link d, one hop from every writer. The run solves the roster through ev
-// and programs each feasible scheme's DAC once; manager.Choose decides
-// each transfer after the token grant and manager round trip
-// (core.TokenOverheadSec) have held the channel. With AdaptToDeadline the
-// CT cap is what the message's remaining slack allows; when no scheme fits
-// the fastest is used, and the miss is counted at delivery.
+// link d, one hop from every writer (the zero noc.Router). The run solves
+// the roster through ev and programs each feasible scheme's DAC once;
+// manager.Choose decides each transfer after the token grant and manager
+// round trip (core.TokenOverheadSec) have held the channel. With
+// AdaptToDeadline the CT cap is what the message's remaining slack allows;
+// when no scheme fits the fastest is used, and the miss is counted at
+// delivery.
 func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (Results, error) {
 	if err := cfg.validateLink(); err != nil {
 		return Results{}, err
@@ -87,19 +89,13 @@ func RunTraceCtx(ctx context.Context, cfg Config, tr Trace, ev core.Evaluator) (
 		fallbackErr = progErr[fallback]
 	}
 
-	hop := make([][]int, n)
 	servers := make([]server, n)
-	for d := range hop {
-		hop[d] = []int{d}
+	for d := range servers {
 		servers[d] = server{hold: core.TokenOverheadSec}
-	}
-	routes := make([][][]int, n)
-	for s := range routes {
-		routes[s] = hop
 	}
 
 	uses := make([]int64, len(row))
-	t, err := simulate(ctx, tr, nil, routes, servers, 0, func(_ int, m *TraceEvent, start float64) (grant, error) {
+	t, err := simulate(ctx, tr, nil, n, noc.Router{}, servers, 0, func(_ int, m *TraceEvent, start float64) (grant, error) {
 		req := manager.Requirements{Objective: cfg.Objective}
 		if cfg.AdaptToDeadline && m.DeadlineSec > 0 {
 			if maxCT := (m.DeadlineSec - start) / (float64(m.Bits) / capacity); maxCT >= 1 {

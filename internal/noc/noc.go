@@ -1,10 +1,10 @@
 // Package noc scales the paper's single MWSR channel to a whole
 // network-on-chip: it instantiates many onoc.ChannelSpec-backed links into
 // full topologies, allocates the shared wavelength grid across links that
-// ride the same physical waveguide, derives a routing table over (src, dst)
-// tile pairs, and aggregates per-link operating points into network-level
-// energy, saturation throughput and latency figures — the network-scale
-// evaluation the paper defers to future work (Section VI).
+// ride the same physical waveguide, routes (src, dst) tile pairs by a
+// closed-form rule (Router), and aggregates per-link operating points into
+// network-level energy, saturation throughput and latency figures — the
+// network-scale evaluation the paper defers to future work (Section VI).
 //
 // Four topology families are supported:
 //
@@ -24,8 +24,8 @@
 //     (row first, then column).
 //
 // Build compiles a Config into an immutable Network (links, wavelength
-// allocation, routes); the engine layer solves every (link, scheme) cell
-// and Aggregate folds the solved links under a traffic matrix into a
+// allocation, routing rule); the engine layer solves every (link, scheme)
+// cell and Aggregate folds the solved links under a traffic matrix into a
 // Result.
 package noc
 
@@ -36,10 +36,10 @@ import (
 	"photonoc/internal/core"
 )
 
-// MaxTiles bounds Config.Tiles. A build's writer lists and routing table
+// MaxTiles bounds Config.Tiles. A build's writer lists and its route check
 // grow as Tiles², so the bound refuses a request before it can allocate
 // without limit: on a 2-CPU host (go1.24), a 512-tile crossbar builds in
-// about 0.1 s and 11 MiB, a 1024-tile one in about 0.5 s and 41 MiB.
+// about 10 ms and 2.4 MiB, a 1024-tile one in about 45 ms and 8.7 MiB.
 const MaxTiles = 512
 
 // ValidateTiles checks a tile count against [2, MaxTiles]; Validate runs

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"photonoc/internal/core"
@@ -239,4 +240,51 @@ func closeRel(a, b, tol float64) bool {
 		m = -m
 	}
 	return d <= tol*m
+}
+
+// BenchmarkBuild measures Build at the serving sizes and at the tile
+// bound, where the writer lists dominate what a build allocates.
+func BenchmarkBuild(b *testing.B) {
+	base := core.DefaultConfig()
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"crossbar-16", Config{Kind: Crossbar, Tiles: 16, Base: base}},
+		{"mesh-4x4", Config{Kind: Mesh, Tiles: 16, Columns: 4, Base: base}},
+		{"bus-512", Config{Kind: Bus, Tiles: MaxTiles, Base: base}},
+		{"crossbar-512", Config{Kind: Crossbar, Tiles: MaxTiles, Base: base}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(bc.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestBuildAllocatedBytes bounds what a build at the tile bound allocates,
+// so a stored per-pair route table cannot come back: a 512-tile crossbar
+// holds 512 links of 511 writers (about 2 MiB of writer lists), and a
+// t² table of routes adds over 8 MiB.
+func TestBuildAllocatedBytes(t *testing.T) {
+	const runs = 3
+	cfg := Config{Kind: Crossbar, Tiles: MaxTiles, Base: core.DefaultConfig()}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Build(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a %d-tile crossbar Build allocates %d bytes", MaxTiles, perBuild)
+	if perBuild > 4<<20 {
+		t.Errorf("a %d-tile crossbar Build allocates %d bytes, want at most %d", MaxTiles, perBuild, 4<<20)
+	}
 }

@@ -8,7 +8,7 @@ import (
 	"photonoc/internal/core"
 )
 
-// referenceRoutes is the stored route table the routing rule replaces:
+// referenceRoutes tabulates the routes pair by pair, apart from Router:
 // routes[src][dst] lists, in order, the link IDs a message from src crosses
 // to reach dst (nil on the diagonal). Bus, Crossbar and Ring are
 // single-hop on the destination's link; Mesh routes XY, the row bus to the
@@ -81,9 +81,10 @@ func oracleConfigs() []Config {
 }
 
 // TestRoutesMatchReference is the routing oracle: on every configuration of
-// oracleConfigs that builds, Network.Route returns the reference table's
-// path for every pair, and every link's writer list is strictly ascending
-// (the order the route check's binary search relies on).
+// oracleConfigs that builds, Router.Route and Network.Route return the
+// reference table's path for every pair, and every link's writer list is
+// strictly ascending (the order the route check's binary search relies
+// on).
 func TestRoutesMatchReference(t *testing.T) {
 	built := 0
 	for _, cfg := range oracleConfigs() {
@@ -95,6 +96,7 @@ func TestRoutesMatchReference(t *testing.T) {
 		name := fmt.Sprintf("%v/%d/cols=%d", cfg.Kind, cfg.Tiles, cfg.Columns)
 		rows, cols := net.MeshShape()
 		ref := referenceRoutes(cfg.Kind, cfg.Tiles, rows, cols)
+		router := net.Router()
 		for s := 0; s < cfg.Tiles; s++ {
 			for d := 0; d < cfg.Tiles; d++ {
 				got, err := net.Route(s, d)
@@ -103,6 +105,17 @@ func TestRoutesMatchReference(t *testing.T) {
 				}
 				if !slices.Equal(got, ref[s][d]) || (got == nil) != (ref[s][d] == nil) {
 					t.Fatalf("%s: Route(%d, %d) = %v, reference %v", name, s, d, got, ref[s][d])
+				}
+				if s == d {
+					continue
+				}
+				rule := []int{-1, -1}
+				rule[0], rule[1] = router.Route(s, d)
+				if rule[1] < 0 {
+					rule = rule[:1]
+				}
+				if !slices.Equal(rule, ref[s][d]) {
+					t.Fatalf("%s: Router.Route(%d, %d) = %v, reference %v", name, s, d, rule, ref[s][d])
 				}
 			}
 		}
@@ -115,7 +128,6 @@ func TestRoutesMatchReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d oracle configurations built", built)
 	// Bus and crossbar build at every count, ring up to the grid's 16
 	// channels, and every mesh shape whose row and column fit the grid.
 	if built < 2*63+15+63 {

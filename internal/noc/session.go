@@ -12,12 +12,12 @@ import (
 
 // EvalSession is the reusable scratch space of the candidate-evaluation
 // fast path: link-count-sized share/capacity/load tables, the per-link
-// decision slice, the latency pair buffer and the scheme-use map, all
-// recycled across evaluations so a steady-state Decide + Aggregate over a
-// fixed topology shape allocates nothing. The design-space autotuner
-// workload — millions of neighboring candidates over a handful of topology
-// shapes — runs entirely through sessions (engine.NetworkSession wraps one
-// per worker).
+// decision slice, the hop-latency and latency pair buffers and the
+// scheme-use map, all recycled across evaluations so a steady-state
+// Decide + Aggregate over a fixed topology shape allocates nothing. The
+// design-space autotuner workload — millions of neighboring candidates over
+// a handful of topology shapes — runs entirely through sessions
+// (engine.NetworkSession wraps one per worker).
 //
 // A session is NOT safe for concurrent use, and the Result returned by
 // Aggregate aliases session-owned storage (Decisions, Loads, SchemeUse):
@@ -29,6 +29,7 @@ type EvalSession struct {
 	shares    []float64
 	capacity  []float64
 	loads     []LinkLoad
+	hopLat    []float64
 	pairs     []pairLat
 	active    []bool
 	schemeUse map[string]int
@@ -166,6 +167,7 @@ func (s *EvalSession) Aggregate(net *Network, decisions []LinkDecision, opts Eva
 	}
 	active := s.activeRows(opts.Traffic)
 	activeTiles := 0
+	router := net.Router()
 	for src := 0; src < net.Tiles(); src++ {
 		if !active[src] {
 			continue
@@ -176,8 +178,10 @@ func (s *EvalSession) Aggregate(net *Network, decisions []LinkDecision, opts Eva
 			if w == 0 || src == d {
 				continue
 			}
-			for _, id := range net.routes[src][d] {
-				shares[id] += w
+			first, second := router.Route(src, d)
+			shares[first] += w
+			if second >= 0 {
+				shares[second] += w
 			}
 		}
 	}
@@ -304,7 +308,18 @@ func (s *EvalSession) activeRows(m Matrix) []bool {
 
 // aggregateLatency folds per-pair path latencies, weighted by the traffic
 // matrix, into mean and percentile figures on the session's pair buffer.
+// Each link's hop latency (token, queue wait, serialization, flight) is
+// computed once per call into the session's hop buffer.
 func (s *EvalSession) aggregateLatency(res *Result, net *Network, opts EvalOptions) {
+	s.hopLat = grow(s.hopLat, net.NumLinks())
+	hopLat := s.hopLat
+	for id := range hopLat {
+		load := &res.Loads[id]
+		serial := float64(opts.MessageBits) / load.CapacityBitsPerSec
+		prop := net.links[id].PropagationDelaySec()
+		hopLat[id] = core.TokenOverheadSec + load.QueueWaitSec + serial + prop
+	}
+	router := net.Router()
 	pairs := s.pairs[:0]
 	var totalW, meanNum float64
 	for src := 0; src < net.Tiles(); src++ {
@@ -313,12 +328,10 @@ func (s *EvalSession) aggregateLatency(res *Result, net *Network, opts EvalOptio
 			if src == d || w == 0 {
 				continue
 			}
-			lat := 0.0
-			for _, id := range net.routes[src][d] {
-				load := &res.Loads[id]
-				serial := float64(opts.MessageBits) / load.CapacityBitsPerSec
-				prop := net.links[id].PropagationDelaySec()
-				lat += core.TokenOverheadSec + load.QueueWaitSec + serial + prop
+			first, second := router.Route(src, d)
+			lat := hopLat[first]
+			if second >= 0 {
+				lat += hopLat[second]
 			}
 			pairs = append(pairs, pairLat{lat: lat, w: w})
 			totalW += w

@@ -14,7 +14,8 @@ type Link struct {
 	ID int
 	// Reader is the destination tile.
 	Reader int
-	// Writers are the tiles that can transmit on this link.
+	// Writers are the tiles that can transmit on this link, strictly
+	// ascending (Build's route check binary-searches them).
 	Writers []int
 	// Waveguide identifies the physical medium; links sharing a waveguide
 	// hold disjoint wavelength allocations.
@@ -46,22 +47,21 @@ func (l *Link) CapacityBitsPerSec(ct float64) float64 {
 	return float64(len(l.Lambdas)) * l.Config.FmodHz / ct
 }
 
-// Network is a compiled topology: links, wavelength allocation and routes.
-// It is immutable and safe for concurrent use.
+// Network is a compiled topology: links and wavelength allocation, routed
+// by its Router. It is immutable and safe for concurrent use.
 type Network struct {
-	cfg    Config
-	rows   int // mesh shape (rows = 0 for non-mesh kinds)
-	cols   int
-	links  []Link
-	routes [][][]int // routes[src][dst] = link IDs, nil on the diagonal
+	cfg   Config
+	rows  int // mesh shape (rows = cols = 0 for non-mesh kinds)
+	cols  int
+	links []Link
 	// waveguideLinks groups link IDs by waveguide for allocation checks.
 	waveguideLinks map[int][]int
 }
 
 // Build compiles a Config into a Network: it lays out the links of the
 // topology, allocates the wavelength grid over shared waveguides, derives
-// each link's configuration (validated against the core rules) and the
-// routing table covering every (src, dst) pair.
+// each link's configuration (validated against the core rules) and checks
+// that the routing rule reaches every destination over the built links.
 func Build(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -89,7 +89,7 @@ func Build(cfg Config) (*Network, error) {
 	if err := n.finishLinks(); err != nil {
 		return nil, err
 	}
-	if err := n.buildRoutes(); err != nil {
+	if err := n.verifyRoutes(); err != nil {
 		return nil, err
 	}
 	return n, nil
