@@ -57,6 +57,126 @@ func referenceRoutes(kind Kind, tiles, rows, cols int) [][][]int {
 	return routes
 }
 
+// referenceLink is one link as the layout and allocation loops below lay it
+// out, apart from Build.
+type referenceLink struct {
+	reader, waveguide int
+	writers, lambdas  []int
+}
+
+// referenceLinks lays out the links of a network link by link, in Build's
+// ID order, and then partitions a count-channel grid over each waveguide.
+// Bus, Crossbar and Ring give tile d the reader link d, written by every
+// other tile, on waveguide d (Ring: all on waveguide 0). A mesh gives each
+// row of at least two tiles one link per reader on waveguide r, and then
+// each column of at least two tiles one link per reader on waveguide
+// rows + c. A waveguide's k links take contiguous blocks of the grid in ID
+// order, the first count % k of them one channel wider than the rest.
+func referenceLinks(kind Kind, tiles, rows, cols, count int) []referenceLink {
+	var links []referenceLink
+	add := func(reader, waveguide int, members []int) {
+		var writers []int
+		for _, t := range members {
+			if t != reader {
+				writers = append(writers, t)
+			}
+		}
+		links = append(links, referenceLink{reader: reader, waveguide: waveguide, writers: writers})
+	}
+	switch kind {
+	case Bus, Crossbar, Ring:
+		all := make([]int, tiles)
+		for t := range all {
+			all[t] = t
+		}
+		for d := 0; d < tiles; d++ {
+			waveguide := d
+			if kind == Ring {
+				waveguide = 0
+			}
+			add(d, waveguide, all)
+		}
+	case Mesh:
+		if cols >= 2 {
+			for r := 0; r < rows; r++ {
+				var row []int
+				for c := 0; c < cols; c++ {
+					row = append(row, r*cols+c)
+				}
+				for c := 0; c < cols; c++ {
+					add(r*cols+c, r, row)
+				}
+			}
+		}
+		if rows >= 2 {
+			for c := 0; c < cols; c++ {
+				var col []int
+				for r := 0; r < rows; r++ {
+					col = append(col, r*cols+c)
+				}
+				for r := 0; r < rows; r++ {
+					add(r*cols+c, rows+c, col)
+				}
+			}
+		}
+	}
+	onWaveguide := make(map[int][]int)
+	for id, l := range links {
+		onWaveguide[l.waveguide] = append(onWaveguide[l.waveguide], id)
+	}
+	for _, ids := range onWaveguide {
+		k := len(ids)
+		q, r := count/k, count%k
+		next := 0
+		for pos, id := range ids {
+			size := q
+			if pos < r {
+				size++
+			}
+			for i := 0; i < size; i++ {
+				links[id].lambdas = append(links[id].lambdas, next+i)
+			}
+			next += size
+		}
+	}
+	return links
+}
+
+// checkLinksMatchReference compares every link of net, and its waveguide
+// grouping, with referenceLinks.
+func checkLinksMatchReference(t *testing.T, name string, net *Network, count int) {
+	t.Helper()
+	rows, cols := net.MeshShape()
+	ref := referenceLinks(net.Kind(), net.Tiles(), rows, cols, count)
+	if net.NumLinks() != len(ref) {
+		t.Fatalf("%s: %d links, reference %d", name, net.NumLinks(), len(ref))
+	}
+	onWaveguide := make(map[int][]int)
+	for id, want := range ref {
+		l := net.LinkRef(id)
+		if l.ID != id || l.Reader != want.reader || l.Waveguide != want.waveguide {
+			t.Fatalf("%s: link %d is (ID %d, reader %d, waveguide %d), reference (reader %d, waveguide %d)",
+				name, id, l.ID, l.Reader, l.Waveguide, want.reader, want.waveguide)
+		}
+		if w := l.Writers; !slices.Equal(w, want.writers) {
+			t.Fatalf("%s: link %d writers %v, reference %v", name, id, w, want.writers)
+		}
+		if !slices.Equal(l.Lambdas, want.lambdas) {
+			t.Fatalf("%s: link %d lambdas %v, reference %v", name, id, l.Lambdas, want.lambdas)
+		}
+		onWaveguide[want.waveguide] = append(onWaveguide[want.waveguide], id)
+	}
+	got := net.Waveguides()
+	if len(got) != len(onWaveguide) {
+		t.Fatalf("%s: %d waveguides, reference %d", name, len(got), len(onWaveguide))
+	}
+	for wg, ids := range onWaveguide {
+		if !slices.Equal(got[wg], ids) {
+			t.Fatalf("%s: waveguide %d carries links %v, reference %v", name, wg, got[wg], ids)
+		}
+	}
+}
+
 // oracleConfigs lists every configuration the oracle test builds: each
 // kind at every tile count from 2 to 64, every column count that divides a
 // mesh's tiles, and the 512-tile bus and crossbar. Counts the 16-wavelength
@@ -82,9 +202,8 @@ func oracleConfigs() []Config {
 
 // TestRoutesMatchReference is the routing oracle: on every configuration of
 // oracleConfigs that builds, Router.Route and Network.Route return the
-// reference table's path for every pair, and every link's writer list is
-// strictly ascending (the order the route check's binary search relies
-// on).
+// reference table's path for every pair, and every link's reader,
+// waveguide, writers and wavelength block equal referenceLinks.
 func TestRoutesMatchReference(t *testing.T) {
 	built := 0
 	for _, cfg := range oracleConfigs() {
@@ -119,14 +238,7 @@ func TestRoutesMatchReference(t *testing.T) {
 				}
 			}
 		}
-		for id := 0; id < net.NumLinks(); id++ {
-			w := net.LinkRef(id).Writers
-			for i := 1; i < len(w); i++ {
-				if w[i] <= w[i-1] {
-					t.Fatalf("%s: link %d writers %v not strictly ascending", name, id, w)
-				}
-			}
-		}
+		checkLinksMatchReference(t, name, net, cfg.Base.Channel.Grid.Count)
 	}
 	// Bus and crossbar build at every count, ring up to the grid's 16
 	// channels, and every mesh shape whose row and column fit the grid.
