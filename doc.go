@@ -97,9 +97,9 @@
 // the network-level evaluation the paper defers to future work. A
 // NoCConfig names a topology family (bus, crossbar, ring, mesh) and a tile
 // count; Engine.BuildNetwork compiles it into links with per-link waveguide
-// lengths (distinct loss budgets), a wavelength-allocation pass that
-// partitions the shared WavelengthGrid so no wavelength is reused on a
-// shared waveguide, and a routing rule covering every (src, dst) pair:
+// lengths (distinct loss budgets), each link's contiguous block of the
+// shared WavelengthGrid, so no wavelength is reused on a shared waveguide,
+// and a routing rule covering every (src, dst) pair:
 //
 //	topo := photonoc.NoCConfig{Kind: photonoc.NoCMesh, Tiles: 64}
 //	res, err := eng.Network(ctx, topo, photonoc.NoCEvalOptions{

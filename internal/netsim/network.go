@@ -282,11 +282,11 @@ func simulateNetwork(ctx context.Context, cfg NetConfig, tr Trace, ready <-chan 
 	// Each link's grant is static: its decision's scheme and DAC setting,
 	// with sec holding the serialization seconds per payload bit until a
 	// transfer scales it by its size.
-	links := cfg.Net.Links()
-	servers := make([]server, len(links))
-	grants := make([]grant, len(links))
-	for i := range links {
-		l, d := &links[i], &cfg.Decisions[i]
+	nlinks := cfg.Net.NumLinks()
+	servers := make([]server, nlinks)
+	grants := make([]grant, nlinks)
+	for i := range nlinks {
+		l, d := cfg.Net.LinkRef(i), &cfg.Decisions[i]
 		nw := float64(len(l.Lambdas))
 		laserW := d.LaserPowerW * nw
 		servers[i] = server{token: core.TokenOverheadSec, prop: l.PropagationDelaySec(), idleW: laserW}
@@ -315,7 +315,7 @@ func simulateNetwork(ctx context.Context, cfg NetConfig, tr Trace, ready <-chan 
 		SimTimeSec:    t.horizon,
 		SchemeUse:     make(map[string]int, len(cfg.Decisions)),
 		Decisions:     append([]noc.LinkDecision(nil), cfg.Decisions...),
-		PerLink:       make([]NetLinkStats, len(links)),
+		PerLink:       make([]NetLinkStats, nlinks),
 	}
 	for i := range cfg.Decisions {
 		res.SchemeUse[cfg.Decisions[i].Eval.Code.Name()]++
@@ -331,7 +331,7 @@ func simulateNetwork(ctx context.Context, cfg NetConfig, tr Trace, ready <-chan 
 		}
 		res.PerLink[i] = st
 		res.MaxUtilization = max(res.MaxUtilization, st.Utilization)
-		res.MeanUtilization += st.Utilization / float64(len(links))
+		res.MeanUtilization += st.Utilization / float64(nlinks)
 	}
 	// Lasers hold their standing power for the whole horizon: sending
 	// time plus idle time.

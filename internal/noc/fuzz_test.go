@@ -2,8 +2,11 @@ package noc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
+
+	"photonoc/internal/core"
 )
 
 // FuzzParseKind: the CLI-facing parser never panics and round-trips with
@@ -114,6 +117,71 @@ func FuzzMatrixValidate(f *testing.F) {
 		}
 		if got != active {
 			t.Fatalf("activeRows counts %d active sources, Validate saw %d", got, active)
+		}
+	})
+}
+
+// FuzzBuild throws arbitrary network shapes at Build: every configuration
+// Validate accepts must build into a network whose wavelength allocation
+// holds, whose every route ends at its destination over links the arriving
+// tile writes on, and whose links equal the reference layout and
+// allocation loops.
+func FuzzBuild(f *testing.F) {
+	f.Add(int(Bus), 12, 0, 16, 0.0)
+	f.Add(int(Crossbar), 16, 0, 16, 0.5)
+	f.Add(int(Ring), 16, 0, 16, 0.0)
+	f.Add(int(Ring), 7, 0, 10, 0.25)
+	f.Add(int(Mesh), 16, 4, 16, 0.0)
+	f.Add(int(Mesh), 12, 0, 5, 1.5)
+	f.Add(int(Mesh), 9, 1, 9, 0.0)
+	f.Add(int(Mesh), 6, 4, 16, 0.0)
+	f.Add(int(Crossbar), MaxTiles, 0, 1, 0.0)
+	f.Add(int(Bus), MaxTiles+1, 0, 16, 0.0)
+	f.Add(7, 4, 0, 16, -1.0)
+	f.Fuzz(func(t *testing.T, kind, tiles, columns, count int, pitch float64) {
+		if tiles < 0 || tiles > 600 || count < 1 || count > 64 {
+			return
+		}
+		base := core.DefaultConfig()
+		base.Channel.Grid.Count = count
+		base.Channel.Topo.Wavelengths = count
+		cfg := Config{Kind: Kind(kind), Tiles: tiles, Columns: columns, TilePitchCM: pitch, Base: base}
+		if cfg.Validate() != nil {
+			return
+		}
+		net, err := Build(cfg)
+		if err != nil {
+			t.Fatalf("Validate accepted %+v but Build failed: %v", cfg, err)
+		}
+		if err := net.VerifyAllocation(); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%v/%d/cols=%d/grid=%d", cfg.Kind, tiles, columns, count)
+		checkLinksMatchReference(t, name, net, count)
+		writes := make([][]bool, net.NumLinks()) // writes[link][tile]
+		for id := range writes {
+			writes[id] = make([]bool, tiles)
+			for _, w := range net.LinkRef(id).Writers() {
+				writes[id][w] = true
+			}
+		}
+		for s := 0; s < tiles; s++ {
+			for d := 0; d < tiles; d++ {
+				path, err := net.Route(s, d)
+				if err != nil {
+					t.Fatalf("%s: Route(%d, %d): %v", name, s, d, err)
+				}
+				at := s
+				for _, id := range path {
+					if !writes[id][at] {
+						t.Fatalf("%s: route %d→%d crosses link %d, which tile %d does not write", name, s, d, id, at)
+					}
+					at = net.LinkRef(id).Reader
+				}
+				if at != d {
+					t.Fatalf("%s: route %d→%d ends at tile %d", name, s, d, at)
+				}
+			}
 		}
 	})
 }

@@ -1,10 +1,11 @@
 // Package noc scales the paper's single MWSR channel to a whole
 // network-on-chip: it instantiates many onoc.ChannelSpec-backed links into
-// full topologies, allocates the shared wavelength grid across links that
-// ride the same physical waveguide, routes (src, dst) tile pairs by a
-// closed-form rule (Router), and aggregates per-link operating points into
-// network-level energy, saturation throughput and latency figures — the
-// network-scale evaluation the paper defers to future work (Section VI).
+// full topologies, each link a reader on a bus of writer tiles, splits the
+// shared wavelength grid across links that ride the same physical
+// waveguide, routes (src, dst) tile pairs by a closed-form rule (Router),
+// and aggregates per-link operating points into network-level energy,
+// saturation throughput and latency figures — the network-scale evaluation
+// the paper defers to future work (Section VI).
 //
 // Four topology families are supported:
 //
@@ -36,10 +37,10 @@ import (
 	"photonoc/internal/core"
 )
 
-// MaxTiles bounds Config.Tiles. A build's writer lists and its route check
-// grow as Tiles², so the bound refuses a request before it can allocate
-// without limit: on a 2-CPU host (go1.24), a 512-tile crossbar builds in
-// about 10 ms and 2.4 MiB, a 1024-tile one in about 45 ms and 8.7 MiB.
+// MaxTiles bounds Config.Tiles. A build's route check grows as Tiles², so
+// the bound refuses a request before it can run without limit: on a 2-CPU
+// host (go1.24), a 512-tile crossbar builds in about 2 ms and 0.23 MiB, a
+// 1024-tile one in about 9 ms and 0.45 MiB.
 const MaxTiles = 512
 
 // ValidateTiles checks a tile count against [2, MaxTiles]; Validate runs

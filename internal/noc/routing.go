@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Router is a network's routing rule: it maps a (src, dst) tile pair to
 // the at most two link IDs a message crosses, in closed form. The zero
@@ -46,8 +43,9 @@ func (n *Network) Router() Router { return Router{rows: n.rows, cols: n.cols} }
 
 // verifyRoutes asserts the routing invariant of the rule against the built
 // links: on every off-diagonal pair, each hop's writer set admits the
-// arriving tile, and the final hop's reader is the destination. Writer
-// lists are ascending, so membership is a binary search: O(T²·log T).
+// arriving tile, and the final hop's reader is the destination. A writer
+// is a tile on the link's bus other than its reader, so each membership
+// test is arithmetic and the whole check is O(T²).
 func (n *Network) verifyRoutes() error {
 	t := n.cfg.Tiles
 	router := n.Router()
@@ -66,7 +64,7 @@ func (n *Network) verifyRoutes() error {
 					return fmt.Errorf("noc: route %d→%d hop %d references link %d outside [0,%d)", s, d, hop, id, len(n.links))
 				}
 				l := &n.links[id]
-				if _, ok := slices.BinarySearch(l.Writers, at); !ok {
+				if !l.bus.has(at) || at == l.Reader {
 					return fmt.Errorf("noc: route %d→%d hop %d: tile %d is not a writer of link %d", s, d, hop, at, id)
 				}
 				at = l.Reader

@@ -158,7 +158,7 @@ func checkLinksMatchReference(t *testing.T, name string, net *Network, count int
 			t.Fatalf("%s: link %d is (ID %d, reader %d, waveguide %d), reference (reader %d, waveguide %d)",
 				name, id, l.ID, l.Reader, l.Waveguide, want.reader, want.waveguide)
 		}
-		if w := l.Writers; !slices.Equal(w, want.writers) {
+		if w := l.Writers(); !slices.Equal(w, want.writers) {
 			t.Fatalf("%s: link %d writers %v, reference %v", name, id, w, want.writers)
 		}
 		if !slices.Equal(l.Lambdas, want.lambdas) {

@@ -6,17 +6,14 @@ import (
 	"photonoc/internal/core"
 )
 
-// Link is one MWSR channel of the network: a set of writer tiles sharing a
-// waveguide toward one reader tile, on an allocated slice of the wavelength
-// grid.
+// Link is one MWSR channel of the network: the writer tiles of a bus
+// sharing a waveguide toward one reader tile, on an allocated slice of the
+// wavelength grid.
 type Link struct {
 	// ID is the link's index in Network.Links order.
 	ID int
 	// Reader is the destination tile.
 	Reader int
-	// Writers are the tiles that can transmit on this link, strictly
-	// ascending (Build's route check binary-searches them).
-	Writers []int
 	// Waveguide identifies the physical medium; links sharing a waveguide
 	// hold disjoint wavelength allocations.
 	Waveguide int
@@ -32,6 +29,31 @@ type Link struct {
 	// Fingerprint is the digest of Config — links sharing it share one
 	// compiled solve plan and therefore memoized operating points.
 	Fingerprint string
+	// bus holds the tiles on the link's waveguide; all but Reader write.
+	bus bus
+}
+
+// bus is an arithmetic run of tiles: size tiles from first, stride apart.
+// Every link of every topology is read on such a run: a whole bus, a mesh
+// row or a mesh column.
+type bus struct{ first, stride, size int }
+
+// has reports whether tile t is on the bus.
+func (b bus) has(t int) bool {
+	d := t - b.first
+	return d >= 0 && d%b.stride == 0 && d/b.stride < b.size
+}
+
+// Writers returns the tiles that can transmit on this link, ascending:
+// every tile on its bus but the reader.
+func (l *Link) Writers() []int {
+	out := make([]int, 0, l.bus.size-1)
+	for i := 0; i < l.bus.size; i++ {
+		if t := l.bus.first + i*l.bus.stride; t != l.Reader {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // PropagationDelaySec is the optical flight time over this link's
@@ -54,40 +76,22 @@ type Network struct {
 	rows  int // mesh shape (rows = cols = 0 for non-mesh kinds)
 	cols  int
 	links []Link
-	// waveguideLinks groups link IDs by waveguide for allocation checks.
-	waveguideLinks map[int][]int
 }
 
 // Build compiles a Config into a Network: it lays out the links of the
-// topology, allocates the wavelength grid over shared waveguides, derives
-// each link's configuration (validated against the core rules) and checks
-// that the routing rule reaches every destination over the built links.
+// topology with their wavelength blocks, derives each link's configuration
+// (validated against the core rules) and checks that the routing rule
+// reaches every destination over the built links.
 func Build(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := &Network{cfg: cfg}
-	var err error
-	switch cfg.Kind {
-	case Bus:
-		err = n.buildBus()
-	case Crossbar:
-		err = n.buildCrossbar()
-	case Ring:
-		err = n.buildRing()
-	case Mesh:
-		err = n.buildMesh()
-	}
-	if err != nil {
-		return nil, err
-	}
-	n.waveguideLinks = make(map[int][]int)
+	n.layout()
 	for i := range n.links {
-		l := &n.links[i]
-		n.waveguideLinks[l.Waveguide] = append(n.waveguideLinks[l.Waveguide], l.ID)
-	}
-	if err := n.finishLinks(); err != nil {
-		return nil, err
+		if err := n.deriveConfig(&n.links[i]); err != nil {
+			return nil, err
+		}
 	}
 	if err := n.verifyRoutes(); err != nil {
 		return nil, err
@@ -95,136 +99,94 @@ func Build(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// buildBus replicates the paper's MWSR bus once per reader: every link
-// keeps the base channel untouched except for the writer roster, so with
-// Tiles == base ONIs the per-link configuration is the base configuration,
-// byte for byte.
-func (n *Network) buildBus() error {
-	length := n.cfg.Base.Channel.Waveguide.LengthCM
-	n.buildReaders(func(d int) int { return d }, func(int) float64 { return length })
-	return nil
-}
-
-// buildCrossbar gives each reader a dedicated serpentine waveguide: the
-// medium runs from tile 0 past every writer to tile Tiles−1 and folds back
-// to the reader, so the worst-case span — and with it the loss budget — is
-// distinct per reader position.
-func (n *Network) buildCrossbar() error {
-	pitch := n.cfg.pitchCM()
-	span := float64(n.cfg.Tiles - 1)
-	n.buildReaders(func(d int) int { return d }, func(d int) float64 { return pitch * (span + span - float64(d)) })
-	return nil
-}
-
-// buildRing places every tile on one shared ring waveguide: each reader
-// owns a disjoint block of the grid (allocated in finishLinks) and the
-// worst-case writer sits a full ring minus one hop away.
-func (n *Network) buildRing() error {
-	length := n.cfg.pitchCM() * float64(n.cfg.Tiles-1)
-	n.buildReaders(func(int) int { return 0 }, func(int) float64 { return length })
-	return nil
-}
-
-// buildReaders lays out the single-hop kinds: link d is tile d's reader
-// channel on waveguide waveguide(d), spanning length(d), with every other
-// tile a writer. The writer lists share one backing array.
-func (n *Network) buildReaders(waveguide func(d int) int, length func(d int) float64) {
+// layout lays out the links of the topology in ID order. Every tile reads
+// one link per bus it sits on, so a link is fixed by its reader, its bus,
+// its waveguide and its position among the links sharing that waveguide.
+func (n *Network) layout() {
 	t := n.cfg.Tiles
-	n.links = make([]Link, t)
-	writers := make([]int, 0, t*(t-1))
-	for d := 0; d < t; d++ {
-		start := len(writers)
-		for w := 0; w < t; w++ {
-			if w != d {
-				writers = append(writers, w)
-			}
-		}
-		n.links[d] = Link{
-			ID:        d,
-			Reader:    d,
-			Writers:   writers[start:len(writers):len(writers)],
-			Waveguide: waveguide(d),
-			LengthCM:  length(d),
-		}
-	}
-}
-
-// buildMesh lays tiles in a rows × cols rectangle. Each row (when it has at
-// least two tiles) is a wavelength-routed bus carrying one link per reader
-// in the row; columns likewise. Waveguide IDs: rows are 0..rows−1, columns
-// rows..rows+cols−1.
-func (n *Network) buildMesh() error {
-	rows, cols, err := n.cfg.meshShape()
-	if err != nil {
-		return err
-	}
-	n.rows, n.cols = rows, cols
 	pitch := n.cfg.pitchCM()
-	tile := func(r, c int) int { return r*cols + c }
-	// Each bus of m ≥ 2 members carries m links of m − 1 writers; the links
-	// and the writer lists are sized up front.
-	nlinks, nwriters := 0, 0
-	if cols >= 2 {
-		nlinks += rows * cols
-		nwriters += rows * cols * (cols - 1)
-	}
-	if rows >= 2 {
-		nlinks += rows * cols
-		nwriters += rows * cols * (rows - 1)
-	}
-	n.links = make([]Link, 0, nlinks)
-	writers := make([]int, 0, nwriters)
-	addLink := func(reader, waveguide int, members []int) {
-		start := len(writers)
-		for _, t := range members {
-			if t != reader {
-				writers = append(writers, t)
-			}
+	grid := fullGrid(n.cfg.Base.Channel.Grid.Count)
+	// addLink appends the link tile reader reads on waveguide, written by
+	// the rest of b across lengthCM. It is the pos-th of the k links on its
+	// waveguide, so it takes the pos-th of k contiguous blocks of the grid,
+	// the first count % k of them one channel wider; a lone link keeps the
+	// full grid, which is what makes the bus case degenerate to the base
+	// channel exactly. Validate has checked that count ≥ k.
+	addLink := func(reader, waveguide int, b bus, lengthCM float64, pos, k int) {
+		q, r := len(grid)/k, len(grid)%k
+		lo := pos*q + min(pos, r)
+		hi := lo + q
+		if pos < r {
+			hi++
 		}
 		n.links = append(n.links, Link{
 			ID:        len(n.links),
 			Reader:    reader,
-			Writers:   writers[start:len(writers):len(writers)],
 			Waveguide: waveguide,
-			LengthCM:  pitch * float64(len(members)-1),
+			LengthCM:  lengthCM,
+			Lambdas:   grid[lo:hi:hi],
+			bus:       b,
 		})
 	}
-	members := make([]int, max(rows, cols))
-	if cols >= 2 {
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				members[c] = tile(r, c)
-			}
-			for c := 0; c < cols; c++ {
-				addLink(tile(r, c), r, members[:cols])
-			}
+	all := bus{0, 1, t}
+	switch n.cfg.Kind {
+	case Bus:
+		// The paper's MWSR bus, replicated once per reader: every link
+		// keeps the base channel untouched except for the writer roster, so
+		// with Tiles == base ONIs the per-link configuration is the base
+		// configuration, byte for byte.
+		n.links = make([]Link, 0, t)
+		for d := 0; d < t; d++ {
+			addLink(d, d, all, n.cfg.Base.Channel.Waveguide.LengthCM, 0, 1)
 		}
-	}
-	if rows >= 2 {
-		for c := 0; c < cols; c++ {
+	case Crossbar:
+		// Each reader owns a serpentine waveguide: the medium runs from
+		// tile 0 past every writer to tile Tiles−1 and folds back to the
+		// reader, so the worst-case span — and with it the loss budget — is
+		// distinct per reader position.
+		n.links = make([]Link, 0, t)
+		span := float64(t - 1)
+		for d := 0; d < t; d++ {
+			addLink(d, d, all, pitch*(span+span-float64(d)), 0, 1)
+		}
+	case Ring:
+		// Every tile sits on one shared ring waveguide: each reader owns a
+		// disjoint block of the grid and the worst-case writer sits a full
+		// ring minus one hop away.
+		n.links = make([]Link, 0, t)
+		for d := 0; d < t; d++ {
+			addLink(d, 0, all, pitch*float64(t-1), d, t)
+		}
+	case Mesh:
+		// Tiles form a rows × cols rectangle (Validate has checked the
+		// shape). Each row of at least two tiles is a wavelength-routed bus
+		// carrying one link per reader in the row; columns likewise.
+		// Waveguide IDs: rows are 0..rows−1, columns rows..rows+cols−1.
+		rows, cols, _ := n.cfg.meshShape()
+		n.rows, n.cols = rows, cols
+		nlinks := 0
+		if cols >= 2 {
+			nlinks += t
+		}
+		if rows >= 2 {
+			nlinks += t
+		}
+		n.links = make([]Link, 0, nlinks)
+		if cols >= 2 {
 			for r := 0; r < rows; r++ {
-				members[r] = tile(r, c)
+				for c := 0; c < cols; c++ {
+					addLink(r*cols+c, r, bus{r * cols, 1, cols}, pitch*float64(cols-1), c, cols)
+				}
 			}
-			for r := 0; r < rows; r++ {
-				addLink(tile(r, c), rows+c, members[:rows])
+		}
+		if rows >= 2 {
+			for c := 0; c < cols; c++ {
+				for r := 0; r < rows; r++ {
+					addLink(r*cols+c, rows+c, bus{c, cols, rows}, pitch*float64(rows-1), r, rows)
+				}
 			}
 		}
 	}
-	return nil
-}
-
-// finishLinks runs the wavelength-allocation pass over shared waveguides,
-// derives each link's configuration and validates it.
-func (n *Network) finishLinks() error {
-	if err := n.allocateWavelengths(); err != nil {
-		return err
-	}
-	for i := range n.links {
-		if err := n.deriveConfig(&n.links[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // deriveConfig re-scopes the base configuration to one link and stamps its
@@ -234,7 +196,7 @@ func (n *Network) deriveConfig(l *Link) error {
 	ch := &cfg.Channel
 	base := n.cfg.Base.Channel
 	ch.Waveguide.LengthCM = l.LengthCM
-	ch.Topo.ONIs = len(l.Writers) + 1
+	ch.Topo.ONIs = l.bus.size
 	ch.Topo.Wavelengths = len(l.Lambdas)
 	ch.Grid = subgrid(base.Grid, l.Lambdas)
 	if n.cfg.Kind != Bus {
@@ -261,7 +223,7 @@ func (n *Network) Tiles() int { return n.cfg.Tiles }
 func (n *Network) MeshShape() (rows, cols int) { return n.rows, n.cols }
 
 // Links returns a copy of the link table in ID order. The copy is deep on
-// the mutable fields (Writers, Lambdas), upholding the Network's
+// the mutable fields (Lambdas, the interface power table), upholding the Network's
 // immutability contract against caller edits.
 func (n *Network) Links() []Link {
 	out := make([]Link, len(n.links))
@@ -296,7 +258,6 @@ func (n *Network) Link(id int) (Link, error) {
 // clone deep-copies the link's mutable fields (slices and the interface
 // power table, which the network's links otherwise share read-only).
 func (l Link) clone() Link {
-	l.Writers = append([]int(nil), l.Writers...)
 	l.Lambdas = append([]int(nil), l.Lambdas...)
 	if l.Config.InterfacePowers != nil {
 		m := make(map[string]core.InterfacePower, len(l.Config.InterfacePowers))
@@ -308,11 +269,13 @@ func (l Link) clone() Link {
 	return l
 }
 
-// Waveguides returns, per waveguide ID, the IDs of the links sharing it.
+// Waveguides returns, per waveguide ID, the IDs of the links sharing it,
+// ascending.
 func (n *Network) Waveguides() map[int][]int {
-	out := make(map[int][]int, len(n.waveguideLinks))
-	for wg, ids := range n.waveguideLinks {
-		out[wg] = append([]int(nil), ids...)
+	out := make(map[int][]int)
+	for i := range n.links {
+		wg := n.links[i].Waveguide
+		out[wg] = append(out[wg], i)
 	}
 	return out
 }

@@ -2,52 +2,11 @@ package noc
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"photonoc/internal/onoc"
 )
-
-// allocateWavelengths partitions the base wavelength grid across the links
-// of each waveguide: contiguous disjoint blocks in link-ID order, sized as
-// evenly as the grid divides. A waveguide carrying a single link keeps the
-// full grid, which is what makes the bus case degenerate to the base
-// channel exactly.
-func (n *Network) allocateWavelengths() error {
-	count := n.cfg.Base.Channel.Grid.Count
-	for _, wg := range sortedWaveguides(n.waveguideLinks) {
-		ids := n.waveguideLinks[wg]
-		k := len(ids)
-		if count < k {
-			return fmt.Errorf("noc: waveguide %d carries %d links but the grid has only %d wavelengths", wg, k, count)
-		}
-		q, r := count/k, count%k
-		next := 0
-		for pos, id := range ids {
-			size := q
-			if pos < r {
-				size++
-			}
-			block := make([]int, size)
-			for i := range block {
-				block[i] = next + i
-			}
-			next += size
-			n.links[id].Lambdas = block
-		}
-	}
-	return nil
-}
-
-// sortedWaveguides returns the waveguide IDs ascending, so allocation order
-// is deterministic.
-func sortedWaveguides(m map[int][]int) []int {
-	out := make([]int, 0, len(m))
-	for wg := range m {
-		out = append(out, wg)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // subgrid returns the evenly spaced grid covering a contiguous ascending
 // block of the base grid's wavelength indices. The full block returns the
@@ -70,12 +29,13 @@ func subgrid(base onoc.WavelengthGrid, lambdas []int) onoc.WavelengthGrid {
 // waveguide, no wavelength index is claimed by more than one link, every
 // link holds at least one contiguous ascending block, and no index leaves
 // the base grid. It exists so property tests (and distrustful callers) can
-// audit a built network independently of the allocation pass.
+// audit a built network independently of the layout that allocated it.
 func (n *Network) VerifyAllocation() error {
 	count := n.cfg.Base.Channel.Grid.Count
-	for _, wg := range sortedWaveguides(n.waveguideLinks) {
+	waveguides := n.Waveguides()
+	for _, wg := range slices.Sorted(maps.Keys(waveguides)) {
 		used := make(map[int]int) // wavelength index → claiming link
-		for _, id := range n.waveguideLinks[wg] {
+		for _, id := range waveguides[wg] {
 			l := &n.links[id]
 			if len(l.Lambdas) == 0 {
 				return fmt.Errorf("noc: link %d holds no wavelengths", id)
