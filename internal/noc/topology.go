@@ -223,8 +223,8 @@ func (n *Network) Tiles() int { return n.cfg.Tiles }
 func (n *Network) MeshShape() (rows, cols int) { return n.rows, n.cols }
 
 // Links returns a copy of the link table in ID order. The copy is deep on
-// the mutable fields (Lambdas, the interface power table), upholding the Network's
-// immutability contract against caller edits.
+// the mutable fields (Lambdas, the interface power table), upholding the
+// Network's immutability contract against caller edits.
 func (n *Network) Links() []Link {
 	out := make([]Link, len(n.links))
 	for i := range n.links {
@@ -255,8 +255,9 @@ func (n *Network) Link(id int) (Link, error) {
 	return n.links[id].clone(), nil
 }
 
-// clone deep-copies the link's mutable fields (slices and the interface
-// power table, which the network's links otherwise share read-only).
+// clone deep-copies the link's mutable fields (the wavelength block and
+// the interface power table, which the network's links otherwise share
+// read-only).
 func (l Link) clone() Link {
 	l.Lambdas = append([]int(nil), l.Lambdas...)
 	if l.Config.InterfacePowers != nil {
