@@ -122,8 +122,8 @@
 // reproduces the single-link sweep bit for bit. Traffic matrices come from
 // the netsim patterns (Pattern.Matrix) or recorded traces (Trace.Matrix);
 // the aggregation derives per-link utilization, saturation throughput
-// (bisection over the injection rate), M/D/1 latency percentiles and the
-// network energy budget with standing lasers and activity-scaled
+// (min over loaded links of capacity/share), M/D/1 latency percentiles
+// and the network energy budget with standing lasers and activity-scaled
 // modulator/interface power.
 //
 // The analytic aggregates are cross-validated by the network-scale

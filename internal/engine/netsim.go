@@ -38,13 +38,12 @@ type NetworkSimOptions struct {
 }
 
 // SimulateNetwork runs the network-scale discrete-event simulator over a
-// topology: the (link × scheme) lattice at the target BER is solved on the
-// caller's goroutine (every solve keyed in the shared memo cache by the link's
-// interned configuration ID, exactly like Network/NetworkSweep), the
-// per-link winners are decided as Network decides them — so the simulated
-// scheme/DAC decisions are bit-identical to the analytic evaluator's — and
-// the event-driven simulation replays a seeded synthetic workload over the
-// routes. The simulation core is sequential, so results for a fixed
+// topology: one NetworkSession.Evaluate on the caller's goroutine, the
+// call Network makes, solves the (link × scheme) lattice at the target BER
+// through the shared memo cache, decides the per-link winners and resolves
+// the default rate, so the simulated scheme/DAC decisions are
+// bit-identical to the analytic evaluator's; the event-driven simulation
+// then replays a seeded synthetic workload over the routes. The simulation core is sequential, so results for a fixed
 // seed are bit-identical across engine worker counts.
 //
 // A topology with an infeasible link cannot be simulated and returns an
@@ -65,49 +64,33 @@ func (e *Engine) SimulateNetwork(ctx context.Context, cfg noc.Config, opts Netwo
 			return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 		}
 	}
-	evalOpts := noc.EvalOptions{
+	// The decisions alias the session, so it is held until the simulator
+	// has copied them.
+	s := e.acquireSession()
+	defer e.releaseSession(s)
+	agg, err := s.Evaluate(ctx, NetworkCandidate{Topology: cfg, Opts: noc.EvalOptions{
 		TargetBER:               opts.TargetBER,
 		Objective:               opts.Objective,
 		Traffic:                 opts.Traffic,
 		InjectionRateBitsPerSec: opts.InjectionRateBitsPerSec,
 		MessageBits:             opts.MessageBits,
 		DAC:                     opts.DAC,
-	}
-
-	// The decisions alias the session, so it is held until the simulator
-	// has copied them.
-	s := e.acquireSession()
-	defer e.releaseSession(s)
-	if _, err := s.solve(ctx, NetworkCandidate{Topology: cfg, Opts: evalOpts}); err != nil {
+	}})
+	if err != nil {
 		return netsim.NetResults{}, err
 	}
-	decisions, err := s.eval.Decide(net, s.rows, evalOpts)
-	if err != nil {
-		return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
-	}
-	for i := range decisions {
-		if !decisions[i].Feasible {
-			return netsim.NetResults{}, fmt.Errorf("%w: link %d: %s", ErrInfeasible, i, decisions[i].InfeasibleReason)
-		}
+	if !agg.Feasible {
+		return netsim.NetResults{}, fmt.Errorf("%w: %s", ErrInfeasible, agg.InfeasibleReason)
 	}
 
-	rate := opts.InjectionRateBitsPerSec
-	if rate == 0 {
-		// Adopt the analytic default operating point: half the saturation
-		// injection rate of this exact decision set.
-		agg, err := s.eval.Aggregate(net, decisions, evalOpts)
-		if err != nil {
-			return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
-		}
-		rate = agg.InjectionRateBitsPerSec
-	}
-
+	// With a zero rate the aggregate adopts the analytic default operating
+	// point, half the saturation rate of this exact decision set.
 	res, err := netsim.RunNetwork(ctx, netsim.NetConfig{
 		Net:                     net,
-		Decisions:               decisions,
+		Decisions:               agg.Decisions,
 		Traffic:                 opts.Traffic,
 		MessageBits:             opts.MessageBits,
-		InjectionRateBitsPerSec: rate,
+		InjectionRateBitsPerSec: agg.InjectionRateBitsPerSec,
 		Messages:                opts.Messages,
 		Seed:                    opts.Seed,
 		MaxQueueDepth:           opts.MaxQueueDepth,

@@ -74,11 +74,10 @@ func (c NetConfig) withDefaults() (NetConfig, error) {
 	if err != nil {
 		return c, err
 	}
-	if c.Traffic == nil {
-		c.Traffic = noc.UniformMatrix(c.Net.Tiles())
-	}
-	if err := c.Traffic.Validate(c.Net.Tiles()); err != nil {
-		return c, err
+	if c.Traffic != nil {
+		if err := c.Traffic.Validate(c.Net.Tiles()); err != nil {
+			return c, err
+		}
 	}
 	if c.MessageBits == 0 {
 		c.MessageBits = 4096 * 8
@@ -208,7 +207,7 @@ func (c NetConfig) generator() (NetConfig, []int, func(src int, now float64) Tra
 		var c cdf
 		total := 0.0
 		for d := 0; d < tiles; d++ {
-			if w := cfg.Traffic[s][d]; w > 0 && d != s {
+			if w := cfg.Traffic.Weight(s, d, tiles); w > 0 && d != s {
 				total += w
 				c.cum = append(c.cum, total)
 				c.dst = append(c.dst, d)

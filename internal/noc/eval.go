@@ -124,8 +124,9 @@ type Result struct {
 	// SchemeUse counts links per winning scheme name.
 	SchemeUse map[string]int
 	// SaturationInjectionBitsPerSec is the per-tile injection rate at
-	// which the most loaded link reaches unit utilization (bisection over
-	// the injection rate).
+	// which the most loaded link reaches unit utilization: utilization is
+	// linear in the rate, so it is min over loaded links of
+	// capacity/share, exactly.
 	SaturationInjectionBitsPerSec float64
 	// InjectionRateBitsPerSec is the rate the aggregates are evaluated at.
 	InjectionRateBitsPerSec float64

@@ -108,10 +108,41 @@ func TestBusAggregateMatchesSingleLink(t *testing.T) {
 	}
 }
 
-// TestSaturationBisection checks the saturation rate against the closed
-// form min(capacity/share) on a uniform bus, and that evaluating past it
-// reports saturation.
-func TestSaturationBisection(t *testing.T) {
+// TestSaturationClosedForm checks the saturation rate against the closed
+// form min(capacity/share), exactly, on every configuration the routing
+// oracle builds under uniform, hotspot and permutation traffic; then, on a
+// uniform bus, that it equals the link capacity, that the default rate is
+// half of it and that evaluating past it reports saturation.
+func TestSaturationClosedForm(t *testing.T) {
+	evals := baseEvaluations(t, 1e-11)
+	sess := NewEvalSession()
+	for _, cfg := range oracleConfigs() {
+		net, err := Build(cfg)
+		if err != nil {
+			continue
+		}
+		dec := syntheticDecisions(t, net, evals)
+		traffic := []Matrix{nil, permutationMatrix(cfg.Tiles)}
+		if cfg.Tiles > 2 {
+			traffic = append(traffic, hotspotMatrix(cfg.Tiles))
+		}
+		for k, m := range traffic {
+			res, err := sess.Aggregate(net, dec, EvalOptions{TargetBER: 1e-11, Objective: manager.MinEnergy, Traffic: m})
+			if err != nil {
+				t.Fatalf("%v/%d/cols=%d traffic %d: %v", cfg.Kind, cfg.Tiles, cfg.Columns, k, err)
+			}
+			want := math.Inf(1)
+			for i, share := range sess.shares {
+				if share > 0 {
+					want = min(want, sess.capacity[i]/share)
+				}
+			}
+			if res.SaturationInjectionBitsPerSec != want {
+				t.Fatalf("%v/%d/cols=%d traffic %d: saturation %v, closed form %v", cfg.Kind, cfg.Tiles, cfg.Columns, k, res.SaturationInjectionBitsPerSec, want)
+			}
+		}
+	}
+
 	base := core.DefaultConfig()
 	codes := ecc.PaperSchemes()
 	net, err := Build(Config{Kind: Bus, Tiles: base.Channel.Topo.ONIs, Base: base})
@@ -131,7 +162,7 @@ func TestSaturationBisection(t *testing.T) {
 	if res.Saturated {
 		t.Error("default rate reported saturated")
 	}
-	if !closeRel(res.InjectionRateBitsPerSec, res.SaturationInjectionBitsPerSec/2, 1e-12) {
+	if res.InjectionRateBitsPerSec != res.SaturationInjectionBitsPerSec/2 {
 		t.Errorf("default rate %g is not half of saturation %g", res.InjectionRateBitsPerSec, res.SaturationInjectionBitsPerSec)
 	}
 
@@ -143,6 +174,21 @@ func TestSaturationBisection(t *testing.T) {
 	if !math.IsInf(over.P99LatencySec, 1) {
 		t.Errorf("saturated p99 latency %g, want +Inf", over.P99LatencySec)
 	}
+}
+
+// permutationMatrix sends all of tile s's traffic to tile s + tiles/2
+// (mod tiles), stepping past s itself — netsim's Permutation pattern.
+func permutationMatrix(tiles int) Matrix {
+	m := make(Matrix, tiles)
+	for s := range m {
+		m[s] = make([]float64, tiles)
+		d := (s + tiles/2) % tiles
+		if d == s {
+			d = (d + 1) % tiles
+		}
+		m[s][d] = 1
+	}
+	return m
 }
 
 // TestInfeasibleBERPropagates: at a BER the uncoded-only roster cannot

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"photonoc/internal/core"
@@ -106,19 +107,39 @@ func FuzzMatrixValidate(f *testing.F) {
 		if active == 0 {
 			t.Fatal("accepted a matrix with no active source")
 		}
-		// And the evaluator's active-source fold agrees with the sums
-		// above on every accepted matrix.
-		flags := NewEvalSession().activeRows(m)
-		got := 0
-		for _, on := range flags {
-			if on {
-				got++
-			}
+		// And Aggregate's active-source count agrees with the sums above on
+		// every accepted matrix: the delivered rate is active tiles × rate.
+		net, dec := fuzzBus(t, tiles)
+		res, err := NewEvalSession().Aggregate(net, dec, EvalOptions{TargetBER: 1e-11, Traffic: m})
+		if err != nil {
+			t.Fatalf("Aggregate refused an accepted matrix: %v", err)
 		}
-		if got != active {
-			t.Fatalf("activeRows counts %d active sources, Validate saw %d", got, active)
+		if want := float64(active) * res.InjectionRateBitsPerSec; res.DeliveredBitsPerSec != want {
+			t.Fatalf("delivered %g, want %d active sources × rate = %g", res.DeliveredBitsPerSec, active, want)
 		}
 	})
+}
+
+// fuzzBuses memoizes fuzzBus per tile count.
+var fuzzBuses sync.Map
+
+// fuzzBus returns a tiles-tile bus over the paper link with every link
+// decided on the paper link's feasible evaluations.
+func fuzzBus(t *testing.T, tiles int) (*Network, []LinkDecision) {
+	type bus struct {
+		net *Network
+		dec []LinkDecision
+	}
+	if b, ok := fuzzBuses.Load(tiles); ok {
+		return b.(bus).net, b.(bus).dec
+	}
+	net, err := Build(Config{Kind: Bus, Tiles: tiles, Base: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := bus{net, syntheticDecisions(t, net, baseEvaluations(t, 1e-11))}
+	fuzzBuses.Store(tiles, b)
+	return b.net, b.dec
 }
 
 // FuzzBuild throws arbitrary network shapes at Build: every configuration

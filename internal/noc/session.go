@@ -7,7 +7,6 @@ import (
 
 	"photonoc/internal/core"
 	"photonoc/internal/manager"
-	"photonoc/internal/mathx"
 )
 
 // EvalSession is the reusable scratch space of the candidate-evaluation
@@ -31,12 +30,7 @@ type EvalSession struct {
 	loads     []LinkLoad
 	hopLat    []float64
 	pairs     []pairLat
-	active    []bool
 	schemeUse map[string]int
-	// uniform memoizes UniformMatrix per tile count, so candidates with
-	// nil Traffic (the default) stay allocation-free even when the chain
-	// alternates between topology shapes.
-	uniform map[int]Matrix
 	// lasers memoizes the DAC-programmed laser powers of Decide.
 	lasers manager.LaserMemo
 	result Result
@@ -52,10 +46,7 @@ type pairLat struct {
 // NewEvalSession returns an empty session; buffers grow to the largest
 // topology shape evaluated through it and are then reused.
 func NewEvalSession() *EvalSession {
-	return &EvalSession{
-		schemeUse: make(map[string]int, 8),
-		uniform:   make(map[int]Matrix, 4),
-	}
+	return &EvalSession{schemeUse: make(map[string]int, 8)}
 }
 
 // grow resizes buf to n elements, reusing its backing array when it is
@@ -67,28 +58,16 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// uniformFor returns the memoized uniform traffic matrix for a tile count.
-func (s *EvalSession) uniformFor(tiles int) Matrix {
-	if m, ok := s.uniform[tiles]; ok {
-		return m
-	}
-	m := UniformMatrix(tiles)
-	s.uniform[tiles] = m
-	return m
-}
-
 // withDefaults validates the options and resolves their defaults against a
-// network, serving the default uniform matrix from the session memo
-// instead of allocating one per call.
-func (s *EvalSession) withDefaults(o EvalOptions, net *Network) (EvalOptions, error) {
+// network. Nil traffic stays nil: Matrix.Weight reads it as uniform.
+func withDefaults(o EvalOptions, net *Network) (EvalOptions, error) {
 	if math.IsNaN(o.TargetBER) || o.TargetBER <= 0 || o.TargetBER >= 0.5 {
 		return o, fmt.Errorf("noc: target BER %g outside (0, 0.5)", o.TargetBER)
 	}
-	if o.Traffic == nil {
-		o.Traffic = s.uniformFor(net.Tiles())
-	}
-	if err := o.Traffic.Validate(net.Tiles()); err != nil {
-		return o, err
+	if o.Traffic != nil {
+		if err := o.Traffic.Validate(net.Tiles()); err != nil {
+			return o, err
+		}
 	}
 	if o.MessageBits == 0 {
 		o.MessageBits = 4096 * 8
@@ -125,13 +104,15 @@ func (s *EvalSession) Decide(net *Network, evals [][]core.Evaluation, opts EvalO
 	return s.decisions, nil
 }
 
-// Aggregate folds solved per-link decisions under the traffic matrix into
-// the network-level figures: per-link loads, saturation injection rate
-// (bisection), energy totals and traffic-weighted latency percentiles. The
-// returned Result aliases the session (Decisions, Loads, SchemeUse) and is
-// valid until the next session call; use Result.Clone to detach it.
+// Aggregate folds solved per-link decisions under the traffic matrix (nil
+// is uniform) into the network-level figures: per-link loads, saturation
+// injection rate (min over loaded links of capacity/share, exact because
+// utilization is linear in the rate), energy totals and traffic-weighted
+// latency percentiles. The returned Result aliases the session (Decisions,
+// Loads, SchemeUse) and is valid until the next session call; use
+// Result.Clone to detach it.
 func (s *EvalSession) Aggregate(net *Network, decisions []LinkDecision, opts EvalOptions) (*Result, error) {
-	opts, err := s.withDefaults(opts, net)
+	opts, err := withDefaults(opts, net)
 	if err != nil {
 		return nil, err
 	}
@@ -159,30 +140,31 @@ func (s *EvalSession) Aggregate(net *Network, decisions []LinkDecision, opts Eva
 		res.SchemeUse[d.Eval.Code.Name()]++
 	}
 
-	// Routed demand share per link, in per-tile-rate units.
+	// Routed demand share per link, in per-tile-rate units. Weights are
+	// non-negative with a zero diagonal, so a source is active exactly
+	// when it routes a non-zero weight.
 	s.shares = grow(s.shares, net.NumLinks())
 	shares := s.shares
-	for i := range shares {
-		shares[i] = 0
-	}
-	active := s.activeRows(opts.Traffic)
+	clear(shares)
 	activeTiles := 0
 	router := net.Router()
-	for src := 0; src < net.Tiles(); src++ {
-		if !active[src] {
-			continue
-		}
-		activeTiles++
-		for d := 0; d < net.Tiles(); d++ {
-			w := opts.Traffic[src][d]
+	tiles := net.Tiles()
+	for src := 0; src < tiles; src++ {
+		active := false
+		for d := 0; d < tiles; d++ {
+			w := opts.Traffic.Weight(src, d, tiles)
 			if w == 0 || src == d {
 				continue
 			}
+			active = true
 			first, second := router.Route(src, d)
 			shares[first] += w
 			if second >= 0 {
 				shares[second] += w
 			}
+		}
+		if active {
+			activeTiles++
 		}
 	}
 
@@ -203,40 +185,19 @@ func (s *EvalSession) Aggregate(net *Network, decisions []LinkDecision, opts Eva
 	// An all-silent matrix (or one whose active rows route nothing) loads
 	// no link, so minSat never drops below +Inf. Validate already rejects
 	// matrices with no active source; this guard keeps the contract even
-	// for matrices constructed outside Validate — without it, Bisect gets
-	// an infinite bracket, errors, and the fallback would silently report
-	// SaturationInjectionBitsPerSec = +Inf and an +Inf delivered rate.
+	// for matrices constructed outside Validate, which would otherwise
+	// report SaturationInjectionBitsPerSec = +Inf and an +Inf delivered
+	// rate.
 	if math.IsInf(minSat, 1) {
 		return nil, fmt.Errorf("%w: no link carries load", ErrZeroTraffic)
 	}
-
-	// Saturation injection rate: bisect the rate at which the most loaded
-	// link hits unit utilization. The load curve is monotone in the rate,
-	// so the bisection brackets the closed-form min(capacity/share).
-	maxUtil := func(rate float64) float64 {
-		worst := 0.0
-		for i := range shares {
-			if shares[i] == 0 {
-				continue
-			}
-			if u := shares[i] * rate / capacity[i]; u > worst {
-				worst = u
-			}
-		}
-		return worst
-	}
-	sat, err := mathx.Bisect(func(r float64) float64 { return maxUtil(r) - 1 }, 0, 2*minSat, minSat*1e-12)
-	if err != nil {
-		// The bracket is valid by construction (f(0) = −1, f(2·minSat) ≈ 1),
-		// so a numeric edge here is not worth aborting the sweep: the load
-		// curve is linear and the closed form is exact.
-		sat = minSat
-	}
-	res.SaturationInjectionBitsPerSec = sat
+	// Utilization is linear in the rate, so the most loaded link reaches
+	// unit utilization exactly at minSat.
+	res.SaturationInjectionBitsPerSec = minSat
 
 	rate := opts.InjectionRateBitsPerSec
 	if rate == 0 {
-		rate = sat / 2
+		rate = minSat / 2
 	}
 	res.InjectionRateBitsPerSec = rate
 	res.DeliveredBitsPerSec = float64(activeTiles) * rate
@@ -292,20 +253,6 @@ func (s *EvalSession) Aggregate(net *Network, decisions []LinkDecision, opts Eva
 	return &s.result, nil
 }
 
-// activeRows fills the session's active-source buffer from the traffic
-// matrix.
-func (s *EvalSession) activeRows(m Matrix) []bool {
-	s.active = grow(s.active, len(m))
-	for src, row := range m {
-		sum := 0.0
-		for _, w := range row {
-			sum += w
-		}
-		s.active[src] = sum > 0
-	}
-	return s.active
-}
-
 // aggregateLatency folds per-pair path latencies, weighted by the traffic
 // matrix, into mean and percentile figures on the session's pair buffer.
 // Each link's hop latency (token, queue wait, serialization, flight) is
@@ -320,11 +267,12 @@ func (s *EvalSession) aggregateLatency(res *Result, net *Network, opts EvalOptio
 		hopLat[id] = core.TokenOverheadSec + load.QueueWaitSec + serial + prop
 	}
 	router := net.Router()
+	tiles := net.Tiles()
 	pairs := s.pairs[:0]
 	var totalW, meanNum float64
-	for src := 0; src < net.Tiles(); src++ {
-		for d := 0; d < net.Tiles(); d++ {
-			w := opts.Traffic[src][d]
+	for src := 0; src < tiles; src++ {
+		for d := 0; d < tiles; d++ {
+			w := opts.Traffic.Weight(src, d, tiles)
 			if src == d || w == 0 {
 				continue
 			}

@@ -41,8 +41,8 @@ func hotspotMatrix(tiles int) Matrix {
 // heterogeneous evaluations — different topology kinds, tile counts,
 // traffic patterns and DAC settings — and requires every step to equal
 // Decide + Aggregate on a fresh session bit for bit. Shrinking topologies
-// after growing ones exercise stale-buffer reuse; the repeated shapes
-// exercise the memoized uniform matrices.
+// after growing ones exercise stale-buffer reuse, and the nil-traffic
+// steps read the uniform rule on every shape.
 func TestEvalSessionMatchesFreshSession(t *testing.T) {
 	base := core.DefaultConfig()
 	codes := ecc.PaperSchemes()
@@ -169,7 +169,7 @@ func TestEvalSessionZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	run() // warm the buffers and the uniform-matrix memo
+	run() // warm the buffers
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Errorf("session Decide+Aggregate allocated %.1f times per run, want 0", allocs)
 	}

@@ -36,6 +36,20 @@ func UniformMatrix(tiles int) Matrix {
 	return m
 }
 
+// Weight returns the fraction of tile src's traffic destined to dst in a
+// tiles-tile network: m[src][dst], or for a nil matrix the uniform rule,
+// 1/(tiles−1) off the diagonal and 0 on it — the values UniformMatrix
+// stores, bit for bit.
+func (m Matrix) Weight(src, dst, tiles int) float64 {
+	if m != nil {
+		return m[src][dst]
+	}
+	if src == dst {
+		return 0
+	}
+	return 1 / float64(tiles-1)
+}
+
 // rowSumTol absorbs the float error of row normalization.
 const rowSumTol = 1e-9
 

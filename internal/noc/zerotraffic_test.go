@@ -43,10 +43,10 @@ func TestMatrixValidateZeroTraffic(t *testing.T) {
 }
 
 // TestAggregateZeroTrafficTyped is the regression test for the silent-+Inf
-// bug: evaluating an all-silent matrix used to leave minSat at +Inf, hand
-// Bisect an infinite bracket, and fall back to reporting
-// SaturationInjectionBitsPerSec = DeliveredBitsPerSec = +Inf with no
-// signal. The contract is now a typed error from Aggregate, with no result.
+// bug: evaluating an all-silent matrix leaves no loaded link, so the
+// saturation rate min(capacity/share) would be +Inf and so would the
+// delivered rate. The contract is a typed error from Aggregate, with no
+// result.
 func TestAggregateZeroTrafficTyped(t *testing.T) {
 	base := core.DefaultConfig()
 	codes := ecc.PaperSchemes()

@@ -179,9 +179,8 @@ func (sp *space) dacFor(bits int) *manager.DAC {
 }
 
 // trafficFor returns the campaign pattern's matrix for a tile count,
-// memoized. Uniform traffic returns nil: the evaluation session serves its
-// own memoized uniform matrix, keeping the default campaign allocation-free
-// per candidate.
+// memoized. Uniform traffic returns nil, which the evaluator reads as the
+// uniform rule (noc.Matrix.Weight) without building a matrix.
 func (sp *space) trafficFor(tiles int) (noc.Matrix, error) {
 	if sp.pattern == netsim.Uniform {
 		return nil, nil
