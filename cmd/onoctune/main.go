@@ -144,8 +144,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	for _, w := range waveList {
-		if w < 0 {
-			return fmt.Errorf("-wavelengths: choice %d must be non-negative", w)
+		if w < 0 || w > noc.MaxWavelengths {
+			return fmt.Errorf("-wavelengths: choice %d must be between 0 and %d", w, noc.MaxWavelengths)
 		}
 	}
 	for _, b := range dacList {

@@ -43,6 +43,14 @@ import (
 // 1024-tile one in about 9 ms and 0.45 MiB.
 const MaxTiles = 512
 
+// MaxWavelengths bounds the base wavelength grid, Base.Channel.Grid.Count.
+// It is no lower than MaxTiles because a ring gives each reader at least
+// one channel. At the bound, on a 2-CPU host (go1.24), a 512-tile ring or
+// crossbar builds in about 2 ms and 0.24 MiB, but compiling one
+// full-grid link takes about 27 ms (about 1.4 ms at 128 channels): the
+// compile grows as the grid squared.
+const MaxWavelengths = 512
+
 // ValidateTiles checks a tile count against [2, MaxTiles]; Validate runs
 // it first, and wire decoders run it to refuse a count before anything is
 // built.
@@ -136,13 +144,16 @@ func (c *Config) Validate() error {
 	if err := ValidateTiles(c.Tiles); err != nil {
 		return err
 	}
+	grid := c.Base.Channel.Grid
+	if grid.Count > MaxWavelengths {
+		return fmt.Errorf("noc: %d wavelengths exceed the bound of %d", grid.Count, MaxWavelengths)
+	}
 	if c.TilePitchCM < 0 {
 		return fmt.Errorf("noc: tile pitch %g cm must be non-negative", c.TilePitchCM)
 	}
 	if math.IsNaN(c.TilePitchCM) || math.IsInf(c.TilePitchCM, 0) {
 		return fmt.Errorf("noc: tile pitch %g cm must be finite", c.TilePitchCM)
 	}
-	grid := c.Base.Channel.Grid
 	switch c.Kind {
 	case Bus, Crossbar:
 		// Every link owns its waveguide and the full grid.

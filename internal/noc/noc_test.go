@@ -49,6 +49,7 @@ func TestConfigValidate(t *testing.T) {
 		{Kind: Mesh, Tiles: 6, Columns: 4, Base: base}, // 6 % 4 != 0
 		{Kind: Bus, Tiles: 4, Base: base, TilePitchCM: -1},
 		{Kind: Bus, Tiles: 4}, // zero Base
+		{Kind: Bus, Tiles: 4, Base: wideBase(base, MaxWavelengths+1)},
 	}
 	for i, cfg := range bad {
 		if _, err := Build(cfg); err == nil {
@@ -242,10 +243,20 @@ func closeRel(a, b, tol float64) bool {
 	return d <= tol*m
 }
 
-// BenchmarkBuild measures Build at the serving sizes and at the tile
-// bound, where the link table and the route check set the cost.
+// wideBase resizes a base configuration's wavelength grid and topology
+// count together.
+func wideBase(base core.LinkConfig, wavelengths int) core.LinkConfig {
+	base.Channel.Grid.Count = wavelengths
+	base.Channel.Topo.Wavelengths = wavelengths
+	return base
+}
+
+// BenchmarkBuild measures Build at the serving sizes and at the tile and
+// wavelength bounds, where the link table and the route check set the
+// cost.
 func BenchmarkBuild(b *testing.B) {
 	base := core.DefaultConfig()
+	wide := wideBase(base, MaxWavelengths)
 	for _, bc := range []struct {
 		name string
 		cfg  Config
@@ -254,6 +265,8 @@ func BenchmarkBuild(b *testing.B) {
 		{"mesh-4x4", Config{Kind: Mesh, Tiles: 16, Columns: 4, Base: base}},
 		{"bus-512", Config{Kind: Bus, Tiles: MaxTiles, Base: base}},
 		{"crossbar-512", Config{Kind: Crossbar, Tiles: MaxTiles, Base: base}},
+		{"ring-512-λ512", Config{Kind: Ring, Tiles: MaxTiles, Base: wide}},
+		{"crossbar-512-λ512", Config{Kind: Crossbar, Tiles: MaxTiles, Base: wide}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

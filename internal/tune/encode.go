@@ -160,6 +160,7 @@ func (sp *space) baseFor(w int) core.LinkConfig {
 	}
 	b := sp.engineCfg
 	b.Channel.Grid.Count = w
+	b.Channel.Topo.Wavelengths = w
 	sp.bases[w] = b
 	return b
 }

@@ -92,8 +92,9 @@ type Options struct {
 	MessageBits int
 
 	// The design space: choice lists per knob. Defaults: Kinds bus, ring
-	// and mesh; Tiles {8, 12, 16}; Wavelengths {0} (the engine's grid);
-	// Rosters the engine roster plus one single-scheme roster per code;
+	// and mesh; Tiles {8, 12, 16}; Wavelengths {0} (the engine's grid;
+	// a positive choice, at most noc.MaxWavelengths, resizes the grid and
+	// the topology's wavelength count together); Rosters the engine roster plus one single-scheme roster per code;
 	// DACBits {0, 4, 6, 8} (0 = exact analytic laser settings).
 	Kinds       []noc.Kind
 	Tiles       []int
@@ -222,8 +223,8 @@ func (o Options) resolve(eng *engine.Engine) (Options, *space, error) {
 		}
 	}
 	for _, w := range o.Wavelengths {
-		if w < 0 {
-			return fail("wavelength choice %d must be non-negative", w)
+		if w < 0 || w > noc.MaxWavelengths {
+			return fail("wavelength choice %d must be between 0 and %d", w, noc.MaxWavelengths)
 		}
 	}
 	for _, b := range o.DACBits {

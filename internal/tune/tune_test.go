@@ -87,6 +87,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		if pt.Spec.Wavelengths > 0 {
 			topo.Base = e.Config()
 			topo.Base.Channel.Grid.Count = pt.Spec.Wavelengths
+			topo.Base.Channel.Topo.Wavelengths = pt.Spec.Wavelengths
 		}
 		opts := noc.EvalOptions{TargetBER: 1e-11}
 		if pt.Spec.DACBits > 0 {
@@ -216,6 +217,43 @@ func TestArchiveProperties(t *testing.T) {
 	}
 }
 
+// TestWavelengthChoiceSetsGrid: a wavelength choice resizes the grid and
+// the topology's wavelength count together, so a 32-wavelength design
+// evaluates instead of failing channel validation, and its metrics equal
+// an Engine.Network call on a hand-built 32-wavelength topology.
+func TestWavelengthChoiceSetsGrid(t *testing.T) {
+	ctx := context.Background()
+	e := newTestEngine(t, 2)
+	res, err := Run(ctx, e, Options{
+		TargetBER:   1e-11,
+		Particles:   2,
+		Generations: 2,
+		Kinds:       []noc.Kind{noc.Ring},
+		Tiles:       []int{8},
+		Wavelengths: []int{32},
+		Rosters:     [][]ecc.Code{e.Schemes()},
+		DACBits:     []int{0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Infeasible != 0 || len(res.Front) != 1 {
+		t.Fatalf("evaluated %d, infeasible %d, front %d; want 0 infeasible and a 1-point front", res.Evaluated, res.Infeasible, len(res.Front))
+	}
+	topo := noc.Config{Kind: noc.Ring, Tiles: 8, Base: e.Config()}
+	topo.Base.Channel.Grid.Count = 32
+	topo.Base.Channel.Topo.Wavelengths = 32
+	ref, err := e.Network(ctx, topo, noc.EvalOptions{TargetBER: 1e-11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := res.Front[0]
+	if pt.Spec.Wavelengths != 32 || ref.EnergyPerBitJ != pt.EnergyPerBitJ || ref.SaturationInjectionBitsPerSec != pt.SaturationBitsPerSec {
+		t.Fatalf("front point %s (%g J/b, %g b/s), hand-built 32-wavelength ring (%g J/b, %g b/s)",
+			pt.Spec.String(), pt.EnergyPerBitJ, pt.SaturationBitsPerSec, ref.EnergyPerBitJ, ref.SaturationInjectionBitsPerSec)
+	}
+}
+
 // TestRunRejectsBadOptions pins the typed validation error.
 func TestRunRejectsBadOptions(t *testing.T) {
 	e := newTestEngine(t, 1)
@@ -224,8 +262,9 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{TargetBER: 0.7},                    // out of range
 		{TargetBER: 1e-11, Particles: -1},   // negative swarm
 		{TargetBER: 1e-11, Tiles: []int{1}}, // degenerate tiles
-		{TargetBER: 1e-11, Tiles: []int{8, noc.MaxTiles + 1}}, // above the tile bound
-		{TargetBER: 1e-11, DACBits: []int{99}},                // impossible DAC
+		{TargetBER: 1e-11, Tiles: []int{8, noc.MaxTiles + 1}},          // above the tile bound
+		{TargetBER: 1e-11, Wavelengths: []int{noc.MaxWavelengths + 1}}, // above the grid bound
+		{TargetBER: 1e-11, DACBits: []int{99}},                         // impossible DAC
 	} {
 		if _, err := Run(context.Background(), e, opts); !errors.Is(err, engine.ErrInvalidInput) {
 			t.Errorf("opts %+v: error = %v, want ErrInvalidInput", opts, err)
