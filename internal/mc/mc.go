@@ -53,6 +53,11 @@ import (
 // the shard count changes the streams, changing Workers never does.
 const DefaultShards = 16
 
+// MaxShards bounds Options.Shards. Run sets up every shard before its
+// first round, about 1.4 KiB each for the paper codes, so the bound caps
+// that at about 1.5 MiB.
+const MaxShards = 1024
+
 // maxBatchWords caps the per-shard words simulated between aggregation
 // barriers, bounding both early-stop latency and cancellation latency.
 const maxBatchWords = 256
@@ -97,7 +102,8 @@ type Options struct {
 	// GOMAXPROCS. Workers affects wall time only, never the counts.
 	Workers int
 	// Shards is the number of independent deterministic RNG streams the
-	// trial volume is split over. Defaults to DefaultShards. Part of the
+	// trial volume is split over. Defaults to DefaultShards; at most
+	// MaxShards. Part of the
 	// determinism contract: same Seed + same Shards ⇒ same counts.
 	Shards int
 	// Seed is the root seed; shard s draws from a math/rand/v2 PCG
@@ -213,6 +219,9 @@ func Run(ctx context.Context, code ecc.Code, p float64, opts Options) (Result, e
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = DefaultShards
+	}
+	if shards > MaxShards {
+		return Result{}, fmt.Errorf("mc: %d shards exceed the bound of %d", shards, MaxShards)
 	}
 	totalWords := (opts.Frames + ecc.SlicedWidth - 1) / ecc.SlicedWidth
 	batch := int64(opts.BatchWords)

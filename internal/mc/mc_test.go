@@ -251,6 +251,9 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(ctx, code, 1e-3, Options{Frames: 64, TargetRelErr: -1}); err == nil {
 		t.Error("negative TargetRelErr accepted")
 	}
+	if _, err := Run(ctx, code, 1e-3, Options{Frames: 64, Shards: MaxShards + 1}); err == nil {
+		t.Error("shards above MaxShards accepted")
+	}
 }
 
 // TestZeroErrorChannel: p = 0 must produce zero errors and full volume.

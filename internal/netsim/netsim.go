@@ -129,11 +129,17 @@ type Config struct {
 	AdaptToDeadline bool
 	// IdleLaserOff turns lasers off on idle channels (extension [9]).
 	IdleLaserOff bool
-	// Messages is the number of messages to simulate (across all sources).
+	// Messages is the number of messages to simulate (across all sources),
+	// at most MaxMessages.
 	Messages int
 	// Seed makes runs reproducible.
 	Seed int64
 }
+
+// MaxMessages bounds the message count of a generated workload (Config and
+// NetConfig). A run allocates its whole trace and two per-message buffers
+// up front, 56 B per message, so the bound caps that at 56 MiB.
+const MaxMessages = 1 << 20
 
 // DefaultConfig returns a ready-to-run paper-scale simulation: 12 ONIs,
 // 4 KiB messages, uniform traffic at 40% load, BER 1e-11.
@@ -168,6 +174,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Messages <= 0 {
 		return fmt.Errorf("netsim: message count %d must be positive", c.Messages)
+	}
+	if c.Messages > MaxMessages {
+		return fmt.Errorf("netsim: %d messages exceed the bound of %d", c.Messages, MaxMessages)
 	}
 	if !(c.DeadlineSlack >= 0) {
 		return fmt.Errorf("netsim: deadline slack %g is negative or NaN", c.DeadlineSlack)

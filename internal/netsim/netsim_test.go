@@ -224,6 +224,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Load = 0 },
 		func(c *Config) { c.Load = 1.5 },
 		func(c *Config) { c.Messages = 0 },
+		func(c *Config) { c.Messages = MaxMessages + 1 },
 		func(c *Config) { c.DeadlineSlack = -1 },
 		func(c *Config) { c.Pattern = Hotspot; c.HotspotNode = 99 },
 		func(c *Config) { c.TargetBER = math.NaN() },

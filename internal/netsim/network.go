@@ -33,7 +33,7 @@ type NetConfig struct {
 	// InjectionRateBitsPerSec is the offered payload per active tile.
 	InjectionRateBitsPerSec float64
 	// Messages is the number of messages to inject across all sources
-	// (0 = 20000).
+	// (0 = 20000; at most MaxMessages).
 	Messages int
 	// Seed makes runs reproducible: same seed ⇒ bit-identical results.
 	Seed int64
@@ -93,6 +93,9 @@ func (c NetConfig) withDefaults() (NetConfig, error) {
 	}
 	if c.Messages < 0 {
 		return c, fmt.Errorf("netsim: message count %d must be positive", c.Messages)
+	}
+	if c.Messages > MaxMessages {
+		return c, fmt.Errorf("netsim: %d messages exceed the bound of %d", c.Messages, MaxMessages)
 	}
 	return c, nil
 }

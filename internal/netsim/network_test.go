@@ -348,6 +348,7 @@ func TestNetworkConfigValidation(t *testing.T) {
 		{"zero rate", func(c *NetConfig) { c.InjectionRateBitsPerSec = 0 }},
 		{"NaN rate", func(c *NetConfig) { c.InjectionRateBitsPerSec = math.NaN() }},
 		{"negative messages", func(c *NetConfig) { c.Messages = -1 }},
+		{"messages above the bound", func(c *NetConfig) { c.Messages = MaxMessages + 1 }},
 		{"negative message bits", func(c *NetConfig) { c.MessageBits = -8 }},
 		{"negative queue bound", func(c *NetConfig) { c.MaxQueueDepth = -1 }},
 		{"wrong traffic shape", func(c *NetConfig) { c.Traffic = noc.UniformMatrix(5) }},

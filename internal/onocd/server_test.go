@@ -21,6 +21,8 @@ import (
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
 	"photonoc/internal/engine"
+	"photonoc/internal/mc"
+	"photonoc/internal/netsim"
 	"photonoc/internal/noc"
 	"photonoc/internal/resilience"
 )
@@ -298,6 +300,31 @@ func TestTileBoundRefused(t *testing.T) {
 	}
 	if n := s.state.Load().eng.CacheStats().Networks; n != 0 {
 		t.Errorf("refused requests built %d networks, want 0", n)
+	}
+}
+
+// TestWireSizeBoundsRefused: a message count above netsim.MaxMessages and
+// a shard count above mc.MaxShards, the two wire sizes that allocate up
+// front, are refused with a typed 400.
+func TestWireSizeBoundsRefused(t *testing.T) {
+	_, c := newTestServer(t, Options{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/noc/sim", fmt.Sprintf(`{"topology": "bus", "tiles": 12, "target_ber": 1e-9, "messages": %d}`, netsim.MaxMessages+1)},
+		{"/v1/validate", fmt.Sprintf(`{"scheme": "H(7,4)", "raw_ber": 1e-3, "frames": 64, "shards": %d}`, mc.MaxShards+1)},
+	} {
+		resp, err := http.Post(c.Base+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env apierr.Envelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding envelope: %v", tc.path, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != apierr.CodeInvalidInput {
+			t.Errorf("%s %s: got %d/%q, want 400/%q (message %q)", tc.path, tc.body, resp.StatusCode, env.Error.Code, apierr.CodeInvalidInput, env.Error.Message)
+		}
 	}
 }
 
