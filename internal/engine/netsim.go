@@ -43,8 +43,9 @@ type NetworkSimOptions struct {
 // through the shared memo cache, decides the per-link winners and resolves
 // the default rate, so the simulated scheme/DAC decisions are
 // bit-identical to the analytic evaluator's; the event-driven simulation
-// then replays a seeded synthetic workload over the routes. The simulation core is sequential, so results for a fixed
-// seed are bit-identical across engine worker counts.
+// then replays a seeded synthetic workload over the routes. The
+// simulation core is sequential, so results for a fixed seed are
+// bit-identical across engine worker counts.
 //
 // A topology with an infeasible link cannot be simulated and returns an
 // error wrapping ErrInfeasible (unlike the analytic Network, which reports

@@ -210,7 +210,7 @@ func (c NetConfig) generator() (NetConfig, []int, func(src int, now float64) Tra
 		var c cdf
 		total := 0.0
 		for d := 0; d < tiles; d++ {
-			if w := cfg.Traffic.Weight(s, d, tiles); w > 0 && d != s {
+			if w := cfg.Traffic.Weight(s, d, tiles); w > 0 {
 				total += w
 				c.cum = append(c.cum, total)
 				c.dst = append(c.dst, d)

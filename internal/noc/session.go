@@ -153,7 +153,7 @@ func (s *EvalSession) Aggregate(net *Network, decisions []LinkDecision, opts Eva
 		active := false
 		for d := 0; d < tiles; d++ {
 			w := opts.Traffic.Weight(src, d, tiles)
-			if w == 0 || src == d {
+			if w == 0 {
 				continue
 			}
 			active = true
@@ -273,7 +273,7 @@ func (s *EvalSession) aggregateLatency(res *Result, net *Network, opts EvalOptio
 	for src := 0; src < tiles; src++ {
 		for d := 0; d < tiles; d++ {
 			w := opts.Traffic.Weight(src, d, tiles)
-			if src == d || w == 0 {
+			if w == 0 {
 				continue
 			}
 			first, second := router.Route(src, d)
