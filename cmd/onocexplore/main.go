@@ -71,11 +71,10 @@ func sweepCodes(ctx context.Context, ber float64) error {
 	fmt.Printf("%-12s %6s %2s %6s %11s %13s %8s\n",
 		"scheme", "rate", "t", "CT", "Plaser mW", "Pchannel mW", "pJ/bit")
 	var group []photonoc.Evaluation
-	for r := range eng.SweepStream(ctx, nil, []float64{ber}) {
-		if r.Err != nil {
-			return r.Err
+	for ev, err := range eng.SweepStream(ctx, nil, []float64{ber}) {
+		if err != nil {
+			return err
 		}
-		ev := r.Evaluation
 		power, pj := "-", "-"
 		if ev.Feasible {
 			power = fmt.Sprintf("%.2f", ev.ChannelPowerW*1e3)

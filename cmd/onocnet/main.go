@@ -314,11 +314,11 @@ func addSweepRow(t *report.Table, res photonoc.NoCResult) {
 // completes.
 func runSweep(ctx context.Context, out io.Writer, eng *photonoc.Engine, topo photonoc.NoCConfig, opts photonoc.NoCEvalOptions, bers []float64) error {
 	t := newSweepTable()
-	for r := range eng.NetworkSweepStream(ctx, topo, bers, opts) {
-		if r.Err != nil {
-			return r.Err
+	for res, err := range eng.NetworkSweepStream(ctx, topo, bers, opts) {
+		if err != nil {
+			return err
 		}
-		addSweepRow(t, r.Result)
+		addSweepRow(t, res)
 	}
 	return t.Render(out)
 }

@@ -28,9 +28,9 @@
 //	evs, err := eng.Sweep(ctx, nil, []float64{1e-9, 1e-11})
 //
 //	// Streaming: render incrementally as points are solved.
-//	for r := range eng.SweepStream(ctx, nil, bers) {
-//		if r.Err != nil { ... }
-//		fmt.Println(r.Evaluation.Code.Name(), r.Evaluation.LaserPowerW)
+//	for ev, err := range eng.SweepStream(ctx, nil, bers) {
+//		if err != nil { ... }
+//		fmt.Println(ev.Code.Name(), ev.LaserPowerW)
 //	}
 //
 //	// Runtime manager and traffic simulator share the Engine's cache.
@@ -109,7 +109,7 @@
 //
 //	// Batch and streaming BER sweeps, deterministic across worker counts.
 //	results, err := eng.NetworkSweep(ctx, topo, bers, opts)
-//	for r := range eng.NetworkSweepStream(ctx, topo, bers, opts) { ... }
+//	for res, err := range eng.NetworkSweepStream(ctx, topo, bers, opts) { ... }
 //
 // Network, NetworkSweep and SimulateNetwork solve every (link, scheme)
 // cell on the caller's goroutine, on a pooled NoCSession; NetworkSweep
@@ -177,6 +177,8 @@
 //
 // Engine.NetworkBatchEach runs the same batch without the copies: it hands
 // each session-owned result to a visitor, valid only during that call.
+// NetworkBatchStream yields the copies as an iterator, in population order;
+// leaving the range cancels the pool and waits for it.
 //
 // The tracked noc_batch metric in BENCH_cold_sweep.json pins the speedup
 // (~5.8x over per-candidate cold evaluation on a 64-candidate

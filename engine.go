@@ -41,9 +41,6 @@ const DefaultCacheEntries = engine.DefaultCacheEntries
 // Option configures an Engine under construction; see New.
 type Option = engine.Option
 
-// SweepResult is one streamed sweep outcome; see Engine.SweepStream.
-type SweepResult = engine.Result
-
 // MCOptions configures a Monte-Carlo validation run; see Engine.ValidateMC.
 // The zero value needs at least Frames set. Same Seed + same Shards pins the
 // counts exactly, regardless of Workers.

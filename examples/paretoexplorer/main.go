@@ -32,11 +32,10 @@ func main() {
 	// each plane renders as its rows arrive; the Pareto verdict prints
 	// once the group is complete.
 	var group []photonoc.Evaluation
-	for r := range eng.SweepStream(ctx, schemes, bers) {
-		if r.Err != nil {
-			log.Fatal(r.Err)
+	for ev, err := range eng.SweepStream(ctx, schemes, bers) {
+		if err != nil {
+			log.Fatal(err)
 		}
-		ev := r.Evaluation
 		if len(group) == 0 {
 			fmt.Printf("\nTrade-off plane @ BER %.0e (extended scheme pool)\n", ev.TargetBER)
 			fmt.Printf("%-14s %6s %12s %8s\n", "scheme", "CT", "Pchannel mW", "pJ/bit")

@@ -134,7 +134,9 @@ func WithSchemes(codes ...ecc.Code) Option {
 // WithWorkers sets the worker-pool size (default: GOMAXPROCS): at most
 // that many goroutines claim a validation grid's points or an MC run's
 // shards one at a time, in index order, and a batch's candidates in one
-// contiguous chunk each (one worker runs on the caller's goroutine).
+// contiguous chunk each (one worker runs on the caller's goroutine;
+// NetworkBatchStream runs the pool on a goroutine of its own while the
+// caller's puts the results in order).
 // Sweeps, network sweeps and single Network or SimulateNetwork calls run
 // on the caller's goroutine: with the memo cache on, a cell costs about a
 // microsecond, less than handing it to another goroutine.

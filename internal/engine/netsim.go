@@ -58,12 +58,15 @@ func (e *Engine) SimulateNetwork(ctx context.Context, cfg noc.Config, opts Netwo
 	if err != nil {
 		return netsim.NetResults{}, err
 	}
+	// Fail fast, before the lattice solves: the simulator re-validates
+	// the traffic and the counts, but by then the solves have already run.
 	if opts.Traffic != nil {
-		// Fail fast, before the lattice solves: the simulator re-validates,
-		// but by then the solves have already run.
 		if err := opts.Traffic.Validate(net.Tiles()); err != nil {
 			return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 		}
+	}
+	if err := netsim.CheckCounts(opts.Messages, opts.MaxQueueDepth); err != nil {
+		return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
 	// The decisions alias the session, so it is held until the simulator
 	// has copied them.

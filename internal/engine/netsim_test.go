@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"photonoc/internal/ecc"
@@ -223,5 +224,32 @@ func TestSimulateNetworkErrors(t *testing.T) {
 	cancel()
 	if _, err := e.SimulateNetwork(ctx, good, NetworkSimOptions{TargetBER: 1e-11}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled simulation error = %v, want context.Canceled", err)
+	}
+}
+
+// TestSimulateNetworkCountsRefusedBeforeSolving: a message count above
+// netsim.MaxMessages, a negative one and a negative queue bound are
+// refused as invalid input with netsim's wording before the lattice is
+// solved, so a fresh engine reports no cold solve.
+func TestSimulateNetworkCountsRefusedBeforeSolving(t *testing.T) {
+	topo := noc.Config{Kind: noc.Crossbar, Tiles: 16}
+	for _, c := range []struct {
+		name string
+		opts NetworkSimOptions
+		want string
+	}{
+		{"too many messages", NetworkSimOptions{Messages: netsim.MaxMessages + 1}, "1048577 messages exceed the bound of 1048576"},
+		{"negative messages", NetworkSimOptions{Messages: -1}, "message count -1 must be positive"},
+		{"negative queue bound", NetworkSimOptions{MaxQueueDepth: -1}, "negative max queue depth -1"},
+	} {
+		e := newNetEngine(t, ecc.PaperSchemes())
+		c.opts.TargetBER = 1e-11
+		_, err := e.SimulateNetwork(context.Background(), topo, c.opts)
+		if !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), "netsim: "+c.want) {
+			t.Errorf("%s: err = %v, want ErrInvalidInput naming %q", c.name, err, c.want)
+		}
+		if cold := e.CacheStats().ColdSolves; cold != 0 {
+			t.Errorf("%s: %d cold solves before the refusal, want 0", c.name, cold)
+		}
 	}
 }

@@ -3,23 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
+	"iter"
 	"reflect"
-	"slices"
 
 	"photonoc/internal/core"
 	"photonoc/internal/noc"
 )
-
-// NetworkResult is one streamed network-sweep outcome: the aggregated
-// evaluation of the whole topology at one target BER. Index is the position
-// in the equivalent batch NetworkSweep slice (BER order); a terminal
-// failure arrives as the final NetworkResult with Err set.
-type NetworkResult struct {
-	Index     int
-	TargetBER float64
-	Result    noc.Result
-	Err       error
-}
 
 // netBuildKey identifies one built topology for the engine's build memo:
 // the scalar topology parameters plus the base configuration fingerprint.
@@ -139,63 +128,51 @@ func (e *Engine) checkNetworkSweep(cfg noc.Config, targetBERs []float64) error {
 	return err
 }
 
-// networkEach evaluates the topology at every BER of the grid, in grid
-// order on the caller's goroutine, on one pooled NetworkSession, and hands
-// each result to visit with its grid index. The result aliases the session
-// and is valid only during visit.
-func (e *Engine) networkEach(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions, visit func(int, *noc.Result)) error {
-	s := e.acquireSession()
-	defer e.releaseSession(s)
-	for b, ber := range targetBERs {
-		opts.TargetBER = ber
-		res, err := s.Evaluate(ctx, NetworkCandidate{Topology: cfg, Opts: opts})
-		if err != nil {
-			return err
-		}
-		visit(b, res)
-	}
-	return nil
-}
-
 // NetworkSweep evaluates the topology across a grid of target BERs, in
-// grid order on the caller's goroutine. Each BER is evaluated exactly as
-// Network evaluates it, so the result slice is identical regardless of the
-// worker count. opts.TargetBER is ignored — each grid point uses its own
-// BER. With the memo cache disabled (WithCache(0)), every BER is a cold
-// solve, still in order on one goroutine; use NetworkBatch to spread cold
-// solves over the workers.
+// grid order on the caller's goroutine: it collects NetworkSweepStream.
+// Each BER is evaluated exactly as Network evaluates it, so the result
+// slice is identical regardless of the worker count. opts.TargetBER is
+// ignored — each grid point uses its own BER. With the memo cache disabled
+// (WithCache(0)), every BER is a cold solve, still in order on one
+// goroutine; use NetworkBatch to spread cold solves over the workers.
 func (e *Engine) NetworkSweep(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions) ([]noc.Result, error) {
-	if err := e.checkNetworkSweep(cfg, targetBERs); err != nil {
-		return nil, err
-	}
-	out := make([]noc.Result, len(targetBERs))
-	if err := e.networkEach(ctx, cfg, targetBERs, opts, func(b int, res *noc.Result) { out[b] = res.Clone() }); err != nil {
-		return nil, err
+	out := make([]noc.Result, 0, len(targetBERs))
+	for res, err := range e.NetworkSweepStream(ctx, cfg, targetBERs, opts) {
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
 	}
 	return out, nil
 }
 
-// NetworkSweepStream is the streaming variant of NetworkSweep: it returns
-// immediately with a channel yielding one aggregated NetworkResult per
-// target BER, in grid order, as soon as the one producer goroutine behind
-// the stream has evaluated it. The channel is buffered for the whole grid;
-// on error or cancellation the stream ends early with a final
-// NetworkResult carrying Err, and the channel is always closed.
-func (e *Engine) NetworkSweepStream(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions) <-chan NetworkResult {
-	if err := e.checkNetworkSweep(cfg, targetBERs); err != nil {
-		return failed(NetworkResult{Err: err})
-	}
-	bers := slices.Clone(targetBERs)
-	out := make(chan NetworkResult, len(bers))
-	go func() {
-		defer close(out)
-		next := 0
-		if err := e.networkEach(ctx, cfg, bers, opts, func(b int, res *noc.Result) {
-			out <- NetworkResult{Index: b, TargetBER: bers[b], Result: res.Clone()}
-			next = b + 1
-		}); err != nil {
-			out <- NetworkResult{Index: next, TargetBER: bers[next], Err: err}
+// NetworkSweepStream is the streaming variant of NetworkSweep: the
+// returned iterator evaluates the topology when it is ranged over, at each
+// target BER in grid order on one pooled NetworkSession of the ranging
+// goroutine, and yields each aggregated result, detached from the session,
+// as soon as it is evaluated: the i-th pair is grid point i. An invalid
+// request or a failed evaluation (cancellation included) ends the stream
+// with one pair carrying the error; breaking out of the range stops the
+// sweep at once. The BER slice is read when the iterator runs.
+func (e *Engine) NetworkSweepStream(ctx context.Context, cfg noc.Config, targetBERs []float64, opts noc.EvalOptions) iter.Seq2[noc.Result, error] {
+	return func(yield func(noc.Result, error) bool) {
+		if err := e.checkNetworkSweep(cfg, targetBERs); err != nil {
+			yield(noc.Result{}, err)
+			return
 		}
-	}()
-	return out
+		s := e.acquireSession()
+		defer e.releaseSession(s)
+		cand := NetworkCandidate{Topology: cfg, Opts: opts}
+		for _, ber := range targetBERs {
+			cand.Opts.TargetBER = ber
+			res, err := s.Evaluate(ctx, cand)
+			if err != nil {
+				yield(noc.Result{}, err)
+				return
+			}
+			if !yield(res.Clone(), nil) {
+				return
+			}
+		}
+	}
 }

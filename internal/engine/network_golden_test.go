@@ -97,8 +97,10 @@ func goldenDump(t *testing.T, w io.Writer, workers int, cfg noc.Config, obj mana
 	}
 	counters()
 
-	for r := range e.NetworkSweepStream(ctx, cfg, goldenBERs, noc.EvalOptions{Objective: obj}) {
-		fmt.Fprintf(w, "  NetworkSweepStream[%d] ber=%g %s\n", r.Index, r.TargetBER, summarizeNoC(r.Result, r.Err))
+	i := 0
+	for res, err := range e.NetworkSweepStream(ctx, cfg, goldenBERs, noc.EvalOptions{Objective: obj}) {
+		fmt.Fprintf(w, "  NetworkSweepStream[%d] ber=%g %s\n", i, goldenBERs[i], summarizeNoC(res, err))
+		i++
 	}
 	counters()
 
@@ -156,8 +158,17 @@ func goldenErrors(t *testing.T, w io.Writer) {
 		{"traffic", bus, netTestBERs, badTraffic},
 	}
 	for _, s := range streams {
-		for r := range e.NetworkSweepStream(ctx, s.topo, s.bers, s.opts) {
-			fmt.Fprintf(w, "  NetworkSweepStream/%s index=%d ber=%g err=%v\n", s.name, r.Index, r.TargetBER, r.Err)
+		// An error the up-front request check finds is recorded at BER
+		// 0, one found while evaluating at its grid point's BER.
+		upFront := e.checkNetworkSweep(s.topo, s.bers) != nil
+		i := 0
+		for _, err := range e.NetworkSweepStream(ctx, s.topo, s.bers, s.opts) {
+			ber := 0.0
+			if !upFront {
+				ber = s.bers[i]
+			}
+			fmt.Fprintf(w, "  NetworkSweepStream/%s index=%d ber=%g err=%v\n", s.name, i, ber, err)
+			i++
 		}
 	}
 	_, err = e.SimulateNetwork(ctx, bus, NetworkSimOptions{TargetBER: 0})

@@ -253,14 +253,14 @@ func TestNetworkSweepStreamOrderAndParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	for r := range e.NetworkSweepStream(context.Background(), topo, netTestBERs, opts) {
-		if r.Err != nil {
-			t.Fatalf("stream item %d: %v", i, r.Err)
+	for res, err := range e.NetworkSweepStream(context.Background(), topo, netTestBERs, opts) {
+		if err != nil {
+			t.Fatalf("stream item %d: %v", i, err)
 		}
-		if r.Index != i || r.TargetBER != netTestBERs[i] {
-			t.Fatalf("stream item %d has index %d / BER %g", i, r.Index, r.TargetBER)
+		if res.TargetBER != netTestBERs[i] {
+			t.Fatalf("stream item %d has BER %g", i, res.TargetBER)
 		}
-		if !reflect.DeepEqual(r.Result, batch[i]) {
+		if !reflect.DeepEqual(res, batch[i]) {
 			t.Fatalf("stream item %d differs from batch", i)
 		}
 		i++
@@ -282,12 +282,12 @@ func TestNetworkSweepCancellation(t *testing.T) {
 	if _, err := e.NetworkSweep(ctx, topo, netTestBERs, noc.EvalOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch sweep error = %v, want context.Canceled", err)
 	}
-	var last NetworkResult
-	for r := range e.NetworkSweepStream(ctx, topo, netTestBERs, noc.EvalOptions{}) {
-		last = r
+	var last error
+	for _, err := range e.NetworkSweepStream(ctx, topo, netTestBERs, noc.EvalOptions{}) {
+		last = err
 	}
-	if !errors.Is(last.Err, context.Canceled) {
-		t.Fatalf("stream terminal error = %v, want context.Canceled", last.Err)
+	if !errors.Is(last, context.Canceled) {
+		t.Fatalf("stream terminal error = %v, want context.Canceled", last)
 	}
 }
 
@@ -418,12 +418,11 @@ func TestNetworkSweepStreamMidCancellation(t *testing.T) {
 	o.armed.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stream := e.NetworkSweepStream(ctx, topo, bers, noc.EvalOptions{})
 	delivered := 0
 	var terminal error
-	for r := range stream {
-		if r.Err != nil {
-			terminal = r.Err
+	for _, err := range e.NetworkSweepStream(ctx, topo, bers, noc.EvalOptions{}) {
+		if err != nil {
+			terminal = err
 			break
 		}
 		delivered++
@@ -431,12 +430,26 @@ func TestNetworkSweepStreamMidCancellation(t *testing.T) {
 			cancel()
 		}
 	}
-	for range stream {
-	}
 	if delivered >= len(bers) {
 		t.Fatalf("cancellation did not stop the sweep: %d/%d delivered", delivered, len(bers))
 	}
 	if !errors.Is(terminal, context.Canceled) {
 		t.Errorf("terminal stream error = %v, want context.Canceled", terminal)
+	}
+}
+
+// TestNetworkSweepStreamEarlyBreak: breaking out of a network sweep stream
+// stops it at once: a fresh engine has made exactly the cold solves of the
+// first BER's evaluation.
+func TestNetworkSweepStreamEarlyBreak(t *testing.T) {
+	topo := noc.Config{Kind: noc.Ring, Tiles: 8}
+	ref := newNetEngine(t, ecc.PaperSchemes())
+	if _, err := ref.Network(context.Background(), topo, noc.EvalOptions{TargetBER: netTestBERs[0]}); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.CacheStats().ColdSolves
+	e := newNetEngine(t, ecc.PaperSchemes(), WithWorkers(4))
+	if cold := breakAfterFirst(t, e, e.NetworkSweepStream(context.Background(), topo, netTestBERs, noc.EvalOptions{})); cold != want {
+		t.Fatalf("%d cold solves after breaking at the first BER, want the first evaluation's %d", cold, want)
 	}
 }

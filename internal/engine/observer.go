@@ -13,10 +13,10 @@ import (
 //
 // Every hook receives the context of the evaluation that triggered it, which
 // may belong to a different goroutine than the request that submitted the
-// work (batch solves fan across the worker pool and stream solves run on
-// the stream's producer goroutine, with the request context threaded
-// through; Sweep, NetworkSweep and one Network or SimulateNetwork call
-// fire their events on the caller's goroutine).
+// work (batch solves, streamed or not, fan across the worker pool with the
+// request context threaded through; Sweep, NetworkSweep, the two sweep
+// streams and one Network or SimulateNetwork call fire their events on
+// the caller's goroutine, the one ranging over a stream).
 // Implementations attribute events per-request by reading request-scoped
 // carriers out of that context.
 //

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"iter"
+	"runtime"
 	"sync"
 
 	"photonoc/internal/core"
@@ -226,35 +228,89 @@ func (e *Engine) NetworkBatch(ctx context.Context, cands []NetworkCandidate, opt
 	return out, nil
 }
 
-// NetworkBatchStream is the streaming variant of NetworkBatch: it returns
-// immediately with a channel yielding one NetworkResult per candidate, in
-// population order, as soon as each candidate (and all its predecessors)
-// has been evaluated. The channel is buffered for the whole population, so
-// the producer never blocks and abandoning the stream leaks nothing. On
-// error or cancellation the stream ends early with a final NetworkResult
-// carrying Err; the channel is always closed.
+// NetworkBatchStream is the streaming variant of NetworkBatch: the
+// returned iterator evaluates the population on the worker pool
+// (NetworkBatchEach) when it is ranged over, and yields one result per
+// candidate, detached from the pool's sessions, in population order, each
+// as soon as it and all its predecessors have been evaluated: the i-th
+// pair is candidate i. An empty population, a strict-mode failure or
+// cancellation ends the stream with one pair carrying the error.
 //
 // With BatchOptions.ContinueOnError a failed candidate occupies its own
-// slot in the stream — a NetworkResult whose Err is a *CandidateError (so
-// errors.As distinguishes it from a terminal abort) — and the stream keeps
-// going; every candidate gets exactly one item. Cancellation still ends the
-// stream early with a terminal Err.
-func (e *Engine) NetworkBatchStream(ctx context.Context, cands []NetworkCandidate, opts ...BatchOptions) <-chan NetworkResult {
-	if len(cands) == 0 {
-		return failed(NetworkResult{Err: fmt.Errorf("%w: empty candidate population", ErrInvalidInput)})
+// pair, whose error is a *CandidateError (so errors.As distinguishes it
+// from a terminal abort), and the stream keeps going; every candidate gets
+// exactly one pair. Cancellation still ends the stream early.
+//
+// When the range statement ends, by a break or at the end of the stream,
+// the iterator cancels the pool and waits for it, so no worker or solve
+// outlives the range.
+func (e *Engine) NetworkBatchStream(ctx context.Context, cands []NetworkCandidate, opts ...BatchOptions) iter.Seq2[noc.Result, error] {
+	return func(yield func(noc.Result, error) bool) {
+		if len(cands) == 0 {
+			yield(noc.Result{}, fmt.Errorf("%w: empty candidate population", ErrInvalidInput))
+			return
+		}
+		inOrder(ctx, len(cands), func(ctx context.Context, visit func(int, *noc.Result, *CandidateError)) error {
+			return e.NetworkBatchEach(ctx, cands, visit, opts...)
+		}, yield)
 	}
-	return ordered(ctx, len(cands), func(emit func(int, NetworkResult)) error {
-		return e.NetworkBatchEach(ctx, cands, func(i int, res *noc.Result, cerr *CandidateError) {
+}
+
+// inOrder is the body of NetworkBatchStream. each visits items 0..n-1
+// exactly once each, in any order and from any goroutine, as
+// NetworkBatchEach does; it runs on a goroutine of its own while inOrder
+// yields the items in index order, a result clone or a *CandidateError
+// each, once their predecessors have been yielded. If each stops early,
+// one pair carrying its error, else ctx's, else an abort error, follows
+// the last item yielded. On return each's context is cancelled and inOrder
+// waits for each to return.
+func inOrder(ctx context.Context, n int, each func(context.Context, func(int, *noc.Result, *CandidateError)) error, yield func(noc.Result, error) bool) {
+	type item struct {
+		i   int
+		res noc.Result
+		err error
+	}
+	poolCtx, cancel := context.WithCancel(ctx)
+	// Buffered for the whole population, so the workers never block on
+	// the consumer.
+	items := make(chan item, n)
+	var err error
+	go func() {
+		defer close(items)
+		err = each(poolCtx, func(i int, res *noc.Result, cerr *CandidateError) {
 			if cerr != nil {
-				emit(i, NetworkResult{Index: i, TargetBER: cands[i].Opts.TargetBER, Err: cerr})
+				items <- item{i: i, err: cerr}
+			} else {
+				items <- item{i: i, res: res.Clone()}
+			}
+			runtime.Gosched() // pool workers never block: let the consumer run
+		})
+	}()
+	defer func() {
+		cancel()
+		for range items { // each has returned once items is closed
+		}
+	}()
+	pending := make([]item, n)
+	arrived := make([]bool, n)
+	next := 0
+	for it := range items {
+		pending[it.i], arrived[it.i] = it, true
+		for ; next < n && arrived[next]; next++ {
+			if !yield(pending[next].res, pending[next].err) {
 				return
 			}
-			emit(i, NetworkResult{Index: i, TargetBER: res.TargetBER, Result: res.Clone()})
-		}, opts...)
-	}, func(next int, err error) NetworkResult {
+		}
+	}
+	if next < n {
+		// err is visible here: each's goroutine wrote it before closing
+		// items, and the range above has seen the close.
+		if err == nil {
+			err = ctx.Err()
+		}
 		if err == nil {
 			err = fmt.Errorf("photonoc: network batch aborted at candidate %d", next)
 		}
-		return NetworkResult{Index: next, TargetBER: cands[next].Opts.TargetBER, Err: err}
-	})
+		yield(noc.Result{}, err)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
@@ -193,17 +194,14 @@ func TestNetworkBatchStreamOrderAndParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	for r := range e.NetworkBatchStream(context.Background(), cands) {
-		if r.Err != nil {
-			t.Fatalf("stream item %d: %v", i, r.Err)
+	for res, err := range e.NetworkBatchStream(context.Background(), cands) {
+		if err != nil {
+			t.Fatalf("stream item %d: %v", i, err)
 		}
-		if r.Index != i {
-			t.Fatalf("stream item %d has index %d", i, r.Index)
+		if res.TargetBER != cands[i].Opts.TargetBER {
+			t.Fatalf("stream item %d has BER %g, want %g", i, res.TargetBER, cands[i].Opts.TargetBER)
 		}
-		if r.TargetBER != cands[i].Opts.TargetBER {
-			t.Fatalf("stream item %d has BER %g, want %g", i, r.TargetBER, cands[i].Opts.TargetBER)
-		}
-		if !reflect.DeepEqual(r.Result, batch[i]) {
+		if !reflect.DeepEqual(res, batch[i]) {
 			t.Fatalf("stream item %d differs from batch", i)
 		}
 		i++
@@ -243,19 +241,19 @@ func TestNetworkBatchErrors(t *testing.T) {
 	if _, err := e.NetworkBatch(ctx, cands); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled batch error = %v, want context.Canceled", err)
 	}
-	var last NetworkResult
-	for r := range e.NetworkBatchStream(ctx, cands) {
-		last = r
+	var last error
+	for _, err := range e.NetworkBatchStream(ctx, cands) {
+		last = err
 	}
-	if !errors.Is(last.Err, context.Canceled) {
-		t.Errorf("stream terminal error = %v, want context.Canceled", last.Err)
+	if !errors.Is(last, context.Canceled) {
+		t.Errorf("stream terminal error = %v, want context.Canceled", last)
 	}
-	var empty NetworkResult
-	for r := range e.NetworkBatchStream(context.Background(), nil) {
-		empty = r
+	var empty error
+	for _, err := range e.NetworkBatchStream(context.Background(), nil) {
+		empty = err
 	}
-	if !errors.Is(empty.Err, ErrInvalidInput) {
-		t.Errorf("empty-population stream error = %v, want ErrInvalidInput", empty.Err)
+	if !errors.Is(empty, ErrInvalidInput) {
+		t.Errorf("empty-population stream error = %v, want ErrInvalidInput", empty)
 	}
 
 	// A failed evaluation leaves nothing behind; the next batch on the
@@ -463,20 +461,17 @@ func TestNetworkBatchStreamContinueOnError(t *testing.T) {
 		t.Fatal("batch reported no failures")
 	}
 	i := 0
-	for r := range e.NetworkBatchStream(context.Background(), cands, BatchOptions{ContinueOnError: true}) {
-		if r.Index != i {
-			t.Fatalf("stream item %d has index %d", i, r.Index)
-		}
+	for res, err := range e.NetworkBatchStream(context.Background(), cands, BatchOptions{ContinueOnError: true}) {
 		if i == 1 || i == 3 {
 			var ce *CandidateError
-			if !errors.As(r.Err, &ce) || ce.Index != i || !errors.Is(ce, ErrInvalidInput) {
-				t.Fatalf("stream item %d: err = %v, want indexed CandidateError(ErrInvalidInput)", i, r.Err)
+			if !errors.As(err, &ce) || ce.Index != i || !errors.Is(ce, ErrInvalidInput) {
+				t.Fatalf("stream item %d: err = %v, want indexed CandidateError(ErrInvalidInput)", i, err)
 			}
 		} else {
-			if r.Err != nil {
-				t.Fatalf("stream item %d: unexpected error %v", i, r.Err)
+			if err != nil {
+				t.Fatalf("stream item %d: unexpected error %v", i, err)
 			}
-			if !reflect.DeepEqual(r.Result, batch[i]) {
+			if !reflect.DeepEqual(res, batch[i]) {
 				t.Fatalf("stream item %d differs from batch result", i)
 			}
 		}
@@ -490,15 +485,15 @@ func TestNetworkBatchStreamContinueOnError(t *testing.T) {
 	// wrapping, the stream just ends with context.Canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var last NetworkResult
+	var last error
 	n := 0
-	for r := range e.NetworkBatchStream(ctx, cands, BatchOptions{ContinueOnError: true}) {
-		last = r
+	for _, err := range e.NetworkBatchStream(ctx, cands, BatchOptions{ContinueOnError: true}) {
+		last = err
 		n++
 	}
 	var ce *CandidateError
-	if !errors.Is(last.Err, context.Canceled) || errors.As(last.Err, &ce) {
-		t.Fatalf("canceled partial stream: last err = %v after %d items", last.Err, n)
+	if !errors.Is(last, context.Canceled) || errors.As(last, &ce) {
+		t.Fatalf("canceled partial stream: last err = %v after %d items", last, n)
 	}
 	if _, err := e.NetworkBatch(ctx, cands, BatchOptions{ContinueOnError: true}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled partial batch err = %v", err)
@@ -525,12 +520,11 @@ func TestNetworkBatchStreamMidCancellation(t *testing.T) {
 	o.armed.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stream := e.NetworkBatchStream(ctx, cands)
 	delivered := 0
 	var terminal error
-	for r := range stream {
-		if r.Err != nil {
-			terminal = r.Err
+	for _, err := range e.NetworkBatchStream(ctx, cands) {
+		if err != nil {
+			terminal = err
 			break
 		}
 		delivered++
@@ -538,12 +532,44 @@ func TestNetworkBatchStreamMidCancellation(t *testing.T) {
 			cancel()
 		}
 	}
-	for range stream {
-	}
 	if delivered >= len(cands) {
 		t.Fatalf("cancellation did not stop the batch: %d/%d delivered", delivered, len(cands))
 	}
 	if !errors.Is(terminal, context.Canceled) {
 		t.Errorf("terminal stream error = %v, want context.Canceled", terminal)
+	}
+}
+
+// TestNetworkBatchStreamEarlyBreak: breaking out of a batch stream cancels
+// the pool and waits for it. The first candidate is cached and every other
+// one parks in its first cold solve until its context ends. The parent
+// context ends only after 5 s, so the range returns sooner only if the
+// break cancelled the pool, and no worker or solve outlives it.
+func TestNetworkBatchStreamEarlyBreak(t *testing.T) {
+	o := &blockingObserver{}
+	e := newNetEngine(t, ecc.PaperSchemes(), WithWorkers(4), WithObserver(o))
+	cands := make([]NetworkCandidate, 40)
+	for i := range cands {
+		cands[i] = NetworkCandidate{
+			Topology: noc.Config{Kind: noc.Ring, Tiles: 8},
+			Opts:     noc.EvalOptions{TargetBER: 1e-11 * float64(i+1)},
+		}
+	}
+	if _, err := e.Network(context.Background(), cands[0].Topology, cands[0].Opts); err != nil {
+		t.Fatal(err)
+	}
+	warm := e.CacheStats().ColdSolves
+	o.armed.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	cold := breakAfterFirst(t, e, e.NetworkBatchStream(ctx, cands))
+	if d := time.Since(start); d > 4*time.Second {
+		t.Fatalf("the range ended after %v: the break did not cancel the pool", d)
+	}
+	// A session checks its context between links, so each worker solves
+	// at most the roster of the link it was parked in.
+	if limit := uint64(e.Workers() * len(ecc.PaperSchemes())); cold-warm > limit {
+		t.Fatalf("%d cold solves after the first candidate, want at most %d", cold-warm, limit)
 	}
 }

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"iter"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"photonoc/internal/core"
 	"photonoc/internal/ecc"
+	"photonoc/internal/noc"
 )
 
 var testBERs = []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7}
@@ -134,16 +137,11 @@ func TestSweepStreamOrderAndEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []core.Evaluation
-	next := 0
-	for r := range e.SweepStream(context.Background(), codes, testBERs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	for ev, err := range e.SweepStream(context.Background(), codes, testBERs) {
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Index != next {
-			t.Fatalf("stream out of order: got index %d, want %d", r.Index, next)
-		}
-		next++
-		got = append(got, r.Evaluation)
+		got = append(got, ev)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("streamed sweep differs from sequential")
@@ -155,12 +153,12 @@ func TestSweepStreamInvalidInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var results []Result
-	for r := range e.SweepStream(context.Background(), nil, []float64{2}) {
-		results = append(results, r)
+	var errs []error
+	for _, err := range e.SweepStream(context.Background(), nil, []float64{2}) {
+		errs = append(errs, err)
 	}
-	if len(results) != 1 || !errors.Is(results[0].Err, ErrInvalidInput) {
-		t.Errorf("want a single ErrInvalidInput item, got %v", results)
+	if len(errs) != 1 || !errors.Is(errs[0], ErrInvalidInput) {
+		t.Errorf("want a single ErrInvalidInput item, got %v", errs)
 	}
 }
 
@@ -210,21 +208,17 @@ func TestSweepStreamMidCancellation(t *testing.T) {
 	o.armed.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stream := e.SweepStream(ctx, codes, bers)
 	delivered := 0
 	var terminal error
-	for r := range stream {
-		if r.Err != nil {
-			terminal = r.Err
+	for _, err := range e.SweepStream(ctx, codes, bers) {
+		if err != nil {
+			terminal = err
 			break
 		}
 		delivered++
 		if delivered == 1 {
 			cancel()
 		}
-	}
-	// Drain to prove the channel closes.
-	for range stream {
 	}
 	total := len(bers) * len(codes)
 	if delivered >= total {
@@ -263,9 +257,9 @@ func TestConcurrentEngineUse(t *testing.T) {
 				}
 				return
 			}
-			for r := range e.SweepStream(context.Background(), ecc.PaperSchemes(), testBERs) {
-				if r.Err != nil {
-					t.Error(r.Err)
+			for _, err := range e.SweepStream(context.Background(), ecc.PaperSchemes(), testBERs) {
+				if err != nil {
+					t.Error(err)
 					return
 				}
 			}
@@ -368,61 +362,66 @@ func TestExperimentsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestOrdered drives the reorder buffer behind every engine stream
-// directly: items emitted in any order come out in index order, and a
-// producer that stops early — with an error, or on cancellation — ends the
-// stream with one terminal item at the first missing index.
+// TestOrdered drives the reorder behind NetworkBatchStream directly:
+// items visited in any order come out in index order, a pool that stops
+// early — with an error, or on cancellation — ends the stream with one
+// terminal pair at the first missing index, and the pool has returned by
+// the time the stream does.
 func TestOrdered(t *testing.T) {
-	type item struct {
-		i   int
+	type pair struct {
+		ber float64
 		err error
 	}
-	terminal := func(next int, err error) item {
-		if err == nil {
-			err = errors.New("aborted")
-		}
-		return item{next, err}
-	}
-	collect := func(ch <-chan item) []item {
-		var out []item
-		for it := range ch {
-			out = append(out, it)
-		}
+	collect := func(ctx context.Context, n int, each func(context.Context, func(int, *noc.Result, *CandidateError)) error) []pair {
+		var out []pair
+		inOrder(ctx, n, each, func(res noc.Result, err error) bool {
+			out = append(out, pair{res.TargetBER, err})
+			return true
+		})
 		return out
 	}
+	result := func(i int) *noc.Result { return &noc.Result{TargetBER: float64(i)} }
 
 	t.Run("out of order", func(t *testing.T) {
 		const n = 64
-		got := collect(ordered(context.Background(), n, func(emit func(int, item)) error {
+		got := collect(context.Background(), n, func(_ context.Context, visit func(int, *noc.Result, *CandidateError)) error {
 			var wg sync.WaitGroup
 			for i := n - 1; i >= 0; i-- {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					emit(i, item{i: i})
+					if i%5 == 3 {
+						visit(i, nil, &CandidateError{Index: i, Err: ErrInvalidInput})
+						return
+					}
+					visit(i, result(i), nil)
 				}()
 			}
 			wg.Wait()
 			return nil
-		}, terminal))
+		})
 		if len(got) != n {
 			t.Fatalf("got %d items, want %d", len(got), n)
 		}
-		for i, it := range got {
-			if it.i != i || it.err != nil {
-				t.Fatalf("item %d = %+v", i, it)
+		for i, p := range got {
+			var ce *CandidateError
+			if i%5 == 3 && (!errors.As(p.err, &ce) || ce.Index != i) {
+				t.Fatalf("item %d = %+v, want its CandidateError", i, p)
+			}
+			if i%5 != 3 && (p.ber != float64(i) || p.err != nil) {
+				t.Fatalf("item %d = %+v", i, p)
 			}
 		}
 	})
 
 	t.Run("early error", func(t *testing.T) {
 		boom := errors.New("boom")
-		got := collect(ordered(context.Background(), 5, func(emit func(int, item)) error {
-			emit(2, item{i: 2})
-			emit(0, item{i: 0})
+		got := collect(context.Background(), 5, func(_ context.Context, visit func(int, *noc.Result, *CandidateError)) error {
+			visit(2, result(2), nil)
+			visit(0, result(0), nil)
 			return boom
-		}, terminal))
-		want := []item{{0, nil}, {1, boom}}
+		})
+		want := []pair{{0, nil}, {0, boom}}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("got %+v, want %+v", got, want)
 		}
@@ -430,23 +429,93 @@ func TestOrdered(t *testing.T) {
 
 	t.Run("cancel between emissions", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
-		got := collect(ordered(ctx, 5, func(emit func(int, item)) error {
-			emit(0, item{i: 0})
+		got := collect(ctx, 5, func(_ context.Context, visit func(int, *noc.Result, *CandidateError)) error {
+			visit(0, result(0), nil)
 			cancel()
 			return nil
-		}, terminal))
-		if len(got) != 2 || got[0] != (item{0, nil}) || got[1].i != 1 || !errors.Is(got[1].err, context.Canceled) {
-			t.Fatalf("got %+v, want item 0 then a Canceled terminal at 1", got)
+		})
+		if len(got) != 2 || got[0] != (pair{0, nil}) || !errors.Is(got[1].err, context.Canceled) {
+			t.Fatalf("got %+v, want item 0 then a Canceled terminal", got)
 		}
 	})
 
 	t.Run("stopped without error", func(t *testing.T) {
-		got := collect(ordered(context.Background(), 3, func(emit func(int, item)) error {
-			emit(0, item{i: 0})
+		got := collect(context.Background(), 3, func(_ context.Context, visit func(int, *noc.Result, *CandidateError)) error {
+			visit(0, result(0), nil)
 			return nil
-		}, terminal))
-		if len(got) != 2 || got[1].i != 1 || got[1].err == nil || got[1].err.Error() != "aborted" {
+		})
+		if len(got) != 2 || got[1].err == nil || got[1].err.Error() != "photonoc: network batch aborted at candidate 1" {
 			t.Fatalf("got %+v, want item 0 then the fallback terminal at 1", got)
 		}
 	})
+
+	t.Run("break", func(t *testing.T) {
+		// The consumer stops after item 0: the pool sees its context
+		// cancelled, not the parent's 5 s deadline, and has returned
+		// before inOrder does.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		var poolErr atomic.Value
+		n := 0
+		inOrder(ctx, 4, func(ctx context.Context, visit func(int, *noc.Result, *CandidateError)) error {
+			visit(0, result(0), nil)
+			<-ctx.Done()
+			poolErr.Store(ctx.Err())
+			return ctx.Err()
+		}, func(noc.Result, error) bool {
+			n++
+			return false
+		})
+		if err, _ := poolErr.Load().(error); n != 1 || err != context.Canceled {
+			t.Fatalf("yielded %d items, pool ended with %v; want 1 and context.Canceled", n, err)
+		}
+	})
+}
+
+// settleGoroutines waits for the goroutine count to fall back to base: a
+// pool worker that has signalled its return may still be exiting.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the stream, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// breakAfterFirst ranges over stream, breaks after its first pair and
+// checks that the range left nothing running: the goroutine count returns
+// to what it was before, and the engine's cold-solve count, read when the
+// range ends, does not move afterwards. It returns that count.
+func breakAfterFirst[T any](t *testing.T, e *Engine, stream iter.Seq2[T, error]) uint64 {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	for _, err := range stream {
+		if err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	cold := e.CacheStats().ColdSolves
+	settleGoroutines(t, base)
+	time.Sleep(10 * time.Millisecond)
+	if after := e.CacheStats().ColdSolves; after != cold {
+		t.Fatalf("%d cold solves after the range ended, %d when it did", after, cold)
+	}
+	return cold
+}
+
+// TestSweepStreamEarlyBreak: breaking out of a sweep stream stops it at
+// once. The sweep solves on the ranging goroutine, so a fresh engine has
+// made exactly the first point's cold solve.
+func TestSweepStreamEarlyBreak(t *testing.T) {
+	e, err := New(WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold := breakAfterFirst(t, e, e.SweepStream(context.Background(), ecc.ExtendedSchemes(), testBERs)); cold != 1 {
+		t.Fatalf("%d cold solves after breaking at the first point, want 1", cold)
+	}
 }

@@ -61,10 +61,28 @@ func (c NetConfig) validateSim() (NetConfig, error) {
 			return c, fmt.Errorf("netsim: link %d has no feasible scheme: %s", i, c.Decisions[i].InfeasibleReason)
 		}
 	}
-	if c.MaxQueueDepth < 0 {
-		return c, fmt.Errorf("netsim: negative max queue depth %d", c.MaxQueueDepth)
+	// A replay takes no message count of its own.
+	if err := CheckCounts(0, c.MaxQueueDepth); err != nil {
+		return c, err
 	}
 	return c, nil
+}
+
+// CheckCounts refuses the counts a network run cannot take: a negative
+// maxQueueDepth, and a negative message count or one above MaxMessages (0
+// is the default count). RunNetwork applies it; a caller that solves
+// before it simulates can apply it first.
+func CheckCounts(messages, maxQueueDepth int) error {
+	if maxQueueDepth < 0 {
+		return fmt.Errorf("netsim: negative max queue depth %d", maxQueueDepth)
+	}
+	if messages < 0 {
+		return fmt.Errorf("netsim: message count %d must be positive", messages)
+	}
+	if messages > MaxMessages {
+		return fmt.Errorf("netsim: %d messages exceed the bound of %d", messages, MaxMessages)
+	}
+	return nil
 }
 
 // withDefaults is validateSim plus the workload-generation fields
@@ -91,13 +109,7 @@ func (c NetConfig) withDefaults() (NetConfig, error) {
 	if c.Messages == 0 {
 		c.Messages = 20000
 	}
-	if c.Messages < 0 {
-		return c, fmt.Errorf("netsim: message count %d must be positive", c.Messages)
-	}
-	if c.Messages > MaxMessages {
-		return c, fmt.Errorf("netsim: %d messages exceed the bound of %d", c.Messages, MaxMessages)
-	}
-	return c, nil
+	return c, CheckCounts(c.Messages, c.MaxQueueDepth)
 }
 
 // NetLinkStats is the per-link view of a network simulation.

@@ -19,8 +19,8 @@ var coldSolveBuckets = []float64{
 }
 
 // engineObserver is the serving layer's engine.Observer: it aggregates the
-// engine's cold solves into the /metrics histogram (the cache, shared-solve
-// and session-reuse totals come from engine.CacheStats) and mirrors each
+// engine's cold solves into the /metrics histogram (the cache and
+// shared-solve totals come from engine.CacheStats) and mirrors each
 // event into the per-request obs.RequestStats riding the evaluation's
 // context, so the access log can attribute latency per request.
 //

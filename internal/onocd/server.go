@@ -24,6 +24,7 @@ import (
 	"photonoc/internal/faultinject"
 	"photonoc/internal/manager"
 	"photonoc/internal/mc"
+	"photonoc/internal/noc"
 	"photonoc/internal/obs"
 	"photonoc/internal/tune"
 )
@@ -556,16 +557,17 @@ func stream[T wireStreamItem](open func(context.Context, *engineState, *http.Req
 	}
 }
 
-// engineLines lazily maps an engine result stream onto its wire lines:
-// results starts the engine's work, so it is called only when the
-// iterator runs. Abandoning the iterator early leaks nothing, because the
-// engine's streams are buffered to their full length.
-func engineLines[R any, T wireStreamItem](results func() <-chan R, line func(R) (T, error)) iter.Seq2[T, error] {
+// lines renders an engine stream as its wire lines, numbering them: the
+// i-th pair is item i. line returns a line and, when the line is terminal,
+// the Go error behind it.
+func lines[R any, T wireStreamItem](results iter.Seq2[R, error], line func(i int, r R, err error) (T, error)) iter.Seq2[T, error] {
 	return func(yield func(T, error) bool) {
-		for res := range results() {
-			if !yield(line(res)) {
+		i := 0
+		for r, err := range results {
+			if !yield(line(i, r, err)) {
 				return
 			}
+			i++
 		}
 	}
 }
@@ -769,16 +771,16 @@ func (s *Server) handleSweepStream(ctx context.Context, st *engineState, r *http
 	if codes == nil {
 		schemes = len(st.eng.Schemes())
 	}
-	results := func() <-chan engine.Result { return st.eng.SweepStream(ctx, codes, req.TargetBERs) }
-	return schemes * len(req.TargetBERs), engineLines(results, func(res engine.Result) (StreamItem, error) {
-		item := StreamItem{Index: res.Index}
-		if res.Err != nil {
-			_, body := apierr.EnvelopeFor(res.Err)
+	results := st.eng.SweepStream(ctx, codes, req.TargetBERs)
+	return schemes * len(req.TargetBERs), lines(results, func(i int, ev core.Evaluation, err error) (StreamItem, error) {
+		item := StreamItem{Index: i}
+		if err != nil {
+			_, body := apierr.EnvelopeFor(err)
 			item.Error = &body.Error
-			return item, res.Err
+			return item, err
 		}
-		ev := toWireEval(res.Evaluation)
-		item.Evaluation = &ev
+		wev := toWireEval(ev)
+		item.Evaluation = &wev
 		return item, nil
 	}), nil
 }
@@ -880,27 +882,33 @@ func (s *Server) handleNoCBatch(ctx context.Context, st *engineState, r *http.Re
 		}
 		cands = append(cands, cand)
 	}
-	results := func() <-chan engine.NetworkResult {
-		return st.eng.NetworkBatchStream(ctx, cands, engine.BatchOptions{ContinueOnError: partial})
+	bers := make([]float64, len(cands))
+	for i, c := range cands {
+		bers[i] = c.Opts.TargetBER
 	}
-	return len(cands), engineLines(results, nocLine(convFails)), nil
+	results := st.eng.NetworkBatchStream(ctx, cands, engine.BatchOptions{ContinueOnError: partial})
+	return len(cands), lines(results, nocLine(bers, convFails)), nil
 }
 
-// nocLine renders one network result as a NoCStreamItem. A
-// *engine.CandidateError becomes a Partial item, its cause replaced by
-// the candidate's wire-conversion failure in convFails if it has one; any
-// other error is terminal and returned with the line.
-func nocLine(convFails map[int]error) func(engine.NetworkResult) (NoCStreamItem, error) {
-	return func(res engine.NetworkResult) (NoCStreamItem, error) {
-		item := NoCStreamItem{Index: res.Index, TargetBER: res.TargetBER}
-		if res.Err == nil {
-			wr := toWireNoC(res.Result)
+// nocLine renders network result i as a NoCStreamItem. An error line
+// carries item i's requested BER from bers. A *engine.CandidateError
+// becomes a Partial item, its cause replaced by the candidate's
+// wire-conversion failure in convFails if it has one; any other error is
+// terminal and returned with the line.
+func nocLine(bers []float64, convFails map[int]error) func(int, noc.Result, error) (NoCStreamItem, error) {
+	return func(i int, res noc.Result, err error) (NoCStreamItem, error) {
+		item := NoCStreamItem{Index: i, TargetBER: res.TargetBER}
+		if err == nil {
+			wr := toWireNoC(res)
 			item.Result = &wr
 			return item, nil
 		}
-		cause, terminal := res.Err, res.Err
+		if i < len(bers) {
+			item.TargetBER = bers[i]
+		}
+		cause, terminal := err, err
 		var ce *engine.CandidateError
-		if errors.As(res.Err, &ce) {
+		if errors.As(err, &ce) {
 			item.Partial, terminal = true, nil
 			if oe, ok := convFails[ce.Index]; ok {
 				cause = oe
@@ -927,10 +935,8 @@ func (s *Server) handleNoCSweep(ctx context.Context, st *engineState, r *http.Re
 	if err != nil {
 		return 0, nil, err
 	}
-	results := func() <-chan engine.NetworkResult {
-		return st.eng.NetworkSweepStream(ctx, cfg, req.TargetBERs, opts)
-	}
-	return len(req.TargetBERs), engineLines(results, nocLine(nil)), nil
+	results := st.eng.NetworkSweepStream(ctx, cfg, req.TargetBERs, opts)
+	return len(req.TargetBERs), lines(results, nocLine(req.TargetBERs, nil)), nil
 }
 
 // errClientGone aborts a campaign whose stream stopped taking lines: the

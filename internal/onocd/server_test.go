@@ -438,9 +438,11 @@ func TestStreamRefusedBeforeFirstLine(t *testing.T) {
 
 // brokenPipe is a response writer whose client leaves after the first
 // line: every later write fails, while the request context stays live.
+// onFail, if set, runs at the first failed write.
 type brokenPipe struct {
 	header http.Header
 	lines  int
+	onFail func()
 }
 
 func (w *brokenPipe) Header() http.Header { return w.header }
@@ -448,6 +450,10 @@ func (w *brokenPipe) WriteHeader(int)     {}
 
 func (w *brokenPipe) Write(p []byte) (int, error) {
 	if w.lines > 0 {
+		if w.onFail != nil {
+			w.onFail()
+			w.onFail = nil
+		}
 		return 0, errors.New("broken pipe")
 	}
 	w.lines++
@@ -458,8 +464,13 @@ func (w *brokenPipe) Write(p []byte) (int, error) {
 // of a stream frees its request on every streaming route. Over the wire the
 // in-flight gauge returns to zero, with no handler panic. In process, where
 // the second line's write fails before the request context ends, the
-// stream stops on the failed write itself, and a tune campaign stops
-// instead of running out its remaining generations.
+// stream stops on the failed write itself. On every route the engine does
+// no lookup after the handler returns. The sweep streams look up exactly
+// the written line and the failed one, and nothing after the failed write.
+// The batch's workers run ahead of the stream on their own chunks, so its
+// bound counts from the failed write: each worker finishes at most the
+// candidate in hand. A tune campaign stops instead of running out its
+// remaining generations.
 func TestStreamClientGoneMidStream(t *testing.T) {
 	s, err := NewServer(Options{Workers: 2})
 	if err != nil {
@@ -487,13 +498,24 @@ func TestStreamClientGoneMidStream(t *testing.T) {
 		tiles = append(tiles, fmt.Sprint(n))
 	}
 	campaign := `{"target_ber": 1e-11, "seed": 3, "generations": 400, "tiles": [` + strings.Join(tiles, ",") + `]}`
+	// A line of the sweep stream is one memo lookup; a line of the network
+	// routes is one per (link, scheme) cell of the mesh, as one evaluation
+	// of it makes.
+	before := lookups()
+	s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/noc/eval",
+		strings.NewReader(`{"topology": "mesh", "tiles": 16, "target_ber": 1e-11}`)))
+	meshCells := lookups() - before
 
 	var left uint64
-	for _, route := range []struct{ path, body string }{
-		{"/v1/sweep/stream", `{"target_bers": [` + grid + `]}`},
-		{"/v1/noc/sweep", `{"topology": "mesh", "tiles": 16, "target_bers": [` + grid + `]}`},
-		{"/v1/noc/batch", batch},
-		{"/v1/noc/tune", campaign},
+	for _, route := range []struct {
+		path, body string
+		perLine    uint64 // lookups per line; 0 leaves tune to the full-campaign check below
+		pool       int    // candidates the workers may finish after the failed write
+	}{
+		{"/v1/sweep/stream", `{"target_bers": [` + grid + `]}`, 1, 0},
+		{"/v1/noc/sweep", `{"topology": "mesh", "tiles": 16, "target_bers": [` + grid + `]}`, meshCells, 0},
+		{"/v1/noc/batch", batch, meshCells, s.Engine().Workers()},
+		{"/v1/noc/tune", campaign, 0, 0},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+route.path, strings.NewReader(route.body))
@@ -519,18 +541,32 @@ func TestStreamClientGoneMidStream(t *testing.T) {
 		}
 
 		before := lookups()
-		w := &brokenPipe{header: http.Header{}}
+		var atFail uint64
+		w := &brokenPipe{header: http.Header{}, onFail: func() { atFail = lookups() }}
 		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, route.path, strings.NewReader(route.body)))
 		if w.lines != 1 || w.header.Get("Content-Type") != "application/x-ndjson" {
 			t.Errorf("%s: %d lines written as %q, want the one NDJSON line", route.path, w.lines, w.header.Get("Content-Type"))
 		}
 		left = lookups() - before
+		time.Sleep(20 * time.Millisecond)
+		if moved := lookups() - before - left; moved != 0 {
+			t.Errorf("%s: %d engine lookups after the handler returned", route.path, moved)
+		}
+		if route.perLine == 0 {
+			continue
+		}
+		if limit := uint64(w.lines+1) * route.perLine; route.pool == 0 && atFail-before > limit {
+			t.Errorf("%s: %d engine lookups for %d line(s) written, want at most %d", route.path, atFail-before, w.lines, limit)
+		}
+		if after, limit := before+left-atFail, uint64(route.pool)*route.perLine; after > limit {
+			t.Errorf("%s: %d engine lookups after the failed write, want at most %d", route.path, after, limit)
+		}
 	}
 	if bytes.Contains(serveLog.Bytes(), []byte("panic")) {
 		t.Errorf("a handler panicked:\n%s", serveLog.Bytes())
 	}
 
-	before := lookups()
+	before = lookups()
 	full := httptest.NewRecorder()
 	s.Handler().ServeHTTP(full, httptest.NewRequest(http.MethodPost, "/v1/noc/tune", strings.NewReader(campaign)))
 	if !strings.Contains(full.Body.String(), `"summary"`) {

@@ -37,8 +37,6 @@ type (
 	// patterns and recorded traces both extract one (Pattern.Matrix,
 	// Trace.Matrix), and UniformTraffic builds the default.
 	TrafficMatrix = noc.Matrix
-	// NetworkSweepResult is one streamed network-sweep outcome.
-	NetworkSweepResult = engine.NetworkResult
 	// NoCCandidate is one point of a design-space population: topology,
 	// optional roster restriction and evaluation options. Evaluate whole
 	// populations with the promoted Engine.NetworkBatch /

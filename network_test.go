@@ -39,15 +39,12 @@ func TestNetworkFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	for r := range eng.NetworkSweepStream(context.Background(), topo, bers, opts) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	for res, err := range eng.NetworkSweepStream(context.Background(), topo, bers, opts) {
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Index != i {
-			t.Fatalf("stream index %d, want %d", r.Index, i)
-		}
-		if r.Result.EnergyPerBitJ != batch[i].EnergyPerBitJ {
-			t.Fatalf("stream/batch energy mismatch at BER %g", r.TargetBER)
+		if res.EnergyPerBitJ != batch[i].EnergyPerBitJ {
+			t.Fatalf("stream/batch energy mismatch at BER %g", res.TargetBER)
 		}
 		i++
 	}
