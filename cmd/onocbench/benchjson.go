@@ -39,7 +39,8 @@ type BenchReport struct {
 type BenchMetric struct {
 	// Name identifies the metric: cold_sweep, warm_sweep, fer_inversion,
 	// monte_carlo_block, mc_throughput, mc_scalar_throughput, noc_eval,
-	// noc_batch, noc_batch_cold, noc_tune, service_warm_qps.
+	// noc_batch, noc_batch_cold, noc_cold_crossbar512, noc_tune,
+	// service_warm_qps.
 	Name string `json:"name"`
 	// NsPerOp is wall nanoseconds per operation.
 	NsPerOp float64 `json:"ns_per_op"`
@@ -307,6 +308,24 @@ func runBenchJSON(w io.Writer, cfg photonoc.LinkConfig, workers int) error {
 	})
 	m = &report.Benchmarks[len(report.Benchmarks)-1]
 	m.CandidatesPerSec = float64(len(chain)) / m.NsPerOp * 1e9
+
+	// A cold network build at the tile bound: one Network call on a fresh
+	// engine over a 512-tile crossbar, whose 512 links differ in length
+	// and share one wavelength block (one block plan, 512 link plans and
+	// 1,536 cold solves per op).
+	wideTopo := photonoc.NoCConfig{Kind: photonoc.NoCCrossbar, Tiles: 512}
+	measure("noc_cold_crossbar512", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng, err := photonoc.New(engineOpts(photonoc.DefaultCacheEntries)...)
+			if err != nil {
+				fail(b, err)
+			}
+			if _, err := eng.Network(ctx, wideTopo, nocOpts); err != nil {
+				fail(b, err)
+			}
+		}
+	})
 
 	// The tracked autotuner campaign (BenchmarkTune): a seeded 8-particle ×
 	// 5-generation swarm over the default design space, warm through the

@@ -114,10 +114,13 @@
 // Network, NetworkSweep and SimulateNetwork solve every (link, scheme)
 // cell on the caller's goroutine, on a pooled NoCSession; NetworkSweep
 // takes its BERs in grid order on one session.
-// Cells are keyed in the memo cache by the ID the link's configuration
-// fingerprint was interned to, which the build memo keeps with the link's
-// compiled plan — links sharing a compiled plan (every bus link, every
-// repeated mesh position) reuse each other's solves. Scheme selection per link follows the runtime
+// Cells are keyed in the memo cache by the ID the link was interned to by
+// value — its wavelength block, length, writer count and waveguides per
+// channel — which the build memo keeps with the link's compiled plan:
+// links sharing a compiled plan (every bus link, every repeated mesh
+// position) reuse each other's solves, and links sharing a wavelength
+// block share one block plan, so each link compiles in O(G), not O(G²),
+// in the grid count G. Scheme selection per link follows the runtime
 // manager's rule exactly, and a 1-waveguide bus over the paper topology
 // reproduces the single-link sweep bit for bit. Traffic matrices come from
 // the netsim patterns (Pattern.Matrix) or recorded traces (Trace.Matrix);
@@ -223,7 +226,8 @@
 // with their plans attached, which ecc.PlanFor hands out by identity; the
 // Engine keeps one plan per scheme), each channel's LinkPlan
 // (onoc — per-wavelength budget, crosstalk and eye fraction snapshotted, one
-// laser inversion for the worst wavelength only), bundled by
+// laser inversion for the worst wavelength only, derived from the
+// BlockPlan of its wavelength block), bundled by
 // core.LinkConfig.Compile and held by the Engine. Engine.CacheStats reports
 // cold-solve counts and cumulative timing next to the hit/miss accounting.
 // The planned inversions agree with the historical bisection to better

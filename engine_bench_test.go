@@ -2,6 +2,7 @@ package photonoc
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"photonoc/internal/core"
@@ -93,6 +94,33 @@ func BenchmarkNetworkEval(b *testing.B) {
 		if !res.Feasible {
 			b.Fatalf("crossbar infeasible: %s", res.InfeasibleReason)
 		}
+	}
+}
+
+// BenchmarkNetworkCold is one cold Network call on a fresh engine: a
+// 512-tile crossbar, whose 512 links differ in length, over the paper's
+// 16-channel grid and over a 512-channel one. All links share one
+// wavelength block, so the engine compiles one block plan, O(G²) in the
+// grid count G, and derives each link from it in O(G).
+func BenchmarkNetworkCold(b *testing.B) {
+	for _, grid := range []int{16, 512} {
+		b.Run(fmt.Sprintf("crossbar512/λ%d", grid), func(b *testing.B) {
+			base := DefaultConfig()
+			base.Channel.Grid.Count, base.Channel.Topo.Wavelengths = grid, grid
+			topo := NoCConfig{Kind: NoCCrossbar, Tiles: 512, Base: base}
+			opts := NoCEvalOptions{TargetBER: 1e-11, Objective: MinEnergy}
+			ctx := context.Background()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng, err := New()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Network(ctx, topo, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 // LinkConfig.Compile; the engine layer compiles once per configuration
 // generation and solves every sweep point through it.
 type Compiled struct {
-	cfg  LinkConfig
+	// cfg supplies the clocks, modulator power and interface powers; its
+	// Channel is not read: the link plan's specification stands in for it.
+	cfg  *LinkConfig
 	link *onoc.LinkPlan
 }
 
@@ -33,26 +35,24 @@ func (cfg *LinkConfig) Compile() (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := *cfg
-	if cfg.InterfacePowers != nil {
-		cp.InterfacePowers = make(map[string]InterfacePower, len(cfg.InterfacePowers))
-		for k, v := range cfg.InterfacePowers {
-			cp.InterfacePowers[k] = v
-		}
-	}
-	return &Compiled{cfg: cp, link: link}, nil
+	cp := cfg.Clone()
+	return NewCompiled(&cp, link), nil
+}
+
+// NewCompiled pairs a link plan with the configuration whose clocks,
+// modulator power and interface powers its evaluations use; the plan's
+// specification stands in for cfg.Channel. It neither validates nor copies
+// cfg: the caller has validated it and never mutates it while the
+// Compiled is in use. The engine builds its network links this way, many
+// plans over one private copy of the base configuration.
+func NewCompiled(cfg *LinkConfig, link *onoc.LinkPlan) *Compiled {
+	return &Compiled{cfg: cfg, link: link}
 }
 
 // Config returns a copy of the compiled configuration.
 func (c *Compiled) Config() LinkConfig {
-	cfg := c.cfg
-	if cfg.InterfacePowers != nil {
-		m := make(map[string]InterfacePower, len(cfg.InterfacePowers))
-		for k, v := range cfg.InterfacePowers {
-			m[k] = v
-		}
-		cfg.InterfacePowers = m
-	}
+	cfg := c.cfg.Clone()
+	cfg.Channel = c.link.Spec()
 	return cfg
 }
 
@@ -124,7 +124,7 @@ func (c *Compiled) EvaluatePoint(code ecc.Code, targetBER float64, pt CodePoint)
 		ev.InfeasibleReason = op.InfeasibleReason
 		return ev, nil
 	}
-	nw := float64(c.cfg.Channel.Topo.Wavelengths)
+	nw := float64(c.link.Wavelengths())
 	ev.LaserPowerW = op.LaserElectricalW
 	ev.ModulatorPowerW = c.cfg.ModulatorPowerW
 	ev.InterfacePowerW = c.cfg.InterfacePowerFor(code).TotalW() / nw

@@ -17,6 +17,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"math"
 
 	"photonoc/internal/ecc"
 	"photonoc/internal/mathx"
@@ -81,8 +83,12 @@ func DefaultConfig() LinkConfig {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Every floating-point parameter must
+// be finite.
 func (cfg *LinkConfig) Validate() error {
+	if err := cfg.checkFinite(); err != nil {
+		return err
+	}
 	if err := cfg.Channel.Validate(); err != nil {
 		return err
 	}
@@ -97,6 +103,43 @@ func (cfg *LinkConfig) Validate() error {
 		return fmt.Errorf("core: modulator power %g must be non-negative", cfg.ModulatorPowerW)
 	}
 	return nil
+}
+
+// checkFinite rejects NaN and ±Inf in every floating-point leaf of the
+// configuration, which the per-field range checks would let through. A
+// float field added to LinkConfig must be added here too; the engine tests
+// walk every leaf by reflection and fail otherwise.
+func (cfg *LinkConfig) checkFinite() error {
+	ch := &cfg.Channel
+	for _, v := range [...]float64{
+		ch.Grid.CenterNM, ch.Grid.SpacingNM,
+		ch.Modulator.ResonanceNM, ch.Modulator.FWHMNM, ch.Modulator.ShiftNM, ch.Modulator.ThroughMin, ch.Modulator.DropMax,
+		ch.DropFilter.ResonanceNM, ch.DropFilter.FWHMNM, ch.DropFilter.ShiftNM, ch.DropFilter.ThroughMin, ch.DropFilter.DropMax,
+		ch.Waveguide.LengthCM, ch.Waveguide.LossDBPerCM, ch.Mux.InsertionLossDB, ch.CouplingLossDB,
+		ch.Detector.ResponsivityAPerW, ch.Detector.DarkCurrentA,
+		ch.Laser.Eta0, ch.Laser.RthKPerW, ch.Laser.DeltaTMax0K, ch.Laser.ActivityTempK, ch.Laser.Gamma, ch.Laser.RatedMaxOpticalW,
+		ch.Activity, cfg.FmodHz, cfg.FIPHz, cfg.ModulatorPowerW,
+	} {
+		if !finite(v) {
+			return fmt.Errorf("core: parameter %g must be finite", v)
+		}
+	}
+	for name, p := range cfg.InterfacePowers {
+		if !finite(p.TransmitterW) || !finite(p.ReceiverW) {
+			return fmt.Errorf("core: interface power of %q (%g W, %g W) must be finite", name, p.TransmitterW, p.ReceiverW)
+		}
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// Clone returns a deep copy of the configuration: the struct and its
+// InterfacePowers map.
+func (cfg *LinkConfig) Clone() LinkConfig {
+	cp := *cfg
+	cp.InterfacePowers = maps.Clone(cfg.InterfacePowers)
+	return cp
 }
 
 // InterfacePowerFor returns the interface power for a scheme: the Table I

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -23,10 +22,11 @@ const DefaultCacheEntries = 4096
 // one scheme roster. It is safe for use by multiple goroutines; the
 // configuration is deep-copied at construction, compiled once into a solve
 // plan (link budgets, crosstalk) and never mutated. Everything the engine
-// memoizes — solved points, FER plans, link plans, built networks — belongs
-// to it, so a new Engine starts from nothing.
+// memoizes — solved points, FER plans, block and link plans, built
+// networks — belongs to it, so a new Engine starts from nothing.
 type Engine struct {
-	compiled    *core.Compiled
+	cfg         core.LinkConfig // the engine's private copy, never mutated
+	compiled    *core.Compiled  // over cfg
 	schemes     []ecc.Code
 	workers     int
 	cache       *memo[cacheKey, core.Evaluation] // nil when disabled via WithCache(0)
@@ -48,14 +48,17 @@ type Engine struct {
 	// their grown buffers and laser memos warm across calls.
 	sessions sync.Pool
 
-	// Registries, each filled on first use: schemes by name and link
-	// configurations by fingerprint, each interned with an ID and its FER
-	// plan or compiled solve plan (the engine's own configuration is ID 0,
-	// served from e.compiled instead), and built topologies with their
-	// links' plans, so repeated evaluations of one network never re-derive
-	// links or routes and never look a link up by fingerprint.
+	// Registries, each filled on first use: schemes by name with their
+	// FER plans; wavelength blocks by (base fingerprint, first λ, count)
+	// with their block plans; network links by (block ID, length, ONIs,
+	// waveguides per channel) with their compiled solve plans, a link
+	// matching the engine's own configuration being ID 0, served from
+	// e.compiled; and built topologies with their links' plans, so repeated
+	// evaluations of one network never re-derive links or routes and never
+	// look a link up.
 	plans    memo[string, *schemePlan]
-	netPlans memo[string, linkPlan]
+	blocks   memo[blockKey, *blockPlan]
+	netPlans memo[linkKey, linkPlan]
 	netBuilt memo[netBuildKey, *builtNet]
 
 	// lastID is the last interned ID handed out. The counter never resets:
@@ -183,37 +186,24 @@ func New(opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
 
-	// A JSON round trip deep-copies the configuration, isolating the
-	// engine from later mutation of the caller's InterfacePowers map
-	// (LinkConfig round-trips JSON losslessly; that is the contract of
-	// core.SaveConfig/LoadConfig). The copy also rejects non-finite
-	// parameters, which JSON cannot carry.
-	raw, err := json.Marshal(s.cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%w: copying config: %v", ErrInvalidConfig, err)
-	}
-	var cfgCopy core.LinkConfig
-	if err := json.Unmarshal(raw, &cfgCopy); err != nil {
-		return nil, fmt.Errorf("%w: copying config: %v", ErrInvalidConfig, err)
-	}
-
-	// Compile the configuration once: the link budgets, crosstalk
+	// Compile the engine's private copy once: the link budgets, crosstalk
 	// fractions and eye fractions every solve reads.
-	compiled, err := cfgCopy.Compile()
+	e := &Engine{
+		cfg:      s.cfg.Clone(),
+		schemes:  s.schemes,
+		workers:  s.workers,
+		obs:      s.obs,
+		plans:    memo[string, *schemePlan]{capacity: registryCap},
+		blocks:   memo[blockKey, *blockPlan]{capacity: registryCap},
+		netPlans: memo[linkKey, linkPlan]{capacity: registryCap},
+		netBuilt: memo[netBuildKey, *builtNet]{capacity: registryCap},
+	}
+	link, err := e.cfg.Channel.Compile()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-
-	e := &Engine{
-		compiled:    compiled,
-		schemes:     s.schemes,
-		workers:     s.workers,
-		fingerprint: core.Fingerprint(cfgCopy),
-		obs:         s.obs,
-		plans:       memo[string, *schemePlan]{capacity: registryCap},
-		netPlans:    memo[string, linkPlan]{capacity: registryCap},
-		netBuilt:    memo[netBuildKey, *builtNet]{capacity: registryCap},
-	}
+	e.compiled = core.NewCompiled(&e.cfg, link)
+	e.fingerprint = core.Fingerprint(e.cfg)
 	if s.cacheEntries > 0 {
 		e.cache = &memo[cacheKey, core.Evaluation]{capacity: s.cacheEntries}
 	}
@@ -225,7 +215,7 @@ func New(opts ...Option) (*Engine, error) {
 func Fingerprint(cfg core.LinkConfig) string { return core.Fingerprint(cfg) }
 
 // Config returns a copy of the engine's link configuration.
-func (e *Engine) Config() core.LinkConfig { return e.compiled.Config() }
+func (e *Engine) Config() core.LinkConfig { return e.cfg.Clone() }
 
 // Schemes returns a copy of the registered scheme roster.
 func (e *Engine) Schemes() []ecc.Code { return append([]ecc.Code(nil), e.schemes...) }
@@ -249,8 +239,9 @@ func (e *Engine) CacheStats() CacheStats {
 	s.ColdSolves = e.coldSolves.Load()
 	s.ColdSolveTime = time.Duration(e.coldSolveNS.Load())
 	s.SharedSolves = e.sharedSolves.Load()
-	plans, links, nets := e.plans.stats(), e.netPlans.stats(), e.netBuilt.stats()
+	plans, blocks, links, nets := e.plans.stats(), e.blocks.stats(), e.netPlans.stats(), e.netBuilt.stats()
 	s.FERPlans, s.FERPlanHits, s.FERPlanMisses = plans.Entries, plans.Hits, plans.Misses
+	s.BlockPlans, s.BlockPlanHits, s.BlockPlanMisses = blocks.Entries, blocks.Hits, blocks.Misses
 	s.LinkPlans, s.LinkPlanHits, s.LinkPlanMisses = links.Entries, links.Hits, links.Misses
 	s.Networks, s.NetworkHits, s.NetworkMisses = nets.Entries, nets.Hits, nets.Misses
 	return s

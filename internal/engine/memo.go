@@ -32,16 +32,18 @@ type CacheStats struct {
 	// of identical cold queries costs exactly one compiled solve, and every
 	// other participant increments this counter instead of ColdSolves.
 	SharedSolves uint64
-	// FERPlans, LinkPlans and Networks count the entries of the engine's
-	// registries: FER plans by scheme name, compiled per-link
-	// configurations by fingerprint, and built topologies. They fill
-	// whether or not the memo cache is enabled.
-	FERPlans, LinkPlans, Networks int
-	// FERPlanHits, LinkPlanHits and NetworkHits count the lookups each
-	// registry served from a published entry since the engine was built;
-	// the Misses fields count the rest, as for the solve memo.
-	FERPlanHits, LinkPlanHits, NetworkHits       uint64
-	FERPlanMisses, LinkPlanMisses, NetworkMisses uint64
+	// FERPlans, BlockPlans, LinkPlans and Networks count the entries of
+	// the engine's registries: FER plans by scheme name, block plans by
+	// (base configuration, wavelength block), compiled network links by
+	// (block, length, ONIs, waveguides per channel), and built topologies.
+	// They fill whether or not the memo cache is enabled.
+	FERPlans, BlockPlans, LinkPlans, Networks int
+	// The Hits fields count the lookups each registry served from a
+	// published entry since the engine was built; the Misses fields count
+	// the rest, as for the solve memo. A block plan miss is one O(G²)
+	// compile in the block's channel count G; a link plan miss is O(G).
+	FERPlanHits, BlockPlanHits, LinkPlanHits, NetworkHits         uint64
+	FERPlanMisses, BlockPlanMisses, LinkPlanMisses, NetworkMisses uint64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
@@ -63,15 +65,15 @@ func (s CacheStats) AvgColdSolve() time.Duration {
 }
 
 // registryCap bounds the engine's registries: FER plans, code-side points,
-// link plans and built networks. Deriving an entry costs far less than the
+// block and link plans and built networks. Deriving an entry costs far less than the
 // solves it serves, so a full registry is flushed like the solve memo.
 const registryCap = 512
 
 // memo is one mutex-guarded, bounded memo of values the engine derives once
-// per key: solved operating points, interned scheme and link plans, built
-// networks, code-side points. Pending entries coalesce concurrent misses on
-// one key. A full memo is flushed rather than tracked for recency: no
-// workload refills a table often enough for recency to pay.
+// per key: solved operating points, interned scheme, block and link plans,
+// built networks, code-side points. Pending entries coalesce concurrent
+// misses on one key. A full memo is flushed rather than tracked for
+// recency: no workload refills a table often enough for recency to pay.
 type memo[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int

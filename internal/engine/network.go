@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"reflect"
 
 	"photonoc/internal/core"
 	"photonoc/internal/noc"
+	"photonoc/internal/onoc"
 )
 
 // netBuildKey identifies one built topology for the engine's build memo:
@@ -44,7 +46,7 @@ func (e *Engine) BuildNetwork(cfg noc.Config) (*noc.Network, error) {
 }
 
 // build returns the memoized build of a topology, building it and
-// interning its links' configurations on a miss.
+// interning its links' plans on a miss.
 func (e *Engine) build(cfg noc.Config) (*builtNet, error) {
 	baseFP := e.fingerprint
 	adoptBase := reflect.ValueOf(cfg.Base).IsZero()
@@ -53,11 +55,10 @@ func (e *Engine) build(cfg noc.Config) (*builtNet, error) {
 	}
 	key := netBuildKey{kind: cfg.Kind, tiles: cfg.Tiles, columns: cfg.Columns, pitchCM: cfg.TilePitchCM, baseFP: baseFP}
 	b, _, err := e.netBuilt.do(key, func() (*builtNet, error) {
-		// Adopt the engine configuration only on a memo miss: the copy
-		// allocates, and the warm path — every steady-state session
-		// evaluation — must not.
+		// The network shares the engine's private copy read-only: links
+		// hand out deep copies (noc.Link.Config).
 		if adoptBase {
-			cfg.Base = e.Config()
+			cfg.Base = e.cfg
 		}
 		net, err := noc.Build(cfg)
 		if err != nil {
@@ -65,7 +66,7 @@ func (e *Engine) build(cfg noc.Config) (*builtNet, error) {
 		}
 		b := &builtNet{net: net, links: make([]linkPlan, net.NumLinks())}
 		for l := range b.links {
-			if b.links[l], err = e.linkPlanFor(net.LinkRef(l)); err != nil {
+			if b.links[l], err = e.linkPlanFor(baseFP, net.LinkRef(l)); err != nil {
 				return nil, err
 			}
 		}
@@ -74,21 +75,69 @@ func (e *Engine) build(cfg noc.Config) (*builtNet, error) {
 	return *b, err
 }
 
-// linkPlanFor interns one link's configuration by fingerprint, compiling
-// it on first use. Links matching the engine's own configuration (the
-// degenerate bus case) get ID 0 and the engine's plan, so their solves are
-// bit-identical to — and cache-shared with — single-link sweeps.
-func (e *Engine) linkPlanFor(l *noc.Link) (linkPlan, error) {
-	if l.Fingerprint == e.fingerprint {
+// blockKey identifies one wavelength block of one base configuration: the
+// base's fingerprint and the block's first index and width in its grid.
+type blockKey struct {
+	baseFP       string
+	first, count int
+}
+
+// blockPlan is one interned wavelength block: the ID its links' keys carry,
+// the configuration whose clocks and interface powers its links' solves use
+// (the engine's own, or a private copy of a foreign base), and its block
+// plan.
+type blockPlan struct {
+	id   uint64
+	cfg  *core.LinkConfig
+	plan *onoc.BlockPlan
+}
+
+// linkKey identifies one network link by the values that set it apart from
+// the other links of its block.
+type linkKey struct {
+	block            uint64
+	lengthBits       uint64
+	onis, waveguides int
+}
+
+// linkPlanFor interns one link of a network built on the base with
+// fingerprint baseFP: its block plan, compiled on first use in O(G²), then
+// its link plan, derived from the block in O(G). A link whose values equal
+// the engine's own configuration (the degenerate bus case) gets ID 0 and
+// the engine's plan, so its solves are bit-identical to — and cache-shared
+// with — single-link sweeps.
+func (e *Engine) linkPlanFor(baseFP string, l *noc.Link) (linkPlan, error) {
+	own := &e.cfg.Channel
+	first, count := l.Lambdas[0], len(l.Lambdas)
+	lengthBits, onis, waveguides := math.Float64bits(l.LengthCM), l.ONIs(), l.WaveguidesPerChannel()
+	if baseFP == e.fingerprint && first == 0 && count == own.Grid.Count &&
+		lengthBits == math.Float64bits(own.Waveguide.LengthCM) && onis == own.Topo.ONIs &&
+		waveguides == own.Topo.WaveguidesPerChannel {
 		return linkPlan{compiled: e.compiled}, nil
 	}
-	lp, _, err := e.netPlans.do(l.Fingerprint, func() (linkPlan, error) {
-		cfg := l.Config
-		c, err := cfg.Compile()
+	bp, _, err := e.blocks.do(blockKey{baseFP: baseFP, first: first, count: count}, func() (*blockPlan, error) {
+		ch := l.Channel()
+		plan, err := ch.CompileBlock()
+		if err != nil {
+			return nil, fmt.Errorf("%w: link %d: %v", ErrInvalidConfig, l.ID, err)
+		}
+		cfg := &e.cfg
+		if baseFP != e.fingerprint {
+			foreign := l.Config()
+			cfg = &foreign
+		}
+		return &blockPlan{id: e.lastID.Add(1), cfg: cfg, plan: plan}, nil
+	})
+	if err != nil {
+		return linkPlan{}, err
+	}
+	block := *bp
+	lp, _, err := e.netPlans.do(linkKey{block: block.id, lengthBits: lengthBits, onis: onis, waveguides: waveguides}, func() (linkPlan, error) {
+		plan, err := block.plan.Link(l.LengthCM, onis, waveguides)
 		if err != nil {
 			return linkPlan{}, fmt.Errorf("%w: link %d: %v", ErrInvalidConfig, l.ID, err)
 		}
-		return linkPlan{id: e.lastID.Add(1), compiled: c}, nil
+		return linkPlan{id: e.lastID.Add(1), compiled: core.NewCompiled(block.cfg, plan)}, nil
 	})
 	return *lp, err
 }

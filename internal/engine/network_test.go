@@ -196,7 +196,8 @@ func TestNetworkCacheReuseAcrossLinks(t *testing.T) {
 
 	// A mesh shares plans across rows and columns (and, for the square
 	// 8×8, between the two): 128 links collapse to the network's distinct
-	// fingerprints, so the overwhelming share of solves is served by reuse.
+	// link configurations, so the overwhelming share of solves is served
+	// by reuse.
 	e2 := newNetEngine(t, codes, WithWorkers(1))
 	meshTopo := noc.Config{Kind: noc.Mesh, Tiles: 64}
 	net, err := e2.BuildNetwork(meshTopo)
@@ -205,10 +206,10 @@ func TestNetworkCacheReuseAcrossLinks(t *testing.T) {
 	}
 	fps := make(map[string]bool)
 	for _, l := range net.Links() {
-		fps[l.Fingerprint] = true
+		fps[core.Fingerprint(l.Config())] = true
 	}
 	if len(fps) >= net.NumLinks()/4 {
-		t.Fatalf("mesh has %d distinct fingerprints for %d links — not enough sharing to test reuse", len(fps), net.NumLinks())
+		t.Fatalf("mesh has %d distinct link configurations for %d links — not enough sharing to test reuse", len(fps), net.NumLinks())
 	}
 	if _, err := e2.NetworkSweep(context.Background(), meshTopo,
 		[]float64{1e-9}, noc.EvalOptions{Objective: manager.MinEnergy}); err != nil {

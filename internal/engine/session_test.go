@@ -332,7 +332,7 @@ func TestInternNeverAliases(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, l := range net.Links() {
-			fps[l.Fingerprint] = true
+			fps[core.Fingerprint(l.Config())] = true
 		}
 	}
 	if len(fps) <= registryCap || e.CacheStats().LinkPlans >= len(fps) {

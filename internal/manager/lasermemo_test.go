@@ -41,7 +41,8 @@ func TestLaserMemoMatchesProgram(t *testing.T) {
 					continue // a shape the grid cannot carry: the tuner scores it infeasible
 				}
 				for _, l := range net.Links() {
-					cfgs[l.Fingerprint] = l.Config
+					cfg := l.Config()
+					cfgs[core.Fingerprint(cfg)] = cfg
 				}
 			}
 		}

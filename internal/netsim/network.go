@@ -296,7 +296,7 @@ func simulateNetwork(ctx context.Context, cfg NetConfig, tr Trace, ready <-chan 
 	// Each link's grant is static: its decision's scheme and DAC setting,
 	// with sec holding the serialization seconds per payload bit until a
 	// transfer scales it by its size.
-	nlinks := cfg.Net.NumLinks()
+	nlinks, base := cfg.Net.NumLinks(), cfg.Net.BaseRef()
 	servers := make([]server, nlinks)
 	grants := make([]grant, nlinks)
 	for i := range nlinks {
@@ -307,8 +307,8 @@ func simulateNetwork(ctx context.Context, cfg NetConfig, tr Trace, ready <-chan 
 		grants[i] = grant{
 			sec:    1 / l.CapacityBitsPerSec(d.Eval.CT),
 			laserW: laserW,
-			modW:   l.Config.ModulatorPowerW * nw,
-			intfW:  l.Config.InterfacePowerFor(d.Eval.Code).TotalW(),
+			modW:   base.ModulatorPowerW * nw,
+			intfW:  base.InterfacePowerFor(d.Eval.Code).TotalW(),
 			heldW:  laserW,
 		}
 	}

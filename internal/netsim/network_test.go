@@ -24,7 +24,8 @@ func buildNetwork(t testing.TB, kind noc.Kind, tiles int, ber float64) (*noc.Net
 	schemes := ecc.PaperSchemes()
 	evals := make([][]core.Evaluation, net.NumLinks())
 	for i, l := range net.Links() {
-		c, err := l.Config.Compile()
+		cfg := l.Config()
+		c, err := cfg.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,8 +316,9 @@ func TestNetworkEnergyMatchesHandComputation(t *testing.T) {
 		nw := float64(len(l.Lambdas))
 		busy := res.PerLink[i].Utilization * res.SimTimeSec
 		laser += decisions[i].LaserPowerW * nw * res.SimTimeSec
-		mod += l.Config.ModulatorPowerW * nw * busy
-		intf += l.Config.InterfacePowerFor(decisions[i].Eval.Code).TotalW() * busy
+		cfg := l.Config()
+		mod += cfg.ModulatorPowerW * nw * busy
+		intf += cfg.InterfacePowerFor(decisions[i].Eval.Code).TotalW() * busy
 	}
 	for _, pair := range [][2]float64{{laser, res.LaserEnergyJ}, {mod, res.ModulatorEnergyJ}, {intf, res.InterfaceEnergyJ}} {
 		if rel := math.Abs(pair[0]-pair[1]) / pair[1]; rel > 1e-9 {

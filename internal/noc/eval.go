@@ -75,7 +75,7 @@ func decideLink(d *LinkDecision, l *Link, evals []core.Evaluation, opts *EvalOpt
 	d.Eval = *best
 	d.LaserPowerW = best.LaserPowerW
 	if opts.DAC != nil {
-		dec, err := lasers.Program(*opts.DAC, &l.Config, best)
+		dec, err := lasers.Program(*opts.DAC, &l.net.cfg.Base, best)
 		if err != nil {
 			d.InfeasibleReason = err.Error()
 			return
@@ -86,7 +86,7 @@ func decideLink(d *LinkDecision, l *Link, evals []core.Evaluation, opts *EvalOpt
 	// The evaluation was solved on this link's configuration, so its
 	// per-wavelength modulator and interface powers are the link's.
 	perLambda := d.LaserPowerW + best.ModulatorPowerW + best.InterfacePowerW
-	d.EnergyPerBitJ = perLambda * best.CT / l.Config.FmodHz
+	d.EnergyPerBitJ = perLambda * best.CT / l.net.cfg.Base.FmodHz
 	d.Feasible = true
 }
 

@@ -17,15 +17,16 @@ func solveNetwork(t *testing.T, net *Network, codes []ecc.Code, ber float64) [][
 	compiled := make(map[string]*core.Compiled)
 	evals := make([][]core.Evaluation, net.NumLinks())
 	for _, l := range net.Links() {
-		c, ok := compiled[l.Fingerprint]
+		cfg := l.Config()
+		fp := core.Fingerprint(cfg)
+		c, ok := compiled[fp]
 		if !ok {
 			var err error
-			cfg := l.Config
 			c, err = cfg.Compile()
 			if err != nil {
 				t.Fatalf("compiling link %d: %v", l.ID, err)
 			}
-			compiled[l.Fingerprint] = c
+			compiled[fp] = c
 		}
 		row := make([]core.Evaluation, len(codes))
 		for i, code := range codes {

@@ -46,9 +46,10 @@ const MaxTiles = 512
 // MaxWavelengths bounds the base wavelength grid, Base.Channel.Grid.Count.
 // It is no lower than MaxTiles because a ring gives each reader at least
 // one channel. At the bound, on a 2-CPU host (go1.24), a 512-tile ring or
-// crossbar builds in about 2 ms and 0.24 MiB, but compiling one
-// full-grid link takes about 27 ms (about 1.4 ms at 128 channels): the
-// compile grows as the grid squared.
+// crossbar builds in about 2 ms and 0.24 MiB, and the engine compiles a
+// 512-channel wavelength block in about 30 ms (the block compile grows as
+// the grid squared) and each link on it in O(grid): a cold Network call
+// on a 512-tile crossbar over that grid takes about 55 ms.
 const MaxWavelengths = 512
 
 // ValidateTiles checks a tile count against [2, MaxTiles]; Validate runs
@@ -153,6 +154,11 @@ func (c *Config) Validate() error {
 	}
 	if math.IsNaN(c.TilePitchCM) || math.IsInf(c.TilePitchCM, 0) {
 		return fmt.Errorf("noc: tile pitch %g cm must be finite", c.TilePitchCM)
+	}
+	// No link spans more than two runs of the tile row (a crossbar's
+	// serpentine), so this keeps every link length finite.
+	if c.Kind != Bus && math.IsInf(c.pitchCM()*float64(2*(c.Tiles-1)), 0) {
+		return fmt.Errorf("noc: tile pitch %g cm overflows the longest waveguide", c.TilePitchCM)
 	}
 	switch c.Kind {
 	case Bus, Crossbar:

@@ -102,7 +102,7 @@ func TestNoWavelengthReuse(t *testing.T) {
 				t.Fatalf("%v/%d: %v", kind, net.Tiles(), err)
 			}
 			for _, l := range net.Links() {
-				cfg := l.Config
+				cfg := l.Config()
 				if err := cfg.Validate(); err != nil {
 					t.Fatalf("%v/%d link %d: %v", kind, net.Tiles(), l.ID, err)
 				}
@@ -141,23 +141,19 @@ func TestRingPartitionsGrid(t *testing.T) {
 
 // TestBusDegenerateSpec pins the degenerate case: with Tiles equal to the
 // base ONIs, every bus link's configuration is the base configuration, byte
-// for byte, and shares the base fingerprint.
+// for byte.
 func TestBusDegenerateSpec(t *testing.T) {
 	base := core.DefaultConfig()
 	net, err := Build(Config{Kind: Bus, Tiles: base.Channel.Topo.ONIs, Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseFP := core.Fingerprint(base)
 	if net.NumLinks() != base.Channel.Topo.ONIs {
 		t.Fatalf("bus has %d links for %d ONIs", net.NumLinks(), base.Channel.Topo.ONIs)
 	}
 	for _, l := range net.Links() {
-		if !reflect.DeepEqual(l.Config, base) {
-			t.Fatalf("bus link %d config differs from the base:\n%+v\nvs\n%+v", l.ID, l.Config, base)
-		}
-		if l.Fingerprint != baseFP {
-			t.Fatalf("bus link %d fingerprint %s != base %s", l.ID, l.Fingerprint, baseFP)
+		if cfg := l.Config(); !reflect.DeepEqual(cfg, base) {
+			t.Fatalf("bus link %d config differs from the base:\n%+v\nvs\n%+v", l.ID, cfg, base)
 		}
 	}
 }
@@ -174,8 +170,8 @@ func TestCrossbarDistinctBudgets(t *testing.T) {
 		if links[i].LengthCM >= links[i-1].LengthCM {
 			t.Fatalf("crossbar lengths not strictly decreasing with reader: %g then %g", links[i-1].LengthCM, links[i].LengthCM)
 		}
-		if links[i].Fingerprint == links[i-1].Fingerprint {
-			t.Fatalf("crossbar links %d and %d share a fingerprint", i-1, i)
+		if reflect.DeepEqual(links[i].Config(), links[i-1].Config()) {
+			t.Fatalf("crossbar links %d and %d share a configuration", i-1, i)
 		}
 	}
 }
@@ -196,8 +192,8 @@ func TestMeshShape(t *testing.T) {
 	}
 	// Same-column row links in different rows share a derived config.
 	links := net.Links()
-	if links[0].Fingerprint != links[3].Fingerprint {
-		t.Error("row links in the same column position do not share a fingerprint")
+	if !reflect.DeepEqual(links[0].Config(), links[3].Config()) {
+		t.Error("row links in the same column position do not share a configuration")
 	}
 	// XY route: (0,0) → (1,2) crosses row link to (0,2), then column link.
 	path, err := net.Route(0, 5)

@@ -232,8 +232,8 @@ func (s *EvalSession) Aggregate(net *Network, decisions []LinkDecision, opts Eva
 		d := &decisions[i]
 		nw := float64(len(l.Lambdas))
 		res.LaserPowerW += d.LaserPowerW * nw
-		res.ModulatorPowerW += l.Config.ModulatorPowerW * nw * util
-		res.InterfacePowerW += l.Config.InterfacePowerFor(d.Eval.Code).TotalW() * util
+		res.ModulatorPowerW += net.cfg.Base.ModulatorPowerW * nw * util
+		res.InterfacePowerW += net.cfg.Base.InterfacePowerFor(d.Eval.Code).TotalW() * util
 		activeEnergyNum += util * capacity[i] * d.EnergyPerBitJ
 	}
 	res.NetworkPowerW = res.LaserPowerW + res.ModulatorPowerW + res.InterfacePowerW

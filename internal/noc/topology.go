@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"photonoc/internal/core"
+	"photonoc/internal/onoc"
 )
 
 // Link is one MWSR channel of the network: the writer tiles of a bus
@@ -22,15 +23,11 @@ type Link struct {
 	// Lambdas are the allocated wavelength indices into the base grid,
 	// ascending and contiguous.
 	Lambdas []int
-	// Config is the derived per-link configuration the solver evaluates:
-	// the base configuration re-scoped to this link's waveguide length,
-	// writer count and wavelength subgrid.
-	Config core.LinkConfig
-	// Fingerprint is the digest of Config — links sharing it share one
-	// compiled solve plan and therefore memoized operating points.
-	Fingerprint string
 	// bus holds the tiles on the link's waveguide; all but Reader write.
 	bus bus
+	// net is the network the link belongs to, whose base configuration
+	// the link's own derives from.
+	net *Network
 }
 
 // bus is an arithmetic run of tiles: size tiles from first, stride apart.
@@ -56,6 +53,45 @@ func (l *Link) Writers() []int {
 	return out
 }
 
+// ONIs returns the number of interfaces on the link's bus: its writers
+// and its reader.
+func (l *Link) ONIs() int { return l.bus.size }
+
+// WaveguidesPerChannel returns the link configuration's waveguide count:
+// the base's on a bus, whose links degenerate to the base channel, and 1
+// elsewhere, where each link is one physical waveguide and network totals
+// come from Aggregate, not the single-link interconnect scaler.
+func (l *Link) WaveguidesPerChannel() int {
+	if l.net.cfg.Kind == Bus {
+		return l.net.cfg.Base.Channel.Topo.WaveguidesPerChannel
+	}
+	return 1
+}
+
+// Config derives the configuration the solver evaluates on this link: the
+// network's base configuration re-scoped to the link's waveguide length,
+// interface count, waveguides per channel and wavelength block, as a deep
+// copy. Only the length, the interface count and the waveguides per
+// channel tell links on one block apart, which is what lets the engine
+// compile each block once.
+func (l *Link) Config() core.LinkConfig {
+	cfg := l.net.cfg.Base.Clone()
+	cfg.Channel = l.Channel()
+	return cfg
+}
+
+// Channel derives the optical channel of the link's configuration (the
+// Channel field of Config, without copying the rest).
+func (l *Link) Channel() onoc.ChannelSpec {
+	ch := l.net.cfg.Base.Channel
+	ch.Waveguide.LengthCM = l.LengthCM
+	ch.Topo.ONIs = l.ONIs()
+	ch.Topo.Wavelengths = len(l.Lambdas)
+	ch.Topo.WaveguidesPerChannel = l.WaveguidesPerChannel()
+	ch.Grid = subgrid(l.net.cfg.Base.Channel.Grid, l.Lambdas)
+	return ch
+}
+
 // PropagationDelaySec is the optical flight time over this link's
 // worst-case waveguide span — the per-hop propagation term both the
 // analytic latency model and the network discrete-event simulator charge.
@@ -66,7 +102,7 @@ func (l *Link) PropagationDelaySec() float64 {
 // CapacityBitsPerSec is the payload capacity of this link under a
 // communication-time expansion ct: allocated wavelengths × Fmod / CT.
 func (l *Link) CapacityBitsPerSec(ct float64) float64 {
-	return float64(len(l.Lambdas)) * l.Config.FmodHz / ct
+	return float64(len(l.Lambdas)) * l.net.cfg.Base.FmodHz / ct
 }
 
 // Network is a compiled topology: links and wavelength allocation, routed
@@ -79,9 +115,15 @@ type Network struct {
 }
 
 // Build compiles a Config into a Network: it lays out the links of the
-// topology with their wavelength blocks, derives each link's configuration
-// (validated against the core rules) and checks that the routing rule
-// reaches every destination over the built links.
+// topology with their wavelength blocks, checks each link's block grid
+// and checks that the routing rule reaches every destination over the
+// built links.
+//
+// Validate has checked the base configuration and bounded the pitch, and
+// the layout gives every link at least two tiles and one channel, so a
+// link's configuration (Link.Config) can only fail validation on its
+// block's grid: a block at the low edge of a grid whose centre sits too
+// close to zero.
 func Build(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -89,8 +131,9 @@ func Build(cfg Config) (*Network, error) {
 	n := &Network{cfg: cfg}
 	n.layout()
 	for i := range n.links {
-		if err := n.deriveConfig(&n.links[i]); err != nil {
-			return nil, err
+		l := &n.links[i]
+		if err := subgrid(cfg.Base.Channel.Grid, l.Lambdas).Validate(); err != nil {
+			return nil, fmt.Errorf("noc: link %d (reader %d): %w", l.ID, l.Reader, err)
 		}
 	}
 	if err := n.verifyRoutes(); err != nil {
@@ -126,6 +169,7 @@ func (n *Network) layout() {
 			LengthCM:  lengthCM,
 			Lambdas:   grid[lo:hi:hi],
 			bus:       b,
+			net:       n,
 		})
 	}
 	all := bus{0, 1, t}
@@ -189,29 +233,6 @@ func (n *Network) layout() {
 	}
 }
 
-// deriveConfig re-scopes the base configuration to one link and stamps its
-// cache fingerprint.
-func (n *Network) deriveConfig(l *Link) error {
-	cfg := n.cfg.Base // value copy; the InterfacePowers map is shared read-only
-	ch := &cfg.Channel
-	base := n.cfg.Base.Channel
-	ch.Waveguide.LengthCM = l.LengthCM
-	ch.Topo.ONIs = l.bus.size
-	ch.Topo.Wavelengths = len(l.Lambdas)
-	ch.Grid = subgrid(base.Grid, l.Lambdas)
-	if n.cfg.Kind != Bus {
-		// Each link is one physical waveguide; network totals come from
-		// Aggregate, not the single-link interconnect scaler.
-		ch.Topo.WaveguidesPerChannel = 1
-	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("noc: link %d (reader %d): %w", l.ID, l.Reader, err)
-	}
-	l.Config = cfg
-	l.Fingerprint = core.Fingerprint(cfg)
-	return nil
-}
-
 // Kind returns the topology family.
 func (n *Network) Kind() Kind { return n.cfg.Kind }
 
@@ -223,8 +244,8 @@ func (n *Network) Tiles() int { return n.cfg.Tiles }
 func (n *Network) MeshShape() (rows, cols int) { return n.rows, n.cols }
 
 // Links returns a copy of the link table in ID order. The copy is deep on
-// the mutable fields (Lambdas, the interface power table), upholding the
-// Network's immutability contract against caller edits.
+// the wavelength blocks, upholding the Network's immutability contract
+// against caller edits.
 func (n *Network) Links() []Link {
 	out := make([]Link, len(n.links))
 	for i := range n.links {
@@ -247,6 +268,11 @@ func (n *Network) LinkRef(id int) *Link {
 	return &n.links[id]
 }
 
+// BaseRef returns a read-only pointer to the base configuration every link
+// derives from, whose clocks, modulator power and interface powers are
+// every link's. Like LinkRef's, the pointee must not be mutated.
+func (n *Network) BaseRef() *core.LinkConfig { return &n.cfg.Base }
+
 // Link returns the link with the given ID (a deep copy, like Links).
 func (n *Network) Link(id int) (Link, error) {
 	if id < 0 || id >= len(n.links) {
@@ -255,18 +281,10 @@ func (n *Network) Link(id int) (Link, error) {
 	return n.links[id].clone(), nil
 }
 
-// clone deep-copies the link's mutable fields (the wavelength block and
-// the interface power table, which the network's links otherwise share
-// read-only).
+// clone deep-copies the link's wavelength block, which the network's
+// links otherwise share read-only.
 func (l Link) clone() Link {
 	l.Lambdas = append([]int(nil), l.Lambdas...)
-	if l.Config.InterfacePowers != nil {
-		m := make(map[string]core.InterfacePower, len(l.Config.InterfacePowers))
-		for k, v := range l.Config.InterfacePowers {
-			m[k] = v
-		}
-		l.Config.InterfacePowers = m
-	}
 	return l
 }
 

@@ -42,52 +42,67 @@ func (b LinkBudget) String() string {
 }
 
 // Budget computes the worst-case link budget for channel ch, validating the
-// specification first. Compiled callers (LinkPlan) validate once and use the
-// unexported form directly.
+// specification first. Compiled callers (BlockPlan, LinkPlan) validate once
+// and derive every channel's terms in one pass.
 func (c *ChannelSpec) Budget(ch int) (LinkBudget, error) {
 	if err := c.Validate(); err != nil {
 		return LinkBudget{}, err
 	}
-	return c.budget(ch)
-}
-
-// budget is Budget without the per-call specification validation.
-func (c *ChannelSpec) budget(ch int) (LinkBudget, error) {
 	if ch < 0 || ch >= c.Grid.Count {
 		return LinkBudget{}, fmt.Errorf("onoc: channel %d out of range [0,%d)", ch, c.Grid.Count)
 	}
+	return c.lossTerms(ch).budget(c, c.Topo.Writers(), c.Waveguide.LossDB()), nil
+}
+
+// lossTerms is the part of one channel's budget that depends on the
+// wavelength block alone, not on the link's length or writer count: the
+// losses one writer's rings impose, the reader's drop bank and drop port.
+type lossTerms struct {
+	// offStateDB is one writer's same-wavelength ring, parked (OFF).
+	offStateDB float64
+	// offLambdaDB sums one writer's other-wavelength parked rings.
+	offLambdaDB float64
+	// dropBankDB sums the reader's other drop filters.
+	dropBankDB float64
+	// dropDB is the target drop port.
+	dropDB float64
+}
+
+// lossTerms derives channel ch's block terms in O(G): each term loops over
+// the other channels of the grid.
+func (c *ChannelSpec) lossTerms(ch int) lossTerms {
 	lambda := c.Grid.Wavelength(ch)
-	writers := c.Topo.Writers()
-
-	b := LinkBudget{
-		CouplingDB:    c.CouplingLossDB,
-		MuxDB:         c.Mux.InsertionLossDB,
-		PropagationDB: c.Waveguide.LossDB(),
-	}
-
-	// Same-wavelength modulators: one OFF crossing per writer. The
-	// sender's own ring is OFF for a '1' (the level the budget sizes).
-	b.ModulatorSameLambdaDB = float64(writers) * c.ModulatorAt(ch).OffStateLossDB()
-
-	// Other wavelengths' parked modulators at every writer.
-	var offPerWriter float64
+	// The sender's own ring is OFF for a '1' (the level the budget sizes).
+	t := lossTerms{offStateDB: c.ModulatorAt(ch).OffStateLossDB()}
 	for j := 0; j < c.Grid.Count; j++ {
 		if j == ch {
 			continue
 		}
-		offPerWriter += dbFromTransmission(c.ModulatorAt(j).ThroughTransmission(lambda, false))
+		t.offLambdaDB += dbFromTransmission(c.ModulatorAt(j).ThroughTransmission(lambda, false))
 	}
-	b.ModulatorOffLambdaDB = float64(writers) * offPerWriter
-
 	// Reader drop bank: worst case crosses every other drop filter.
 	for j := 0; j < c.Grid.Count; j++ {
 		if j == ch {
 			continue
 		}
-		b.DropBankPassDB += dbFromTransmission(c.DropFilterAt(j).ThroughTransmission(lambda, false))
+		t.dropBankDB += dbFromTransmission(c.DropFilterAt(j).ThroughTransmission(lambda, false))
 	}
+	t.dropDB = dbFromTransmission(c.DropFilterAt(ch).DropTransmission(lambda, false))
+	return t
+}
 
-	// Finally the target drop port.
-	b.DropLossDB = dbFromTransmission(c.DropFilterAt(ch).DropTransmission(lambda, false))
-	return b, nil
+// budget assembles the channel's budget on a link of the given writer count
+// and propagation loss: every writer crosses one same-wavelength ring and
+// the other wavelengths' parked rings. c supplies the coupling and mux
+// losses, which no link changes.
+func (t lossTerms) budget(c *ChannelSpec, writers int, propagationDB float64) LinkBudget {
+	return LinkBudget{
+		CouplingDB:            c.CouplingLossDB,
+		MuxDB:                 c.Mux.InsertionLossDB,
+		PropagationDB:         propagationDB,
+		ModulatorSameLambdaDB: float64(writers) * t.offStateDB,
+		ModulatorOffLambdaDB:  float64(writers) * t.offLambdaDB,
+		DropBankPassDB:        t.dropBankDB,
+		DropLossDB:            t.dropDB,
+	}
 }

@@ -7,6 +7,83 @@ import (
 	"photonoc/internal/mathx"
 )
 
+// referenceBudget is the unsplit per-channel budget verbatim: every loss
+// term derived from the whole specification on every call, in O(G). The
+// plan tests hold the split plans to it bit for bit.
+func referenceBudget(c *ChannelSpec, ch int) LinkBudget {
+	lambda := c.Grid.Wavelength(ch)
+	writers := c.Topo.Writers()
+	b := LinkBudget{
+		CouplingDB:    c.CouplingLossDB,
+		MuxDB:         c.Mux.InsertionLossDB,
+		PropagationDB: c.Waveguide.LossDB(),
+	}
+	b.ModulatorSameLambdaDB = float64(writers) * c.ModulatorAt(ch).OffStateLossDB()
+	var offPerWriter float64
+	for j := 0; j < c.Grid.Count; j++ {
+		if j == ch {
+			continue
+		}
+		offPerWriter += dbFromTransmission(c.ModulatorAt(j).ThroughTransmission(lambda, false))
+	}
+	b.ModulatorOffLambdaDB = float64(writers) * offPerWriter
+	for j := 0; j < c.Grid.Count; j++ {
+		if j == ch {
+			continue
+		}
+		b.DropBankPassDB += dbFromTransmission(c.DropFilterAt(j).ThroughTransmission(lambda, false))
+	}
+	b.DropLossDB = dbFromTransmission(c.DropFilterAt(ch).DropTransmission(lambda, false))
+	return b
+}
+
+// referenceChannel is one channel of the unsplit O(G²) compile: budget,
+// crosstalk and eye fraction derived from the whole specification.
+type referenceChannel struct {
+	budgetDB, budgetLin, chi, eye float64
+}
+
+func referenceCompile(t testing.TB, c *ChannelSpec) []referenceChannel {
+	t.Helper()
+	out := make([]referenceChannel, c.Grid.Count)
+	for ch := range out {
+		chi, err := c.CrosstalkFraction(ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := referenceBudget(c, ch).TotalDB()
+		out[ch] = referenceChannel{
+			budgetDB:  db,
+			budgetLin: mathx.FromDB(db),
+			chi:       chi,
+			eye:       1 - 1/mathx.FromDB(c.ModulatorAt(ch).ExtinctionRatioDB()),
+		}
+	}
+	return out
+}
+
+// requireReference fails unless every channel of the plan equals the
+// unsplit compile of spec bit for bit: budget, linear budget, χ and eye.
+func requireReference(t testing.TB, p *LinkPlan, spec *ChannelSpec) {
+	t.Helper()
+	want := referenceCompile(t, spec)
+	if len(p.channels) != len(want) {
+		t.Fatalf("plan has %d channels, reference %d", len(p.channels), len(want))
+	}
+	bits := math.Float64bits
+	for ch, w := range want {
+		lc, bc := p.channels[ch], p.block.channels[ch]
+		if bits(lc.budgetDB) != bits(w.budgetDB) || bits(lc.budgetLin) != bits(w.budgetLin) ||
+			bits(bc.chi) != bits(w.chi) || bits(bc.eye) != bits(w.eye) {
+			t.Fatalf("channel %d: plan (budget %v, lin %v, χ %v, eye %v) != reference %+v",
+				ch, lc.budgetDB, lc.budgetLin, bc.chi, bc.eye, w)
+		}
+	}
+	if p.Spec() != *spec {
+		t.Fatalf("plan spec %+v != %+v", p.Spec(), *spec)
+	}
+}
+
 // referenceOperatingPoint reproduces the pre-plan per-call solver verbatim:
 // budget, crosstalk and eye fraction derived on every query. The plan tests
 // compare against it field for field, requiring exact equality.
@@ -14,10 +91,10 @@ func referenceOperatingPoint(c *ChannelSpec, snr float64, ch int) (OperatingPoin
 	if snr <= 0 {
 		return OperatingPoint{}, nil
 	}
-	budget, err := c.Budget(ch)
-	if err != nil {
+	if err := c.Validate(); err != nil {
 		return OperatingPoint{}, err
 	}
+	budget := referenceBudget(c, ch)
 	chi, err := c.CrosstalkFraction(ch)
 	if err != nil {
 		return OperatingPoint{}, err

@@ -418,7 +418,7 @@ func TestMetricsStrictFormat(t *testing.T) {
 		t.Error("cold-solve histogram empty; the first sweep should have solved cold")
 	}
 	// The sweeps compiled the roster's FER plans and the crossbar request
-	// built one network, so both registries must report entries; the
+	// built one network, so those registries must report entries; the
 	// repeat sweep found its plans published.
 	registry := func(family string) map[string]float64 {
 		m := map[string]float64{}
@@ -437,6 +437,12 @@ func TestMetricsStrictFormat(t *testing.T) {
 	}
 	if _, ok := misses["link_plans"]; !ok || misses["fer_plans"] < 1 || misses["networks"] != 1 {
 		t.Errorf("onocd_engine_registry_misses_total = %v, want a link_plans series, fer_plans ≥ 1 and networks = 1", misses)
+	}
+	// The 8-tile crossbar's links all ride the full grid: one block plan,
+	// compiled by the first link and found by the other seven.
+	if registries["block_plans"] != 1 || misses["block_plans"] != 1 || hits["block_plans"] != 7 {
+		t.Errorf("block_plans registry: %v entries, %v hits, %v misses; want 1, 7 and 1",
+			registries["block_plans"], hits["block_plans"], misses["block_plans"])
 	}
 	if fams["onocd_build_info"].samples[0].labels["go_version"] == "" {
 		t.Error("onocd_build_info missing go_version label")

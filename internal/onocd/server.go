@@ -667,6 +667,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		hits, misses uint64
 	}{
 		{"fer_plans", cs.FERPlans, cs.FERPlanHits, cs.FERPlanMisses},
+		{"block_plans", cs.BlockPlans, cs.BlockPlanHits, cs.BlockPlanMisses},
 		{"link_plans", cs.LinkPlans, cs.LinkPlanHits, cs.LinkPlanMisses},
 		{"networks", cs.Networks, cs.NetworkHits, cs.NetworkMisses},
 	}

@@ -18,8 +18,9 @@ type (
 	NoCConfig = noc.Config
 	// NoCKind is the topology family (bus, crossbar, ring, mesh).
 	NoCKind = noc.Kind
-	// NoC is a built network: links with derived per-link configurations,
-	// wavelength allocation over shared waveguides, and a routing rule.
+	// NoC is a built network: links with derived per-link configurations
+	// (NoCLink.Config), wavelength allocation over shared waveguides, and
+	// a routing rule.
 	NoC = noc.Network
 	// NoCLink is one MWSR channel of a network.
 	NoCLink = noc.Link
