@@ -11,10 +11,10 @@
 //	onocnet -topology mesh -tiles 16 -sim         # analytic vs DES
 //	onocnet -remote http://127.0.0.1:9137 -tiles 64   # solve on an onocd daemon
 //
-// With -remote, every evaluation runs on the daemon (sharing its memo
-// cache across invocations and clients); only the topology geometry and
-// the rendered tables are computed locally, from the daemon's own link
-// configuration.
+// Each invocation is one onocd.NoCRequest, run on an in-process engine or,
+// with -remote, on the daemon (sharing its memo cache across invocations
+// and clients); only the topology geometry and the rendered tables are
+// computed locally, from the backend's own link configuration.
 package main
 
 import (
@@ -121,8 +121,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		sweepBERs = mathx.Logspace(lo, hi, *points)
 	}
-	obj, err := manager.ParseObjective(*objective)
-	if err != nil {
+	if _, err := manager.ParseObjective(*objective); err != nil {
 		return err
 	}
 
@@ -131,44 +130,46 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	topo := photonoc.NoCConfig{Kind: kind, Tiles: *tiles, Columns: *columns, TilePitchCM: *pitch}
-	if *remote != "" {
-		return runRemote(ctx, out, *remote, remoteRun{
-			topo: topo, pat: pat, traffic: traffic,
-			ber: *ber, sweepBERs: sweepBERs, objective: *objective,
-			rate: *rate, useDAC: *useDAC, perLink: *perLink,
-			sim: *sim, messages: *messages, seed: *seed, qmax: *qmax,
-		})
-	}
-
-	eng, err := photonoc.New()
+	be, conf, banner, err := onocd.Open(ctx, *remote)
 	if err != nil {
 		return err
 	}
-
-	net, err := eng.BuildNetwork(topo)
+	// The geometry is built here from the backend's own link configuration,
+	// so the header and the per-link table describe exactly the network the
+	// backend evaluates.
+	net, err := photonoc.BuildNoC(photonoc.NoCConfig{Kind: kind, Tiles: *tiles, Columns: *columns, TilePitchCM: *pitch, Base: conf.Config})
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", photonoc.ErrInvalidConfig, err)
 	}
-	evalOpts := photonoc.NoCEvalOptions{
-		TargetBER:               *ber,
-		Objective:               obj,
-		Traffic:                 traffic,
-		InjectionRateBitsPerSec: *rate,
-	}
-	if *useDAC {
-		dac := photonoc.PaperDAC()
-		evalOpts.DAC = &dac
-	}
-
+	fmt.Fprint(out, banner)
 	fmt.Fprintf(out, "topology %s: %d tiles, %d links, %d waveguides (%s traffic)\n",
 		kind, net.Tiles(), net.NumLinks(), len(net.Waveguides()), pat)
 
+	req := onocd.NoCRequest{
+		Topology:       kind.String(),
+		Tiles:          *tiles,
+		Columns:        *columns,
+		TilePitchCM:    *pitch,
+		Objective:      *objective,
+		Traffic:        traffic,
+		RateBitsPerSec: *rate,
+		UseDAC:         *useDAC,
+	}
 	if sweepBERs != nil {
-		return runSweep(ctx, out, eng, topo, evalOpts, sweepBERs)
+		req.TargetBERs = sweepBERs
+		t := report.NewTable("Network sweep",
+			"BER", "feasible", "schemes", "sat Gb/s/tile", "pJ/bit", "p50 µs", "p99 µs")
+		if err := be.NetworkSweep(ctx, req, func(_ int, _ float64, res photonoc.NoCResult) error {
+			addSweepRow(t, res)
+			return nil
+		}); err != nil {
+			return err
+		}
+		return t.Render(out)
 	}
 
-	res, err := eng.Network(ctx, topo, evalOpts)
+	req.TargetBER = *ber
+	res, err := be.NetworkEval(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -178,16 +179,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if !*sim {
 		return nil
 	}
-	simRes, err := eng.SimulateNetwork(ctx, topo, photonoc.NoCSimOptions{
-		TargetBER:               *ber,
-		Objective:               obj,
-		DAC:                     evalOpts.DAC,
-		Traffic:                 traffic,
-		InjectionRateBitsPerSec: *rate,
-		Messages:                *messages,
-		Seed:                    *seed,
-		MaxQueueDepth:           *qmax,
-	})
+	req.Messages, req.Seed, req.MaxQueueDepth = *messages, *seed, *qmax
+	simRes, err := be.NetworkSim(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -209,95 +202,7 @@ func parseRange(s string) (lo, hi float64, err error) {
 	return lo, hi, nil
 }
 
-// remoteRun bundles the flag values a -remote invocation forwards to the
-// daemon.
-type remoteRun struct {
-	topo      photonoc.NoCConfig
-	pat       photonoc.SimPattern
-	traffic   photonoc.TrafficMatrix
-	ber       float64
-	sweepBERs []float64
-	objective string
-	rate      float64
-	useDAC    bool
-	perLink   bool
-	sim       bool
-	messages  int
-	seed      int64
-	qmax      int
-}
-
-// runRemote executes the invocation against an onocd daemon. The daemon
-// solves every operating point (through its coalescing memo cache); the topology geometry is rebuilt locally from
-// the daemon's own link configuration so the header and per-link table
-// describe exactly the network the daemon evaluated, and the results render
-// through the same table code as the in-process path.
-func runRemote(ctx context.Context, out io.Writer, base string, rr remoteRun) error {
-	c := onocd.NewClient(base)
-	conf, err := c.Config(ctx)
-	if err != nil {
-		return fmt.Errorf("remote %s: %w", base, err)
-	}
-	eng, err := photonoc.New(photonoc.WithConfig(conf.Config))
-	if err != nil {
-		return fmt.Errorf("remote configuration: %w", err)
-	}
-	net, err := eng.BuildNetwork(rr.topo)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "remote engine %s at %s\n", conf.Fingerprint[:12], c.Base)
-	fmt.Fprintf(out, "topology %s: %d tiles, %d links, %d waveguides (%s traffic)\n",
-		rr.topo.Kind, net.Tiles(), net.NumLinks(), len(net.Waveguides()), rr.pat)
-
-	req := onocd.NoCRequest{
-		Topology:       rr.topo.Kind.String(),
-		Tiles:          rr.topo.Tiles,
-		Columns:        rr.topo.Columns,
-		TilePitchCM:    rr.topo.TilePitchCM,
-		Objective:      rr.objective,
-		Traffic:        rr.traffic,
-		RateBitsPerSec: rr.rate,
-		UseDAC:         rr.useDAC,
-	}
-	if rr.sweepBERs != nil {
-		req.TargetBERs = rr.sweepBERs
-		t := newSweepTable()
-		if err := c.NetworkSweep(ctx, req, func(_ int, _ float64, res photonoc.NoCResult) error {
-			addSweepRow(t, res)
-			return nil
-		}); err != nil {
-			return err
-		}
-		return t.Render(out)
-	}
-
-	req.TargetBER = rr.ber
-	res, err := c.NetworkEval(ctx, req)
-	if err != nil {
-		return err
-	}
-	if err := printResult(out, net, res, rr.perLink); err != nil {
-		return err
-	}
-	if !rr.sim {
-		return nil
-	}
-	req.Messages, req.Seed, req.MaxQueueDepth = rr.messages, rr.seed, rr.qmax
-	simRes, err := c.NetworkSim(ctx, req)
-	if err != nil {
-		return err
-	}
-	return printSim(out, res, simRes)
-}
-
-// newSweepTable and addSweepRow render the BER sweep — shared by the
-// in-process stream and the remote NDJSON stream.
-func newSweepTable() *report.Table {
-	return report.NewTable("Network sweep",
-		"BER", "feasible", "schemes", "sat Gb/s/tile", "pJ/bit", "p50 µs", "p99 µs")
-}
-
+// addSweepRow renders one point of the BER sweep.
 func addSweepRow(t *report.Table, res photonoc.NoCResult) {
 	if !res.Feasible {
 		t.AddRowf(fmt.Sprintf("%.1e", res.TargetBER), "no", res.InfeasibleReason, "-", "-", "-", "-")
@@ -308,19 +213,6 @@ func addSweepRow(t *report.Table, res photonoc.NoCResult) {
 		fmt.Sprintf("%.2f", res.EnergyPerBitJ*1e12),
 		fmt.Sprintf("%.3f", res.P50LatencySec*1e6),
 		fmt.Sprintf("%.3f", res.P99LatencySec*1e6))
-}
-
-// runSweep streams the BER sweep, rendering each aggregated point as it
-// completes.
-func runSweep(ctx context.Context, out io.Writer, eng *photonoc.Engine, topo photonoc.NoCConfig, opts photonoc.NoCEvalOptions, bers []float64) error {
-	t := newSweepTable()
-	for res, err := range eng.NetworkSweepStream(ctx, topo, bers, opts) {
-		if err != nil {
-			return err
-		}
-		addSweepRow(t, res)
-	}
-	return t.Render(out)
 }
 
 // schemeMix formats per-scheme link counts.

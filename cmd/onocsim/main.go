@@ -7,10 +7,10 @@
 //	onocsim -pattern streaming -deadline 2.0 -adaptive -idleoff
 //	onocsim -remote http://127.0.0.1:9137 -load 0.4
 //
-// With -remote, the simulator adopts the daemon's link configuration and
-// scheme roster and solves the roster once over HTTP against the daemon's
-// shared memo cache; the per-transfer decisions and the event loop run
-// locally.
+// The simulator adopts its backend's link configuration and scheme roster
+// and solves the roster once through it: an in-process engine or, with
+// -remote, the daemon's shared memo cache over HTTP. The per-transfer
+// decisions and the event loop run locally either way.
 package main
 
 import (
@@ -21,8 +21,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-
-	"photonoc"
 
 	"photonoc/internal/manager"
 	"photonoc/internal/netsim"
@@ -89,37 +87,23 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	var res netsim.Results
-	if *remote != "" {
-		// Remote mode: the daemon owns the link configuration and scheme
-		// roster; the Client is the simulator's core.Evaluator, so every
-		// cache-missing decision becomes one /v1/sweep round trip and every
-		// repeat hits the daemon's memo cache.
-		c := onocd.NewClient(*remote)
-		conf, err := c.Config(ctx)
-		if err != nil {
-			return fmt.Errorf("remote %s: %w", *remote, err)
-		}
-		cfg.Link = conf.Config
-		if cfg.Schemes, err = onocd.ResolveSchemes(conf.Schemes); err != nil {
-			return fmt.Errorf("remote roster: %w", err)
-		}
-		fmt.Fprintf(out, "remote engine %s at %s\n", conf.Fingerprint[:12], c.Base)
-		if res, err = netsim.RunCtx(ctx, cfg, c); err != nil {
-			return err
-		}
-	} else {
-		// The engine owns the link configuration; the simulator solves its
-		// roster against the engine's memo cache.
-		eng, err := photonoc.New(photonoc.WithConfig(cfg.Link), photonoc.WithSchemes(cfg.Schemes...))
-		if err != nil {
-			return err
-		}
-		if res, err = eng.Simulate(ctx, cfg); err != nil {
-			return err
-		}
+	// The backend is the simulator's core.Evaluator: the in-process
+	// engine's memo cache, or one /v1/sweep round trip per missing point
+	// against the daemon's.
+	be, conf, banner, err := onocd.Open(ctx, *remote)
+	if err != nil {
+		return err
+	}
+	cfg.Link = conf.Config
+	if cfg.Schemes, err = onocd.ResolveSchemes(conf.Schemes); err != nil {
+		return err
+	}
+	res, err := netsim.RunCtx(ctx, cfg, be)
+	if err != nil {
+		return err
 	}
 
+	fmt.Fprint(out, banner)
 	t := report.NewTable(
 		fmt.Sprintf("onocsim — %s traffic, load %.2f, %d msgs, BER %.0e", *pattern, *load, *messages, *ber),
 		"metric", "value")

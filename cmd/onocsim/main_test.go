@@ -60,10 +60,13 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestRemoteMatchesLocal: the seeded simulation renders byte-identically
+// TestRemoteMatchesLocal: a seeded simulation renders byte-identically
 // whether the manager's evaluations resolve in process or over HTTP against
 // a selfhosted onocd daemon (after the extra "remote engine …" banner) —
-// the Client really is a drop-in core.Evaluator.
+// the Client really is a drop-in core.Evaluator. The hotspot run decides
+// every transfer by the objective alone; the streaming run adapts its
+// scheme per transfer to each message's deadline, so every scheme of the
+// roster crosses the evaluator seam.
 func TestRemoteMatchesLocal(t *testing.T) {
 	_, hs, base, err := onocd.ListenLocal(onocd.Options{Workers: 2})
 	if err != nil {
@@ -71,20 +74,32 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 	defer hs.Close()
 
-	args := []string{"-pattern", "hotspot", "-hotspot", "3", "-load", "0.3", "-messages", "300", "-seed", "11"}
-	var local, remote bytes.Buffer
-	if err := run(context.Background(), args, &local); err != nil {
-		t.Fatalf("local: %v", err)
-	}
-	if err := run(context.Background(), append([]string{"-remote", base}, args...), &remote); err != nil {
-		t.Fatalf("remote: %v", err)
-	}
-	banner, rest, ok := strings.Cut(remote.String(), "\n")
-	if !ok || !strings.HasPrefix(banner, "remote engine ") {
-		t.Fatalf("remote output missing the engine banner:\n%s", remote.String())
-	}
-	if rest != local.String() {
-		t.Errorf("remote output differs from local\n--- remote ---\n%s\n--- local ---\n%s", rest, local.String())
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"hotspot", []string{"-pattern", "hotspot", "-hotspot", "3", "-load", "0.3", "-messages", "300", "-seed", "11"}},
+		{"streaming_deadline", []string{
+			"-pattern", "streaming", "-deadline", "3", "-adaptive", "-idleoff",
+			"-messages", "400", "-seed", "5", "-objective", "min-power",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var local, remote bytes.Buffer
+			if err := run(context.Background(), tc.args, &local); err != nil {
+				t.Fatalf("local: %v", err)
+			}
+			if err := run(context.Background(), append([]string{"-remote", base}, tc.args...), &remote); err != nil {
+				t.Fatalf("remote: %v", err)
+			}
+			banner, rest, ok := strings.Cut(remote.String(), "\n")
+			if !ok || !strings.HasPrefix(banner, "remote engine ") {
+				t.Fatalf("remote output missing the engine banner:\n%s", remote.String())
+			}
+			if rest != local.String() {
+				t.Errorf("remote output differs from local\n--- remote ---\n%s\n--- local ---\n%s", rest, local.String())
+			}
+		})
 	}
 }
 

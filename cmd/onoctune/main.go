@@ -31,10 +31,6 @@ import (
 
 	"photonoc"
 
-	"photonoc/internal/ecc"
-	"photonoc/internal/manager"
-	"photonoc/internal/netsim"
-	"photonoc/internal/noc"
 	"photonoc/internal/onocd"
 	"photonoc/internal/report"
 	"photonoc/internal/tune"
@@ -85,34 +81,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return errFlagParse
 	}
 
-	// Validate everything derivable from the flags alone before building
-	// anything or writing any output, so a failed invocation never emits a
-	// plausible-looking partial result.
-	if *ber <= 0 || *ber >= 0.5 || math.IsNaN(*ber) {
-		return fmt.Errorf("-ber %g outside (0, 0.5)", *ber)
-	}
-	if *particles < 0 || *generations < 0 || *archive < 0 {
-		return fmt.Errorf("-particles, -generations and -archive must be non-negative")
-	}
-	obj, err := manager.ParseObjective(*objective)
-	if err != nil {
-		return err
-	}
+	// The flags become one onocd.NoCTuneRequest. Its conversion and the
+	// campaign's own option check validate it on either backend before the
+	// first generation.
 	pat, err := photonoc.ParsePattern(*pattern)
 	if err != nil {
 		return err
 	}
-	kindNames, err := splitList(*kinds)
+	kindList, err := splitList(*kinds)
 	if err != nil {
 		return fmt.Errorf("-kinds: %v", err)
-	}
-	var kindList []noc.Kind
-	for _, k := range kindNames {
-		kind, err := noc.ParseKind(k)
-		if err != nil {
-			return err
-		}
-		kindList = append(kindList, kind)
 	}
 	tileList, err := intList(*tiles)
 	if err != nil {
@@ -126,42 +104,31 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-dacbits: %v", err)
 	}
-	rosterNames, rosterCodes, err := parseRosters(*rosters)
-	if err != nil {
-		return fmt.Errorf("-rosters: %v", err)
+	req := onocd.NoCTuneRequest{
+		TargetBER:       *ber,
+		Objective:       *objective,
+		Pattern:         pat.String(),
+		HotspotNode:     *hotspot,
+		HotspotFraction: *hotFrac,
+		MessageBits:     *msgBits,
+		Seed:            *seed,
+		Particles:       *particles,
+		Generations:     *generations,
+		ArchiveCap:      *archive,
+		Kinds:           kindList,
+		Tiles:           tileList,
+		Wavelengths:     waveList,
+		DACBits:         dacList,
+		Rosters:         parseRosters(*rosters),
 	}
 
-	// The campaign driver re-validates all of this, but it only runs after
-	// the banner — check the choice lists here so a bad flag never leaves
-	// partial output behind.
-	minTiles := 8 // smallest default tile choice
-	for i, t := range tileList {
-		if t < 2 || t > noc.MaxTiles {
-			return fmt.Errorf("-tiles: choice %d must be between 2 and %d", t, noc.MaxTiles)
-		}
-		if i == 0 || t < minTiles {
-			minTiles = t
-		}
+	var engOpts []photonoc.Option
+	if *workers != 0 {
+		engOpts = append(engOpts, photonoc.WithWorkers(*workers))
 	}
-	for _, w := range waveList {
-		if w < 0 || w > noc.MaxWavelengths {
-			return fmt.Errorf("-wavelengths: choice %d must be between 0 and %d", w, noc.MaxWavelengths)
-		}
-	}
-	for _, b := range dacList {
-		if b != 0 {
-			if err := (manager.DAC{Bits: b, MaxOpticalW: manager.PaperDAC().MaxOpticalW}).Validate(); err != nil {
-				return fmt.Errorf("-dacbits: %v", err)
-			}
-		}
-	}
-	if pat == netsim.Hotspot {
-		if *hotspot < 0 || *hotspot >= minTiles {
-			return fmt.Errorf("-hotspot %d outside the smallest tile choice %d", *hotspot, minTiles)
-		}
-		if *hotFrac <= 0 || *hotFrac >= 1 {
-			return fmt.Errorf("-hotfrac %g outside (0, 1)", *hotFrac)
-		}
+	be, _, banner, err := onocd.Open(ctx, *remote, engOpts...)
+	if err != nil {
+		return err
 	}
 
 	gens := *generations
@@ -172,86 +139,24 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if parts == 0 {
 		parts = tune.DefaultParticles
 	}
-
-	banner := func(w io.Writer) {
-		fmt.Fprintf(w, "autotune: %d particles × %d generations, %s, BER %.0e (%s traffic, seed %d)\n",
-			parts, gens, *objective, *ber, pat, *seed)
-	}
-
-	onGen := func(gen int, front []tune.Point) error {
+	res, err := be.Tune(ctx, req, func(gen int, front []tune.Point) error {
 		if *jsonOut {
 			return nil
+		}
+		if gen == 0 {
+			// The banners wait for the first generation, so a campaign
+			// the backend refuses leaves no output behind.
+			fmt.Fprint(out, banner)
+			fmt.Fprintf(out, "autotune: %d particles × %d generations, %s, BER %.0e (%s traffic, seed %d)\n",
+				parts, gens, *objective, *ber, pat, *seed)
 		}
 		e, p99, sat := frontExtremes(front)
 		fmt.Fprintf(out, "gen %*d/%d: front %2d | min %6.2f pJ/bit | min %7.3f µs p99 | max %7.2f Gb/s sat\n",
 			len(strconv.Itoa(gens)), gen+1, gens, len(front), e*1e12, p99*1e6, sat/1e9)
 		return nil
-	}
-
-	var res *tune.Result
-	if *remote != "" {
-		c := onocd.NewClient(*remote)
-		conf, err := c.Config(ctx)
-		if err != nil {
-			return fmt.Errorf("remote %s: %w", *remote, err)
-		}
-		if !*jsonOut {
-			fmt.Fprintf(out, "remote engine %s at %s\n", conf.Fingerprint[:12], c.Base)
-			banner(out)
-		}
-		res, err = c.Tune(ctx, onocd.NoCTuneRequest{
-			TargetBER:       *ber,
-			Objective:       *objective,
-			Pattern:         pat.String(),
-			HotspotNode:     *hotspot,
-			HotspotFraction: *hotFrac,
-			MessageBits:     *msgBits,
-			Seed:            *seed,
-			Particles:       *particles,
-			Generations:     *generations,
-			ArchiveCap:      *archive,
-			Kinds:           kindNames,
-			Tiles:           tileList,
-			Wavelengths:     waveList,
-			DACBits:         dacList,
-			Rosters:         rosterNames,
-		}, onGen)
-		if err != nil {
-			return err
-		}
-	} else {
-		engOpts := []photonoc.Option{}
-		if *workers != 0 {
-			engOpts = append(engOpts, photonoc.WithWorkers(*workers))
-		}
-		eng, err := photonoc.New(engOpts...)
-		if err != nil {
-			return err
-		}
-		if !*jsonOut {
-			banner(out)
-		}
-		res, err = eng.Tune(ctx, photonoc.TuneOptions{
-			Seed:            *seed,
-			Particles:       *particles,
-			Generations:     *generations,
-			ArchiveCap:      *archive,
-			TargetBER:       *ber,
-			Objective:       obj,
-			Pattern:         pat,
-			HotspotNode:     *hotspot,
-			HotspotFraction: *hotFrac,
-			MessageBits:     *msgBits,
-			Kinds:           kindList,
-			Tiles:           tileList,
-			Wavelengths:     waveList,
-			Rosters:         rosterCodes,
-			DACBits:         dacList,
-			OnGeneration:    onGen,
-		})
-		if err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 
 	if *jsonOut {
@@ -322,31 +227,20 @@ func intList(s string) ([]int, error) {
 	return out, nil
 }
 
-// parseRosters splits the -rosters flag — scheme names ';'-separated within
-// a roster, '|' between rosters (scheme names contain commas) — and
-// resolves every name against the extended registry, so both the wire names
-// and the resolved codes agree before anything runs.
-func parseRosters(s string) ([][]string, [][]ecc.Code, error) {
+// parseRosters splits the -rosters flag: scheme names ';'-separated within
+// a roster, '|' between rosters (scheme names contain commas). The names
+// resolve against the extended registry in the request's conversion.
+func parseRosters(s string) [][]string {
 	if s == "" {
-		return nil, nil, nil
+		return nil
 	}
 	var names [][]string
-	var codes [][]ecc.Code
 	for _, group := range strings.Split(s, "|") {
 		var roster []string
 		for _, n := range strings.Split(group, ";") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				return nil, nil, fmt.Errorf("empty scheme name in roster %q", group)
-			}
-			roster = append(roster, n)
-		}
-		resolved, err := onocd.ResolveSchemes(roster)
-		if err != nil {
-			return nil, nil, err
+			roster = append(roster, strings.TrimSpace(n))
 		}
 		names = append(names, roster)
-		codes = append(codes, resolved)
 	}
-	return names, codes, nil
+	return names
 }

@@ -101,6 +101,26 @@ func waitMisses(t *testing.T, c *memo[cacheKey, core.Evaluation], n uint64) {
 	}
 }
 
+// TestMemoColdMissAllocs: a cold miss that no other caller waits on
+// allocates its entry and nothing else. The channel a waiter blocks on is
+// made by the first waiter (TestFlightGroupCoalesces covers that path).
+func TestMemoColdMissAllocs(t *testing.T) {
+	const runs = 200
+	// Size the map up front so inserts never grow it.
+	c := &memo[cacheKey, core.Evaluation]{capacity: 2 * runs, m: make(map[cacheKey]*memoEntry[core.Evaluation], 2*runs)}
+	build := func() (core.Evaluation, error) { return core.Evaluation{}, nil }
+	key := cacheKey{link: 1, scheme: 2}
+	allocs := testing.AllocsPerRun(runs, func() {
+		key.ber++
+		if _, how, err := c.do(key, build); err != nil || how != solved {
+			t.Fatalf("outcome=%v err=%v, want a cold solve", how, err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("cold miss allocates %v objects, want 1 (the entry)", allocs)
+	}
+}
+
 // TestFlightGroupPropagatesError: a failing solve is not memoized, and
 // nothing is retried implicitly — the next call solves afresh.
 func TestFlightGroupPropagatesError(t *testing.T) {

@@ -85,6 +85,8 @@ type memo[K comparable, V any] struct {
 // memoEntry is one memoized value. It enters the memo pending, when its
 // first caller misses, and is published when that caller's build returns:
 // val, err and done are written under the memo lock, then ready is closed.
+// ready is made, under the lock, by the first caller that finds the entry
+// pending: most entries are never waited on and never get one.
 type memoEntry[V any] struct {
 	val   V
 	err   error
@@ -120,8 +122,12 @@ func (c *memo[K, V]) do(k K, build func() (V, error)) (*V, outcome, error) {
 			return &ent.val, hit, nil
 		}
 		c.misses++
+		if ent.ready == nil {
+			ent.ready = make(chan struct{})
+		}
+		ready := ent.ready
 		c.mu.Unlock()
-		<-ent.ready
+		<-ready
 		return &ent.val, shared, ent.err
 	}
 	c.misses++
@@ -134,7 +140,7 @@ func (c *memo[K, V]) do(k K, build func() (V, error)) (*V, outcome, error) {
 			}
 		}
 	}
-	ent := &memoEntry[V]{ready: make(chan struct{})}
+	ent := &memoEntry[V]{}
 	c.m[k] = ent
 	c.mu.Unlock()
 
@@ -145,7 +151,9 @@ func (c *memo[K, V]) do(k K, build func() (V, error)) (*V, outcome, error) {
 	if err != nil && c.m[k] == ent {
 		delete(c.m, k)
 	}
-	close(ent.ready)
+	if ent.ready != nil {
+		close(ent.ready)
+	}
 	c.mu.Unlock()
 	return &ent.val, solved, err
 }

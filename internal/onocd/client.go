@@ -28,9 +28,9 @@ import (
 
 // Client is a typed onocd client. Errors decoded from the daemon's JSON
 // envelope round-trip the package's typed sentinels, so errors.Is works on
-// a remote failure exactly as it would in process. Client implements
-// core.Evaluator, which is what lets onocsim solve its simulation's scheme
-// roster on a remote daemon.
+// a remote failure exactly as it would in process. Client is the remote
+// Backend, and so a core.Evaluator: onocsim solves its simulation's scheme
+// roster through it.
 //
 // Every call is resilient by default: retryable failures (429/503/504,
 // transport errors, truncated streams) are retried with capped

@@ -64,8 +64,6 @@ type Options struct {
 	// RequestTimeout is the per-request deadline ceiling
 	// (0 = DefaultRequestTimeout).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (0 = DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 
 	// FaultInjector, when non-nil, wraps every /v1 route with the seeded
 	// chaos middleware (cmd/onocd builds one from -fault-rate/-fault-seed).
@@ -97,9 +95,10 @@ type Options struct {
 // engineState is one immutable generation of the serving engine. Hot
 // reload swaps the whole generation atomically; requests in flight keep
 // the generation they started with, so a reload never mixes two
-// configurations inside one response.
+// configurations inside one response. The embedded local runs the
+// network routes' requests, as the in-process Backend does.
 type engineState struct {
-	eng      *engine.Engine
+	local
 	mgr      *manager.Manager
 	obs      *engineObserver
 	loadedAt time.Time
@@ -131,7 +130,7 @@ func newEngineState(opts Options, cfg core.LinkConfig) (*engineState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &engineState{eng: eng, mgr: mgr, obs: o, loadedAt: time.Now()}, nil
+	return &engineState{local: local{eng}, mgr: mgr, obs: o, loadedAt: time.Now()}, nil
 }
 
 // Server is the onocd HTTP service: the Engine behind JSON routes, with
@@ -163,9 +162,6 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	if opts.RequestTimeout < 0 {
 		return nil, fmt.Errorf("%w: request timeout %v must be positive", apierr.ErrInvalidConfig, opts.RequestTimeout)
-	}
-	if opts.MaxBodyBytes == 0 {
-		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if opts.SlowRequest == 0 {
 		opts.SlowRequest = DefaultSlowRequest
@@ -414,7 +410,7 @@ func (s *Server) instrument(route string, admission bool, fn handlerFunc) http.H
 		ctx = obs.ContextWithSpan(ctx, sc)
 		ctx = obs.ContextWithStats(ctx, stats)
 
-		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 		if err := fn(ctx, s.state.Load(), w, r.WithContext(ctx)); err != nil {
 			// Map context errors through the request deadline: the engine
 			// returns ctx.Err() verbatim, and a deadline the server imposed
@@ -719,12 +715,7 @@ func (s *Server) handleConfig(ctx context.Context, st *engineState, w *statusWri
 		w.WriteHeader(http.StatusNotModified)
 		return nil
 	}
-	writeJSON(w, http.StatusOK, ConfigResponse{
-		Fingerprint: st.eng.ConfigFingerprint(),
-		Schemes:     schemeNames(st.eng.Schemes()),
-		Workers:     st.eng.Workers(),
-		Config:      st.eng.Config(),
-	})
+	writeJSON(w, http.StatusOK, configOf(st.eng))
 	return nil
 }
 
@@ -809,15 +800,7 @@ func (s *Server) handleDecide(ctx context.Context, st *engineState, req *DecideR
 }
 
 func (s *Server) handleNoCEval(ctx context.Context, st *engineState, req *NoCRequest) (any, error) {
-	cfg, err := req.topology()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := req.evalOptions()
-	if err != nil {
-		return nil, err
-	}
-	res, err := st.eng.Network(ctx, cfg, opts)
+	res, err := st.NetworkEval(ctx, *req)
 	if err != nil {
 		return nil, err
 	}
@@ -928,15 +911,10 @@ func (s *Server) handleNoCSweep(ctx context.Context, st *engineState, r *http.Re
 	if err := decodeJSON(r, &req); err != nil {
 		return 0, nil, err
 	}
-	cfg, err := req.topology()
+	results, err := st.networkSweep(ctx, &req)
 	if err != nil {
 		return 0, nil, err
 	}
-	opts, err := req.evalOptions()
-	if err != nil {
-		return 0, nil, err
-	}
-	results := st.eng.NetworkSweepStream(ctx, cfg, req.TargetBERs, opts)
 	return len(req.TargetBERs), lines(results, nocLine(req.TargetBERs, nil)), nil
 }
 
@@ -987,26 +965,7 @@ func (s *Server) handleNoCTune(ctx context.Context, st *engineState, r *http.Req
 }
 
 func (s *Server) handleNoCSim(ctx context.Context, st *engineState, req *NoCRequest) (any, error) {
-	cfg, err := req.topology()
-	if err != nil {
-		return nil, err
-	}
-	evalOpts, err := req.evalOptions()
-	if err != nil {
-		return nil, err
-	}
-	simOpts := engine.NetworkSimOptions{
-		TargetBER:               req.TargetBER,
-		Objective:               evalOpts.Objective,
-		DAC:                     evalOpts.DAC,
-		Traffic:                 evalOpts.Traffic,
-		InjectionRateBitsPerSec: req.RateBitsPerSec,
-		MessageBits:             req.MessageBits,
-		Messages:                req.Messages,
-		Seed:                    req.Seed,
-		MaxQueueDepth:           req.MaxQueueDepth,
-	}
-	res, err := st.eng.SimulateNetwork(ctx, cfg, simOpts)
+	res, err := st.NetworkSim(ctx, *req)
 	if err != nil {
 		return nil, err
 	}

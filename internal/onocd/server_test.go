@@ -163,11 +163,7 @@ func TestNoCEvalMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := req.topology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := req.evalOptions()
+	cfg, opts, err := req.network()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +193,7 @@ func TestNoCSimDeterministicAcrossWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, _ := req.topology()
+	cfg, _, _ := req.network()
 	obj, err := parseObjective("")
 	if err != nil {
 		t.Fatal(err)
@@ -325,6 +321,47 @@ func TestWireSizeBoundsRefused(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != apierr.CodeInvalidInput {
 			t.Errorf("%s %s: got %d/%q, want 400/%q (message %q)", tc.path, tc.body, resp.StatusCode, env.Error.Code, apierr.CodeInvalidInput, env.Error.Message)
 		}
+	}
+}
+
+// TestBodyBoundRefused: a request body one byte over DefaultMaxBodyBytes is
+// refused with a 400 invalid_input that names the limit, before anything
+// is solved; the same request padded to exactly the limit is served.
+func TestBodyBoundRefused(t *testing.T) {
+	s, c := newTestServer(t, Options{})
+	body := func(n int) string {
+		const head, tail = `{"target_bers": [1e-11]`, `}`
+		return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+	}
+
+	resp, err := http.Post(c.Base+"/v1/sweep", "application/json", strings.NewReader(body(DefaultMaxBodyBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env apierr.Envelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != apierr.CodeInvalidInput {
+		t.Errorf("oversized body: got %d/%q, want 400/%q (message %q)", resp.StatusCode, env.Error.Code, apierr.CodeInvalidInput, env.Error.Message)
+	}
+	if limit := fmt.Sprint(DefaultMaxBodyBytes); !strings.Contains(env.Error.Message, limit) {
+		t.Errorf("message %q does not name the %s-byte limit", env.Error.Message, limit)
+	}
+	if n := s.Engine().CacheStats().ColdSolves; n != 0 {
+		t.Errorf("refused body ran %d cold solves, want 0", n)
+	}
+
+	resp, err = http.Post(c.Base+"/v1/sweep", "application/json", strings.NewReader(body(DefaultMaxBodyBytes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("body of exactly the limit: status %d, want 200", resp.StatusCode)
 	}
 }
 

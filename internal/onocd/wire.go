@@ -5,7 +5,10 @@
 // per-request deadlines, semaphore admission control (429 + Retry-After),
 // Prometheus-text metrics, hot config reload and graceful drain. cmd/onocd
 // wraps it in a daemon; cmd/onocload drives it with a closed-loop load
-// harness; onocnet/onocsim reach it through Client via their -remote flag.
+// harness. onocnet, onocsim and onoctune describe each invocation as this
+// package's requests and run them on a Backend (Open): Client against a
+// daemon with -remote, otherwise an in-process engine through the same
+// request conversions the /v1 handlers use.
 package onocd
 
 import (
@@ -182,11 +185,7 @@ func (it *NoCBatchItem) candidate() (engine.NetworkCandidate, error) {
 	if len(it.TargetBERs) != 0 {
 		return engine.NetworkCandidate{}, fmt.Errorf("%w: batch candidates take target_ber, not target_bers", apierr.ErrInvalidInput)
 	}
-	cfg, err := it.topology()
-	if err != nil {
-		return engine.NetworkCandidate{}, err
-	}
-	opts, err := it.evalOptions()
+	cfg, opts, err := it.network()
 	if err != nil {
 		return engine.NetworkCandidate{}, err
 	}
@@ -197,26 +196,21 @@ func (it *NoCBatchItem) candidate() (engine.NetworkCandidate, error) {
 	return engine.NetworkCandidate{Topology: cfg, Schemes: codes, Opts: opts}, nil
 }
 
-// topology converts the wire request into a noc.Config (Base is left zero,
-// so the daemon's engine configuration is adopted). The tile count is
-// checked here, so the streaming routes refuse it with a status code
-// rather than a stream item.
-func (r *NoCRequest) topology() (noc.Config, error) {
+// network converts the wire request into a topology (Base left zero, so
+// the engine's configuration is adopted) and evaluation options. The tile
+// count is checked here, so the streaming routes refuse it with a status
+// code rather than a stream item.
+func (r *NoCRequest) network() (noc.Config, noc.EvalOptions, error) {
 	kind, err := noc.ParseKind(r.Topology)
 	if err != nil {
-		return noc.Config{}, fmt.Errorf("%w: %v", apierr.ErrInvalidInput, err)
+		return noc.Config{}, noc.EvalOptions{}, fmt.Errorf("%w: %v", apierr.ErrInvalidInput, err)
 	}
 	if err := noc.ValidateTiles(r.Tiles); err != nil {
-		return noc.Config{}, fmt.Errorf("%w: %v", apierr.ErrInvalidConfig, err)
+		return noc.Config{}, noc.EvalOptions{}, fmt.Errorf("%w: %v", apierr.ErrInvalidConfig, err)
 	}
-	return noc.Config{Kind: kind, Tiles: r.Tiles, Columns: r.Columns, TilePitchCM: r.TilePitchCM}, nil
-}
-
-// evalOptions converts the wire request into noc evaluation options.
-func (r *NoCRequest) evalOptions() (noc.EvalOptions, error) {
 	obj, err := parseObjective(r.Objective)
 	if err != nil {
-		return noc.EvalOptions{}, err
+		return noc.Config{}, noc.EvalOptions{}, err
 	}
 	opts := noc.EvalOptions{
 		TargetBER:               r.TargetBER,
@@ -232,7 +226,7 @@ func (r *NoCRequest) evalOptions() (noc.EvalOptions, error) {
 		dac := manager.PaperDAC()
 		opts.DAC = &dac
 	}
-	return opts, nil
+	return noc.Config{Kind: kind, Tiles: r.Tiles, Columns: r.Columns, TilePitchCM: r.TilePitchCM}, opts, nil
 }
 
 // Evaluation is one solved (scheme, target BER) operating point on the
