@@ -112,6 +112,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-topology", "torus"},
 		{"-pattern", "blast"},
+		{"-pattern", "hotspot", "-hotfrac", "NaN"},
 		{"-objective", "min-everything"},
 		{"-sweep", "1e-9"},
 		{"-sweep", "1e-12,1e-9", "-sim"},

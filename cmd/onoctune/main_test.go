@@ -128,6 +128,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-rosters", "NoSuchCode"},
 		{"-rosters", "H(7,4);;"},
 		{"-pattern", "blast"},
+		{"-pattern", "hotspot", "-hotfrac", "NaN"},
 		{"-objective", "min-everything"},
 		{"-nosuchflag"},
 	} {

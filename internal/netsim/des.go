@@ -3,6 +3,8 @@ package netsim
 import (
 	"context"
 	"math"
+	"math/bits"
+	"slices"
 
 	"photonoc/internal/noc"
 )
@@ -16,6 +18,9 @@ type server struct {
 	token, prop float64
 	// idleW is the laser power the link holds before its first transfer.
 	idleW float64
+	// perBit is the grant of every transfer when simulate has no decide,
+	// with sec the seconds per payload bit.
+	perBit grant
 }
 
 // grant is the configuration decided for one transfer: the seconds it
@@ -54,9 +59,7 @@ type tally struct {
 // netEvent is one heap entry of the event loop: a message forwarded to the
 // second and last link of its route, link `hop`. seq breaks time ties
 // among forwarded hops first-scheduled-first-served, which pins the event
-// order — and with it every statistic — for a fixed trace. The trace
-// generator reuses the type for its pending arrivals, with seq the
-// source's position (see generate).
+// order — and with it every statistic — for a fixed trace.
 type netEvent struct {
 	at  float64
 	seq uint64
@@ -74,7 +77,10 @@ const publishEvery = 1024
 // one MWSR server that serializes transfers in arrival order. A transfer
 // starts when the medium is free, after servers[l].hold of arbitration,
 // lasts what decide grants, and reaches the next hop token + prop later.
-// With maxQueue > 0 an arrival finding maxQueue messages on the link is
+// A nil decide grants every transfer its link's perBit, scaled by the
+// message's bits: the network's grants are static, and a call in the loop
+// would make it spill its live values around every transfer. With
+// maxQueue > 0 an arrival finding maxQueue messages on the link is
 // dropped. The loop is sequential: a fixed trace and decide give
 // bit-identical results.
 //
@@ -160,9 +166,14 @@ func simulate(ctx context.Context, tr Trace, ready <-chan int, tiles int, router
 			start = nextFree[l]
 		}
 		start += servers[l].hold
-		g, err := decide(l, m, start)
-		if err != nil {
-			return tally{}, err
+		g := servers[l].perBit
+		if decide == nil {
+			g.sec *= float64(m.Bits)
+		} else {
+			var err error
+			if g, err = decide(l, m, start); err != nil {
+				return tally{}, err
+			}
 		}
 		wait := start - ev.at
 		nextFree[l] = start + g.sec
@@ -233,70 +244,82 @@ func simulate(ctx context.Context, tr Trace, ready <-chan int, tiles int, router
 	return t, nil
 }
 
-// sortNonNegative sorts keys ascending, in the order slices.Sort gives,
-// with an LSD radix sort over their IEEE-754 bit patterns: for
-// non-negative floats the patterns order like the values, and the
-// latencies of a validated trace are finite and non-negative. Byte
-// positions every key shares are skipped. scratch must be at least as long
-// as keys.
+// sortBits is the width of sortNonNegative's bucket pass: 8,192 buckets.
+// On the latencies of 20k-message runs at half saturation 13 bits sorted
+// 9–22% faster than 12 (2-CPU x86-64 host, go1.24), and 8,192 int32
+// counts take the 32 KiB of stack that 4,096 int counts would.
+const sortBits = 13
+
+// sortNonNegative sorts keys ascending, in the order slices.Sort gives.
+// For non-negative floats the IEEE-754 bit patterns order like the values,
+// and the latencies of a validated trace are finite and non-negative. One
+// MSD pass distributes the keys into buckets by the sortBits bits that
+// start at the highest bit on which they differ (the bits above it every
+// key shares), so each bucket holds a range of keys below the next
+// bucket's; slices.Sort then orders each bucket. At half saturation a
+// single-hop run's latencies hold a tie block of about half the keys
+// (every message that found its link idle), which slices.Sort orders in
+// linear time. scratch must be at least as long as keys.
 func sortNonNegative(keys, scratch []float64) {
 	n := len(keys)
 	if n < 2 {
 		return
 	}
-	var counts [8][256]int
+	if n > math.MaxInt32 { // beyond the bucket counts
+		slices.Sort(keys)
+		return
+	}
 	and, or := ^uint64(0), uint64(0)
 	for _, k := range keys {
 		b := math.Float64bits(k)
 		and &= b
 		or |= b
-		counts[0][byte(b)]++
-		counts[1][byte(b>>8)]++
-		counts[2][byte(b>>16)]++
-		counts[3][byte(b>>24)]++
-		counts[4][byte(b>>32)]++
-		counts[5][byte(b>>40)]++
-		counts[6][byte(b>>48)]++
-		counts[7][byte(b>>56)]++
 	}
-	src, dst := keys, scratch[:n]
-	for d := range counts {
-		if byte((and^or)>>(8*d)) == 0 {
-			continue // every key holds the same byte here
-		}
-		var offs [256]int
-		sum := 0
-		for i, c := range counts[d] {
-			offs[i] = sum
-			sum += c
-		}
-		for _, k := range src {
-			b := byte(math.Float64bits(k) >> (8 * d))
-			dst[offs[b]] = k
-			offs[b]++
-		}
-		src, dst = dst, src
+	if and == or {
+		return // every key is the same
 	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
+	shift := max(bits.Len64(and^or)-sortBits, 0)
+	var ends [1 << sortBits]int32
+	for _, k := range keys {
+		ends[math.Float64bits(k)>>shift&(1<<sortBits-1)]++
 	}
+	sum := int32(0)
+	for i, c := range ends {
+		ends[i] = sum // the bucket's start until the scatter moves it to its end
+		sum += c
+	}
+	dst := scratch[:n]
+	for _, k := range keys {
+		b := math.Float64bits(k) >> shift & (1<<sortBits - 1)
+		dst[ends[b]] = k
+		ends[b]++
+	}
+	start := 0
+	for _, e := range ends {
+		end := int(e)
+		if end-start > 1 {
+			slices.Sort(dst[start:end])
+		}
+		start = end
+	}
+	copy(keys, dst)
 }
 
 // generate is the trace-generator loop both workloads run on: it fills tr
 // in time order. Each source emits its first arrival as next(src, 0);
-// every recorded arrival schedules its source's next one. next never
-// returns an arrival earlier than now, so the heap of pending arrivals,
-// one per source, pops the trace in time order; arrivals at equal times
-// pop in the order of sources. With a non-nil ready, generate sends the
-// count of arrivals written so far every publishEvery arrivals and once at
-// the end; ready must buffer every send (len(tr)/publishEvery + 1).
+// every recorded arrival draws its source's next one. next never returns
+// an arrival earlier than now, so a tournament tree over the pending
+// arrivals, one per source, keyed by (time, position in sources), pops the
+// trace in time order; arrivals at equal times pop in the order of
+// sources. With a non-nil ready, generate sends the count of arrivals
+// written so far every publishEvery arrivals and once at the end; ready
+// must buffer every send (len(tr)/publishEvery + 1).
 func generate(ctx context.Context, sources []int, tr Trace, next func(src int, now float64) TraceEvent, ready chan<- int) error {
 	pending := make([]TraceEvent, len(sources))
-	events := make(eventHeap, 0, len(sources))
 	for i, s := range sources {
 		pending[i] = next(s, 0)
-		events.push(netEvent{at: pending[i].TimeSec, seq: uint64(i)})
 	}
+	t := newArrivalTree(pending)
 	for i := range tr {
 		if i%publishEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -306,10 +329,10 @@ func generate(ctx context.Context, sources []int, tr Trace, next func(src int, n
 				ready <- i
 			}
 		}
-		p := events[0].seq
+		p := t.winner()
 		tr[i] = pending[p]
 		pending[p] = next(sources[p], tr[i].TimeSec)
-		events.replaceTop(netEvent{at: pending[p].TimeSec, seq: p})
+		t.replay(pending[p].TimeSec)
 	}
 	if ready != nil {
 		ready <- len(tr)

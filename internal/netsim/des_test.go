@@ -169,10 +169,16 @@ func diffDES(t *testing.T, path string, got, want reflect.Value) {
 	}
 }
 
+// sampleShapes is the number of shapes nonNegativeSample draws from.
+const sampleShapes = 8
+
 // nonNegativeSample draws n non-negative finite floats from one of the
 // shapes the latency sort must handle: few distinct values (duplicates),
-// mostly zeros, subnormals, values spanning the whole exponent range, and
-// latency-like values of one magnitude.
+// mostly zeros, subnormals, values spanning the whole exponent range,
+// latency-like values of one magnitude, and three shapes of a DES's
+// latencies: a tie block holding half the keys, keys that differ only
+// above bit 52 (the exponent), and keys that differ only in their lowest
+// 12 bits.
 func nonNegativeSample(rng *rand.Rand, n, shape int) []float64 {
 	x := make([]float64, n)
 	for i := range x {
@@ -187,6 +193,15 @@ func nonNegativeSample(rng *rand.Rand, n, shape int) []float64 {
 			x[i] = math.Float64frombits(rng.Uint64() & (1<<52 - 1))
 		case 3:
 			x[i] = math.Ldexp(1+rng.Float64(), rng.Intn(2046)-1074)
+		case 5:
+			x[i] = 2.5e-7
+			if rng.Intn(2) == 0 {
+				x[i] += rng.ExpFloat64() * 2e-7
+			}
+		case 6:
+			x[i] = math.Ldexp(1.375, rng.Intn(40)-40)
+		case 7:
+			x[i] = math.Float64frombits(math.Float64bits(2.5e-7)&^(1<<12-1) | rng.Uint64()&(1<<12-1))
 		default:
 			x[i] = 1e-8 + rng.ExpFloat64()*2e-7
 		}
@@ -213,17 +228,17 @@ func checkSortNonNegative(t *testing.T, keys []float64) {
 	}
 }
 
-// TestSortNonNegativeMatchesSort: the radix sort of the latencies orders
+// TestSortNonNegativeMatchesSort: the bucket sort of the latencies orders
 // every non-negative sample exactly as slices.Sort does, over lengths
-// 0–5000 and every sample shape.
+// 0–5000 and the 20k messages of a default run, and every sample shape.
 func TestSortNonNegativeMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	lengths := []int{0, 1, 2, 3, 255, 256, 257, 5000}
+	lengths := []int{0, 1, 2, 3, 255, 256, 257, 5000, 20000}
 	for i := 0; i < 40; i++ {
 		lengths = append(lengths, rng.Intn(5001))
 	}
 	for _, n := range lengths {
-		for shape := 0; shape < 5; shape++ {
+		for shape := 0; shape < sampleShapes; shape++ {
 			checkSortNonNegative(t, nonNegativeSample(rng, n, shape))
 		}
 	}

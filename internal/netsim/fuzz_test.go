@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"photonoc/internal/manager"
@@ -157,11 +159,20 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
-// FuzzSortNonNegative: the radix sort of the latencies orders any
+// FuzzSortNonNegative: the bucket sort of the latencies orders any
 // non-negative sample exactly as slices.Sort does. Each 8 bytes of input
 // are one key's bit pattern with the sign bit cleared; NaN patterns are
-// skipped, since latencies are never NaN.
+// skipped, since latencies are never NaN. The seeds include a sample of
+// every nonNegativeSample shape.
 func FuzzSortNonNegative(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for shape := 0; shape < sampleShapes; shape++ {
+		var raw []byte
+		for _, k := range nonNegativeSample(rng, 32, shape) {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(k))
+		}
+		f.Add(raw)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e-7)), math.Float64bits(3e-9)))
@@ -174,6 +185,56 @@ func FuzzSortNonNegative(f *testing.F) {
 			}
 		}
 		checkSortNonNegative(t, keys)
+	})
+}
+
+// FuzzDestinationDraw: a destination table's guide-table search returns
+// the index the binary search over its cumulative weights returns, the
+// last index standing in for an overshoot. Each 3 input bytes are one
+// weight: a zero, a subnormal, or a normal weight between 2^-200 and 2^56,
+// so a small weight after a large one is absorbed and leaves two equal
+// cumulative values. The draws probed are 0, every cumulative value and
+// its two neighbours, the total, and the largest draw the generator makes.
+func FuzzDestinationDraw(f *testing.F) {
+	f.Add([]byte{2, 200, 0})
+	f.Add([]byte{2, 200, 0, 2, 200, 0, 2, 200, 0, 2, 200, 0, 2, 200, 0, 2, 200, 0, 2, 200, 0})
+	f.Add([]byte{0, 0, 0, 3, 250, 9, 1, 0, 1, 2, 10, 0, 0, 0, 0, 2, 199, 128})
+	f.Add([]byte{1, 0, 1, 1, 255, 255, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var cum []float64
+		total := 0.0
+		for b := raw; len(b) >= 3 && len(cum) < 512; b = b[3:] {
+			var w float64
+			switch b[0] % 4 {
+			case 1:
+				w = math.Float64frombits(uint64(b[1])<<8 | uint64(b[2]))
+			case 2, 3:
+				w = math.Ldexp(1+float64(b[2])/256, int(b[1])-200)
+			}
+			total += w
+			cum = append(cum, total)
+		}
+		if len(cum) == 0 {
+			return
+		}
+		tab := newDestTable(cum, nil)
+		probe := func(r float64) {
+			want := sort.SearchFloat64s(cum, r)
+			if want == len(cum) {
+				want--
+			}
+			if got := tab.index(r); got != want {
+				t.Fatalf("draw %v over cumulative weights %v: guide index %d, binary search %d", r, cum, got, want)
+			}
+		}
+		probe(0)
+		for _, c := range cum {
+			probe(math.Nextafter(c, 0))
+			probe(c)
+			probe(math.Nextafter(c, math.Inf(1)))
+		}
+		probe(total)
+		probe(math.Nextafter(1, 0) * total)
 	})
 }
 

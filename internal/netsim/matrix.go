@@ -33,7 +33,7 @@ func (p Pattern) Matrix(n, hotspotNode int, hotspotFrac float64) ([][]float64, e
 		if hotspotNode < 0 || hotspotNode >= n {
 			return nil, fmt.Errorf("netsim: hotspot node %d outside [0,%d)", hotspotNode, n)
 		}
-		if hotspotFrac <= 0 || hotspotFrac >= 1 {
+		if !(hotspotFrac > 0 && hotspotFrac < 1) { // NaN fails too
 			return nil, fmt.Errorf("netsim: hotspot fraction %g outside (0, 1)", hotspotFrac)
 		}
 		for s := 0; s < n; s++ {

@@ -127,11 +127,14 @@ func TestHotspotFractionValidation(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("default hotspot config invalid: %v", err)
 	}
-	for _, frac := range []float64{0, -0.1, 1, 1.5} {
+	for _, frac := range []float64{0, -0.1, 1, 1.5, math.NaN()} {
 		c := cfg
 		c.HotspotFraction = frac
 		if err := c.Validate(); err == nil {
 			t.Errorf("hotspot fraction %g accepted", frac)
+		}
+		if _, err := Hotspot.Matrix(8, 0, frac); err == nil {
+			t.Errorf("hotspot matrix with fraction %g accepted", frac)
 		}
 	}
 	// The fraction is irrelevant — and unchecked — for other patterns.

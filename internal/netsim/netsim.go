@@ -10,7 +10,10 @@
 // by link, each link an MWSR server with its own arbitration hold and
 // pipeline latency, and a per-transfer decision sets the transfer time and
 // powers. One generator loop records every synthetic workload as a Trace,
-// so each run replays from its trace to identical results.
+// so each run replays from its trace to identical results: a tournament
+// tree merges the sources' arrival streams in (time, source) order, and a
+// network source draws each destination from a guide table that returns
+// the index a binary search over its cumulative weights would.
 //
 // A generated network run (RunNetwork) overlaps the two loops: the
 // generator fills a preallocated trace on its own goroutine and publishes

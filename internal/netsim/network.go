@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"photonoc/internal/core"
 	"photonoc/internal/noc"
@@ -211,37 +210,30 @@ func (c NetConfig) generator() (NetConfig, []int, func(src int, now float64) Tra
 	tiles := cfg.Net.Tiles()
 	srcRate := cfg.InjectionRateBitsPerSec / float64(cfg.MessageBits)
 
-	// Per-source cumulative destination distributions, diagonal excluded.
-	type cdf struct {
-		cum []float64 // cumulative weight over dsts
-		dst []int
-	}
-	cdfs := make([]cdf, tiles)
+	// Per-source destination tables over the positive weights, diagonal
+	// excluded.
+	tables := make([]destTable, tiles)
 	var sources []int // silent sources emit nothing
 	for s := 0; s < tiles; s++ {
-		var c cdf
+		var cum []float64
+		var dst []int
 		total := 0.0
 		for d := 0; d < tiles; d++ {
 			if w := cfg.Traffic.Weight(s, d, tiles); w > 0 {
 				total += w
-				c.cum = append(c.cum, total)
-				c.dst = append(c.dst, d)
+				cum = append(cum, total)
+				dst = append(dst, d)
 			}
 		}
-		cdfs[s] = c
-		if len(c.dst) > 0 {
+		if len(dst) > 0 {
+			tables[s] = newDestTable(cum, dst)
 			sources = append(sources, s)
 		}
 	}
 
 	pick := func(s int) int {
-		c := &cdfs[s]
-		r := rng.Float64() * c.cum[len(c.cum)-1]
-		i := sort.SearchFloat64s(c.cum, r)
-		if i == len(c.dst) { // r landed exactly on the total
-			i--
-		}
-		return c.dst[i]
+		t := &tables[s]
+		return t.dst[t.index(rng.Float64()*t.cum[len(t.cum)-1])]
 	}
 
 	if len(sources) == 0 {
@@ -251,6 +243,62 @@ func (c NetConfig) generator() (NetConfig, []int, func(src int, now float64) Tra
 		at := now + rng.ExpFloat64()/srcRate
 		return TraceEvent{TimeSec: at, Src: s, Dst: pick(s), Bits: cfg.MessageBits}
 	}, nil
+}
+
+// destTable is one source's destination distribution: the cumulative
+// weights cum of its destinations dst, and a Chen–Asau guide table that
+// starts the search for a draw at or before its answer: on a traffic
+// matrix's rows, at most a few entries before it.
+type destTable struct {
+	cum   []float64
+	dst   []int
+	guide []int32 // guide[b]: how many cum values lie in buckets below b
+	scale float64 // guide buckets per unit of cumulative weight
+}
+
+// newDestTable indexes cum, a non-empty, non-decreasing row of cumulative
+// non-negative weights, with one guide bucket per entry.
+func newDestTable(cum []float64, dst []int) destTable {
+	t := destTable{cum: cum, dst: dst, guide: make([]int32, len(cum))}
+	t.scale = float64(len(cum)) / cum[len(cum)-1]
+	// bucket is non-decreasing and so is cum, so the cum values below
+	// bucket b are a prefix.
+	i := 0
+	for b := range t.guide {
+		for i < len(cum) && t.bucket(cum[i]) < b {
+			i++
+		}
+		t.guide[b] = int32(i)
+	}
+	return t
+}
+
+// bucket maps a draw r ≥ 0 to its guide bucket. It is non-decreasing in r,
+// which is all index relies on: a cum value in a lower bucket than r's is
+// below r. A total of zero or one that overflows the scale makes a NaN or
+// infinite product, which goes to the last bucket, as do draws at the
+// total.
+func (t *destTable) bucket(r float64) int {
+	last := len(t.guide) - 1
+	if x := r * t.scale; x < float64(last) {
+		return int(x)
+	}
+	return last
+}
+
+// index returns the index sort.SearchFloat64s(t.cum, r) returns for a draw
+// r ≥ 0 — the first cumulative weight at or above r, equal weights
+// included — and the last index where the search returns len(t.cum), which
+// no draw in [0, total] does.
+func (t *destTable) index(r float64) int {
+	i := int(t.guide[t.bucket(r)])
+	for i < len(t.cum) && !(t.cum[i] >= r) {
+		i++
+	}
+	if i == len(t.cum) {
+		i--
+	}
+	return i
 }
 
 // RunNetwork generates the configured workload and simulates it. Its
@@ -294,29 +342,23 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 // read as simulate reads it.
 func simulateNetwork(ctx context.Context, cfg NetConfig, tr Trace, ready <-chan int) (NetResults, error) {
 	// Each link's grant is static: its decision's scheme and DAC setting,
-	// with sec holding the serialization seconds per payload bit until a
-	// transfer scales it by its size.
+	// with sec the serialization seconds per payload bit, which the loop
+	// scales by each transfer's size.
 	nlinks, base := cfg.Net.NumLinks(), cfg.Net.BaseRef()
 	servers := make([]server, nlinks)
-	grants := make([]grant, nlinks)
 	for i := range nlinks {
 		l, d := cfg.Net.LinkRef(i), &cfg.Decisions[i]
 		nw := float64(len(l.Lambdas))
 		laserW := d.LaserPowerW * nw
-		servers[i] = server{token: core.TokenOverheadSec, prop: l.PropagationDelaySec(), idleW: laserW}
-		grants[i] = grant{
+		servers[i] = server{token: core.TokenOverheadSec, prop: l.PropagationDelaySec(), idleW: laserW, perBit: grant{
 			sec:    1 / l.CapacityBitsPerSec(d.Eval.CT),
 			laserW: laserW,
 			modW:   base.ModulatorPowerW * nw,
 			intfW:  base.InterfacePowerFor(d.Eval.Code).TotalW(),
 			heldW:  laserW,
-		}
+		}}
 	}
-	t, err := simulate(ctx, tr, ready, cfg.Net.Tiles(), cfg.Net.Router(), servers, cfg.MaxQueueDepth, func(l int, m *TraceEvent, _ float64) (grant, error) {
-		g := grants[l]
-		g.sec *= float64(m.Bits)
-		return g, nil
-	})
+	t, err := simulate(ctx, tr, ready, cfg.Net.Tiles(), cfg.Net.Router(), servers, cfg.MaxQueueDepth, nil)
 	if err != nil {
 		return NetResults{}, err
 	}

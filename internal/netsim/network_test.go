@@ -392,10 +392,10 @@ func TestNetworkCancellation(t *testing.T) {
 	}
 }
 
-// BenchmarkRunNetwork is the DES's own per-layer number: 20k messages at
-// half the analytic saturation rate through one single-hop shared medium
-// (bus), one ring and one multi-hop XY mesh.
-func BenchmarkRunNetwork(b *testing.B) {
+// benchNetworks runs bench on the DES benchmarks' configurations: 20k
+// messages at half the analytic saturation rate through one single-hop
+// shared medium (bus), one ring and one multi-hop XY mesh.
+func benchNetworks(b *testing.B, bench func(b *testing.B, cfg NetConfig)) {
 	for _, fx := range []struct {
 		name  string
 		kind  noc.Kind
@@ -407,19 +407,39 @@ func BenchmarkRunNetwork(b *testing.B) {
 	} {
 		b.Run(fx.name, func(b *testing.B) {
 			net, decisions, opts := buildNetwork(b, fx.kind, fx.tiles, 1e-11)
-			cfg := NetConfig{
+			bench(b, NetConfig{
 				Net:                     net,
 				Decisions:               decisions,
 				InjectionRateBitsPerSec: 0.5 * saturationRate(b, net, decisions, opts),
 				Messages:                20000,
 				Seed:                    1,
-			}
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := RunNetwork(context.Background(), cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+			})
 		})
 	}
+}
+
+// BenchmarkRunNetwork is the DES's own per-layer number: generation
+// overlapped with the event loop, then the latency sort.
+func BenchmarkRunNetwork(b *testing.B) {
+	benchNetworks(b, func(b *testing.B, cfg NetConfig) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := RunNetwork(context.Background(), cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkRecordNetworkTrace is generation alone: the arrival draws,
+// destination draws and merge that RunNetwork overlaps with its event loop.
+func BenchmarkRecordNetworkTrace(b *testing.B) {
+	benchNetworks(b, func(b *testing.B, cfg NetConfig) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := RecordNetworkTrace(context.Background(), cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
